@@ -18,7 +18,7 @@ import numpy as np
 
 from . import galerkin as gk
 from . import perturbation as pt
-from .config import EXAMPLE_NAMES, ConfigError, RunConfig, load_config_file
+from .config import EXAMPLE_NAMES, ConfigError, RunConfig, load_config_file, parse_eps_list
 from .dirac import dirac_operator
 from .geometry import SingularCoframeError, arc_length, first_order_perturbation, metric_at
 
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
                 raise ConfigError("m must be >= 1")
             cfg.m = args.m
         if args.eps:
-            cfg.eps_list = [float(t) for t in args.eps.replace(",", " ").split()]
+            cfg.eps_list = parse_eps_list(args.eps, "--eps")
         if args.modes:
             cfg.modes = [int(t) for t in args.modes.replace(",", " ").split()]
         out_format = args.out or cfg.out_format
@@ -254,14 +254,15 @@ def main(argv=None) -> int:
             text = cmd_fit(cfg, out_format, order=args.order, eps_grid=eps_grid)
         else:
             text = cmd_dump_matrix(cfg)
+    # before ValueError: np.linalg.LinAlgError subclasses it
+    except _NUMERIC_ERRORS as exc:
+        print(f"numerical contract violation: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RouteDisagreementError as exc:
         print(f"route disagreement:\n{exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
     if args.out_file:

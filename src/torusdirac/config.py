@@ -20,6 +20,7 @@ Unlisted entries are zero.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -83,6 +84,15 @@ def _parse_numbers(text: str, key: str, cast):
         raise ConfigError(f"{key}: expected a list of numbers, got {text!r}") from exc
 
 
+def parse_eps_list(text: str, key: str = "eps") -> list[float]:
+    """Comma or whitespace separated eps values, each required to be finite."""
+    values = _parse_numbers(text, key, float)
+    for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: eps values must be finite, got {value!r}")
+    return values
+
+
 def parse_config(text: str) -> RunConfig:
     scalars: dict[str, str] = {}
     matrices: dict[str, list[list[TrigPoly]]] = {}
@@ -127,7 +137,7 @@ def parse_config(text: str) -> RunConfig:
         if cfg.m < 1:
             raise ConfigError("m must be >= 1")
     if "eps" in scalars:
-        cfg.eps_list = _parse_numbers(scalars["eps"], "eps", float)
+        cfg.eps_list = parse_eps_list(scalars["eps"])
     if "modes" in scalars:
         cfg.modes = _parse_numbers(scalars["modes"], "modes", int)
     if "out" in scalars:

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MetricSnapshot
+from .geometry import DEFAULT_GRID, MetricSnapshot
 from .trigpoly import Matrix3Field, TrigPoly, grid_points
-
-DEFAULT_GRID = 256
 
 
 def spectral_derivative(samples: np.ndarray) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 The operator is projected onto the span of the unperturbed eigenfunctions
 v_i, w_i for i = -m..m, giving a Hermitian matrix of order 2(2m+1) whose
-spectrum approximates the perturbed one. The basis couples only through the
-finitely many harmonics of the coefficient functions, so interior eigenvalues
-converge extremely fast in m.
+spectrum approximates the perturbed one. The basis consists of plane waves,
+so every matrix entry is a closed form in the Fourier coefficients of the
+symbol B and the potential p: the matrix is assembled from one FFT of each
+and a gather, never by applying the operator to the basis. The basis couples
+only through the finitely many harmonics of the coefficient functions, so
+interior eigenvalues converge extremely fast in m.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dirac import DEFAULT_GRID, DiracOperator, SpinorField, dirac_operator
-from .geometry import CoframeFamily, metric_at
+from .dirac import DiracOperator, SpinorField, dirac_operator
+from .geometry import DEFAULT_GRID, CoframeFamily, metric_at
 from .trigpoly import grid_points
 
 PAIRING_TOL = 1e-8
@@ -24,7 +28,7 @@ HERMITICITY_LIMIT = 1e-9
 
 
 class UnderResolvedError(Exception):
-    """Quadrature grid too coarse for the requested truncation."""
+    """Grid too coarse for the requested truncation or the coefficient tail."""
 
 
 class TrackingError(Exception):
@@ -61,8 +65,10 @@ class GalerkinMatrix:
 
     Rows are indexed by (i, kind) with i = -m..m and the v row preceding the
     w row within each i; ``row()`` exposes the map. ``herm_residual`` is the
-    max-norm Hermiticity defect measured before symmetrization, a health
-    metric for quadrature resolution.
+    max-norm Hermiticity defect of the closed-form entries before
+    symmetrization. The closed form is Hermitian by construction, so it
+    measures floating-point rounding only, ~1e-16 of the largest entry; grid
+    resolution is checked on the Fourier tail of the coefficients instead.
     """
 
     m: int
@@ -83,26 +89,62 @@ class GalerkinMatrix:
 
 
 def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
-    """Assemble H[row(j,b), row(i,a)] = <W phi_i^a, phi_j^b> by quadrature.
+    """Assemble H[row(j,b), row(i,a)] = <W phi_i^a, phi_j^b> in closed form.
 
-    The result is symmetrized; a pre-symmetrization Hermiticity residual
-    above 1e-9 signals an under-resolved grid and raises.
+    Each basis function is a plane wave phi = c u e^{iqx} with c^2 = 1/(4pi):
+    v_i has q = i, u = (1, 1) and w_i has q = -i, u = (-1, 1). With B^ and p^
+    the Fourier coefficients of the symbol and the potential on the grid,
+
+        H[r, col] = (1/2) u_r^T ((q_r + q_col)/2 B^(q_r - q_col)
+                                 + p^(q_r - q_col)) u_col.
+
+    The grid must hold the coefficient harmonics the entries use: it raises
+    UnderResolvedError when n <= 4m, where the index q_r - q_col would wrap,
+    or when any |B^(j)| or |p^(j)| with |j| >= n/4 exceeds 1e-9, the
+    aliasing tail of an under-resolved coefficient. The result is
+    symmetrized.
     """
     n = op.num_points
-    if n < 2 * m + 4:
-        raise UnderResolvedError(f"grid of {n} points cannot resolve m={m}")
-    labels = [(i, kind) for i in range(-m, m + 1) for kind in ("v", "w")]
-    phis = np.array([basis_spinor(i, kind, n).samples for i, kind in labels])
-    images = np.array([op.apply(SpinorField(p)).samples for p in phis])
-    weight = 2.0 * np.pi / n
-    entries = weight * np.einsum("rcn,kcn->rk", np.conj(phis), images)
-    residual = float(np.max(np.abs(entries - entries.conj().T)))
-    if residual > HERMITICITY_LIMIT:
+    if n <= 4 * m:
         raise UnderResolvedError(
-            f"Hermiticity residual {residual:.2e} exceeds {HERMITICITY_LIMIT:.0e}; "
-            f"grid of {n} points under-resolves m={m}"
+            f"grid of {n} points cannot resolve m={m}: need more than {4 * m}"
         )
-    entries = 0.5 * (entries + entries.conj().T)
+    b_hat = np.fft.fft(op.b_matrix, axis=-1) / n
+    p_hat = np.fft.fft(op.potential) / n
+    tail = np.abs(np.fft.fftfreq(n, d=1.0 / n)) >= n / 4
+    aliasing = max(
+        np.max(np.abs(b_hat[..., tail]), initial=0.0),
+        np.max(np.abs(p_hat[tail]), initial=0.0),
+    )
+    if aliasing > HERMITICITY_LIMIT:
+        raise UnderResolvedError(
+            f"Fourier tail {aliasing:.2e} of the coefficients exceeds "
+            f"{HERMITICITY_LIMIT:.0e}; grid of {n} points under-resolves them"
+        )
+    # frequencies -2m..2m, so that sliding_window_view(c, w)[i_r + m, i_col + m]
+    # is c at frequency i_r + i_col
+    freq = np.r_[n - 2 * m : n, 0 : 2 * m + 1]
+    b_hat, p_hat = b_hat[..., freq], p_hat[freq]
+    w = 2 * m + 1
+    i = np.arange(-m, m + 1)
+    entries = np.empty((w, 2, w, 2), dtype=complex)
+    # u = (s, 1) and q = s*i, with s = +1 for v_i and -1 for w_i
+    for a, s_r in enumerate((1, -1)):
+        for b, s_col in enumerate((1, -1)):
+            sandwich = (
+                s_r * s_col * b_hat[0, 0] + s_r * b_hat[0, 1] + s_col * b_hat[1, 0] + b_hat[1, 1]
+            )
+            # reversing an axis negates its i: frequency s_r*i_r - s_col*i_col
+            flip = (slice(None, None, s_r), slice(None, None, -s_col))
+            qsum = s_r * i[:, None] + s_col * i
+            block = 0.25 * qsum * sliding_window_view(sandwich, w)[flip]
+            if a == b:  # u_r^T u_col is 2 within a kind and 0 across kinds
+                block += sliding_window_view(p_hat, w)[flip]
+            entries[:, a, :, b] = block
+    entries = entries.reshape(2 * w, 2 * w)
+    adjoint = entries.conj().T
+    residual = float(np.max(np.abs(entries - adjoint)))
+    entries = 0.5 * (entries + adjoint)
     return GalerkinMatrix(m=m, entries=entries, herm_residual=residual)
 
 

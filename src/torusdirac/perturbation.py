@@ -20,14 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import (
-    DEFAULT_GRID,
     SpinorField,
     charge_conjugate,
     first_order_operator,
     second_order_operator,
 )
 from .galerkin import basis_spinor, spectrum_report
-from .geometry import CoframeFamily, first_order_perturbation, second_order_perturbation
+from .geometry import (
+    DEFAULT_GRID,
+    CoframeFamily,
+    first_order_perturbation,
+    second_order_perturbation,
+)
 from .trigpoly import Matrix3Field, grid_points
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from torusdirac import ConfigError, load_example, parse_config
+from torusdirac import ConfigError, galerkin, load_example, parse_config
 from torusdirac.cli import main
 from torusdirac.config import EXAMPLE_NAMES
 
@@ -51,6 +51,7 @@ class TestParsing:
             ("m = zero\nperturbation.h.1.1 = (0, 1, 0)", "integer"),
             ("m = 8\nm = 8\nperturbation.h.1.1 = (0, 1, 0)", "duplicate"),
             ("coframe.E1.1.1 = (0, 1, 0.5)", "real"),
+            ("eps = 0.1, inf\ncoframe.E1.1.1 = (0, 1, 0)", "finite"),
         ],
     )
     def test_rejects_malformed(self, text, match):
@@ -181,6 +182,29 @@ class TestCli:
             ["galerkin", "--config", "example-galerkin-1", "--eps", "0.7", "--modes", "0"]
         )
         assert code == 3
+
+    def test_nonfinite_eps_override_is_config_error(self, capsys):
+        code = main(["galerkin", "--config", "example-galerkin-1", "--eps", "nan"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_eigensolver_failure_exit_code(self, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError but is a numerical failure
+        def no_convergence(gm):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(galerkin, "eigenvalues", no_convergence)
+        code = main(["galerkin", "--config", "example-galerkin-1", "--eps", "0.1"])
+        assert code == 3
+        assert "numerical contract violation" in capsys.readouterr().err
+
+    def test_under_resolved_exit_code(self, tmp_path, capsys):
+        # cos(100 x) leaves an aliasing tail on the m = 25 grid of 256 points
+        cfgfile = tmp_path / "fine.cfg"
+        cfgfile.write_text("coframe.E1.1.1 = (100, 0.5, 0) (-100, 0.5, 0)\n")
+        code = main(["galerkin", "--config", str(cfgfile), "--eps", "0.1"])
+        assert code == 3
+        assert "Fourier tail" in capsys.readouterr().err
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

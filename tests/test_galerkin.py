@@ -3,12 +3,17 @@ import pytest
 
 from torusdirac import (
     CoframeFamily,
+    DiracOperator,
+    Matrix3Field,
     TrackingError,
+    TrigPoly,
+    UnderResolvedError,
     charge_conjugate,
     dirac_operator,
     eigenvalues,
     free_operator,
     galerkin_matrix,
+    load_example,
     metric_at,
     spectrum_report,
     track_pair,
@@ -80,6 +85,44 @@ class TestAssembly:
         assert gm.row(-3, "w") == 1
         assert gm.row(0, "v") == 6
         assert gm.row(3, "w") == 13
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("name", ["example-galerkin-1", "example-galerkin-2"])
+    def test_matches_quadrature_oracle(self, name):
+        m, n = 25, default_grid(25)
+        op = dirac_operator(metric_at(load_example(name).family(), 0.1, n))
+        gm = galerkin_matrix(op, m)
+        phis = [basis_spinor(i, kind, n) for i in range(-m, m + 1) for kind in ("v", "w")]
+        images = [op.apply(phi) for phi in phis]
+        oracle = np.array([[image.inner(phi) for image in images] for phi in phis])
+        assert np.max(np.abs(gm.entries - oracle)) <= 1e-12
+
+    def test_assembly_never_applies_operator(self, monkeypatch, first_row_coframe):
+        def refuse(self, v):
+            raise AssertionError("galerkin_matrix applied the operator")
+
+        monkeypatch.setattr(DiracOperator, "apply", refuse)
+        monkeypatch.setattr(DiracOperator, "__call__", refuse)
+        op = dirac_operator(metric_at(first_row_coframe, 0.1, default_grid(25)))
+        assert galerkin_matrix(op, 25).order == 102
+
+
+class TestUnderResolved:
+    def test_index_wrap_rejected(self):
+        with pytest.raises(UnderResolvedError, match="cannot resolve m=16"):
+            galerkin_matrix(free_operator(64), 16)
+        assert galerkin_matrix(free_operator(65), 16).order == 66
+
+    def test_aliasing_tail_rejected(self):
+        fine = TrigPoly.cosine(100)
+        zero = TrigPoly.zero()
+        cf = CoframeFamily.linear(
+            Matrix3Field([[fine, zero, zero], [zero, zero, zero], [zero, zero, zero]])
+        )
+        op = dirac_operator(metric_at(cf, 0.1, 256))
+        with pytest.raises(UnderResolvedError, match="Fourier tail"):
+            galerkin_matrix(op, 10)
 
 
 class TestEigenvalues:
