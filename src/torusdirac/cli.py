@@ -18,9 +18,15 @@ import numpy as np
 
 from . import galerkin as gk
 from . import perturbation as pt
-from .config import EXAMPLE_NAMES, ConfigError, RunConfig, load_config_file, parse_eps_list
-from .dirac import dirac_operator
-from .geometry import SingularCoframeError, arc_length, first_order_perturbation, metric_at
+from .config import (
+    EXAMPLE_NAMES,
+    ConfigError,
+    RunConfig,
+    load_config_file,
+    parse_eps_list,
+    parse_numbers,
+)
+from .geometry import SingularCoframeError, arc_length, first_order_perturbation
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -151,16 +157,13 @@ def cmd_fit(cfg: RunConfig, out_format: str, order: int = 4, eps_grid=None) -> s
     family = cfg.family()
     grid = pt.default_fit_grid(order) if eps_grid is None else np.asarray(eps_grid, float)
     family.check_invertible(grid)
-    reports = [gk.spectrum_report(family, eps, cfg.m, modes=cfg.modes) for eps in grid]
+    fits = pt.fit_expansion(family, cfg.modes, grid, order, cfg.m)
 
     num = _csv if out_format == "csv" else _md
-    fits = {}
     header = ["mode"] + [f"c{p}" for p in range(1, order + 1)] + ["residual"]
     rows = []
     for n in cfg.modes:
-        values = [r.tracked[n] - n for r in reports]
-        fit = pt.fit_from_values(n, grid, values, order)
-        fits[n] = fit
+        fit = fits[n]
         rows.append(
             [str(n)]
             + [num(c) for c in fit.coefficients]
@@ -185,9 +188,7 @@ def cmd_dump_matrix(cfg: RunConfig) -> str:
     """Row-major text dump of the Galerkin matrix, entries as re+imi."""
     if len(cfg.eps_list) != 1:
         raise ConfigError("dump-matrix needs exactly one eps value")
-    family = cfg.family()
-    op = dirac_operator(metric_at(family, cfg.eps_list[0], gk.default_grid(cfg.m)))
-    matrix = gk.galerkin_matrix(op, cfg.m)
+    matrix = gk.assemble(cfg.family(), cfg.eps_list[0], cfg.m)
     lines = []
     for row in matrix.entries:
         lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row))
@@ -241,7 +242,7 @@ def main(argv=None) -> int:
         if args.eps:
             cfg.eps_list = parse_eps_list(args.eps, "--eps")
         if args.modes:
-            cfg.modes = [int(t) for t in args.modes.replace(",", " ").split()]
+            cfg.modes = parse_numbers(args.modes, "--modes", int)
         out_format = args.out or cfg.out_format
 
         tracking_failures: list[str] = []

@@ -77,16 +77,20 @@ def _parse_poly(text: str, key: str) -> TrigPoly:
     return TrigPoly.from_triples(triples)
 
 
-def _parse_numbers(text: str, key: str, cast):
+def parse_numbers(text: str, key: str, cast) -> list:
+    """Non-empty comma or whitespace separated list, each token ``cast``."""
     try:
-        return [cast(tok) for tok in text.replace(",", " ").split()]
+        values = [cast(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a list of numbers, got {text!r}") from exc
+    if not values:
+        raise ConfigError(f"{key}: expected at least one number, got {text!r}")
+    return values
 
 
 def parse_eps_list(text: str, key: str = "eps") -> list[float]:
     """Comma or whitespace separated eps values, each required to be finite."""
-    values = _parse_numbers(text, key, float)
+    values = parse_numbers(text, key, float)
     for value in values:
         if not math.isfinite(value):
             raise ConfigError(f"{key}: eps values must be finite, got {value!r}")
@@ -139,7 +143,7 @@ def parse_config(text: str) -> RunConfig:
     if "eps" in scalars:
         cfg.eps_list = parse_eps_list(scalars["eps"])
     if "modes" in scalars:
-        cfg.modes = _parse_numbers(scalars["modes"], "modes", int)
+        cfg.modes = parse_numbers(scalars["modes"], "modes", int)
     if "out" in scalars:
         if scalars["out"] not in ("csv", "md"):
             raise ConfigError(f"out must be 'csv' or 'md', got {scalars['out']!r}")

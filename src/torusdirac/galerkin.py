@@ -148,6 +148,11 @@ def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
     return GalerkinMatrix(m=m, entries=entries, herm_residual=residual)
 
 
+def assemble(cf: CoframeFamily, eps: float, m: int) -> GalerkinMatrix:
+    """Galerkin matrix of the family at ``eps``, on the grid ``default_grid(m)``."""
+    return galerkin_matrix(dirac_operator(metric_at(cf, eps, default_grid(m))), m)
+
+
 def eigenvalues(gm: GalerkinMatrix) -> np.ndarray:
     """All 2(2m+1) eigenvalues, ascending (LAPACK Hermitian solver)."""
     return np.linalg.eigvalsh(gm.entries)
@@ -175,7 +180,9 @@ def track_pair(report: SpectrumReport, n: int) -> tuple[float, float]:
     """Mean and gap of the two eigenvalues nearest the integer mode n.
 
     Requires |n| <= m - ceil(m/5) to stay clear of truncation-edge pollution,
-    and both cluster members within 0.4 of n.
+    both cluster members within 0.4 of n, and a gap of at most 1e-8: charge
+    conjugation pairs every eigenvalue exactly, so a wider gap means the two
+    nearest eigenvalues belong to different pairs.
     """
     if abs(n) > report.m - tracking_buffer(report.m):
         raise TrackingError(
@@ -189,20 +196,22 @@ def track_pair(report: SpectrumReport, n: int) -> tuple[float, float]:
             f"no eigenvalue pair within {CLUSTER_RADIUS} of mode {n} at "
             f"eps={report.eps}: nearest {pair}"
         )
-    return float(pair.mean()), float(abs(pair[1] - pair[0]))
+    gap = float(abs(pair[1] - pair[0]))
+    if gap > PAIRING_TOL:
+        raise TrackingError(
+            f"eigenvalues {pair} nearest mode {n} at eps={report.eps} are "
+            f"{gap:.2e} apart, more than the pairing tolerance {PAIRING_TOL:.0e}"
+        )
+    return float(pair.mean()), gap
 
 
-def spectrum_report(
-    cf: CoframeFamily,
-    eps: float,
-    m: int,
-    modes=(),
-    num_points: int | None = None,
-) -> SpectrumReport:
-    """Assemble, solve and track one eps point of a coframe family."""
-    n = num_points or default_grid(m)
-    op = dirac_operator(metric_at(cf, eps, n))
-    ev = eigenvalues(galerkin_matrix(op, m))
+def spectrum_report(cf: CoframeFamily, eps: float, m: int, modes=()) -> SpectrumReport:
+    """Assemble, solve and track one eps point of a coframe family.
+
+    Every mode in ``modes`` is tracked with ``track_pair``, so a mode without
+    an unambiguous eigenvalue pair raises TrackingError.
+    """
+    ev = eigenvalues(assemble(cf, eps, m))
     pairs = [
         (float(ev[j : j + 2].mean()), float(ev[j + 1] - ev[j]))
         for j in range(0, ev.size - 1, 2)

@@ -100,7 +100,6 @@ class MetricSnapshot:
     eps: float
     num_points: int
     coframe: Matrix3Field
-    g: Matrix3Field
     frame: np.ndarray
     sqrt_det_g: np.ndarray
 
@@ -108,14 +107,19 @@ class MetricSnapshot:
         self.frame.setflags(write=False)
         self.sqrt_det_g.setflags(write=False)
 
+    @property
+    def g(self) -> Matrix3Field:
+        """The metric g = e^T e, computed exactly in coefficient arithmetic."""
+        return self.coframe.transpose() @ self.coframe
+
 
 def metric_at(
     cf: CoframeFamily, eps: float, num_points: int = DEFAULT_GRID
 ) -> MetricSnapshot:
     """Build the metric snapshot at ``eps``.
 
-    The metric g = e^T e and det e are computed exactly in coefficient
-    arithmetic; the frame comes from pointwise 3x3 inversion on the grid.
+    det e is computed exactly in coefficient arithmetic, the metric only on
+    request; the frame comes from pointwise 3x3 inversion on the grid.
     Raises SingularCoframeError when det e is not strictly positive.
     """
     x = grid_points(num_points)
@@ -135,12 +139,10 @@ def metric_at(
     stacked = np.transpose(csamp, (2, 0, 1))          # (n, 3, 3), rows j cols a
     frame = np.transpose(np.linalg.inv(np.transpose(stacked, (0, 2, 1))), (1, 2, 0))
 
-    g = coframe.transpose() @ coframe
     return MetricSnapshot(
         eps=float(eps),
         num_points=num_points,
         coframe=coframe,
-        g=g,
         frame=frame,
         sqrt_det_g=det_samples,
     )

@@ -194,24 +194,14 @@ def second_correction_closed(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
     s_diag = 0.0 + 0.0j
     s_mixed = 0.0 + 0.0j
     for m in range(-d - 3, d + 4):
-        if n == 1:
-            if m == 1:
-                continue
-            c11 = h.fourier(m - 1)[0, 0]
-            s_diag += (m + 1) ** 2 / (m - 1) * c11 * np.conj(c11)
-            z = h.fourier(m + 1)
-            z1 = z[2, 0] + 1j * z[1, 0]
-            z2 = np.conj(z[2, 0]) - 1j * np.conj(z[1, 0])
-            s_mixed += (m - 1) * z1 * z2
-        else:
-            if m == -1:
-                continue
-            c11 = h.fourier(m + 1)[0, 0]
-            s_diag += (m - 1) ** 2 / (m + 1) * c11 * np.conj(c11)
-            z = h.fourier(m - 1)
-            z1 = z[2, 0] + 1j * z[1, 0]
-            z2 = np.conj(z[2, 0]) - 1j * np.conj(z[1, 0])
-            s_mixed += (m + 1) * z1 * z2
+        if m == n:
+            continue
+        c11 = h.fourier(m - n)[0, 0]
+        s_diag += (m + n) ** 2 / (m - n) * c11 * np.conj(c11)
+        z = h.fourier(m + n)
+        z1 = z[2, 0] + 1j * z[1, 0]
+        z2 = np.conj(z[2, 0]) - 1j * np.conj(z[1, 0])
+        s_mixed += (m - n) * z1 * z2
 
     value = lead + flux - s_diag / 16.0 - s_mixed / 16.0
     if abs(value.imag) > 1e-12:
@@ -339,22 +329,20 @@ def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
 
 
 def fit_expansion(
-    cf: CoframeFamily,
-    n: int,
-    eps_grid=None,
-    order: int = 2,
-    m: int = 25,
-    num_points: int | None = None,
-) -> FitResult:
-    """Fit tracked Galerkin pair means to n + c_1 eps + ... + c_order eps^order."""
+    cf: CoframeFamily, modes, eps_grid=None, order: int = 2, m: int = 25
+) -> dict[int, FitResult]:
+    """Fit the tracked Galerkin pair means of every mode n in ``modes`` to
+    n + c_1 eps + ... + c_order eps^order.
+
+    One ``spectrum_report`` per eps point tracks all modes at once; the
+    default grid is ``default_fit_grid(order)``. Returns the fits by mode.
+    """
     grid = default_fit_grid(order) if eps_grid is None else np.asarray(eps_grid, float)
-    values = np.array(
-        [
-            spectrum_report(cf, eps, m, modes=(n,), num_points=num_points).tracked[n] - n
-            for eps in grid
-        ]
-    )
-    return fit_from_values(n, grid, values, order)
+    reports = [spectrum_report(cf, eps, m, modes=modes) for eps in grid]
+    return {
+        n: fit_from_values(n, grid, [r.tracked[n] - n for r in reports], order)
+        for n in modes
+    }
 
 
 # ----------------------------------------------------------------------
@@ -377,15 +365,13 @@ class PerturbationReport:
         return self.lambda2_plus + self.lambda2_minus
 
 
-def perturbation_report(
-    cf: CoframeFamily,
-    route: str,
-    truncation: int | None = None,
-    num_points: int = DEFAULT_GRID,
-    eps_grid=None,
-    m: int = 25,
-) -> PerturbationReport:
-    """Compute all four coefficients by the requested route."""
+def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> PerturbationReport:
+    """Compute all four coefficients by the requested route.
+
+    The operator route runs on ``DEFAULT_GRID`` with the default mode-sum
+    truncation; the Galerkin fit route fits modes +1 and -1 to second order
+    from one sweep over ``default_fit_grid(4)`` at truncation ``m``.
+    """
     h = first_order_perturbation(cf)
     k = second_order_perturbation(cf)
     if route == "closed_form":
@@ -399,22 +385,14 @@ def perturbation_report(
     if route == "operator":
         return PerturbationReport(
             route=route,
-            lambda1_plus=first_correction_operator(h, 1, num_points),
-            lambda1_minus=first_correction_operator(h, -1, num_points),
-            lambda2_plus=second_correction_operator(h, k, 1, truncation, num_points),
-            lambda2_minus=second_correction_operator(h, k, -1, truncation, num_points),
+            lambda1_plus=first_correction_operator(h, 1),
+            lambda1_minus=first_correction_operator(h, -1),
+            lambda2_plus=second_correction_operator(h, k, 1),
+            lambda2_minus=second_correction_operator(h, k, -1),
         )
     if route == "galerkin_fit":
-        if eps_grid is None:
-            eps_grid = np.linspace(0.01, 0.08, 12)
-        grid = np.asarray(eps_grid, dtype=float)
-        reports = [spectrum_report(cf, eps, m, modes=(1, -1)) for eps in grid]
-        fits = {
-            n: fit_from_values(
-                n, grid, [r.tracked[n] - n for r in reports], order=2
-            )
-            for n in (1, -1)
-        }
+        # the quartic grid: on the 6-point quadratic one, fits fail the residual check
+        fits = fit_expansion(cf, (1, -1), default_fit_grid(4), order=2, m=m)
         return PerturbationReport(
             route=route,
             lambda1_plus=float(fits[1].coefficients[0]),

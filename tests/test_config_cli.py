@@ -52,6 +52,8 @@ class TestParsing:
             ("m = 8\nm = 8\nperturbation.h.1.1 = (0, 1, 0)", "duplicate"),
             ("coframe.E1.1.1 = (0, 1, 0.5)", "real"),
             ("eps = 0.1, inf\ncoframe.E1.1.1 = (0, 1, 0)", "finite"),
+            ("eps =\ncoframe.E1.1.1 = (0, 1, 0)", "at least one"),
+            ("modes =\ncoframe.E1.1.1 = (0, 1, 0)", "at least one"),
         ],
     )
     def test_rejects_malformed(self, text, match):
@@ -187,6 +189,23 @@ class TestCli:
         code = main(["galerkin", "--config", "example-galerkin-1", "--eps", "nan"])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--modes", "--eps"])
+    def test_empty_override_list_is_config_error(self, option, capsys):
+        code = main(["galerkin", "--config", "example-galerkin-1", option, ","])
+        assert code == 2
+        assert "at least one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,eps", [("galerkin", "0.1,1.0"), ("fit", "0.5,1.0,0.02,0.03,0.04,0.05")]
+    )
+    def test_singular_coframe_exit_code(self, command, eps, tmp_path, capsys):
+        # e^1_1 = 1 - eps vanishes at eps = 1; the check precedes every solve
+        cfgfile = tmp_path / "singular.cfg"
+        cfgfile.write_text("coframe.E1.1.1 = (0, -1, 0)\n")
+        code = main([command, "--config", str(cfgfile), "--eps", eps])
+        assert code == 3
+        assert "singular at eps=1.0" in capsys.readouterr().err
 
     def test_eigensolver_failure_exit_code(self, monkeypatch, capsys):
         # LinAlgError subclasses ValueError but is a numerical failure

@@ -18,7 +18,7 @@ from torusdirac import (
     spectrum_report,
     track_pair,
 )
-from torusdirac.galerkin import basis_spinor, default_grid
+from torusdirac.galerkin import SpectrumReport, basis_spinor, default_grid
 
 from conftest import assert_sigfigs, random_field, rotation_block_shift
 
@@ -172,6 +172,14 @@ class TestTrackPair:
         rep = spectrum_report(rotation_block_coframe, 0.1, 25)
         with pytest.raises(TrackingError, match="edge"):
             track_pair(rep, 21)
+
+    def test_split_pair_rejected(self):
+        # both within the cluster radius of mode 1, but not a Kramers pair
+        ev = np.array([-1.0, -1.0, 0.0, 0.0, 0.95, 1.05, 2.0, 2.0])
+        rep = SpectrumReport(eps=0.3, m=5, eigenvalues=ev)
+        with pytest.raises(TrackingError, match="pairing tolerance"):
+            track_pair(rep, 1)
+        assert track_pair(rep, 0) == (0.0, 0.0)
 
     def test_full_printed_tables(self, rotation_block_coframe, first_row_coframe):
         for family, table, nsig in (

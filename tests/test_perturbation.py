@@ -14,11 +14,14 @@ from torusdirac import (
     first_correction_operator,
     fit_expansion,
     free_operator,
+    load_example,
+    perturbation,
     perturbation_report,
     second_correction_closed,
     second_correction_operator,
     second_order_asymmetry,
 )
+from torusdirac.cli import cmd_fit
 from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import eigenspace_projection, fit_from_values
 
@@ -200,7 +203,7 @@ class TestAsymmetry:
 
 class TestFit:
     def test_rotation_block_coefficients(self, rotation_block_coframe):
-        fit = fit_expansion(rotation_block_coframe, 1, order=4, m=12)
+        fit = fit_expansion(rotation_block_coframe, (1,), order=4, m=12)[1]
         c1, c2, c3, c4 = fit.coefficients
         assert abs(c1) <= 1e-8
         assert c2 == pytest.approx(-0.5, abs=1e-6)
@@ -209,7 +212,7 @@ class TestFit:
 
     def test_eps_independent_family_fits_zero(self):
         cf = CoframeFamily(Matrix3Field.zero(), Matrix3Field.zero())
-        fit = fit_expansion(cf, 1, order=2, m=8)
+        fit = fit_expansion(cf, (1,), order=2, m=8)[1]
         assert np.max(np.abs(fit.coefficients)) <= 1e-10
 
     def test_consistency_with_perturbation_theory(self):
@@ -219,8 +222,9 @@ class TestFit:
             h = random_symmetric_field(rng)
             k = random_symmetric_field(rng)
             cf = CoframeFamily.from_perturbation(h, k)
+            fits = fit_expansion(cf, (1, -1), eps_grid=grid, order=4, m=12)
             for n in (1, -1):
-                fit = fit_expansion(cf, n, eps_grid=grid, order=4, m=12)
+                fit = fits[n]
                 assert abs(fit.coefficients[0] - first_correction_closed(h, n)) <= 1e-6
                 assert abs(fit.coefficients[1] - second_correction_closed(h, k, n)) <= 1e-4
 
@@ -229,6 +233,32 @@ class TestFit:
             fit_from_values(1, [0.01, 0.02, 0.03], [0, 0, 0], order=2)
         with pytest.raises(ValueError, match="0.15"):
             fit_from_values(1, [0.05, 0.1, 0.2, 0.3], [0, 0, 0, 0], order=2)
+
+
+class TestSweepSolves:
+    """Every fit is made from one spectrum_report per eps point."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        eps_seen = []
+        solve = perturbation.spectrum_report
+
+        def counted(cf, eps, *args, **kwargs):
+            eps_seen.append(eps)
+            return solve(cf, eps, *args, **kwargs)
+
+        monkeypatch.setattr(perturbation, "spectrum_report", counted)
+        return eps_seen
+
+    def test_cli_fit_solves_once_per_eps(self, solves):
+        cfg = load_example("example-galerkin-1")
+        assert cfg.modes == [-2, -1, 0, 1, 2]
+        cmd_fit(cfg, "csv")
+        assert len(solves) == 12
+
+    def test_galerkin_fit_route_solves_once_per_eps(self, solves, explicit_family_2):
+        perturbation_report(CoframeFamily.from_perturbation(*explicit_family_2), "galerkin_fit")
+        assert len(solves) == 12
 
 
 class TestReport:
