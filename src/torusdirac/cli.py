@@ -78,7 +78,6 @@ def cmd_galerkin(cfg: RunConfig, out_format: str) -> tuple[str, list[str]]:
     as diagnostics; any failure makes the command exit nonzero.
     """
     family = cfg.family()
-    family.check_invertible(cfg.eps_list)
     num = _csv if out_format == "csv" else _md
     header = ["eps"]
     for n in cfg.modes:
@@ -156,7 +155,6 @@ def cmd_fit(cfg: RunConfig, out_format: str, order: int = 4, eps_grid=None) -> s
     """Fitted expansion coefficients per tracked mode, with asymmetry flags."""
     family = cfg.family()
     grid = pt.default_fit_grid(order) if eps_grid is None else np.asarray(eps_grid, float)
-    family.check_invertible(grid)
     fits = pt.fit_expansion(family, cfg.modes, grid, order, cfg.m)
 
     num = _csv if out_format == "csv" else _md
@@ -243,6 +241,13 @@ def main(argv=None) -> int:
             cfg.eps_list = parse_eps_list(args.eps, "--eps")
         if args.modes:
             cfg.modes = parse_numbers(args.modes, "--modes", int)
+        if args.command in ("galerkin", "fit"):
+            edge = cfg.m - gk.tracking_buffer(cfg.m)
+            for n in cfg.modes:
+                if abs(n) > edge:
+                    raise ConfigError(
+                        f"mode {n} is past the truncation edge: m={cfg.m} tracks |n| <= {edge}"
+                    )
         out_format = args.out or cfg.out_format
 
         tracking_failures: list[str] = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_GRID, MetricSnapshot
+from .geometry import DEFAULT_GRID, MetricSnapshot, require_sym_real
 from .trigpoly import Matrix3Field, TrigPoly, grid_points
 
 
@@ -60,10 +60,6 @@ class SpinorField:
         x = grid_points(num_points)
         return cls(np.array([upper.evaluate(x), lower.evaluate(x)]))
 
-    @classmethod
-    def zero(cls, num_points: int = DEFAULT_GRID) -> "SpinorField":
-        return cls(np.zeros((2, num_points), dtype=complex))
-
     # ------------------------------------------------------------------
     # Hilbert space structure: <u, v> = int_0^2pi v^* u dx
     # ------------------------------------------------------------------
@@ -89,11 +85,11 @@ class SpinorField:
             ]
         )
 
-    def bandwidth(self, tol: float = 1e-13) -> int:
-        """Largest |k| carrying a coefficient above ``tol``."""
+    def bandwidth(self) -> int:
+        """Largest |k| carrying a coefficient above 1e-13."""
         spec = np.abs(np.fft.fft(self.samples, axis=-1)) / self.num_points
         k = np.abs(np.fft.fftfreq(self.num_points, d=1.0 / self.num_points)).astype(int)
-        live = np.nonzero(spec.max(axis=0) > tol)[0]
+        live = np.nonzero(spec.max(axis=0) > 1e-13)[0]
         return int(k[live].max()) if live.size else 0
 
     def _check_grid(self, other: "SpinorField") -> None:
@@ -231,7 +227,7 @@ def first_order_operator(
     first column of h; the action is then +(i/4)(B_h d/dx + d/dx B_h). The
     potential only enters at second order.
     """
-    _require_sym_real(h, "h")
+    require_sym_real(h, "h")
     x = grid_points(num_points)
     cols = [h[j, 0].evaluate(x).real for j in range(3)]
     return DiracOperator(-0.5 * symbol_matrix(*cols), np.zeros(num_points))
@@ -246,8 +242,8 @@ def second_order_operator(
     scalar potential -(1/16) * sum_a (h_{a2} h_{a3}' - h_{a3} h_{a2}'), the
     antisymmetrized first-column-free part of the half-density term.
     """
-    _require_sym_real(h, "h")
-    _require_sym_real(k, "k")
+    require_sym_real(h, "h")
+    require_sym_real(k, "k")
     x = grid_points(num_points)
     hsq = h @ h
     hcols = [hsq[j, 0].evaluate(x).real for j in range(3)]
@@ -260,10 +256,3 @@ def second_order_operator(
         scalar = scalar + h[a, 1] * dh[a, 2] - h[a, 2] * dh[a, 1]
     potential = -scalar.evaluate(x).real / 16.0
     return DiracOperator(b, potential)
-
-
-def _require_sym_real(mat: Matrix3Field, name: str) -> None:
-    if not mat.is_real():
-        raise ValueError(f"{name} must be real-valued")
-    if not mat.is_symmetric():
-        raise ValueError(f"{name} must be symmetric")

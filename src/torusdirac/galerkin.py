@@ -165,11 +165,19 @@ class SpectrumReport:
     eps: float
     m: int
     eigenvalues: np.ndarray
-    pairs: list = field(default_factory=list)   # (mean, gap) per 2-cluster
     tracked: dict = field(default_factory=dict)  # mode n -> pair mean
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
+
+    @property
+    def pairs(self) -> list[tuple[float, float]]:
+        """(mean, gap) of each consecutive 2-cluster of the ascending spectrum."""
+        ev = self.eigenvalues
+        return [
+            (float(ev[j : j + 2].mean()), float(ev[j + 1] - ev[j]))
+            for j in range(0, ev.size - 1, 2)
+        ]
 
 
 def tracking_buffer(m: int) -> int:
@@ -208,15 +216,15 @@ def track_pair(report: SpectrumReport, n: int) -> tuple[float, float]:
 def spectrum_report(cf: CoframeFamily, eps: float, m: int, modes=()) -> SpectrumReport:
     """Assemble, solve and track one eps point of a coframe family.
 
-    Every mode in ``modes`` is tracked with ``track_pair``, so a mode without
-    an unambiguous eigenvalue pair raises TrackingError.
+    The solve checks the coframe: ``metric_at`` raises SingularCoframeError
+    on the grid ``default_grid(m)``, before any mode is tracked. Every mode
+    in ``modes`` is then tracked with ``track_pair``, so a mode without an
+    unambiguous eigenvalue pair raises TrackingError. Callers that must
+    report a singular eps ahead of a tracking failure at an earlier eps
+    solve every eps with ``modes=()`` first and track afterwards.
     """
     ev = eigenvalues(assemble(cf, eps, m))
-    pairs = [
-        (float(ev[j : j + 2].mean()), float(ev[j + 1] - ev[j]))
-        for j in range(0, ev.size - 1, 2)
-    ]
-    report = SpectrumReport(eps=float(eps), m=m, eigenvalues=ev, pairs=pairs)
+    report = SpectrumReport(eps=float(eps), m=m, eigenvalues=ev)
     for mode in modes:
         report.tracked[int(mode)] = track_pair(report, int(mode))[0]
     return report

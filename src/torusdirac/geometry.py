@@ -28,6 +28,14 @@ def _as_real_samples(values: np.ndarray, what: str, tol: float = 1e-10) -> np.nd
     return values.real
 
 
+def require_sym_real(mat: Matrix3Field, name: str) -> None:
+    """Raise ValueError unless ``mat`` is real-valued and symmetric."""
+    if not mat.is_real():
+        raise ValueError(f"{name} must be real-valued")
+    if not mat.is_symmetric():
+        raise ValueError(f"{name} must be symmetric")
+
+
 @dataclass(frozen=True)
 class CoframeFamily:
     """Coframe family e(x^1; eps) = I + eps*E1 + eps^2*E2 with real entries.
@@ -56,22 +64,14 @@ class CoframeFamily:
         I + eps*h + (eps^2/4)*k up to O(eps^3), which pins every second-order
         quantity computed here.
         """
-        for name, mat in (("h", h), ("k", k)):
-            if not mat.is_real():
-                raise ValueError(f"{name} must be real-valued")
-            if not mat.is_symmetric():
-                raise ValueError(f"{name} must be symmetric")
+        require_sym_real(h, "h")
+        require_sym_real(k, "k")
         E1 = h * 0.5
         E2 = (k - (h @ h)) * (1.0 / 8.0)
         return cls(E1, E2)
 
     def coframe_at(self, eps: float) -> Matrix3Field:
         return Matrix3Field.identity() + self.E1 * eps + self.E2 * (eps * eps)
-
-    def check_invertible(self, eps_values, num_points: int = DEFAULT_GRID) -> None:
-        """Verify det e(x; eps) > 0 on the grid for each requested eps."""
-        for eps in eps_values:
-            metric_at(self, float(eps), num_points)
 
 
 def first_order_perturbation(cf: CoframeFamily) -> Matrix3Field:
@@ -148,15 +148,15 @@ def metric_at(
     )
 
 
-def arc_length(cf: CoframeFamily, eps: float, num_points: int = DEFAULT_GRID) -> float:
+def arc_length(cf: CoframeFamily, eps: float) -> float:
     """Length of the x^1 coordinate circle: int_0^2pi sqrt(g_11) dx^1.
 
     Trapezoidal quadrature on the uniform grid; spectrally accurate since
     the integrand is analytic and periodic.
     """
-    ms = metric_at(cf, eps, num_points)
-    x = grid_points(num_points)
+    ms = metric_at(cf, eps)
+    x = grid_points(DEFAULT_GRID)
     g11 = _as_real_samples(ms.g[0, 0].evaluate(x), "g_11")
     if np.any(g11 <= 0):
         raise SingularCoframeError(f"g_11 not positive at eps={eps}")
-    return float(np.sqrt(g11).sum() * 2.0 * np.pi / num_points)
+    return float(np.sqrt(g11).sum() * 2.0 * np.pi / DEFAULT_GRID)

@@ -19,19 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import (
-    SpinorField,
-    charge_conjugate,
-    first_order_operator,
-    second_order_operator,
-)
-from .galerkin import basis_spinor, spectrum_report
-from .geometry import (
-    DEFAULT_GRID,
-    CoframeFamily,
-    first_order_perturbation,
-    second_order_perturbation,
-)
+from .dirac import SpinorField, first_order_operator, second_order_operator
+from .galerkin import basis_spinor, spectrum_report, track_pair
+from .geometry import CoframeFamily, first_order_perturbation, second_order_perturbation
 from .trigpoly import Matrix3Field, grid_points
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
@@ -138,9 +128,7 @@ def first_correction_closed(h: Matrix3Field, n: int) -> float:
     return float(-n * 0.5 * h.fourier(0)[0, 0].real)
 
 
-def first_correction_operator(
-    h: Matrix3Field, n: int, num_points: int = DEFAULT_GRID
-) -> float:
+def first_correction_operator(h: Matrix3Field, n: int) -> float:
     """Diagonal of the first-order term on the degenerate eigenspace.
 
     Also verifies that the full 2x2 block on span{v_n, w_n} is a real
@@ -148,9 +136,9 @@ def first_correction_operator(
     first-order setup and raises DegenerateSplittingError.
     """
     _check_sign(n)
-    w1 = first_order_operator(h, num_points)
-    v = basis_spinor(n, "v", num_points)
-    w = basis_spinor(n, "w", num_points)
+    w1 = first_order_operator(h)
+    v = basis_spinor(n, "v")
+    w = basis_spinor(n, "w")
     image = w1.apply(v)
     diag_v = image.inner(v)
     off = image.inner(w)
@@ -210,11 +198,7 @@ def second_correction_closed(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
 
 
 def second_correction_operator(
-    h: Matrix3Field,
-    k: Matrix3Field,
-    n: int,
-    truncation: int | None = None,
-    num_points: int = DEFAULT_GRID,
+    h: Matrix3Field, k: Matrix3Field, n: int, truncation: int | None = None
 ) -> float:
     """Operator-route second-order coefficient,
 
@@ -230,10 +214,10 @@ def second_correction_operator(
         raise TruncationError(
             f"truncation {truncation} below minimum {h.degree + 2} for this h"
         )
-    w1 = first_order_operator(h, num_points)
-    w2 = second_order_operator(h, k, num_points)
-    v = basis_spinor(n, "v", num_points)
-    l1 = first_correction_operator(h, n, num_points)
+    w1 = first_order_operator(h)
+    w2 = second_order_operator(h, k)
+    v = basis_spinor(n, "v")
+    l1 = first_correction_operator(h, n)
 
     residual = w1.apply(v) - l1 * v
     corrected = Pseudoinverse(lambda0=n, truncation=truncation).apply(
@@ -334,14 +318,17 @@ def fit_expansion(
     """Fit the tracked Galerkin pair means of every mode n in ``modes`` to
     n + c_1 eps + ... + c_order eps^order.
 
-    One ``spectrum_report`` per eps point tracks all modes at once; the
-    default grid is ``default_fit_grid(order)``. Returns the fits by mode.
+    One ``spectrum_report`` per eps point serves all modes; the default grid
+    is ``default_fit_grid(order)``. Every eps is solved before any mode is
+    tracked, so a singular coframe anywhere on the grid is reported ahead of
+    a tracking failure at an earlier eps. Returns the fits by mode.
     """
     grid = default_fit_grid(order) if eps_grid is None else np.asarray(eps_grid, float)
-    reports = [spectrum_report(cf, eps, m, modes=modes) for eps in grid]
+    reports = [spectrum_report(cf, eps, m) for eps in grid]
+    means = [[track_pair(r, n)[0] for n in modes] for r in reports]
     return {
-        n: fit_from_values(n, grid, [r.tracked[n] - n for r in reports], order)
-        for n in modes
+        n: fit_from_values(n, grid, [row[i] - n for row in means], order)
+        for i, n in enumerate(modes)
     }
 
 

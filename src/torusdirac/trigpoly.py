@@ -56,14 +56,6 @@ class TrigPoly:
         return cls(np.array([value], dtype=complex))
 
     @classmethod
-    def mode(cls, k: int, amplitude: complex = 1.0) -> "TrigPoly":
-        """The single harmonic amplitude * e^{ikx}."""
-        d = abs(k)
-        c = np.zeros(2 * d + 1, dtype=complex)
-        c[k + d] = amplitude
-        return cls(c)
-
-    @classmethod
     def cosine(cls, k: int, amplitude: float = 1.0) -> "TrigPoly":
         """amplitude * cos(kx)."""
         if k == 0:
@@ -115,10 +107,6 @@ class TrigPoly:
         if abs(m) > d:
             return 0.0 + 0.0j
         return complex(self.coeffs[m + d])
-
-    def mean(self) -> complex:
-        """c_0, the average value over the circle."""
-        return self.fourier(0)
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate at the points ``x`` (scalar or array)."""
@@ -186,23 +174,16 @@ class TrigPoly:
         """Complex conjugate as a function: coefficients conj(c_{-k})."""
         return TrigPoly(np.conj(self.coeffs[::-1]))
 
-    def truncated(self, degree: int) -> "TrigPoly":
-        """Drop (or zero-pad to) coefficients outside |k| <= degree."""
-        if degree >= self.degree:
-            return TrigPoly(self._padded(degree))
-        d = self.degree
-        return TrigPoly(self.coeffs[d - degree : d + degree + 1])
-
     # ------------------------------------------------------------------
     # serialization: list of (k, re, im) triples, zeros omitted
     # ------------------------------------------------------------------
 
-    def triples(self, tol: float = 0.0) -> list[tuple[int, float, float]]:
+    def triples(self) -> list[tuple[int, float, float]]:
         out = []
         d = self.degree
         for k in range(-d, d + 1):
             c = self.coeffs[k + d]
-            if abs(c) > tol or (tol == 0.0 and c != 0):
+            if c != 0:
                 out.append((k, float(c.real), float(c.imag)))
         return out
 
@@ -263,9 +244,6 @@ class Matrix3Field:
     def __getitem__(self, idx) -> TrigPoly:
         a, b = idx
         return self._entries[a][b]
-
-    def entries(self):
-        return self._entries
 
     @property
     def degree(self) -> int:

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from torusdirac import ConfigError, galerkin, load_example, parse_config
+from torusdirac import ConfigError, galerkin, geometry, load_example, metric_at, parse_config
 from torusdirac.cli import main
 from torusdirac.config import EXAMPLE_NAMES
 
@@ -63,7 +63,9 @@ class TestParsing:
     def test_bundled_examples_load(self):
         for name in EXAMPLE_NAMES:
             cfg = load_example(name)
-            cfg.family().check_invertible(cfg.eps_list)
+            family = cfg.family()
+            for eps in cfg.eps_list:
+                metric_at(family, eps)
 
     def test_bundled_families_match_fixtures(
         self, rotation_block_coframe, explicit_family_2
@@ -206,6 +208,33 @@ class TestCli:
         code = main([command, "--config", str(cfgfile), "--eps", eps])
         assert code == 3
         assert "singular at eps=1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,modes", [("fit", "30"), ("galerkin", "1,30")]
+    )
+    def test_mode_past_truncation_edge_is_config_error(self, command, modes, capsys):
+        # m = 25 tracks |n| <= 25 - ceil(25/5) = 20; checked before any solve
+        code = main([command, "--config", "example-galerkin-1", "--modes", modes])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mode 30 is past the truncation edge" in captured.err
+
+    @pytest.mark.parametrize("command,calls", [("galerkin", 3), ("fit", 12)])
+    def test_one_geometry_build_per_eps(self, command, calls, monkeypatch, capsys):
+        # example-galerkin-2 lists 3 eps; the quartic fit grid has 12
+        count = 0
+        original = geometry.metric_at
+
+        def counting(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "metric_at", counting)
+        monkeypatch.setattr(galerkin, "metric_at", counting)
+        assert main([command, "--config", "example-galerkin-2"]) == 0
+        assert count == calls
 
     def test_eigensolver_failure_exit_code(self, monkeypatch, capsys):
         # LinAlgError subclasses ValueError but is a numerical failure

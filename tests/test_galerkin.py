@@ -181,6 +181,13 @@ class TestTrackPair:
             track_pair(rep, 1)
         assert track_pair(rep, 0) == (0.0, 0.0)
 
+    def test_pairs_derived_from_eigenvalues(self):
+        ev = np.array([-2.5, -2.25, -1.0, -1.0, 0.0, 0.5, 1.0, 1.75, 2.0, 2.0, 3.0, 3.5])
+        rep = SpectrumReport(eps=0.1, m=2, eigenvalues=ev)
+        assert rep.pairs == [
+            (-2.375, 0.25), (-1.0, 0.0), (0.25, 0.5), (1.375, 0.75), (2.0, 0.0), (3.25, 0.5)
+        ]
+
     def test_full_printed_tables(self, rotation_block_coframe, first_row_coframe):
         for family, table, nsig in (
             (rotation_block_coframe, ROTATION_TABLE, 5),
