@@ -10,6 +10,7 @@ from .trigpoly import Matrix3Field, TrigPoly, grid_points
 from .geometry import (
     CoframeFamily,
     MetricSnapshot,
+    NumericalContractError,
     SingularCoframeError,
     arc_length,
     first_order_perturbation,
@@ -61,6 +62,7 @@ __all__ = [
     "grid_points",
     "CoframeFamily",
     "MetricSnapshot",
+    "NumericalContractError",
     "SingularCoframeError",
     "arc_length",
     "first_order_perturbation",

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical contract violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -26,7 +27,12 @@ from .config import (
     parse_eps_list,
     parse_numbers,
 )
-from .geometry import SingularCoframeError, arc_length, first_order_perturbation
+from .geometry import (
+    NumericalContractError,
+    SingularCoframeError,
+    arc_length,
+    first_order_perturbation,
+)
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -38,6 +44,7 @@ TOL_L1_FIT = 1e-6
 TOL_L2_FIT = 1e-4
 
 _NUMERIC_ERRORS = (
+    NumericalContractError,
     SingularCoframeError,
     gk.UnderResolvedError,
     gk.TrackingError,
@@ -187,13 +194,19 @@ def cmd_dump_matrix(cfg: RunConfig) -> str:
     if len(cfg.eps_list) != 1:
         raise ConfigError("dump-matrix needs exactly one eps value")
     matrix = gk.assemble(cfg.family(), cfg.eps_list[0], cfg.m)
-    lines = []
-    for row in matrix.entries:
-        lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row))
-    return "\n".join(lines) + "\n"
+    return _dump_rows(matrix.entries)
 
 
+def _dump_rows(entries: np.ndarray) -> str:
+    """One line per row of a complex matrix, entries as ``re+imi`` with 17
+    significant digits: the same text as ``f"{z.real:.17g}{z.imag:+.17g}i"``."""
+    row = " ".join(["%.17g%+.17gi"] * entries.shape[1]) + "\n"
+    return "".join(row % tuple(r.tolist()) for r in entries.view(float))
+
+
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="torusdirac",
         description="Spectra of the axisymmetric massless Dirac operator "
@@ -260,7 +273,7 @@ def main(argv=None) -> int:
             text = cmd_fit(cfg, out_format, order=args.order, eps_grid=eps_grid)
         else:
             text = cmd_dump_matrix(cfg)
-    # before ValueError: np.linalg.LinAlgError subclasses it
+    # before ValueError: NumericalContractError and np.linalg.LinAlgError subclass it
     except _NUMERIC_ERRORS as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -21,8 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_GRID, MetricSnapshot, require_sym_real
-from .trigpoly import Matrix3Field, TrigPoly, grid_points
+from .geometry import (
+    DEFAULT_GRID,
+    MetricSnapshot,
+    NumericalContractError,
+    require_sym_real,
+)
+from .trigpoly import Matrix3Field, TrigPoly
 
 
 def spectral_derivative(samples: np.ndarray) -> np.ndarray:
@@ -57,8 +62,7 @@ class SpinorField:
     def from_components(
         cls, upper: TrigPoly, lower: TrigPoly, num_points: int = DEFAULT_GRID
     ) -> "SpinorField":
-        x = grid_points(num_points)
-        return cls(np.array([upper.evaluate(x), lower.evaluate(x)]))
+        return cls(np.array([upper.on_grid(num_points), lower.on_grid(num_points)]))
 
     # ------------------------------------------------------------------
     # Hilbert space structure: <u, v> = int_0^2pi v^* u dx
@@ -146,13 +150,13 @@ class DiracOperator:
             np.max(np.abs(b[1, 1].imag)),
         )
         if herm > 1e-10:
-            raise ValueError(f"symbol matrix not Hermitian: residual {herm:.2e}")
+            raise NumericalContractError(f"symbol matrix not Hermitian: residual {herm:.2e}")
         trace = np.max(np.abs(b[0, 0] + b[1, 1]))
         if trace > 1e-10:
-            raise ValueError(f"symbol matrix not trace-free: residual {trace:.2e}")
+            raise NumericalContractError(f"symbol matrix not trace-free: residual {trace:.2e}")
         # a complex potential signals an index error upstream
         if np.max(np.abs(np.imag(p))) > 1e-12:
-            raise ValueError("potential has nonreal part above 1e-12")
+            raise NumericalContractError("potential has nonreal part above 1e-12")
         b = b.copy()
         b.setflags(write=False)
         p = np.asarray(p.real, dtype=float).copy()
@@ -204,16 +208,15 @@ def dirac_operator(ms: MetricSnapshot) -> DiracOperator:
 
     whose numerator is evaluated exactly in coefficient arithmetic.
     """
-    x = grid_points(ms.num_points)
     a1, a2, a3 = ms.frame[0, 0], ms.frame[1, 0], ms.frame[2, 0]
 
     num = TrigPoly.zero()
     dcof = ms.coframe.derivative()
     for j in range(3):
         num = num + ms.coframe[j, 2] * dcof[j, 1] - ms.coframe[j, 1] * dcof[j, 2]
-    num_samples = num.evaluate(x)
+    num_samples = num.on_grid(ms.num_points)
     if np.max(np.abs(num_samples.imag)) > 1e-12:
-        raise ValueError("potential numerator is not real; index error upstream")
+        raise NumericalContractError("potential numerator is not real; index error upstream")
     potential = num_samples.real / (4.0 * ms.sqrt_det_g)
     return DiracOperator(symbol_matrix(a1, a2, a3), potential)
 
@@ -228,8 +231,7 @@ def first_order_operator(
     potential only enters at second order.
     """
     require_sym_real(h, "h")
-    x = grid_points(num_points)
-    cols = [h[j, 0].evaluate(x).real for j in range(3)]
+    cols = [h[j, 0].on_grid(num_points).real for j in range(3)]
     return DiracOperator(-0.5 * symbol_matrix(*cols), np.zeros(num_points))
 
 
@@ -244,15 +246,14 @@ def second_order_operator(
     """
     require_sym_real(h, "h")
     require_sym_real(k, "k")
-    x = grid_points(num_points)
     hsq = h @ h
-    hcols = [hsq[j, 0].evaluate(x).real for j in range(3)]
-    kcols = [k[j, 0].evaluate(x).real for j in range(3)]
+    hcols = [hsq[j, 0].on_grid(num_points).real for j in range(3)]
+    kcols = [k[j, 0].on_grid(num_points).real for j in range(3)]
     b = 0.375 * symbol_matrix(*hcols) - 0.125 * symbol_matrix(*kcols)
 
     scalar = TrigPoly.zero()
     dh = h.derivative()
     for a in range(3):
         scalar = scalar + h[a, 1] * dh[a, 2] - h[a, 2] * dh[a, 1]
-    potential = -scalar.evaluate(x).real / 16.0
+    potential = -scalar.on_grid(num_points).real / 16.0
     return DiracOperator(b, potential)

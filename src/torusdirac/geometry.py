@@ -21,10 +21,19 @@ class SingularCoframeError(Exception):
     """Coframe determinant vanishes (or goes negative) at a grid point."""
 
 
+class NumericalContractError(ValueError):
+    """An internal numerical invariant failed (realness, Hermiticity, ...).
+
+    Unlike a plain ValueError it signals a numerical fault, not bad input.
+    """
+
+
 def _as_real_samples(values: np.ndarray, what: str, tol: float = 1e-10) -> np.ndarray:
     imag = np.max(np.abs(values.imag))
     if imag > tol:
-        raise ValueError(f"{what} has imaginary part {imag:.2e}; expected real data")
+        raise NumericalContractError(
+            f"{what} has imaginary part {imag:.2e}; expected real data"
+        )
     return values.real
 
 
@@ -113,6 +122,20 @@ class MetricSnapshot:
         return self.coframe.transpose() @ self.coframe
 
 
+def _positive_det(coframe: Matrix3Field, eps: float, num_points: int) -> np.ndarray:
+    """det e on ``grid_points(num_points)``, computed exactly in coefficient
+    arithmetic. Raises SingularCoframeError unless every sample exceeds 1e-12."""
+    det_samples = _as_real_samples(coframe.det().on_grid(num_points), "det(coframe)")
+    bad = np.nonzero(det_samples <= 1e-12)[0]
+    if bad.size:
+        j = int(bad[0])
+        raise SingularCoframeError(
+            f"coframe is singular at eps={eps}: det={det_samples[j]:.3e} "
+            f"at grid index {j} (x={grid_points(num_points)[j]:.6f})"
+        )
+    return det_samples
+
+
 def metric_at(
     cf: CoframeFamily, eps: float, num_points: int = DEFAULT_GRID
 ) -> MetricSnapshot:
@@ -122,19 +145,9 @@ def metric_at(
     request; the frame comes from pointwise 3x3 inversion on the grid.
     Raises SingularCoframeError when det e is not strictly positive.
     """
-    x = grid_points(num_points)
     coframe = cf.coframe_at(eps)
-    det = coframe.det()
-    det_samples = _as_real_samples(det.evaluate(x), "det(coframe)")
-    bad = np.nonzero(det_samples <= 1e-12)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise SingularCoframeError(
-            f"coframe is singular at eps={eps}: det={det_samples[j]:.3e} "
-            f"at grid index {j} (x={x[j]:.6f})"
-        )
-
-    csamp = _as_real_samples(coframe.sample(x), "coframe samples")
+    det_samples = _positive_det(coframe, eps, num_points)
+    csamp = _as_real_samples(coframe.on_grid(num_points), "coframe samples")
     # frame rows satisfy frame @ coframe^T = I pointwise
     stacked = np.transpose(csamp, (2, 0, 1))          # (n, 3, 3), rows j cols a
     frame = np.transpose(np.linalg.inv(np.transpose(stacked, (0, 2, 1))), (1, 2, 0))
@@ -152,11 +165,17 @@ def arc_length(cf: CoframeFamily, eps: float) -> float:
     """Length of the x^1 coordinate circle: int_0^2pi sqrt(g_11) dx^1.
 
     Trapezoidal quadrature on the uniform grid; spectrally accurate since
-    the integrand is analytic and periodic.
+    the integrand is analytic and periodic. Only g_11 = sum_c e^c_1 e^c_1 is
+    built; like ``metric_at`` it raises SingularCoframeError when det e is
+    not strictly positive on the grid.
     """
-    ms = metric_at(cf, eps)
-    x = grid_points(DEFAULT_GRID)
-    g11 = _as_real_samples(ms.g[0, 0].evaluate(x), "g_11")
+    coframe = cf.coframe_at(eps)
+    _positive_det(coframe, eps, DEFAULT_GRID)
+    # same summation order as (e^T @ e)[0, 0] in Matrix3Field.__matmul__
+    g11_poly = TrigPoly.zero()
+    for c in range(3):
+        g11_poly = g11_poly + coframe[c, 0] * coframe[c, 0]
+    g11 = _as_real_samples(g11_poly.on_grid(DEFAULT_GRID), "g_11")
     if np.any(g11 <= 0):
         raise SingularCoframeError(f"g_11 not positive at eps={eps}")
     return float(np.sqrt(g11).sum() * 2.0 * np.pi / DEFAULT_GRID)

@@ -21,7 +21,12 @@ import numpy as np
 
 from .dirac import SpinorField, first_order_operator, second_order_operator
 from .galerkin import basis_spinor, spectrum_report, track_pair
-from .geometry import CoframeFamily, first_order_perturbation, second_order_perturbation
+from .geometry import (
+    CoframeFamily,
+    NumericalContractError,
+    first_order_perturbation,
+    second_order_perturbation,
+)
 from .trigpoly import Matrix3Field, grid_points
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
@@ -193,7 +198,7 @@ def second_correction_closed(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
 
     value = lead + flux - s_diag / 16.0 - s_mixed / 16.0
     if abs(value.imag) > 1e-12:
-        raise ValueError(f"second-order coefficient not real: {value}")
+        raise NumericalContractError(f"second-order coefficient not real: {value}")
     return float(value.real)
 
 
@@ -226,7 +231,7 @@ def second_correction_operator(
     shifted = w1.apply(corrected) - l1 * corrected
     value = w2.apply(v).inner(v) - shifted.inner(v)
     if abs(value.imag) > 1e-10:
-        raise ValueError(f"second-order coefficient not real: {value}")
+        raise NumericalContractError(f"second-order coefficient not real: {value}")
     return float(value.real)
 
 

@@ -6,23 +6,60 @@ matrices, operator symbols) is either such a polynomial or is recovered as
 one from uniform grid samples by trapezoidal quadrature, which is exact for
 band-limited input.
 
-Degrees in this artifact are tiny (<= ~8), so coefficients are stored as a
-dense array over k = -D..D and products are computed by direct convolution.
+Degrees in this artifact are small (<= ~24 for determinants and potential
+numerators), so coefficients are stored as a dense array over k = -D..D and
+products are computed by direct convolution.
+
+Evaluation on the uniform grid ``grid_points(n)`` goes through ``on_grid(n)``,
+which multiplies the coefficients by columns -D..D of one read-only phase
+table e^{ikx_j} per grid size. A table is built by the same expression that
+``evaluate`` uses at arbitrary points, so both give the same bits; it is
+rebuilt wider when a higher degree is asked for. At most
+``PHASE_TABLE_SIZES`` grid sizes are kept, the least recently used one is
+dropped first, and each table holds n*(2D+1) complex values: at most
+~1.3 MB for the grids and degrees used here (n <= 1616, D <= 24).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 #: Absolute coefficient tolerance used by equality / realness predicates.
 COEFF_TOL = 1e-12
 
+#: Number of grid sizes whose phase table is kept.
+PHASE_TABLE_SIZES = 4
 
+_phase_tables: OrderedDict[int, np.ndarray] = OrderedDict()
+_phase_lock = threading.Lock()
+
+
+@lru_cache(maxsize=8)
 def grid_points(n: int) -> np.ndarray:
-    """Uniform grid x_j = 2*pi*j/n, j = 0..n-1."""
-    return 2.0 * np.pi * np.arange(n) / n
+    """Uniform grid x_j = 2*pi*j/n, j = 0..n-1 (cached, read-only)."""
+    x = 2.0 * np.pi * np.arange(n) / n
+    x.setflags(write=False)
+    return x
+
+
+def _phases(n: int, degree: int) -> np.ndarray:
+    """Read-only (n, 2*degree+1) view of e^{ikx_j}, k = -degree..degree."""
+    with _phase_lock:
+        table = _phase_tables.pop(n, None)
+        if table is None or table.shape[1] < 2 * degree + 1:
+            k = np.arange(-degree, degree + 1)
+            table = np.exp(1j * np.multiply.outer(grid_points(n), k))
+            table.setflags(write=False)
+        _phase_tables[n] = table
+        if len(_phase_tables) > PHASE_TABLE_SIZES:
+            _phase_tables.popitem(last=False)
+    top = (table.shape[1] - 1) // 2
+    return table[:, top - degree : top + degree + 1]
 
 
 @dataclass(frozen=True)
@@ -114,6 +151,10 @@ class TrigPoly:
         k = np.arange(-self.degree, self.degree + 1)
         return np.exp(1j * np.multiply.outer(x, k)) @ self.coeffs
 
+    def on_grid(self, n: int) -> np.ndarray:
+        """Evaluate on ``grid_points(n)``; the same values as ``evaluate``."""
+        return _phases(n, self.degree) @ self.coeffs
+
     def is_real(self, tol: float = COEFF_TOL) -> bool:
         """True when c_{-k} = conj(c_k) for all k, so values are real."""
         return bool(np.all(np.abs(self.coeffs - np.conj(self.coeffs[::-1])) <= tol))
@@ -136,7 +177,9 @@ class TrigPoly:
         pad = degree - self.degree
         if pad == 0:
             return self.coeffs
-        return np.pad(self.coeffs, (pad, pad))
+        out = np.zeros(2 * degree + 1, dtype=complex)
+        out[pad : pad + self.coeffs.size] = self.coeffs
+        return out
 
     def __add__(self, other):
         if isinstance(other, TrigPoly):
@@ -303,6 +346,10 @@ class Matrix3Field:
         return np.array(
             [[self[a, b].evaluate(x) for b in range(3)] for a in range(3)]
         )
+
+    def on_grid(self, n: int) -> np.ndarray:
+        """All entries on ``grid_points(n)``; shape (3, 3, n)."""
+        return np.array([[self[a, b].on_grid(n) for b in range(3)] for a in range(3)])
 
     def is_symmetric(self, tol: float = COEFF_TOL) -> bool:
         return all(

@@ -4,8 +4,17 @@ import sys
 import numpy as np
 import pytest
 
-from torusdirac import ConfigError, galerkin, geometry, load_example, metric_at, parse_config
-from torusdirac.cli import main
+from torusdirac import (
+    ConfigError,
+    NumericalContractError,
+    galerkin,
+    geometry,
+    load_example,
+    metric_at,
+    parse_config,
+)
+from torusdirac import perturbation as pt
+from torusdirac.cli import _dump_rows, build_parser, main
 from torusdirac.config import EXAMPLE_NAMES
 
 from conftest import assert_sigfigs
@@ -165,6 +174,40 @@ class TestCli:
         # entries parse as complex after i -> j
         top_left = complex(first[0].replace("i", "j"))
         assert top_left == pytest.approx(-2.0, abs=1e-12)
+
+    def test_dump_rows_match_fstring_on_edge_floats(self):
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, np.inf, -np.inf,
+                np.nan, 1e300, -1e-300, 1e16, -1e17, 12345678901234567.0, 0.1, 1 / 3]
+        re = np.array(edge)
+        entries = np.empty((len(edge), len(edge)), dtype=complex)
+        entries.real = re[:, None]
+        entries.imag = re[None, ::-1]
+        expected = "\n".join(
+            " ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in entries
+        ) + "\n"
+        assert _dump_rows(entries) == expected
+
+    def test_repeated_main_calls_identical(self, capsys):
+        argv = ["galerkin", "--config", "example-galerkin-2", "--out", "md"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(["fit", "--config", "example-galerkin-1", "--order", "2"]) == 0
+        assert main(["dump-matrix", "--config", "nowhere.cfg"]) == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == first
+        assert build_parser() is build_parser()
+
+    def test_internal_numerical_error_exit_code(self, monkeypatch, capsys):
+        # NumericalContractError subclasses ValueError but is not bad input
+        def not_real(h, k, n):
+            raise NumericalContractError("second-order coefficient not real: (1+1j)")
+
+        monkeypatch.setattr(pt, "second_correction_closed", not_real)
+        assert main(["asympt", "--config", "example-explicit-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical contract violation: second-order" in captured.err
 
     def test_dump_matrix_requires_single_eps(self, capsys):
         code = main(

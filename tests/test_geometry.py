@@ -152,6 +152,20 @@ class TestArcLength:
         assert q1 < 10.0 and q2 < 10.0
         assert 0.5 < q1 / q2 < 2.0
 
+    def test_singular_coframe_raises(self):
+        # e^1_1 = 1 - eps vanishes at eps = 1
+        E1 = m3([[TrigPoly.constant(-1.0), ZERO, ZERO], [ZERO] * 3, [ZERO] * 3])
+        with pytest.raises(SingularCoframeError, match="eps=1.0"):
+            arc_length(CoframeFamily.linear(E1), 1.0)
+
+    def test_matches_metric_snapshot_g11_bitwise(self):
+        rng = np.random.default_rng(11)
+        cf = CoframeFamily(random_field(rng, 3, 0.05), random_field(rng, 2, 0.05))
+        for eps in (1e-4, -1e-4, 0.2):
+            g11 = metric_at(cf, eps).g[0, 0].evaluate(grid_points(256)).real
+            expected = float(np.sqrt(g11).sum() * 2.0 * np.pi / 256)
+            assert arc_length(cf, eps) == expected
+
     def test_zero_mean_h11_stays_second_order(self, explicit_family_1):
         h, k = explicit_family_1
         cf = CoframeFamily.from_perturbation(h, k)

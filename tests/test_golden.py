@@ -9,6 +9,14 @@ files with
     PYTHONPATH=src python tests/test_golden.py
 
 and lists the old and new values in CHANGES.md.
+
+The bundled examples have trig degree <= 2. Two seeded families of higher
+degree are pinned the same way, so that the degree-12..24 determinants and
+potential numerators reach a printed number: ``seeded-coframe-4.cfg`` (a
+coframe of trig degree 4) and ``seeded-perturbation-3.cfg`` (perturbation data
+of trig degree 3). They were drawn once with ``bench/workloads.generate_config``
+from ``numpy.random.default_rng(2018)``, coframe first, and are fixtures now;
+their dump digests live in ``seeded-dump-matrix.sha256``.
 """
 
 from __future__ import annotations
@@ -24,6 +32,15 @@ from torusdirac.cli import main
 from torusdirac.config import EXAMPLE_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
+
+SEEDED_NAMES = ("seeded-coframe-4", "seeded-perturbation-3")
+# --config argument per case: a bundled example name or a fixture path
+CONFIGS = {name: name for name in EXAMPLE_NAMES}
+CONFIGS.update({name: str(GOLDEN / f"{name}.cfg") for name in SEEDED_NAMES})
+DIGEST_FILES = {
+    "dump-matrix.sha256": EXAMPLE_NAMES,
+    "seeded-dump-matrix.sha256": SEEDED_NAMES,
+}
 
 COMMANDS = {
     "galerkin": ["galerkin"],
@@ -42,28 +59,38 @@ def _stdout(argv: list[str]) -> str:
     return buf.getvalue()
 
 
-def _dump_digests() -> str:
+def _dump_digests(names) -> str:
     return "".join(
-        f"{hashlib.sha256(_stdout(DUMP + ['--config', name]).encode()).hexdigest()}  {name}\n"
-        for name in EXAMPLE_NAMES
+        f"{hashlib.sha256(_stdout(DUMP + ['--config', CONFIGS[name]]).encode()).hexdigest()}  {name}\n"
+        for name in names
     )
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+@pytest.mark.parametrize("name", CONFIGS)
 def test_stdout_matches_golden(name, command):
     expected = (GOLDEN / f"{name}.{command}.txt").read_text(encoding="utf-8")
-    assert _stdout(COMMANDS[command] + ["--config", name]) == expected
+    assert _stdout(COMMANDS[command] + ["--config", CONFIGS[name]]) == expected
+
+
+def _check_digests(digest_file: str) -> None:
+    expected = (GOLDEN / digest_file).read_text(encoding="utf-8")
+    assert _dump_digests(DIGEST_FILES[digest_file]) == expected
 
 
 def test_dump_matrix_digests_match_golden():
-    assert _dump_digests() == (GOLDEN / "dump-matrix.sha256").read_text(encoding="utf-8")
+    _check_digests("dump-matrix.sha256")
+
+
+def test_seeded_dump_matrix_digests_match_golden():
+    _check_digests("seeded-dump-matrix.sha256")
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in EXAMPLE_NAMES:
+    for name, config in CONFIGS.items():
         for command, argv in COMMANDS.items():
-            text = _stdout(argv + ["--config", name])
+            text = _stdout(argv + ["--config", config])
             (GOLDEN / f"{name}.{command}.txt").write_text(text, encoding="utf-8")
-    (GOLDEN / "dump-matrix.sha256").write_text(_dump_digests(), encoding="utf-8")
+    for digest_file, names in DIGEST_FILES.items():
+        (GOLDEN / digest_file).write_text(_dump_digests(names), encoding="utf-8")

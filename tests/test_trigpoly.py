@@ -1,6 +1,11 @@
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from torusdirac import trigpoly
 from torusdirac.trigpoly import Matrix3Field, TrigPoly, grid_points, parseval_product
 
 from conftest import COS, SIN, random_symmetric_field
@@ -173,3 +178,84 @@ class TestMatrix3Field:
         prod = (a @ b).sample(x)
         pointwise = np.einsum("acn,cbn->abn", a.sample(x), b.sample(x))
         assert np.allclose(prod, pointwise, atol=1e-12)
+
+
+class TestGridEvaluation:
+    """``on_grid(n)`` reads a cached phase table; it must give the bits of
+    the direct formula that ``evaluate`` uses."""
+
+    @pytest.fixture
+    def fresh_tables(self, monkeypatch):
+        tables = OrderedDict()
+        monkeypatch.setattr(trigpoly, "_phase_tables", tables)
+        return tables
+
+    @pytest.mark.parametrize("n", [64, 256, 416])
+    def test_matches_direct_formula_bitwise(self, n, fresh_tables):
+        rng = np.random.default_rng(n)
+        x = grid_points(n)
+        # mixed order, so the table is rebuilt wider part way through
+        for degree in rng.permutation(31):
+            coeffs = rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)
+            k = np.arange(-degree, degree + 1)
+            direct = np.exp(1j * np.multiply.outer(x, k)) @ coeffs
+            fast = TrigPoly(coeffs).on_grid(n)
+            assert np.array_equal(fast.view(np.uint64), direct.view(np.uint64))
+        assert fresh_tables[n].shape == (n, 61)
+
+    def test_matrix_field_on_grid_matches_sample(self, fresh_tables):
+        field = random_symmetric_field(np.random.default_rng(3), degree=4)
+        n = 128
+        assert np.array_equal(
+            field.on_grid(n).view(np.uint64), field.sample(grid_points(n)).view(np.uint64)
+        )
+
+    def test_table_count_is_bounded(self, fresh_tables):
+        sizes = [32, 48, 64, 80, 96, 112]
+        for n in sizes:
+            COS(3).on_grid(n)
+        assert list(fresh_tables) == sizes[-trigpoly.PHASE_TABLE_SIZES:]
+        COS(3).on_grid(sizes[-trigpoly.PHASE_TABLE_SIZES])  # most recent again
+        COS(3).on_grid(16)
+        assert sizes[-trigpoly.PHASE_TABLE_SIZES] in fresh_tables
+        assert len(fresh_tables) == trigpoly.PHASE_TABLE_SIZES
+
+    def test_grid_and_table_are_read_only(self, fresh_tables):
+        with pytest.raises(ValueError):
+            grid_points(64)[0] = 1.0
+        COS(2).on_grid(64)
+        with pytest.raises(ValueError):
+            fresh_tables[64][0, 0] = 0.0
+
+    def test_concurrent_growth_and_eviction(self, fresh_tables):
+        # more threads than sizes kept, each growing tables in its own order
+        rng = np.random.default_rng(5)
+        polys = [TrigPoly(rng.normal(size=2 * d + 1) + 0j) for d in range(13)]
+        sizes = [24, 32, 40, 48, 56, 64]
+        expected = {(n, d): p.evaluate(grid_points(n)) for n in sizes for d, p in enumerate(polys)}
+        errors = []
+
+        def worker(seed):
+            order = np.random.default_rng(seed)
+            for _ in range(150):
+                n, d = int(order.choice(sizes)), int(order.integers(13))
+                if not np.array_equal(polys[d].on_grid(n), expected[n, d]):
+                    errors.append((n, d))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(fresh_tables) <= trigpoly.PHASE_TABLE_SIZES
+
+    def test_padding_matches_np_pad(self):
+        f = COS(1, 0.3) + SIN(1, -0.7)
+        assert np.array_equal(f._padded(4), np.pad(f.coeffs, (3, 3)))
