@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -204,6 +205,28 @@ def _dump_rows(entries: np.ndarray) -> str:
     return "".join(row % tuple(r.tolist()) for r in entries.view(float))
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
+def _check_matrix_memory(m: int) -> None:
+    """Raise ConfigError when the dense complex Galerkin matrix of truncation
+    m, 16 * (2(2m+1))^2 bytes, would take more than a quarter of physical
+    memory; checked before any grid or matrix is allocated."""
+    memory = _physical_memory()
+    size = 16 * (2 * (2 * m + 1)) ** 2
+    if memory is not None and 4 * size > memory:
+        raise ConfigError(
+            f"m={m} needs a {size / 2**20:.6g} MiB Galerkin matrix, more than a "
+            f"quarter of physical memory ({memory / 2**20:.6g} MiB)"
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
@@ -254,6 +277,7 @@ def main(argv=None) -> int:
             cfg.eps_list = parse_eps_list(args.eps, "--eps")
         if args.modes:
             cfg.modes = parse_numbers(args.modes, "--modes", int)
+        _check_matrix_memory(cfg.m)
         if args.command in ("galerkin", "fit"):
             edge = cfg.m - gk.tracking_buffer(cfg.m)
             for n in cfg.modes:

@@ -222,32 +222,40 @@ def dirac_operator(ms: MetricSnapshot) -> DiracOperator:
 
 
 def first_order_operator(
-    h: Matrix3Field, num_points: int = DEFAULT_GRID
+    h: Matrix3Field, num_points: int = DEFAULT_GRID, *, check: bool = True
 ) -> DiracOperator:
     """Linear term of the eps-expansion of the operator family.
 
     Expanding the frame gives the symbol -(1/2) * B_h with B_h built from the
     first column of h; the action is then +(i/4)(B_h d/dx + d/dx B_h). The
-    potential only enters at second order.
+    potential only enters at second order. ``check=False`` skips the check
+    that h is real and symmetric, for a caller that has made it already.
     """
-    require_sym_real(h, "h")
+    if check:
+        require_sym_real(h, "h")
     cols = [h[j, 0].on_grid(num_points).real for j in range(3)]
     return DiracOperator(-0.5 * symbol_matrix(*cols), np.zeros(num_points))
 
 
 def second_order_operator(
-    h: Matrix3Field, k: Matrix3Field, num_points: int = DEFAULT_GRID
+    h: Matrix3Field,
+    k: Matrix3Field,
+    num_points: int = DEFAULT_GRID,
+    *,
+    check: bool = True,
 ) -> DiracOperator:
     """Quadratic term of the eps-expansion.
 
     Symbol (3/8) B_{h^2} - (1/8) B_k from the frame expansion, plus the real
     scalar potential -(1/16) * sum_a (h_{a2} h_{a3}' - h_{a3} h_{a2}'), the
-    antisymmetrized first-column-free part of the half-density term.
+    antisymmetrized first-column-free part of the half-density term. Only
+    the first column of h^2 is built. ``check=False`` skips the check that
+    h and k are real and symmetric, for a caller that has made it already.
     """
-    require_sym_real(h, "h")
-    require_sym_real(k, "k")
-    hsq = h @ h
-    hcols = [hsq[j, 0].on_grid(num_points).real for j in range(3)]
+    if check:
+        require_sym_real(h, "h")
+        require_sym_real(k, "k")
+    hcols = [h.product_entry(h, j, 0).on_grid(num_points).real for j in range(3)]
     kcols = [k[j, 0].on_grid(num_points).real for j in range(3)]
     b = 0.375 * symbol_matrix(*hcols) - 0.125 * symbol_matrix(*kcols)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import Matrix3Field, TrigPoly, grid_points
+from .trigpoly import Matrix3Field, grid_points
 
 DEFAULT_GRID = 256
 
@@ -165,16 +165,13 @@ def arc_length(cf: CoframeFamily, eps: float) -> float:
     """Length of the x^1 coordinate circle: int_0^2pi sqrt(g_11) dx^1.
 
     Trapezoidal quadrature on the uniform grid; spectrally accurate since
-    the integrand is analytic and periodic. Only g_11 = sum_c e^c_1 e^c_1 is
-    built; like ``metric_at`` it raises SingularCoframeError when det e is
-    not strictly positive on the grid.
+    the integrand is analytic and periodic. Only g_11 = sum_c e^c_1 e^c_1,
+    entry (0, 0) of e^T e, is built; like ``metric_at`` it raises
+    SingularCoframeError when det e is not strictly positive on the grid.
     """
     coframe = cf.coframe_at(eps)
     _positive_det(coframe, eps, DEFAULT_GRID)
-    # same summation order as (e^T @ e)[0, 0] in Matrix3Field.__matmul__
-    g11_poly = TrigPoly.zero()
-    for c in range(3):
-        g11_poly = g11_poly + coframe[c, 0] * coframe[c, 0]
+    g11_poly = coframe.transpose().product_entry(coframe, 0, 0)
     g11 = _as_real_samples(g11_poly.on_grid(DEFAULT_GRID), "g_11")
     if np.any(g11 <= 0):
         raise SingularCoframeError(f"g_11 not positive at eps={eps}")

@@ -11,6 +11,11 @@ Three independent routes are implemented:
 Cross-route agreement is the package's main numerical contract: the closed
 forms are transcribed exactly as derived and validated against the operator
 route rather than silently adjusted.
+
+The operator route is two private helpers, the first-order block and the
+second-order term, which take the operators W1 and W2 as arguments: the
+public route functions build their own, ``perturbation_report`` builds each
+once for both signs.
 """
 
 from __future__ import annotations
@@ -19,12 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import SpinorField, first_order_operator, second_order_operator
+from .dirac import (
+    DiracOperator,
+    SpinorField,
+    first_order_operator,
+    second_order_operator,
+)
 from .galerkin import basis_spinor, spectrum_report, track_pair
 from .geometry import (
     CoframeFamily,
     NumericalContractError,
     first_order_perturbation,
+    require_sym_real,
     second_order_perturbation,
 )
 from .trigpoly import Matrix3Field, grid_points
@@ -141,7 +152,11 @@ def first_correction_operator(h: Matrix3Field, n: int) -> float:
     first-order setup and raises DegenerateSplittingError.
     """
     _check_sign(n)
-    w1 = first_order_operator(h)
+    return _first_order_block(first_order_operator(h), n)
+
+
+def _first_order_block(w1: DiracOperator, n: int) -> float:
+    """l1(n) from the block of the first-order operator ``w1`` on mode n."""
     v = basis_spinor(n, "v")
     w = basis_spinor(n, "w")
     image = w1.apply(v)
@@ -160,14 +175,18 @@ def first_correction_operator(h: Matrix3Field, n: int) -> float:
 # second order
 # ----------------------------------------------------------------------
 
-def _antisymmetric_flux_sum(h: Matrix3Field) -> complex:
-    """sum_{m != 0} m * sum_a [conj(hhat_a2(m)) hhat_a3(m)
-                               - conj(hhat_a3(m)) hhat_a2(m)]."""
+def _antisymmetric_flux_sum(hhat: np.ndarray, degree: int) -> complex:
+    """sum_{0 < |m| <= degree} m * sum_a [conj(hhat_a2(m)) hhat_a3(m)
+                                        - conj(hhat_a3(m)) hhat_a2(m)],
+
+    read from ``hhat = h.coefficient_stack(top)`` for any top >= ``degree``,
+    the degree of h."""
+    top = (hhat.shape[0] - 1) // 2
     total = 0.0 + 0.0j
-    for m in range(-h.degree, h.degree + 1):
+    for m in range(-degree, degree + 1):
         if m == 0:
             continue
-        hm = h.fourier(m)
+        hm = hhat[m + top]
         total += m * np.sum(np.conj(hm[:, 1]) * hm[:, 2] - np.conj(hm[:, 2]) * hm[:, 1])
     return total
 
@@ -176,22 +195,26 @@ def second_correction_closed(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
     """Closed-form second-order coefficient for the eigenvalue n = +-1.
 
     Finite Fourier sums in h, k and h^2; the mode sums terminate because h
-    has finite trigonometric degree.
+    has finite trigonometric degree. Of h^2 only the mean of entry (0, 0) is
+    read, so only that entry is built; every coefficient of h is read from
+    one stack zero-padded to the widest harmonic the sums reach.
     """
     _check_sign(n)
-    hsq = h @ h
-    lead = n * (0.375 * hsq.fourier(0)[0, 0] - 0.125 * k.fourier(0)[0, 0])
-    flux = -(1j / 16.0) * _antisymmetric_flux_sum(h)
-
     d = h.degree
+    top = d + 4
+    hhat = h.coefficient_stack(top)
+    hsq00 = h.product_entry(h, 0, 0)
+    lead = n * (0.375 * hsq00.fourier(0) - 0.125 * k[0, 0].fourier(0))
+    flux = -(1j / 16.0) * _antisymmetric_flux_sum(hhat, d)
+
     s_diag = 0.0 + 0.0j
     s_mixed = 0.0 + 0.0j
     for m in range(-d - 3, d + 4):
         if m == n:
             continue
-        c11 = h.fourier(m - n)[0, 0]
+        c11 = hhat[m - n + top, 0, 0]
         s_diag += (m + n) ** 2 / (m - n) * c11 * np.conj(c11)
-        z = h.fourier(m + n)
+        z = hhat[m + n + top]
         z1 = z[2, 0] + 1j * z[1, 0]
         z2 = np.conj(z[2, 0]) - 1j * np.conj(z[1, 0])
         s_mixed += (m - n) * z1 * z2
@@ -213,17 +236,28 @@ def second_correction_operator(
     the truncation covers the bandwidth of (W1 - l1) v.
     """
     _check_sign(n)
+    truncation = _mode_sum_truncation(h, truncation)
+    w1 = first_order_operator(h)
+    w2 = second_order_operator(h, k)
+    return _second_order_term(w1, w2, _first_order_block(w1, n), n, truncation)
+
+
+def _mode_sum_truncation(h: Matrix3Field, truncation: int | None) -> int:
+    """The pseudoinverse truncation: h.degree + 4 unless given, at least h.degree + 2."""
     if truncation is None:
         truncation = h.degree + 4
     if truncation < h.degree + 2:
         raise TruncationError(
             f"truncation {truncation} below minimum {h.degree + 2} for this h"
         )
-    w1 = first_order_operator(h)
-    w2 = second_order_operator(h, k)
-    v = basis_spinor(n, "v")
-    l1 = first_correction_operator(h, n)
+    return truncation
 
+
+def _second_order_term(
+    w1: DiracOperator, w2: DiracOperator, l1: float, n: int, truncation: int
+) -> float:
+    """<W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v> for v = v_n, given l1 = l1(n)."""
+    v = basis_spinor(n, "v")
     residual = w1.apply(v) - l1 * v
     corrected = Pseudoinverse(lambda0=n, truncation=truncation).apply(
         residual, orthogonality_tol=1e-9
@@ -361,7 +395,9 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
     """Compute all four coefficients by the requested route.
 
     The operator route runs on ``DEFAULT_GRID`` with the default mode-sum
-    truncation; the Galerkin fit route fits modes +1 and -1 to second order
+    truncation and builds W1 and W2 once for both signs; its values are
+    those of ``first_correction_operator``/``second_correction_operator``
+    to the bit. The Galerkin fit route fits modes +1 and -1 to second order
     from one sweep over ``default_fit_grid(4)`` at truncation ``m``.
     """
     h = first_order_perturbation(cf)
@@ -375,12 +411,21 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
             lambda2_minus=second_correction_closed(h, k, -1),
         )
     if route == "operator":
+        # each check, operator and first-order block once, in the order that
+        # separate first/second_correction_operator calls at +1, -1 meet them
+        require_sym_real(h, "h")
+        w1 = first_order_operator(h, check=False)
+        l1 = {n: _first_order_block(w1, n) for n in (1, -1)}
+        require_sym_real(k, "k")
+        w2 = second_order_operator(h, k, check=False)
+        truncation = _mode_sum_truncation(h, None)
+        l2 = {n: _second_order_term(w1, w2, l1[n], n, truncation) for n in (1, -1)}
         return PerturbationReport(
             route=route,
-            lambda1_plus=first_correction_operator(h, 1),
-            lambda1_minus=first_correction_operator(h, -1),
-            lambda2_plus=second_correction_operator(h, k, 1),
-            lambda2_minus=second_correction_operator(h, k, -1),
+            lambda1_plus=l1[1],
+            lambda1_minus=l1[-1],
+            lambda2_plus=l2[1],
+            lambda2_minus=l2[-1],
         )
     if route == "galerkin_fit":
         # the quartic grid: on the 6-point quadratic one, fits fail the residual check
@@ -394,3 +439,4 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
             fit_order=2,
         )
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+

@@ -80,6 +80,16 @@ class TrigPoly:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray) -> "TrigPoly":
+        """Wrap a fresh complex array of odd length that nothing else holds,
+        without copying or checking it; the array is made read-only. For
+        results of numpy operations inside this class only."""
+        coeffs.setflags(write=False)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
@@ -184,13 +194,13 @@ class TrigPoly:
     def __add__(self, other):
         if isinstance(other, TrigPoly):
             d = max(self.degree, other.degree)
-            return TrigPoly(self._padded(d) + other._padded(d))
+            return TrigPoly._adopt(self._padded(d) + other._padded(d))
         return self + TrigPoly.constant(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly(-self.coeffs)
+        return TrigPoly._adopt(-self.coeffs)
 
     def __sub__(self, other):
         if isinstance(other, TrigPoly):
@@ -203,19 +213,19 @@ class TrigPoly:
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
             # discrete convolution of coefficients; degree adds
-            return TrigPoly(np.convolve(self.coeffs, other.coeffs))
-        return TrigPoly(self.coeffs * complex(other))
+            return TrigPoly._adopt(np.convolve(self.coeffs, other.coeffs))
+        return TrigPoly._adopt(self.coeffs * complex(other))
 
     __rmul__ = __mul__
 
     def derivative(self) -> "TrigPoly":
         """d/dx, i.e. c_k -> i k c_k."""
         k = np.arange(-self.degree, self.degree + 1)
-        return TrigPoly(1j * k * self.coeffs)
+        return TrigPoly._adopt(1j * k * self.coeffs)
 
     def conjugate(self) -> "TrigPoly":
         """Complex conjugate as a function: coefficients conj(c_{-k})."""
-        return TrigPoly(np.conj(self.coeffs[::-1]))
+        return TrigPoly._adopt(np.conj(self.coeffs[::-1]))
 
     # ------------------------------------------------------------------
     # serialization: list of (k, re, im) triples, zeros omitted
@@ -257,6 +267,12 @@ class Matrix3Field:
 
     Used for coframe perturbations, the metric, and the metric perturbation
     matrices. Immutable.
+
+    ``product_entry(other, a, b)`` is the single entry (self @ other)[a, b],
+    summed over c = 0, 1, 2 in that order; ``__matmul__`` builds each of its
+    nine entries with it, so a caller that reads one entry of a product gets
+    the same bits from 3 of the 27 convolutions.
+    ``coefficient_stack(degree)`` gives all entry coefficients as one array.
     """
 
     __slots__ = ("_entries",)
@@ -307,17 +323,17 @@ class Matrix3Field:
 
     __rmul__ = __mul__
 
+    def product_entry(self, other: "Matrix3Field", a: int, b: int) -> TrigPoly:
+        """Entry (a, b) of self @ other: sum over c of self[a, c] * other[c, b]."""
+        acc = TrigPoly.zero()
+        for c in range(3):
+            acc = acc + self[a, c] * other[c, b]
+        return acc
+
     def __matmul__(self, other: "Matrix3Field") -> "Matrix3Field":
-        out = []
-        for a in range(3):
-            row = []
-            for b in range(3):
-                acc = TrigPoly.zero()
-                for c in range(3):
-                    acc = acc + self[a, c] * other[c, b]
-                row.append(acc)
-            out.append(row)
-        return Matrix3Field(out)
+        return Matrix3Field(
+            [[self.product_entry(other, a, b) for b in range(3)] for a in range(3)]
+        )
 
     def transpose(self) -> "Matrix3Field":
         return Matrix3Field([[self[b, a] for b in range(3)] for a in range(3)])
@@ -339,6 +355,12 @@ class Matrix3Field:
     def fourier(self, m: int) -> np.ndarray:
         """3x3 array of entry coefficients at harmonic m."""
         return np.array([[self[a, b].fourier(m) for b in range(3)] for a in range(3)])
+
+    def coefficient_stack(self, degree: int) -> np.ndarray:
+        """Entry coefficients zero-padded to ``degree`` (at least ``self.degree``):
+        array (2*degree+1, 3, 3) whose element [m + degree] is ``fourier(m)``."""
+        stack = np.array([[self[a, b]._padded(degree) for b in range(3)] for a in range(3)])
+        return np.moveaxis(stack, -1, 0)
 
     def sample(self, x) -> np.ndarray:
         """Evaluate all entries on the points ``x``; shape (3, 3, len(x))."""

@@ -6,8 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from torusdirac import CoframeFamily, Matrix3Field, TrigPoly
+
+# Property tests draw the same examples on every run and have no deadline,
+# so a slow shared machine cannot make them flaky, and write no example database.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 COS = TrigPoly.cosine
 SIN = TrigPoly.sine

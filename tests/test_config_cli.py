@@ -7,6 +7,7 @@ import pytest
 from torusdirac import (
     ConfigError,
     NumericalContractError,
+    cli,
     galerkin,
     geometry,
     load_example,
@@ -262,6 +263,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "mode 30 is past the truncation edge" in captured.err
+
+    @pytest.mark.parametrize("command", ["galerkin", "fit", "asympt", "dump-matrix"])
+    def test_matrix_past_memory_bound_is_config_error(self, command, monkeypatch, capsys):
+        # m = 25: the dense matrix takes 16 * 102^2 = 166,464 bytes, more
+        # than a quarter of the 600,000 bytes reported here
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("a matrix was assembled past the memory bound")
+
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 600_000)
+        monkeypatch.setattr(galerkin, "assemble", no_assembly)
+        extra = ["--eps", "0.1"] if command == "dump-matrix" else []
+        assert main([command, "--config", "example-galerkin-1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "m=25 needs a" in captured.err
+        assert "quarter of physical memory" in captured.err
+
+    def test_matrix_at_memory_bound_runs(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * 16 * 102**2)
+        argv = ["dump-matrix", "--config", "example-galerkin-1", "--eps", "0.1"]
+        assert main(argv) == 0
+        assert main(argv + ["--m", "26"]) == 2
 
     @pytest.mark.parametrize("command,calls", [("galerkin", 3), ("fit", 12)])
     def test_one_geometry_build_per_eps(self, command, calls, monkeypatch, capsys):

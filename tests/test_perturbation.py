@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusdirac import (
     CoframeFamily,
@@ -10,8 +14,10 @@ from torusdirac import (
     TrigPoly,
     TruncationError,
     charge_conjugate,
+    dirac,
     first_correction_closed,
     first_correction_operator,
+    first_order_perturbation,
     fit_expansion,
     free_operator,
     load_example,
@@ -20,6 +26,8 @@ from torusdirac import (
     second_correction_closed,
     second_correction_operator,
     second_order_asymmetry,
+    second_order_operator,
+    second_order_perturbation,
 )
 from torusdirac.cli import cmd_fit
 from torusdirac.galerkin import basis_spinor
@@ -284,3 +292,127 @@ class TestReport:
         cf = CoframeFamily.from_perturbation(h, k)
         with pytest.raises(ValueError, match="route"):
             perturbation_report(cf, "bogus")
+
+
+# ----------------------------------------------------------------------
+# shared work of the routes
+# ----------------------------------------------------------------------
+
+COEFFICIENT = st.floats(-0.25, 0.25)
+
+
+@st.composite
+def symmetric_fields(draw) -> Matrix3Field:
+    """Real symmetric Matrix3Field of trig degree 1-3, coefficients <= 0.25."""
+    degree = draw(st.integers(1, 3))
+    rows = [[None] * 3 for _ in range(3)]
+    for a in range(3):
+        for b in range(a, 3):
+            poly = TrigPoly.constant(draw(COEFFICIENT))
+            for j in range(1, degree + 1):
+                poly = poly + COS(j, draw(COEFFICIENT)) + SIN(j, draw(COEFFICIENT))
+            rows[a][b] = rows[b][a] = poly
+    return Matrix3Field(rows)
+
+
+FAMILIES = st.builds(CoframeFamily.from_perturbation, symmetric_fields(), symmetric_fields())
+SIGNS = ((1, "lambda1_plus", "lambda2_plus"), (-1, "lambda1_minus", "lambda2_minus"))
+
+
+class TestRouteProperties:
+    @settings(max_examples=40)
+    @given(FAMILIES)
+    def test_operator_report_matches_public_functions(self, cf):
+        h, k = first_order_perturbation(cf), second_order_perturbation(cf)
+        report = perturbation_report(cf, "operator")
+        for n, l1, l2 in SIGNS:
+            assert getattr(report, l1).hex() == first_correction_operator(h, n).hex()
+            assert getattr(report, l2).hex() == second_correction_operator(h, k, n).hex()
+
+    @settings(max_examples=40)
+    @given(FAMILIES)
+    def test_closed_report_matches_public_functions(self, cf):
+        h, k = first_order_perturbation(cf), second_order_perturbation(cf)
+        report = perturbation_report(cf, "closed_form")
+        for n, l1, l2 in SIGNS:
+            assert getattr(report, l1).hex() == first_correction_closed(h, n).hex()
+            assert getattr(report, l2).hex() == second_correction_closed(h, k, n).hex()
+
+    @settings(max_examples=40)
+    @given(FAMILIES)
+    def test_closed_and_operator_routes_agree(self, cf):
+        closed = perturbation_report(cf, "closed_form")
+        operator = perturbation_report(cf, "operator")
+        for _, l1, l2 in SIGNS:
+            assert abs(getattr(closed, l1) - getattr(operator, l1)) <= 1e-12
+            assert abs(getattr(closed, l2) - getattr(operator, l2)) <= 1e-10
+
+
+class TestSharedWork:
+    """One operator-route report builds, checks and solves each piece once."""
+
+    @pytest.fixture
+    def family(self, explicit_family_2):
+        return CoframeFamily.from_perturbation(*explicit_family_2)
+
+    @staticmethod
+    def count(monkeypatch, module, name, counts):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_each_operator_built_once(self, family, monkeypatch):
+        builds = Counter()
+        for name in ("first_order_operator", "second_order_operator"):
+            self.count(monkeypatch, perturbation, name, builds)
+        perturbation_report(family, "operator")
+        assert builds == {"first_order_operator": 1, "second_order_operator": 1}
+
+    def test_h_and_k_checked_once(self, family, monkeypatch):
+        checks = Counter()
+        for module in (dirac, perturbation):
+            self.count(monkeypatch, module, "require_sym_real", checks)
+        perturbation_report(family, "operator")
+        assert checks["require_sym_real"] == 2
+
+    def test_h_squared_read_without_the_full_product(self, explicit_family_2, monkeypatch):
+        h, k = explicit_family_2
+
+        def full_product(self, other):
+            raise AssertionError("full 3x3 product of h with itself")
+
+        monkeypatch.setattr(Matrix3Field, "__matmul__", full_product)
+        for n in (1, -1):
+            second_correction_closed(h, k, n)
+        second_order_operator(h, k)
+
+    def test_failure_order_matches_separate_calls(self, family, monkeypatch):
+        # h check, l1(+1), l1(-1), k check, second-order terms at +1 then -1
+        events = []
+
+        def log(name, key):
+            original = getattr(perturbation, name)
+
+            def logged(*args):
+                events.append(key(*args))
+                return original(*args)
+
+            monkeypatch.setattr(perturbation, name, logged)
+
+        log("require_sym_real", lambda mat, name: name)
+        log("_first_order_block", lambda w1, n: ("l1", n))
+        log("_second_order_term", lambda w1, w2, l1, n, truncation: ("l2", n))
+        perturbation_report(family, "operator")
+        assert events == ["h", ("l1", 1), ("l1", -1), "k", ("l2", 1), ("l2", -1)]
+
+    @pytest.mark.parametrize("bad", ["h", "k"])
+    def test_input_check_messages(self, family, bad, monkeypatch):
+        skew = m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
+        target = {"h": "first_order_perturbation", "k": "second_order_perturbation"}[bad]
+        monkeypatch.setattr(perturbation, target, lambda cf: skew)
+        with pytest.raises(ValueError, match=f"{bad} must be symmetric"):
+            perturbation_report(family, "operator")

@@ -158,7 +158,64 @@ class TestSerialization:
         assert TrigPoly.from_triples([]).is_zero()
 
 
+class TestOwnership:
+    def test_constructor_copies_the_callers_array(self):
+        arr = np.array([0.5, 1.0, 0.5], dtype=complex)
+        f = TrigPoly(arr)
+        arr[:] = 7.0
+        assert f.coeffs.tolist() == [0.5, 1.0, 0.5]
+        assert not f.coeffs.flags.writeable
+
+    def test_constructor_rejects_even_length(self):
+        with pytest.raises(ValueError, match="odd length"):
+            TrigPoly(np.zeros(2, dtype=complex))
+
+    def test_arithmetic_results_are_read_only(self):
+        f = COS(2, 0.7) + SIN(1, -0.3)
+        g = SIN(3, 1.1)
+        results = {
+            "add": f + g,
+            "add scalar": f + 2.0,
+            "neg": -f,
+            "sub": f - g,
+            "mul": f * g,
+            "mul scalar": 3.0 * f,
+            "derivative": f.derivative(),
+            "conjugate": f.conjugate(),
+        }
+        for name, r in results.items():
+            assert not r.coeffs.flags.writeable, name
+            with pytest.raises(ValueError):
+                r.coeffs[0] = 1.0
+        # the operands are untouched
+        assert f.isclose(COS(2, 0.7) + SIN(1, -0.3), 0.0)
+        assert g.isclose(SIN(3, 1.1), 0.0)
+
+
 class TestMatrix3Field:
+    def test_product_entry_matches_matmul_bitwise(self):
+        rng = np.random.default_rng(8)
+        a = random_symmetric_field(rng, degree=3)
+        b = random_symmetric_field(rng, degree=1)
+        prod = a @ b
+        for i in range(3):
+            for j in range(3):
+                entry = a.product_entry(b, i, j).coeffs
+                assert entry.tobytes() == prod[i, j].coeffs.tobytes()
+
+    @pytest.mark.parametrize("top", [3, 7])
+    def test_coefficient_stack_matches_fourier(self, top):
+        rng = np.random.default_rng(9)
+        a = Matrix3Field(
+            [[COS(1, 0.3), SIN(3, 0.2), TrigPoly.zero()],
+             [COS(2), TrigPoly.constant(-0.0), SIN(1)],
+             [TrigPoly(rng.normal(size=7) + 1j * rng.normal(size=7)), COS(3), SIN(2)]]
+        )
+        stack = a.coefficient_stack(top)
+        assert stack.shape == (2 * top + 1, 3, 3)
+        for m in range(-top, top + 1):
+            assert stack[m + top].tobytes() == a.fourier(m).tobytes()
+
     def test_identity_product(self):
         rng = np.random.default_rng(5)
         a = random_symmetric_field(rng)
