@@ -20,6 +20,7 @@ from .geometry import (
 from .dirac import (
     DiracOperator,
     SpinorField,
+    UnderResolvedError,
     charge_conjugate,
     dirac_operator,
     first_order_operator,
@@ -30,7 +31,6 @@ from .galerkin import (
     GalerkinMatrix,
     SpectrumReport,
     TrackingError,
-    UnderResolvedError,
     basis_spinor,
     eigenvalues,
     galerkin_matrix,
@@ -70,6 +70,7 @@ __all__ = [
     "second_order_perturbation",
     "DiracOperator",
     "SpinorField",
+    "UnderResolvedError",
     "charge_conjugate",
     "dirac_operator",
     "first_order_operator",
@@ -78,7 +79,6 @@ __all__ = [
     "GalerkinMatrix",
     "SpectrumReport",
     "TrackingError",
-    "UnderResolvedError",
     "basis_spinor",
     "eigenvalues",
     "galerkin_matrix",

@@ -28,6 +28,7 @@ from .config import (
     parse_eps_list,
     parse_numbers,
 )
+from .dirac import UnderResolvedError
 from .geometry import (
     NumericalContractError,
     SingularCoframeError,
@@ -47,7 +48,7 @@ TOL_L2_FIT = 1e-4
 _NUMERIC_ERRORS = (
     NumericalContractError,
     SingularCoframeError,
-    gk.UnderResolvedError,
+    UnderResolvedError,
     gk.TrackingError,
     pt.PseudoinverseDomainError,
     pt.TruncationError,

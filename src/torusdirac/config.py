@@ -71,9 +71,12 @@ def _parse_poly(text: str, key: str) -> TrigPoly:
     triples = []
     for mk, re_, im_ in _TRIPLE_RE.findall(text):
         try:
-            triples.append((int(mk), float(re_), float(im_)))
+            triple = (int(mk), float(re_), float(im_))
         except ValueError as exc:
             raise ConfigError(f"{key}: bad triple ({mk}, {re_}, {im_})") from exc
+        if not (math.isfinite(triple[1]) and math.isfinite(triple[2])):
+            raise ConfigError(f"{key}: coefficients must be finite, got ({mk}, {re_}, {im_})")
+        triples.append(triple)
     return TrigPoly.from_triples(triples)
 
 
@@ -100,6 +103,7 @@ def parse_eps_list(text: str, key: str = "eps") -> list[float]:
 def parse_config(text: str) -> RunConfig:
     scalars: dict[str, str] = {}
     matrices: dict[str, list[list[TrigPoly]]] = {}
+    seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -108,6 +112,9 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         entry = _ENTRY_RE.fullmatch(key)
         if entry:
             name, a, b = entry.group(1), int(entry.group(2)) - 1, int(entry.group(3)) - 1
@@ -116,8 +123,6 @@ def parse_config(text: str) -> RunConfig:
             )
             mat[a][b] = _parse_poly(value, key)
         elif key in ("m", "eps", "modes", "out"):
-            if key in scalars:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             scalars[key] = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")

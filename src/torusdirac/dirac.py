@@ -11,8 +11,15 @@ operator at fixed eps takes (a1, a2, a3) from the first frame column; the
 first and second order terms of its eps-expansion take them from columns of
 the metric perturbation matrices.
 
-Derivatives are spectral (Fourier), exact for band-limited data and accurate
-to machine precision for the analytic coefficients appearing here.
+Spinors and operators are held as Fourier coefficients only. With B^ and p^
+the coefficients of B and p, the action is the finite convolution
+
+    (W v)^(k) = sum_q [ (k + q)/2 B^(k - q) + p^(k - q) ] v^(q).
+
+The first and second order terms have trigonometric-polynomial coefficients
+and are built in coefficient arithmetic. The frame is rational, so
+``dirac_operator`` is the one place that samples: it takes the FFT of B and p
+on the snapshot's grid and keeps the frequencies |k| < n/4.
 """
 
 from __future__ import annotations
@@ -21,133 +28,118 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    DEFAULT_GRID,
-    MetricSnapshot,
-    NumericalContractError,
-    require_sym_real,
-)
-from .trigpoly import Matrix3Field, TrigPoly
+from .geometry import MetricSnapshot, NumericalContractError, require_sym_real
+from .trigpoly import Matrix3Field, TrigPoly, resize_degree
+
+#: Largest Fourier coefficient that sampling may drop at |k| >= n/4.
+ALIASING_LIMIT = 1e-9
 
 
-def spectral_derivative(samples: np.ndarray) -> np.ndarray:
-    """d/dx of a periodic grid function along the last axis, via FFT."""
-    n = samples.shape[-1]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        k = k.copy()
-        k[n // 2] = 0.0  # derivative of the unpaired Nyquist mode is dropped
-    return np.fft.ifft(1j * k * np.fft.fft(samples, axis=-1), axis=-1)
+class UnderResolvedError(Exception):
+    """Grid too coarse for the Fourier tail of the operator coefficients."""
+
+
+def _real_defect(coeffs: np.ndarray) -> float:
+    """Largest |c_k - conj(c_-k)|: zero exactly when the function is real."""
+    return float(np.max(np.abs(coeffs - np.conj(coeffs[..., ::-1]))))
 
 
 @dataclass(frozen=True)
 class SpinorField:
-    """2-column complex function of x^1 held as samples on the uniform grid."""
+    """2-column complex function of x^1 held as Fourier coefficients:
+    ``coeffs[c, k + K]`` is the coefficient of e^{ikx} in component c."""
 
-    samples: np.ndarray  # shape (2, n)
+    coeffs: np.ndarray  # shape (2, 2K+1)
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
-        if s.shape[0] != 2 or s.ndim != 2:
-            raise ValueError("spinor samples must have shape (2, n)")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
+        c = np.array(self.coeffs, dtype=complex)
+        if c.ndim != 2 or c.shape[0] != 2 or c.shape[1] % 2 == 0:
+            raise ValueError("spinor coefficients must have shape (2, 2K+1)")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
 
     @property
-    def num_points(self) -> int:
-        return self.samples.shape[1]
+    def degree(self) -> int:
+        return (self.coeffs.shape[1] - 1) // 2
 
     @classmethod
-    def from_components(
-        cls, upper: TrigPoly, lower: TrigPoly, num_points: int = DEFAULT_GRID
-    ) -> "SpinorField":
-        return cls(np.array([upper.on_grid(num_points), lower.on_grid(num_points)]))
+    def from_components(cls, upper: TrigPoly, lower: TrigPoly) -> "SpinorField":
+        d = max(upper.degree, lower.degree)
+        return cls(np.array([resize_degree(upper.coeffs, d), resize_degree(lower.coeffs, d)]))
 
     # ------------------------------------------------------------------
-    # Hilbert space structure: <u, v> = int_0^2pi v^* u dx
+    # Hilbert space structure: <u, v> = int_0^2pi v^* u dx = 2pi sum_k v^_k^* u^_k
     # ------------------------------------------------------------------
 
     def inner(self, other: "SpinorField") -> complex:
-        self._check_grid(other)
-        w = 2.0 * np.pi / self.num_points
-        return complex(np.sum(np.conj(other.samples) * self.samples) * w)
+        d = min(self.degree, other.degree)
+        overlap = np.conj(resize_degree(other.coeffs, d)) * resize_degree(self.coeffs, d)
+        return complex(2.0 * np.pi * np.sum(overlap))
 
     def norm(self) -> float:
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
 
-    def derivative(self) -> "SpinorField":
-        return SpinorField(spectral_derivative(self.samples))
-
-    def mode_coefficients(self, max_mode: int) -> np.ndarray:
-        """Fourier view: array (2, 2*max_mode+1) of coefficients c_k,
-        k = -max_mode..max_mode, per component."""
-        return np.stack(
-            [
-                TrigPoly.from_samples(self.samples[c], max_mode).coeffs
-                for c in range(2)
-            ]
-        )
-
     def bandwidth(self) -> int:
         """Largest |k| carrying a coefficient above 1e-13."""
-        spec = np.abs(np.fft.fft(self.samples, axis=-1)) / self.num_points
-        k = np.abs(np.fft.fftfreq(self.num_points, d=1.0 / self.num_points)).astype(int)
-        live = np.nonzero(spec.max(axis=0) > 1e-13)[0]
-        return int(k[live].max()) if live.size else 0
-
-    def _check_grid(self, other: "SpinorField") -> None:
-        if self.num_points != other.num_points:
-            raise ValueError("spinor fields live on different grids")
+        live = np.nonzero(np.abs(self.coeffs).max(axis=0) > 1e-13)[0]
+        return int(np.abs(live - self.degree).max()) if live.size else 0
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
-        self._check_grid(other)
-        return SpinorField(self.samples + other.samples)
+        d = max(self.degree, other.degree)
+        return SpinorField(resize_degree(self.coeffs, d) + resize_degree(other.coeffs, d))
 
     def __sub__(self, other: "SpinorField") -> "SpinorField":
-        self._check_grid(other)
-        return SpinorField(self.samples - other.samples)
+        return self + (-other)
 
     def __mul__(self, scalar) -> "SpinorField":
-        return SpinorField(self.samples * complex(scalar))
+        return SpinorField(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpinorField":
-        return SpinorField(-self.samples)
+        return SpinorField(-self.coeffs)
 
 
 def charge_conjugate(v: SpinorField) -> SpinorField:
-    """Antilinear map (v1, v2) -> (-conj(v2), conj(v1)); squares to -I."""
-    return SpinorField(
-        np.array([-np.conj(v.samples[1]), np.conj(v.samples[0])])
-    )
+    """Antilinear map (v1, v2) -> (-conj(v2), conj(v1)); squares to -I.
+
+    The conjugate function of sum_k c_k e^{ikx} has coefficients conj(c_-k).
+    """
+    c = np.conj(v.coeffs[:, ::-1])
+    return SpinorField(np.array([-c[1], c[0]]))
 
 
 def symbol_matrix(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
     """Hermitian trace-free symbol [[a3, a1 - i a2], [a1 + i a2, -a3]].
 
-    Inputs are real grid functions; output has shape (2, 2, n).
+    The map is linear, so the inputs may be grid samples or Fourier
+    coefficients of real functions; the output has shape (2, 2, len(a1)).
     """
     return np.array([[a3, a1 - 1j * a2], [a1 + 1j * a2, -a3]])
 
 
 @dataclass(frozen=True)
 class DiracOperator:
-    """First order operator v -> -(i/2)(B v' + (B v)') + p v on the grid."""
+    """First order operator v -> -(i/2)(B v' + (B v)') + p v, held as the
+    Fourier coefficients of B and p over k = -L..L.
 
-    b_matrix: np.ndarray  # (2, 2, n), Hermitian and trace-free pointwise
-    potential: np.ndarray  # (n,), real
+    ``aliasing`` is the largest coefficient that sampling dropped (see
+    ``dirac_operator``); 0 for an operator built from exact coefficients.
+    """
+
+    b_hat: np.ndarray  # (2, 2, 2L+1), Hermitian and trace-free pointwise
+    p_hat: np.ndarray  # (2L+1,), a real function
+    aliasing: float = 0.0
 
     def __post_init__(self):
-        b = np.asarray(self.b_matrix, dtype=complex)
-        p = np.asarray(self.potential)
-        if b.shape[:2] != (2, 2) or b.ndim != 3 or p.shape != (b.shape[2],):
+        b = np.array(self.b_hat, dtype=complex)
+        p = np.array(self.p_hat, dtype=complex)
+        if b.ndim != 3 or b.shape[:2] != (2, 2) or b.shape[2] % 2 == 0 or p.shape != b.shape[2:]:
             raise ValueError("inconsistent symbol/potential shapes")
         herm = max(
-            np.max(np.abs(b[0, 1] - np.conj(b[1, 0]))),
-            np.max(np.abs(b[0, 0].imag)),
-            np.max(np.abs(b[1, 1].imag)),
+            float(np.max(np.abs(b[0, 1] - np.conj(b[1, 0, ::-1])))),
+            _real_defect(b[0, 0]),
+            _real_defect(b[1, 1]),
         )
         if herm > 1e-10:
             raise NumericalContractError(f"symbol matrix not Hermitian: residual {herm:.2e}")
@@ -155,48 +147,47 @@ class DiracOperator:
         if trace > 1e-10:
             raise NumericalContractError(f"symbol matrix not trace-free: residual {trace:.2e}")
         # a complex potential signals an index error upstream
-        if np.max(np.abs(np.imag(p))) > 1e-12:
+        if _real_defect(p) > 1e-12:
             raise NumericalContractError("potential has nonreal part above 1e-12")
-        b = b.copy()
         b.setflags(write=False)
-        p = np.asarray(p.real, dtype=float).copy()
         p.setflags(write=False)
-        object.__setattr__(self, "b_matrix", b)
-        object.__setattr__(self, "potential", p)
+        object.__setattr__(self, "b_hat", b)
+        object.__setattr__(self, "p_hat", p)
 
     @property
-    def num_points(self) -> int:
-        return self.b_matrix.shape[2]
+    def degree(self) -> int:
+        return (self.p_hat.size - 1) // 2
+
+    def require_resolved(self) -> None:
+        """Raise UnderResolvedError when sampling dropped a coefficient above
+        ``ALIASING_LIMIT``: the kept coefficients are then aliased."""
+        if self.aliasing > ALIASING_LIMIT:
+            raise UnderResolvedError(
+                f"Fourier tail {self.aliasing:.2e} of the coefficients exceeds "
+                f"{ALIASING_LIMIT:.0e}; the sampling grid under-resolves them"
+            )
 
     def apply(self, v: SpinorField) -> SpinorField:
-        if v.num_points != self.num_points:
-            raise ValueError("spinor grid does not match operator grid")
-        dv = spectral_derivative(v.samples)
-        bv = np.einsum("abn,bn->an", self.b_matrix, v.samples)
-        bdv = np.einsum("abn,bn->an", self.b_matrix, dv)
-        dbv = spectral_derivative(bv)
-        return SpinorField(-0.5j * (bdv + dbv) + self.potential * v.samples)
+        """(W v)^(k) = sum_q [(k + q)/2 B^(k - q) + p^(k - q)] v^(q), exactly."""
+        self.require_resolved()
+        c = v.coeffs
+        q = np.arange(-v.degree, v.degree + 1)
+        top = self.degree + v.degree
+        k = np.arange(-top, top + 1)
+        out = np.empty((2, k.size), dtype=complex)
+        for a in range(2):
+            bv = np.convolve(self.b_hat[a, 0], c[0]) + np.convolve(self.b_hat[a, 1], c[1])
+            bqv = np.convolve(self.b_hat[a, 0], q * c[0]) + np.convolve(self.b_hat[a, 1], q * c[1])
+            out[a] = 0.5 * (k * bv + bqv) + np.convolve(self.p_hat, c[a])
+        return SpinorField(out)
 
     __call__ = apply
 
-    def __add__(self, other: "DiracOperator") -> "DiracOperator":
-        if other.num_points != self.num_points:
-            raise ValueError("operators live on different grids")
-        return DiracOperator(
-            self.b_matrix + other.b_matrix, self.potential + other.potential
-        )
 
-    def __mul__(self, scalar: float) -> "DiracOperator":
-        return DiracOperator(self.b_matrix * scalar, self.potential * scalar)
-
-    __rmul__ = __mul__
-
-
-def free_operator(num_points: int = DEFAULT_GRID) -> DiracOperator:
+def free_operator() -> DiracOperator:
     """The unperturbed operator -i [[0, 1], [1, 0]] d/dx^1."""
-    ones = np.ones(num_points)
-    zeros = np.zeros(num_points)
-    return DiracOperator(symbol_matrix(ones, zeros, zeros), zeros)
+    one, zero = np.ones(1), np.zeros(1)
+    return DiracOperator(symbol_matrix(one, zero, zero), zero)
 
 
 def dirac_operator(ms: MetricSnapshot) -> DiracOperator:
@@ -206,7 +197,11 @@ def dirac_operator(ms: MetricSnapshot) -> DiracOperator:
 
         p = sum_j (e^j_3 (e^j_2)' - e^j_2 (e^j_3)') / (4 sqrt(det g)),
 
-    whose numerator is evaluated exactly in coefficient arithmetic.
+    whose numerator is evaluated exactly in coefficient arithmetic. The
+    frame is rational, so B and p are sampled on the snapshot's grid of n
+    points and their coefficients are the FFT divided by n. Only |k| < n/4
+    is kept; the largest coefficient at |k| >= n/4, the aliasing tail of an
+    under-resolved coefficient, is recorded as ``aliasing``.
     """
     a1, a2, a3 = ms.frame[0, 0], ms.frame[1, 0], ms.frame[2, 0]
 
@@ -214,16 +209,25 @@ def dirac_operator(ms: MetricSnapshot) -> DiracOperator:
     dcof = ms.coframe.derivative()
     for j in range(3):
         num = num + ms.coframe[j, 2] * dcof[j, 1] - ms.coframe[j, 1] * dcof[j, 2]
-    num_samples = num.on_grid(ms.num_points)
+    n = ms.num_points
+    num_samples = num.on_grid(n)
     if np.max(np.abs(num_samples.imag)) > 1e-12:
         raise NumericalContractError("potential numerator is not real; index error upstream")
     potential = num_samples.real / (4.0 * ms.sqrt_det_g)
-    return DiracOperator(symbol_matrix(a1, a2, a3), potential)
+
+    b_hat = np.fft.fft(symbol_matrix(a1, a2, a3), axis=-1) / n
+    p_hat = np.fft.fft(potential) / n
+    top = (n - 1) // 4  # the largest |k| below n/4
+    # FFT order: indices top+1 .. n-top-1 hold the frequencies |k| > top
+    aliasing = max(
+        np.max(np.abs(b_hat[..., top + 1 : n - top]), initial=0.0),
+        np.max(np.abs(p_hat[top + 1 : n - top]), initial=0.0),
+    )
+    kept = np.r_[n - top : n, 0 : top + 1]  # frequencies -top..top
+    return DiracOperator(b_hat[..., kept], p_hat[kept], float(aliasing))
 
 
-def first_order_operator(
-    h: Matrix3Field, num_points: int = DEFAULT_GRID, *, check: bool = True
-) -> DiracOperator:
+def first_order_operator(h: Matrix3Field, *, check: bool = True) -> DiracOperator:
     """Linear term of the eps-expansion of the operator family.
 
     Expanding the frame gives the symbol -(1/2) * B_h with B_h built from the
@@ -233,16 +237,13 @@ def first_order_operator(
     """
     if check:
         require_sym_real(h, "h")
-    cols = [h[j, 0].on_grid(num_points).real for j in range(3)]
-    return DiracOperator(-0.5 * symbol_matrix(*cols), np.zeros(num_points))
+    d = max(h[j, 0].degree for j in range(3))
+    cols = [resize_degree(h[j, 0].coeffs, d) for j in range(3)]
+    return DiracOperator(-0.5 * symbol_matrix(*cols), np.zeros(2 * d + 1))
 
 
 def second_order_operator(
-    h: Matrix3Field,
-    k: Matrix3Field,
-    num_points: int = DEFAULT_GRID,
-    *,
-    check: bool = True,
+    h: Matrix3Field, k: Matrix3Field, *, check: bool = True
 ) -> DiracOperator:
     """Quadratic term of the eps-expansion.
 
@@ -255,13 +256,13 @@ def second_order_operator(
     if check:
         require_sym_real(h, "h")
         require_sym_real(k, "k")
-    hcols = [h.product_entry(h, j, 0).on_grid(num_points).real for j in range(3)]
-    kcols = [k[j, 0].on_grid(num_points).real for j in range(3)]
-    b = 0.375 * symbol_matrix(*hcols) - 0.125 * symbol_matrix(*kcols)
-
+    hcols = [h.product_entry(h, j, 0) for j in range(3)]
+    kcols = [k[j, 0] for j in range(3)]
     scalar = TrigPoly.zero()
     dh = h.derivative()
     for a in range(3):
         scalar = scalar + h[a, 1] * dh[a, 2] - h[a, 2] * dh[a, 1]
-    potential = -scalar.on_grid(num_points).real / 16.0
-    return DiracOperator(b, potential)
+
+    d = max(poly.degree for poly in (*hcols, *kcols, scalar))
+    hb, kb = (symbol_matrix(*(resize_degree(c.coeffs, d) for c in cols)) for cols in (hcols, kcols))
+    return DiracOperator(0.375 * hb - 0.125 * kb, -resize_degree(scalar.coeffs, d) / 16.0)

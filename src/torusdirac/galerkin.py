@@ -4,10 +4,10 @@ The operator is projected onto the span of the unperturbed eigenfunctions
 v_i, w_i for i = -m..m, giving a Hermitian matrix of order 2(2m+1) whose
 spectrum approximates the perturbed one. The basis consists of plane waves,
 so every matrix entry is a closed form in the Fourier coefficients of the
-symbol B and the potential p: the matrix is assembled from one FFT of each
-and a gather, never by applying the operator to the basis. The basis couples
-only through the finitely many harmonics of the coefficient functions, so
-interior eigenvalues converge extremely fast in m.
+symbol B and the potential p that the operator holds: the matrix is a gather
+of those coefficients, never built by applying the operator to the basis.
+The basis couples only through the finitely many harmonics of the
+coefficient functions, so interior eigenvalues converge extremely fast in m.
 """
 
 from __future__ import annotations
@@ -20,15 +20,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dirac import DiracOperator, SpinorField, dirac_operator
 from .geometry import DEFAULT_GRID, CoframeFamily, metric_at
-from .trigpoly import grid_points
+from .trigpoly import resize_degree
 
 PAIRING_TOL = 1e-8
 CLUSTER_RADIUS = 0.4
-HERMITICITY_LIMIT = 1e-9
-
-
-class UnderResolvedError(Exception):
-    """Grid too coarse for the requested truncation or the coefficient tail."""
 
 
 class TrackingError(Exception):
@@ -40,7 +35,7 @@ def default_grid(m: int) -> int:
     return max(DEFAULT_GRID, 8 * m + 16)
 
 
-def basis_spinor(i: int, kind: str, num_points: int = DEFAULT_GRID) -> SpinorField:
+def basis_spinor(i: int, kind: str) -> SpinorField:
     """Unperturbed eigenfunctions: unit-norm spinors
 
         v_i = (1, 1)^T e^{i i x} / (2 sqrt(pi)),
@@ -48,15 +43,15 @@ def basis_spinor(i: int, kind: str, num_points: int = DEFAULT_GRID) -> SpinorFie
 
     both with eigenvalue i; w_i is the charge conjugate of v_i.
     """
-    x = grid_points(num_points)
+    if kind not in ("v", "w"):
+        raise ValueError(f"kind must be 'v' or 'w', got {kind!r}")
     c = 1.0 / (2.0 * np.sqrt(np.pi))
+    coeffs = np.zeros((2, 2 * abs(i) + 1), dtype=complex)
     if kind == "v":
-        e = np.exp(1j * i * x)
-        return SpinorField(np.array([c * e, c * e]))
-    if kind == "w":
-        e = np.exp(-1j * i * x)
-        return SpinorField(np.array([-c * e, c * e]))
-    raise ValueError(f"kind must be 'v' or 'w', got {kind!r}")
+        coeffs[:, abs(i) + i] = (c, c)
+    else:
+        coeffs[:, abs(i) - i] = (-c, c)
+    return SpinorField(coeffs)
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,7 @@ class GalerkinMatrix:
     max-norm Hermiticity defect of the closed-form entries before
     symmetrization. The closed form is Hermitian by construction, so it
     measures floating-point rounding only, ~1e-16 of the largest entry; grid
-    resolution is checked on the Fourier tail of the coefficients instead.
+    resolution is checked on the Fourier tail of the operator instead.
     """
 
     m: int
@@ -93,38 +88,20 @@ def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
 
     Each basis function is a plane wave phi = c u e^{iqx} with c^2 = 1/(4pi):
     v_i has q = i, u = (1, 1) and w_i has q = -i, u = (-1, 1). With B^ and p^
-    the Fourier coefficients of the symbol and the potential on the grid,
+    the Fourier coefficients of the symbol and the potential,
 
         H[r, col] = (1/2) u_r^T ((q_r + q_col)/2 B^(q_r - q_col)
                                  + p^(q_r - q_col)) u_col.
 
-    The grid must hold the coefficient harmonics the entries use: it raises
-    UnderResolvedError when n <= 4m, where the index q_r - q_col would wrap,
-    or when any |B^(j)| or |p^(j)| with |j| >= n/4 exceeds 1e-9, the
-    aliasing tail of an under-resolved coefficient. The result is
+    The entries read B^ and p^ at frequencies -2m..2m, zero past the
+    operator's degree. An operator whose sampling dropped a Fourier tail
+    above the aliasing limit raises UnderResolvedError. The result is
     symmetrized.
     """
-    n = op.num_points
-    if n <= 4 * m:
-        raise UnderResolvedError(
-            f"grid of {n} points cannot resolve m={m}: need more than {4 * m}"
-        )
-    b_hat = np.fft.fft(op.b_matrix, axis=-1) / n
-    p_hat = np.fft.fft(op.potential) / n
-    tail = np.abs(np.fft.fftfreq(n, d=1.0 / n)) >= n / 4
-    aliasing = max(
-        np.max(np.abs(b_hat[..., tail]), initial=0.0),
-        np.max(np.abs(p_hat[tail]), initial=0.0),
-    )
-    if aliasing > HERMITICITY_LIMIT:
-        raise UnderResolvedError(
-            f"Fourier tail {aliasing:.2e} of the coefficients exceeds "
-            f"{HERMITICITY_LIMIT:.0e}; grid of {n} points under-resolves them"
-        )
+    op.require_resolved()
     # frequencies -2m..2m, so that sliding_window_view(c, w)[i_r + m, i_col + m]
     # is c at frequency i_r + i_col
-    freq = np.r_[n - 2 * m : n, 0 : 2 * m + 1]
-    b_hat, p_hat = b_hat[..., freq], p_hat[freq]
+    b_hat, p_hat = resize_degree(op.b_hat, 2 * m), resize_degree(op.p_hat, 2 * m)
     w = 2 * m + 1
     i = np.arange(-m, m + 1)
     entries = np.empty((w, 2, w, 2), dtype=complex)

@@ -12,10 +12,12 @@ Cross-route agreement is the package's main numerical contract: the closed
 forms are transcribed exactly as derived and validated against the operator
 route rather than silently adjusted.
 
-The operator route is two private helpers, the first-order block and the
-second-order term, which take the operators W1 and W2 as arguments: the
-public route functions build their own, ``perturbation_report`` builds each
-once for both signs.
+The operator route works on Fourier coefficients only: W1 and W2 have
+trigonometric-polynomial coefficients, so applying them, the pseudoinverse
+and the inner products are finite sums and no grid is sampled. It is two
+private helpers, the first-order block and the second-order term, which take
+W1 and W2 as arguments: the public route functions build their own,
+``perturbation_report`` builds each once for both signs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .geometry import (
     require_sym_real,
     second_order_perturbation,
 )
-from .trigpoly import Matrix3Field, grid_points
+from .trigpoly import Matrix3Field, resize_degree
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
 
@@ -77,9 +79,6 @@ class Pseudoinverse:
     lambda0: int
     truncation: int
 
-    _A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    _B = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
     def apply(
         self, f: SpinorField, orthogonality_tol: float | None = None
     ) -> SpinorField:
@@ -90,10 +89,9 @@ class Pseudoinverse:
         formula): an overlap above the tolerance then raises instead of being
         silently projected out.
         """
-        n = f.num_points
         if orthogonality_tol is not None:
             for kind in ("v", "w"):
-                overlap = abs(f.inner(basis_spinor(self.lambda0, kind, n)))
+                overlap = abs(f.inner(basis_spinor(self.lambda0, kind)))
                 if overlap > orthogonality_tol:
                     raise PseudoinverseDomainError(
                         f"input overlaps the lambda0={self.lambda0} eigenspace "
@@ -105,27 +103,23 @@ class Pseudoinverse:
                 f"truncation {self.truncation} below bandwidth requirement "
                 f"{bw + abs(self.lambda0) + 1}"
             )
-        coeffs = f.mode_coefficients(self.truncation)  # (2, 2M+1)
         M = self.truncation
-        out = np.zeros_like(coeffs)
-        for q in range(-M, M + 1):
-            weight = np.zeros((2, 2))
-            if q != self.lambda0:
-                weight = weight + 0.5 / (q - self.lambda0) * self._A
-            if q != -self.lambda0:
-                weight = weight + 0.5 / (-q - self.lambda0) * self._B
-            out[:, q + M] = weight @ coeffs[:, q + M]
-        x = grid_points(n)
-        modes = np.exp(1j * np.outer(np.arange(-M, M + 1), x))
-        return SpinorField(out @ modes)
+        c = resize_degree(f.coeffs, M)
+        q = np.arange(-M, M + 1)
+        # weights of A and B per mode, zero where the denominator vanishes
+        wa, wb = np.zeros(q.size), np.zeros(q.size)
+        np.divide(0.5, q - self.lambda0, out=wa, where=q != self.lambda0)
+        np.divide(0.5, -q - self.lambda0, out=wb, where=q != -self.lambda0)
+        sym, anti = wa * (c[0] + c[1]), wb * (c[0] - c[1])
+        return SpinorField(np.array([sym + anti, sym - anti]))
 
     __call__ = apply
 
 
 def eigenspace_projection(f: SpinorField, lambda0: int) -> SpinorField:
     """Orthogonal projection onto span{v_lambda0, w_lambda0}."""
-    v = basis_spinor(lambda0, "v", f.num_points)
-    w = basis_spinor(lambda0, "w", f.num_points)
+    v = basis_spinor(lambda0, "v")
+    w = basis_spinor(lambda0, "w")
     return f.inner(v) * v + f.inner(w) * w
 
 
@@ -394,7 +388,7 @@ class PerturbationReport:
 def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> PerturbationReport:
     """Compute all four coefficients by the requested route.
 
-    The operator route runs on ``DEFAULT_GRID`` with the default mode-sum
+    The operator route runs in Fourier coefficients with the default mode-sum
     truncation and builds W1 and W2 once for both signs; its values are
     those of ``first_correction_operator``/``second_correction_operator``
     to the bit. The Galerkin fit route fits modes +1 and -1 to second order

@@ -2,9 +2,9 @@
 
 A trigonometric polynomial of degree D is f(x) = sum_{|k| <= D} c_k e^{ikx}.
 Every coefficient function in this package (metric entries, perturbation
-matrices, operator symbols) is either such a polynomial or is recovered as
-one from uniform grid samples by trapezoidal quadrature, which is exact for
-band-limited input.
+matrices, operator symbols, spinors) is held as such coefficients; only the
+rational frame is sampled, in ``dirac.dirac_operator``. ``resize_degree``
+pads or cuts any array of coefficients centred on k = 0.
 
 Degrees in this artifact are small (<= ~24 for determinants and potential
 numerators), so coefficients are stored as a dense array over k = -D..D and
@@ -60,6 +60,19 @@ def _phases(n: int, degree: int) -> np.ndarray:
             _phase_tables.popitem(last=False)
     top = (table.shape[1] - 1) // 2
     return table[:, top - degree : top + degree + 1]
+
+
+def resize_degree(coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """Coefficients over k = -D..D along the last axis, zero-padded or cut to
+    k = -degree..degree; the input itself or a view when nothing is padded."""
+    d = (coeffs.shape[-1] - 1) // 2
+    if degree == d:
+        return coeffs
+    if degree < d:
+        return coeffs[..., d - degree : d + degree + 1]
+    out = np.zeros(coeffs.shape[:-1] + (2 * degree + 1,), dtype=complex)
+    out[..., degree - d : degree + d + 1] = coeffs
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,25 +134,6 @@ class TrigPoly:
         c[0] = -amplitude / (2.0j)
         return cls(c)
 
-    @classmethod
-    def from_samples(cls, values: np.ndarray, degree: int) -> "TrigPoly":
-        """Degree-``degree`` series whose coefficients are the trapezoidal
-        quadrature of (1/2pi) int e^{-ikx} f(x) dx on the sample grid.
-
-        Exact whenever the sampled function is a trigonometric polynomial of
-        degree <= ``degree`` and ``len(values) >= 2*degree + 2``.
-        """
-        values = np.asarray(values, dtype=complex)
-        n = values.size
-        if n < 2 * degree + 2:
-            raise ValueError(
-                f"{n} samples cannot resolve degree {degree}; need at least {2 * degree + 2}"
-            )
-        x = grid_points(n)
-        k = np.arange(-degree, degree + 1)
-        coeffs = np.exp(-1j * np.outer(k, x)) @ values / n
-        return cls(coeffs)
-
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
@@ -184,12 +178,8 @@ class TrigPoly:
     # ------------------------------------------------------------------
 
     def _padded(self, degree: int) -> np.ndarray:
-        pad = degree - self.degree
-        if pad == 0:
-            return self.coeffs
-        out = np.zeros(2 * degree + 1, dtype=complex)
-        out[pad : pad + self.coeffs.size] = self.coeffs
-        return out
+        """Coefficients zero-padded to ``degree`` >= ``self.degree``."""
+        return resize_degree(self.coeffs, degree)
 
     def __add__(self, other):
         if isinstance(other, TrigPoly):

@@ -60,6 +60,10 @@ class TestParsing:
             ("coframe.E1.1.1 = (0, 1 0)", "triple|fragment"),
             ("m = zero\nperturbation.h.1.1 = (0, 1, 0)", "integer"),
             ("m = 8\nm = 8\nperturbation.h.1.1 = (0, 1, 0)", "duplicate"),
+            ("coframe.E1.2.2 = (0, 1, 0)\ncoframe.E1.2.2 = (0, 2, 0)", "duplicate key 'coframe.E1.2.2'"),
+            ("coframe.E1.1.1 = (0, nan, 0)", "coframe.E1.1.1: coefficients must be finite"),
+            ("coframe.E1.1.1 = (0, 1e400, 0)", "coframe.E1.1.1: coefficients must be finite"),
+            ("perturbation.h.1.1 = (0, 1, -inf)", "perturbation.h.1.1: coefficients must be finite"),
             ("coframe.E1.1.1 = (0, 1, 0.5)", "real"),
             ("eps = 0.1, inf\ncoframe.E1.1.1 = (0, 1, 0)", "finite"),
             ("eps =\ncoframe.E1.1.1 = (0, 1, 0)", "at least one"),
@@ -221,6 +225,24 @@ class TestCli:
         bad.write_text("nonsense = 1\n")
         assert main(["galerkin", "--config", str(bad)]) == 2
         assert main(["galerkin", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("coframe.E1.2.2 = (0, 1, 0)\ncoframe.E1.2.2 = (0, 2, 0)\n",
+             "line 2: duplicate key 'coframe.E1.2.2'"),
+            ("coframe.E1.1.1 = (0, nan, 0)\n", "coframe.E1.1.1: coefficients must be finite"),
+            ("coframe.E1.1.1 = (0, 1e400, 0)\n", "coframe.E1.1.1: coefficients must be finite"),
+        ],
+    )
+    def test_bad_matrix_entry_is_config_error(self, text, message, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        code = main(["galerkin", "--config", str(cfgfile)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {message}")
 
     def test_numerical_violation_exit_code(self, capsys):
         # the rotation family shifts every eigenvalue by eps^2/(2(1-eps^2));

@@ -11,50 +11,63 @@ from torusdirac import (
     metric_at,
     second_order_operator,
 )
-from torusdirac.dirac import symbol_matrix
+from torusdirac.dirac import DiracOperator, symbol_matrix
 from torusdirac.galerkin import basis_spinor
-from torusdirac.trigpoly import TrigPoly, grid_points
+from torusdirac.trigpoly import TrigPoly, grid_points, resize_degree
 
-from conftest import random_field, random_symmetric_field
+from conftest import random_symmetric_field
 
 N = 256
 
 
-def random_spinor(rng, degree=3, num_points=N) -> SpinorField:
+def random_spinor(rng, degree=3) -> SpinorField:
     comps = []
     for _ in range(2):
         c = rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)
         comps.append(TrigPoly(c))
-    return SpinorField.from_components(*comps, num_points=num_points)
+    return SpinorField.from_components(*comps)
+
+
+def on_grid(v: SpinorField, x) -> np.ndarray:
+    """Values of the spinor at the points x, shape (2, len(x))."""
+    return np.array([TrigPoly(c).evaluate(x) for c in v.coeffs])
+
+
+def coefficient_gap(a: DiracOperator, b: DiracOperator) -> float:
+    """Largest coefficient difference of the symbols and potentials of a and b."""
+    d = max(a.degree, b.degree)
+    return max(
+        np.max(np.abs(resize_degree(a.b_hat, d) - resize_degree(b.b_hat, d))),
+        np.max(np.abs(resize_degree(a.p_hat, d) - resize_degree(b.p_hat, d))),
+    )
 
 
 class TestAssemble:
     def test_flat_operator(self, rotation_block_coframe):
         op = dirac_operator(metric_at(rotation_block_coframe, 0.0, N))
-        assert np.allclose(op.b_matrix[0, 1], 1.0)
-        assert np.allclose(op.b_matrix[1, 0], 1.0)
-        assert np.allclose(op.b_matrix[0, 0], 0.0)
-        assert np.allclose(op.potential, 0.0)
+        assert op.degree == 63  # |k| < N/4
+        assert coefficient_gap(op, free_operator()) <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.2, 0.45, -0.3])
     def test_rotation_block_reduces_to_constant_shift(
         self, rotation_block_coframe, eps
     ):
         op = dirac_operator(metric_at(rotation_block_coframe, eps, N))
-        flat = free_operator(N)
-        assert np.max(np.abs(op.b_matrix - flat.b_matrix)) <= 1e-12
-        assert np.max(np.abs(op.potential - (-eps**2 / (2 * (1 - eps**2))))) <= 1e-12
+        shift = -eps**2 / (2 * (1 - eps**2))
+        shifted = DiracOperator(free_operator().b_hat, np.array([shift]))
+        assert coefficient_gap(op, shifted) <= 1e-12
 
     def test_series_matches_assembled_operator_to_first_order(self, explicit_family_2):
         h, k = explicit_family_2
         cf = CoframeFamily.from_perturbation(h, k)
-        w0 = free_operator(64)
-        w1 = first_order_operator(h, 64)
+        w0 = free_operator()
+        w1 = first_order_operator(h)
 
         def coeff_error(eps):
             op = dirac_operator(metric_at(cf, eps, 64))
-            db = op.b_matrix - w0.b_matrix - eps * w1.b_matrix
-            dp = op.potential - w0.potential - eps * w1.potential
+            d = op.degree
+            db = op.b_hat - resize_degree(w0.b_hat, d) - eps * resize_degree(w1.b_hat, d)
+            dp = op.p_hat - resize_degree(w0.p_hat, d) - eps * resize_degree(w1.p_hat, d)
             return max(np.max(np.abs(db)), np.max(np.abs(dp)))
 
         e1, e2 = coeff_error(0.02), coeff_error(0.01)
@@ -66,15 +79,15 @@ class TestAssemble:
             h = random_symmetric_field(rng)
             k = random_symmetric_field(rng)
             cf = CoframeFamily.from_perturbation(h, k)
-            w0 = free_operator(128)
-            w1 = first_order_operator(h, 128)
-            w2 = second_order_operator(h, k, 128)
-            v = random_spinor(rng, num_points=128)
+            w0 = free_operator()
+            w1 = first_order_operator(h)
+            w2 = second_order_operator(h, k)
+            v = random_spinor(rng)
 
             def residual(eps):
                 full = dirac_operator(metric_at(cf, eps, 128))
-                model = w0 + eps * w1 + (eps * eps) * w2
-                return (full.apply(v) - model.apply(v)).norm()
+                model = w0.apply(v) + eps * w1.apply(v) + (eps * eps) * w2.apply(v)
+                return (full.apply(v) - model).norm()
 
             assert residual(0.02) / residual(0.01) >= 7.0
 
@@ -82,9 +95,9 @@ class TestAssemble:
 class TestApply:
     @pytest.mark.parametrize("lam", [-3, 0, 1, 5])
     def test_plane_wave_eigenvectors(self, lam):
-        op = free_operator(N)
+        op = free_operator()
         for kind in ("v", "w"):
-            phi = basis_spinor(lam, kind, N)
+            phi = basis_spinor(lam, kind)
             err = (op.apply(phi) - lam * phi).norm()
             assert err <= 1e-12
 
@@ -103,16 +116,16 @@ class TestApply:
 class TestFirstOrderTerm:
     def test_zero_perturbation(self):
         h = random_symmetric_field(np.random.default_rng(1)) * 0.0
-        op = first_order_operator(h, 64)
-        assert np.max(np.abs(op.b_matrix)) == 0
-        assert np.max(np.abs(op.potential)) == 0
+        op = first_order_operator(h)
+        assert np.max(np.abs(op.b_hat)) == 0
+        assert np.max(np.abs(op.p_hat)) == 0
 
     def test_first_family_action_matches_symbolic_expansion(self, explicit_family_1):
         """Hand expansion of the first-order action on the mode-1 spinor:
         with u = B_h (1,1)^T, the image is [-(1/4)u + (i/8)u'] e^{ix}/sqrt(pi)."""
         h, _ = explicit_family_1
-        op = first_order_operator(h, N)
-        v1 = basis_spinor(1, "v", N)
+        op = first_order_operator(h)
+        v1 = basis_spinor(1, "v")
         x = grid_points(N)
 
         h11, h21, h31 = (h[j, 0].evaluate(x).real for j in range(3))
@@ -125,65 +138,63 @@ class TestFirstOrderTerm:
         )
         c = 1.0 / (2.0 * np.sqrt(np.pi))
         expected = (-0.5 * u + 0.25j * du_dx) * c * np.exp(1j * x)
-        assert np.max(np.abs(op.apply(v1).samples - expected)) <= 1e-12
+        assert np.max(np.abs(on_grid(op.apply(v1), x) - expected)) <= 1e-12
 
     def test_second_family_diagonal_value(self, explicit_family_2):
         h, _ = explicit_family_2
-        op = first_order_operator(h, N)
-        v1 = basis_spinor(1, "v", N)
+        op = first_order_operator(h)
+        v1 = basis_spinor(1, "v")
         assert op.apply(v1).inner(v1) == pytest.approx(-0.5, abs=1e-13)
 
 
 class TestSecondOrderTerm:
     def test_zero_perturbation(self):
         zero = random_symmetric_field(np.random.default_rng(1)) * 0.0
-        op = second_order_operator(zero, zero, 64)
-        assert np.max(np.abs(op.b_matrix)) == 0
-        assert np.max(np.abs(op.potential)) == 0
+        op = second_order_operator(zero, zero)
+        assert np.max(np.abs(op.b_hat)) == 0
+        assert np.max(np.abs(op.p_hat)) == 0
 
     def test_first_family_scalar_part(self, explicit_family_1):
         h, k = explicit_family_1
-        op = second_order_operator(h, k, 64)
-        assert np.allclose(op.potential, -0.5, atol=1e-13)
+        op = second_order_operator(h, k)
+        constant = resize_degree(np.array([-0.5 + 0j]), op.degree)
+        assert np.allclose(op.p_hat, constant, atol=1e-13)
 
     def test_second_family_scalar_part(self, explicit_family_2):
         h, k = explicit_family_2
-        op = second_order_operator(h, k, 64)
-        assert np.allclose(op.potential, -3.0 / 16.0, atol=1e-13)
+        op = second_order_operator(h, k)
+        constant = resize_degree(np.array([-3.0 / 16.0 + 0j]), op.degree)
+        assert np.allclose(op.p_hat, constant, atol=1e-13)
 
 
 class TestSpinorField:
     def test_fourier_view_round_trip(self):
         rng = np.random.default_rng(36)
-        v = random_spinor(rng, degree=5)
-        coeffs = v.mode_coefficients(5)
-        x = grid_points(v.num_points)
-        rebuilt = np.stack(
-            [TrigPoly(coeffs[c]).evaluate(x) for c in range(2)]
-        )
-        assert np.max(np.abs(rebuilt - v.samples)) <= 1e-12
+        upper = TrigPoly(rng.normal(size=11) + 1j * rng.normal(size=11))
+        lower = TrigPoly(rng.normal(size=7) + 1j * rng.normal(size=7))
+        v = SpinorField.from_components(upper, lower)
+        assert v.degree == 5
+        assert TrigPoly(v.coeffs[0]).isclose(upper, 0.0)
+        assert TrigPoly(v.coeffs[1]).isclose(lower, 0.0)
 
     def test_norm_is_nonnegative_quadrature(self):
         rng = np.random.default_rng(37)
         v = random_spinor(rng)
-        direct = np.sqrt(np.sum(np.abs(v.samples) ** 2) * 2 * np.pi / v.num_points)
+        samples = on_grid(v, grid_points(64))
+        direct = np.sqrt(np.sum(np.abs(samples) ** 2) * 2 * np.pi / 64)
         assert v.norm() == pytest.approx(direct, rel=1e-13)
 
     def test_bandwidth(self):
-        v = basis_spinor(7, "v", 64)
+        v = basis_spinor(7, "v")
         assert v.bandwidth() == 7
-
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="grids"):
-            SpinorField(np.zeros((2, 64))) + SpinorField(np.zeros((2, 128)))
 
 
 class TestChargeConjugation:
     def test_maps_v_to_w(self):
         for lam in (-2, 0, 1):
-            v = basis_spinor(lam, "v", N)
-            w = basis_spinor(lam, "w", N)
-            assert np.max(np.abs(charge_conjugate(v).samples - w.samples)) <= 1e-15
+            v = basis_spinor(lam, "v")
+            w = basis_spinor(lam, "w")
+            assert np.max(np.abs(charge_conjugate(v).coeffs - w.coeffs)) <= 1e-15
 
     def test_squares_to_minus_identity(self):
         rng = np.random.default_rng(33)
@@ -207,17 +218,12 @@ class TestChargeConjugation:
 
 class TestSymbolValidation:
     def test_rejects_non_hermitian(self):
-        b = np.zeros((2, 2, 8), dtype=complex)
-        b[0, 1] = 1.0
+        b = np.zeros((2, 2, 9), dtype=complex)
+        b[0, 1, 4] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
-            from torusdirac.dirac import DiracOperator
-
-            DiracOperator(b, np.zeros(8))
+            DiracOperator(b, np.zeros(9))
 
     def test_rejects_complex_potential(self):
-        from torusdirac.dirac import DiracOperator
-
-        ones = np.ones(8)
-        zeros = np.zeros(8)
+        one, zero = np.ones(1), np.zeros(1)
         with pytest.raises(ValueError, match="nonreal"):
-            DiracOperator(symbol_matrix(ones, zeros, zeros), 1e-6j * ones)
+            DiracOperator(symbol_matrix(one, zero, zero), 1e-6j * one)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusdirac import (
     CoframeFamily,
     DiracOperator,
     Matrix3Field,
+    SpinorField,
     TrackingError,
     TrigPoly,
     UnderResolvedError,
@@ -18,7 +21,8 @@ from torusdirac import (
     spectrum_report,
     track_pair,
 )
-from torusdirac.galerkin import SpectrumReport, basis_spinor, default_grid
+from torusdirac.config import EXAMPLE_NAMES
+from torusdirac.galerkin import PAIRING_TOL, SpectrumReport, basis_spinor, default_grid
 
 from conftest import assert_sigfigs, random_field, rotation_block_shift
 
@@ -38,28 +42,27 @@ FIRST_ROW_TABLE = {
 
 class TestBasis:
     def test_orthonormality(self):
-        n = 128
         for i in (-2, 0, 3):
             for j in (-2, 0, 3):
-                vi, vj = basis_spinor(i, "v", n), basis_spinor(j, "v", n)
-                wi, wj = basis_spinor(i, "w", n), basis_spinor(j, "w", n)
+                vi, vj = basis_spinor(i, "v"), basis_spinor(j, "v")
+                wi, wj = basis_spinor(i, "w"), basis_spinor(j, "w")
                 assert vi.inner(vj) == pytest.approx(float(i == j), abs=1e-14)
                 assert wi.inner(wj) == pytest.approx(float(i == j), abs=1e-14)
                 assert abs(vi.inner(wj)) <= 1e-14
 
     def test_unit_norm(self):
-        assert basis_spinor(0, "v", 64).norm() == pytest.approx(1.0, abs=1e-14)
+        assert basis_spinor(0, "v").norm() == pytest.approx(1.0, abs=1e-14)
 
     def test_w_is_charge_conjugate_of_v(self):
         for i in (-1, 0, 2):
-            v = basis_spinor(i, "v", 64)
-            w = basis_spinor(i, "w", 64)
+            v = basis_spinor(i, "v")
+            w = basis_spinor(i, "w")
             assert (charge_conjugate(v) - w).norm() <= 1e-15
 
 
 class TestAssembly:
     def test_flat_matrix_is_diagonal(self):
-        gm = galerkin_matrix(free_operator(64), 2)
+        gm = galerkin_matrix(free_operator(), 2)
         expected = np.diag([-2, -2, -1, -1, 0, 0, 1, 1, 2, 2]).astype(complex)
         assert np.max(np.abs(gm.entries - expected)) <= 1e-13
         assert gm.herm_residual <= 1e-13
@@ -93,7 +96,7 @@ class TestClosedForm:
         m, n = 25, default_grid(25)
         op = dirac_operator(metric_at(load_example(name).family(), 0.1, n))
         gm = galerkin_matrix(op, m)
-        phis = [basis_spinor(i, kind, n) for i in range(-m, m + 1) for kind in ("v", "w")]
+        phis = [basis_spinor(i, kind) for i in range(-m, m + 1) for kind in ("v", "w")]
         images = [op.apply(phi) for phi in phis]
         oracle = np.array([[image.inner(phi) for image in images] for phi in phis])
         assert np.max(np.abs(gm.entries - oracle)) <= 1e-12
@@ -109,10 +112,18 @@ class TestClosedForm:
 
 
 class TestUnderResolved:
-    def test_index_wrap_rejected(self):
-        with pytest.raises(UnderResolvedError, match="cannot resolve m=16"):
-            galerkin_matrix(free_operator(64), 16)
-        assert galerkin_matrix(free_operator(65), 16).order == 66
+    def test_coarse_grid_matches_fine_spectrum(self):
+        # 64 points keep |k| <= 15, so the m = 16 gather zero-pads from 16 to 32
+        worst = 0.0
+        for name in EXAMPLE_NAMES:
+            cf = load_example(name).family()
+            for eps in (0.1, 0.2):
+                coarse = dirac_operator(metric_at(cf, eps, 64))
+                fine = dirac_operator(metric_at(cf, eps, 256))
+                assert coarse.degree == 15
+                diff = eigenvalues(galerkin_matrix(coarse, 16)) - eigenvalues(galerkin_matrix(fine, 16))
+                worst = max(worst, float(np.max(np.abs(diff))))
+        assert worst <= 1e-12
 
     def test_aliasing_tail_rejected(self):
         fine = TrigPoly.cosine(100)
@@ -127,7 +138,7 @@ class TestUnderResolved:
 
 class TestEigenvalues:
     def test_flat_spectrum(self):
-        ev = eigenvalues(galerkin_matrix(free_operator(64), 3))
+        ev = eigenvalues(galerkin_matrix(free_operator(), 3))
         expected = np.repeat(np.arange(-3, 4), 2)
         assert np.max(np.abs(ev - expected)) <= 1e-13
 
@@ -252,3 +263,56 @@ class TestSpectralProperties:
             return track_pair(rep, 1)[0] + track_pair(rep, -1)[0]
 
         assert abs(pair_sum(0.04) / pair_sum(0.02)) >= 3.5
+
+
+# ----------------------------------------------------------------------
+# properties over random real coframes
+# ----------------------------------------------------------------------
+
+# Entries of E1 and E2 stay below 0.5 and eps below 0.2, so the coframe
+# I + eps E1 + eps^2 E2 is within 0.3 of I in norm and det e > 0.
+AMPLITUDE = st.floats(-0.1, 0.1)
+
+
+@st.composite
+def coframe_fields(draw) -> Matrix3Field:
+    """Real (not symmetric) Matrix3Field of trig degree 1-2, coefficients <= 0.1."""
+    degree = draw(st.integers(1, 2))
+    rows = []
+    for _ in range(3):
+        row = []
+        for _ in range(3):
+            poly = TrigPoly.constant(draw(AMPLITUDE))
+            for j in range(1, degree + 1):
+                poly = poly + TrigPoly.cosine(j, draw(AMPLITUDE)) + TrigPoly.sine(j, draw(AMPLITUDE))
+            row.append(poly)
+        rows.append(row)
+    return Matrix3Field(rows)
+
+
+COFRAMES = st.builds(CoframeFamily, coframe_fields(), coframe_fields())
+EPS = st.floats(0.01, 0.2)
+
+
+@st.composite
+def spinors(draw) -> SpinorField:
+    """Spinor of trig degree 0-4 with complex coefficients of size <= 1."""
+    size = 2 * draw(st.integers(0, 4)) + 1
+    part = st.lists(st.floats(-1.0, 1.0), min_size=2 * size, max_size=2 * size)
+    re, im = np.array(draw(part)).reshape(2, size), np.array(draw(part)).reshape(2, size)
+    return SpinorField(re + 1j * im)
+
+
+class TestRandomCoframeProperties:
+    @settings(max_examples=30)
+    @given(COFRAMES, EPS, spinors())
+    def test_charge_conjugation_commutes_with_operator(self, cf, eps, v):
+        op = dirac_operator(metric_at(cf, eps))
+        defect = (op.apply(charge_conjugate(v)) - charge_conjugate(op.apply(v))).norm()
+        assert defect <= 1e-10
+
+    @settings(max_examples=30)
+    @given(COFRAMES, EPS)
+    def test_galerkin_eigenvalues_pair(self, cf, eps):
+        ev = eigenvalues(galerkin_matrix(dirac_operator(metric_at(cf, eps)), 10))
+        assert np.max(np.abs(ev[1::2] - ev[0::2])) <= PAIRING_TOL

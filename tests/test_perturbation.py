@@ -28,6 +28,7 @@ from torusdirac import (
     second_order_asymmetry,
     second_order_operator,
     second_order_perturbation,
+    trigpoly,
 )
 from torusdirac.cli import cmd_fit
 from torusdirac.galerkin import basis_spinor
@@ -35,15 +36,13 @@ from torusdirac.perturbation import eigenspace_projection, fit_from_values
 
 from conftest import COS, SIN, ZERO, m3, random_symmetric_field
 
-N = 256
-
 
 def random_orthogonal_spinor(rng, lambda0, degree=4) -> SpinorField:
     comps = [
         TrigPoly(rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1))
         for _ in range(2)
     ]
-    f = SpinorField.from_components(*comps, num_points=N)
+    f = SpinorField.from_components(*comps)
     return f - eigenspace_projection(f, lambda0)
 
 
@@ -51,20 +50,20 @@ class TestPseudoinverse:
     def test_annihilates_kernel(self):
         q = Pseudoinverse(lambda0=1, truncation=6)
         for kind in ("v", "w"):
-            out = q.apply(basis_spinor(1, kind, N))
+            out = q.apply(basis_spinor(1, kind))
             assert out.norm() <= 1e-13
 
     @pytest.mark.parametrize("n,lam0", [(3, 1), (-2, 1), (0, 1), (4, -1)])
     def test_single_modes_divide_by_gap(self, n, lam0):
         q = Pseudoinverse(lambda0=lam0, truncation=8)
         for kind in ("v", "w"):
-            phi = basis_spinor(n, kind, N)
+            phi = basis_spinor(n, kind)
             out = q.apply(phi)
             assert (out - (1.0 / (n - lam0)) * phi).norm() <= 1e-13
 
     def test_resolvent_identity_on_random_input(self):
         rng = np.random.default_rng(51)
-        w0 = free_operator(N)
+        w0 = free_operator()
         for lam0 in (1, -1):
             q = Pseudoinverse(lambda0=lam0, truncation=8)
             for _ in range(5):
@@ -80,7 +79,7 @@ class TestPseudoinverse:
         comps = [
             TrigPoly(rng.normal(size=9) + 1j * rng.normal(size=9)) for _ in range(2)
         ]
-        f = SpinorField.from_components(*comps, num_points=N)
+        f = SpinorField.from_components(*comps)
         assert q.apply(eigenspace_projection(f, 1)).norm() <= 1e-12
 
     def test_commutes_with_charge_conjugation(self):
@@ -99,14 +98,14 @@ class TestPseudoinverse:
 
     def test_orthogonality_violation_raises_in_strict_mode(self):
         q = Pseudoinverse(lambda0=1, truncation=6)
-        f = basis_spinor(1, "v", N) + basis_spinor(2, "v", N)
+        f = basis_spinor(1, "v") + basis_spinor(2, "v")
         with pytest.raises(PseudoinverseDomainError, match="overlaps"):
             q.apply(f, orthogonality_tol=1e-9)
 
     def test_truncation_too_small_raises(self):
         q = Pseudoinverse(lambda0=1, truncation=3)
         with pytest.raises(TruncationError, match="bandwidth"):
-            q.apply(basis_spinor(5, "v", N))
+            q.apply(basis_spinor(5, "v"))
 
 
 class TestFirstCorrection:
@@ -416,3 +415,21 @@ class TestSharedWork:
         monkeypatch.setattr(perturbation, target, lambda cf: skew)
         with pytest.raises(ValueError, match=f"{bad} must be symmetric"):
             perturbation_report(family, "operator")
+
+
+class TestOperatorRouteIsGridFree:
+    """The operator route works on Fourier coefficients only."""
+
+    def test_operator_route_never_samples(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the operator route touched a grid")
+
+        monkeypatch.setattr(np.fft, "fft", refuse)
+        monkeypatch.setattr(np.fft, "ifft", refuse)
+        monkeypatch.setattr(trigpoly, "_phases", refuse)
+        cfg = load_example("example-explicit-2")
+        report = perturbation_report(cfg.family(), "operator")
+        assert report.lambda1_plus == pytest.approx(-0.5, abs=1e-15)
+        for n in (1, -1):
+            first_correction_operator(cfg.h, n)
+            second_correction_operator(cfg.h, cfg.k, n)

@@ -89,41 +89,7 @@ class TestFourier:
         assert f.fourier(-3) == 0
 
 
-class TestFromSamples:
-    def test_cosine_exact(self):
-        x = grid_points(8)
-        f = TrigPoly.from_samples(np.cos(x), 1)
-        assert f.fourier(1) == pytest.approx(0.5, abs=1e-15)
-        assert f.fourier(-1) == pytest.approx(0.5, abs=1e-15)
-        assert abs(f.fourier(0)) < 1e-15
-
-    def test_zero_function(self):
-        f = TrigPoly.from_samples(np.zeros(8), 2)
-        assert f.is_zero(0.0)
-
-    def test_rational_function_against_fine_quadrature(self):
-        def target(x):
-            return 1.0 / (1.0 - 0.2 * np.cos(x))
-
-        coarse = TrigPoly.from_samples(target(grid_points(256)), 16)
-        fine = TrigPoly.from_samples(target(grid_points(4096)), 16)
-        assert coarse.isclose(fine, 1e-12)
-
-    def test_undersampled_raises(self):
-        with pytest.raises(ValueError, match="resolve"):
-            TrigPoly.from_samples(np.zeros(8), 4)
-
-
 class TestProperties:
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            d = int(rng.integers(0, 9))
-            f = TrigPoly(rng.normal(size=2 * d + 1) + 1j * rng.normal(size=2 * d + 1))
-            n = int(rng.integers(2 * d + 2, 2 * d + 40))
-            back = TrigPoly.from_samples(f.evaluate(grid_points(n)), d)
-            assert back.isclose(f, 1e-13)
-
     def test_parseval(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
