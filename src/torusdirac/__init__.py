@@ -6,10 +6,9 @@ and second order expansion coefficients of the eigenvalues +1 and -1 by
 three independent routes, and spectral asymmetry diagnostics.
 """
 
-from .trigpoly import Matrix3Field, TrigPoly, grid_points
+from .trigpoly import Matrix3Field, TrigPoly
 from .geometry import (
     CoframeFamily,
-    MetricSnapshot,
     NumericalContractError,
     SingularCoframeError,
     arc_length,
@@ -28,19 +27,13 @@ from .dirac import (
     second_order_operator,
 )
 from .galerkin import (
-    GalerkinMatrix,
-    SpectrumReport,
     TrackingError,
-    basis_spinor,
     eigenvalues,
     galerkin_matrix,
     spectrum_report,
     track_pair,
 )
 from .perturbation import (
-    DegenerateSplittingError,
-    FitResult,
-    PerturbationReport,
     Pseudoinverse,
     PseudoinverseDomainError,
     TruncationError,
@@ -50,18 +43,15 @@ from .perturbation import (
     perturbation_report,
     second_correction_closed,
     second_correction_operator,
-    second_order_asymmetry,
 )
-from .config import ConfigError, RunConfig, load_config_file, load_example, parse_config
+from .config import ConfigError, load_config_file, load_example, parse_config
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Matrix3Field",
     "TrigPoly",
-    "grid_points",
     "CoframeFamily",
-    "MetricSnapshot",
     "NumericalContractError",
     "SingularCoframeError",
     "arc_length",
@@ -76,17 +66,11 @@ __all__ = [
     "first_order_operator",
     "free_operator",
     "second_order_operator",
-    "GalerkinMatrix",
-    "SpectrumReport",
     "TrackingError",
-    "basis_spinor",
     "eigenvalues",
     "galerkin_matrix",
     "spectrum_report",
     "track_pair",
-    "DegenerateSplittingError",
-    "FitResult",
-    "PerturbationReport",
     "Pseudoinverse",
     "PseudoinverseDomainError",
     "TruncationError",
@@ -96,9 +80,7 @@ __all__ = [
     "perturbation_report",
     "second_correction_closed",
     "second_correction_operator",
-    "second_order_asymmetry",
     "ConfigError",
-    "RunConfig",
     "load_config_file",
     "load_example",
     "parse_config",

@@ -28,13 +28,7 @@ from .config import (
     parse_eps_list,
     parse_numbers,
 )
-from .dirac import UnderResolvedError
-from .geometry import (
-    NumericalContractError,
-    SingularCoframeError,
-    arc_length,
-    first_order_perturbation,
-)
+from .geometry import NumericalContractError, arc_length, first_order_perturbation
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -45,15 +39,9 @@ TOL_L2_OPERATOR = 1e-10
 TOL_L1_FIT = 1e-6
 TOL_L2_FIT = 1e-4
 
+# every numerical failure of the package derives from NumericalContractError
 _NUMERIC_ERRORS = (
     NumericalContractError,
-    SingularCoframeError,
-    UnderResolvedError,
-    gk.TrackingError,
-    pt.PseudoinverseDomainError,
-    pt.TruncationError,
-    pt.DegenerateSplittingError,
-    pt.FitResidualError,
     np.linalg.LinAlgError,  # eigensolver convergence failure
 )
 

@@ -35,7 +35,7 @@ from .trigpoly import Matrix3Field, TrigPoly, resize_degree
 ALIASING_LIMIT = 1e-9
 
 
-class UnderResolvedError(Exception):
+class UnderResolvedError(NumericalContractError):
     """Grid too coarse for the Fourier tail of the operator coefficients."""
 
 
@@ -201,7 +201,10 @@ def dirac_operator(ms: MetricSnapshot) -> DiracOperator:
     frame is rational, so B and p are sampled on the snapshot's grid of n
     points and their coefficients are the FFT divided by n. Only |k| < n/4
     is kept; the largest coefficient at |k| >= n/4, the aliasing tail of an
-    under-resolved coefficient, is recorded as ``aliasing``.
+    under-resolved coefficient, is recorded as ``aliasing``. A coframe
+    harmonic past the kept band can fold back into it on the grid, where no
+    tail shows it, so the largest such coframe coefficient counts as
+    ``aliasing`` too.
     """
     a1, a2, a3 = ms.frame[0, 0], ms.frame[1, 0], ms.frame[2, 0]
 
@@ -223,6 +226,10 @@ def dirac_operator(ms: MetricSnapshot) -> DiracOperator:
         np.max(np.abs(b_hat[..., top + 1 : n - top]), initial=0.0),
         np.max(np.abs(p_hat[top + 1 : n - top]), initial=0.0),
     )
+    d = ms.coframe.degree
+    if d > top:
+        coframe_hat = np.abs(ms.coframe.coefficient_stack(d))
+        aliasing = max(aliasing, coframe_hat[: d - top].max(), coframe_hat[d + top + 1 :].max())
     kept = np.r_[n - top : n, 0 : top + 1]  # frequencies -top..top
     return DiracOperator(b_hat[..., kept], p_hat[kept], float(aliasing))
 

@@ -19,14 +19,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dirac import DiracOperator, SpinorField, dirac_operator
-from .geometry import DEFAULT_GRID, CoframeFamily, metric_at
+from .geometry import DEFAULT_GRID, CoframeFamily, NumericalContractError, metric_at
 from .trigpoly import resize_degree
 
 PAIRING_TOL = 1e-8
 CLUSTER_RADIUS = 0.4
 
 
-class TrackingError(Exception):
+class TrackingError(NumericalContractError):
     """No unambiguous eigenvalue pair near the requested mode."""
 
 
@@ -59,11 +59,12 @@ class GalerkinMatrix:
     """Hermitian Galerkin matrix of order 2(2m+1).
 
     Rows are indexed by (i, kind) with i = -m..m and the v row preceding the
-    w row within each i; ``row()`` exposes the map. ``herm_residual`` is the
-    max-norm Hermiticity defect of the closed-form entries before
-    symmetrization. The closed form is Hermitian by construction, so it
-    measures floating-point rounding only, ~1e-16 of the largest entry; grid
-    resolution is checked on the Fourier tail of the operator instead.
+    w row within each i: (i, v) is row 2(i + m) and (i, w) the next one.
+    ``herm_residual`` is the max-norm Hermiticity defect of the closed-form
+    entries before symmetrization. The closed form is Hermitian by
+    construction, so it measures floating-point rounding only, ~1e-16 of the
+    largest entry; grid resolution is checked on the Fourier tail of the
+    operator instead.
     """
 
     m: int
@@ -77,14 +78,9 @@ class GalerkinMatrix:
     def order(self) -> int:
         return 2 * (2 * self.m + 1)
 
-    def row(self, i: int, kind: str) -> int:
-        if abs(i) > self.m:
-            raise ValueError(f"|i| must be <= m={self.m}")
-        return 2 * (i + self.m) + (0 if kind == "v" else 1)
-
 
 def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
-    """Assemble H[row(j,b), row(i,a)] = <W phi_i^a, phi_j^b> in closed form.
+    """Assemble H[(j, b), (i, a)] = <W phi_i^a, phi_j^b> in closed form.
 
     Each basis function is a plane wave phi = c u e^{iqx} with c^2 = 1/(4pi):
     v_i has q = i, u = (1, 1) and w_i has q = -i, u = (-1, 1). With B^ and p^

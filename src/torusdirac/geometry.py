@@ -17,15 +17,19 @@ from .trigpoly import Matrix3Field, grid_points
 DEFAULT_GRID = 256
 
 
-class SingularCoframeError(Exception):
-    """Coframe determinant vanishes (or goes negative) at a grid point."""
-
-
 class NumericalContractError(ValueError):
-    """An internal numerical invariant failed (realness, Hermiticity, ...).
+    """A numerical contract failed: an internal invariant (realness,
+    Hermiticity, ...) or a check such as a singular coframe, an
+    under-resolved grid or an ambiguous eigenvalue pair.
 
     Unlike a plain ValueError it signals a numerical fault, not bad input.
+    Every numerical failure of the package derives from it, and the command
+    line maps it to exit code 3.
     """
+
+
+class SingularCoframeError(NumericalContractError):
+    """Coframe determinant vanishes (or goes negative) at a grid point."""
 
 
 def _as_real_samples(values: np.ndarray, what: str, tol: float = 1e-10) -> np.ndarray:
@@ -60,10 +64,6 @@ class CoframeFamily:
         for name, mat in (("E1", self.E1), ("E2", self.E2)):
             if not mat.is_real():
                 raise ValueError(f"{name} must be a real-valued matrix field")
-
-    @classmethod
-    def linear(cls, E1: Matrix3Field) -> "CoframeFamily":
-        return cls(E1, Matrix3Field.zero())
 
     @classmethod
     def from_perturbation(cls, h: Matrix3Field, k: Matrix3Field) -> "CoframeFamily":
@@ -116,11 +116,6 @@ class MetricSnapshot:
         self.frame.setflags(write=False)
         self.sqrt_det_g.setflags(write=False)
 
-    @property
-    def g(self) -> Matrix3Field:
-        """The metric g = e^T e, computed exactly in coefficient arithmetic."""
-        return self.coframe.transpose() @ self.coframe
-
 
 def _positive_det(coframe: Matrix3Field, eps: float, num_points: int) -> np.ndarray:
     """det e on ``grid_points(num_points)``, computed exactly in coefficient
@@ -141,8 +136,8 @@ def metric_at(
 ) -> MetricSnapshot:
     """Build the metric snapshot at ``eps``.
 
-    det e is computed exactly in coefficient arithmetic, the metric only on
-    request; the frame comes from pointwise 3x3 inversion on the grid.
+    det e is computed exactly in coefficient arithmetic; the frame comes
+    from pointwise 3x3 inversion on the grid.
     Raises SingularCoframeError when det e is not strictly positive.
     """
     coframe = cf.coframe_at(eps)

@@ -45,19 +45,19 @@ from .trigpoly import Matrix3Field, resize_degree
 ROUTES = ("closed_form", "operator", "galerkin_fit")
 
 
-class PseudoinverseDomainError(Exception):
+class PseudoinverseDomainError(NumericalContractError):
     """Input not orthogonal to the eigenspace the pseudoinverse annihilates."""
 
 
-class TruncationError(Exception):
+class TruncationError(NumericalContractError):
     """Mode-sum truncation too small for the input bandwidth."""
 
 
-class DegenerateSplittingError(Exception):
+class DegenerateSplittingError(NumericalContractError):
     """First-order block on the degenerate eigenspace is not scalar."""
 
 
-class FitResidualError(Exception):
+class FitResidualError(NumericalContractError):
     """Eigenvalue sweep is not explained by the polynomial model."""
 
 
@@ -112,15 +112,6 @@ class Pseudoinverse:
         np.divide(0.5, -q - self.lambda0, out=wb, where=q != -self.lambda0)
         sym, anti = wa * (c[0] + c[1]), wb * (c[0] - c[1])
         return SpinorField(np.array([sym + anti, sym - anti]))
-
-    __call__ = apply
-
-
-def eigenspace_projection(f: SpinorField, lambda0: int) -> SpinorField:
-    """Orthogonal projection onto span{v_lambda0, w_lambda0}."""
-    v = basis_spinor(lambda0, "v")
-    w = basis_spinor(lambda0, "w")
-    return f.inner(v) * v + f.inner(w) * w
 
 
 def _check_sign(n: int) -> None:
@@ -219,32 +210,18 @@ def second_correction_closed(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
     return float(value.real)
 
 
-def second_correction_operator(
-    h: Matrix3Field, k: Matrix3Field, n: int, truncation: int | None = None
-) -> float:
+def second_correction_operator(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
     """Operator-route second-order coefficient,
 
         <W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v>,
 
-    with Q the pseudoinverse at lambda0 = n. Exact up to roundoff whenever
-    the truncation covers the bandwidth of (W1 - l1) v.
+    with Q the pseudoinverse at lambda0 = n truncated to |q| <= h.degree + 4,
+    which covers the bandwidth of (W1 - l1) v: exact up to roundoff.
     """
     _check_sign(n)
-    truncation = _mode_sum_truncation(h, truncation)
     w1 = first_order_operator(h)
     w2 = second_order_operator(h, k)
-    return _second_order_term(w1, w2, _first_order_block(w1, n), n, truncation)
-
-
-def _mode_sum_truncation(h: Matrix3Field, truncation: int | None) -> int:
-    """The pseudoinverse truncation: h.degree + 4 unless given, at least h.degree + 2."""
-    if truncation is None:
-        truncation = h.degree + 4
-    if truncation < h.degree + 2:
-        raise TruncationError(
-            f"truncation {truncation} below minimum {h.degree + 2} for this h"
-        )
-    return truncation
+    return _second_order_term(w1, w2, _first_order_block(w1, n), n, h.degree + 4)
 
 
 def _second_order_term(
@@ -261,12 +238,6 @@ def _second_order_term(
     if abs(value.imag) > 1e-10:
         raise NumericalContractError(f"second-order coefficient not real: {value}")
     return float(value.real)
-
-
-def second_order_asymmetry(h: Matrix3Field, k: Matrix3Field) -> float:
-    """lambda2(+1) + lambda2(-1); the h^2 and k terms cancel exactly, so a
-    nonzero value is pure spectral asymmetry at quadratic order."""
-    return second_correction_closed(h, k, 1) + second_correction_closed(h, k, -1)
 
 
 # ----------------------------------------------------------------------
@@ -382,17 +353,20 @@ class PerturbationReport:
 
     @property
     def asymmetry2(self) -> float:
+        """lambda2(+1) + lambda2(-1); the h^2 and k terms cancel exactly, so
+        a nonzero value is pure spectral asymmetry at quadratic order."""
         return self.lambda2_plus + self.lambda2_minus
 
 
 def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> PerturbationReport:
     """Compute all four coefficients by the requested route.
 
-    The operator route runs in Fourier coefficients with the default mode-sum
-    truncation and builds W1 and W2 once for both signs; its values are
-    those of ``first_correction_operator``/``second_correction_operator``
-    to the bit. The Galerkin fit route fits modes +1 and -1 to second order
-    from one sweep over ``default_fit_grid(4)`` at truncation ``m``.
+    The operator route runs in Fourier coefficients with the mode-sum
+    truncation h.degree + 4 and builds W1 and W2 once for both signs; its
+    values are those of ``first_correction_operator``/
+    ``second_correction_operator`` to the bit. The Galerkin fit route fits
+    modes +1 and -1 to second order from one sweep over
+    ``default_fit_grid(4)`` at truncation ``m``.
     """
     h = first_order_perturbation(cf)
     k = second_order_perturbation(cf)
@@ -412,8 +386,7 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
         l1 = {n: _first_order_block(w1, n) for n in (1, -1)}
         require_sym_real(k, "k")
         w2 = second_order_operator(h, k, check=False)
-        truncation = _mode_sum_truncation(h, None)
-        l2 = {n: _second_order_term(w1, w2, l1[n], n, truncation) for n in (1, -1)}
+        l2 = {n: _second_order_term(w1, w2, l1[n], n, h.degree + 4) for n in (1, -1)}
         return PerturbationReport(
             route=route,
             lambda1_plus=l1[1],

@@ -163,9 +163,6 @@ class TrigPoly:
         """True when c_{-k} = conj(c_k) for all k, so values are real."""
         return bool(np.all(np.abs(self.coeffs - np.conj(self.coeffs[::-1])) <= tol))
 
-    def is_zero(self, tol: float = COEFF_TOL) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
-
     def isclose(self, other: "TrigPoly", tol: float = COEFF_TOL) -> bool:
         """Coefficient-wise comparison at absolute tolerance ``tol``."""
         d = max(self.degree, other.degree)
@@ -197,9 +194,6 @@ class TrigPoly:
             return self + (-other)
         return self + TrigPoly.constant(-other)
 
-    def __rsub__(self, other):
-        return (-self) + TrigPoly.constant(other)
-
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
             # discrete convolution of coefficients; degree adds
@@ -213,22 +207,9 @@ class TrigPoly:
         k = np.arange(-self.degree, self.degree + 1)
         return TrigPoly._adopt(1j * k * self.coeffs)
 
-    def conjugate(self) -> "TrigPoly":
-        """Complex conjugate as a function: coefficients conj(c_{-k})."""
-        return TrigPoly._adopt(np.conj(self.coeffs[::-1]))
-
     # ------------------------------------------------------------------
-    # serialization: list of (k, re, im) triples, zeros omitted
+    # parsing: a list of (k, re, im) triples
     # ------------------------------------------------------------------
-
-    def triples(self) -> list[tuple[int, float, float]]:
-        out = []
-        d = self.degree
-        for k in range(-d, d + 1):
-            c = self.coeffs[k + d]
-            if c != 0:
-                out.append((k, float(c.real), float(c.imag)))
-        return out
 
     @classmethod
     def from_triples(cls, triples) -> "TrigPoly":
@@ -240,16 +221,6 @@ class TrigPoly:
         for k, re, im in triples:
             c[int(k) + d] += re + 1j * im
         return cls(c)
-
-    def __repr__(self):
-        terms = ", ".join(f"{k}: {re:g}{im:+g}j" for k, re, im in self.triples())
-        return f"TrigPoly({{{terms or '0'}}})"
-
-
-def parseval_product(p: TrigPoly, q: TrigPoly) -> complex:
-    """(1/2pi) int p(x) conj(q(x)) dx as a finite coefficient sum."""
-    d = max(p.degree, q.degree)
-    return complex(np.sum(p._padded(d) * np.conj(q._padded(d))))
 
 
 class Matrix3Field:
@@ -375,6 +346,3 @@ class Matrix3Field:
         return all(
             self[a, b].isclose(other[a, b], tol) for a in range(3) for b in range(3)
         )
-
-    def __repr__(self):
-        return "Matrix3Field(" + repr([list(r) for r in self._entries]) + ")"

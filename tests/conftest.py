@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from torusdirac import CoframeFamily, Matrix3Field, TrigPoly
+from torusdirac import CoframeFamily, Matrix3Field, SpinorField, TrigPoly
+from torusdirac.galerkin import basis_spinor
 
 # Property tests draw the same examples on every run and have no deadline,
 # so a slow shared machine cannot make them flaky, and write no example database.
@@ -35,7 +36,7 @@ def rotation_block_coframe() -> CoframeFamily:
             [ZERO, SIN(1), COS(1, -1.0)],
         ]
     )
-    return CoframeFamily.linear(E1)
+    return CoframeFamily(E1, Matrix3Field.zero())
 
 
 def rotation_block_shift(eps: float) -> float:
@@ -49,7 +50,7 @@ def first_row_coframe() -> CoframeFamily:
     a = COS(1) - COS(2) + COS(3)
     b = SIN(1) + SIN(2) - SIN(3)
     E1 = m3([[ZERO, a, b], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
-    return CoframeFamily.linear(E1)
+    return CoframeFamily(E1, Matrix3Field.zero())
 
 
 @pytest.fixture(scope="session")
@@ -113,6 +114,13 @@ def random_field(rng: np.random.Generator, degree: int = 2,
             row.append(poly)
         rows.append(row)
     return Matrix3Field(rows)
+
+
+def eigenspace_projection(f: SpinorField, lambda0: int) -> SpinorField:
+    """Orthogonal projection onto span{v_lambda0, w_lambda0}."""
+    v = basis_spinor(lambda0, "v")
+    w = basis_spinor(lambda0, "w")
+    return f.inner(v) * v + f.inner(w) * w
 
 
 def assert_sigfigs(value: float, printed: float, nsig: int) -> None:

@@ -30,9 +30,8 @@ from torusdirac import (
 )
 from torusdirac.cli import cmd_fit, cmd_galerkin
 from torusdirac.galerkin import basis_spinor
-from torusdirac.perturbation import eigenspace_projection
 
-from conftest import assert_sigfigs, random_field, random_symmetric_field
+from conftest import assert_sigfigs, eigenspace_projection, random_field, random_symmetric_field
 from test_dirac import random_spinor
 from test_galerkin import FIRST_ROW_TABLE, ROTATION_TABLE
 

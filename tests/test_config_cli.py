@@ -7,6 +7,11 @@ import pytest
 from torusdirac import (
     ConfigError,
     NumericalContractError,
+    PseudoinverseDomainError,
+    SingularCoframeError,
+    TrackingError,
+    TruncationError,
+    UnderResolvedError,
     cli,
     galerkin,
     geometry,
@@ -19,6 +24,19 @@ from torusdirac.cli import _dump_rows, build_parser, main
 from torusdirac.config import EXAMPLE_NAMES
 
 from conftest import assert_sigfigs
+
+# the classes that signal a numerical failure and map to exit code 3
+NUMERIC_ERRORS = (
+    NumericalContractError,
+    SingularCoframeError,
+    UnderResolvedError,
+    TrackingError,
+    PseudoinverseDomainError,
+    TruncationError,
+    pt.DegenerateSplittingError,
+    pt.FitResidualError,
+    np.linalg.LinAlgError,
+)
 
 MINIMAL_DIRECT = """
 m = 8
@@ -203,12 +221,17 @@ class TestCli:
         assert capsys.readouterr() == first
         assert build_parser() is build_parser()
 
-    def test_internal_numerical_error_exit_code(self, monkeypatch, capsys):
-        # NumericalContractError subclasses ValueError but is not bad input
-        def not_real(h, k, n):
-            raise NumericalContractError("second-order coefficient not real: (1+1j)")
+    @pytest.mark.parametrize("error", NUMERIC_ERRORS, ids=lambda cls: cls.__name__)
+    def test_internal_numerical_error_exit_code(self, error, monkeypatch, capsys):
+        # NumericalContractError and LinAlgError subclass ValueError but are
+        # not bad input; every numerical error class derives from the former
+        if error is not np.linalg.LinAlgError:
+            assert issubclass(error, NumericalContractError)
 
-        monkeypatch.setattr(pt, "second_correction_closed", not_real)
+        def fail(h, k, n):
+            raise error("second-order coefficient not real: (1+1j)")
+
+        monkeypatch.setattr(pt, "second_correction_closed", fail)
         assert main(["asympt", "--config", "example-explicit-1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -341,6 +364,18 @@ class TestCli:
         code = main(["galerkin", "--config", str(cfgfile), "--eps", "0.1"])
         assert code == 3
         assert "Fourier tail" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [256, 250])
+    def test_coframe_harmonic_folding_into_band_exit_code(self, k, tmp_path, capsys):
+        # on the 256-point grid of m = 10, cos(256 x) samples as the constant 1
+        # and cos(250 x) as cos(6 x): both fold into the kept band |k| <= 63
+        cfgfile = tmp_path / "folding.cfg"
+        cfgfile.write_text(f"coframe.E1.1.1 = ({k}, 0.25, 0) ({-k}, 0.25, 0)\n")
+        code = main(["galerkin", "--config", str(cfgfile), "--m", "10", "--eps", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "Fourier tail 5.00e-02" in captured.err
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

@@ -81,14 +81,6 @@ class TestAssembly:
         assert gm.order == 102
         assert gm.entries.shape == (102, 102)
 
-    def test_row_index_map(self, rotation_block_coframe):
-        op = dirac_operator(metric_at(rotation_block_coframe, 0.0, 256))
-        gm = galerkin_matrix(op, 3)
-        assert gm.row(-3, "v") == 0
-        assert gm.row(-3, "w") == 1
-        assert gm.row(0, "v") == 6
-        assert gm.row(3, "w") == 13
-
 
 class TestClosedForm:
     @pytest.mark.parametrize("name", ["example-galerkin-1", "example-galerkin-2"])
@@ -128,10 +120,26 @@ class TestUnderResolved:
     def test_aliasing_tail_rejected(self):
         fine = TrigPoly.cosine(100)
         zero = TrigPoly.zero()
-        cf = CoframeFamily.linear(
-            Matrix3Field([[fine, zero, zero], [zero, zero, zero], [zero, zero, zero]])
+        cf = CoframeFamily(
+            Matrix3Field([[fine, zero, zero], [zero, zero, zero], [zero, zero, zero]]),
+            Matrix3Field.zero(),
         )
         op = dirac_operator(metric_at(cf, 0.1, 256))
+        with pytest.raises(UnderResolvedError, match="Fourier tail"):
+            galerkin_matrix(op, 10)
+
+    @pytest.mark.parametrize("k", [256, 250])
+    def test_coframe_harmonic_past_band_counts_as_aliasing(self, k):
+        # sampled on 256 points, cos(k x) folds to frequency 256 - k <= 63,
+        # inside the kept band, where no Fourier tail of B or p shows it
+        fine = TrigPoly.cosine(k, 0.5)
+        zero = TrigPoly.zero()
+        cf = CoframeFamily(
+            Matrix3Field([[fine, zero, zero], [zero, zero, zero], [zero, zero, zero]]),
+            Matrix3Field.zero(),
+        )
+        op = dirac_operator(metric_at(cf, 0.2, default_grid(10)))
+        assert op.aliasing == pytest.approx(0.2 * 0.25, rel=1e-15)
         with pytest.raises(UnderResolvedError, match="Fourier tail"):
             galerkin_matrix(op, 10)
 

@@ -25,16 +25,15 @@ from torusdirac import (
     perturbation_report,
     second_correction_closed,
     second_correction_operator,
-    second_order_asymmetry,
     second_order_operator,
     second_order_perturbation,
     trigpoly,
 )
 from torusdirac.cli import cmd_fit
 from torusdirac.galerkin import basis_spinor
-from torusdirac.perturbation import eigenspace_projection, fit_from_values
+from torusdirac.perturbation import fit_from_values
 
-from conftest import COS, SIN, ZERO, m3, random_symmetric_field
+from conftest import COS, SIN, ZERO, eigenspace_projection, m3, random_symmetric_field
 
 
 def random_orthogonal_spinor(rng, lambda0, degree=4) -> SpinorField:
@@ -171,23 +170,20 @@ class TestSecondCorrection:
             k = random_symmetric_field(rng)
             for n in (1, -1):
                 closed = second_correction_closed(h, k, n)
-                operator = second_correction_operator(h, k, n, truncation=h.degree + 4)
+                operator = second_correction_operator(h, k, n)
                 assert abs(closed - operator) <= 1e-10
-
-    def test_truncation_precondition(self, explicit_family_1):
-        h, k = explicit_family_1
-        with pytest.raises(TruncationError, match="minimum"):
-            second_correction_operator(h, k, 1, truncation=2)
 
 
 class TestAsymmetry:
     def test_first_family(self, explicit_family_1):
         h, k = explicit_family_1
-        assert second_order_asymmetry(h, k) == pytest.approx(-1.0, abs=1e-13)
+        asym = second_correction_closed(h, k, 1) + second_correction_closed(h, k, -1)
+        assert asym == pytest.approx(-1.0, abs=1e-13)
 
     def test_second_family(self, explicit_family_2):
         h, k = explicit_family_2
-        assert second_order_asymmetry(h, k) == pytest.approx(-0.25, abs=1e-13)
+        asym = second_correction_closed(h, k, 1) + second_correction_closed(h, k, -1)
+        assert asym == pytest.approx(-0.25, abs=1e-13)
 
     def test_rotation_pattern_with_zero_first_column(self):
         """h supported on the lower 2x2 block: the h^2 and k means cancel in
@@ -200,7 +196,7 @@ class TestAsymmetry:
             ]
         )
         k = Matrix3Field.zero()
-        asym = second_order_asymmetry(h, k)
+        asym = second_correction_closed(h, k, 1) + second_correction_closed(h, k, -1)
         assert asym != pytest.approx(0.0, abs=1e-6)
         operator_sum = second_correction_operator(h, k, 1) + second_correction_operator(
             h, k, -1
