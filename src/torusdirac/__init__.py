@@ -11,15 +11,14 @@ from .geometry import (
     CoframeFamily,
     NumericalContractError,
     SingularCoframeError,
+    UnderResolvedError,
     arc_length,
     first_order_perturbation,
-    metric_at,
     second_order_perturbation,
 )
 from .dirac import (
     DiracOperator,
     SpinorField,
-    UnderResolvedError,
     charge_conjugate,
     dirac_operator,
     first_order_operator,
@@ -54,13 +53,12 @@ __all__ = [
     "CoframeFamily",
     "NumericalContractError",
     "SingularCoframeError",
+    "UnderResolvedError",
     "arc_length",
     "first_order_perturbation",
-    "metric_at",
     "second_order_perturbation",
     "DiracOperator",
     "SpinorField",
-    "UnderResolvedError",
     "charge_conjugate",
     "dirac_operator",
     "first_order_operator",

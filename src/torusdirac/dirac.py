@@ -17,9 +17,9 @@ the coefficients of B and p, the action is the finite convolution
     (W v)^(k) = sum_q [ (k + q)/2 B^(k - q) + p^(k - q) ] v^(q).
 
 The first and second order terms have trigonometric-polynomial coefficients
-and are built in coefficient arithmetic. The frame is rational, so
-``dirac_operator`` is the one place that samples: it takes the FFT of B and p
-on the snapshot's grid and keeps the frequencies |k| < n/4.
+and are built in coefficient arithmetic. Only the frame is sampled, in
+``dirac_operator(cf, eps, n)``: it inverts the coframe on n grid points,
+takes the FFT of B and p and keeps the frequencies |k| < n/4.
 """
 
 from __future__ import annotations
@@ -28,15 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MetricSnapshot, NumericalContractError, require_sym_real
+from .geometry import CoframeFamily, NumericalContractError, as_real_samples, positive_det
+from .geometry import require_resolved, require_sym_real
 from .trigpoly import Matrix3Field, TrigPoly, resize_degree
-
-#: Largest Fourier coefficient that sampling may drop at |k| >= n/4.
-ALIASING_LIMIT = 1e-9
-
-
-class UnderResolvedError(NumericalContractError):
-    """Grid too coarse for the Fourier tail of the operator coefficients."""
 
 
 def _real_defect(coeffs: np.ndarray) -> float:
@@ -121,15 +115,10 @@ def symbol_matrix(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DiracOperator:
     """First order operator v -> -(i/2)(B v' + (B v)') + p v, held as the
-    Fourier coefficients of B and p over k = -L..L.
-
-    ``aliasing`` is the largest coefficient that sampling dropped (see
-    ``dirac_operator``); 0 for an operator built from exact coefficients.
-    """
+    Fourier coefficients of B and p over k = -L..L."""
 
     b_hat: np.ndarray  # (2, 2, 2L+1), Hermitian and trace-free pointwise
     p_hat: np.ndarray  # (2L+1,), a real function
-    aliasing: float = 0.0
 
     def __post_init__(self):
         b = np.array(self.b_hat, dtype=complex)
@@ -158,18 +147,8 @@ class DiracOperator:
     def degree(self) -> int:
         return (self.p_hat.size - 1) // 2
 
-    def require_resolved(self) -> None:
-        """Raise UnderResolvedError when sampling dropped a coefficient above
-        ``ALIASING_LIMIT``: the kept coefficients are then aliased."""
-        if self.aliasing > ALIASING_LIMIT:
-            raise UnderResolvedError(
-                f"Fourier tail {self.aliasing:.2e} of the coefficients exceeds "
-                f"{ALIASING_LIMIT:.0e}; the sampling grid under-resolves them"
-            )
-
     def apply(self, v: SpinorField) -> SpinorField:
         """(W v)^(k) = sum_q [(k + q)/2 B^(k - q) + p^(k - q)] v^(q), exactly."""
-        self.require_resolved()
         c = v.coeffs
         q = np.arange(-v.degree, v.degree + 1)
         top = self.degree + v.degree
@@ -190,48 +169,42 @@ def free_operator() -> DiracOperator:
     return DiracOperator(symbol_matrix(one, zero, zero), zero)
 
 
-def dirac_operator(ms: MetricSnapshot) -> DiracOperator:
-    """Assemble the operator at fixed eps from a metric snapshot.
+def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
+    """Assemble the operator of the family at ``eps`` on a grid of n points.
 
-    The symbol components are the first frame column e_j^1. The potential is
+    The symbol components are the first frame column e_j^1, from pointwise
+    3x3 inversion of the coframe on ``grid_points(n)``. The potential is
 
         p = sum_j (e^j_3 (e^j_2)' - e^j_2 (e^j_3)') / (4 sqrt(det g)),
 
-    whose numerator is evaluated exactly in coefficient arithmetic. The
-    frame is rational, so B and p are sampled on the snapshot's grid of n
-    points and their coefficients are the FFT divided by n. Only |k| < n/4
-    is kept; the largest coefficient at |k| >= n/4, the aliasing tail of an
-    under-resolved coefficient, is recorded as ``aliasing``. A coframe
-    harmonic past the kept band can fold back into it on the grid, where no
-    tail shows it, so the largest such coframe coefficient counts as
-    ``aliasing`` too.
+    whose numerator and sqrt(det g) = det e are exact in coefficient
+    arithmetic. The coefficients of B and p are their FFT divided by n, kept
+    at |k| < n/4. Raises SingularCoframeError unless det e > 0 on the grid,
+    and UnderResolvedError when ``require_resolved`` fails.
     """
-    a1, a2, a3 = ms.frame[0, 0], ms.frame[1, 0], ms.frame[2, 0]
+    coframe = cf.coframe_at(eps)
+    sqrt_det_g = positive_det(coframe, eps, n)
+    csamp = as_real_samples(coframe.on_grid(n), "coframe samples")
+    # the frame e_j^a is the inverse of coframe^T pointwise: (n, 3, 3) indexed [x, j, a]
+    frame = np.linalg.inv(np.transpose(csamp, (2, 1, 0)))
+    a1, a2, a3 = frame[:, 0, 0], frame[:, 1, 0], frame[:, 2, 0]
 
     num = TrigPoly.zero()
-    dcof = ms.coframe.derivative()
+    dcof = coframe.derivative()
     for j in range(3):
-        num = num + ms.coframe[j, 2] * dcof[j, 1] - ms.coframe[j, 1] * dcof[j, 2]
-    n = ms.num_points
+        num = num + coframe[j, 2] * dcof[j, 1] - coframe[j, 1] * dcof[j, 2]
     num_samples = num.on_grid(n)
     if np.max(np.abs(num_samples.imag)) > 1e-12:
         raise NumericalContractError("potential numerator is not real; index error upstream")
-    potential = num_samples.real / (4.0 * ms.sqrt_det_g)
+    potential = num_samples.real / (4.0 * sqrt_det_g)
 
     b_hat = np.fft.fft(symbol_matrix(a1, a2, a3), axis=-1) / n
     p_hat = np.fft.fft(potential) / n
-    top = (n - 1) // 4  # the largest |k| below n/4
-    # FFT order: indices top+1 .. n-top-1 hold the frequencies |k| > top
-    aliasing = max(
-        np.max(np.abs(b_hat[..., top + 1 : n - top]), initial=0.0),
-        np.max(np.abs(p_hat[top + 1 : n - top]), initial=0.0),
-    )
-    d = ms.coframe.degree
-    if d > top:
-        coframe_hat = np.abs(ms.coframe.coefficient_stack(d))
-        aliasing = max(aliasing, coframe_hat[: d - top].max(), coframe_hat[d + top + 1 :].max())
+    top = (n - 1) // 4
     kept = np.r_[n - top : n, 0 : top + 1]  # frequencies -top..top
-    return DiracOperator(b_hat[..., kept], p_hat[kept], float(aliasing))
+    op = DiracOperator(b_hat[..., kept], p_hat[kept])
+    require_resolved((b_hat, p_hat), coframe, n)
+    return op
 
 
 def first_order_operator(h: Matrix3Field, *, check: bool = True) -> DiracOperator:

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dirac import DiracOperator, SpinorField, dirac_operator
-from .geometry import DEFAULT_GRID, CoframeFamily, NumericalContractError, metric_at
+from .geometry import CoframeFamily, NumericalContractError, default_grid
 from .trigpoly import resize_degree
 
 PAIRING_TOL = 1e-8
@@ -28,11 +28,6 @@ CLUSTER_RADIUS = 0.4
 
 class TrackingError(NumericalContractError):
     """No unambiguous eigenvalue pair near the requested mode."""
-
-
-def default_grid(m: int) -> int:
-    """Grid size resolving basis degree m plus coefficient harmonics."""
-    return max(DEFAULT_GRID, 8 * m + 16)
 
 
 def basis_spinor(i: int, kind: str) -> SpinorField:
@@ -90,11 +85,8 @@ def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
                                  + p^(q_r - q_col)) u_col.
 
     The entries read B^ and p^ at frequencies -2m..2m, zero past the
-    operator's degree. An operator whose sampling dropped a Fourier tail
-    above the aliasing limit raises UnderResolvedError. The result is
-    symmetrized.
+    operator's degree. The result is symmetrized.
     """
-    op.require_resolved()
     # frequencies -2m..2m, so that sliding_window_view(c, w)[i_r + m, i_col + m]
     # is c at frequency i_r + i_col
     b_hat, p_hat = resize_degree(op.b_hat, 2 * m), resize_degree(op.p_hat, 2 * m)
@@ -123,7 +115,7 @@ def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
 
 def assemble(cf: CoframeFamily, eps: float, m: int) -> GalerkinMatrix:
     """Galerkin matrix of the family at ``eps``, on the grid ``default_grid(m)``."""
-    return galerkin_matrix(dirac_operator(metric_at(cf, eps, default_grid(m))), m)
+    return galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m)
 
 
 def eigenvalues(gm: GalerkinMatrix) -> np.ndarray:
@@ -189,8 +181,9 @@ def track_pair(report: SpectrumReport, n: int) -> tuple[float, float]:
 def spectrum_report(cf: CoframeFamily, eps: float, m: int, modes=()) -> SpectrumReport:
     """Assemble, solve and track one eps point of a coframe family.
 
-    The solve checks the coframe: ``metric_at`` raises SingularCoframeError
-    on the grid ``default_grid(m)``, before any mode is tracked. Every mode
+    The solve checks the coframe: ``dirac_operator`` raises
+    SingularCoframeError or UnderResolvedError on the grid
+    ``default_grid(m)``, before any mode is tracked. Every mode
     in ``modes`` is then tracked with ``track_pair``, so a mode without an
     unambiguous eigenvalue pair raises TrackingError. Callers that must
     report a singular eps ahead of a tracking failure at an earlier eps

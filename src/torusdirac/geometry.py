@@ -1,9 +1,9 @@
-"""Perturbed coframe, frame and metric on the unit 3-torus, axisymmetric case.
+"""Perturbed coframe and metric on the unit 3-torus, axisymmetric case.
 
 A family of coframes e(x^1; eps) = I + eps*E1(x^1) + eps^2*E2(x^1) determines
-the metric g = e^T e. The frame is the transposed pointwise inverse of the
-coframe. All data depend on x^1 only, so each object reduces to matrix-valued
-functions on the circle.
+the metric g = e^T e. All data depend on x^1 only, so each object reduces to
+matrix-valued functions on the circle. Sampled steps share one grid rule,
+``default_grid``, and one resolution check, ``require_resolved``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ import numpy as np
 
 from .trigpoly import Matrix3Field, grid_points
 
-DEFAULT_GRID = 256
+#: Largest Fourier coefficient that sampling may drop at |k| >= n/4.
+ALIASING_LIMIT = 1e-9
+
+
+def default_grid(degree: int) -> int:
+    """Sampling grid for trig degree ``degree``: at least 256 points, and
+    enough that the kept band |k| < n/4 reaches 2*degree + 3."""
+    return max(256, 8 * degree + 16)
 
 
 class NumericalContractError(ValueError):
@@ -32,9 +39,13 @@ class SingularCoframeError(NumericalContractError):
     """Coframe determinant vanishes (or goes negative) at a grid point."""
 
 
-def _as_real_samples(values: np.ndarray, what: str, tol: float = 1e-10) -> np.ndarray:
+class UnderResolvedError(NumericalContractError):
+    """Grid too coarse for the Fourier tail of a sampled function."""
+
+
+def as_real_samples(values: np.ndarray, what: str) -> np.ndarray:
     imag = np.max(np.abs(values.imag))
-    if imag > tol:
+    if imag > 1e-10:
         raise NumericalContractError(
             f"{what} has imaginary part {imag:.2e}; expected real data"
         )
@@ -97,30 +108,10 @@ def second_order_perturbation(cf: CoframeFamily) -> Matrix3Field:
     return (cf.E1.transpose() @ cf.E1 + cf.E2 + cf.E2.transpose()) * 4.0
 
 
-@dataclass(frozen=True)
-class MetricSnapshot:
-    """Metric family frozen at one eps, sampled on the uniform grid.
-
-    ``coframe`` keeps exact coefficient data (the coframe is polynomial in
-    the trig functions); the frame is rational, so it is held as pointwise
-    samples only. ``frame[j, a]`` is e_j^a on the grid.
-    """
-
-    eps: float
-    num_points: int
-    coframe: Matrix3Field
-    frame: np.ndarray
-    sqrt_det_g: np.ndarray
-
-    def __post_init__(self):
-        self.frame.setflags(write=False)
-        self.sqrt_det_g.setflags(write=False)
-
-
-def _positive_det(coframe: Matrix3Field, eps: float, num_points: int) -> np.ndarray:
+def positive_det(coframe: Matrix3Field, eps: float, num_points: int) -> np.ndarray:
     """det e on ``grid_points(num_points)``, computed exactly in coefficient
     arithmetic. Raises SingularCoframeError unless every sample exceeds 1e-12."""
-    det_samples = _as_real_samples(coframe.det().on_grid(num_points), "det(coframe)")
+    det_samples = as_real_samples(coframe.det().on_grid(num_points), "det(coframe)")
     bad = np.nonzero(det_samples <= 1e-12)[0]
     if bad.size:
         j = int(bad[0])
@@ -131,43 +122,42 @@ def _positive_det(coframe: Matrix3Field, eps: float, num_points: int) -> np.ndar
     return det_samples
 
 
-def metric_at(
-    cf: CoframeFamily, eps: float, num_points: int = DEFAULT_GRID
-) -> MetricSnapshot:
-    """Build the metric snapshot at ``eps``.
-
-    det e is computed exactly in coefficient arithmetic; the frame comes
-    from pointwise 3x3 inversion on the grid.
-    Raises SingularCoframeError when det e is not strictly positive.
-    """
-    coframe = cf.coframe_at(eps)
-    det_samples = _positive_det(coframe, eps, num_points)
-    csamp = _as_real_samples(coframe.on_grid(num_points), "coframe samples")
-    # frame rows satisfy frame @ coframe^T = I pointwise
-    stacked = np.transpose(csamp, (2, 0, 1))          # (n, 3, 3), rows j cols a
-    frame = np.transpose(np.linalg.inv(np.transpose(stacked, (0, 2, 1))), (1, 2, 0))
-
-    return MetricSnapshot(
-        eps=float(eps),
-        num_points=num_points,
-        coframe=coframe,
-        frame=frame,
-        sqrt_det_g=det_samples,
-    )
+def require_resolved(hats, coframe: Matrix3Field, n: int) -> None:
+    """Raise UnderResolvedError when ``hats``, FFTs over the last axis of
+    samples on n points divided by n, leave a tail above ``ALIASING_LIMIT``
+    at |k| >= n/4, the band that sampling drops. A coframe harmonic past the
+    kept band folds back into it on the grid, where no tail shows it, so such
+    a coframe coefficient counts as tail too."""
+    top = (n - 1) // 4  # the largest |k| below n/4
+    # FFT order: indices top+1 .. n-top-1 hold the frequencies |k| > top
+    tail = max(np.max(np.abs(h[..., top + 1 : n - top]), initial=0.0) for h in hats)
+    d = coframe.degree
+    if d > top:
+        coframe_hat = np.abs(coframe.coefficient_stack(d))
+        tail = max(tail, coframe_hat[: d - top].max(), coframe_hat[d + top + 1 :].max())
+    if tail > ALIASING_LIMIT:
+        raise UnderResolvedError(
+            f"Fourier tail {tail:.2e} of the coefficients exceeds "
+            f"{ALIASING_LIMIT:.0e}; the sampling grid under-resolves them"
+        )
 
 
 def arc_length(cf: CoframeFamily, eps: float) -> float:
     """Length of the x^1 coordinate circle: int_0^2pi sqrt(g_11) dx^1.
 
-    Trapezoidal quadrature on the uniform grid; spectrally accurate since
-    the integrand is analytic and periodic. Only g_11 = sum_c e^c_1 e^c_1,
-    entry (0, 0) of e^T e, is built; like ``metric_at`` it raises
-    SingularCoframeError when det e is not strictly positive on the grid.
+    Trapezoidal quadrature on ``default_grid`` of the coframe degree, exact
+    to rounding once ``require_resolved`` passes on sqrt(g_11). Only g_11 =
+    sum_c e^c_1 e^c_1, entry (0, 0) of e^T e, is built; like
+    ``dirac_operator`` it raises SingularCoframeError when det e is not
+    strictly positive on the grid.
     """
     coframe = cf.coframe_at(eps)
-    _positive_det(coframe, eps, DEFAULT_GRID)
+    n = default_grid(coframe.degree)
+    positive_det(coframe, eps, n)
     g11_poly = coframe.transpose().product_entry(coframe, 0, 0)
-    g11 = _as_real_samples(g11_poly.on_grid(DEFAULT_GRID), "g_11")
+    g11 = as_real_samples(g11_poly.on_grid(n), "g_11")
     if np.any(g11 <= 0):
         raise SingularCoframeError(f"g_11 not positive at eps={eps}")
-    return float(np.sqrt(g11).sum() * 2.0 * np.pi / DEFAULT_GRID)
+    sqrt_g11 = np.sqrt(g11)
+    require_resolved((np.fft.fft(sqrt_g11) / n,), coframe, n)
+    return float(sqrt_g11.sum() * 2.0 * np.pi / n)

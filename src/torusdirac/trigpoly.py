@@ -3,8 +3,9 @@
 A trigonometric polynomial of degree D is f(x) = sum_{|k| <= D} c_k e^{ikx}.
 Every coefficient function in this package (metric entries, perturbation
 matrices, operator symbols, spinors) is held as such coefficients; only the
-rational frame is sampled, in ``dirac.dirac_operator``. ``resize_degree``
-pads or cuts any array of coefficients centred on k = 0.
+frame is sampled, in ``dirac.dirac_operator``, and sqrt(g_11), in
+``geometry.arc_length``. ``resize_degree`` pads or cuts any array of
+coefficients centred on k = 0.
 
 Degrees in this artifact are small (<= ~24 for determinants and potential
 numerators), so coefficients are stored as a dense array over k = -D..D and

@@ -21,7 +21,6 @@ from torusdirac import (
     free_operator,
     galerkin_matrix,
     load_example,
-    metric_at,
     second_correction_closed,
     second_correction_operator,
     second_order_operator,
@@ -198,7 +197,7 @@ def test_criterion_6_property_suite():
 
     # Hermiticity: pre-symmetrization residual and symmetrized defect
     cfg = load_example("example-galerkin-2")
-    op = dirac_operator(metric_at(cfg.family(), 0.1, 256))
+    op = dirac_operator(cfg.family(), 0.1, 256)
     gm = galerkin_matrix(op, 25)
     sym_defect = float(np.max(np.abs(gm.entries - gm.entries.conj().T)))
     assert gm.herm_residual <= 1e-9
@@ -218,7 +217,7 @@ def test_criterion_6_property_suite():
     worst_c = worst_sa = 0.0
     for _ in range(5):
         cf = CoframeFamily(random_field(rng), random_field(rng))
-        op = dirac_operator(metric_at(cf, 0.08, 256))
+        op = dirac_operator(cf, 0.08, 256)
         u, v = random_spinor(rng), random_spinor(rng)
         worst_c = max(
             worst_c,
@@ -285,7 +284,7 @@ def test_criterion_6_property_suite():
         v = random_spinor(rng)
 
         def residual(eps):
-            full = dirac_operator(metric_at(cf, eps, 128))
+            full = dirac_operator(cf, eps, 128)
             model = w0_.apply(v) + eps * w1.apply(v) + (eps * eps) * w2.apply(v)
             return (full.apply(v) - model).norm()
 

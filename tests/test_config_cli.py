@@ -13,10 +13,10 @@ from torusdirac import (
     TruncationError,
     UnderResolvedError,
     cli,
+    dirac,
+    dirac_operator,
     galerkin,
-    geometry,
     load_example,
-    metric_at,
     parse_config,
 )
 from torusdirac import perturbation as pt
@@ -97,7 +97,7 @@ class TestParsing:
             cfg = load_example(name)
             family = cfg.family()
             for eps in cfg.eps_list:
-                metric_at(family, eps)
+                dirac_operator(family, eps, 256)
 
     def test_bundled_families_match_fixtures(
         self, rotation_block_coframe, explicit_family_2
@@ -335,15 +335,15 @@ class TestCli:
     def test_one_geometry_build_per_eps(self, command, calls, monkeypatch, capsys):
         # example-galerkin-2 lists 3 eps; the quartic fit grid has 12
         count = 0
-        original = geometry.metric_at
+        original = dirac.dirac_operator
 
         def counting(*args, **kwargs):
             nonlocal count
             count += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "metric_at", counting)
-        monkeypatch.setattr(galerkin, "metric_at", counting)
+        monkeypatch.setattr(dirac, "dirac_operator", counting)
+        monkeypatch.setattr(galerkin, "dirac_operator", counting)
         assert main([command, "--config", "example-galerkin-2"]) == 0
         assert count == calls
 

@@ -8,7 +8,6 @@ from torusdirac import (
     dirac_operator,
     first_order_operator,
     free_operator,
-    metric_at,
     second_order_operator,
 )
 from torusdirac.dirac import DiracOperator, symbol_matrix
@@ -44,7 +43,7 @@ def coefficient_gap(a: DiracOperator, b: DiracOperator) -> float:
 
 class TestAssemble:
     def test_flat_operator(self, rotation_block_coframe):
-        op = dirac_operator(metric_at(rotation_block_coframe, 0.0, N))
+        op = dirac_operator(rotation_block_coframe, 0.0, N)
         assert op.degree == 63  # |k| < N/4
         assert coefficient_gap(op, free_operator()) <= 1e-12
 
@@ -52,7 +51,7 @@ class TestAssemble:
     def test_rotation_block_reduces_to_constant_shift(
         self, rotation_block_coframe, eps
     ):
-        op = dirac_operator(metric_at(rotation_block_coframe, eps, N))
+        op = dirac_operator(rotation_block_coframe, eps, N)
         shift = -eps**2 / (2 * (1 - eps**2))
         shifted = DiracOperator(free_operator().b_hat, np.array([shift]))
         assert coefficient_gap(op, shifted) <= 1e-12
@@ -64,7 +63,7 @@ class TestAssemble:
         w1 = first_order_operator(h)
 
         def coeff_error(eps):
-            op = dirac_operator(metric_at(cf, eps, 64))
+            op = dirac_operator(cf, eps, 64)
             d = op.degree
             db = op.b_hat - resize_degree(w0.b_hat, d) - eps * resize_degree(w1.b_hat, d)
             dp = op.p_hat - resize_degree(w0.p_hat, d) - eps * resize_degree(w1.p_hat, d)
@@ -85,7 +84,7 @@ class TestAssemble:
             v = random_spinor(rng)
 
             def residual(eps):
-                full = dirac_operator(metric_at(cf, eps, 128))
+                full = dirac_operator(cf, eps, 128)
                 model = w0.apply(v) + eps * w1.apply(v) + (eps * eps) * w2.apply(v)
                 return (full.apply(v) - model).norm()
 
@@ -104,7 +103,7 @@ class TestApply:
     def test_self_adjointness_on_random_spinors(self, explicit_family_2):
         h, k = explicit_family_2
         cf = CoframeFamily.from_perturbation(h, k)
-        op = dirac_operator(metric_at(cf, 0.1, N))
+        op = dirac_operator(cf, 0.1, N)
         rng = np.random.default_rng(32)
         for _ in range(10):
             u, v = random_spinor(rng), random_spinor(rng)
@@ -207,7 +206,7 @@ class TestChargeConjugation:
         assert charge_conjugate(v).norm() == pytest.approx(v.norm(), rel=1e-13)
 
     def test_commutes_with_operator(self, first_row_coframe):
-        op = dirac_operator(metric_at(first_row_coframe, 0.12, N))
+        op = dirac_operator(first_row_coframe, 0.12, N)
         rng = np.random.default_rng(35)
         for _ in range(5):
             v = random_spinor(rng)

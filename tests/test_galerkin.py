@@ -17,12 +17,12 @@ from torusdirac import (
     free_operator,
     galerkin_matrix,
     load_example,
-    metric_at,
     spectrum_report,
     track_pair,
 )
 from torusdirac.config import EXAMPLE_NAMES
-from torusdirac.galerkin import PAIRING_TOL, SpectrumReport, basis_spinor, default_grid
+from torusdirac.galerkin import PAIRING_TOL, SpectrumReport, basis_spinor
+from torusdirac.geometry import default_grid
 
 from conftest import assert_sigfigs, random_field, rotation_block_shift
 
@@ -69,14 +69,14 @@ class TestAssembly:
 
     def test_rotation_block_matrix_is_diagonal_shift(self, rotation_block_coframe):
         eps, m = 0.2, 5
-        op = dirac_operator(metric_at(rotation_block_coframe, eps, 256))
+        op = dirac_operator(rotation_block_coframe, eps, 256)
         gm = galerkin_matrix(op, m)
         shift = rotation_block_shift(eps)
         diag = np.repeat(np.arange(-m, m + 1), 2) + shift
         assert np.max(np.abs(gm.entries - np.diag(diag.astype(complex)))) <= 1e-12
 
     def test_order_is_102_for_m_25(self, rotation_block_coframe):
-        op = dirac_operator(metric_at(rotation_block_coframe, 0.1, default_grid(25)))
+        op = dirac_operator(rotation_block_coframe, 0.1, default_grid(25))
         gm = galerkin_matrix(op, 25)
         assert gm.order == 102
         assert gm.entries.shape == (102, 102)
@@ -86,7 +86,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("name", ["example-galerkin-1", "example-galerkin-2"])
     def test_matches_quadrature_oracle(self, name):
         m, n = 25, default_grid(25)
-        op = dirac_operator(metric_at(load_example(name).family(), 0.1, n))
+        op = dirac_operator(load_example(name).family(), 0.1, n)
         gm = galerkin_matrix(op, m)
         phis = [basis_spinor(i, kind) for i in range(-m, m + 1) for kind in ("v", "w")]
         images = [op.apply(phi) for phi in phis]
@@ -99,7 +99,7 @@ class TestClosedForm:
 
         monkeypatch.setattr(DiracOperator, "apply", refuse)
         monkeypatch.setattr(DiracOperator, "__call__", refuse)
-        op = dirac_operator(metric_at(first_row_coframe, 0.1, default_grid(25)))
+        op = dirac_operator(first_row_coframe, 0.1, default_grid(25))
         assert galerkin_matrix(op, 25).order == 102
 
 
@@ -110,8 +110,8 @@ class TestUnderResolved:
         for name in EXAMPLE_NAMES:
             cf = load_example(name).family()
             for eps in (0.1, 0.2):
-                coarse = dirac_operator(metric_at(cf, eps, 64))
-                fine = dirac_operator(metric_at(cf, eps, 256))
+                coarse = dirac_operator(cf, eps, 64)
+                fine = dirac_operator(cf, eps, 256)
                 assert coarse.degree == 15
                 diff = eigenvalues(galerkin_matrix(coarse, 16)) - eigenvalues(galerkin_matrix(fine, 16))
                 worst = max(worst, float(np.max(np.abs(diff))))
@@ -124,9 +124,8 @@ class TestUnderResolved:
             Matrix3Field([[fine, zero, zero], [zero, zero, zero], [zero, zero, zero]]),
             Matrix3Field.zero(),
         )
-        op = dirac_operator(metric_at(cf, 0.1, 256))
         with pytest.raises(UnderResolvedError, match="Fourier tail"):
-            galerkin_matrix(op, 10)
+            dirac_operator(cf, 0.1, 256)
 
     @pytest.mark.parametrize("k", [256, 250])
     def test_coframe_harmonic_past_band_counts_as_aliasing(self, k):
@@ -138,10 +137,9 @@ class TestUnderResolved:
             Matrix3Field([[fine, zero, zero], [zero, zero, zero], [zero, zero, zero]]),
             Matrix3Field.zero(),
         )
-        op = dirac_operator(metric_at(cf, 0.2, default_grid(10)))
-        assert op.aliasing == pytest.approx(0.2 * 0.25, rel=1e-15)
-        with pytest.raises(UnderResolvedError, match="Fourier tail"):
-            galerkin_matrix(op, 10)
+        # the folded coefficient is eps * 0.25 = 5.00e-02
+        with pytest.raises(UnderResolvedError, match="Fourier tail 5.00e-02"):
+            dirac_operator(cf, 0.2, default_grid(10))
 
 
 class TestEigenvalues:
@@ -159,7 +157,7 @@ class TestEigenvalues:
         assert_sigfigs(rep.tracked[1], 1.0148, 4)
 
     def test_backward_stability_spot_check(self, first_row_coframe):
-        op = dirac_operator(metric_at(first_row_coframe, 0.2, 256))
+        op = dirac_operator(first_row_coframe, 0.2, 256)
         gm = galerkin_matrix(op, 25)
         vals, vecs = np.linalg.eigh(gm.entries)
         scale = np.linalg.norm(gm.entries, 2)
@@ -315,12 +313,20 @@ class TestRandomCoframeProperties:
     @settings(max_examples=30)
     @given(COFRAMES, EPS, spinors())
     def test_charge_conjugation_commutes_with_operator(self, cf, eps, v):
-        op = dirac_operator(metric_at(cf, eps))
+        op = dirac_operator(cf, eps, 256)
         defect = (op.apply(charge_conjugate(v)) - charge_conjugate(op.apply(v))).norm()
         assert defect <= 1e-10
+
+    @settings(max_examples=40)
+    @given(COFRAMES, EPS)
+    def test_tracked_values_independent_of_truncation(self, cf, eps):
+        modes = range(-2, 3)
+        fine, coarse = (spectrum_report(cf, eps, m, modes=modes).tracked for m in (25, 20))
+        for n in modes:
+            assert abs(fine[n] - coarse[n]) <= 1e-12
 
     @settings(max_examples=30)
     @given(COFRAMES, EPS)
     def test_galerkin_eigenvalues_pair(self, cf, eps):
-        ev = eigenvalues(galerkin_matrix(dirac_operator(metric_at(cf, eps)), 10))
+        ev = eigenvalues(galerkin_matrix(dirac_operator(cf, eps, 256), 10))
         assert np.max(np.abs(ev[1::2] - ev[0::2])) <= PAIRING_TOL

@@ -6,35 +6,68 @@ from torusdirac import (
     Matrix3Field,
     SingularCoframeError,
     TrigPoly,
+    UnderResolvedError,
     arc_length,
+    dirac_operator,
     first_order_perturbation,
-    metric_at,
     second_order_perturbation,
 )
-from torusdirac.trigpoly import grid_points
+from torusdirac.dirac import symbol_matrix
+from torusdirac.trigpoly import grid_points, resize_degree
 
 from conftest import COS, SIN, ZERO, m3, random_field, random_symmetric_field
 
 
+def pointwise_operator_coefficients(cf, eps, n, degree):
+    """B^ and p^ over k = -degree..degree from an independent per-point
+    frame: the first frame column solves coframe^T a = (1, 0, 0) at each
+    grid point, and sqrt(det g) is np.linalg.det of the coframe samples."""
+    x = grid_points(n)
+    coframe = cf.coframe_at(eps)
+    csamp = coframe.sample(x).real
+    dcsamp = coframe.derivative().sample(x).real
+    a = np.array([np.linalg.solve(csamp[:, :, i].T, [1.0, 0.0, 0.0]) for i in range(n)]).T
+    sqrt_det_g = np.array([np.linalg.det(csamp[:, :, i]) for i in range(n)])
+    num = np.sum(csamp[:, 2] * dcsamp[:, 1] - csamp[:, 1] * dcsamp[:, 2], axis=0)
+    p = num / (4.0 * sqrt_det_g)
+
+    def coefficients(f):
+        # FFT order to k = 1-n/2..n/2-1, then cut to the operator's band
+        shifted = np.fft.fftshift(np.fft.fft(f, axis=-1) / n, axes=-1)
+        return resize_degree(shifted[..., 1:], degree)
+
+    return coefficients(symbol_matrix(*a)), coefficients(p), sqrt_det_g
+
+
+def assert_matches_pointwise_frame(cf, eps, n):
+    op = dirac_operator(cf, eps, n)
+    b_hat, p_hat, sqrt_det_g = pointwise_operator_coefficients(cf, eps, n, op.degree)
+    assert np.max(np.abs(op.b_hat - b_hat)) <= 1e-12
+    assert np.max(np.abs(op.p_hat - p_hat)) <= 1e-12
+    return op, sqrt_det_g
+
+
 class TestMetricAt:
     def test_unperturbed_is_euclidean(self, rotation_block_coframe):
-        ms = metric_at(rotation_block_coframe, 0.0, 64)
-        g = ms.coframe.transpose() @ ms.coframe
+        coframe = rotation_block_coframe.coframe_at(0.0)
+        g = coframe.transpose() @ coframe
         assert g.isclose(Matrix3Field.identity(), 1e-15)
-        eye = np.zeros((3, 3, 64))
-        eye[0, 0] = eye[1, 1] = eye[2, 2] = 1.0
-        assert np.allclose(ms.frame, eye, atol=1e-14)
-        assert np.allclose(ms.sqrt_det_g, 1.0)
+        op, sqrt_det_g = assert_matches_pointwise_frame(rotation_block_coframe, 0.0, 64)
+        # frame = I: B = [[0, 1], [1, 0]] and p = 0
+        expected = resize_degree(symbol_matrix(np.ones(1), np.zeros(1), np.zeros(1)), op.degree)
+        assert np.max(np.abs(op.b_hat - expected)) <= 1e-14
+        assert np.max(np.abs(op.p_hat)) <= 1e-14
+        assert np.allclose(sqrt_det_g, 1.0)
 
     @pytest.mark.parametrize("eps", [0.5, 0.2, -0.3])
     def test_rotation_block_metric_matches_pointwise_product(
         self, rotation_block_coframe, eps
     ):
-        ms = metric_at(rotation_block_coframe, eps, 64)
+        coframe = rotation_block_coframe.coframe_at(eps)
         x = grid_points(64)
-        csamp = rotation_block_coframe.coframe_at(eps).sample(x)
+        csamp = coframe.sample(x)
         gsamp = np.einsum("jan,jbn->abn", csamp, csamp)
-        g = ms.coframe.transpose() @ ms.coframe
+        g = coframe.transpose() @ coframe
         assert np.allclose(g.sample(x), gsamp, atol=1e-12)
         # closed form: g_22 = 1 + 2 eps cos + eps^2
         g22 = 1 + 2 * eps * np.cos(x) + eps**2
@@ -42,30 +75,23 @@ class TestMetricAt:
 
     def test_rotation_block_determinant(self, rotation_block_coframe):
         eps = 0.2
-        ms = metric_at(rotation_block_coframe, eps, 64)
+        _, sqrt_det_g = assert_matches_pointwise_frame(rotation_block_coframe, eps, 64)
         # det coframe = 1 - eps^2 pointwise, so det g = (1 - eps^2)^2
-        assert np.allclose(ms.sqrt_det_g, 1 - eps**2, atol=1e-12)
+        assert np.allclose(sqrt_det_g, 1 - eps**2, atol=1e-12)
 
     def test_frame_times_coframe_is_identity(self, first_row_coframe):
         for eps in (0.15, 0.05):
-            ms = metric_at(first_row_coframe, eps, 128)
-            x = grid_points(128)
-            csamp = ms.coframe.sample(x).real
-            prod = np.einsum("jan,kan->jkn", ms.frame, csamp)
-            eye = np.eye(3)[:, :, None]
-            assert np.max(np.abs(prod - eye)) <= 1e-12
+            assert_matches_pointwise_frame(first_row_coframe, eps, 128)
 
     def test_frame_determinant_reciprocal(self, first_row_coframe):
-        # sqrt(det g) * det(frame) = 1 pointwise
-        ms = metric_at(first_row_coframe, 0.15, 128)
-        det_frame = np.linalg.det(np.transpose(ms.frame, (2, 0, 1)))
-        assert np.max(np.abs(ms.sqrt_det_g * det_frame - 1.0)) <= 1e-10
+        # p^ divides by sqrt(det g); the reference takes it from np.linalg.det
+        assert_matches_pointwise_frame(first_row_coframe, 0.15, 128)
 
     def test_singular_coframe_reports_location(self):
         E1 = m3([[COS(1, -1.0), ZERO, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
         cf = CoframeFamily(E1, Matrix3Field.zero())
         with pytest.raises(SingularCoframeError, match="eps=1.0"):
-            metric_at(cf, 1.0, 64)
+            dirac_operator(cf, 1.0, 64)
 
 
 class TestPerturbationExtraction:
@@ -131,7 +157,7 @@ class TestMetricExpansion:
                 model = (
                     Matrix3Field.identity() + h * eps + k * (eps * eps / 4.0)
                 )
-                coframe = metric_at(cf, eps, 64).coframe
+                coframe = cf.coframe_at(eps)
                 diff = coframe.transpose() @ coframe - model
                 return np.max(np.abs(diff.sample(x)))
 
@@ -165,7 +191,7 @@ class TestArcLength:
         rng = np.random.default_rng(11)
         cf = CoframeFamily(random_field(rng, 3, 0.05), random_field(rng, 2, 0.05))
         for eps in (1e-4, -1e-4, 0.2):
-            coframe = metric_at(cf, eps).coframe
+            coframe = cf.coframe_at(eps)
             g = coframe.transpose() @ coframe
             g11 = g[0, 0].evaluate(grid_points(256)).real
             expected = float(np.sqrt(g11).sum() * 2.0 * np.pi / 256)
@@ -176,3 +202,16 @@ class TestArcLength:
         cf = CoframeFamily.from_perturbation(h, k)
         for eps in (1e-2, 1e-3):
             assert abs(arc_length(cf, eps) - 2 * np.pi) <= 10.0 * eps**2
+
+    def test_harmonic_at_grid_size_is_not_aliased(self):
+        # sqrt(g_11) = 1 + 0.1 cos(256 x), whose mean 1 a 256-point grid reads as 1.1
+        E1 = m3([[COS(256, 0.5), ZERO, ZERO], [ZERO] * 3, [ZERO] * 3])
+        length = arc_length(CoframeFamily(E1, Matrix3Field.zero()), 0.2)
+        assert length / (2 * np.pi) == pytest.approx(1.0, abs=1e-15)
+
+    def test_near_singular_g11_is_under_resolved(self):
+        # g_11 = (1 - 0.99999 cos x)^2 + 1e-6 sin^2 x nearly vanishes at x = 0,
+        # so sqrt(g_11) keeps a Fourier tail above 1e-9 at |k| >= 64
+        E1 = m3([[COS(1, -0.99999), ZERO, ZERO], [SIN(1, 1e-3), ZERO, ZERO], [ZERO] * 3])
+        with pytest.raises(UnderResolvedError, match="Fourier tail"):
+            arc_length(CoframeFamily(E1, Matrix3Field.zero()), 1.0)

@@ -34,6 +34,7 @@ from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import fit_from_values
 
 from conftest import COS, SIN, ZERO, eigenspace_projection, m3, random_symmetric_field
+from test_galerkin import COFRAMES
 
 
 def random_orthogonal_spinor(rng, lambda0, degree=4) -> SpinorField:
@@ -334,13 +335,15 @@ class TestRouteProperties:
             assert getattr(report, l2).hex() == second_correction_closed(h, k, n).hex()
 
     @settings(max_examples=40)
-    @given(FAMILIES)
-    def test_closed_and_operator_routes_agree(self, cf):
-        closed = perturbation_report(cf, "closed_form")
-        operator = perturbation_report(cf, "operator")
-        for _, l1, l2 in SIGNS:
-            assert abs(getattr(closed, l1) - getattr(operator, l1)) <= 1e-12
-            assert abs(getattr(closed, l2) - getattr(operator, l2)) <= 1e-10
+    @given(FAMILIES, COFRAMES)
+    def test_closed_and_operator_routes_agree(self, synthesized, coframe):
+        # families from (h, k) data and from random nonsymmetric coframes
+        for cf in (synthesized, coframe):
+            closed = perturbation_report(cf, "closed_form")
+            operator = perturbation_report(cf, "operator")
+            for _, l1, l2 in SIGNS:
+                assert abs(getattr(closed, l1) - getattr(operator, l1)) <= 1e-12
+                assert abs(getattr(closed, l2) - getattr(operator, l2)) <= 1e-10
 
 
 class TestSharedWork:

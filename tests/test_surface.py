@@ -5,9 +5,11 @@ names deleted from the package must stay deleted.
 """
 
 import inspect
+import subprocess
+import sys
 
 import torusdirac
-from torusdirac import config, galerkin, geometry, perturbation, trigpoly
+from torusdirac import config, dirac, galerkin, geometry, perturbation, trigpoly
 
 PUBLIC = [
     "CoframeFamily",
@@ -36,7 +38,6 @@ PUBLIC = [
     "galerkin_matrix",
     "load_config_file",
     "load_example",
-    "metric_at",
     "parse_config",
     "perturbation_report",
     "second_correction_closed",
@@ -55,7 +56,10 @@ DELETED = [
     (trigpoly.TrigPoly, "conjugate"),
     (trigpoly.TrigPoly, "is_zero"),
     (geometry.CoframeFamily, "linear"),
-    (geometry.MetricSnapshot, "g"),
+    (geometry, "MetricSnapshot"),
+    (geometry, "metric_at"),
+    (dirac.DiracOperator, "aliasing"),
+    (dirac.DiracOperator, "require_resolved"),
     (galerkin.GalerkinMatrix, "row"),
     (perturbation, "eigenspace_projection"),
     (perturbation, "second_order_asymmetry"),
@@ -65,7 +69,6 @@ DELETED = [
 # names that left the top level but stay importable from their modules
 MODULE_ONLY = [
     (trigpoly, "grid_points"),
-    (geometry, "MetricSnapshot"),
     (galerkin, "GalerkinMatrix"),
     (galerkin, "SpectrumReport"),
     (galerkin, "basis_spinor"),
@@ -92,6 +95,25 @@ def test_deleted_names_are_gone():
 def test_second_correction_operator_takes_no_truncation():
     params = inspect.signature(perturbation.second_correction_operator).parameters
     assert list(params) == ["h", "k", "n"]
+
+
+def test_dirac_operator_takes_the_grid_size_without_default():
+    params = inspect.signature(dirac.dirac_operator).parameters
+    assert list(params) == ["cf", "eps", "n"]
+    assert params["n"].default is inspect.Parameter.empty
+
+
+def test_cli_runs_without_scipy():
+    # the runtime depends on numpy only; scipy, where installed, must stay unimported
+    script = (
+        "import sys\n"
+        "from torusdirac import cli\n"
+        "for command in ('asympt', 'fit'):\n"
+        "    assert cli.main([command, '--config', 'example-galerkin-2']) == 0\n"
+        "assert not any(name == 'scipy' or name.startswith('scipy.') for name in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_only_names():
