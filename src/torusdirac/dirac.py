@@ -30,7 +30,8 @@ import numpy as np
 
 from .geometry import CoframeFamily, NumericalContractError, as_real_samples, positive_det
 from .geometry import require_resolved, require_sym_real
-from .trigpoly import Matrix3Field, TrigPoly, resize_degree
+from .trigpoly import Matrix3Field, TrigPoly, det3, poly_add, poly_derivative, poly_on_grid, poly_sub
+from .trigpoly import resize_degree
 
 
 def _real_defect(coeffs: np.ndarray) -> float:
@@ -169,6 +170,13 @@ def free_operator() -> DiracOperator:
     return DiracOperator(symbol_matrix(one, zero, zero), zero)
 
 
+# coefficients of the identity's entries, shared read-only
+_ONE = np.ones(1, dtype=complex)
+_ZERO = np.zeros(1, dtype=complex)
+_ONE.setflags(write=False)
+_ZERO.setflags(write=False)
+
+
 def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
     """Assemble the operator of the family at ``eps`` on a grid of n points.
 
@@ -181,19 +189,38 @@ def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
     arithmetic. The coefficients of B and p are their FFT divided by n, kept
     at |k| < n/4. Raises SingularCoframeError unless det e > 0 on the grid,
     and UnderResolvedError when ``require_resolved`` fails.
+
+    The coframe I + eps E1 + eps^2 E2, det e and the numerator are built on
+    the bare coefficient arrays with the ``trigpoly`` functions, no
+    ``TrigPoly`` or ``Matrix3Field`` per eps. The result has the bits of the
+    object formulas (``cf.coframe_at(eps)``, ``.det()``, ``.derivative()``,
+    ``.on_grid(n)``) because every operation is theirs, in their order:
+    each entry keeps its own length, and a sum pads with zeros before it
+    adds. Padding all entries to one degree, or stacking them into one
+    product, is not byte-safe: numpy's complex dot product goes through BLAS
+    ``zdotu``, whose grouping of the partial sums depends on the length.
     """
-    coframe = cf.coframe_at(eps)
-    sqrt_det_g = positive_det(coframe, eps, n)
-    csamp = as_real_samples(coframe.on_grid(n), "coframe samples")
+    e1, e2 = cf.E1.coefficients(), cf.E2.coefficients()
+    s1, s2 = complex(eps), complex(eps * eps)
+    coframe = [
+        [poly_add(poly_add(_ONE if a == b else _ZERO, e1[a][b] * s1), e2[a][b] * s2) for b in range(3)]
+        for a in range(3)
+    ]
+    sqrt_det_g = positive_det(det3(coframe), eps, n)
+    csamp = as_real_samples(
+        np.array([[poly_on_grid(c, n) for c in row] for row in coframe]), "coframe samples"
+    )
     # the frame e_j^a is the inverse of coframe^T pointwise: (n, 3, 3) indexed [x, j, a]
     frame = np.linalg.inv(np.transpose(csamp, (2, 1, 0)))
     a1, a2, a3 = frame[:, 0, 0], frame[:, 1, 0], frame[:, 2, 0]
 
-    num = TrigPoly.zero()
-    dcof = coframe.derivative()
-    for j in range(3):
-        num = num + coframe[j, 2] * dcof[j, 1] - coframe[j, 1] * dcof[j, 2]
-    num_samples = num.on_grid(n)
+    num = _ZERO
+    for row in coframe:
+        num = poly_sub(
+            poly_add(num, np.convolve(row[2], poly_derivative(row[1]))),
+            np.convolve(row[1], poly_derivative(row[2])),
+        )
+    num_samples = poly_on_grid(num, n)
     if np.max(np.abs(num_samples.imag)) > 1e-12:
         raise NumericalContractError("potential numerator is not real; index error upstream")
     potential = num_samples.real / (4.0 * sqrt_det_g)

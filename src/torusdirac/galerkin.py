@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dirac import DiracOperator, SpinorField, dirac_operator
 from .geometry import CoframeFamily, NumericalContractError, default_grid
@@ -74,6 +73,18 @@ class GalerkinMatrix:
         return 2 * (2 * self.m + 1)
 
 
+def _hankel(c: np.ndarray, w: int, s_r: int, s_col: int) -> np.ndarray:
+    """Copy-free (w, w) view of the 1-d contiguous ``c`` (2w - 1 entries) with
+    element [r, col] = c[R + C], where R = r for s_r = 1 and w-1-r for s_r = -1,
+    and C = w-1-col for s_col = 1 and col for s_col = -1: the element of
+    ``sliding_window_view(c, w)[::s_r, ::-s_col]``."""
+    step = c.strides[0]
+    start = (0 if s_r > 0 else w - 1) + (w - 1 if s_col > 0 else 0)
+    return np.ndarray(
+        (w, w), c.dtype, buffer=c, offset=start * step, strides=(s_r * step, -s_col * step)
+    )
+
+
 def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
     """Assemble H[(j, b), (i, a)] = <W phi_i^a, phi_j^b> in closed form.
 
@@ -85,9 +96,11 @@ def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
                                  + p^(q_r - q_col)) u_col.
 
     The entries read B^ and p^ at frequencies -2m..2m, zero past the
-    operator's degree. The result is symmetrized.
+    operator's degree, through strided Hankel views: no block is gathered
+    into a copy, and each is multiplied straight into the matrix. The result
+    is symmetrized in place.
     """
-    # frequencies -2m..2m, so that sliding_window_view(c, w)[i_r + m, i_col + m]
+    # frequencies -2m..2m, so that _hankel(c, w, 1, -1)[i_r + m, i_col + m]
     # is c at frequency i_r + i_col
     b_hat, p_hat = resize_degree(op.b_hat, 2 * m), resize_degree(op.p_hat, 2 * m)
     w = 2 * m + 1
@@ -100,16 +113,16 @@ def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
                 s_r * s_col * b_hat[0, 0] + s_r * b_hat[0, 1] + s_col * b_hat[1, 0] + b_hat[1, 1]
             )
             # reversing an axis negates its i: frequency s_r*i_r - s_col*i_col
-            flip = (slice(None, None, s_r), slice(None, None, -s_col))
             qsum = s_r * i[:, None] + s_col * i
-            block = 0.25 * qsum * sliding_window_view(sandwich, w)[flip]
+            block = entries[:, a, :, b]
+            np.multiply(0.25 * qsum, _hankel(sandwich, w, s_r, s_col), out=block)
             if a == b:  # u_r^T u_col is 2 within a kind and 0 across kinds
-                block += sliding_window_view(p_hat, w)[flip]
-            entries[:, a, :, b] = block
+                np.add(block, _hankel(p_hat, w, s_r, s_col), out=block)
     entries = entries.reshape(2 * w, 2 * w)
     adjoint = entries.conj().T
     residual = float(np.max(np.abs(entries - adjoint)))
-    entries = 0.5 * (entries + adjoint)
+    np.add(entries, adjoint, out=entries)
+    np.multiply(0.5, entries, out=entries)
     return GalerkinMatrix(m=m, entries=entries, herm_residual=residual)
 
 
@@ -153,21 +166,30 @@ def track_pair(report: SpectrumReport, n: int) -> tuple[float, float]:
     """Mean and gap of the two eigenvalues nearest the integer mode n.
 
     Requires |n| <= m - ceil(m/5) to stay clear of truncation-edge pollution,
-    both cluster members within 0.4 of n, and a gap of at most 1e-8: charge
-    conjugation pairs every eigenvalue exactly, so a wider gap means the two
-    nearest eigenvalues belong to different pairs.
+    both cluster members within 0.4 of n, the third-nearest eigenvalue
+    farther than 0.4 from n, and a gap of at most 1e-8: charge conjugation
+    pairs every eigenvalue exactly, so a wider gap means the two nearest
+    eigenvalues belong to different pairs, and a third eigenvalue inside the
+    cluster radius means two pairs are crossing near n.
     """
     if abs(n) > report.m - tracking_buffer(report.m):
         raise TrackingError(
             f"mode {n} too close to truncation edge for m={report.m}"
         )
     ev = report.eigenvalues
-    order = np.argsort(np.abs(ev - n))[:2]
-    pair = ev[order]
+    dist = np.abs(ev - n)
+    # the three nearest, in order of distance
+    nearest = np.argpartition(dist, range(min(3, dist.size)))[:3]
+    pair = ev[nearest[:2]]
     if np.max(np.abs(pair - n)) > CLUSTER_RADIUS:
         raise TrackingError(
             f"no eigenvalue pair within {CLUSTER_RADIUS} of mode {n} at "
             f"eps={report.eps}: nearest {pair}"
+        )
+    if nearest.size > 2 and dist[nearest[2]] <= CLUSTER_RADIUS:
+        raise TrackingError(
+            f"third eigenvalue {ev[nearest[2]]} within {CLUSTER_RADIUS} of mode {n} "
+            f"at eps={report.eps}, next to the pair {pair}: crossing pairs"
         )
     gap = float(abs(pair[1] - pair[0]))
     if gap > PAIRING_TOL:

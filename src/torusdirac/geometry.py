@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import Matrix3Field, grid_points
+from .trigpoly import Matrix3Field, grid_points, poly_on_grid, resize_degree
 
 #: Largest Fourier coefficient that sampling may drop at |k| >= n/4.
 ALIASING_LIMIT = 1e-9
@@ -108,10 +108,10 @@ def second_order_perturbation(cf: CoframeFamily) -> Matrix3Field:
     return (cf.E1.transpose() @ cf.E1 + cf.E2 + cf.E2.transpose()) * 4.0
 
 
-def positive_det(coframe: Matrix3Field, eps: float, num_points: int) -> np.ndarray:
-    """det e on ``grid_points(num_points)``, computed exactly in coefficient
-    arithmetic. Raises SingularCoframeError unless every sample exceeds 1e-12."""
-    det_samples = as_real_samples(coframe.det().on_grid(num_points), "det(coframe)")
+def positive_det(det: np.ndarray, eps: float, num_points: int) -> np.ndarray:
+    """det e on ``grid_points(num_points)`` from ``det``, its exact Fourier
+    coefficients. Raises SingularCoframeError unless every sample exceeds 1e-12."""
+    det_samples = as_real_samples(poly_on_grid(det, num_points), "det(coframe)")
     bad = np.nonzero(det_samples <= 1e-12)[0]
     if bad.size:
         j = int(bad[0])
@@ -122,19 +122,21 @@ def positive_det(coframe: Matrix3Field, eps: float, num_points: int) -> np.ndarr
     return det_samples
 
 
-def require_resolved(hats, coframe: Matrix3Field, n: int) -> None:
+def require_resolved(hats, coframe, n: int) -> None:
     """Raise UnderResolvedError when ``hats``, FFTs over the last axis of
     samples on n points divided by n, leave a tail above ``ALIASING_LIMIT``
     at |k| >= n/4, the band that sampling drops. A coframe harmonic past the
     kept band folds back into it on the grid, where no tail shows it, so such
-    a coframe coefficient counts as tail too."""
+    a coframe coefficient counts as tail too; ``coframe`` holds the entry
+    coefficient arrays as ``Matrix3Field.coefficients`` does."""
     top = (n - 1) // 4  # the largest |k| below n/4
     # FFT order: indices top+1 .. n-top-1 hold the frequencies |k| > top
     tail = max(np.max(np.abs(h[..., top + 1 : n - top]), initial=0.0) for h in hats)
-    d = coframe.degree
+    entries = [c for row in coframe for c in row]
+    d = max((c.size - 1) // 2 for c in entries)
     if d > top:
-        coframe_hat = np.abs(coframe.coefficient_stack(d))
-        tail = max(tail, coframe_hat[: d - top].max(), coframe_hat[d + top + 1 :].max())
+        coframe_hat = np.abs(np.array([resize_degree(c, d) for c in entries]))
+        tail = max(tail, coframe_hat[:, : d - top].max(), coframe_hat[:, d + top + 1 :].max())
     if tail > ALIASING_LIMIT:
         raise UnderResolvedError(
             f"Fourier tail {tail:.2e} of the coefficients exceeds "
@@ -153,11 +155,11 @@ def arc_length(cf: CoframeFamily, eps: float) -> float:
     """
     coframe = cf.coframe_at(eps)
     n = default_grid(coframe.degree)
-    positive_det(coframe, eps, n)
+    positive_det(coframe.det().coeffs, eps, n)
     g11_poly = coframe.transpose().product_entry(coframe, 0, 0)
     g11 = as_real_samples(g11_poly.on_grid(n), "g_11")
     if np.any(g11 <= 0):
         raise SingularCoframeError(f"g_11 not positive at eps={eps}")
     sqrt_g11 = np.sqrt(g11)
-    require_resolved((np.fft.fft(sqrt_g11) / n,), coframe, n)
+    require_resolved((np.fft.fft(sqrt_g11) / n,), coframe.coefficients(), n)
     return float(sqrt_g11.sum() * 2.0 * np.pi / n)

@@ -176,6 +176,17 @@ def _antisymmetric_flux_sum(hhat: np.ndarray, degree: int) -> complex:
     return total
 
 
+def _require_real(value: complex, terms, rel_tol: float) -> None:
+    """Raise unless |Im value| <= rel_tol * max |term| over the summed
+    ``terms``: the rounding in a sum grows with its largest term, so the
+    imaginary part is judged against that scale, not against 1."""
+    scale = max(abs(t) for t in terms)
+    if abs(value.imag) > rel_tol * scale:
+        raise NumericalContractError(
+            f"second-order coefficient not real: {value} (terms up to {scale:.3e})"
+        )
+
+
 def second_correction_closed(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
     """Closed-form second-order coefficient for the eigenvalue n = +-1.
 
@@ -204,9 +215,9 @@ def second_correction_closed(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
         z2 = np.conj(z[2, 0]) - 1j * np.conj(z[1, 0])
         s_mixed += (m - n) * z1 * z2
 
-    value = lead + flux - s_diag / 16.0 - s_mixed / 16.0
-    if abs(value.imag) > 1e-12:
-        raise NumericalContractError(f"second-order coefficient not real: {value}")
+    terms = (lead, flux, s_diag / 16.0, s_mixed / 16.0)
+    value = terms[0] + terms[1] - terms[2] - terms[3]
+    _require_real(value, terms, 1e-12)
     return float(value.real)
 
 
@@ -234,9 +245,9 @@ def _second_order_term(
         residual, orthogonality_tol=1e-9
     )
     shifted = w1.apply(corrected) - l1 * corrected
-    value = w2.apply(v).inner(v) - shifted.inner(v)
-    if abs(value.imag) > 1e-10:
-        raise NumericalContractError(f"second-order coefficient not real: {value}")
+    terms = (w2.apply(v).inner(v), shifted.inner(v))
+    value = terms[0] - terms[1]
+    _require_real(value, terms, 1e-10)
     return float(value.real)
 
 

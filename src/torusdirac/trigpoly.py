@@ -11,14 +11,30 @@ Degrees in this artifact are small (<= ~24 for determinants and potential
 numerators), so coefficients are stored as a dense array over k = -D..D and
 products are computed by direct convolution.
 
+The arithmetic itself lives in module-level functions on bare coefficient
+arrays: ``poly_add``/``poly_sub`` (pad both operands to the larger degree,
+then add), ``np.convolve`` for products, ``poly_derivative``, ``poly_on_grid``
+and ``det3``. ``TrigPoly`` and ``Matrix3Field`` delegate to them, so a caller
+that works on the arrays directly, as ``dirac.dirac_operator`` does, gets the
+bits of the object API. That holds only while the order of operations holds:
+
+* each operand keeps its own length. Padding everything to one degree before
+  ``np.convolve`` is not byte-safe: numpy's complex dot product goes through
+  BLAS ``zdotu``, whose grouping of the partial sums depends on the length;
+* a sum pads the shorter operand with +0 and adds, so a -0 coefficient of
+  the longer one past the shorter one's degree comes out +0. Copying the
+  longer operand and adding the shorter one into it keeps that -0: not the
+  same bits.
+
 Evaluation on the uniform grid ``grid_points(n)`` goes through ``on_grid(n)``,
 which multiplies the coefficients by columns -D..D of one read-only phase
 table e^{ikx_j} per grid size. A table is built by the same expression that
 ``evaluate`` uses at arbitrary points, so both give the same bits; it is
-rebuilt wider when a higher degree is asked for. At most
-``PHASE_TABLE_SIZES`` grid sizes are kept, the least recently used one is
-dropped first, and each table holds n*(2D+1) complex values: at most
-~1.3 MB for the grids and degrees used here (n <= 1616, D <= 24).
+rebuilt wider when a higher degree is asked for. The tables kept hold at most
+``PHASE_TABLE_BYTES`` together, the least recently used one is dropped first,
+and a table larger than the budget is used once and not kept. A table holds
+n*(2D+1) complex values: at most ~1.3 MB for the grids and degrees used here
+(n <= 1616, D <= 24), so the budget keeps every grid size of a run.
 """
 
 from __future__ import annotations
@@ -33,8 +49,8 @@ import numpy as np
 #: Absolute coefficient tolerance used by equality / realness predicates.
 COEFF_TOL = 1e-12
 
-#: Number of grid sizes whose phase table is kept.
-PHASE_TABLE_SIZES = 4
+#: Total bytes of the phase tables kept across grid sizes.
+PHASE_TABLE_BYTES = 4 << 20
 
 _phase_tables: OrderedDict[int, np.ndarray] = OrderedDict()
 _phase_lock = threading.Lock()
@@ -51,14 +67,18 @@ def grid_points(n: int) -> np.ndarray:
 def _phases(n: int, degree: int) -> np.ndarray:
     """Read-only (n, 2*degree+1) view of e^{ikx_j}, k = -degree..degree."""
     with _phase_lock:
-        table = _phase_tables.pop(n, None)
+        table = _phase_tables.get(n)
         if table is None or table.shape[1] < 2 * degree + 1:
             k = np.arange(-degree, degree + 1)
             table = np.exp(1j * np.multiply.outer(grid_points(n), k))
             table.setflags(write=False)
-        _phase_tables[n] = table
-        if len(_phase_tables) > PHASE_TABLE_SIZES:
-            _phase_tables.popitem(last=False)
+            if table.nbytes <= PHASE_TABLE_BYTES:
+                _phase_tables[n] = table
+                _phase_tables.move_to_end(n)
+                while sum(t.nbytes for t in _phase_tables.values()) > PHASE_TABLE_BYTES:
+                    _phase_tables.popitem(last=False)
+        else:
+            _phase_tables.move_to_end(n)
     top = (table.shape[1] - 1) // 2
     return table[:, top - degree : top + degree + 1]
 
@@ -74,6 +94,49 @@ def resize_degree(coeffs: np.ndarray, degree: int) -> np.ndarray:
     out = np.zeros(coeffs.shape[:-1] + (2 * degree + 1,), dtype=complex)
     out[..., degree - d : degree + d + 1] = coeffs
     return out
+
+
+def poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of a + b: both zero-padded to the larger degree, then
+    added; always a new array."""
+    d = (max(a.size, b.size) - 1) // 2
+    return resize_degree(a, d) + resize_degree(b, d)
+
+
+def poly_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of a - b, as ``poly_add(a, -b)``."""
+    return poly_add(a, -b)
+
+
+@lru_cache(maxsize=64)
+def _ik(degree: int) -> np.ndarray:
+    """i*k for k = -degree..degree (cached, read-only)."""
+    ik = 1j * np.arange(-degree, degree + 1)
+    ik.setflags(write=False)
+    return ik
+
+
+def poly_derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of d/dx: c_k -> i k c_k."""
+    return _ik((c.size - 1) // 2) * c
+
+
+def poly_on_grid(c: np.ndarray, n: int) -> np.ndarray:
+    """Values on ``grid_points(n)``; the same bits as ``TrigPoly.evaluate``."""
+    return _phases(n, (c.size - 1) // 2) @ c
+
+
+def det3(e) -> np.ndarray:
+    """Coefficients of the determinant of a 3x3 matrix of trig polynomials,
+    ``e[a][b]`` the coefficient array of entry (a, b); exact in coefficient
+    arithmetic, expanded along the first row."""
+    conv = np.convolve
+    minor0 = poly_sub(conv(e[1][1], e[2][2]), conv(e[1][2], e[2][1]))
+    minor1 = poly_sub(conv(e[1][0], e[2][2]), conv(e[1][2], e[2][0]))
+    minor2 = poly_sub(conv(e[1][0], e[2][1]), conv(e[1][1], e[2][0]))
+    return poly_add(
+        poly_sub(conv(e[0][0], minor0), conv(e[0][1], minor1)), conv(e[0][2], minor2)
+    )
 
 
 @dataclass(frozen=True)
@@ -158,7 +221,7 @@ class TrigPoly:
 
     def on_grid(self, n: int) -> np.ndarray:
         """Evaluate on ``grid_points(n)``; the same values as ``evaluate``."""
-        return _phases(n, self.degree) @ self.coeffs
+        return poly_on_grid(self.coeffs, n)
 
     def is_real(self, tol: float = COEFF_TOL) -> bool:
         """True when c_{-k} = conj(c_k) for all k, so values are real."""
@@ -181,8 +244,7 @@ class TrigPoly:
 
     def __add__(self, other):
         if isinstance(other, TrigPoly):
-            d = max(self.degree, other.degree)
-            return TrigPoly._adopt(self._padded(d) + other._padded(d))
+            return TrigPoly._adopt(poly_add(self.coeffs, other.coeffs))
         return self + TrigPoly.constant(other)
 
     __radd__ = __add__
@@ -192,7 +254,7 @@ class TrigPoly:
 
     def __sub__(self, other):
         if isinstance(other, TrigPoly):
-            return self + (-other)
+            return TrigPoly._adopt(poly_sub(self.coeffs, other.coeffs))
         return self + TrigPoly.constant(-other)
 
     def __mul__(self, other):
@@ -205,8 +267,7 @@ class TrigPoly:
 
     def derivative(self) -> "TrigPoly":
         """d/dx, i.e. c_k -> i k c_k."""
-        k = np.arange(-self.degree, self.degree + 1)
-        return TrigPoly._adopt(1j * k * self.coeffs)
+        return TrigPoly._adopt(poly_derivative(self.coeffs))
 
     # ------------------------------------------------------------------
     # parsing: a list of (k, re, im) triples
@@ -305,14 +366,14 @@ class Matrix3Field:
             [[self[a, b].derivative() for b in range(3)] for a in range(3)]
         )
 
+    def coefficients(self) -> tuple:
+        """Entry coefficient arrays, each at its own degree: 3x3 nested tuples
+        with ``coefficients()[a][b]`` the read-only ``self[a, b].coeffs``."""
+        return tuple(tuple(e.coeffs for e in row) for row in self._entries)
+
     def det(self) -> TrigPoly:
         """Determinant, exact in coefficient arithmetic."""
-        e = self._entries
-        return (
-            e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-            - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-            + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-        )
+        return TrigPoly._adopt(det3(self.coefficients()))
 
     def fourier(self, m: int) -> np.ndarray:
         """3x3 array of entry coefficients at harmonic m."""

@@ -1,4 +1,6 @@
-"""Shared fixtures: the four reference perturbation families and helpers."""
+"""Shared fixtures: the four reference perturbation families, helpers, and the
+reference formulas that the lean operator and matrix assembly must match bit
+for bit."""
 
 from __future__ import annotations
 
@@ -7,9 +9,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from numpy.lib.stride_tricks import sliding_window_view
 
-from torusdirac import CoframeFamily, Matrix3Field, SpinorField, TrigPoly
+from torusdirac import CoframeFamily, DiracOperator, Matrix3Field, SpinorField, TrigPoly
+from torusdirac.dirac import symbol_matrix
 from torusdirac.galerkin import basis_spinor
+from torusdirac.trigpoly import resize_degree
 
 # Property tests draw the same examples on every run and have no deadline,
 # so a slow shared machine cannot make them flaky, and write no example database.
@@ -131,3 +136,66 @@ def assert_sigfigs(value: float, printed: float, nsig: int) -> None:
         f"{value!r} differs from printed {printed!r} beyond {nsig} "
         f"significant figures (tol {tol:.2e})"
     )
+
+
+# ----------------------------------------------------------------------
+# reference formulas: the object-level arithmetic that ``dirac_operator`` and
+# ``galerkin_matrix`` reproduce on bare arrays, operation for operation
+# ----------------------------------------------------------------------
+
+def reference_det(mat: Matrix3Field) -> TrigPoly:
+    """det of a Matrix3Field in TrigPoly arithmetic, expanded along row 0."""
+    return (
+        mat[0, 0] * (mat[1, 1] * mat[2, 2] - mat[1, 2] * mat[2, 1])
+        - mat[0, 1] * (mat[1, 0] * mat[2, 2] - mat[1, 2] * mat[2, 0])
+        + mat[0, 2] * (mat[1, 0] * mat[2, 1] - mat[1, 1] * mat[2, 0])
+    )
+
+
+def reference_operator_hats(cf: CoframeFamily, eps: float, n: int):
+    """(B^, p^) of ``dirac_operator(cf, eps, n)`` from ``cf.coframe_at(eps)``,
+    its determinant, ``.derivative()`` and ``.on_grid(n)``; no checks."""
+    coframe = cf.coframe_at(eps)
+    sqrt_det_g = reference_det(coframe).on_grid(n).real
+    frame = np.linalg.inv(np.transpose(coframe.on_grid(n).real, (2, 1, 0)))
+    num = TrigPoly.zero()
+    dcof = coframe.derivative()
+    for j in range(3):
+        num = num + coframe[j, 2] * dcof[j, 1] - coframe[j, 1] * dcof[j, 2]
+    potential = num.on_grid(n).real / (4.0 * sqrt_det_g)
+    b_hat = np.fft.fft(symbol_matrix(frame[:, 0, 0], frame[:, 1, 0], frame[:, 2, 0]), axis=-1) / n
+    p_hat = np.fft.fft(potential) / n
+    top = (n - 1) // 4
+    kept = np.r_[n - top : n, 0 : top + 1]
+    return b_hat[..., kept], p_hat[kept]
+
+
+def reference_galerkin(op: DiracOperator, m: int) -> tuple[np.ndarray, float]:
+    """(entries, herm_residual) of ``galerkin_matrix(op, m)``, gathering each
+    block through ``sliding_window_view`` and symmetrizing out of place."""
+    b_hat, p_hat = resize_degree(op.b_hat, 2 * m), resize_degree(op.p_hat, 2 * m)
+    w = 2 * m + 1
+    i = np.arange(-m, m + 1)
+    entries = np.empty((w, 2, w, 2), dtype=complex)
+    for a, s_r in enumerate((1, -1)):
+        for b, s_col in enumerate((1, -1)):
+            sandwich = (
+                s_r * s_col * b_hat[0, 0] + s_r * b_hat[0, 1] + s_col * b_hat[1, 0] + b_hat[1, 1]
+            )
+            flip = (slice(None, None, s_r), slice(None, None, -s_col))
+            qsum = s_r * i[:, None] + s_col * i
+            block = 0.25 * qsum * sliding_window_view(sandwich, w)[flip]
+            if a == b:
+                block += sliding_window_view(p_hat, w)[flip]
+            entries[:, a, :, b] = block
+    entries = entries.reshape(2 * w, 2 * w)
+    adjoint = entries.conj().T
+    residual = float(np.max(np.abs(entries - adjoint)))
+    return 0.5 * (entries + adjoint), residual
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when a and b have one shape and dtype and identical bytes (so +0
+    and -0 differ, and equal NaNs agree)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -198,6 +198,19 @@ class TestTrackPair:
             track_pair(rep, 1)
         assert track_pair(rep, 0) == (0.0, 0.0)
 
+    def test_third_eigenvalue_inside_cluster_radius_rejected(self):
+        # a Kramers pair at 0.9 and another at 1.2, both within 0.4 of mode 1
+        ev = np.array([-1.0, -1.0, 0.0, 0.0, 0.9, 0.9, 1.2, 1.2, 2.0, 2.0])
+        rep = SpectrumReport(eps=0.3, m=5, eigenvalues=ev)
+        with pytest.raises(TrackingError, match="third eigenvalue"):
+            track_pair(rep, 1)
+        assert track_pair(rep, 0) == (0.0, 0.0)
+        assert track_pair(rep, 2) == (2.0, 0.0)
+
+    def test_two_eigenvalue_spectrum_has_no_third(self):
+        rep = SpectrumReport(eps=0.1, m=0, eigenvalues=np.array([0.25, 0.25]))
+        assert track_pair(rep, 0) == (0.25, 0.0)
+
     def test_pairs_derived_from_eigenvalues(self):
         ev = np.array([-2.5, -2.25, -1.0, -1.0, 0.0, 0.5, 1.0, 1.75, 2.0, 2.0, 3.0, 3.5])
         rep = SpectrumReport(eps=0.1, m=2, eigenvalues=ev)

@@ -17,6 +17,12 @@ coframe of trig degree 4) and ``seeded-perturbation-3.cfg`` (perturbation data
 of trig degree 3). They were drawn once with ``bench/workloads.generate_config``
 from ``numpy.random.default_rng(2018)``, coframe first, and are fixtures now;
 their dump digests live in ``seeded-dump-matrix.sha256``.
+
+The four ``cli-sweep-*.cfg`` files are the seeded configs of the benchmark's
+``cli_sweep`` workload at seed 1 (``bench/workloads.generate_inputs``: two
+coframe and two perturbation families of trig degree 1..4). Their 16 stdout
+files and dump digests (``cli-sweep-dump-matrix.sha256``) pin the whole user
+path bit for bit, so a change that claims to keep every bit is checked here.
 """
 
 from __future__ import annotations
@@ -34,12 +40,19 @@ from torusdirac.config import EXAMPLE_NAMES
 GOLDEN = Path(__file__).parent / "golden"
 
 SEEDED_NAMES = ("seeded-coframe-4", "seeded-perturbation-3")
+CLI_SWEEP_NAMES = (
+    "cli-sweep-coframe-1",
+    "cli-sweep-coframe-2",
+    "cli-sweep-perturbation-1",
+    "cli-sweep-perturbation-2",
+)
 # --config argument per case: a bundled example name or a fixture path
 CONFIGS = {name: name for name in EXAMPLE_NAMES}
-CONFIGS.update({name: str(GOLDEN / f"{name}.cfg") for name in SEEDED_NAMES})
+CONFIGS.update({name: str(GOLDEN / f"{name}.cfg") for name in SEEDED_NAMES + CLI_SWEEP_NAMES})
 DIGEST_FILES = {
     "dump-matrix.sha256": EXAMPLE_NAMES,
     "seeded-dump-matrix.sha256": SEEDED_NAMES,
+    "cli-sweep-dump-matrix.sha256": CLI_SWEEP_NAMES,
 }
 
 COMMANDS = {
@@ -84,6 +97,10 @@ def test_dump_matrix_digests_match_golden():
 
 def test_seeded_dump_matrix_digests_match_golden():
     _check_digests("seeded-dump-matrix.sha256")
+
+
+def test_cli_sweep_dump_matrix_digests_match_golden():
+    _check_digests("cli-sweep-dump-matrix.sha256")
 
 
 if __name__ == "__main__":

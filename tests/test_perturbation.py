@@ -17,6 +17,7 @@ from torusdirac import (
     dirac,
     first_correction_closed,
     first_correction_operator,
+    first_order_operator,
     first_order_perturbation,
     fit_expansion,
     free_operator,
@@ -33,7 +34,7 @@ from torusdirac.cli import cmd_fit
 from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import fit_from_values
 
-from conftest import COS, SIN, ZERO, eigenspace_projection, m3, random_symmetric_field
+from conftest import COS, SIN, ZERO, eigenspace_projection, m3, random_field, random_symmetric_field
 from test_galerkin import COFRAMES
 
 
@@ -173,6 +174,28 @@ class TestSecondCorrection:
                 closed = second_correction_closed(h, k, n)
                 operator = second_correction_operator(h, k, n)
                 assert abs(closed - operator) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [8, 22, 35])
+    def test_realness_gates_scale_with_large_coframes(self, seed):
+        # E1, E2 of size ~100 make every term ~1e4, and rounding leaves an
+        # imaginary part ~1e-12 that an absolute 1e-12 gate rejected
+        rng = np.random.default_rng(seed)
+        cf = CoframeFamily(random_field(rng, 2, 100.0), random_field(rng, 2, 100.0))
+        report = perturbation_report(cf, "closed_form")
+        h, k = first_order_perturbation(cf), second_order_perturbation(cf)
+        # the operator route's own check rejects k at this size (its realness
+        # test is absolute); its second-order term is called directly
+        w1 = first_order_operator(h, check=False)
+        w2 = second_order_operator(h, k, check=False)
+        for n, closed in ((1, report.lambda2_plus), (-1, report.lambda2_minus)):
+            l1 = perturbation._first_order_block(w1, n)
+            operator = perturbation._second_order_term(w1, w2, l1, n, h.degree + 4)
+            assert closed == pytest.approx(operator, rel=1e-12)
+
+    def test_realness_gate_is_relative_to_the_largest_term(self):
+        perturbation._require_real(2.0e4 + 1e-9j, (1.0e4, 1.0e4), 1e-12)
+        with pytest.raises(perturbation.NumericalContractError, match="not real"):
+            perturbation._require_real(2.0 + 1e-11j, (1.0, 1.0), 1e-12)
 
 
 class TestAsymmetry:

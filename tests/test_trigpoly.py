@@ -5,7 +5,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from torusdirac import trigpoly
+from torusdirac import CoframeFamily, arc_length, trigpoly
 from torusdirac.trigpoly import Matrix3Field, TrigPoly, grid_points
 
 from conftest import COS, SIN, random_symmetric_field
@@ -213,15 +213,31 @@ class TestGridEvaluation:
             field.on_grid(n).view(np.uint64), field.sample(grid_points(n)).view(np.uint64)
         )
 
-    def test_table_count_is_bounded(self, fresh_tables):
-        sizes = [32, 48, 64, 80, 96, 112]
-        for n in sizes:
+    def test_table_bytes_are_bounded(self, fresh_tables, monkeypatch):
+        # COS(3) reads 7 columns, so the table of n points holds 7 * 16 * n bytes
+        monkeypatch.setattr(trigpoly, "PHASE_TABLE_BYTES", 7 * 16 * (80 + 96 + 112))
+        for n in [32, 48, 64, 80, 96, 112]:
             COS(3).on_grid(n)
-        assert list(fresh_tables) == sizes[-trigpoly.PHASE_TABLE_SIZES:]
-        COS(3).on_grid(sizes[-trigpoly.PHASE_TABLE_SIZES])  # most recent again
-        COS(3).on_grid(16)
-        assert sizes[-trigpoly.PHASE_TABLE_SIZES] in fresh_tables
-        assert len(fresh_tables) == trigpoly.PHASE_TABLE_SIZES
+        assert list(fresh_tables) == [80, 96, 112]
+        COS(3).on_grid(80)  # most recent again
+        COS(3).on_grid(16)  # evicts the least recently used table, of 96 points
+        assert list(fresh_tables) == [112, 80, 16]
+
+    def test_table_over_budget_is_used_but_not_kept(self, fresh_tables, monkeypatch):
+        monkeypatch.setattr(trigpoly, "PHASE_TABLE_BYTES", 7 * 16 * 64)
+        COS(3).on_grid(64)
+        values = COS(3).on_grid(128)
+        assert list(fresh_tables) == [64]
+        x = grid_points(128)
+        assert np.array_equal(values.view(np.uint64), COS(3).evaluate(x).view(np.uint64))
+
+    def test_high_harmonic_arc_length_keeps_no_table_over_budget(self, fresh_tables):
+        # g_11 of this coframe has degree 512: its table on the 2064-point
+        # grid holds 2064 * 1025 complex values, 34 MB
+        E1 = Matrix3Field([[COS(256, 0.5), 0, 0], [0, 0, 0], [0, 0, 0]])
+        length = arc_length(CoframeFamily(E1, Matrix3Field.zero()), 0.1)
+        assert length == pytest.approx(2.0 * np.pi, abs=1e-12)
+        assert sum(t.nbytes for t in fresh_tables.values()) <= trigpoly.PHASE_TABLE_BYTES
 
     def test_grid_and_table_are_read_only(self, fresh_tables):
         with pytest.raises(ValueError):
@@ -230,8 +246,10 @@ class TestGridEvaluation:
         with pytest.raises(ValueError):
             fresh_tables[64][0, 0] = 0.0
 
-    def test_concurrent_growth_and_eviction(self, fresh_tables):
-        # more threads than sizes kept, each growing tables in its own order
+    def test_concurrent_growth_and_eviction(self, fresh_tables, monkeypatch):
+        # a budget of four widest tables of 64 points, below the six sizes
+        # used, and more threads than that, each growing tables in its own order
+        monkeypatch.setattr(trigpoly, "PHASE_TABLE_BYTES", 4 * 64 * 25 * 16)
         rng = np.random.default_rng(5)
         polys = [TrigPoly(rng.normal(size=2 * d + 1) + 0j) for d in range(13)]
         sizes = [24, 32, 40, 48, 56, 64]
@@ -257,7 +275,7 @@ class TestGridEvaluation:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(fresh_tables) <= trigpoly.PHASE_TABLE_SIZES
+        assert sum(t.nbytes for t in fresh_tables.values()) <= trigpoly.PHASE_TABLE_BYTES
 
     def test_padding_matches_np_pad(self):
         f = COS(1, 0.3) + SIN(1, -0.7)
