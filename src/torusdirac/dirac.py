@@ -30,8 +30,8 @@ import numpy as np
 
 from .geometry import CoframeFamily, NumericalContractError, as_real_samples, positive_det
 from .geometry import require_resolved, require_sym_real
-from .trigpoly import Matrix3Field, TrigPoly, det3, poly_add, poly_derivative, poly_on_grid, poly_sub
-from .trigpoly import resize_degree
+from .trigpoly import Matrix3Field, TrigPoly, det3, matmul_entry, poly_add, poly_derivative
+from .trigpoly import poly_on_grid, poly_sub, resize_degree
 
 
 def _real_defect(coeffs: np.ndarray) -> float:
@@ -116,7 +116,13 @@ def symbol_matrix(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DiracOperator:
     """First order operator v -> -(i/2)(B v' + (B v)') + p v, held as the
-    Fourier coefficients of B and p over k = -L..L."""
+    Fourier coefficients of B and p over k = -L..L.
+
+    B must be Hermitian and trace-free and p real, each to a tolerance times
+    max(1, largest |coefficient|) of B or of p: rounding grows with the
+    size of the data, so data of magnitude up to 1 keep the absolute
+    tolerance.
+    """
 
     b_hat: np.ndarray  # (2, 2, 2L+1), Hermitian and trace-free pointwise
     p_hat: np.ndarray  # (2L+1,), a real function
@@ -131,14 +137,18 @@ class DiracOperator:
             _real_defect(b[0, 0]),
             _real_defect(b[1, 1]),
         )
-        if herm > 1e-10:
+        b_scale = max(1.0, float(np.max(np.abs(b))))
+        if herm > 1e-10 * b_scale:
             raise NumericalContractError(f"symbol matrix not Hermitian: residual {herm:.2e}")
         trace = np.max(np.abs(b[0, 0] + b[1, 1]))
-        if trace > 1e-10:
+        if trace > 1e-10 * b_scale:
             raise NumericalContractError(f"symbol matrix not trace-free: residual {trace:.2e}")
         # a complex potential signals an index error upstream
-        if _real_defect(p) > 1e-12:
-            raise NumericalContractError("potential has nonreal part above 1e-12")
+        p_scale = max(1.0, float(np.max(np.abs(p))))
+        if _real_defect(p) > 1e-12 * p_scale:
+            raise NumericalContractError(
+                f"potential has nonreal part above 1e-12 * {p_scale:.3e}"
+            )
         b.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "b_hat", b)
@@ -151,13 +161,13 @@ class DiracOperator:
     def apply(self, v: SpinorField) -> SpinorField:
         """(W v)^(k) = sum_q [(k + q)/2 B^(k - q) + p^(k - q)] v^(q), exactly."""
         c = v.coeffs
-        q = np.arange(-v.degree, v.degree + 1)
+        qc = np.arange(-v.degree, v.degree + 1) * c
         top = self.degree + v.degree
         k = np.arange(-top, top + 1)
         out = np.empty((2, k.size), dtype=complex)
         for a in range(2):
             bv = np.convolve(self.b_hat[a, 0], c[0]) + np.convolve(self.b_hat[a, 1], c[1])
-            bqv = np.convolve(self.b_hat[a, 0], q * c[0]) + np.convolve(self.b_hat[a, 1], q * c[1])
+            bqv = np.convolve(self.b_hat[a, 0], qc[0]) + np.convolve(self.b_hat[a, 1], qc[1])
             out[a] = 0.5 * (k * bv + bqv) + np.convolve(self.p_hat, c[a])
         return SpinorField(out)
 
@@ -234,42 +244,55 @@ def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
     return op
 
 
-def first_order_operator(h: Matrix3Field, *, check: bool = True) -> DiracOperator:
+def first_order_operator(h: Matrix3Field) -> DiracOperator:
     """Linear term of the eps-expansion of the operator family.
 
     Expanding the frame gives the symbol -(1/2) * B_h with B_h built from the
     first column of h; the action is then +(i/4)(B_h d/dx + d/dx B_h). The
-    potential only enters at second order. ``check=False`` skips the check
-    that h is real and symmetric, for a caller that has made it already.
+    potential only enters at second order. Raises ValueError unless h is
+    real and symmetric.
     """
-    if check:
-        require_sym_real(h, "h")
-    d = max(h[j, 0].degree for j in range(3))
-    cols = [resize_degree(h[j, 0].coeffs, d) for j in range(3)]
-    return DiracOperator(-0.5 * symbol_matrix(*cols), np.zeros(2 * d + 1))
+    entries = h.coefficients()
+    require_sym_real(entries, "h")
+    return _first_order_operator(entries)
 
 
-def second_order_operator(
-    h: Matrix3Field, k: Matrix3Field, *, check: bool = True
-) -> DiracOperator:
+def second_order_operator(h: Matrix3Field, k: Matrix3Field) -> DiracOperator:
     """Quadratic term of the eps-expansion.
 
     Symbol (3/8) B_{h^2} - (1/8) B_k from the frame expansion, plus the real
     scalar potential -(1/16) * sum_a (h_{a2} h_{a3}' - h_{a3} h_{a2}'), the
-    antisymmetrized first-column-free part of the half-density term. Only
-    the first column of h^2 is built. ``check=False`` skips the check that
-    h and k are real and symmetric, for a caller that has made it already.
+    antisymmetrized first-column-free part of the half-density term. Raises
+    ValueError unless h and k are real and symmetric.
     """
-    if check:
-        require_sym_real(h, "h")
-        require_sym_real(k, "k")
-    hcols = [h.product_entry(h, j, 0) for j in range(3)]
-    kcols = [k[j, 0] for j in range(3)]
-    scalar = TrigPoly.zero()
-    dh = h.derivative()
-    for a in range(3):
-        scalar = scalar + h[a, 1] * dh[a, 2] - h[a, 2] * dh[a, 1]
+    h_entries, k_entries = h.coefficients(), k.coefficients()
+    require_sym_real(h_entries, "h")
+    require_sym_real(k_entries, "k")
+    return _second_order_operator(h_entries, k_entries)
 
-    d = max(poly.degree for poly in (*hcols, *kcols, scalar))
-    hb, kb = (symbol_matrix(*(resize_degree(c.coeffs, d) for c in cols)) for cols in (hcols, kcols))
-    return DiracOperator(0.375 * hb - 0.125 * kb, -resize_degree(scalar.coeffs, d) / 16.0)
+
+# The two builders below take h and k as entry coefficient arrays, ``h[a][b]``
+# for entry (a, b), and do not check them. Both public functions above and
+# ``perturbation.perturbation_report`` call them.
+
+def _first_order_operator(h) -> DiracOperator:
+    """W1 from the first column of h."""
+    d = max((h[j][0].size - 1) // 2 for j in range(3))
+    cols = [resize_degree(h[j][0], d) for j in range(3)]
+    return DiracOperator(-0.5 * symbol_matrix(*cols), np.zeros(2 * d + 1))
+
+
+def _second_order_operator(h, k) -> DiracOperator:
+    """W2 from h and the first column of k; of h^2 only the first column is
+    built, each entry by ``matmul_entry``."""
+    hcols = [matmul_entry(h, h, j, 0) for j in range(3)]
+    kcols = [k[j][0] for j in range(3)]
+    scalar = _ZERO
+    for a in range(3):
+        scalar = poly_sub(
+            poly_add(scalar, np.convolve(h[a][1], poly_derivative(h[a][2]))),
+            np.convolve(h[a][2], poly_derivative(h[a][1])),
+        )
+    d = max((c.size - 1) // 2 for c in (*hcols, *kcols, scalar))
+    hb, kb = (symbol_matrix(*(resize_degree(c, d) for c in cols)) for cols in (hcols, kcols))
+    return DiracOperator(0.375 * hb - 0.125 * kb, -resize_degree(scalar, d) / 16.0)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import Matrix3Field, grid_points, poly_on_grid, resize_degree
+from .trigpoly import COEFF_TOL, Matrix3Field, TrigPoly, grid_points, matmul_entry
+from .trigpoly import poly_add, poly_on_grid, resize_degree, stack_entries
 
 #: Largest Fourier coefficient that sampling may drop at |k| >= n/4.
 ALIASING_LIMIT = 1e-9
@@ -52,11 +53,22 @@ def as_real_samples(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def require_sym_real(mat: Matrix3Field, name: str) -> None:
-    """Raise ValueError unless ``mat`` is real-valued and symmetric."""
-    if not mat.is_real():
+def require_sym_real(entries, name: str) -> None:
+    """Raise ValueError unless the 3x3 matrix of trig polynomials whose entry
+    coefficient arrays are ``entries`` (as ``Matrix3Field.coefficients``
+    gives them) is real-valued and symmetric.
+
+    Both defects, |c_k - conj(c_-k)| and |c_k(a, b) - c_k(b, a)|, are judged
+    against ``COEFF_TOL`` times max(1, largest |c_k|): rounding in the
+    products that build k grows with the size of its entries, so data of
+    magnitude up to 1 keep the absolute tolerance and larger data a relative
+    one.
+    """
+    stack = stack_entries(entries, max(c.size for row in entries for c in row) // 2)
+    tol = COEFF_TOL * max(1.0, float(np.max(np.abs(stack))))
+    if not np.all(np.abs(stack - np.conj(stack[::-1])) <= tol):
         raise ValueError(f"{name} must be real-valued")
-    if not mat.is_symmetric():
+    if not np.all(np.abs(stack - np.swapaxes(stack, 1, 2)) <= tol):
         raise ValueError(f"{name} must be symmetric")
 
 
@@ -84,8 +96,8 @@ class CoframeFamily:
         I + eps*h + (eps^2/4)*k up to O(eps^3), which pins every second-order
         quantity computed here.
         """
-        require_sym_real(h, "h")
-        require_sym_real(k, "k")
+        require_sym_real(h.coefficients(), "h")
+        require_sym_real(k.coefficients(), "k")
         E1 = h * 0.5
         E2 = (k - (h @ h)) * (1.0 / 8.0)
         return cls(E1, E2)
@@ -94,18 +106,44 @@ class CoframeFamily:
         return Matrix3Field.identity() + self.E1 * eps + self.E2 * (eps * eps)
 
 
+def _h_coefficients(e1) -> list:
+    """Entry coefficient arrays of h = E1 + E1^T from those of E1."""
+    return [[poly_add(e1[a][b], e1[b][a]) for b in range(3)] for a in range(3)]
+
+
+def _k_coefficient(e1, e2, a: int, b: int) -> np.ndarray:
+    """Coefficients of entry (a, b) of k = 4*(E1^T E1 + E2 + E2^T) from the
+    entry coefficient arrays of E1 and E2: (E1^T E1)[a, b] by
+    ``matmul_entry``, then + E2[a, b], + E2[b, a] and * 4, the operations of
+    the ``Matrix3Field`` formula in its order, so the bits are its bits."""
+    e1t = tuple(zip(*e1))
+    return poly_add(poly_add(matmul_entry(e1t, e1, a, b), e2[a][b]), e2[b][a]) * 4.0
+
+
+def _k_coefficients(e1, e2) -> list:
+    """All nine entry coefficient arrays of k, as ``_k_coefficient``."""
+    return [[_k_coefficient(e1, e2, a, b) for b in range(3)] for a in range(3)]
+
+
+def _matrix(entries) -> Matrix3Field:
+    return Matrix3Field([[TrigPoly(c) for c in row] for row in entries])
+
+
 def first_order_perturbation(cf: CoframeFamily) -> Matrix3Field:
     """Linear-in-eps coefficient of the metric: h = E1 + E1^T."""
-    return cf.E1 + cf.E1.transpose()
+    return _matrix(_h_coefficients(cf.E1.coefficients()))
 
 
 def second_order_perturbation(cf: CoframeFamily) -> Matrix3Field:
     """Quadratic metric data k, from g = I + eps*h + (eps^2/4)*k + O(eps^3).
 
     The eps^2 Taylor coefficient of e^T e is E1^T E1 + E2 + E2^T, so
-    k = 4*(E1^T E1 + E2 + E2^T).
+    k = 4*(E1^T E1 + E2 + E2^T). Each entry is built on coefficient arrays
+    by ``_k_coefficient``, which the routes of ``perturbation_report`` call
+    for just the entries they read: the closed form reads k[0, 0] (3 of the
+    27 convolutions of E1^T E1), the operator route all nine.
     """
-    return (cf.E1.transpose() @ cf.E1 + cf.E2 + cf.E2.transpose()) * 4.0
+    return _matrix(_k_coefficients(cf.E1.coefficients(), cf.E2.coefficients()))
 
 
 def positive_det(det: np.ndarray, eps: float, num_points: int) -> np.ndarray:

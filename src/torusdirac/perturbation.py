@@ -16,8 +16,17 @@ The operator route works on Fourier coefficients only: W1 and W2 have
 trigonometric-polynomial coefficients, so applying them, the pseudoinverse
 and the inner products are finite sums and no grid is sampled. It is two
 private helpers, the first-order block and the second-order term, which take
-W1 and W2 as arguments: the public route functions build their own,
-``perturbation_report`` builds each once for both signs.
+W1 and W2 as arguments and share W1 v_n: the public route functions build
+their own, ``perturbation_report`` builds each once for both signs.
+
+``perturbation_report`` runs both routes on the entry coefficient arrays of
+h and k, built from E1 and E2 by ``geometry._h_coefficients`` and
+``_k_coefficient``, with no ``Matrix3Field`` or ``TrigPoly`` in between.
+Each route builds only the entries it reads: the closed form h and k[0, 0],
+the operator route h and all of k, whose realness and symmetry it checks;
+the Galerkin fit route neither. The public functions that take
+``Matrix3Field`` arguments delegate to the same array helpers, so their
+values are the report's to the bit.
 """
 
 from __future__ import annotations
@@ -29,6 +38,8 @@ import numpy as np
 from .dirac import (
     DiracOperator,
     SpinorField,
+    _first_order_operator,
+    _second_order_operator,
     first_order_operator,
     second_order_operator,
 )
@@ -36,11 +47,12 @@ from .galerkin import basis_spinor, spectrum_report, track_pair
 from .geometry import (
     CoframeFamily,
     NumericalContractError,
-    first_order_perturbation,
+    _h_coefficients,
+    _k_coefficient,
+    _k_coefficients,
     require_sym_real,
-    second_order_perturbation,
 )
-from .trigpoly import Matrix3Field, resize_degree
+from .trigpoly import Matrix3Field, matmul_entry, resize_degree, stack_entries
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
 
@@ -123,10 +135,20 @@ def _check_sign(n: int) -> None:
 # first order
 # ----------------------------------------------------------------------
 
+def _mean(coeffs: np.ndarray) -> complex:
+    """The k = 0 coefficient, as ``TrigPoly.fourier(0)`` gives it."""
+    return complex(coeffs[(coeffs.size - 1) // 2])
+
+
 def first_correction_closed(h: Matrix3Field, n: int) -> float:
     """Closed form: -+ (1/2) * hhat_11(0) for n = +-1."""
     _check_sign(n)
-    return float(-n * 0.5 * h.fourier(0)[0, 0].real)
+    return _first_correction_closed(h.coefficients(), n)
+
+
+def _first_correction_closed(h, n: int) -> float:
+    """``first_correction_closed`` from the entry coefficient arrays of h."""
+    return float(-n * 0.5 * _mean(h[0][0]).real)
 
 
 def first_correction_operator(h: Matrix3Field, n: int) -> float:
@@ -137,11 +159,12 @@ def first_correction_operator(h: Matrix3Field, n: int) -> float:
     first-order setup and raises DegenerateSplittingError.
     """
     _check_sign(n)
-    return _first_order_block(first_order_operator(h), n)
+    return _first_order_block(first_order_operator(h), n)[0]
 
 
-def _first_order_block(w1: DiracOperator, n: int) -> float:
-    """l1(n) from the block of the first-order operator ``w1`` on mode n."""
+def _first_order_block(w1: DiracOperator, n: int) -> tuple[float, SpinorField]:
+    """l1(n) from the block of the first-order operator ``w1`` on mode n,
+    and W1 v_n, which the second-order term reuses."""
     v = basis_spinor(n, "v")
     w = basis_spinor(n, "w")
     image = w1.apply(v)
@@ -153,7 +176,7 @@ def _first_order_block(w1: DiracOperator, n: int) -> float:
             f"first-order block on mode {n} is not scalar: "
             f"diag ({diag_v:.3e}, {diag_w:.3e}), off-diagonal {abs(off):.3e}"
         )
-    return float(diag_v.real)
+    return float(diag_v.real), image
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +187,7 @@ def _antisymmetric_flux_sum(hhat: np.ndarray, degree: int) -> complex:
     """sum_{0 < |m| <= degree} m * sum_a [conj(hhat_a2(m)) hhat_a3(m)
                                         - conj(hhat_a3(m)) hhat_a2(m)],
 
-    read from ``hhat = h.coefficient_stack(top)`` for any top >= ``degree``,
+    read from ``hhat = stack_entries(h, top)`` for any top >= ``degree``,
     the degree of h."""
     top = (hhat.shape[0] - 1) // 2
     total = 0.0 + 0.0j
@@ -187,38 +210,53 @@ def _require_real(value: complex, terms, rel_tol: float) -> None:
         )
 
 
+def _degree(entries) -> int:
+    """Largest trig degree among the entry coefficient arrays."""
+    return max((c.size - 1) // 2 for row in entries for c in row)
+
+
 def second_correction_closed(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
     """Closed-form second-order coefficient for the eigenvalue n = +-1.
 
     Finite Fourier sums in h, k and h^2; the mode sums terminate because h
-    has finite trigonometric degree. Of h^2 only the mean of entry (0, 0) is
-    read, so only that entry is built; every coefficient of h is read from
-    one stack zero-padded to the widest harmonic the sums reach.
+    has finite trigonometric degree. Of h^2 and k only the means of entry
+    (0, 0) are read, so of h^2 only that entry is built; every coefficient
+    of h is read from one stack zero-padded to the widest harmonic the sums
+    reach.
     """
     _check_sign(n)
-    d = h.degree
+    return _second_corrections_closed(h.coefficients(), k[0, 0].coeffs, (n,))[0]
+
+
+def _second_corrections_closed(h, k00: np.ndarray, signs) -> list[float]:
+    """``second_correction_closed`` at each n in ``signs``, in that order,
+    from the entry coefficient arrays of h and the coefficients of k[0, 0];
+    the stack of h, the means and the flux sum are built once for all n."""
+    d = _degree(h)
     top = d + 4
-    hhat = h.coefficient_stack(top)
-    hsq00 = h.product_entry(h, 0, 0)
-    lead = n * (0.375 * hsq00.fourier(0) - 0.125 * k[0, 0].fourier(0))
+    hhat = stack_entries(h, top)
+    hsq00_mean, k00_mean = _mean(matmul_entry(h, h, 0, 0)), _mean(k00)
     flux = -(1j / 16.0) * _antisymmetric_flux_sum(hhat, d)
+    values = []
+    for n in signs:
+        lead = n * (0.375 * hsq00_mean - 0.125 * k00_mean)
+        s_diag = 0.0 + 0.0j
+        s_mixed = 0.0 + 0.0j
+        for m in range(-d - 3, d + 4):
+            if m == n:
+                continue
+            c11 = hhat[m - n + top, 0, 0]
+            s_diag += (m + n) ** 2 / (m - n) * c11 * np.conj(c11)
+            z = hhat[m + n + top]
+            z1 = z[2, 0] + 1j * z[1, 0]
+            z2 = np.conj(z[2, 0]) - 1j * np.conj(z[1, 0])
+            s_mixed += (m - n) * z1 * z2
 
-    s_diag = 0.0 + 0.0j
-    s_mixed = 0.0 + 0.0j
-    for m in range(-d - 3, d + 4):
-        if m == n:
-            continue
-        c11 = hhat[m - n + top, 0, 0]
-        s_diag += (m + n) ** 2 / (m - n) * c11 * np.conj(c11)
-        z = hhat[m + n + top]
-        z1 = z[2, 0] + 1j * z[1, 0]
-        z2 = np.conj(z[2, 0]) - 1j * np.conj(z[1, 0])
-        s_mixed += (m - n) * z1 * z2
-
-    terms = (lead, flux, s_diag / 16.0, s_mixed / 16.0)
-    value = terms[0] + terms[1] - terms[2] - terms[3]
-    _require_real(value, terms, 1e-12)
-    return float(value.real)
+        terms = (lead, flux, s_diag / 16.0, s_mixed / 16.0)
+        value = terms[0] + terms[1] - terms[2] - terms[3]
+        _require_real(value, terms, 1e-12)
+        values.append(float(value.real))
+    return values
 
 
 def second_correction_operator(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
@@ -232,15 +270,17 @@ def second_correction_operator(h: Matrix3Field, k: Matrix3Field, n: int) -> floa
     _check_sign(n)
     w1 = first_order_operator(h)
     w2 = second_order_operator(h, k)
-    return _second_order_term(w1, w2, _first_order_block(w1, n), n, h.degree + 4)
+    l1, w1v = _first_order_block(w1, n)
+    return _second_order_term(w1, w2, w1v, l1, n, h.degree + 4)
 
 
 def _second_order_term(
-    w1: DiracOperator, w2: DiracOperator, l1: float, n: int, truncation: int
+    w1: DiracOperator, w2: DiracOperator, w1v: SpinorField, l1: float, n: int, truncation: int
 ) -> float:
-    """<W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v> for v = v_n, given l1 = l1(n)."""
+    """<W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v> for v = v_n, given
+    w1v = W1 v and l1 = l1(n)."""
     v = basis_spinor(n, "v")
-    residual = w1.apply(v) - l1 * v
+    residual = w1v - l1 * v
     corrected = Pseudoinverse(lambda0=n, truncation=truncation).apply(
         residual, orthogonality_tol=1e-9
     )
@@ -372,32 +412,39 @@ class PerturbationReport:
 def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> PerturbationReport:
     """Compute all four coefficients by the requested route.
 
-    The operator route runs in Fourier coefficients with the mode-sum
-    truncation h.degree + 4 and builds W1 and W2 once for both signs; its
-    values are those of ``first_correction_operator``/
-    ``second_correction_operator`` to the bit. The Galerkin fit route fits
-    modes +1 and -1 to second order from one sweep over
+    The closed form builds h and k[0, 0]. The operator route builds h and k
+    in full, runs in Fourier coefficients with the mode-sum truncation
+    h.degree + 4 and builds W1 and W2 once for both signs. The values of
+    both are those of the public route functions to the bit. The Galerkin
+    fit route fits modes +1 and -1 to second order from one sweep over
     ``default_fit_grid(4)`` at truncation ``m``.
     """
-    h = first_order_perturbation(cf)
-    k = second_order_perturbation(cf)
     if route == "closed_form":
+        e1 = cf.E1.coefficients()
+        h = _h_coefficients(e1)
+        l2 = _second_corrections_closed(h, _k_coefficient(e1, cf.E2.coefficients(), 0, 0), (1, -1))
         return PerturbationReport(
             route=route,
-            lambda1_plus=first_correction_closed(h, 1),
-            lambda1_minus=first_correction_closed(h, -1),
-            lambda2_plus=second_correction_closed(h, k, 1),
-            lambda2_minus=second_correction_closed(h, k, -1),
+            lambda1_plus=_first_correction_closed(h, 1),
+            lambda1_minus=_first_correction_closed(h, -1),
+            lambda2_plus=l2[0],
+            lambda2_minus=l2[1],
         )
     if route == "operator":
         # each check, operator and first-order block once, in the order that
         # separate first/second_correction_operator calls at +1, -1 meet them
+        e1 = cf.E1.coefficients()
+        h = _h_coefficients(e1)
         require_sym_real(h, "h")
-        w1 = first_order_operator(h, check=False)
-        l1 = {n: _first_order_block(w1, n) for n in (1, -1)}
+        w1 = _first_order_operator(h)
+        l1, w1v = {}, {}
+        for n in (1, -1):
+            l1[n], w1v[n] = _first_order_block(w1, n)
+        k = _k_coefficients(e1, cf.E2.coefficients())
         require_sym_real(k, "k")
-        w2 = second_order_operator(h, k, check=False)
-        l2 = {n: _second_order_term(w1, w2, l1[n], n, h.degree + 4) for n in (1, -1)}
+        w2 = _second_order_operator(h, k)
+        truncation = _degree(h) + 4
+        l2 = {n: _second_order_term(w1, w2, w1v[n], l1[n], n, truncation) for n in (1, -1)}
         return PerturbationReport(
             route=route,
             lambda1_plus=l1[1],

@@ -13,10 +13,13 @@ products are computed by direct convolution.
 
 The arithmetic itself lives in module-level functions on bare coefficient
 arrays: ``poly_add``/``poly_sub`` (pad both operands to the larger degree,
-then add), ``np.convolve`` for products, ``poly_derivative``, ``poly_on_grid``
-and ``det3``. ``TrigPoly`` and ``Matrix3Field`` delegate to them, so a caller
-that works on the arrays directly, as ``dirac.dirac_operator`` does, gets the
-bits of the object API. That holds only while the order of operations holds:
+then add), ``np.convolve`` for products, ``poly_derivative``, ``poly_on_grid``,
+``det3``, ``matmul_entry`` and ``stack_entries``. ``TrigPoly`` and
+``Matrix3Field`` delegate to them, so a caller that works on the arrays
+directly gets the bits of the object API. ``dirac.dirac_operator`` does so
+per eps, and the closed-form and operator routes of ``perturbation`` do so
+from E1 and E2 through h and k to the operators W1 and W2. That holds only
+while the order of operations holds:
 
 * each operand keeps its own length. Padding everything to one degree before
   ``np.convolve`` is not byte-safe: numpy's complex dot product goes through
@@ -51,6 +54,10 @@ COEFF_TOL = 1e-12
 
 #: Total bytes of the phase tables kept across grid sizes.
 PHASE_TABLE_BYTES = 4 << 20
+
+# coefficients of the zero polynomial, shared read-only
+_ZERO = np.zeros(1, dtype=complex)
+_ZERO.setflags(write=False)
 
 _phase_tables: OrderedDict[int, np.ndarray] = OrderedDict()
 _phase_lock = threading.Lock()
@@ -126,6 +133,24 @@ def poly_on_grid(c: np.ndarray, n: int) -> np.ndarray:
     return _phases(n, (c.size - 1) // 2) @ c
 
 
+def matmul_entry(x, y, a: int, b: int) -> np.ndarray:
+    """Coefficients of entry (a, b) of the product x @ y of two 3x3 matrices
+    of trig polynomials, ``x[a][c]`` the coefficient array of entry (a, c):
+    sum over c = 0, 1, 2 in that order of x[a][c] * y[c][b], added to the
+    zero polynomial one term at a time."""
+    acc = _ZERO
+    for c in range(3):
+        acc = poly_add(acc, np.convolve(x[a][c], y[c][b]))
+    return acc
+
+
+def stack_entries(entries, degree: int) -> np.ndarray:
+    """The 3x3 entry coefficient arrays ``entries`` zero-padded to ``degree``
+    (at least the largest entry degree) as one array (2*degree+1, 3, 3),
+    whose element [m + degree] holds the coefficients at harmonic m."""
+    return np.moveaxis(np.array([[resize_degree(c, degree) for c in row] for row in entries]), -1, 0)
+
+
 def det3(e) -> np.ndarray:
     """Coefficients of the determinant of a 3x3 matrix of trig polynomials,
     ``e[a][b]`` the coefficient array of entry (a, b); exact in coefficient
@@ -161,7 +186,7 @@ class TrigPoly:
     def _adopt(cls, coeffs: np.ndarray) -> "TrigPoly":
         """Wrap a fresh complex array of odd length that nothing else holds,
         without copying or checking it; the array is made read-only. For
-        results of numpy operations inside this class only."""
+        results of numpy operations inside this module only."""
         coeffs.setflags(write=False)
         poly = object.__new__(cls)
         object.__setattr__(poly, "coeffs", coeffs)
@@ -291,10 +316,10 @@ class Matrix3Field:
     Used for coframe perturbations, the metric, and the metric perturbation
     matrices. Immutable.
 
-    ``product_entry(other, a, b)`` is the single entry (self @ other)[a, b],
-    summed over c = 0, 1, 2 in that order; ``__matmul__`` builds each of its
-    nine entries with it, so a caller that reads one entry of a product gets
-    the same bits from 3 of the 27 convolutions.
+    ``product_entry(other, a, b)`` is the single entry (self @ other)[a, b];
+    it and ``__matmul__`` build entries with ``matmul_entry``, so a caller
+    that reads one entry of a product gets the same bits from 3 of the 27
+    convolutions.
     ``coefficient_stack(degree)`` gives all entry coefficients as one array.
     """
 
@@ -348,14 +373,12 @@ class Matrix3Field:
 
     def product_entry(self, other: "Matrix3Field", a: int, b: int) -> TrigPoly:
         """Entry (a, b) of self @ other: sum over c of self[a, c] * other[c, b]."""
-        acc = TrigPoly.zero()
-        for c in range(3):
-            acc = acc + self[a, c] * other[c, b]
-        return acc
+        return TrigPoly._adopt(matmul_entry(self.coefficients(), other.coefficients(), a, b))
 
     def __matmul__(self, other: "Matrix3Field") -> "Matrix3Field":
+        x, y = self.coefficients(), other.coefficients()
         return Matrix3Field(
-            [[self.product_entry(other, a, b) for b in range(3)] for a in range(3)]
+            [[TrigPoly._adopt(matmul_entry(x, y, a, b)) for b in range(3)] for a in range(3)]
         )
 
     def transpose(self) -> "Matrix3Field":
@@ -382,8 +405,7 @@ class Matrix3Field:
     def coefficient_stack(self, degree: int) -> np.ndarray:
         """Entry coefficients zero-padded to ``degree`` (at least ``self.degree``):
         array (2*degree+1, 3, 3) whose element [m + degree] is ``fourier(m)``."""
-        stack = np.array([[self[a, b]._padded(degree) for b in range(3)] for a in range(3)])
-        return np.moveaxis(stack, -1, 0)
+        return stack_entries(self.coefficients(), degree)
 
     def sample(self, x) -> np.ndarray:
         """Evaluate all entries on the points ``x``; shape (3, 3, len(x))."""

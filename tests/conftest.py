@@ -1,6 +1,6 @@
 """Shared fixtures: the four reference perturbation families, helpers, and the
-reference formulas that the lean operator and matrix assembly must match bit
-for bit."""
+reference formulas that the lean operator and matrix assembly and the lean
+coefficient routes must match bit for bit."""
 
 from __future__ import annotations
 
@@ -11,9 +11,11 @@ import pytest
 from hypothesis import settings
 from numpy.lib.stride_tricks import sliding_window_view
 
-from torusdirac import CoframeFamily, DiracOperator, Matrix3Field, SpinorField, TrigPoly
+from torusdirac import CoframeFamily, DiracOperator, Matrix3Field, Pseudoinverse, SpinorField
+from torusdirac import TrigPoly
 from torusdirac.dirac import symbol_matrix
 from torusdirac.galerkin import basis_spinor
+from torusdirac.perturbation import _antisymmetric_flux_sum
 from torusdirac.trigpoly import resize_degree
 
 # Property tests draw the same examples on every run and have no deadline,
@@ -139,8 +141,9 @@ def assert_sigfigs(value: float, printed: float, nsig: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# reference formulas: the object-level arithmetic that ``dirac_operator`` and
-# ``galerkin_matrix`` reproduce on bare arrays, operation for operation
+# reference formulas: the object-level arithmetic that ``dirac_operator``,
+# ``galerkin_matrix`` and the closed-form and operator routes reproduce on
+# bare arrays, operation for operation
 # ----------------------------------------------------------------------
 
 def reference_det(mat: Matrix3Field) -> TrigPoly:
@@ -192,6 +195,95 @@ def reference_galerkin(op: DiracOperator, m: int) -> tuple[np.ndarray, float]:
     adjoint = entries.conj().T
     residual = float(np.max(np.abs(entries - adjoint)))
     return 0.5 * (entries + adjoint), residual
+
+
+def reference_product_entry(x: Matrix3Field, y: Matrix3Field, a: int, b: int) -> TrigPoly:
+    """Entry (a, b) of x @ y in TrigPoly arithmetic, summed over c in order."""
+    acc = TrigPoly.zero()
+    for c in range(3):
+        acc = acc + x[a, c] * y[c, b]
+    return acc
+
+
+def reference_h(cf: CoframeFamily) -> Matrix3Field:
+    return cf.E1 + cf.E1.transpose()
+
+
+def reference_k(cf: CoframeFamily) -> Matrix3Field:
+    return (cf.E1.transpose() @ cf.E1 + cf.E2 + cf.E2.transpose()) * 4.0
+
+
+def reference_apply(op: DiracOperator, v: SpinorField) -> SpinorField:
+    """``op.apply(v)`` with q * v^ formed once per output row."""
+    c = v.coeffs
+    q = np.arange(-v.degree, v.degree + 1)
+    top = op.degree + v.degree
+    k = np.arange(-top, top + 1)
+    out = np.empty((2, k.size), dtype=complex)
+    for a in range(2):
+        bv = np.convolve(op.b_hat[a, 0], c[0]) + np.convolve(op.b_hat[a, 1], c[1])
+        bqv = np.convolve(op.b_hat[a, 0], q * c[0]) + np.convolve(op.b_hat[a, 1], q * c[1])
+        out[a] = 0.5 * (k * bv + bqv) + np.convolve(op.p_hat, c[a])
+    return SpinorField(out)
+
+
+def reference_closed_route(cf: CoframeFamily) -> list[float]:
+    """[l1(+1), l1(-1), l2(+1), l2(-1)] of the closed route, from
+    ``reference_h``/``reference_k`` in Matrix3Field/TrigPoly arithmetic; no checks."""
+    h, k = reference_h(cf), reference_k(cf)
+    d = h.degree
+    top = d + 4
+    hhat = h.coefficient_stack(top)
+    hsq00 = reference_product_entry(h, h, 0, 0)
+    l1, l2 = [], []
+    for n in (1, -1):
+        l1.append(float(-n * 0.5 * h.fourier(0)[0, 0].real))
+        lead = n * (0.375 * hsq00.fourier(0) - 0.125 * k[0, 0].fourier(0))
+        flux = -(1j / 16.0) * _antisymmetric_flux_sum(hhat, d)
+        s_diag = 0.0 + 0.0j
+        s_mixed = 0.0 + 0.0j
+        for m in range(-d - 3, d + 4):
+            if m == n:
+                continue
+            c11 = hhat[m - n + top, 0, 0]
+            s_diag += (m + n) ** 2 / (m - n) * c11 * np.conj(c11)
+            z = hhat[m + n + top]
+            z1 = z[2, 0] + 1j * z[1, 0]
+            z2 = np.conj(z[2, 0]) - 1j * np.conj(z[1, 0])
+            s_mixed += (m - n) * z1 * z2
+        l2.append(float((lead + flux - s_diag / 16.0 - s_mixed / 16.0).real))
+    return l1 + l2
+
+
+def reference_operator_route(cf: CoframeFamily) -> list[float]:
+    """[l1(+1), l1(-1), l2(+1), l2(-1)] of the operator route, with W1 and
+    W2 built from ``reference_h``/``reference_k`` in TrigPoly arithmetic and
+    W1 v_n applied afresh wherever it is read; no checks."""
+    h, k = reference_h(cf), reference_k(cf)
+    d1 = max(h[j, 0].degree for j in range(3))
+    w1 = DiracOperator(
+        -0.5 * symbol_matrix(*(resize_degree(h[j, 0].coeffs, d1) for j in range(3))),
+        np.zeros(2 * d1 + 1),
+    )
+    hcols = [reference_product_entry(h, h, j, 0) for j in range(3)]
+    kcols = [k[j, 0] for j in range(3)]
+    scalar = TrigPoly.zero()
+    dh = h.derivative()
+    for a in range(3):
+        scalar = scalar + h[a, 1] * dh[a, 2] - h[a, 2] * dh[a, 1]
+    d2 = max(poly.degree for poly in (*hcols, *kcols, scalar))
+    hb, kb = (symbol_matrix(*(resize_degree(c.coeffs, d2) for c in cols)) for cols in (hcols, kcols))
+    w2 = DiracOperator(0.375 * hb - 0.125 * kb, -resize_degree(scalar.coeffs, d2) / 16.0)
+    l1, l2 = [], []
+    for n in (1, -1):
+        v = basis_spinor(n, "v")
+        first = float(reference_apply(w1, v).inner(v).real)
+        residual = reference_apply(w1, v) - first * v
+        corrected = Pseudoinverse(lambda0=n, truncation=h.degree + 4).apply(residual)
+        shifted = reference_apply(w1, corrected) - first * corrected
+        l1.append(first)
+        l2.append(float((reference_apply(w2, v).inner(v) - shifted.inner(v)).real))
+    return l1 + l2
 
 
 def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:

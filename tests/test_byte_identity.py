@@ -2,10 +2,11 @@
 
 ``dirac_operator`` builds the coframe, det e and the potential numerator on
 bare coefficient arrays, and ``galerkin_matrix`` reads its blocks through
-strided views and symmetrizes in place. Both must reproduce, byte for byte,
-the reference formulas in conftest: the ``Matrix3Field``/``TrigPoly`` path and
-the ``sliding_window_view`` gather they replaced. Signed zeros count, so eps
-= -0.0 and +0.0 are both covered.
+strided views and symmetrizes in place. The closed-form and operator routes
+build h, k, W1 and W2 on coefficient arrays and share W1 v_n. All must
+reproduce, byte for byte, the reference formulas in conftest: the
+``Matrix3Field``/``TrigPoly`` path and the ``sliding_window_view`` gather they
+replaced. Signed zeros count, so eps = -0.0 and +0.0 are both covered.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdirac import CoframeFamily, Matrix3Field, TrigPoly, dirac_operator, galerkin_matrix
-from torusdirac import load_config_file, load_example, trigpoly
+from torusdirac import CoframeFamily, Matrix3Field, SpinorField, TrigPoly, dirac_operator
+from torusdirac import first_order_perturbation, galerkin_matrix, load_config_file, load_example
+from torusdirac import perturbation_report, second_order_perturbation, trigpoly
 from torusdirac.config import EXAMPLE_NAMES
+from torusdirac.trigpoly import matmul_entry
 
-from conftest import reference_det, reference_galerkin, reference_operator_hats, same_bytes
+from conftest import reference_apply, reference_closed_route, reference_det, reference_galerkin
+from conftest import reference_h, reference_k, reference_operator_hats, reference_operator_route
+from conftest import reference_product_entry, same_bytes
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDED = ("seeded-coframe-4", "seeded-perturbation-3", "cli-sweep-coframe-2", "cli-sweep-perturbation-2")
@@ -30,13 +35,15 @@ GRIDS = (256, 416)
 TRUNCATIONS = (0, 1, 3, 25, 40)  # 2m below and above the operator degree 63 at n = 256
 
 
-def _families():
+def _families(names):
     families = {name: load_example(name).family() for name in EXAMPLE_NAMES}
-    families.update({name: load_config_file(str(GOLDEN / f"{name}.cfg")).family() for name in SEEDED})
+    families.update({name: load_config_file(str(GOLDEN / f"{name}.cfg")).family() for name in names})
     return families
 
 
-FAMILIES = _families()
+FAMILIES = _families(SEEDED)
+ROUTE_FAMILIES = _families(sorted(path.stem for path in GOLDEN.glob("*.cfg")))
+COEFFICIENTS = ("lambda1_plus", "lambda1_minus", "lambda2_plus", "lambda2_minus")
 
 
 def assert_operator_bytes(cf: CoframeFamily, eps: float, n: int) -> None:
@@ -51,6 +58,23 @@ def assert_matrix_bytes(op, m: int) -> None:
     entries, residual = reference_galerkin(op, m)
     assert same_bytes(gm.entries, entries), f"entries differ at m={m}"
     assert gm.herm_residual.hex() == residual.hex()
+
+
+def assert_route_bytes(cf: CoframeFamily) -> None:
+    for mat, ref in ((first_order_perturbation(cf), reference_h(cf)),
+                     (second_order_perturbation(cf), reference_k(cf))):
+        for a in range(3):
+            for b in range(3):
+                assert same_bytes(mat[a, b].coeffs, ref[a, b].coeffs), f"entry ({a}, {b}) differs"
+    for route, reference in (("closed_form", reference_closed_route), ("operator", reference_operator_route)):
+        report = perturbation_report(cf, route)
+        values = [getattr(report, name).hex() for name in COEFFICIENTS]
+        assert values == [value.hex() for value in reference(cf)], route
+
+
+@pytest.mark.parametrize("name", ROUTE_FAMILIES)
+def test_routes_match_reference(name):
+    assert_route_bytes(ROUTE_FAMILIES[name])
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -76,20 +100,25 @@ AMPLITUDE = st.floats(-0.1, 0.1)
 
 
 @st.composite
-def mixed_degree_fields(draw) -> Matrix3Field:
+def mixed_degree_fields(draw, amplitude=AMPLITUDE) -> Matrix3Field:
     rows = []
     for _ in range(3):
         row = []
         for _ in range(3):
-            poly = TrigPoly.constant(draw(AMPLITUDE))
+            poly = TrigPoly.constant(draw(amplitude))
             for j in range(1, draw(st.integers(0, 3)) + 1):
-                poly = poly + TrigPoly.cosine(j, draw(AMPLITUDE)) + TrigPoly.sine(j, draw(AMPLITUDE))
+                poly = poly + TrigPoly.cosine(j, draw(amplitude)) + TrigPoly.sine(j, draw(amplitude))
             row.append(poly)
         rows.append(row)
     return Matrix3Field(rows)
 
 
 MIXED_COFRAMES = st.builds(CoframeFamily, mixed_degree_fields(), mixed_degree_fields())
+# entries up to 1e-4 .. 100 in size, one size per coframe
+SCALED_FIELDS = st.integers(-4, 2).flatmap(
+    lambda e: mixed_degree_fields(st.floats(-(10.0**e), 10.0**e))
+)
+SCALED_COFRAMES = st.builds(CoframeFamily, SCALED_FIELDS, SCALED_FIELDS)
 SIGNED_EPS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.2, 0.2))
 
 
@@ -108,6 +137,28 @@ class TestRandomCoframes:
     @given(mixed_degree_fields())
     def test_det_matches_trigpoly_expansion(self, mat):
         assert same_bytes(mat.det().coeffs, reference_det(mat).coeffs)
+
+    @settings(max_examples=25)
+    @given(mixed_degree_fields(), mixed_degree_fields())
+    def test_matmul_entry_matches_trigpoly_sum(self, x, y):
+        xc, yc = x.coefficients(), y.coefficients()
+        for a in range(3):
+            for b in range(3):
+                ref = reference_product_entry(x, y, a, b).coeffs
+                assert same_bytes(matmul_entry(xc, yc, a, b), ref)
+
+    @settings(max_examples=40)
+    @given(SCALED_COFRAMES)
+    def test_routes_match_reference(self, cf):
+        assert_route_bytes(cf)
+
+    @settings(max_examples=25)
+    @given(MIXED_COFRAMES, st.sampled_from([0.0, 0.1]), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_apply_matches_reference(self, cf, eps, degree, seed):
+        rng = np.random.default_rng(seed)
+        v = SpinorField(rng.normal(size=(2, 2 * degree + 1)) + 1j * rng.normal(size=(2, 2 * degree + 1)))
+        op = dirac_operator(cf, eps, 256)
+        assert same_bytes(op.apply(v).coeffs, reference_apply(op, v).coeffs)
 
 
 def test_operator_assembly_builds_no_coefficient_objects(monkeypatch):

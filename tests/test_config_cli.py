@@ -231,7 +231,7 @@ class TestCli:
         def fail(h, k, n):
             raise error("second-order coefficient not real: (1+1j)")
 
-        monkeypatch.setattr(pt, "second_correction_closed", fail)
+        monkeypatch.setattr(pt, "_second_corrections_closed", fail)
         assert main(["asympt", "--config", "example-explicit-1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -226,3 +226,21 @@ class TestSymbolValidation:
         one, zero = np.ones(1), np.zeros(1)
         with pytest.raises(ValueError, match="nonreal"):
             DiracOperator(symbol_matrix(one, zero, zero), 1e-6j * one)
+
+    def test_tolerances_scale_with_the_largest_coefficient(self):
+        # at |coefficient| ~ 100 defects of ~1e-13 relative pass, though an
+        # absolute 1e-12 or 1e-10 would reject them; 1e-6 relative does not
+        one, zero = np.ones(1), np.zeros(1)
+        big = symbol_matrix(100.0 * one, zero, 50.0 * one)
+        near = big.copy()
+        near[0, 1] += 5e-9
+        near[0, 0] += 5e-9
+        DiracOperator(near, 100.0 + 1e-11j * one)
+        for skew, match in ((np.array([[0, 1e-4], [0, 0]]), "Hermitian"), (1e-4 * np.eye(2), "trace-free")):
+            with pytest.raises(ValueError, match=match):
+                DiracOperator(big + skew[..., None], zero)
+        with pytest.raises(ValueError, match="nonreal"):
+            DiracOperator(big, 100.0 + 1e-4j * one)
+        # below magnitude 1 the potential tolerance stays 1e-12
+        with pytest.raises(ValueError, match="nonreal"):
+            DiracOperator(symbol_matrix(one, zero, zero), 0.5 + 2e-12j * one)

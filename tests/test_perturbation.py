@@ -17,7 +17,6 @@ from torusdirac import (
     dirac,
     first_correction_closed,
     first_correction_operator,
-    first_order_operator,
     first_order_perturbation,
     fit_expansion,
     free_operator,
@@ -175,22 +174,33 @@ class TestSecondCorrection:
                 operator = second_correction_operator(h, k, n)
                 assert abs(closed - operator) <= 1e-10
 
-    @pytest.mark.parametrize("seed", [8, 22, 35])
+    @pytest.mark.parametrize("seed", range(40))
     def test_realness_gates_scale_with_large_coframes(self, seed):
-        # E1, E2 of size ~100 make every term ~1e4, and rounding leaves an
-        # imaginary part ~1e-12 that an absolute 1e-12 gate rejected
+        # E1, E2 of size ~100 make every term ~1e4: rounding leaves imaginary
+        # parts ~1e-12 in the second-order sums, a nonreal part ~1e-11 in k and
+        # in the potential of W2, all ~1e-17 relative, which absolute gates rejected
         rng = np.random.default_rng(seed)
         cf = CoframeFamily(random_field(rng, 2, 100.0), random_field(rng, 2, 100.0))
-        report = perturbation_report(cf, "closed_form")
-        h, k = first_order_perturbation(cf), second_order_perturbation(cf)
-        # the operator route's own check rejects k at this size (its realness
-        # test is absolute); its second-order term is called directly
-        w1 = first_order_operator(h, check=False)
-        w2 = second_order_operator(h, k, check=False)
-        for n, closed in ((1, report.lambda2_plus), (-1, report.lambda2_minus)):
-            l1 = perturbation._first_order_block(w1, n)
-            operator = perturbation._second_order_term(w1, w2, l1, n, h.degree + 4)
-            assert closed == pytest.approx(operator, rel=1e-12)
+        closed = perturbation_report(cf, "closed_form")
+        operator = perturbation_report(cf, "operator")
+        for _, l1, l2 in SIGNS:
+            assert getattr(closed, l1) == pytest.approx(getattr(operator, l1), rel=1e-12)
+            assert getattr(closed, l2) == pytest.approx(getattr(operator, l2), rel=1e-12)
+
+    @pytest.mark.parametrize("what", ["symmetric", "real-valued"])
+    def test_input_checks_still_reject_large_defects(self, what):
+        # at scale 100 a defect of 1e-6 relative is still bad input
+        rng = np.random.default_rng(5)
+        h = random_symmetric_field(rng, 2, 100.0)
+        k = random_symmetric_field(rng, 2, 100.0)
+        second_order_operator(h, k)
+        defect = {"symmetric": COS(1, 2e-4), "real-valued": TrigPoly([1e-4j])}[what]
+        bad = Matrix3Field([[k[a, b] + defect if (a, b) == (0, 1) else k[a, b]
+                             for b in range(3)] for a in range(3)])
+        with pytest.raises(ValueError, match=f"k must be {what}"):
+            second_order_operator(h, bad)
+        with pytest.raises(ValueError, match=f"k must be {what}"):
+            CoframeFamily.from_perturbation(h, bad)
 
     def test_realness_gate_is_relative_to_the_largest_term(self):
         perturbation._require_real(2.0e4 + 1e-9j, (1.0e4, 1.0e4), 1e-12)
@@ -388,10 +398,24 @@ class TestSharedWork:
 
     def test_each_operator_built_once(self, family, monkeypatch):
         builds = Counter()
-        for name in ("first_order_operator", "second_order_operator"):
+        for name in ("_first_order_operator", "_second_order_operator"):
             self.count(monkeypatch, perturbation, name, builds)
         perturbation_report(family, "operator")
-        assert builds == {"first_order_operator": 1, "second_order_operator": 1}
+        assert builds == {"_first_order_operator": 1, "_second_order_operator": 1}
+
+    def test_w1_applied_to_v_once_per_sign(self, family, monkeypatch):
+        # per sign: W1 v and W1 w for the block, W1 Q(...) and W2 v for the
+        # second-order term, which reuses the block's W1 v
+        applies = Counter()
+        original = dirac.DiracOperator.apply
+
+        def counted(op, v):
+            applies["apply"] += 1
+            return original(op, v)
+
+        monkeypatch.setattr(dirac.DiracOperator, "apply", counted)
+        perturbation_report(family, "operator")
+        assert applies["apply"] == 8
 
     def test_h_and_k_checked_once(self, family, monkeypatch):
         checks = Counter()
@@ -411,6 +435,31 @@ class TestSharedWork:
             second_correction_closed(h, k, n)
         second_order_operator(h, k)
 
+    def test_routes_build_no_full_product(self, family, monkeypatch):
+        def full_product(self, other):
+            raise AssertionError("a route built a full 3x3 product")
+
+        monkeypatch.setattr(Matrix3Field, "__matmul__", full_product)
+        for route in ("closed_form", "operator"):
+            perturbation_report(family, route)
+
+    def test_closed_route_builds_only_k00(self, family, monkeypatch):
+        # with the closed-form sums stubbed out, every convolution left is k's:
+        # (E1^T E1)[0, 0] takes 3 (h is a sum, no product)
+        convolutions = Counter()
+        self.count(monkeypatch, np, "convolve", convolutions)
+        monkeypatch.setattr(perturbation, "_second_corrections_closed", lambda h, k00, signs: [0.0, 0.0])
+        perturbation_report(family, "closed_form")
+        assert convolutions["convolve"] == 3
+
+    def test_fit_route_builds_no_h_or_k(self, family, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Galerkin fit route built h or k")
+
+        for name in ("_h_coefficients", "_k_coefficient", "_k_coefficients"):
+            monkeypatch.setattr(perturbation, name, refuse)
+        assert perturbation_report(family, "galerkin_fit").fit_order == 2
+
     def test_failure_order_matches_separate_calls(self, family, monkeypatch):
         # h check, l1(+1), l1(-1), k check, second-order terms at +1 then -1
         events = []
@@ -426,15 +475,15 @@ class TestSharedWork:
 
         log("require_sym_real", lambda mat, name: name)
         log("_first_order_block", lambda w1, n: ("l1", n))
-        log("_second_order_term", lambda w1, w2, l1, n, truncation: ("l2", n))
+        log("_second_order_term", lambda w1, w2, w1v, l1, n, truncation: ("l2", n))
         perturbation_report(family, "operator")
         assert events == ["h", ("l1", 1), ("l1", -1), "k", ("l2", 1), ("l2", -1)]
 
     @pytest.mark.parametrize("bad", ["h", "k"])
     def test_input_check_messages(self, family, bad, monkeypatch):
         skew = m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
-        target = {"h": "first_order_perturbation", "k": "second_order_perturbation"}[bad]
-        monkeypatch.setattr(perturbation, target, lambda cf: skew)
+        target = {"h": "_h_coefficients", "k": "_k_coefficients"}[bad]
+        monkeypatch.setattr(perturbation, target, lambda *entries: skew.coefficients())
         with pytest.raises(ValueError, match=f"{bad} must be symmetric"):
             perturbation_report(family, "operator")
 
