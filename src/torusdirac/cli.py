@@ -39,6 +39,9 @@ TOL_L2_OPERATOR = 1e-10
 TOL_L1_FIT = 1e-6
 TOL_L2_FIT = 1e-4
 
+# rows of text that `dump-matrix` joins at a time
+_DUMP_STRIP_ROWS = 16
+
 # every numerical failure of the package derives from NumericalContractError
 _NUMERIC_ERRORS = (
     NumericalContractError,
@@ -189,9 +192,32 @@ def cmd_dump_matrix(cfg: RunConfig) -> str:
 
 def _dump_rows(entries: np.ndarray) -> str:
     """One line per row of a complex matrix, entries as ``re+imi`` with 17
-    significant digits: the same text as ``f"{z.real:.17g}{z.imag:+.17g}i"``."""
-    row = " ".join(["%.17g%+.17gi"] * entries.shape[1]) + "\n"
-    return "".join(row % tuple(r.tolist()) for r in entries.view(float))
+    significant digits: the same text as ``f"{z.real:.17g}{z.imag:+.17g}i"``.
+
+    Each distinct |value| is formatted once; its sign comes from the sign
+    bit, except that a NaN prints unsigned, as ``%`` prints it. The text is
+    joined ``_DUMP_STRIP_ROWS`` rows at a time.
+    """
+    values = entries.view(float)
+    magnitudes, index = np.unique(np.abs(values), return_inverse=True)
+    digits = np.array(["%.17g" % value for value in magnitudes.tolist()], dtype=object)
+    index = index.reshape(values.shape)
+    # each float is three pieces: sign, digits and suffix; a real part's
+    # sign is "-" or nothing, an imaginary part's "-" or "+"
+    signs = np.array(["", "-", "+", "-"], dtype=object)
+    imaginary = 2 * (np.arange(values.shape[1]) % 2)
+    pieces = np.empty((min(_DUMP_STRIP_ROWS, values.shape[0]), values.shape[1], 3), dtype=object)
+    pieces[:, :, 2] = np.where(imaginary, "i ", "")
+    pieces[:, -1, 2] = "i\n"
+    strips = []
+    for i0 in range(0, values.shape[0], _DUMP_STRIP_ROWS):
+        strip = values[i0 : i0 + _DUMP_STRIP_ROWS]
+        part = pieces[: strip.shape[0]]
+        part[:, :, 0] = signs[imaginary + (np.signbit(strip) & ~np.isnan(strip))]
+        part[:, :, 1] = digits[index[i0 : i0 + _DUMP_STRIP_ROWS]]
+        strips.append("".join(part.ravel().tolist()))
+    del digits, index, pieces  # before the final join doubles the text
+    return "".join(strips)
 
 
 def _physical_memory() -> int | None:
@@ -206,7 +232,9 @@ def _physical_memory() -> int | None:
 def _check_matrix_memory(m: int) -> None:
     """Raise ConfigError when the dense complex Galerkin matrix of truncation
     m, 16 * (2(2m+1))^2 bytes, would take more than a quarter of physical
-    memory; checked before any grid or matrix is allocated."""
+    memory; checked before any grid or matrix is allocated. A solve holds
+    about two such matrices: the matrix, which ``galerkin_matrix``
+    symmetrizes in place in row strips, and ``eigvalsh``'s working copy."""
     memory = _physical_memory()
     size = 16 * (2 * (2 * m + 1)) ** 2
     if memory is not None and 4 * size > memory:

@@ -53,21 +53,31 @@ def as_real_samples(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def require_sym_real(entries, name: str) -> None:
-    """Raise ValueError unless the 3x3 matrix of trig polynomials whose entry
-    coefficient arrays are ``entries`` (as ``Matrix3Field.coefficients``
-    gives them) is real-valued and symmetric.
+def _require_real(entries, message: str) -> tuple[np.ndarray, float]:
+    """Raise ValueError(message) unless the 3x3 matrix of trig polynomials
+    whose entry coefficient arrays are ``entries`` (as
+    ``Matrix3Field.coefficients`` gives them) is real-valued; return its
+    ``stack_entries`` stack and the tolerance.
 
-    Both defects, |c_k - conj(c_-k)| and |c_k(a, b) - c_k(b, a)|, are judged
-    against ``COEFF_TOL`` times max(1, largest |c_k|): rounding in the
-    products that build k grows with the size of its entries, so data of
-    magnitude up to 1 keep the absolute tolerance and larger data a relative
-    one.
+    The defect |c_k - conj(c_-k)| is judged against ``COEFF_TOL`` times
+    max(1, largest |c_k|): rounding in the products that build the data
+    grows with the size of its entries, so data of magnitude up to 1 keep
+    the absolute tolerance and larger data a relative one.
     """
     stack = stack_entries(entries, max(c.size for row in entries for c in row) // 2)
     tol = COEFF_TOL * max(1.0, float(np.max(np.abs(stack))))
     if not np.all(np.abs(stack - np.conj(stack[::-1])) <= tol):
-        raise ValueError(f"{name} must be real-valued")
+        raise ValueError(message)
+    return stack, tol
+
+
+def require_sym_real(entries, name: str) -> None:
+    """Raise ValueError unless the 3x3 matrix of trig polynomials whose entry
+    coefficient arrays are ``entries`` is real-valued and symmetric, both
+    judged at the tolerance of ``_require_real``: the symmetry defect is
+    |c_k(a, b) - c_k(b, a)|.
+    """
+    stack, tol = _require_real(entries, f"{name} must be real-valued")
     if not np.all(np.abs(stack - np.swapaxes(stack, 1, 2)) <= tol):
         raise ValueError(f"{name} must be symmetric")
 
@@ -84,9 +94,10 @@ class CoframeFamily:
     E2: Matrix3Field
 
     def __post_init__(self):
+        # scaled as in require_sym_real: E2 = (k - h@h)/8 of large h and k
+        # carries a rounding-level imaginary part
         for name, mat in (("E1", self.E1), ("E2", self.E2)):
-            if not mat.is_real():
-                raise ValueError(f"{name} must be a real-valued matrix field")
+            _require_real(mat.coefficients(), f"{name} must be a real-valued matrix field")
 
     @classmethod
     def from_perturbation(cls, h: Matrix3Field, k: Matrix3Field) -> "CoframeFamily":

@@ -2,9 +2,9 @@
 
 ``dirac_operator`` builds the coframe, det e and the potential numerator on
 bare coefficient arrays, and ``galerkin_matrix`` reads its blocks through
-strided views and symmetrizes in place. The closed-form and operator routes
-build h, k, W1 and W2 on coefficient arrays and share W1 v_n. All must
-reproduce, byte for byte, the reference formulas in conftest: the
+strided views and symmetrizes in place, in row strips. The closed-form and
+operator routes build h, k, W1 and W2 on coefficient arrays and share W1 v_n.
+All must reproduce, byte for byte, the reference formulas in conftest: the
 ``Matrix3Field``/``TrigPoly`` path and the ``sliding_window_view`` gather they
 replaced. Signed zeros count, so eps = -0.0 and +0.0 are both covered.
 """
@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from torusdirac import CoframeFamily, Matrix3Field, SpinorField, TrigPoly, dirac_operator
 from torusdirac import first_order_perturbation, galerkin_matrix, load_config_file, load_example
-from torusdirac import perturbation_report, second_order_perturbation, trigpoly
+from torusdirac import galerkin, perturbation_report, second_order_perturbation, trigpoly
 from torusdirac.config import EXAMPLE_NAMES
+from torusdirac.geometry import default_grid
 from torusdirac.trigpoly import matmul_entry
 
 from conftest import reference_apply, reference_closed_route, reference_det, reference_galerkin
@@ -33,6 +34,7 @@ SEEDED = ("seeded-coframe-4", "seeded-perturbation-3", "cli-sweep-coframe-2", "c
 EPS_VALUES = (0.2, 0.1, 0.01, -0.1, 0.0, -0.0)
 GRIDS = (256, 416)
 TRUNCATIONS = (0, 1, 3, 25, 40)  # 2m below and above the operator degree 63 at n = 256
+STRIP_TRUNCATIONS = (64, 100)  # orders 258 and 402: two and three row strips, the last one short
 
 
 def _families(names):
@@ -92,6 +94,13 @@ def test_matrix_matches_reference(name):
             assert_matrix_bytes(op, m)
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_matrix_matches_reference_in_many_strips(name):
+    for m in STRIP_TRUNCATIONS:
+        for eps in (0.1, -0.0):
+            assert_matrix_bytes(dirac_operator(FAMILIES[name], eps, default_grid(m)), m)
+
+
 # ----------------------------------------------------------------------
 # random coframes whose entries each have their own trig degree 0-3
 # ----------------------------------------------------------------------
@@ -132,6 +141,15 @@ class TestRandomCoframes:
     @given(MIXED_COFRAMES, SIGNED_EPS, st.sampled_from(TRUNCATIONS))
     def test_matrix_matches_reference(self, cf, eps, m):
         assert_matrix_bytes(dirac_operator(cf, eps, 256), m)
+
+    @settings(max_examples=25)
+    @given(MIXED_COFRAMES, SIGNED_EPS, st.integers(0, 12), st.integers(1, 7))
+    def test_matrix_matches_reference_in_narrow_strips(self, cf, eps, m, rows):
+        # strips of a few rows, so that small m has many strips and an uneven last one
+        order = 2 * (2 * m + 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(galerkin, "_STRIP_BYTES", rows * order * 16)
+            assert_matrix_bytes(dirac_operator(cf, eps, 256), m)
 
     @settings(max_examples=40)
     @given(mixed_degree_fields())

@@ -210,6 +210,21 @@ class TestCli:
         ) + "\n"
         assert _dump_rows(entries) == expected
 
+    @pytest.mark.parametrize("order", [1, 16, 37])
+    def test_dump_rows_match_fstring_across_strips(self, order):
+        # one strip, exactly one full strip, and two full strips plus a short one;
+        # signed NaNs print unsigned, repeated magnitudes with either sign
+        rng = np.random.default_rng(order)
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1e300])
+        values = rng.normal(size=(order, 2 * order)) * 10.0 ** rng.integers(-300, 300, (order, 2 * order))
+        values[:, ::3] = rng.choice(special, size=values[:, ::3].shape)
+        values[:, 1::4] = -values[:, ::4]
+        entries = values.view(complex)
+        expected = "".join(
+            " ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) + "\n" for row in entries
+        )
+        assert _dump_rows(entries) == expected
+
     def test_repeated_main_calls_identical(self, capsys):
         argv = ["galerkin", "--config", "example-galerkin-2", "--out", "md"]
         assert main(argv) == 0

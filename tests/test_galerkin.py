@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,18 @@ class TestAssembly:
         gm = galerkin_matrix(op, 25)
         assert gm.order == 102
         assert gm.entries.shape == (102, 102)
+
+    def test_assembly_peaks_near_one_matrix_of_memory(self):
+        # the matrix plus a few strips of temporaries; symmetrizing the whole
+        # matrix out of place needs 3.6 matrices
+        op = dirac_operator(load_example("example-galerkin-2").family(), 0.1, default_grid(200))
+        tracemalloc.start()
+        try:
+            gm = galerkin_matrix(op, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * gm.entries.nbytes
 
 
 class TestClosedForm:

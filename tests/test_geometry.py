@@ -135,6 +135,25 @@ class TestPerturbationExtraction:
         assert first_order_perturbation(cf).isclose(h, 1e-13)
         assert second_order_perturbation(cf).isclose(k, 1e-13)
 
+    def test_large_perturbation_data_is_accepted(self):
+        # E2 = (k - h@h)/8 carries rounding-level imaginary parts, ~1e-12
+        # against entries up to ~1e4; seeds 6 and 7 exceed an absolute 1e-12
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            h = random_symmetric_field(rng, 2, 100.0)
+            k = random_symmetric_field(rng, 2, 100.0)
+            CoframeFamily.from_perturbation(h, k)
+
+    @pytest.mark.parametrize("name", ["E1", "E2"])
+    def test_large_imaginary_defect_is_rejected(self, name):
+        rng = np.random.default_rng(6)
+        fields = {"E1": random_field(rng, 2, 100.0), "E2": random_field(rng, 2, 100.0)}
+        mat = fields[name]
+        fields[name] = Matrix3Field([[mat[a, b] + TrigPoly([1e-4j]) if (a, b) == (1, 2) else mat[a, b]
+                                      for b in range(3)] for a in range(3)])
+        with pytest.raises(ValueError, match=f"{name} must be a real-valued matrix field"):
+            CoframeFamily(**fields)
+
     def test_always_symmetric_real(self):
         rng = np.random.default_rng(22)
         for _ in range(5):
