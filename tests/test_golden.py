@@ -23,6 +23,12 @@ The four ``cli-sweep-*.cfg`` files are the seeded configs of the benchmark's
 coframe and two perturbation families of trig degree 1..4). Their 16 stdout
 files and dump digests (``cli-sweep-dump-matrix.sha256``) pin the whole user
 path bit for bit, so a change that claims to keep every bit is checked here.
+
+``array-digests.txt`` pins the numbers below the printed ones for all ten
+families: the float.hex values of the closed-form and operator routes,
+``arc_length(cf, 1e-4)``, and the sha256 of the operator B^/p^ bytes and of
+the Galerkin entries, with the float.hex ``herm_residual``, at each eps in
+``DIGEST_EPS`` and m in ``DIGEST_TRUNCATIONS`` on ``default_grid(m)``.
 """
 
 from __future__ import annotations
@@ -32,10 +38,14 @@ import hashlib
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from torusdirac import arc_length, dirac_operator, galerkin_matrix, load_config_file
+from torusdirac import perturbation_report
 from torusdirac.cli import main
 from torusdirac.config import EXAMPLE_NAMES
+from torusdirac.geometry import default_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,6 +73,11 @@ COMMANDS = {
 }
 DUMP = ["dump-matrix", "--eps", "0.1"]
 
+ARRAY_DIGESTS = "array-digests.txt"
+DIGEST_EPS = (0.1, -0.0, 0.2)
+DIGEST_TRUNCATIONS = (3, 25, 64)
+COEFFICIENTS = ("lambda1_plus", "lambda1_minus", "lambda2_plus", "lambda2_minus")
+
 
 def _stdout(argv: list[str]) -> str:
     buf = io.StringIO()
@@ -77,6 +92,34 @@ def _dump_digests(names) -> str:
         f"{hashlib.sha256(_stdout(DUMP + ['--config', CONFIGS[name]]).encode()).hexdigest()}  {name}\n"
         for name in names
     )
+
+
+def _sha256(*arrays: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(f"{a.dtype}{a.shape}".encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def _array_digests() -> str:
+    lines = []
+    for name, config in CONFIGS.items():
+        cf = load_config_file(config).family()
+        for route in ("closed_form", "operator"):
+            report = perturbation_report(cf, route)
+            values = " ".join(float.hex(getattr(report, c)) for c in COEFFICIENTS)
+            lines.append(f"{name} {route} {values}")
+        lines.append(f"{name} arc_length {float.hex(arc_length(cf, 1e-4))}")
+        for eps in DIGEST_EPS:
+            for m in DIGEST_TRUNCATIONS:
+                op = dirac_operator(cf, eps, default_grid(m))
+                gm = galerkin_matrix(op, m)
+                lines.append(
+                    f"{name} eps={eps!r} m={m} operator {_sha256(op.b_hat, op.p_hat)} "
+                    f"matrix {_sha256(gm.entries)} herm_residual {float.hex(gm.herm_residual)}"
+                )
+    return "".join(line + "\n" for line in lines)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -103,6 +146,11 @@ def test_cli_sweep_dump_matrix_digests_match_golden():
     _check_digests("cli-sweep-dump-matrix.sha256")
 
 
+def test_array_digests_match_golden():
+    expected = (GOLDEN / ARRAY_DIGESTS).read_text(encoding="utf-8")
+    assert _array_digests() == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, config in CONFIGS.items():
@@ -111,3 +159,4 @@ if __name__ == "__main__":
             (GOLDEN / f"{name}.{command}.txt").write_text(text, encoding="utf-8")
     for digest_file, names in DIGEST_FILES.items():
         (GOLDEN / digest_file).write_text(_dump_digests(names), encoding="utf-8")
+    (GOLDEN / ARRAY_DIGESTS).write_text(_array_digests(), encoding="utf-8")
