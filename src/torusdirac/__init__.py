@@ -6,7 +6,6 @@ and second order expansion coefficients of the eigenvalues +1 and -1 by
 three independent routes, and spectral asymmetry diagnostics.
 """
 
-from .trigpoly import Matrix3Field, TrigPoly
 from .geometry import (
     CoframeFamily,
     NumericalContractError,
@@ -48,8 +47,6 @@ from .config import ConfigError, load_config_file, load_example, parse_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "Matrix3Field",
-    "TrigPoly",
     "CoframeFamily",
     "NumericalContractError",
     "SingularCoframeError",

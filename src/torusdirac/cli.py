@@ -130,8 +130,7 @@ def cmd_asympt(cfg: RunConfig, out_format: str) -> str:
         rows,
         out_format,
     )
-    h = first_order_perturbation(family)
-    h11_mean = h.fourier(0)[0, 0].real
+    h11_mean = pt._mean(first_order_perturbation(family)[0][0]).real
     eps_probe = 1e-4
     measured_slope = (arc_length(family, eps_probe) - arc_length(family, -eps_probe)) / (
         2 * eps_probe

@@ -25,8 +25,10 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+
 from .geometry import CoframeFamily
-from .trigpoly import Matrix3Field, TrigPoly
+from .trigpoly import _as_field
 
 
 class ConfigError(Exception):
@@ -53,10 +55,11 @@ class RunConfig:
     eps_list: list = field(default_factory=lambda: [0.2, 0.1, 0.01])
     modes: list = field(default_factory=lambda: [-2, -1, 0, 1, 2])
     out_format: str = "csv"
-    E1: Matrix3Field | None = None
-    E2: Matrix3Field | None = None
-    h: Matrix3Field | None = None
-    k: Matrix3Field | None = None
+    # entry coefficient arrays, as CoframeFamily holds E1 and E2
+    E1: tuple | None = None
+    E2: tuple | None = None
+    h: tuple | None = None
+    k: tuple | None = None
 
     def family(self) -> CoframeFamily:
         if self.mode == "coframe":
@@ -64,7 +67,8 @@ class RunConfig:
         return CoframeFamily.from_perturbation(self.h, self.k)
 
 
-def _parse_poly(text: str, key: str) -> TrigPoly:
+def _parse_poly(text: str, key: str) -> np.ndarray:
+    """Coefficients c[k + D] of the triples in ``text``; repeated k add up."""
     stripped = _TRIPLE_RE.sub("", text).strip()
     if stripped:
         raise ConfigError(f"{key}: unparsable fragment {stripped!r}")
@@ -77,7 +81,11 @@ def _parse_poly(text: str, key: str) -> TrigPoly:
         if not (math.isfinite(triple[1]) and math.isfinite(triple[2])):
             raise ConfigError(f"{key}: coefficients must be finite, got ({mk}, {re_}, {im_})")
         triples.append(triple)
-    return TrigPoly.from_triples(triples)
+    d = max((abs(k) for k, _, _ in triples), default=0)
+    c = np.zeros(2 * d + 1, dtype=complex)
+    for k, re_, im_ in triples:
+        c[k + d] += re_ + 1j * im_
+    return c
 
 
 def parse_numbers(text: str, key: str, cast) -> list:
@@ -102,7 +110,7 @@ def parse_eps_list(text: str, key: str = "eps") -> list[float]:
 
 def parse_config(text: str) -> RunConfig:
     scalars: dict[str, str] = {}
-    matrices: dict[str, list[list[TrigPoly]]] = {}
+    matrices: dict[str, list[list]] = {}
     seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -118,10 +126,7 @@ def parse_config(text: str) -> RunConfig:
         entry = _ENTRY_RE.fullmatch(key)
         if entry:
             name, a, b = entry.group(1), int(entry.group(2)) - 1, int(entry.group(3)) - 1
-            mat = matrices.setdefault(
-                name, [[TrigPoly.zero() for _ in range(3)] for _ in range(3)]
-            )
-            mat[a][b] = _parse_poly(value, key)
+            matrices.setdefault(name, [[0.0] * 3 for _ in range(3)])[a][b] = _parse_poly(value, key)
         elif key in ("m", "eps", "modes", "out"):
             scalars[key] = value
         else:
@@ -154,10 +159,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"out must be 'csv' or 'md', got {scalars['out']!r}")
         cfg.out_format = scalars["out"]
 
-    def build(name: str) -> Matrix3Field:
-        if name in matrices:
-            return Matrix3Field(matrices[name])
-        return Matrix3Field.zero()
+    def build(name: str) -> tuple:
+        return _as_field(matrices.get(name, [[0.0] * 3] * 3))
 
     try:
         if mode == "coframe":

@@ -17,9 +17,11 @@ the coefficients of B and p, the action is the finite convolution
     (W v)^(k) = sum_q [ (k + q)/2 B^(k - q) + p^(k - q) ] v^(q).
 
 The first and second order terms have trigonometric-polynomial coefficients
-and are built in coefficient arithmetic. Only the frame is sampled, in
-``dirac_operator(cf, eps, n)``: it inverts the coframe on n grid points,
-takes the FFT of B and p and keeps the frequencies |k| < n/4.
+and are built in coefficient arithmetic from h and k, each given as a 3x3
+nested sequence of coefficient arrays or scalars (see ``trigpoly``). Only
+the frame is sampled, in ``dirac_operator(cf, eps, n)``: it inverts the
+coframe on n grid points, takes the FFT of B and p and keeps the
+frequencies |k| < n/4.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .geometry import CoframeFamily, NumericalContractError, as_real_samples, positive_det
 from .geometry import require_resolved, require_sym_real
-from .trigpoly import Matrix3Field, TrigPoly, det3, matmul_entry, poly_add, poly_derivative
+from .trigpoly import _ZERO, _as_field, det3, matmul_entry, poly_add, poly_derivative
 from .trigpoly import poly_on_grid, poly_sub, resize_degree
 
 
@@ -56,11 +58,6 @@ class SpinorField:
     @property
     def degree(self) -> int:
         return (self.coeffs.shape[1] - 1) // 2
-
-    @classmethod
-    def from_components(cls, upper: TrigPoly, lower: TrigPoly) -> "SpinorField":
-        d = max(upper.degree, lower.degree)
-        return cls(np.array([resize_degree(upper.coeffs, d), resize_degree(lower.coeffs, d)]))
 
     # ------------------------------------------------------------------
     # Hilbert space structure: <u, v> = int_0^2pi v^* u dx = 2pi sum_k v^_k^* u^_k
@@ -180,13 +177,6 @@ def free_operator() -> DiracOperator:
     return DiracOperator(symbol_matrix(one, zero, zero), zero)
 
 
-# coefficients of the identity's entries, shared read-only
-_ONE = np.ones(1, dtype=complex)
-_ZERO = np.zeros(1, dtype=complex)
-_ONE.setflags(write=False)
-_ZERO.setflags(write=False)
-
-
 def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
     """Assemble the operator of the family at ``eps`` on a grid of n points.
 
@@ -198,24 +188,17 @@ def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
     whose numerator and sqrt(det g) = det e are exact in coefficient
     arithmetic. The coefficients of B and p are their FFT divided by n, kept
     at |k| < n/4. Raises SingularCoframeError unless det e > 0 on the grid,
-    and UnderResolvedError when ``require_resolved`` fails.
+    and UnderResolvedError when ``require_resolved`` fails: on a coframe
+    harmonic past the kept band before any product is formed, on the FFTs
+    at the end.
 
-    The coframe I + eps E1 + eps^2 E2, det e and the numerator are built on
-    the bare coefficient arrays with the ``trigpoly`` functions, no
-    ``TrigPoly`` or ``Matrix3Field`` per eps. The result has the bits of the
-    object formulas (``cf.coframe_at(eps)``, ``.det()``, ``.derivative()``,
-    ``.on_grid(n)``) because every operation is theirs, in their order:
-    each entry keeps its own length, and a sum pads with zeros before it
-    adds. Padding all entries to one degree, or stacking them into one
-    product, is not byte-safe: numpy's complex dot product goes through BLAS
-    ``zdotu``, whose grouping of the partial sums depends on the length.
+    The coframe ``cf.coframe_at(eps)``, det e and the numerator are built on
+    coefficient arrays with the ``trigpoly`` functions, each entry at its
+    own length and every sum padded with zeros before it adds, as the
+    arithmetic-order rules of ``trigpoly`` require.
     """
-    e1, e2 = cf.E1.coefficients(), cf.E2.coefficients()
-    s1, s2 = complex(eps), complex(eps * eps)
-    coframe = [
-        [poly_add(poly_add(_ONE if a == b else _ZERO, e1[a][b] * s1), e2[a][b] * s2) for b in range(3)]
-        for a in range(3)
-    ]
+    coframe = cf.coframe_at(eps)
+    require_resolved((), coframe, n)
     sqrt_det_g = positive_det(det3(coframe), eps, n)
     csamp = as_real_samples(
         np.array([[poly_on_grid(c, n) for c in row] for row in coframe]), "coframe samples"
@@ -231,7 +214,7 @@ def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
             np.convolve(row[1], poly_derivative(row[2])),
         )
     num_samples = poly_on_grid(num, n)
-    if np.max(np.abs(num_samples.imag)) > 1e-12:
+    if np.max(np.abs(num_samples.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(num_samples)))):
         raise NumericalContractError("potential numerator is not real; index error upstream")
     potential = num_samples.real / (4.0 * sqrt_det_g)
 
@@ -240,11 +223,11 @@ def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
     top = (n - 1) // 4
     kept = np.r_[n - top : n, 0 : top + 1]  # frequencies -top..top
     op = DiracOperator(b_hat[..., kept], p_hat[kept])
-    require_resolved((b_hat, p_hat), coframe, n)
+    require_resolved((b_hat, p_hat), (), n)
     return op
 
 
-def first_order_operator(h: Matrix3Field) -> DiracOperator:
+def first_order_operator(h) -> DiracOperator:
     """Linear term of the eps-expansion of the operator family.
 
     Expanding the frame gives the symbol -(1/2) * B_h with B_h built from the
@@ -252,12 +235,12 @@ def first_order_operator(h: Matrix3Field) -> DiracOperator:
     potential only enters at second order. Raises ValueError unless h is
     real and symmetric.
     """
-    entries = h.coefficients()
-    require_sym_real(entries, "h")
-    return _first_order_operator(entries)
+    h = _as_field(h)
+    require_sym_real(h, "h")
+    return _first_order_operator(h)
 
 
-def second_order_operator(h: Matrix3Field, k: Matrix3Field) -> DiracOperator:
+def second_order_operator(h, k) -> DiracOperator:
     """Quadratic term of the eps-expansion.
 
     Symbol (3/8) B_{h^2} - (1/8) B_k from the frame expansion, plus the real
@@ -265,10 +248,10 @@ def second_order_operator(h: Matrix3Field, k: Matrix3Field) -> DiracOperator:
     antisymmetrized first-column-free part of the half-density term. Raises
     ValueError unless h and k are real and symmetric.
     """
-    h_entries, k_entries = h.coefficients(), k.coefficients()
-    require_sym_real(h_entries, "h")
-    require_sym_real(k_entries, "k")
-    return _second_order_operator(h_entries, k_entries)
+    h, k = _as_field(h), _as_field(k)
+    require_sym_real(h, "h")
+    require_sym_real(k, "k")
+    return _second_order_operator(h, k)
 
 
 # The two builders below take h and k as entry coefficient arrays, ``h[a][b]``

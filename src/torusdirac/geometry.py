@@ -2,7 +2,8 @@
 
 A family of coframes e(x^1; eps) = I + eps*E1(x^1) + eps^2*E2(x^1) determines
 the metric g = e^T e. All data depend on x^1 only, so each object reduces to
-matrix-valued functions on the circle. Sampled steps share one grid rule,
+matrix-valued functions on the circle, held as nested 3x3 tuples of entry
+coefficient arrays (see ``trigpoly``). Sampled steps share one grid rule,
 ``default_grid``, and one resolution check, ``require_resolved``.
 """
 
@@ -12,11 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import COEFF_TOL, Matrix3Field, TrigPoly, grid_points, matmul_entry
-from .trigpoly import poly_add, poly_on_grid, resize_degree, stack_entries
+from .trigpoly import _ZERO, COEFF_TOL, _as_field, det3, field_degree, grid_points
+from .trigpoly import matmul_entry, poly_add, poly_on_grid, poly_sub, resize_degree, stack_entries
 
 #: Largest Fourier coefficient that sampling may drop at |k| >= n/4.
 ALIASING_LIMIT = 1e-9
+
+# coefficients of the identity's diagonal entries, shared read-only
+_ONE = np.ones(1, dtype=complex)
+_ONE.setflags(write=False)
 
 
 def default_grid(degree: int) -> int:
@@ -45,8 +50,11 @@ class UnderResolvedError(NumericalContractError):
 
 
 def as_real_samples(values: np.ndarray, what: str) -> np.ndarray:
+    """The real part of the samples ``values``. Raises NumericalContractError
+    when an imaginary part exceeds 1e-10 times max(1, largest |sample|):
+    rounding grows with the size of the data, as in ``_require_real``."""
     imag = np.max(np.abs(values.imag))
-    if imag > 1e-10:
+    if imag > 1e-10 * max(1.0, float(np.max(np.abs(values)))):
         raise NumericalContractError(
             f"{what} has imaginary part {imag:.2e}; expected real data"
         )
@@ -55,8 +63,7 @@ def as_real_samples(values: np.ndarray, what: str) -> np.ndarray:
 
 def _require_real(entries, message: str) -> tuple[np.ndarray, float]:
     """Raise ValueError(message) unless the 3x3 matrix of trig polynomials
-    whose entry coefficient arrays are ``entries`` (as
-    ``Matrix3Field.coefficients`` gives them) is real-valued; return its
+    whose entry coefficient arrays are ``entries`` is real-valued; return its
     ``stack_entries`` stack and the tolerance.
 
     The defect |c_k - conj(c_-k)| is judged against ``COEFF_TOL`` times
@@ -64,7 +71,7 @@ def _require_real(entries, message: str) -> tuple[np.ndarray, float]:
     grows with the size of its entries, so data of magnitude up to 1 keep
     the absolute tolerance and larger data a relative one.
     """
-    stack = stack_entries(entries, max(c.size for row in entries for c in row) // 2)
+    stack = stack_entries(entries, field_degree(entries))
     tol = COEFF_TOL * max(1.0, float(np.max(np.abs(stack))))
     if not np.all(np.abs(stack - np.conj(stack[::-1])) <= tol):
         raise ValueError(message)
@@ -82,79 +89,84 @@ def require_sym_real(entries, name: str) -> None:
         raise ValueError(f"{name} must be symmetric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoframeFamily:
     """Coframe family e(x^1; eps) = I + eps*E1 + eps^2*E2 with real entries.
 
     Row index j labels the covector, column index the tensor component, so
-    ``E1[j, a]`` perturbs e^j_a.
+    ``E1[j][a]`` perturbs e^j_a. E1 and E2 are given as nested 3x3 sequences
+    of coefficient arrays or scalars and held as ``trigpoly._as_field``
+    makes them. Families compare and hash by identity.
     """
 
-    E1: Matrix3Field
-    E2: Matrix3Field
+    E1: tuple
+    E2: tuple
 
     def __post_init__(self):
         # scaled as in require_sym_real: E2 = (k - h@h)/8 of large h and k
         # carries a rounding-level imaginary part
-        for name, mat in (("E1", self.E1), ("E2", self.E2)):
-            _require_real(mat.coefficients(), f"{name} must be a real-valued matrix field")
+        for name in ("E1", "E2"):
+            entries = _as_field(getattr(self, name))
+            _require_real(entries, f"{name} must be a real-valued matrix field")
+            object.__setattr__(self, name, entries)
 
     @classmethod
-    def from_perturbation(cls, h: Matrix3Field, k: Matrix3Field) -> "CoframeFamily":
+    def from_perturbation(cls, h, k) -> "CoframeFamily":
         """Synthesize a coframe from metric perturbation data.
 
         Taking E1 = h/2 and E2 = (k - h^2)/8 gives a family whose metric is
         I + eps*h + (eps^2/4)*k up to O(eps^3), which pins every second-order
         quantity computed here.
         """
-        require_sym_real(h.coefficients(), "h")
-        require_sym_real(k.coefficients(), "k")
-        E1 = h * 0.5
-        E2 = (k - (h @ h)) * (1.0 / 8.0)
+        h, k = _as_field(h), _as_field(k)
+        require_sym_real(h, "h")
+        require_sym_real(k, "k")
+        E1 = [[c * complex(0.5) for c in row] for row in h]
+        E2 = [
+            [poly_sub(k[a][b], matmul_entry(h, h, a, b)) * complex(1.0 / 8.0) for b in range(3)]
+            for a in range(3)
+        ]
         return cls(E1, E2)
 
-    def coframe_at(self, eps: float) -> Matrix3Field:
-        return Matrix3Field.identity() + self.E1 * eps + self.E2 * (eps * eps)
-
-
-def _h_coefficients(e1) -> list:
-    """Entry coefficient arrays of h = E1 + E1^T from those of E1."""
-    return [[poly_add(e1[a][b], e1[b][a]) for b in range(3)] for a in range(3)]
+    def coframe_at(self, eps: float) -> tuple:
+        """Entry coefficient arrays of the coframe I + eps*E1 + eps^2*E2,
+        each entry summed in that order and at its own degree."""
+        s1, s2 = complex(eps), complex(eps * eps)
+        e1, e2 = self.E1, self.E2
+        return tuple(
+            tuple(
+                poly_add(poly_add(_ONE if a == b else _ZERO, e1[a][b] * s1), e2[a][b] * s2)
+                for b in range(3)
+            )
+            for a in range(3)
+        )
 
 
 def _k_coefficient(e1, e2, a: int, b: int) -> np.ndarray:
     """Coefficients of entry (a, b) of k = 4*(E1^T E1 + E2 + E2^T) from the
     entry coefficient arrays of E1 and E2: (E1^T E1)[a, b] by
-    ``matmul_entry``, then + E2[a, b], + E2[b, a] and * 4, the operations of
-    the ``Matrix3Field`` formula in its order, so the bits are its bits."""
+    ``matmul_entry``, then + E2[a, b], + E2[b, a] and * 4, in that order."""
     e1t = tuple(zip(*e1))
     return poly_add(poly_add(matmul_entry(e1t, e1, a, b), e2[a][b]), e2[b][a]) * 4.0
 
 
-def _k_coefficients(e1, e2) -> list:
-    """All nine entry coefficient arrays of k, as ``_k_coefficient``."""
-    return [[_k_coefficient(e1, e2, a, b) for b in range(3)] for a in range(3)]
+def first_order_perturbation(cf: CoframeFamily) -> tuple:
+    """Linear-in-eps coefficient of the metric: h = E1 + E1^T, as entry
+    coefficient arrays."""
+    e1 = cf.E1
+    return tuple(tuple(poly_add(e1[a][b], e1[b][a]) for b in range(3)) for a in range(3))
 
 
-def _matrix(entries) -> Matrix3Field:
-    return Matrix3Field([[TrigPoly(c) for c in row] for row in entries])
-
-
-def first_order_perturbation(cf: CoframeFamily) -> Matrix3Field:
-    """Linear-in-eps coefficient of the metric: h = E1 + E1^T."""
-    return _matrix(_h_coefficients(cf.E1.coefficients()))
-
-
-def second_order_perturbation(cf: CoframeFamily) -> Matrix3Field:
-    """Quadratic metric data k, from g = I + eps*h + (eps^2/4)*k + O(eps^3).
+def second_order_perturbation(cf: CoframeFamily) -> tuple:
+    """Quadratic metric data k, from g = I + eps*h + (eps^2/4)*k + O(eps^3),
+    as entry coefficient arrays.
 
     The eps^2 Taylor coefficient of e^T e is E1^T E1 + E2 + E2^T, so
-    k = 4*(E1^T E1 + E2 + E2^T). Each entry is built on coefficient arrays
-    by ``_k_coefficient``, which the routes of ``perturbation_report`` call
-    for just the entries they read: the closed form reads k[0, 0] (3 of the
-    27 convolutions of E1^T E1), the operator route all nine.
+    k = 4*(E1^T E1 + E2 + E2^T). Each entry is built by ``_k_coefficient``,
+    which the closed-form route of ``perturbation_report`` calls for k[0, 0]
+    alone (3 of the 27 convolutions of E1^T E1).
     """
-    return _matrix(_k_coefficients(cf.E1.coefficients(), cf.E2.coefficients()))
+    return tuple(tuple(_k_coefficient(cf.E1, cf.E2, a, b) for b in range(3)) for a in range(3))
 
 
 def positive_det(det: np.ndarray, eps: float, num_points: int) -> np.ndarray:
@@ -176,13 +188,14 @@ def require_resolved(hats, coframe, n: int) -> None:
     samples on n points divided by n, leave a tail above ``ALIASING_LIMIT``
     at |k| >= n/4, the band that sampling drops. A coframe harmonic past the
     kept band folds back into it on the grid, where no tail shows it, so such
-    a coframe coefficient counts as tail too; ``coframe`` holds the entry
-    coefficient arrays as ``Matrix3Field.coefficients`` does."""
+    a coefficient of ``coframe``, entry coefficient arrays, counts as tail
+    too. Either may be empty: ``dirac_operator`` checks the coframe before it
+    builds anything from it, and the FFTs once it has them."""
     top = (n - 1) // 4  # the largest |k| below n/4
     # FFT order: indices top+1 .. n-top-1 hold the frequencies |k| > top
-    tail = max(np.max(np.abs(h[..., top + 1 : n - top]), initial=0.0) for h in hats)
+    tail = max((np.max(np.abs(h[..., top + 1 : n - top]), initial=0.0) for h in hats), default=0.0)
     entries = [c for row in coframe for c in row]
-    d = max((c.size - 1) // 2 for c in entries)
+    d = max(((c.size - 1) // 2 for c in entries), default=0)
     if d > top:
         coframe_hat = np.abs(np.array([resize_degree(c, d) for c in entries]))
         tail = max(tail, coframe_hat[:, : d - top].max(), coframe_hat[:, d + top + 1 :].max())
@@ -200,15 +213,16 @@ def arc_length(cf: CoframeFamily, eps: float) -> float:
     to rounding once ``require_resolved`` passes on sqrt(g_11). Only g_11 =
     sum_c e^c_1 e^c_1, entry (0, 0) of e^T e, is built; like
     ``dirac_operator`` it raises SingularCoframeError when det e is not
-    strictly positive on the grid.
+    strictly positive on the grid. The grid keeps every coframe harmonic in
+    band, so only the tail of sqrt(g_11) is checked.
     """
     coframe = cf.coframe_at(eps)
-    n = default_grid(coframe.degree)
-    positive_det(coframe.det().coeffs, eps, n)
-    g11_poly = coframe.transpose().product_entry(coframe, 0, 0)
-    g11 = as_real_samples(g11_poly.on_grid(n), "g_11")
+    n = default_grid(field_degree(coframe))
+    positive_det(det3(coframe), eps, n)
+    g11_coeffs = matmul_entry(tuple(zip(*coframe)), coframe, 0, 0)
+    g11 = as_real_samples(poly_on_grid(g11_coeffs, n), "g_11")
     if np.any(g11 <= 0):
         raise SingularCoframeError(f"g_11 not positive at eps={eps}")
     sqrt_g11 = np.sqrt(g11)
-    require_resolved((np.fft.fft(sqrt_g11) / n,), coframe.coefficients(), n)
+    require_resolved((np.fft.fft(sqrt_g11) / n,), (), n)
     return float(sqrt_g11.sum() * 2.0 * np.pi / n)

@@ -19,14 +19,13 @@ private helpers, the first-order block and the second-order term, which take
 W1 and W2 as arguments and share W1 v_n: the public route functions build
 their own, ``perturbation_report`` builds each once for both signs.
 
-``perturbation_report`` runs both routes on the entry coefficient arrays of
-h and k, built from E1 and E2 by ``geometry._h_coefficients`` and
-``_k_coefficient``, with no ``Matrix3Field`` or ``TrigPoly`` in between.
-Each route builds only the entries it reads: the closed form h and k[0, 0],
-the operator route h and all of k, whose realness and symmetry it checks;
-the Galerkin fit route neither. The public functions that take
-``Matrix3Field`` arguments delegate to the same array helpers, so their
-values are the report's to the bit.
+h and k are entry coefficient arrays, 3x3 nested sequences of arrays or
+scalars (see ``trigpoly``). ``perturbation_report`` builds them from E1 and
+E2 with ``geometry.first_order_perturbation`` and ``_k_coefficient``, only
+the entries each route reads: the closed form h and k[0, 0], the operator
+route h and all of k, whose realness and symmetry it checks; the Galerkin
+fit route neither. It runs the helpers that the public route functions run,
+so their values are the report's to the bit.
 """
 
 from __future__ import annotations
@@ -47,12 +46,12 @@ from .galerkin import basis_spinor, spectrum_report, track_pair
 from .geometry import (
     CoframeFamily,
     NumericalContractError,
-    _h_coefficients,
     _k_coefficient,
-    _k_coefficients,
+    first_order_perturbation,
     require_sym_real,
+    second_order_perturbation,
 )
-from .trigpoly import Matrix3Field, matmul_entry, resize_degree, stack_entries
+from .trigpoly import _as_field, field_degree, matmul_entry, resize_degree, stack_entries
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
 
@@ -136,22 +135,17 @@ def _check_sign(n: int) -> None:
 # ----------------------------------------------------------------------
 
 def _mean(coeffs: np.ndarray) -> complex:
-    """The k = 0 coefficient, as ``TrigPoly.fourier(0)`` gives it."""
+    """The k = 0 coefficient."""
     return complex(coeffs[(coeffs.size - 1) // 2])
 
 
-def first_correction_closed(h: Matrix3Field, n: int) -> float:
+def first_correction_closed(h, n: int) -> float:
     """Closed form: -+ (1/2) * hhat_11(0) for n = +-1."""
     _check_sign(n)
-    return _first_correction_closed(h.coefficients(), n)
+    return float(-n * 0.5 * _mean(_as_field(h)[0][0]).real)
 
 
-def _first_correction_closed(h, n: int) -> float:
-    """``first_correction_closed`` from the entry coefficient arrays of h."""
-    return float(-n * 0.5 * _mean(h[0][0]).real)
-
-
-def first_correction_operator(h: Matrix3Field, n: int) -> float:
+def first_correction_operator(h, n: int) -> float:
     """Diagonal of the first-order term on the degenerate eigenspace.
 
     Also verifies that the full 2x2 block on span{v_n, w_n} is a real
@@ -210,12 +204,7 @@ def _require_real(value: complex, terms, rel_tol: float) -> None:
         )
 
 
-def _degree(entries) -> int:
-    """Largest trig degree among the entry coefficient arrays."""
-    return max((c.size - 1) // 2 for row in entries for c in row)
-
-
-def second_correction_closed(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
+def second_correction_closed(h, k, n: int) -> float:
     """Closed-form second-order coefficient for the eigenvalue n = +-1.
 
     Finite Fourier sums in h, k and h^2; the mode sums terminate because h
@@ -225,14 +214,14 @@ def second_correction_closed(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
     reach.
     """
     _check_sign(n)
-    return _second_corrections_closed(h.coefficients(), k[0, 0].coeffs, (n,))[0]
+    return _second_corrections_closed(_as_field(h), _as_field(k)[0][0], (n,))[0]
 
 
 def _second_corrections_closed(h, k00: np.ndarray, signs) -> list[float]:
     """``second_correction_closed`` at each n in ``signs``, in that order,
     from the entry coefficient arrays of h and the coefficients of k[0, 0];
     the stack of h, the means and the flux sum are built once for all n."""
-    d = _degree(h)
+    d = field_degree(h)
     top = d + 4
     hhat = stack_entries(h, top)
     hsq00_mean, k00_mean = _mean(matmul_entry(h, h, 0, 0)), _mean(k00)
@@ -259,19 +248,20 @@ def _second_corrections_closed(h, k00: np.ndarray, signs) -> list[float]:
     return values
 
 
-def second_correction_operator(h: Matrix3Field, k: Matrix3Field, n: int) -> float:
+def second_correction_operator(h, k, n: int) -> float:
     """Operator-route second-order coefficient,
 
         <W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v>,
 
-    with Q the pseudoinverse at lambda0 = n truncated to |q| <= h.degree + 4,
+    with Q the pseudoinverse at lambda0 = n truncated to |q| <= deg h + 4,
     which covers the bandwidth of (W1 - l1) v: exact up to roundoff.
     """
     _check_sign(n)
+    h = _as_field(h)
     w1 = first_order_operator(h)
     w2 = second_order_operator(h, k)
     l1, w1v = _first_order_block(w1, n)
-    return _second_order_term(w1, w2, w1v, l1, n, h.degree + 4)
+    return _second_order_term(w1, w2, w1v, l1, n, field_degree(h) + 4)
 
 
 def _second_order_term(
@@ -414,36 +404,34 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
 
     The closed form builds h and k[0, 0]. The operator route builds h and k
     in full, runs in Fourier coefficients with the mode-sum truncation
-    h.degree + 4 and builds W1 and W2 once for both signs. The values of
+    deg h + 4 and builds W1 and W2 once for both signs. The values of
     both are those of the public route functions to the bit. The Galerkin
     fit route fits modes +1 and -1 to second order from one sweep over
     ``default_fit_grid(4)`` at truncation ``m``.
     """
     if route == "closed_form":
-        e1 = cf.E1.coefficients()
-        h = _h_coefficients(e1)
-        l2 = _second_corrections_closed(h, _k_coefficient(e1, cf.E2.coefficients(), 0, 0), (1, -1))
+        h = first_order_perturbation(cf)
+        l2 = _second_corrections_closed(h, _k_coefficient(cf.E1, cf.E2, 0, 0), (1, -1))
         return PerturbationReport(
             route=route,
-            lambda1_plus=_first_correction_closed(h, 1),
-            lambda1_minus=_first_correction_closed(h, -1),
+            lambda1_plus=first_correction_closed(h, 1),
+            lambda1_minus=first_correction_closed(h, -1),
             lambda2_plus=l2[0],
             lambda2_minus=l2[1],
         )
     if route == "operator":
         # each check, operator and first-order block once, in the order that
         # separate first/second_correction_operator calls at +1, -1 meet them
-        e1 = cf.E1.coefficients()
-        h = _h_coefficients(e1)
+        h = first_order_perturbation(cf)
         require_sym_real(h, "h")
         w1 = _first_order_operator(h)
         l1, w1v = {}, {}
         for n in (1, -1):
             l1[n], w1v[n] = _first_order_block(w1, n)
-        k = _k_coefficients(e1, cf.E2.coefficients())
+        k = second_order_perturbation(cf)
         require_sym_real(k, "k")
         w2 = _second_order_operator(h, k)
-        truncation = _degree(h) + 4
+        truncation = field_degree(h) + 4
         l2 = {n: _second_order_term(w1, w2, w1v[n], l1[n], n, truncation) for n in (1, -1)}
         return PerturbationReport(
             route=route,

@@ -1,6 +1,12 @@
 """Shared fixtures: the four reference perturbation families, helpers, and the
 reference formulas that the lean operator and matrix assembly and the lean
-coefficient routes must match bit for bit."""
+coefficient routes must match bit for bit.
+
+Functions of x^1 are coefficient arrays and 3x3 matrices of them are nested
+tuples of arrays, as in the package. The helpers below spell the arithmetic
+on them: ``add`` sums left to right with ``poly_add``, products are
+``np.convolve``, and a scaled array is multiplied by a complex scalar.
+"""
 
 from __future__ import annotations
 
@@ -11,25 +17,127 @@ import pytest
 from hypothesis import settings
 from numpy.lib.stride_tricks import sliding_window_view
 
-from torusdirac import CoframeFamily, DiracOperator, Matrix3Field, Pseudoinverse, SpinorField
-from torusdirac import TrigPoly
+from torusdirac import CoframeFamily, DiracOperator, Pseudoinverse, SpinorField
 from torusdirac.dirac import symbol_matrix
 from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import _antisymmetric_flux_sum
-from torusdirac.trigpoly import resize_degree
+from torusdirac.trigpoly import COEFF_TOL, _as_field, field_degree, poly_add, poly_derivative
+from torusdirac.trigpoly import poly_on_grid, poly_sub, resize_degree, stack_entries
 
 # Property tests draw the same examples on every run and have no deadline,
 # so a slow shared machine cannot make them flaky, and write no example database.
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
 
-COS = TrigPoly.cosine
-SIN = TrigPoly.sine
-ZERO = TrigPoly.zero()
+
+# ----------------------------------------------------------------------
+# coefficient arrays and 3x3 fields of them
+# ----------------------------------------------------------------------
+
+def const(value) -> np.ndarray:
+    return np.array([value], dtype=complex)
 
 
-def m3(rows) -> Matrix3Field:
-    return Matrix3Field(rows)
+def COS(k: int, amplitude: float = 1.0) -> np.ndarray:
+    """amplitude * cos(kx)."""
+    if k == 0:
+        return const(amplitude)
+    c = np.zeros(2 * k + 1, dtype=complex)
+    c[0] = c[-1] = amplitude / 2.0
+    return c
+
+
+def SIN(k: int, amplitude: float = 1.0) -> np.ndarray:
+    """amplitude * sin(kx)."""
+    if k == 0:
+        return const(0.0)
+    c = np.zeros(2 * k + 1, dtype=complex)
+    c[-1] = amplitude / (2.0j)
+    c[0] = -amplitude / (2.0j)
+    return c
+
+
+ZERO = const(0.0)
+ZERO.setflags(write=False)
+
+
+def add(*terms) -> np.ndarray:
+    """terms[0] + terms[1] + ..., added left to right."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = poly_add(total, term)
+    return total
+
+
+def degree(c: np.ndarray) -> int:
+    return (c.size - 1) // 2
+
+
+def fourier(c: np.ndarray, m: int) -> complex:
+    """Coefficient c_m, zero when |m| exceeds the degree."""
+    return complex(c[m + degree(c)]) if abs(m) <= degree(c) else 0j
+
+
+def evaluate(c: np.ndarray, x) -> np.ndarray:
+    """Values at the points x by the direct formula."""
+    k = np.arange(-degree(c), degree(c) + 1)
+    return np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), k)) @ c
+
+
+def m3(rows) -> tuple:
+    return _as_field(rows)
+
+
+def entrywise(f, *fields) -> tuple:
+    """The 3x3 field whose entry (a, b) is f of the fields' entries (a, b)."""
+    return tuple(tuple(f(*(x[a][b] for x in fields)) for b in range(3)) for a in range(3))
+
+
+ZERO_FIELD = m3([[0.0] * 3] * 3)
+IDENTITY = m3([[1.0 if a == b else 0.0 for b in range(3)] for a in range(3)])
+
+
+def transpose(x) -> tuple:
+    return tuple(zip(*x))
+
+
+def scaled(x, s) -> tuple:
+    return entrywise(lambda c: c * complex(s), x)
+
+
+def matmul(x, y) -> tuple:
+    """x @ y, entry by entry as ``reference_product_entry``."""
+    return tuple(tuple(reference_product_entry(x, y, a, b) for b in range(3)) for a in range(3))
+
+
+def field_fourier(x, m: int) -> np.ndarray:
+    """3x3 array of entry coefficients at harmonic m."""
+    return np.array([[fourier(c, m) for c in row] for row in x])
+
+
+def sample(x, points) -> np.ndarray:
+    """All entries at the points; shape (3, 3, len(points))."""
+    return np.array([[evaluate(c, points) for c in row] for row in x])
+
+
+def on_grid(x, n: int) -> np.ndarray:
+    """All entries on ``grid_points(n)``; shape (3, 3, n)."""
+    return np.array([[poly_on_grid(c, n) for c in row] for row in x])
+
+
+def isclose(x, y, tol: float = COEFF_TOL) -> bool:
+    """Coefficient-wise comparison of two arrays or two 3x3 fields."""
+    if isinstance(x, np.ndarray):
+        d = max(degree(x), degree(y))
+        return bool(np.all(np.abs(resize_degree(x, d) - resize_degree(y, d)) <= tol))
+    d = max(field_degree(x), field_degree(y))
+    return bool(np.all(np.abs(stack_entries(x, d) - stack_entries(y, d)) <= tol))
+
+
+def spinor(upper: np.ndarray, lower: np.ndarray) -> SpinorField:
+    """The spinor with component coefficients ``upper`` and ``lower``."""
+    d = max(degree(upper), degree(lower))
+    return SpinorField(np.array([resize_degree(upper, d), resize_degree(lower, d)]))
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +151,7 @@ def rotation_block_coframe() -> CoframeFamily:
             [ZERO, SIN(1), COS(1, -1.0)],
         ]
     )
-    return CoframeFamily(E1, Matrix3Field.zero())
+    return CoframeFamily(E1, ZERO_FIELD)
 
 
 def rotation_block_shift(eps: float) -> float:
@@ -54,14 +162,14 @@ def rotation_block_shift(eps: float) -> float:
 @pytest.fixture(scope="session")
 def first_row_coframe() -> CoframeFamily:
     """Nonsymmetric coframe with harmonics 1..3 in the first row only."""
-    a = COS(1) - COS(2) + COS(3)
-    b = SIN(1) + SIN(2) - SIN(3)
+    a = add(poly_sub(COS(1), COS(2)), COS(3))
+    b = poly_sub(add(SIN(1), SIN(2)), SIN(3))
     E1 = m3([[ZERO, a, b], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
-    return CoframeFamily(E1, Matrix3Field.zero())
+    return CoframeFamily(E1, ZERO_FIELD)
 
 
 @pytest.fixture(scope="session")
-def explicit_family_1() -> tuple[Matrix3Field, Matrix3Field]:
+def explicit_family_1() -> tuple[tuple, tuple]:
     """(h, k) with zero first row of h: no linear shift, quadratic -1/2."""
     h = m3(
         [
@@ -75,11 +183,11 @@ def explicit_family_1() -> tuple[Matrix3Field, Matrix3Field]:
 
 
 @pytest.fixture(scope="session")
-def explicit_family_2() -> tuple[Matrix3Field, Matrix3Field]:
+def explicit_family_2() -> tuple[tuple, tuple]:
     """(h, k) with constant h_11 = 1: linear shifts -+1/2, quadratic 3/4, -1."""
     h = m3(
         [
-            [TrigPoly.constant(1.0), COS(1), SIN(1)],
+            [const(1.0), COS(1), SIN(1)],
             [COS(1), COS(1), SIN(1)],
             [SIN(1), SIN(1), COS(1, -1.0)],
         ]
@@ -94,33 +202,29 @@ def explicit_family_2() -> tuple[Matrix3Field, Matrix3Field]:
     return h, k
 
 
+def random_poly(rng: np.random.Generator, degree: int, scale: float) -> np.ndarray:
+    """Random real trig polynomial: a constant, then cos and sin of each
+    harmonic 1..degree, drawn and added in that order."""
+    poly = const(rng.normal(0.0, scale))
+    for k in range(1, degree + 1):
+        poly = add(poly, COS(k, rng.normal(0.0, scale)), SIN(k, rng.normal(0.0, scale)))
+    return poly
+
+
 def random_symmetric_field(rng: np.random.Generator, degree: int = 2,
-                           scale: float = 0.25) -> Matrix3Field:
-    """Random real symmetric Matrix3Field of the given trig degree."""
+                           scale: float = 0.25) -> tuple:
+    """Random real symmetric 3x3 field of the given trig degree."""
     rows = [[None] * 3 for _ in range(3)]
     for a in range(3):
         for b in range(a, 3):
-            poly = TrigPoly.constant(rng.normal(0.0, scale))
-            for k in range(1, degree + 1):
-                poly = poly + COS(k, rng.normal(0.0, scale)) + SIN(k, rng.normal(0.0, scale))
-            rows[a][b] = poly
-            rows[b][a] = poly
-    return Matrix3Field(rows)
+            rows[a][b] = rows[b][a] = random_poly(rng, degree, scale)
+    return m3(rows)
 
 
 def random_field(rng: np.random.Generator, degree: int = 2,
-                 scale: float = 0.25) -> Matrix3Field:
-    """Random real (not necessarily symmetric) Matrix3Field."""
-    rows = []
-    for _ in range(3):
-        row = []
-        for _ in range(3):
-            poly = TrigPoly.constant(rng.normal(0.0, scale))
-            for k in range(1, degree + 1):
-                poly = poly + COS(k, rng.normal(0.0, scale)) + SIN(k, rng.normal(0.0, scale))
-            row.append(poly)
-        rows.append(row)
-    return Matrix3Field(rows)
+                 scale: float = 0.25) -> tuple:
+    """Random real (not necessarily symmetric) 3x3 field."""
+    return m3([[random_poly(rng, degree, scale) for _ in range(3)] for _ in range(3)])
 
 
 def eigenspace_projection(f: SpinorField, lambda0: int) -> SpinorField:
@@ -141,31 +245,37 @@ def assert_sigfigs(value: float, printed: float, nsig: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# reference formulas: the object-level arithmetic that ``dirac_operator``,
-# ``galerkin_matrix`` and the closed-form and operator routes reproduce on
-# bare arrays, operation for operation
+# reference formulas: the arithmetic that ``dirac_operator``,
+# ``galerkin_matrix`` and the closed-form and operator routes reproduce,
+# spelled out here operation for operation with the helpers above
 # ----------------------------------------------------------------------
 
-def reference_det(mat: Matrix3Field) -> TrigPoly:
-    """det of a Matrix3Field in TrigPoly arithmetic, expanded along row 0."""
-    return (
-        mat[0, 0] * (mat[1, 1] * mat[2, 2] - mat[1, 2] * mat[2, 1])
-        - mat[0, 1] * (mat[1, 0] * mat[2, 2] - mat[1, 2] * mat[2, 0])
-        + mat[0, 2] * (mat[1, 0] * mat[2, 1] - mat[1, 1] * mat[2, 0])
+def reference_det(mat) -> np.ndarray:
+    """det of a 3x3 field, expanded along row 0."""
+    conv = np.convolve
+    return add(
+        conv(mat[0][0], poly_sub(conv(mat[1][1], mat[2][2]), conv(mat[1][2], mat[2][1]))),
+        -conv(mat[0][1], poly_sub(conv(mat[1][0], mat[2][2]), conv(mat[1][2], mat[2][0]))),
+        conv(mat[0][2], poly_sub(conv(mat[1][0], mat[2][1]), conv(mat[1][1], mat[2][0]))),
     )
 
 
+def reference_coframe(cf: CoframeFamily, eps: float) -> tuple:
+    """I + eps*E1 + eps^2*E2, summed in that order."""
+    return entrywise(add, IDENTITY, scaled(cf.E1, eps), scaled(cf.E2, eps * eps))
+
+
 def reference_operator_hats(cf: CoframeFamily, eps: float, n: int):
-    """(B^, p^) of ``dirac_operator(cf, eps, n)`` from ``cf.coframe_at(eps)``,
-    its determinant, ``.derivative()`` and ``.on_grid(n)``; no checks."""
-    coframe = cf.coframe_at(eps)
-    sqrt_det_g = reference_det(coframe).on_grid(n).real
-    frame = np.linalg.inv(np.transpose(coframe.on_grid(n).real, (2, 1, 0)))
-    num = TrigPoly.zero()
-    dcof = coframe.derivative()
+    """(B^, p^) of ``dirac_operator(cf, eps, n)`` from ``reference_coframe``,
+    its determinant, derivative and grid values; no checks."""
+    coframe = reference_coframe(cf, eps)
+    sqrt_det_g = poly_on_grid(reference_det(coframe), n).real
+    frame = np.linalg.inv(np.transpose(on_grid(coframe, n).real, (2, 1, 0)))
+    num = ZERO
+    dcof = entrywise(poly_derivative, coframe)
     for j in range(3):
-        num = num + coframe[j, 2] * dcof[j, 1] - coframe[j, 1] * dcof[j, 2]
-    potential = num.on_grid(n).real / (4.0 * sqrt_det_g)
+        num = add(num, np.convolve(coframe[j][2], dcof[j][1]), -np.convolve(coframe[j][1], dcof[j][2]))
+    potential = poly_on_grid(num, n).real / (4.0 * sqrt_det_g)
     b_hat = np.fft.fft(symbol_matrix(frame[:, 0, 0], frame[:, 1, 0], frame[:, 2, 0]), axis=-1) / n
     p_hat = np.fft.fft(potential) / n
     top = (n - 1) // 4
@@ -197,20 +307,20 @@ def reference_galerkin(op: DiracOperator, m: int) -> tuple[np.ndarray, float]:
     return 0.5 * (entries + adjoint), residual
 
 
-def reference_product_entry(x: Matrix3Field, y: Matrix3Field, a: int, b: int) -> TrigPoly:
-    """Entry (a, b) of x @ y in TrigPoly arithmetic, summed over c in order."""
-    acc = TrigPoly.zero()
+def reference_product_entry(x, y, a: int, b: int) -> np.ndarray:
+    """Entry (a, b) of x @ y, summed over c in order onto the zero polynomial."""
+    acc = ZERO
     for c in range(3):
-        acc = acc + x[a, c] * y[c, b]
+        acc = add(acc, np.convolve(x[a][c], y[c][b]))
     return acc
 
 
-def reference_h(cf: CoframeFamily) -> Matrix3Field:
-    return cf.E1 + cf.E1.transpose()
+def reference_h(cf: CoframeFamily) -> tuple:
+    return entrywise(add, cf.E1, transpose(cf.E1))
 
 
-def reference_k(cf: CoframeFamily) -> Matrix3Field:
-    return (cf.E1.transpose() @ cf.E1 + cf.E2 + cf.E2.transpose()) * 4.0
+def reference_k(cf: CoframeFamily) -> tuple:
+    return scaled(entrywise(add, matmul(transpose(cf.E1), cf.E1), cf.E2, transpose(cf.E2)), 4.0)
 
 
 def reference_apply(op: DiracOperator, v: SpinorField) -> SpinorField:
@@ -229,16 +339,16 @@ def reference_apply(op: DiracOperator, v: SpinorField) -> SpinorField:
 
 def reference_closed_route(cf: CoframeFamily) -> list[float]:
     """[l1(+1), l1(-1), l2(+1), l2(-1)] of the closed route, from
-    ``reference_h``/``reference_k`` in Matrix3Field/TrigPoly arithmetic; no checks."""
+    ``reference_h``/``reference_k``; no checks."""
     h, k = reference_h(cf), reference_k(cf)
-    d = h.degree
+    d = field_degree(h)
     top = d + 4
-    hhat = h.coefficient_stack(top)
+    hhat = stack_entries(h, top)
     hsq00 = reference_product_entry(h, h, 0, 0)
     l1, l2 = [], []
     for n in (1, -1):
-        l1.append(float(-n * 0.5 * h.fourier(0)[0, 0].real))
-        lead = n * (0.375 * hsq00.fourier(0) - 0.125 * k[0, 0].fourier(0))
+        l1.append(float(-n * 0.5 * fourier(h[0][0], 0).real))
+        lead = n * (0.375 * fourier(hsq00, 0) - 0.125 * fourier(k[0][0], 0))
         flux = -(1j / 16.0) * _antisymmetric_flux_sum(hhat, d)
         s_diag = 0.0 + 0.0j
         s_mixed = 0.0 + 0.0j
@@ -257,29 +367,29 @@ def reference_closed_route(cf: CoframeFamily) -> list[float]:
 
 def reference_operator_route(cf: CoframeFamily) -> list[float]:
     """[l1(+1), l1(-1), l2(+1), l2(-1)] of the operator route, with W1 and
-    W2 built from ``reference_h``/``reference_k`` in TrigPoly arithmetic and
-    W1 v_n applied afresh wherever it is read; no checks."""
+    W2 built from ``reference_h``/``reference_k`` and W1 v_n applied afresh
+    wherever it is read; no checks."""
     h, k = reference_h(cf), reference_k(cf)
-    d1 = max(h[j, 0].degree for j in range(3))
+    d1 = max(degree(h[j][0]) for j in range(3))
     w1 = DiracOperator(
-        -0.5 * symbol_matrix(*(resize_degree(h[j, 0].coeffs, d1) for j in range(3))),
+        -0.5 * symbol_matrix(*(resize_degree(h[j][0], d1) for j in range(3))),
         np.zeros(2 * d1 + 1),
     )
     hcols = [reference_product_entry(h, h, j, 0) for j in range(3)]
-    kcols = [k[j, 0] for j in range(3)]
-    scalar = TrigPoly.zero()
-    dh = h.derivative()
+    kcols = [k[j][0] for j in range(3)]
+    scalar = ZERO
+    dh = entrywise(poly_derivative, h)
     for a in range(3):
-        scalar = scalar + h[a, 1] * dh[a, 2] - h[a, 2] * dh[a, 1]
-    d2 = max(poly.degree for poly in (*hcols, *kcols, scalar))
-    hb, kb = (symbol_matrix(*(resize_degree(c.coeffs, d2) for c in cols)) for cols in (hcols, kcols))
-    w2 = DiracOperator(0.375 * hb - 0.125 * kb, -resize_degree(scalar.coeffs, d2) / 16.0)
+        scalar = add(scalar, np.convolve(h[a][1], dh[a][2]), -np.convolve(h[a][2], dh[a][1]))
+    d2 = max(degree(c) for c in (*hcols, *kcols, scalar))
+    hb, kb = (symbol_matrix(*(resize_degree(c, d2) for c in cols)) for cols in (hcols, kcols))
+    w2 = DiracOperator(0.375 * hb - 0.125 * kb, -resize_degree(scalar, d2) / 16.0)
     l1, l2 = [], []
     for n in (1, -1):
         v = basis_spinor(n, "v")
         first = float(reference_apply(w1, v).inner(v).real)
         residual = reference_apply(w1, v) - first * v
-        corrected = Pseudoinverse(lambda0=n, truncation=h.degree + 4).apply(residual)
+        corrected = Pseudoinverse(lambda0=n, truncation=field_degree(h) + 4).apply(residual)
         shifted = reference_apply(w1, corrected) - first * corrected
         l1.append(first)
         l2.append(float((reference_apply(w2, v).inner(v) - shifted.inner(v)).real))

@@ -30,7 +30,8 @@ from torusdirac import (
 from torusdirac.cli import cmd_fit, cmd_galerkin
 from torusdirac.galerkin import basis_spinor
 
-from conftest import assert_sigfigs, eigenspace_projection, random_field, random_symmetric_field
+from conftest import assert_sigfigs, eigenspace_projection, field_fourier, matmul, random_field
+from conftest import random_symmetric_field
 from test_dirac import random_spinor
 from test_galerkin import FIRST_ROW_TABLE, ROTATION_TABLE
 
@@ -128,16 +129,16 @@ def test_criterion_4_first_explicit_family():
     printed_h1 = np.array([[0, 0, 0], [0, 1, -i], [0, -i, -1]])
     printed_k1 = np.array([[-i / 2, 0.5, 0], [0.5, 0, 0], [0, 0, 0]])
     printed_hsq0 = np.diag([0.0, 4.0, 4.0])
-    hsq = h @ h
+    hsq = matmul(h, h)
     for a in range(3):
         for b in range(3):
-            _exact(h.fourier(1)[a, b], printed_h1[a, b])
-            _exact(k.fourier(1)[a, b], printed_k1[a, b])
-            _exact(hsq.fourier(0)[a, b], printed_hsq0[a, b])
+            _exact(field_fourier(h, 1)[a, b], printed_h1[a, b])
+            _exact(field_fourier(k, 1)[a, b], printed_k1[a, b])
+            _exact(field_fourier(hsq, 0)[a, b], printed_hsq0[a, b])
     for m in range(2, 6):
-        assert not h.fourier(m).any()
-        assert not k.fourier(m).any()
-        assert not hsq.fourier(m - 1).any()
+        assert not field_fourier(h, m).any()
+        assert not field_fourier(k, m).any()
+        assert not field_fourier(hsq, m - 1).any()
     report(4, "lambda2 = -1/2 on both routes (1e-10); Fourier tables entry-exact")
 
 
@@ -167,21 +168,21 @@ def test_criterion_5_second_explicit_family():
     # the one-entry discrepancy instead of asserting a value that fails
     # verification against the defining data.
     printed_hsq2 = np.array([[0, 0, 0], [0, 0.25, -i / 4], [0, -i / 4, -0.25]])
-    hsq = h @ h
+    hsq = matmul(h, h)
     for a in range(3):
         for b in range(3):
-            _exact(h.fourier(0)[a, b], printed_h0[a, b])
-            _exact(h.fourier(1)[a, b], printed_h1[a, b])
-            _exact(k.fourier(1)[a, b], printed_k1[a, b])
-            _exact(hsq.fourier(0)[a, b], printed_hsq0[a, b])
-            _exact(hsq.fourier(1)[a, b], printed_hsq1[a, b])
-            _exact(hsq.fourier(2)[a, b], printed_hsq2[a, b])
-    assert hsq.fourier(2)[1, 1] != 0.5  # the published slot value
+            _exact(field_fourier(h, 0)[a, b], printed_h0[a, b])
+            _exact(field_fourier(h, 1)[a, b], printed_h1[a, b])
+            _exact(field_fourier(k, 1)[a, b], printed_k1[a, b])
+            _exact(field_fourier(hsq, 0)[a, b], printed_hsq0[a, b])
+            _exact(field_fourier(hsq, 1)[a, b], printed_hsq1[a, b])
+            _exact(field_fourier(hsq, 2)[a, b], printed_hsq2[a, b])
+    assert field_fourier(hsq, 2)[1, 1] != 0.5  # the published slot value
     for m in range(2, 6):
-        assert not h.fourier(m).any()
-        assert not k.fourier(m).any()
-        assert not hsq.fourier(m + 1).any()
-    assert not k.fourier(0).any()
+        assert not field_fourier(h, m).any()
+        assert not field_fourier(k, m).any()
+        assert not field_fourier(hsq, m + 1).any()
+    assert not field_fourier(k, 0).any()
     report(
         5,
         "lambda1 = -+1/2 exact; lambda2 = 3/4 and -1 on both routes (1e-10); "

@@ -1,12 +1,12 @@
-"""The lean assembly path gives the bits of the object formulas.
+"""The lean assembly path gives the bits of the reference formulas.
 
 ``dirac_operator`` builds the coframe, det e and the potential numerator on
 bare coefficient arrays, and ``galerkin_matrix`` reads its blocks through
 strided views and symmetrizes in place, in row strips. The closed-form and
 operator routes build h, k, W1 and W2 on coefficient arrays and share W1 v_n.
 All must reproduce, byte for byte, the reference formulas in conftest: the
-``Matrix3Field``/``TrigPoly`` path and the ``sliding_window_view`` gather they
-replaced. Signed zeros count, so eps = -0.0 and +0.0 are both covered.
+same arithmetic spelled out entry by entry, and the ``sliding_window_view``
+gather. Signed zeros count, so eps = -0.0 and +0.0 are both covered.
 """
 
 from __future__ import annotations
@@ -18,16 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdirac import CoframeFamily, Matrix3Field, SpinorField, TrigPoly, dirac_operator
+from torusdirac import CoframeFamily, SpinorField, dirac_operator
 from torusdirac import first_order_perturbation, galerkin_matrix, load_config_file, load_example
-from torusdirac import galerkin, perturbation_report, second_order_perturbation, trigpoly
+from torusdirac import galerkin, perturbation_report, second_order_perturbation
 from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.geometry import default_grid
-from torusdirac.trigpoly import matmul_entry
+from torusdirac.trigpoly import det3, matmul_entry
 
-from conftest import reference_apply, reference_closed_route, reference_det, reference_galerkin
-from conftest import reference_h, reference_k, reference_operator_hats, reference_operator_route
-from conftest import reference_product_entry, same_bytes
+from conftest import COS, SIN, add, const, m3, reference_apply, reference_closed_route
+from conftest import reference_coframe, reference_det, reference_galerkin, reference_h, reference_k
+from conftest import reference_operator_hats, reference_operator_route, reference_product_entry
+from conftest import same_bytes
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDED = ("seeded-coframe-4", "seeded-perturbation-3", "cli-sweep-coframe-2", "cli-sweep-perturbation-2")
@@ -49,6 +50,8 @@ COEFFICIENTS = ("lambda1_plus", "lambda1_minus", "lambda2_plus", "lambda2_minus"
 
 
 def assert_operator_bytes(cf: CoframeFamily, eps: float, n: int) -> None:
+    coframe, ref = cf.coframe_at(eps), reference_coframe(cf, eps)
+    assert all(same_bytes(coframe[a][b], ref[a][b]) for a in range(3) for b in range(3))
     op = dirac_operator(cf, eps, n)
     b_ref, p_ref = reference_operator_hats(cf, eps, n)
     assert same_bytes(op.b_hat, b_ref), f"B^ differs at eps={eps!r}, n={n}"
@@ -67,7 +70,7 @@ def assert_route_bytes(cf: CoframeFamily) -> None:
                      (second_order_perturbation(cf), reference_k(cf))):
         for a in range(3):
             for b in range(3):
-                assert same_bytes(mat[a, b].coeffs, ref[a, b].coeffs), f"entry ({a}, {b}) differs"
+                assert same_bytes(mat[a][b], ref[a][b]), f"entry ({a}, {b}) differs"
     for route, reference in (("closed_form", reference_closed_route), ("operator", reference_operator_route)):
         report = perturbation_report(cf, route)
         values = [getattr(report, name).hex() for name in COEFFICIENTS]
@@ -109,17 +112,17 @@ AMPLITUDE = st.floats(-0.1, 0.1)
 
 
 @st.composite
-def mixed_degree_fields(draw, amplitude=AMPLITUDE) -> Matrix3Field:
+def mixed_degree_fields(draw, amplitude=AMPLITUDE) -> tuple:
     rows = []
     for _ in range(3):
         row = []
         for _ in range(3):
-            poly = TrigPoly.constant(draw(amplitude))
+            poly = const(draw(amplitude))
             for j in range(1, draw(st.integers(0, 3)) + 1):
-                poly = poly + TrigPoly.cosine(j, draw(amplitude)) + TrigPoly.sine(j, draw(amplitude))
+                poly = add(poly, COS(j, draw(amplitude)), SIN(j, draw(amplitude)))
             row.append(poly)
         rows.append(row)
-    return Matrix3Field(rows)
+    return m3(rows)
 
 
 MIXED_COFRAMES = st.builds(CoframeFamily, mixed_degree_fields(), mixed_degree_fields())
@@ -154,16 +157,14 @@ class TestRandomCoframes:
     @settings(max_examples=40)
     @given(mixed_degree_fields())
     def test_det_matches_trigpoly_expansion(self, mat):
-        assert same_bytes(mat.det().coeffs, reference_det(mat).coeffs)
+        assert same_bytes(det3(mat), reference_det(mat))
 
     @settings(max_examples=25)
     @given(mixed_degree_fields(), mixed_degree_fields())
     def test_matmul_entry_matches_trigpoly_sum(self, x, y):
-        xc, yc = x.coefficients(), y.coefficients()
         for a in range(3):
             for b in range(3):
-                ref = reference_product_entry(x, y, a, b).coeffs
-                assert same_bytes(matmul_entry(xc, yc, a, b), ref)
+                assert same_bytes(matmul_entry(x, y, a, b), reference_product_entry(x, y, a, b))
 
     @settings(max_examples=40)
     @given(SCALED_COFRAMES)
@@ -178,15 +179,3 @@ class TestRandomCoframes:
         op = dirac_operator(cf, eps, 256)
         assert same_bytes(op.apply(v).coeffs, reference_apply(op, v).coeffs)
 
-
-def test_operator_assembly_builds_no_coefficient_objects(monkeypatch):
-    families = list(FAMILIES.values())
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dirac_operator built a TrigPoly or Matrix3Field")
-
-    monkeypatch.setattr(trigpoly.TrigPoly, "__init__", refuse)
-    monkeypatch.setattr(trigpoly.TrigPoly, "_adopt", classmethod(refuse))
-    monkeypatch.setattr(trigpoly.Matrix3Field, "__init__", refuse)
-    for cf in families:
-        assert dirac_operator(cf, 0.1, 256).degree == 63

@@ -23,7 +23,7 @@ from torusdirac import perturbation as pt
 from torusdirac.cli import _dump_rows, build_parser, main
 from torusdirac.config import EXAMPLE_NAMES
 
-from conftest import assert_sigfigs
+from conftest import assert_sigfigs, isclose
 
 # the classes that signal a numerical failure and map to exit code 3
 NUMERIC_ERRORS = (
@@ -53,15 +53,15 @@ class TestParsing:
         assert cfg.m == 8
         assert cfg.eps_list == [0.05]
         assert cfg.modes == [0, 1]
-        assert cfg.h.fourier(0)[0, 0] == 1.0
-        assert cfg.k.fourier(0)[0, 0] == 0.0
+        assert cfg.h[0][0].tolist() == [1.0]
+        assert cfg.k[0][0].tolist() == [0.0]
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config(
             "# leading\n\ncoframe.E1.1.2 = (1, 0.5, 0) (-1, 0.5, 0)\n"
         )
         assert cfg.mode == "coframe"
-        assert cfg.E1.fourier(1)[0, 1] == 0.5
+        assert cfg.E1[0][1].tolist() == [0.5, 0.0, 0.5]
 
     @pytest.mark.parametrize(
         "text,match",
@@ -103,11 +103,11 @@ class TestParsing:
         self, rotation_block_coframe, explicit_family_2
     ):
         cfg1 = load_example("example-galerkin-1")
-        assert cfg1.E1.isclose(rotation_block_coframe.E1, 1e-15)
+        assert isclose(cfg1.E1, rotation_block_coframe.E1, 1e-15)
         cfg4 = load_example("example-explicit-2")
         h, k = explicit_family_2
-        assert cfg4.h.isclose(h, 1e-15)
-        assert cfg4.k.isclose(k, 1e-15)
+        assert isclose(cfg4.h, h, 1e-15)
+        assert isclose(cfg4.k, k, 1e-15)
 
 
 class TestCli:
@@ -391,6 +391,36 @@ class TestCli:
         assert code == 3
         assert captured.out == ""
         assert "Fourier tail 5.00e-02" in captured.err
+
+    def test_out_of_band_harmonic_rejected_before_any_product(self, monkeypatch, tmp_path, capsys):
+        # det e of this coframe would have degree 60000, its phase table 1e8 values
+        def refuse(e):
+            raise AssertionError("det e built from an out-of-band coframe")
+
+        monkeypatch.setattr(dirac, "det3", refuse)
+        cfgfile = tmp_path / "band.cfg"
+        cfgfile.write_text("coframe.E1.2.3 = (20000, 0.001, 0) (-20000, 0.001, 0)\n")
+        code = main(["dump-matrix", "--config", str(cfgfile), "--m", "3", "--eps", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Fourier tail 1.00e-04" in captured.err
+
+    def test_large_real_coframe_is_accepted(self, tmp_path, capsys):
+        # at eps = 1, det e ~ 1e9 carries an imaginary rounding part of 1.16e-10,
+        # 1e-19 of its size, which an absolute 1e-10 gate rejected
+        cfgfile = tmp_path / "large.cfg"
+        cfgfile.write_text(
+            "m = 3\n"
+            "coframe.E1.1.1 = (0, 1000, 0)\n"
+            "coframe.E1.2.2 = (0, 1000, 0)\n"
+            "coframe.E1.3.3 = (0, 1000, 0)\n"
+            "coframe.E1.2.3 = (1, 20, 0) (-1, 20, 0)\n"
+            "coframe.E1.3.2 = (2, 0, 15) (-2, 0, -15)\n"
+        )
+        code = main(["dump-matrix", "--config", str(cfgfile), "--eps", "1.0"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

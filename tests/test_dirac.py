@@ -12,9 +12,9 @@ from torusdirac import (
 )
 from torusdirac.dirac import DiracOperator, symbol_matrix
 from torusdirac.galerkin import basis_spinor
-from torusdirac.trigpoly import TrigPoly, grid_points, resize_degree
+from torusdirac.trigpoly import grid_points, poly_derivative, resize_degree
 
-from conftest import random_symmetric_field
+from conftest import add, evaluate, random_symmetric_field, scaled, spinor
 
 N = 256
 
@@ -22,14 +22,13 @@ N = 256
 def random_spinor(rng, degree=3) -> SpinorField:
     comps = []
     for _ in range(2):
-        c = rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)
-        comps.append(TrigPoly(c))
-    return SpinorField.from_components(*comps)
+        comps.append(rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1))
+    return spinor(*comps)
 
 
 def on_grid(v: SpinorField, x) -> np.ndarray:
     """Values of the spinor at the points x, shape (2, len(x))."""
-    return np.array([TrigPoly(c).evaluate(x) for c in v.coeffs])
+    return np.array([evaluate(c, x) for c in v.coeffs])
 
 
 def coefficient_gap(a: DiracOperator, b: DiracOperator) -> float:
@@ -114,7 +113,7 @@ class TestApply:
 
 class TestFirstOrderTerm:
     def test_zero_perturbation(self):
-        h = random_symmetric_field(np.random.default_rng(1)) * 0.0
+        h = scaled(random_symmetric_field(np.random.default_rng(1)), 0.0)
         op = first_order_operator(h)
         assert np.max(np.abs(op.b_hat)) == 0
         assert np.max(np.abs(op.p_hat)) == 0
@@ -127,12 +126,13 @@ class TestFirstOrderTerm:
         v1 = basis_spinor(1, "v")
         x = grid_points(N)
 
-        h11, h21, h31 = (h[j, 0].evaluate(x).real for j in range(3))
+        h11, h21, h31 = (evaluate(h[j][0], x).real for j in range(3))
         u = np.array([h11 - 1j * h21 + h31, h11 + 1j * h21 - h31])
+        d11, d21, d31 = (poly_derivative(h[j][0]) for j in range(3))
         du_dx = np.array(
             [
-                (h[0, 0].derivative() - 1j * h[1, 0].derivative() + h[2, 0].derivative()).evaluate(x),
-                (h[0, 0].derivative() + 1j * h[1, 0].derivative() - h[2, 0].derivative()).evaluate(x),
+                evaluate(add(d11, -1j * d21, d31), x),
+                evaluate(add(d11, 1j * d21, -d31), x),
             ]
         )
         c = 1.0 / (2.0 * np.sqrt(np.pi))
@@ -148,7 +148,7 @@ class TestFirstOrderTerm:
 
 class TestSecondOrderTerm:
     def test_zero_perturbation(self):
-        zero = random_symmetric_field(np.random.default_rng(1)) * 0.0
+        zero = scaled(random_symmetric_field(np.random.default_rng(1)), 0.0)
         op = second_order_operator(zero, zero)
         assert np.max(np.abs(op.b_hat)) == 0
         assert np.max(np.abs(op.p_hat)) == 0
@@ -169,12 +169,13 @@ class TestSecondOrderTerm:
 class TestSpinorField:
     def test_fourier_view_round_trip(self):
         rng = np.random.default_rng(36)
-        upper = TrigPoly(rng.normal(size=11) + 1j * rng.normal(size=11))
-        lower = TrigPoly(rng.normal(size=7) + 1j * rng.normal(size=7))
-        v = SpinorField.from_components(upper, lower)
+        upper = rng.normal(size=11) + 1j * rng.normal(size=11)
+        lower = rng.normal(size=7) + 1j * rng.normal(size=7)
+        v = spinor(upper, lower)
         assert v.degree == 5
-        assert TrigPoly(v.coeffs[0]).isclose(upper, 0.0)
-        assert TrigPoly(v.coeffs[1]).isclose(lower, 0.0)
+        assert np.array_equal(v.coeffs[0], upper)
+        assert np.array_equal(v.coeffs[1], resize_degree(lower, 5))
+        assert not v.coeffs.flags.writeable
 
     def test_norm_is_nonnegative_quadrature(self):
         rng = np.random.default_rng(37)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from torusdirac import (
     CoframeFamily,
     DiracOperator,
-    Matrix3Field,
     SpinorField,
     TrackingError,
-    TrigPoly,
     UnderResolvedError,
     charge_conjugate,
     dirac_operator,
@@ -26,7 +24,8 @@ from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.galerkin import PAIRING_TOL, SpectrumReport, basis_spinor
 from torusdirac.geometry import default_grid
 
-from conftest import assert_sigfigs, random_field, rotation_block_shift
+from conftest import COS, SIN, ZERO, ZERO_FIELD, add, assert_sigfigs, const, m3, random_field
+from conftest import rotation_block_shift
 
 # Reference eigenvalue tables for the two bundled coframe families,
 # modes -2..2 at eps = 0.2, 0.1, 0.01.
@@ -132,12 +131,8 @@ class TestUnderResolved:
         assert worst <= 1e-12
 
     def test_aliasing_tail_rejected(self):
-        fine = TrigPoly.cosine(100)
-        zero = TrigPoly.zero()
-        cf = CoframeFamily(
-            Matrix3Field([[fine, zero, zero], [zero, zero, zero], [zero, zero, zero]]),
-            Matrix3Field.zero(),
-        )
+        fine = COS(100)
+        cf = CoframeFamily(m3([[fine, ZERO, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]), ZERO_FIELD)
         with pytest.raises(UnderResolvedError, match="Fourier tail"):
             dirac_operator(cf, 0.1, 256)
 
@@ -145,12 +140,8 @@ class TestUnderResolved:
     def test_coframe_harmonic_past_band_counts_as_aliasing(self, k):
         # sampled on 256 points, cos(k x) folds to frequency 256 - k <= 63,
         # inside the kept band, where no Fourier tail of B or p shows it
-        fine = TrigPoly.cosine(k, 0.5)
-        zero = TrigPoly.zero()
-        cf = CoframeFamily(
-            Matrix3Field([[fine, zero, zero], [zero, zero, zero], [zero, zero, zero]]),
-            Matrix3Field.zero(),
-        )
+        fine = COS(k, 0.5)
+        cf = CoframeFamily(m3([[fine, ZERO, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]), ZERO_FIELD)
         # the folded coefficient is eps * 0.25 = 5.00e-02
         with pytest.raises(UnderResolvedError, match="Fourier tail 5.00e-02"):
             dirac_operator(cf, 0.2, default_grid(10))
@@ -308,19 +299,19 @@ AMPLITUDE = st.floats(-0.1, 0.1)
 
 
 @st.composite
-def coframe_fields(draw) -> Matrix3Field:
-    """Real (not symmetric) Matrix3Field of trig degree 1-2, coefficients <= 0.1."""
+def coframe_fields(draw) -> tuple:
+    """Real (not symmetric) 3x3 field of trig degree 1-2, coefficients <= 0.1."""
     degree = draw(st.integers(1, 2))
     rows = []
     for _ in range(3):
         row = []
         for _ in range(3):
-            poly = TrigPoly.constant(draw(AMPLITUDE))
+            poly = const(draw(AMPLITUDE))
             for j in range(1, degree + 1):
-                poly = poly + TrigPoly.cosine(j, draw(AMPLITUDE)) + TrigPoly.sine(j, draw(AMPLITUDE))
+                poly = add(poly, COS(j, draw(AMPLITUDE)), SIN(j, draw(AMPLITUDE)))
             row.append(poly)
         rows.append(row)
-    return Matrix3Field(rows)
+    return m3(rows)
 
 
 COFRAMES = st.builds(CoframeFamily, coframe_fields(), coframe_fields())

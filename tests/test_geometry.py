@@ -3,9 +3,8 @@ import pytest
 
 from torusdirac import (
     CoframeFamily,
-    Matrix3Field,
+    NumericalContractError,
     SingularCoframeError,
-    TrigPoly,
     UnderResolvedError,
     arc_length,
     dirac_operator,
@@ -13,9 +12,11 @@ from torusdirac import (
     second_order_perturbation,
 )
 from torusdirac.dirac import symbol_matrix
-from torusdirac.trigpoly import grid_points, resize_degree
+from torusdirac.geometry import as_real_samples
+from torusdirac.trigpoly import grid_points, poly_add, poly_derivative, poly_sub, resize_degree
 
-from conftest import COS, SIN, ZERO, m3, random_field, random_symmetric_field
+from conftest import COS, IDENTITY, add, SIN, ZERO, ZERO_FIELD, const, entrywise, evaluate, isclose
+from conftest import m3, matmul, random_field, random_symmetric_field, sample, scaled, transpose
 
 
 def pointwise_operator_coefficients(cf, eps, n, degree):
@@ -24,8 +25,8 @@ def pointwise_operator_coefficients(cf, eps, n, degree):
     grid point, and sqrt(det g) is np.linalg.det of the coframe samples."""
     x = grid_points(n)
     coframe = cf.coframe_at(eps)
-    csamp = coframe.sample(x).real
-    dcsamp = coframe.derivative().sample(x).real
+    csamp = sample(coframe, x).real
+    dcsamp = sample(entrywise(poly_derivative, coframe), x).real
     a = np.array([np.linalg.solve(csamp[:, :, i].T, [1.0, 0.0, 0.0]) for i in range(n)]).T
     sqrt_det_g = np.array([np.linalg.det(csamp[:, :, i]) for i in range(n)])
     num = np.sum(csamp[:, 2] * dcsamp[:, 1] - csamp[:, 1] * dcsamp[:, 2], axis=0)
@@ -50,8 +51,8 @@ def assert_matches_pointwise_frame(cf, eps, n):
 class TestMetricAt:
     def test_unperturbed_is_euclidean(self, rotation_block_coframe):
         coframe = rotation_block_coframe.coframe_at(0.0)
-        g = coframe.transpose() @ coframe
-        assert g.isclose(Matrix3Field.identity(), 1e-15)
+        g = matmul(transpose(coframe), coframe)
+        assert isclose(g, IDENTITY, 1e-15)
         op, sqrt_det_g = assert_matches_pointwise_frame(rotation_block_coframe, 0.0, 64)
         # frame = I: B = [[0, 1], [1, 0]] and p = 0
         expected = resize_degree(symbol_matrix(np.ones(1), np.zeros(1), np.zeros(1)), op.degree)
@@ -65,13 +66,13 @@ class TestMetricAt:
     ):
         coframe = rotation_block_coframe.coframe_at(eps)
         x = grid_points(64)
-        csamp = coframe.sample(x)
+        csamp = sample(coframe, x)
         gsamp = np.einsum("jan,jbn->abn", csamp, csamp)
-        g = coframe.transpose() @ coframe
-        assert np.allclose(g.sample(x), gsamp, atol=1e-12)
+        g = matmul(transpose(coframe), coframe)
+        assert np.allclose(sample(g, x), gsamp, atol=1e-12)
         # closed form: g_22 = 1 + 2 eps cos + eps^2
         g22 = 1 + 2 * eps * np.cos(x) + eps**2
-        assert np.allclose(g[1, 1].evaluate(x).real, g22, atol=1e-12)
+        assert np.allclose(evaluate(g[1][1], x).real, g22, atol=1e-12)
 
     def test_rotation_block_determinant(self, rotation_block_coframe):
         eps = 0.2
@@ -89,9 +90,30 @@ class TestMetricAt:
 
     def test_singular_coframe_reports_location(self):
         E1 = m3([[COS(1, -1.0), ZERO, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
-        cf = CoframeFamily(E1, Matrix3Field.zero())
+        cf = CoframeFamily(E1, ZERO_FIELD)
         with pytest.raises(SingularCoframeError, match="eps=1.0"):
             dirac_operator(cf, 1.0, 64)
+
+
+class TestCoframeFamily:
+    def test_compares_and_hashes_by_identity(self, rotation_block_coframe):
+        cf = rotation_block_coframe
+        twin = CoframeFamily(cf.E1, cf.E2)
+        assert cf == cf and cf != twin
+        assert len({cf, twin, cf}) == 2
+
+    def test_accepts_nested_sequences_of_arrays_and_scalars(self):
+        cf = CoframeFamily([[COS(1), 0, 0.5], [0, 0, 0], [0, 0, 0]], ZERO_FIELD)
+        assert isclose(cf.E1, m3([[COS(1), ZERO, const(0.5)], [ZERO] * 3, [ZERO] * 3]), 0.0)
+        assert all(c.dtype == complex and not c.flags.writeable for row in cf.E1 for c in row)
+
+
+class TestRealSamples:
+    def test_imaginary_part_is_judged_against_the_largest_sample(self):
+        assert as_real_samples(np.array([1e9 + 1.16e-10j, 2.0]), "det").tolist() == [1e9, 2.0]
+        for values in (np.array([1e3 + 1e-3j, 2.0]), np.array([0.5 + 2e-10j])):
+            with pytest.raises(NumericalContractError, match="det has imaginary part"):
+                as_real_samples(values, "det")
 
 
 class TestPerturbationExtraction:
@@ -100,40 +122,36 @@ class TestPerturbationExtraction:
     ):
         h = first_order_perturbation(rotation_block_coframe)
         expected, _ = explicit_family_1
-        assert h.isclose(expected, 1e-15)
+        assert isclose(h, expected, 1e-15)
 
     def test_zero_and_antisymmetric_give_zero(self):
-        assert first_order_perturbation(
-            CoframeFamily(Matrix3Field.zero(), Matrix3Field.zero())
-        ).isclose(Matrix3Field.zero())
+        assert isclose(first_order_perturbation(CoframeFamily(ZERO_FIELD, ZERO_FIELD)), ZERO_FIELD)
         anti = m3([[ZERO, SIN(1), ZERO], [SIN(1, -1.0), ZERO, ZERO], [ZERO, ZERO, ZERO]])
-        assert first_order_perturbation(CoframeFamily(anti, Matrix3Field.zero())).isclose(
-            Matrix3Field.zero(), 1e-15
-        )
+        assert isclose(first_order_perturbation(CoframeFamily(anti, ZERO_FIELD)), ZERO_FIELD, 1e-15)
 
     def test_rotation_block_quadratic_data(self, rotation_block_coframe):
         k = second_order_perturbation(rotation_block_coframe)
         expected = m3(
             [
                 [ZERO, ZERO, ZERO],
-                [ZERO, TrigPoly.constant(4.0), ZERO],
-                [ZERO, ZERO, TrigPoly.constant(4.0)],
+                [ZERO, const(4.0), ZERO],
+                [ZERO, ZERO, const(4.0)],
             ]
         )
-        assert k.isclose(expected, 1e-14)
+        assert isclose(k, expected, 1e-14)
 
     def test_pure_second_order_inverts_definition(self):
         rng = np.random.default_rng(21)
         k_given = random_symmetric_field(rng)
-        cf = CoframeFamily(Matrix3Field.zero(), k_given * 0.125)
-        assert second_order_perturbation(cf).isclose(k_given, 1e-13)
-        assert first_order_perturbation(cf).isclose(Matrix3Field.zero())
+        cf = CoframeFamily(ZERO_FIELD, scaled(k_given, 0.125))
+        assert isclose(second_order_perturbation(cf), k_given, 1e-13)
+        assert isclose(first_order_perturbation(cf), ZERO_FIELD)
 
     def test_synthesized_family_round_trips(self, explicit_family_2):
         h, k = explicit_family_2
         cf = CoframeFamily.from_perturbation(h, k)
-        assert first_order_perturbation(cf).isclose(h, 1e-13)
-        assert second_order_perturbation(cf).isclose(k, 1e-13)
+        assert isclose(first_order_perturbation(cf), h, 1e-13)
+        assert isclose(second_order_perturbation(cf), k, 1e-13)
 
     def test_large_perturbation_data_is_accepted(self):
         # E2 = (k - h@h)/8 carries rounding-level imaginary parts, ~1e-12
@@ -149,8 +167,8 @@ class TestPerturbationExtraction:
         rng = np.random.default_rng(6)
         fields = {"E1": random_field(rng, 2, 100.0), "E2": random_field(rng, 2, 100.0)}
         mat = fields[name]
-        fields[name] = Matrix3Field([[mat[a, b] + TrigPoly([1e-4j]) if (a, b) == (1, 2) else mat[a, b]
-                                      for b in range(3)] for a in range(3)])
+        fields[name] = m3([[poly_add(mat[a][b], const(1e-4j)) if (a, b) == (1, 2) else mat[a][b]
+                            for b in range(3)] for a in range(3)])
         with pytest.raises(ValueError, match=f"{name} must be a real-valued matrix field"):
             CoframeFamily(**fields)
 
@@ -159,8 +177,8 @@ class TestPerturbationExtraction:
         for _ in range(5):
             cf = CoframeFamily(random_field(rng), random_field(rng))
             for mat in (first_order_perturbation(cf), second_order_perturbation(cf)):
-                assert mat.is_symmetric(1e-13)
-                assert mat.is_real(1e-13)
+                assert isclose(mat, transpose(mat), 1e-13)
+                assert isclose(mat, entrywise(lambda c: np.conj(c[::-1]), mat), 1e-13)
 
 
 class TestMetricExpansion:
@@ -173,12 +191,10 @@ class TestMetricExpansion:
             k = second_order_perturbation(cf)
 
             def residual(eps):
-                model = (
-                    Matrix3Field.identity() + h * eps + k * (eps * eps / 4.0)
-                )
+                model = entrywise(add, IDENTITY, scaled(h, eps), scaled(k, eps * eps / 4.0))
                 coframe = cf.coframe_at(eps)
-                diff = coframe.transpose() @ coframe - model
-                return np.max(np.abs(diff.sample(x)))
+                diff = entrywise(poly_sub, matmul(transpose(coframe), coframe), model)
+                return np.max(np.abs(sample(diff, x)))
 
             r1, r2 = residual(0.02), residual(0.01)
             assert r1 / r2 >= 7.0
@@ -202,17 +218,17 @@ class TestArcLength:
 
     def test_singular_coframe_raises(self):
         # e^1_1 = 1 - eps vanishes at eps = 1
-        E1 = m3([[TrigPoly.constant(-1.0), ZERO, ZERO], [ZERO] * 3, [ZERO] * 3])
+        E1 = m3([[const(-1.0), ZERO, ZERO], [ZERO] * 3, [ZERO] * 3])
         with pytest.raises(SingularCoframeError, match="eps=1.0"):
-            arc_length(CoframeFamily(E1, Matrix3Field.zero()), 1.0)
+            arc_length(CoframeFamily(E1, ZERO_FIELD), 1.0)
 
     def test_matches_metric_snapshot_g11_bitwise(self):
         rng = np.random.default_rng(11)
         cf = CoframeFamily(random_field(rng, 3, 0.05), random_field(rng, 2, 0.05))
         for eps in (1e-4, -1e-4, 0.2):
             coframe = cf.coframe_at(eps)
-            g = coframe.transpose() @ coframe
-            g11 = g[0, 0].evaluate(grid_points(256)).real
+            g = matmul(transpose(coframe), coframe)
+            g11 = evaluate(g[0][0], grid_points(256)).real
             expected = float(np.sqrt(g11).sum() * 2.0 * np.pi / 256)
             assert arc_length(cf, eps) == expected
 
@@ -225,7 +241,7 @@ class TestArcLength:
     def test_harmonic_at_grid_size_is_not_aliased(self):
         # sqrt(g_11) = 1 + 0.1 cos(256 x), whose mean 1 a 256-point grid reads as 1.1
         E1 = m3([[COS(256, 0.5), ZERO, ZERO], [ZERO] * 3, [ZERO] * 3])
-        length = arc_length(CoframeFamily(E1, Matrix3Field.zero()), 0.2)
+        length = arc_length(CoframeFamily(E1, ZERO_FIELD), 0.2)
         assert length / (2 * np.pi) == pytest.approx(1.0, abs=1e-15)
 
     def test_near_singular_g11_is_under_resolved(self):
@@ -233,4 +249,4 @@ class TestArcLength:
         # so sqrt(g_11) keeps a Fourier tail above 1e-9 at |k| >= 64
         E1 = m3([[COS(1, -0.99999), ZERO, ZERO], [SIN(1, 1e-3), ZERO, ZERO], [ZERO] * 3])
         with pytest.raises(UnderResolvedError, match="Fourier tail"):
-            arc_length(CoframeFamily(E1, Matrix3Field.zero()), 1.0)
+            arc_length(CoframeFamily(E1, ZERO_FIELD), 1.0)

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from torusdirac import (
     CoframeFamily,
-    Matrix3Field,
     Pseudoinverse,
     PseudoinverseDomainError,
     SpinorField,
-    TrigPoly,
     TruncationError,
     charge_conjugate,
     dirac,
@@ -33,16 +31,14 @@ from torusdirac.cli import cmd_fit
 from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import fit_from_values
 
-from conftest import COS, SIN, ZERO, eigenspace_projection, m3, random_field, random_symmetric_field
+from conftest import COS, SIN, ZERO, ZERO_FIELD, add, const, eigenspace_projection, m3
+from conftest import random_field, random_symmetric_field, spinor
 from test_galerkin import COFRAMES
 
 
 def random_orthogonal_spinor(rng, lambda0, degree=4) -> SpinorField:
-    comps = [
-        TrigPoly(rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1))
-        for _ in range(2)
-    ]
-    f = SpinorField.from_components(*comps)
+    comps = [rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1) for _ in range(2)]
+    f = spinor(*comps)
     return f - eigenspace_projection(f, lambda0)
 
 
@@ -76,10 +72,8 @@ class TestPseudoinverse:
     def test_annihilates_projection(self):
         rng = np.random.default_rng(52)
         q = Pseudoinverse(lambda0=1, truncation=8)
-        comps = [
-            TrigPoly(rng.normal(size=9) + 1j * rng.normal(size=9)) for _ in range(2)
-        ]
-        f = SpinorField.from_components(*comps)
+        comps = [rng.normal(size=9) + 1j * rng.normal(size=9) for _ in range(2)]
+        f = spinor(*comps)
         assert q.apply(eigenspace_projection(f, 1)).norm() <= 1e-12
 
     def test_commutes_with_charge_conjugation(self):
@@ -123,7 +117,7 @@ class TestFirstCorrection:
             assert abs(first_correction_operator(h, n)) <= 1e-14
 
     def test_zero_perturbation(self):
-        zero = Matrix3Field.zero()
+        zero = ZERO_FIELD
         assert first_correction_closed(zero, 1) == 0.0
         assert first_correction_operator(zero, 1) == 0.0
 
@@ -160,7 +154,7 @@ class TestSecondCorrection:
         assert second_correction_operator(h, k, -1) == pytest.approx(-1.0, abs=1e-10)
 
     def test_zero_perturbation(self):
-        zero = Matrix3Field.zero()
+        zero = ZERO_FIELD
         assert second_correction_closed(zero, zero, 1) == 0.0
         assert second_correction_operator(zero, zero, 1) == 0.0
 
@@ -194,9 +188,9 @@ class TestSecondCorrection:
         h = random_symmetric_field(rng, 2, 100.0)
         k = random_symmetric_field(rng, 2, 100.0)
         second_order_operator(h, k)
-        defect = {"symmetric": COS(1, 2e-4), "real-valued": TrigPoly([1e-4j])}[what]
-        bad = Matrix3Field([[k[a, b] + defect if (a, b) == (0, 1) else k[a, b]
-                             for b in range(3)] for a in range(3)])
+        defect = {"symmetric": COS(1, 2e-4), "real-valued": const(1e-4j)}[what]
+        bad = m3([[add(k[a][b], defect) if (a, b) == (0, 1) else k[a][b]
+                   for b in range(3)] for a in range(3)])
         with pytest.raises(ValueError, match=f"k must be {what}"):
             second_order_operator(h, bad)
         with pytest.raises(ValueError, match=f"k must be {what}"):
@@ -229,7 +223,7 @@ class TestAsymmetry:
                 [ZERO, SIN(2, 1.2), COS(2, -1.2)],
             ]
         )
-        k = Matrix3Field.zero()
+        k = ZERO_FIELD
         asym = second_correction_closed(h, k, 1) + second_correction_closed(h, k, -1)
         assert asym != pytest.approx(0.0, abs=1e-6)
         operator_sum = second_correction_operator(h, k, 1) + second_correction_operator(
@@ -248,7 +242,7 @@ class TestFit:
         assert c4 == pytest.approx(-0.5, abs=1e-3)
 
     def test_eps_independent_family_fits_zero(self):
-        cf = CoframeFamily(Matrix3Field.zero(), Matrix3Field.zero())
+        cf = CoframeFamily(ZERO_FIELD, ZERO_FIELD)
         fit = fit_expansion(cf, (1,), order=2, m=8)[1]
         assert np.max(np.abs(fit.coefficients)) <= 1e-10
 
@@ -331,17 +325,17 @@ COEFFICIENT = st.floats(-0.25, 0.25)
 
 
 @st.composite
-def symmetric_fields(draw) -> Matrix3Field:
-    """Real symmetric Matrix3Field of trig degree 1-3, coefficients <= 0.25."""
+def symmetric_fields(draw) -> tuple:
+    """Real symmetric 3x3 field of trig degree 1-3, coefficients <= 0.25."""
     degree = draw(st.integers(1, 3))
     rows = [[None] * 3 for _ in range(3)]
     for a in range(3):
         for b in range(a, 3):
-            poly = TrigPoly.constant(draw(COEFFICIENT))
+            poly = const(draw(COEFFICIENT))
             for j in range(1, degree + 1):
-                poly = poly + COS(j, draw(COEFFICIENT)) + SIN(j, draw(COEFFICIENT))
+                poly = add(poly, COS(j, draw(COEFFICIENT)), SIN(j, draw(COEFFICIENT)))
             rows[a][b] = rows[b][a] = poly
-    return Matrix3Field(rows)
+    return m3(rows)
 
 
 FAMILIES = st.builds(CoframeFamily.from_perturbation, symmetric_fields(), symmetric_fields())
@@ -425,23 +419,25 @@ class TestSharedWork:
         assert checks["require_sym_real"] == 2
 
     def test_h_squared_read_without_the_full_product(self, explicit_family_2, monkeypatch):
+        # of the nine entries of h @ h, the closed form reads (0, 0), W2 the first column
         h, k = explicit_family_2
-
-        def full_product(self, other):
-            raise AssertionError("full 3x3 product of h with itself")
-
-        monkeypatch.setattr(Matrix3Field, "__matmul__", full_product)
+        entries = Counter()
+        for module in (dirac, perturbation):
+            self.count(monkeypatch, module, "matmul_entry", entries)
         for n in (1, -1):
             second_correction_closed(h, k, n)
+        assert entries["matmul_entry"] == 2
         second_order_operator(h, k)
+        assert entries["matmul_entry"] == 5
 
     def test_routes_build_no_full_product(self, family, monkeypatch):
-        def full_product(self, other):
-            raise AssertionError("a route built a full 3x3 product")
-
-        monkeypatch.setattr(Matrix3Field, "__matmul__", full_product)
-        for route in ("closed_form", "operator"):
-            perturbation_report(family, route)
+        entries = Counter()
+        for module in (dirac, perturbation):
+            self.count(monkeypatch, module, "matmul_entry", entries)
+        perturbation_report(family, "closed_form")
+        assert entries["matmul_entry"] == 1
+        perturbation_report(family, "operator")
+        assert entries["matmul_entry"] == 4
 
     def test_closed_route_builds_only_k00(self, family, monkeypatch):
         # with the closed-form sums stubbed out, every convolution left is k's:
@@ -456,7 +452,7 @@ class TestSharedWork:
         def refuse(*args):
             raise AssertionError("the Galerkin fit route built h or k")
 
-        for name in ("_h_coefficients", "_k_coefficient", "_k_coefficients"):
+        for name in ("first_order_perturbation", "_k_coefficient", "second_order_perturbation"):
             monkeypatch.setattr(perturbation, name, refuse)
         assert perturbation_report(family, "galerkin_fit").fit_order == 2
 
@@ -482,8 +478,8 @@ class TestSharedWork:
     @pytest.mark.parametrize("bad", ["h", "k"])
     def test_input_check_messages(self, family, bad, monkeypatch):
         skew = m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
-        target = {"h": "_h_coefficients", "k": "_k_coefficients"}[bad]
-        monkeypatch.setattr(perturbation, target, lambda *entries: skew.coefficients())
+        target = {"h": "first_order_perturbation", "k": "second_order_perturbation"}[bad]
+        monkeypatch.setattr(perturbation, target, lambda cf: skew)
         with pytest.raises(ValueError, match=f"{bad} must be symmetric"):
             perturbation_report(family, "operator")
 
