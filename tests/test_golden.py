@@ -28,7 +28,10 @@ path bit for bit, so a change that claims to keep every bit is checked here.
 families: the float.hex values of the closed-form and operator routes,
 ``arc_length(cf, 1e-4)``, and the sha256 of the operator B^/p^ bytes and of
 the Galerkin entries, with the float.hex ``herm_residual``, at each eps in
-``DIGEST_EPS`` and m in ``DIGEST_TRUNCATIONS`` on ``default_grid(m)``.
+``DIGEST_EPS`` and m in ``DIGEST_TRUNCATIONS`` on ``default_grid(m)``. It
+also pins, at n = +1 and -1, the sha256 of the two spinors that the operator
+route of ``perturbation_report`` builds on its way: W1 v_n and the
+pseudoinverse of (W1 - l1) v_n.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 import pytest
 
 from torusdirac import arc_length, dirac_operator, galerkin_matrix, load_config_file
-from torusdirac import perturbation_report
+from torusdirac import perturbation, perturbation_report
 from torusdirac.cli import main
 from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.geometry import default_grid
@@ -102,6 +105,32 @@ def _sha256(*arrays: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def _route_spinors(cf) -> list[str]:
+    """One line per n = +1, -1: the sha256 of W1 v_n and of the pseudoinverse
+    output, recorded from inside ``perturbation_report(cf, "operator")``."""
+    w1v, corrected = [], []
+    block, apply = perturbation._first_order_block, perturbation.Pseudoinverse.apply
+
+    def record_block(*args):
+        result = block(*args)
+        w1v.append(result[1].coeffs)
+        return result
+
+    def record_apply(*args, **kwargs):
+        result = apply(*args, **kwargs)
+        corrected.append(result.coeffs)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perturbation, "_first_order_block", record_block)
+        patch.setattr(perturbation.Pseudoinverse, "apply", record_apply)
+        perturbation_report(cf, "operator")
+    return [
+        f"n={n:+d} w1v {_sha256(w1v[i])} pseudoinverse {_sha256(corrected[i])}"
+        for i, n in enumerate((1, -1))
+    ]
+
+
 def _array_digests() -> str:
     lines = []
     for name, config in CONFIGS.items():
@@ -110,6 +139,7 @@ def _array_digests() -> str:
             report = perturbation_report(cf, route)
             values = " ".join(float.hex(getattr(report, c)) for c in COEFFICIENTS)
             lines.append(f"{name} {route} {values}")
+        lines += [f"{name} {line}" for line in _route_spinors(cf)]
         lines.append(f"{name} arc_length {float.hex(arc_length(cf, 1e-4))}")
         for eps in DIGEST_EPS:
             for m in DIGEST_TRUNCATIONS:
