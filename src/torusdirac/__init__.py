@@ -17,8 +17,6 @@ from .geometry import (
 )
 from .dirac import (
     DiracOperator,
-    SpinorField,
-    charge_conjugate,
     dirac_operator,
     first_order_operator,
     free_operator,
@@ -32,7 +30,6 @@ from .galerkin import (
     track_pair,
 )
 from .perturbation import (
-    Pseudoinverse,
     PseudoinverseDomainError,
     TruncationError,
     first_correction_closed,
@@ -55,8 +52,6 @@ __all__ = [
     "first_order_perturbation",
     "second_order_perturbation",
     "DiracOperator",
-    "SpinorField",
-    "charge_conjugate",
     "dirac_operator",
     "first_order_operator",
     "free_operator",
@@ -66,7 +61,6 @@ __all__ = [
     "galerkin_matrix",
     "spectrum_report",
     "track_pair",
-    "Pseudoinverse",
     "PseudoinverseDomainError",
     "TruncationError",
     "first_correction_closed",

@@ -11,10 +11,17 @@ operator at fixed eps takes (a1, a2, a3) from the first frame column; the
 first and second order terms of its eps-expansion take them from columns of
 the metric perturbation matrices.
 
-Spinors and operators are held as Fourier coefficients only. With B^ and p^
-the coefficients of B and p, the action is the finite convolution
+Spinors and operators are held as Fourier coefficients only. A spinor v is
+a complex array of shape (2, 2K+1), ``c[a, k + K]`` the coefficient of
+e^{ikx} in component a; ``inner`` is the L^2 product of two of them and
+``DiracOperator.apply`` maps one to another. With B^ and p^ the coefficients
+of B and p, the action is the finite convolution
 
     (W v)^(k) = sum_q [ (k + q)/2 B^(k - q) + p^(k - q) ] v^(q).
+
+Sums of spinors go through ``trigpoly.poly_add``/``poly_sub``, which pad
+both operands to the larger degree before they add, and a spinor is scaled
+by a complex scalar, ``c * complex(s)``.
 
 The first and second order terms have trigonometric-polynomial coefficients
 and are built in coefficient arithmetic from h and k, each given as a 3x3
@@ -36,69 +43,21 @@ from .trigpoly import _ZERO, _as_field, det3, matmul_entry, poly_add, poly_deriv
 from .trigpoly import poly_on_grid, poly_sub, resize_degree
 
 
-def _real_defect(coeffs: np.ndarray) -> float:
-    """Largest |c_k - conj(c_-k)|: zero exactly when the function is real."""
-    return float(np.max(np.abs(coeffs - np.conj(coeffs[..., ::-1]))))
+def _spinor(c) -> np.ndarray:
+    """``c`` as a complex array, after checking that it has shape (2, 2K+1)."""
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 2 or c.shape[0] != 2 or c.shape[1] % 2 == 0:
+        raise ValueError("spinor coefficients must have shape (2, 2K+1)")
+    return c
 
 
-@dataclass(frozen=True)
-class SpinorField:
-    """2-column complex function of x^1 held as Fourier coefficients:
-    ``coeffs[c, k + K]`` is the coefficient of e^{ikx} in component c."""
-
-    coeffs: np.ndarray  # shape (2, 2K+1)
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != 2 or c.shape[1] % 2 == 0:
-            raise ValueError("spinor coefficients must have shape (2, 2K+1)")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return (self.coeffs.shape[1] - 1) // 2
-
-    # ------------------------------------------------------------------
-    # Hilbert space structure: <u, v> = int_0^2pi v^* u dx = 2pi sum_k v^_k^* u^_k
-    # ------------------------------------------------------------------
-
-    def inner(self, other: "SpinorField") -> complex:
-        d = min(self.degree, other.degree)
-        overlap = np.conj(resize_degree(other.coeffs, d)) * resize_degree(self.coeffs, d)
-        return complex(2.0 * np.pi * np.sum(overlap))
-
-    def norm(self) -> float:
-        return float(np.sqrt(max(self.inner(self).real, 0.0)))
-
-    def bandwidth(self) -> int:
-        """Largest |k| carrying a coefficient above 1e-13."""
-        live = np.nonzero(np.abs(self.coeffs).max(axis=0) > 1e-13)[0]
-        return int(np.abs(live - self.degree).max()) if live.size else 0
-
-    def __add__(self, other: "SpinorField") -> "SpinorField":
-        d = max(self.degree, other.degree)
-        return SpinorField(resize_degree(self.coeffs, d) + resize_degree(other.coeffs, d))
-
-    def __sub__(self, other: "SpinorField") -> "SpinorField":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "SpinorField":
-        return SpinorField(self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpinorField":
-        return SpinorField(-self.coeffs)
-
-
-def charge_conjugate(v: SpinorField) -> SpinorField:
-    """Antilinear map (v1, v2) -> (-conj(v2), conj(v1)); squares to -I.
-
-    The conjugate function of sum_k c_k e^{ikx} has coefficients conj(c_-k).
-    """
-    c = np.conj(v.coeffs[:, ::-1])
-    return SpinorField(np.array([-c[1], c[0]]))
+def inner(u, v) -> complex:
+    """<u, v> = int_0^2pi v^* u dx = 2pi sum_k conj(v^_k) u^_k, summed over
+    the harmonics that both spinors hold."""
+    u, v = _spinor(u), _spinor(v)
+    d = (min(u.shape[1], v.shape[1]) - 1) // 2
+    overlap = np.conj(resize_degree(v, d)) * resize_degree(u, d)
+    return complex(2.0 * np.pi * overlap.sum())
 
 
 def symbol_matrix(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
@@ -129,20 +88,18 @@ class DiracOperator:
         p = np.array(self.p_hat, dtype=complex)
         if b.ndim != 3 or b.shape[:2] != (2, 2) or b.shape[2] % 2 == 0 or p.shape != b.shape[2:]:
             raise ValueError("inconsistent symbol/potential shapes")
-        herm = max(
-            float(np.max(np.abs(b[0, 1] - np.conj(b[1, 0, ::-1])))),
-            _real_defect(b[0, 0]),
-            _real_defect(b[1, 1]),
-        )
-        b_scale = max(1.0, float(np.max(np.abs(b))))
+        # B^ = (B^)^H entry by entry at k and -k: the defect of entry (1, 0)
+        # mirrors that of (0, 1), and the diagonal ones are realness defects
+        herm = float(np.abs(b - np.conj(b.swapaxes(0, 1)[..., ::-1])).max())
+        b_scale = max(1.0, float(np.abs(b).max()))
         if herm > 1e-10 * b_scale:
             raise NumericalContractError(f"symbol matrix not Hermitian: residual {herm:.2e}")
-        trace = np.max(np.abs(b[0, 0] + b[1, 1]))
+        trace = np.abs(b[0, 0] + b[1, 1]).max()
         if trace > 1e-10 * b_scale:
             raise NumericalContractError(f"symbol matrix not trace-free: residual {trace:.2e}")
         # a complex potential signals an index error upstream
-        p_scale = max(1.0, float(np.max(np.abs(p))))
-        if _real_defect(p) > 1e-12 * p_scale:
+        p_scale = max(1.0, float(np.abs(p).max()))
+        if np.abs(p - np.conj(p[::-1])).max() > 1e-12 * p_scale:
             raise NumericalContractError(
                 f"potential has nonreal part above 1e-12 * {p_scale:.3e}"
             )
@@ -155,18 +112,21 @@ class DiracOperator:
     def degree(self) -> int:
         return (self.p_hat.size - 1) // 2
 
-    def apply(self, v: SpinorField) -> SpinorField:
-        """(W v)^(k) = sum_q [(k + q)/2 B^(k - q) + p^(k - q)] v^(q), exactly."""
-        c = v.coeffs
-        qc = np.arange(-v.degree, v.degree + 1) * c
-        top = self.degree + v.degree
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """(W v)^(k) = sum_q [(k + q)/2 B^(k - q) + p^(k - q)] v^(q), exactly,
+        for the spinor v with coefficients ``c``; raises ValueError unless
+        ``c`` has shape (2, 2K+1)."""
+        c = _spinor(c)
+        d = (c.shape[1] - 1) // 2
+        qc = np.arange(-d, d + 1) * c
+        top = self.degree + d
         k = np.arange(-top, top + 1)
         out = np.empty((2, k.size), dtype=complex)
         for a in range(2):
             bv = np.convolve(self.b_hat[a, 0], c[0]) + np.convolve(self.b_hat[a, 1], c[1])
             bqv = np.convolve(self.b_hat[a, 0], qc[0]) + np.convolve(self.b_hat[a, 1], qc[1])
             out[a] = 0.5 * (k * bv + bqv) + np.convolve(self.p_hat, c[a])
-        return SpinorField(out)
+        return out
 
     __call__ = apply
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .dirac import DiracOperator, SpinorField, dirac_operator
+from .dirac import DiracOperator, dirac_operator
 from .geometry import CoframeFamily, NumericalContractError, default_grid
 from .trigpoly import resize_degree
 
@@ -31,13 +32,15 @@ class TrackingError(NumericalContractError):
     """No unambiguous eigenvalue pair near the requested mode."""
 
 
-def basis_spinor(i: int, kind: str) -> SpinorField:
+@lru_cache(maxsize=64)
+def basis_spinor(i: int, kind: str) -> np.ndarray:
     """Unperturbed eigenfunctions: unit-norm spinors
 
         v_i = (1, 1)^T e^{i i x} / (2 sqrt(pi)),
         w_i = (-1, 1)^T e^{-i i x} / (2 sqrt(pi)),
 
-    both with eigenvalue i; w_i is the charge conjugate of v_i.
+    both with eigenvalue i; w_i is the charge conjugate of v_i. Returned as
+    cached read-only (2, 2|i|+1) coefficient arrays.
     """
     if kind not in ("v", "w"):
         raise ValueError(f"kind must be 'v' or 'w', got {kind!r}")
@@ -47,7 +50,8 @@ def basis_spinor(i: int, kind: str) -> SpinorField:
         coeffs[:, abs(i) + i] = (c, c)
     else:
         coeffs[:, abs(i) - i] = (-c, c)
-    return SpinorField(coeffs)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,23 @@ route rather than silently adjusted.
 
 The operator route works on Fourier coefficients only: W1 and W2 have
 trigonometric-polynomial coefficients, so applying them, the pseudoinverse
-and the inner products are finite sums and no grid is sampled. It is two
-private helpers, the first-order block and the second-order term, which take
-W1 and W2 as arguments and share W1 v_n: the public route functions build
-their own, ``perturbation_report`` builds each once for both signs.
+and the inner products are finite sums and no grid is sampled. Every spinor
+on the way is a bare (2, 2K+1) coefficient array: ``DiracOperator.apply``,
+``dirac.inner`` and ``pseudoinverse`` take and return arrays, the basis
+spinors come cached and read-only from ``galerkin.basis_spinor``, and sums
+go through ``trigpoly.poly_sub``. The route is two private helpers, the
+first-order block and the second-order term, which take W1 and W2 as
+arguments and share W1 v_n: the public route functions build their own,
+``perturbation_report`` builds each once for both signs.
 
 h and k are entry coefficient arrays, 3x3 nested sequences of arrays or
 scalars (see ``trigpoly``). ``perturbation_report`` builds them from E1 and
 E2 with ``geometry.first_order_perturbation`` and ``_k_coefficient``, only
 the entries each route reads: the closed form h and k[0, 0], the operator
 route h and all of k, whose realness and symmetry it checks; the Galerkin
-fit route neither. It runs the helpers that the public route functions run,
-so their values are the report's to the bit.
+fit route neither. It reads the h and k it built as they are, with no copy
+through ``trigpoly._as_field``, and runs the helpers that the public route
+functions run, so their values are the report's to the bit.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ import numpy as np
 
 from .dirac import (
     DiracOperator,
-    SpinorField,
     _first_order_operator,
     _second_order_operator,
+    _spinor,
     first_order_operator,
+    inner,
     second_order_operator,
 )
 from .galerkin import basis_spinor, spectrum_report, track_pair
@@ -51,7 +57,8 @@ from .geometry import (
     require_sym_real,
     second_order_perturbation,
 )
-from .trigpoly import _as_field, field_degree, matmul_entry, resize_degree, stack_entries
+from .trigpoly import _as_field, field_degree, matmul_entry, poly_sub, resize_degree
+from .trigpoly import stack_entries
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
 
@@ -72,57 +79,51 @@ class FitResidualError(NumericalContractError):
     """Eigenvalue sweep is not explained by the polynomial model."""
 
 
-@dataclass(frozen=True)
-class Pseudoinverse:
-    """Bounded inverse of (free operator - lambda0) off its eigenspace.
+def pseudoinverse(c, n: int, truncation: int, orthogonality_tol: float | None = None) -> np.ndarray:
+    """Bounded inverse of (free operator - n) off its eigenspace, applied to
+    the spinor with coefficients ``c``.
 
-    Acts in Fourier space: the coefficient of e^{iqx} in Qf is
+    Acts in Fourier space: the coefficient of e^{iqx} in the output is
 
-        (1/2) [ (q - lambda0)^{-1} A + (-q - lambda0)^{-1} B ] fhat(q)
+        (1/2) [ (q - n)^{-1} A + (-q - n)^{-1} B ] c(q)
 
     with A = [[1,1],[1,1]], B = [[1,-1],[-1,1]], each term present only when
     its denominator is nonzero. A annihilates the w-type part of mode q and
     doubles the v-type part (eigenvalue q); B does the reverse (the w-type
     part of mode q has eigenvalue -q), so this is the spectral sum
-    sum_{mu != lambda0} P_mu / (mu - lambda0) truncated to |q| <= truncation.
+    sum_{mu != n} P_mu / (mu - n) truncated to |q| <= truncation, and any
+    kernel content of ``c`` is annihilated.
+
+    Pass ``orthogonality_tol`` where the input must be orthogonal to the
+    kernel (it is in the second-order eigenvalue formula): an overlap above
+    the tolerance then raises PseudoinverseDomainError instead of being
+    silently projected out. Raises TruncationError unless ``truncation``
+    exceeds the bandwidth of ``c`` (its largest |k| with a coefficient above
+    1e-13) plus |n|, and ValueError unless ``c`` has shape (2, 2K+1).
     """
-
-    lambda0: int
-    truncation: int
-
-    def apply(
-        self, f: SpinorField, orthogonality_tol: float | None = None
-    ) -> SpinorField:
-        """Apply the mode sum; any kernel content of f is annihilated.
-
-        Pass ``orthogonality_tol`` in contexts where the input is required to
-        be orthogonal to the kernel (it is in the second-order eigenvalue
-        formula): an overlap above the tolerance then raises instead of being
-        silently projected out.
-        """
-        if orthogonality_tol is not None:
-            for kind in ("v", "w"):
-                overlap = abs(f.inner(basis_spinor(self.lambda0, kind)))
-                if overlap > orthogonality_tol:
-                    raise PseudoinverseDomainError(
-                        f"input overlaps the lambda0={self.lambda0} eigenspace "
-                        f"by {overlap:.2e} (tolerance {orthogonality_tol:.0e})"
-                    )
-        bw = f.bandwidth()
-        if self.truncation < bw + abs(self.lambda0) + 1:
-            raise TruncationError(
-                f"truncation {self.truncation} below bandwidth requirement "
-                f"{bw + abs(self.lambda0) + 1}"
-            )
-        M = self.truncation
-        c = resize_degree(f.coeffs, M)
-        q = np.arange(-M, M + 1)
-        # weights of A and B per mode, zero where the denominator vanishes
-        wa, wb = np.zeros(q.size), np.zeros(q.size)
-        np.divide(0.5, q - self.lambda0, out=wa, where=q != self.lambda0)
-        np.divide(0.5, -q - self.lambda0, out=wb, where=q != -self.lambda0)
-        sym, anti = wa * (c[0] + c[1]), wb * (c[0] - c[1])
-        return SpinorField(np.array([sym + anti, sym - anti]))
+    c = _spinor(c)
+    if orthogonality_tol is not None:
+        for kind in ("v", "w"):
+            overlap = abs(inner(c, basis_spinor(n, kind)))
+            if overlap > orthogonality_tol:
+                raise PseudoinverseDomainError(
+                    f"input overlaps the lambda0={n} eigenspace "
+                    f"by {overlap:.2e} (tolerance {orthogonality_tol:.0e})"
+                )
+    live = np.nonzero(np.abs(c).max(axis=0) > 1e-13)[0]
+    bw = int(np.abs(live - (c.shape[1] - 1) // 2).max()) if live.size else 0
+    if truncation < bw + abs(n) + 1:
+        raise TruncationError(
+            f"truncation {truncation} below bandwidth requirement {bw + abs(n) + 1}"
+        )
+    f = resize_degree(c, truncation)
+    q = np.arange(-truncation, truncation + 1)
+    # weights of A and B per mode, zero where the denominator vanishes
+    wa, wb = np.zeros(q.size), np.zeros(q.size)
+    np.divide(0.5, q - n, out=wa, where=q != n)
+    np.divide(0.5, -q - n, out=wb, where=q != -n)
+    sym, anti = wa * (f[0] + f[1]), wb * (f[0] - f[1])
+    return np.array([sym + anti, sym - anti])
 
 
 def _check_sign(n: int) -> None:
@@ -142,7 +143,13 @@ def _mean(coeffs: np.ndarray) -> complex:
 def first_correction_closed(h, n: int) -> float:
     """Closed form: -+ (1/2) * hhat_11(0) for n = +-1."""
     _check_sign(n)
-    return float(-n * 0.5 * _mean(_as_field(h)[0][0]).real)
+    return _first_corrections_closed(_as_field(h)[0][0], (n,))[0]
+
+
+def _first_corrections_closed(h00: np.ndarray, signs) -> list[float]:
+    """``first_correction_closed`` at each n in ``signs``, in that order,
+    from the coefficients of h[0, 0]."""
+    return [float(-n * 0.5 * _mean(h00).real) for n in signs]
 
 
 def first_correction_operator(h, n: int) -> float:
@@ -156,15 +163,15 @@ def first_correction_operator(h, n: int) -> float:
     return _first_order_block(first_order_operator(h), n)[0]
 
 
-def _first_order_block(w1: DiracOperator, n: int) -> tuple[float, SpinorField]:
+def _first_order_block(w1: DiracOperator, n: int) -> tuple[float, np.ndarray]:
     """l1(n) from the block of the first-order operator ``w1`` on mode n,
     and W1 v_n, which the second-order term reuses."""
     v = basis_spinor(n, "v")
     w = basis_spinor(n, "w")
     image = w1.apply(v)
-    diag_v = image.inner(v)
-    off = image.inner(w)
-    diag_w = w1.apply(w).inner(w)
+    diag_v = inner(image, v)
+    off = inner(image, w)
+    diag_w = inner(w1.apply(w), w)
     if abs(off) > 1e-9 or abs(diag_v - diag_w) > 1e-9 or abs(diag_v.imag) > 1e-9:
         raise DegenerateSplittingError(
             f"first-order block on mode {n} is not scalar: "
@@ -265,17 +272,15 @@ def second_correction_operator(h, k, n: int) -> float:
 
 
 def _second_order_term(
-    w1: DiracOperator, w2: DiracOperator, w1v: SpinorField, l1: float, n: int, truncation: int
+    w1: DiracOperator, w2: DiracOperator, w1v: np.ndarray, l1: float, n: int, truncation: int
 ) -> float:
     """<W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v> for v = v_n, given
     w1v = W1 v and l1 = l1(n)."""
     v = basis_spinor(n, "v")
-    residual = w1v - l1 * v
-    corrected = Pseudoinverse(lambda0=n, truncation=truncation).apply(
-        residual, orthogonality_tol=1e-9
-    )
-    shifted = w1.apply(corrected) - l1 * corrected
-    terms = (w2.apply(v).inner(v), shifted.inner(v))
+    residual = poly_sub(w1v, v * complex(l1))
+    corrected = pseudoinverse(residual, n, truncation, orthogonality_tol=1e-9)
+    shifted = poly_sub(w1.apply(corrected), corrected * complex(l1))
+    terms = (inner(w2.apply(v), v), inner(shifted, v))
     value = terms[0] - terms[1]
     _require_real(value, terms, 1e-10)
     return float(value.real)
@@ -411,11 +416,12 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
     """
     if route == "closed_form":
         h = first_order_perturbation(cf)
+        l1 = _first_corrections_closed(h[0][0], (1, -1))
         l2 = _second_corrections_closed(h, _k_coefficient(cf.E1, cf.E2, 0, 0), (1, -1))
         return PerturbationReport(
             route=route,
-            lambda1_plus=first_correction_closed(h, 1),
-            lambda1_minus=first_correction_closed(h, -1),
+            lambda1_plus=l1[0],
+            lambda1_minus=l1[1],
             lambda2_plus=l2[0],
             lambda2_minus=l2[1],
         )

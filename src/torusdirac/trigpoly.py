@@ -103,10 +103,12 @@ def resize_degree(coeffs: np.ndarray, degree: int) -> np.ndarray:
 
 
 def poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of a + b: both zero-padded to the larger degree, then
-    added; always a new array."""
-    d = (max(a.size, b.size) - 1) // 2
-    return resize_degree(a, d) + resize_degree(b, d)
+    """Coefficients of a + b along the last axis: both zero-padded to the
+    larger degree, then added; always a new array."""
+    na, nb = a.shape[-1], b.shape[-1]
+    if na < nb:
+        return resize_degree(a, (nb - 1) // 2) + b
+    return a + resize_degree(b, (na - 1) // 2)
 
 
 def poly_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ Functions of x^1 are coefficient arrays and 3x3 matrices of them are nested
 tuples of arrays, as in the package. The helpers below spell the arithmetic
 on them: ``add`` sums left to right with ``poly_add``, products are
 ``np.convolve``, and a scaled array is multiplied by a complex scalar.
+Spinors are (2, 2K+1) coefficient arrays, summed and scaled the same way.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from torusdirac import CoframeFamily, DiracOperator, Pseudoinverse, SpinorField
-from torusdirac.dirac import symbol_matrix
+from torusdirac import CoframeFamily, DiracOperator
+from torusdirac.dirac import inner, symbol_matrix
 from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import _antisymmetric_flux_sum
 from torusdirac.trigpoly import COEFF_TOL, _as_field, field_degree, poly_add, poly_derivative
@@ -134,10 +136,24 @@ def isclose(x, y, tol: float = COEFF_TOL) -> bool:
     return bool(np.all(np.abs(stack_entries(x, d) - stack_entries(y, d)) <= tol))
 
 
-def spinor(upper: np.ndarray, lower: np.ndarray) -> SpinorField:
+def spinor(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """The spinor with component coefficients ``upper`` and ``lower``."""
     d = max(degree(upper), degree(lower))
-    return SpinorField(np.array([resize_degree(upper, d), resize_degree(lower, d)]))
+    return np.array([resize_degree(upper, d), resize_degree(lower, d)])
+
+
+def norm(v: np.ndarray) -> float:
+    """L^2 norm of a spinor, from ``inner``."""
+    return float(np.sqrt(max(inner(v, v).real, 0.0)))
+
+
+def charge_conjugate(v: np.ndarray) -> np.ndarray:
+    """Antilinear map (v1, v2) -> (-conj(v2), conj(v1)); squares to -I.
+
+    The conjugate function of sum_k c_k e^{ikx} has coefficients conj(c_-k).
+    """
+    c = np.conj(v[:, ::-1])
+    return np.array([-c[1], c[0]])
 
 
 @pytest.fixture(scope="session")
@@ -227,11 +243,51 @@ def random_field(rng: np.random.Generator, degree: int = 2,
     return m3([[random_poly(rng, degree, scale) for _ in range(3)] for _ in range(3)])
 
 
-def eigenspace_projection(f: SpinorField, lambda0: int) -> SpinorField:
+def eigenspace_projection(f: np.ndarray, lambda0: int) -> np.ndarray:
     """Orthogonal projection onto span{v_lambda0, w_lambda0}."""
     v = basis_spinor(lambda0, "v")
     w = basis_spinor(lambda0, "w")
-    return f.inner(v) * v + f.inner(w) * w
+    return poly_add(v * inner(f, v), w * inner(f, w))
+
+
+# ----------------------------------------------------------------------
+# hypothesis strategies for random real 3x3 fields
+# ----------------------------------------------------------------------
+
+# Entries of E1 and E2 stay below 0.5 and eps below 0.2, so the coframe
+# I + eps E1 + eps^2 E2 is within 0.3 of I in norm and det e > 0.
+AMPLITUDE = st.floats(-0.1, 0.1)
+
+
+@st.composite
+def coframe_fields(draw) -> tuple:
+    """Real (not symmetric) 3x3 field of trig degree 1-2, coefficients <= 0.1."""
+    degree = draw(st.integers(1, 2))
+    rows = []
+    for _ in range(3):
+        row = []
+        for _ in range(3):
+            poly = const(draw(AMPLITUDE))
+            for j in range(1, degree + 1):
+                poly = add(poly, COS(j, draw(AMPLITUDE)), SIN(j, draw(AMPLITUDE)))
+            row.append(poly)
+        rows.append(row)
+    return m3(rows)
+
+
+@st.composite
+def mixed_degree_fields(draw, amplitude=AMPLITUDE) -> tuple:
+    """Real 3x3 field whose entries each have their own trig degree 0-3."""
+    rows = []
+    for _ in range(3):
+        row = []
+        for _ in range(3):
+            poly = const(draw(amplitude))
+            for j in range(1, draw(st.integers(0, 3)) + 1):
+                poly = add(poly, COS(j, draw(amplitude)), SIN(j, draw(amplitude)))
+            row.append(poly)
+        rows.append(row)
+    return m3(rows)
 
 
 def assert_sigfigs(value: float, printed: float, nsig: int) -> None:
@@ -323,18 +379,28 @@ def reference_k(cf: CoframeFamily) -> tuple:
     return scaled(entrywise(add, matmul(transpose(cf.E1), cf.E1), cf.E2, transpose(cf.E2)), 4.0)
 
 
-def reference_apply(op: DiracOperator, v: SpinorField) -> SpinorField:
-    """``op.apply(v)`` with q * v^ formed once per output row."""
-    c = v.coeffs
-    q = np.arange(-v.degree, v.degree + 1)
-    top = op.degree + v.degree
+def reference_apply(op: DiracOperator, c: np.ndarray) -> np.ndarray:
+    """``op.apply(c)`` with q * v^ formed once per output row."""
+    q = np.arange(-degree(c[0]), degree(c[0]) + 1)
+    top = op.degree + degree(c[0])
     k = np.arange(-top, top + 1)
     out = np.empty((2, k.size), dtype=complex)
     for a in range(2):
         bv = np.convolve(op.b_hat[a, 0], c[0]) + np.convolve(op.b_hat[a, 1], c[1])
         bqv = np.convolve(op.b_hat[a, 0], q * c[0]) + np.convolve(op.b_hat[a, 1], q * c[1])
         out[a] = 0.5 * (k * bv + bqv) + np.convolve(op.p_hat, c[a])
-    return SpinorField(out)
+    return out
+
+
+def reference_pseudoinverse(c: np.ndarray, n: int, truncation: int) -> np.ndarray:
+    """The mode sum of ``perturbation.pseudoinverse(c, n, truncation)``,
+    weighted per mode with 0 at the vanishing denominators; no checks."""
+    f = resize_degree(c, truncation)
+    q = np.arange(-truncation, truncation + 1)
+    wa = np.array([0.0 if j == n else 0.5 / (j - n) for j in q])
+    wb = np.array([0.0 if j == -n else 0.5 / (-j - n) for j in q])
+    sym, anti = wa * (f[0] + f[1]), wb * (f[0] - f[1])
+    return np.array([sym + anti, sym - anti])
 
 
 def reference_closed_route(cf: CoframeFamily) -> list[float]:
@@ -387,12 +453,12 @@ def reference_operator_route(cf: CoframeFamily) -> list[float]:
     l1, l2 = [], []
     for n in (1, -1):
         v = basis_spinor(n, "v")
-        first = float(reference_apply(w1, v).inner(v).real)
-        residual = reference_apply(w1, v) - first * v
-        corrected = Pseudoinverse(lambda0=n, truncation=field_degree(h) + 4).apply(residual)
-        shifted = reference_apply(w1, corrected) - first * corrected
+        first = float(inner(reference_apply(w1, v), v).real)
+        residual = poly_sub(reference_apply(w1, v), v * complex(first))
+        corrected = reference_pseudoinverse(residual, n, field_degree(h) + 4)
+        shifted = poly_sub(reference_apply(w1, corrected), corrected * complex(first))
         l1.append(first)
-        l2.append(float((reference_apply(w2, v).inner(v) - shifted.inner(v)).real))
+        l2.append(float((inner(reference_apply(w2, v), v) - inner(shifted, v)).real))
     return l1 + l2
 
 

@@ -18,17 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdirac import CoframeFamily, SpinorField, dirac_operator
+from torusdirac import CoframeFamily, dirac_operator
 from torusdirac import first_order_perturbation, galerkin_matrix, load_config_file, load_example
 from torusdirac import galerkin, perturbation_report, second_order_perturbation
 from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.geometry import default_grid
 from torusdirac.trigpoly import det3, matmul_entry
 
-from conftest import COS, SIN, add, const, m3, reference_apply, reference_closed_route
-from conftest import reference_coframe, reference_det, reference_galerkin, reference_h, reference_k
-from conftest import reference_operator_hats, reference_operator_route, reference_product_entry
-from conftest import same_bytes
+from conftest import coframe_fields, mixed_degree_fields, reference_apply, reference_closed_route
+from conftest import reference_coframe, reference_det, reference_galerkin
+from conftest import reference_h, reference_k, reference_operator_hats, reference_operator_route
+from conftest import reference_product_entry, same_bytes
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDED = ("seeded-coframe-4", "seeded-perturbation-3", "cli-sweep-coframe-2", "cli-sweep-perturbation-2")
@@ -105,26 +105,11 @@ def test_matrix_matches_reference_in_many_strips(name):
 
 
 # ----------------------------------------------------------------------
-# random coframes whose entries each have their own trig degree 0-3
+# random coframes: of trig degree 1-2 (``coframe_fields``), and with
+# entries that each have their own trig degree 0-3 (``mixed_degree_fields``)
 # ----------------------------------------------------------------------
 
-AMPLITUDE = st.floats(-0.1, 0.1)
-
-
-@st.composite
-def mixed_degree_fields(draw, amplitude=AMPLITUDE) -> tuple:
-    rows = []
-    for _ in range(3):
-        row = []
-        for _ in range(3):
-            poly = const(draw(amplitude))
-            for j in range(1, draw(st.integers(0, 3)) + 1):
-                poly = add(poly, COS(j, draw(amplitude)), SIN(j, draw(amplitude)))
-            row.append(poly)
-        rows.append(row)
-    return m3(rows)
-
-
+COFRAMES = st.builds(CoframeFamily, coframe_fields(), coframe_fields())
 MIXED_COFRAMES = st.builds(CoframeFamily, mixed_degree_fields(), mixed_degree_fields())
 # entries up to 1e-4 .. 100 in size, one size per coframe
 SCALED_FIELDS = st.integers(-4, 2).flatmap(
@@ -175,7 +160,15 @@ class TestRandomCoframes:
     @given(MIXED_COFRAMES, st.sampled_from([0.0, 0.1]), st.integers(0, 4), st.integers(0, 2**32 - 1))
     def test_apply_matches_reference(self, cf, eps, degree, seed):
         rng = np.random.default_rng(seed)
-        v = SpinorField(rng.normal(size=(2, 2 * degree + 1)) + 1j * rng.normal(size=(2, 2 * degree + 1)))
+        v = rng.normal(size=(2, 2 * degree + 1)) + 1j * rng.normal(size=(2, 2 * degree + 1))
         op = dirac_operator(cf, eps, 256)
-        assert same_bytes(op.apply(v).coeffs, reference_apply(op, v).coeffs)
+        assert same_bytes(op.apply(v), reference_apply(op, v))
+
+    @settings(max_examples=40)
+    @given(st.one_of(COFRAMES, MIXED_COFRAMES))
+    def test_operator_route_matches_reference(self, cf):
+        # the route on bare arrays against the conftest arithmetic, value by value
+        report = perturbation_report(cf, "operator")
+        values = [getattr(report, name).hex() for name in COEFFICIENTS]
+        assert values == [value.hex() for value in reference_operator_route(cf)]
 

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from torusdirac import (
     CoframeFamily,
     DiracOperator,
-    SpinorField,
     TrackingError,
     UnderResolvedError,
-    charge_conjugate,
     dirac_operator,
     eigenvalues,
     free_operator,
@@ -21,11 +19,12 @@ from torusdirac import (
     track_pair,
 )
 from torusdirac.config import EXAMPLE_NAMES
+from torusdirac.dirac import inner
 from torusdirac.galerkin import PAIRING_TOL, SpectrumReport, basis_spinor
 from torusdirac.geometry import default_grid
 
-from conftest import COS, SIN, ZERO, ZERO_FIELD, add, assert_sigfigs, const, m3, random_field
-from conftest import rotation_block_shift
+from conftest import COS, ZERO, ZERO_FIELD, assert_sigfigs, charge_conjugate, coframe_fields, m3
+from conftest import norm, random_field, rotation_block_shift
 
 # Reference eigenvalue tables for the two bundled coframe families,
 # modes -2..2 at eps = 0.2, 0.1, 0.01.
@@ -47,18 +46,18 @@ class TestBasis:
             for j in (-2, 0, 3):
                 vi, vj = basis_spinor(i, "v"), basis_spinor(j, "v")
                 wi, wj = basis_spinor(i, "w"), basis_spinor(j, "w")
-                assert vi.inner(vj) == pytest.approx(float(i == j), abs=1e-14)
-                assert wi.inner(wj) == pytest.approx(float(i == j), abs=1e-14)
-                assert abs(vi.inner(wj)) <= 1e-14
+                assert inner(vi, vj) == pytest.approx(float(i == j), abs=1e-14)
+                assert inner(wi, wj) == pytest.approx(float(i == j), abs=1e-14)
+                assert abs(inner(vi, wj)) <= 1e-14
 
     def test_unit_norm(self):
-        assert basis_spinor(0, "v").norm() == pytest.approx(1.0, abs=1e-14)
+        assert norm(basis_spinor(0, "v")) == pytest.approx(1.0, abs=1e-14)
 
     def test_w_is_charge_conjugate_of_v(self):
         for i in (-1, 0, 2):
             v = basis_spinor(i, "v")
             w = basis_spinor(i, "w")
-            assert (charge_conjugate(v) - w).norm() <= 1e-15
+            assert norm(charge_conjugate(v) - w) <= 1e-15
 
 
 class TestAssembly:
@@ -103,7 +102,7 @@ class TestClosedForm:
         gm = galerkin_matrix(op, m)
         phis = [basis_spinor(i, kind) for i in range(-m, m + 1) for kind in ("v", "w")]
         images = [op.apply(phi) for phi in phis]
-        oracle = np.array([[image.inner(phi) for image in images] for phi in phis])
+        oracle = np.array([[inner(image, phi) for image in images] for phi in phis])
         assert np.max(np.abs(gm.entries - oracle)) <= 1e-12
 
     def test_assembly_never_applies_operator(self, monkeypatch, first_row_coframe):
@@ -293,47 +292,34 @@ class TestSpectralProperties:
 # properties over random real coframes
 # ----------------------------------------------------------------------
 
-# Entries of E1 and E2 stay below 0.5 and eps below 0.2, so the coframe
-# I + eps E1 + eps^2 E2 is within 0.3 of I in norm and det e > 0.
-AMPLITUDE = st.floats(-0.1, 0.1)
-
-
-@st.composite
-def coframe_fields(draw) -> tuple:
-    """Real (not symmetric) 3x3 field of trig degree 1-2, coefficients <= 0.1."""
-    degree = draw(st.integers(1, 2))
-    rows = []
-    for _ in range(3):
-        row = []
-        for _ in range(3):
-            poly = const(draw(AMPLITUDE))
-            for j in range(1, degree + 1):
-                poly = add(poly, COS(j, draw(AMPLITUDE)), SIN(j, draw(AMPLITUDE)))
-            row.append(poly)
-        rows.append(row)
-    return m3(rows)
-
-
 COFRAMES = st.builds(CoframeFamily, coframe_fields(), coframe_fields())
 EPS = st.floats(0.01, 0.2)
 
 
 @st.composite
-def spinors(draw) -> SpinorField:
+def spinors(draw) -> np.ndarray:
     """Spinor of trig degree 0-4 with complex coefficients of size <= 1."""
     size = 2 * draw(st.integers(0, 4)) + 1
     part = st.lists(st.floats(-1.0, 1.0), min_size=2 * size, max_size=2 * size)
     re, im = np.array(draw(part)).reshape(2, size), np.array(draw(part)).reshape(2, size)
-    return SpinorField(re + 1j * im)
+    return re + 1j * im
 
 
 class TestRandomCoframeProperties:
     @settings(max_examples=30)
     @given(COFRAMES, EPS, spinors())
     def test_charge_conjugation_commutes_with_operator(self, cf, eps, v):
+        # the Kramers pairing of the spectrum: C commutes with W
         op = dirac_operator(cf, eps, 256)
-        defect = (op.apply(charge_conjugate(v)) - charge_conjugate(op.apply(v))).norm()
+        defect = norm(op.apply(charge_conjugate(v)) - charge_conjugate(op.apply(v)))
         assert defect <= 1e-10
+
+    @settings(max_examples=30)
+    @given(COFRAMES, EPS, spinors(), spinors())
+    def test_operator_is_symmetric_on_random_spinors(self, cf, eps, u, v):
+        # <W u, v> = <u, W v>: W is symmetric on trig polynomials, to rounding
+        op = dirac_operator(cf, eps, 256)
+        assert abs(inner(op.apply(u), v) - inner(u, op.apply(v))) <= 1e-12
 
     @settings(max_examples=40)
     @given(COFRAMES, EPS)

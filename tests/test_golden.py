@@ -109,21 +109,21 @@ def _route_spinors(cf) -> list[str]:
     """One line per n = +1, -1: the sha256 of W1 v_n and of the pseudoinverse
     output, recorded from inside ``perturbation_report(cf, "operator")``."""
     w1v, corrected = [], []
-    block, apply = perturbation._first_order_block, perturbation.Pseudoinverse.apply
+    block, pseudoinverse = perturbation._first_order_block, perturbation.pseudoinverse
 
     def record_block(*args):
         result = block(*args)
-        w1v.append(result[1].coeffs)
+        w1v.append(result[1])
         return result
 
-    def record_apply(*args, **kwargs):
-        result = apply(*args, **kwargs)
-        corrected.append(result.coeffs)
+    def record_pseudoinverse(*args, **kwargs):
+        result = pseudoinverse(*args, **kwargs)
+        corrected.append(result)
         return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(perturbation, "_first_order_block", record_block)
-        patch.setattr(perturbation.Pseudoinverse, "apply", record_apply)
+        patch.setattr(perturbation, "pseudoinverse", record_pseudoinverse)
         perturbation_report(cf, "operator")
     return [
         f"n={n:+d} w1v {_sha256(w1v[i])} pseudoinverse {_sha256(corrected[i])}"

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from torusdirac import (
     CoframeFamily,
-    Pseudoinverse,
     PseudoinverseDomainError,
-    SpinorField,
     TruncationError,
-    charge_conjugate,
     dirac,
     first_correction_closed,
     first_correction_operator,
@@ -28,78 +25,73 @@ from torusdirac import (
     trigpoly,
 )
 from torusdirac.cli import cmd_fit
+from torusdirac.dirac import inner
 from torusdirac.galerkin import basis_spinor
-from torusdirac.perturbation import fit_from_values
+from torusdirac.perturbation import fit_from_values, pseudoinverse
+from torusdirac.trigpoly import poly_add, poly_sub
 
-from conftest import COS, SIN, ZERO, ZERO_FIELD, add, const, eigenspace_projection, m3
-from conftest import random_field, random_symmetric_field, spinor
+from conftest import COS, SIN, ZERO, ZERO_FIELD, add, charge_conjugate, const
+from conftest import eigenspace_projection, m3, norm, random_field, random_symmetric_field, spinor
 from test_galerkin import COFRAMES
 
 
-def random_orthogonal_spinor(rng, lambda0, degree=4) -> SpinorField:
+def random_orthogonal_spinor(rng, lambda0, degree=4) -> np.ndarray:
     comps = [rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1) for _ in range(2)]
     f = spinor(*comps)
-    return f - eigenspace_projection(f, lambda0)
+    return poly_sub(f, eigenspace_projection(f, lambda0))
 
 
 class TestPseudoinverse:
     def test_annihilates_kernel(self):
-        q = Pseudoinverse(lambda0=1, truncation=6)
         for kind in ("v", "w"):
-            out = q.apply(basis_spinor(1, kind))
-            assert out.norm() <= 1e-13
+            out = pseudoinverse(basis_spinor(1, kind), 1, 6)
+            assert norm(out) <= 1e-13
 
     @pytest.mark.parametrize("n,lam0", [(3, 1), (-2, 1), (0, 1), (4, -1)])
     def test_single_modes_divide_by_gap(self, n, lam0):
-        q = Pseudoinverse(lambda0=lam0, truncation=8)
         for kind in ("v", "w"):
             phi = basis_spinor(n, kind)
-            out = q.apply(phi)
-            assert (out - (1.0 / (n - lam0)) * phi).norm() <= 1e-13
+            out = pseudoinverse(phi, lam0, 8)
+            assert norm(poly_sub(out, (1.0 / (n - lam0)) * phi)) <= 1e-13
 
     def test_resolvent_identity_on_random_input(self):
         rng = np.random.default_rng(51)
         w0 = free_operator()
         for lam0 in (1, -1):
-            q = Pseudoinverse(lambda0=lam0, truncation=8)
             for _ in range(5):
                 f = random_orthogonal_spinor(rng, lam0)
-                qf = q.apply(f)
-                lhs = w0.apply(qf) - lam0 * qf
-                rhs = f - eigenspace_projection(f, lam0)
-                assert (lhs - rhs).norm() <= 1e-10
+                qf = pseudoinverse(f, lam0, 8)
+                lhs = poly_sub(w0.apply(qf), lam0 * qf)
+                rhs = poly_sub(f, eigenspace_projection(f, lam0))
+                assert norm(poly_sub(lhs, rhs)) <= 1e-10
 
     def test_annihilates_projection(self):
         rng = np.random.default_rng(52)
-        q = Pseudoinverse(lambda0=1, truncation=8)
         comps = [rng.normal(size=9) + 1j * rng.normal(size=9) for _ in range(2)]
         f = spinor(*comps)
-        assert q.apply(eigenspace_projection(f, 1)).norm() <= 1e-12
+        assert norm(pseudoinverse(eigenspace_projection(f, 1), 1, 8)) <= 1e-12
 
     def test_commutes_with_charge_conjugation(self):
         rng = np.random.default_rng(53)
-        q = Pseudoinverse(lambda0=1, truncation=8)
         for _ in range(5):
             f = random_orthogonal_spinor(rng, 1)
-            assert (q.apply(charge_conjugate(f)) - charge_conjugate(q.apply(f))).norm() <= 1e-10
+            lhs = pseudoinverse(charge_conjugate(f), 1, 8)
+            assert norm(lhs - charge_conjugate(pseudoinverse(f, 1, 8))) <= 1e-10
 
     def test_self_adjoint(self):
         rng = np.random.default_rng(54)
-        q = Pseudoinverse(lambda0=1, truncation=8)
         f = random_orthogonal_spinor(rng, 1)
         g = random_orthogonal_spinor(rng, 1)
-        assert abs(q.apply(f).inner(g) - f.inner(q.apply(g))) <= 1e-12
+        assert abs(inner(pseudoinverse(f, 1, 8), g) - inner(f, pseudoinverse(g, 1, 8))) <= 1e-12
 
     def test_orthogonality_violation_raises_in_strict_mode(self):
-        q = Pseudoinverse(lambda0=1, truncation=6)
-        f = basis_spinor(1, "v") + basis_spinor(2, "v")
+        f = poly_add(basis_spinor(1, "v"), basis_spinor(2, "v"))
         with pytest.raises(PseudoinverseDomainError, match="overlaps"):
-            q.apply(f, orthogonality_tol=1e-9)
+            pseudoinverse(f, 1, 6, orthogonality_tol=1e-9)
 
     def test_truncation_too_small_raises(self):
-        q = Pseudoinverse(lambda0=1, truncation=3)
         with pytest.raises(TruncationError, match="bandwidth"):
-            q.apply(basis_spinor(5, "v"))
+            pseudoinverse(basis_spinor(5, "v"), 1, 3)
 
 
 class TestFirstCorrection:
@@ -410,6 +402,21 @@ class TestSharedWork:
         monkeypatch.setattr(dirac.DiracOperator, "apply", counted)
         perturbation_report(family, "operator")
         assert applies["apply"] == 8
+
+    @pytest.mark.parametrize("route", ["closed_form", "operator"])
+    def test_report_reads_the_h_it_built(self, family, monkeypatch, route):
+        # neither route copies h or k through _as_field: both built them
+        expected = perturbation_report(family, route)
+
+        def refuse(rows):
+            raise AssertionError("the report copied a field through _as_field")
+
+        for module in (trigpoly, dirac, perturbation):
+            if hasattr(module, "_as_field"):
+                monkeypatch.setattr(module, "_as_field", refuse)
+        assert perturbation_report(family, route) == expected
+        with pytest.raises(AssertionError, match="_as_field"):
+            first_correction_closed(first_order_perturbation(family), 1)
 
     def test_h_and_k_checked_once(self, family, monkeypatch):
         checks = Counter()
