@@ -412,8 +412,7 @@ class TestSharedWork:
             raise AssertionError("the report copied a field through _as_field")
 
         for module in (trigpoly, dirac, perturbation):
-            if hasattr(module, "_as_field"):
-                monkeypatch.setattr(module, "_as_field", refuse)
+            monkeypatch.setattr(module, "_as_field", refuse)
         assert perturbation_report(family, route) == expected
         with pytest.raises(AssertionError, match="_as_field"):
             first_correction_closed(first_order_perturbation(family), 1)
