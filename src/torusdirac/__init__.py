@@ -18,9 +18,6 @@ from .geometry import (
 from .dirac import (
     DiracOperator,
     dirac_operator,
-    first_order_operator,
-    free_operator,
-    second_order_operator,
 )
 from .galerkin import (
     TrackingError,
@@ -32,12 +29,8 @@ from .galerkin import (
 from .perturbation import (
     PseudoinverseDomainError,
     TruncationError,
-    first_correction_closed,
-    first_correction_operator,
     fit_expansion,
     perturbation_report,
-    second_correction_closed,
-    second_correction_operator,
 )
 from .config import ConfigError, load_config_file, load_example, parse_config
 
@@ -53,9 +46,6 @@ __all__ = [
     "second_order_perturbation",
     "DiracOperator",
     "dirac_operator",
-    "first_order_operator",
-    "free_operator",
-    "second_order_operator",
     "TrackingError",
     "eigenvalues",
     "galerkin_matrix",
@@ -63,12 +53,8 @@ __all__ = [
     "track_pair",
     "PseudoinverseDomainError",
     "TruncationError",
-    "first_correction_closed",
-    "first_correction_operator",
     "fit_expansion",
     "perturbation_report",
-    "second_correction_closed",
-    "second_correction_operator",
     "ConfigError",
     "load_config_file",
     "load_example",

@@ -28,7 +28,7 @@ from .config import (
     parse_eps_list,
     parse_numbers,
 )
-from .geometry import NumericalContractError, arc_length, first_order_perturbation
+from .geometry import NumericalContractError, arc_length
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -130,14 +130,13 @@ def cmd_asympt(cfg: RunConfig, out_format: str) -> str:
         rows,
         out_format,
     )
-    h11_mean = pt._mean(first_order_perturbation(family)[0][0]).real
     eps_probe = 1e-4
     measured_slope = (arc_length(family, eps_probe) - arc_length(family, -eps_probe)) / (
         2 * eps_probe
     )
     extras = [
         f"asymmetry2 = {num(closed.asymmetry2)}",
-        f"arc_length_slope_predicted = {num(np.pi * h11_mean)}",
+        f"arc_length_slope_predicted = {num(np.pi * (-2.0 * closed.lambda1_plus))}",
         f"arc_length_slope_measured = {num(measured_slope)}",
     ]
     text = table + "\n".join(extras) + "\n"

@@ -24,11 +24,11 @@ both operands to the larger degree before they add, and a spinor is scaled
 by a complex scalar, ``c * complex(s)``.
 
 The first and second order terms have trigonometric-polynomial coefficients
-and are built in coefficient arithmetic from h and k, each given as a 3x3
-nested sequence of coefficient arrays or scalars (see ``trigpoly``). Only
-the frame is sampled, in ``dirac_operator(cf, eps, n)``: it inverts the
-coframe on n grid points, takes the FFT of B and p and keeps the
-frequencies |k| < n/4.
+and are built in coefficient arithmetic from h and k, entry coefficient
+arrays (see ``trigpoly``), by ``_first_order_operator`` and
+``_second_order_operator``. Only the frame is sampled, in
+``dirac_operator(cf, eps, n)``: it inverts the coframe on n grid points,
+takes the FFT of B and p and keeps the frequencies |k| < n/4.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CoframeFamily, NumericalContractError, as_real_samples, positive_det
-from .geometry import require_resolved, require_sym_real
-from .trigpoly import _ZERO, _as_field, det3, matmul_entry, poly_add, poly_derivative
+from .geometry import require_resolved
+from .trigpoly import _ZERO, det3, matmul_entry, poly_add, poly_derivative
 from .trigpoly import poly_on_grid, poly_sub, resize_degree
 
 
@@ -77,7 +77,7 @@ class DiracOperator:
     B must be Hermitian and trace-free and p real, each to a tolerance times
     max(1, largest |coefficient|) of B or of p: rounding grows with the
     size of the data, so data of magnitude up to 1 keep the absolute
-    tolerance.
+    tolerance. A NaN coefficient fails the checks.
     """
 
     b_hat: np.ndarray  # (2, 2, 2L+1), Hermitian and trace-free pointwise
@@ -92,14 +92,15 @@ class DiracOperator:
         # mirrors that of (0, 1), and the diagonal ones are realness defects
         herm = float(np.abs(b - np.conj(b.swapaxes(0, 1)[..., ::-1])).max())
         b_scale = max(1.0, float(np.abs(b).max()))
-        if herm > 1e-10 * b_scale:
+        # each check reads "not defect <= tol", which a NaN defect fails
+        if not herm <= 1e-10 * b_scale:
             raise NumericalContractError(f"symbol matrix not Hermitian: residual {herm:.2e}")
         trace = np.abs(b[0, 0] + b[1, 1]).max()
-        if trace > 1e-10 * b_scale:
+        if not trace <= 1e-10 * b_scale:
             raise NumericalContractError(f"symbol matrix not trace-free: residual {trace:.2e}")
         # a complex potential signals an index error upstream
         p_scale = max(1.0, float(np.abs(p).max()))
-        if np.abs(p - np.conj(p[::-1])).max() > 1e-12 * p_scale:
+        if not np.abs(p - np.conj(p[::-1])).max() <= 1e-12 * p_scale:
             raise NumericalContractError(
                 f"potential has nonreal part above 1e-12 * {p_scale:.3e}"
             )
@@ -129,12 +130,6 @@ class DiracOperator:
         return out
 
     __call__ = apply
-
-
-def free_operator() -> DiracOperator:
-    """The unperturbed operator -i [[0, 1], [1, 0]] d/dx^1."""
-    one, zero = np.ones(1), np.zeros(1)
-    return DiracOperator(symbol_matrix(one, zero, zero), zero)
 
 
 def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
@@ -174,7 +169,8 @@ def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
             np.convolve(row[1], poly_derivative(row[2])),
         )
     num_samples = poly_on_grid(num, n)
-    if np.max(np.abs(num_samples.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(num_samples)))):
+    imag = np.max(np.abs(num_samples.imag))
+    if not imag <= 1e-12 * max(1.0, float(np.max(np.abs(num_samples)))):
         raise NumericalContractError("potential numerator is not real; index error upstream")
     potential = num_samples.real / (4.0 * sqrt_det_g)
 
@@ -187,47 +183,30 @@ def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
     return op
 
 
-def first_order_operator(h) -> DiracOperator:
-    """Linear term of the eps-expansion of the operator family.
+# The two builders below take h and k as entry coefficient arrays, ``h[a][b]``
+# for entry (a, b), and do not check them: ``perturbation.perturbation_report``
+# builds h and k itself and checks that both are real and symmetric.
+
+def _first_order_operator(h) -> DiracOperator:
+    """Linear term W1 of the eps-expansion of the operator family.
 
     Expanding the frame gives the symbol -(1/2) * B_h with B_h built from the
     first column of h; the action is then +(i/4)(B_h d/dx + d/dx B_h). The
-    potential only enters at second order. Raises ValueError unless h is
-    real and symmetric.
+    potential only enters at second order.
     """
-    h = _as_field(h)
-    require_sym_real(h, "h")
-    return _first_order_operator(h)
-
-
-def second_order_operator(h, k) -> DiracOperator:
-    """Quadratic term of the eps-expansion.
-
-    Symbol (3/8) B_{h^2} - (1/8) B_k from the frame expansion, plus the real
-    scalar potential -(1/16) * sum_a (h_{a2} h_{a3}' - h_{a3} h_{a2}'), the
-    antisymmetrized first-column-free part of the half-density term. Raises
-    ValueError unless h and k are real and symmetric.
-    """
-    h, k = _as_field(h), _as_field(k)
-    require_sym_real(h, "h")
-    require_sym_real(k, "k")
-    return _second_order_operator(h, k)
-
-
-# The two builders below take h and k as entry coefficient arrays, ``h[a][b]``
-# for entry (a, b), and do not check them. Both public functions above and
-# ``perturbation.perturbation_report`` call them.
-
-def _first_order_operator(h) -> DiracOperator:
-    """W1 from the first column of h."""
     d = max((h[j][0].size - 1) // 2 for j in range(3))
     cols = [resize_degree(h[j][0], d) for j in range(3)]
     return DiracOperator(-0.5 * symbol_matrix(*cols), np.zeros(2 * d + 1))
 
 
 def _second_order_operator(h, k) -> DiracOperator:
-    """W2 from h and the first column of k; of h^2 only the first column is
-    built, each entry by ``matmul_entry``."""
+    """Quadratic term W2 of the eps-expansion.
+
+    Symbol (3/8) B_{h^2} - (1/8) B_k from the frame expansion, plus the real
+    scalar potential -(1/16) * sum_a (h_{a2} h_{a3}' - h_{a3} h_{a2}'), the
+    antisymmetrized first-column-free part of the half-density term. Of h^2
+    only the first column is built, each entry by ``matmul_entry``.
+    """
     hcols = [matmul_entry(h, h, j, 0) for j in range(3)]
     kcols = [k[j][0] for j in range(3)]
     scalar = _ZERO

@@ -51,10 +51,10 @@ class UnderResolvedError(NumericalContractError):
 
 def as_real_samples(values: np.ndarray, what: str) -> np.ndarray:
     """The real part of the samples ``values``. Raises NumericalContractError
-    when an imaginary part exceeds 1e-10 times max(1, largest |sample|):
-    rounding grows with the size of the data, as in ``_require_real``."""
+    when an imaginary part exceeds 1e-10 times max(1, largest |sample|), or
+    is NaN: rounding grows with the size of the data, as in ``_require_real``."""
     imag = np.max(np.abs(values.imag))
-    if imag > 1e-10 * max(1.0, float(np.max(np.abs(values)))):
+    if not imag <= 1e-10 * max(1.0, float(np.max(np.abs(values)))):
         raise NumericalContractError(
             f"{what} has imaginary part {imag:.2e}; expected real data"
         )
@@ -171,9 +171,10 @@ def second_order_perturbation(cf: CoframeFamily) -> tuple:
 
 def positive_det(det: np.ndarray, eps: float, num_points: int) -> np.ndarray:
     """det e on ``grid_points(num_points)`` from ``det``, its exact Fourier
-    coefficients. Raises SingularCoframeError unless every sample exceeds 1e-12."""
+    coefficients. Raises SingularCoframeError unless every sample exceeds
+    1e-12, which a NaN sample does not."""
     det_samples = as_real_samples(poly_on_grid(det, num_points), "det(coframe)")
-    bad = np.nonzero(det_samples <= 1e-12)[0]
+    bad = np.nonzero(~(det_samples > 1e-12))[0]
     if bad.size:
         j = int(bad[0])
         raise SingularCoframeError(
@@ -190,16 +191,18 @@ def require_resolved(hats, coframe, n: int) -> None:
     kept band folds back into it on the grid, where no tail shows it, so such
     a coefficient of ``coframe``, entry coefficient arrays, counts as tail
     too. Either may be empty: ``dirac_operator`` checks the coframe before it
-    builds anything from it, and the FFTs once it has them."""
+    builds anything from it, and the FFTs once it has them. A NaN in the
+    tail counts as a tail above the limit."""
     top = (n - 1) // 4  # the largest |k| below n/4
     # FFT order: indices top+1 .. n-top-1 hold the frequencies |k| > top
-    tail = max((np.max(np.abs(h[..., top + 1 : n - top]), initial=0.0) for h in hats), default=0.0)
+    tails = [np.max(np.abs(h[..., top + 1 : n - top]), initial=0.0) for h in hats]
     entries = [c for row in coframe for c in row]
     d = max(((c.size - 1) // 2 for c in entries), default=0)
     if d > top:
         coframe_hat = np.abs(np.array([resize_degree(c, d) for c in entries]))
-        tail = max(tail, coframe_hat[:, : d - top].max(), coframe_hat[:, d + top + 1 :].max())
-    if tail > ALIASING_LIMIT:
+        tails += [coframe_hat[:, : d - top].max(), coframe_hat[:, d + top + 1 :].max()]
+    tail = np.max(tails, initial=0.0)  # np.max keeps a NaN, where max may drop it
+    if not tail <= ALIASING_LIMIT:
         raise UnderResolvedError(
             f"Fourier tail {tail:.2e} of the coefficients exceeds "
             f"{ALIASING_LIMIT:.0e}; the sampling grid under-resolves them"
@@ -221,7 +224,7 @@ def arc_length(cf: CoframeFamily, eps: float) -> float:
     positive_det(det3(coframe), eps, n)
     g11_coeffs = matmul_entry(tuple(zip(*coframe)), coframe, 0, 0)
     g11 = as_real_samples(poly_on_grid(g11_coeffs, n), "g_11")
-    if np.any(g11 <= 0):
+    if not np.all(g11 > 0):
         raise SingularCoframeError(f"g_11 not positive at eps={eps}")
     sqrt_g11 = np.sqrt(g11)
     require_resolved((np.fft.fft(sqrt_g11) / n,), (), n)

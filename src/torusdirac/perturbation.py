@@ -20,17 +20,15 @@ on the way is a bare (2, 2K+1) coefficient array: ``DiracOperator.apply``,
 spinors come cached and read-only from ``galerkin.basis_spinor``, and sums
 go through ``trigpoly.poly_sub``. The route is two private helpers, the
 first-order block and the second-order term, which take W1 and W2 as
-arguments and share W1 v_n: the public route functions build their own,
-``perturbation_report`` builds each once for both signs.
+arguments and share W1 v_n.
 
-h and k are entry coefficient arrays, 3x3 nested sequences of arrays or
-scalars (see ``trigpoly``). ``perturbation_report`` builds them from E1 and
-E2 with ``geometry.first_order_perturbation`` and ``_k_coefficient``, only
-the entries each route reads: the closed form h and k[0, 0], the operator
-route h and all of k, whose realness and symmetry it checks; the Galerkin
-fit route neither. It reads the h and k it built as they are, with no copy
-through ``trigpoly._as_field``, and runs the helpers that the public route
-functions run, so their values are the report's to the bit.
+``perturbation_report(cf, route, m)`` is the one entry to every route. It
+builds h and k from E1 and E2 with ``geometry.first_order_perturbation``
+and ``_k_coefficient``, as entry coefficient arrays (see ``trigpoly``), and
+only the entries each route reads: the closed form h and k[0, 0], the
+operator route h and all of k, whose realness and symmetry it checks; the
+Galerkin fit route neither. It reads the h and k it built as they are,
+with no copy through ``trigpoly._as_field``.
 """
 
 from __future__ import annotations
@@ -44,9 +42,7 @@ from .dirac import (
     _first_order_operator,
     _second_order_operator,
     _spinor,
-    first_order_operator,
     inner,
-    second_order_operator,
 )
 from .galerkin import basis_spinor, spectrum_report, track_pair
 from .geometry import (
@@ -57,7 +53,7 @@ from .geometry import (
     require_sym_real,
     second_order_perturbation,
 )
-from .trigpoly import _as_field, field_degree, matmul_entry, poly_sub, resize_degree
+from .trigpoly import field_degree, matmul_entry, poly_sub, resize_degree
 from .trigpoly import stack_entries
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
@@ -126,11 +122,6 @@ def pseudoinverse(c, n: int, truncation: int, orthogonality_tol: float | None = 
     return np.array([sym + anti, sym - anti])
 
 
-def _check_sign(n: int) -> None:
-    if n not in (1, -1):
-        raise ValueError(f"expansion implemented for eigenvalues +1 and -1, got {n}")
-
-
 # ----------------------------------------------------------------------
 # first order
 # ----------------------------------------------------------------------
@@ -140,32 +131,15 @@ def _mean(coeffs: np.ndarray) -> complex:
     return complex(coeffs[(coeffs.size - 1) // 2])
 
 
-def first_correction_closed(h, n: int) -> float:
-    """Closed form: -+ (1/2) * hhat_11(0) for n = +-1."""
-    _check_sign(n)
-    return _first_corrections_closed(_as_field(h)[0][0], (n,))[0]
-
-
-def _first_corrections_closed(h00: np.ndarray, signs) -> list[float]:
-    """``first_correction_closed`` at each n in ``signs``, in that order,
-    from the coefficients of h[0, 0]."""
-    return [float(-n * 0.5 * _mean(h00).real) for n in signs]
-
-
-def first_correction_operator(h, n: int) -> float:
-    """Diagonal of the first-order term on the degenerate eigenspace.
-
-    Also verifies that the full 2x2 block on span{v_n, w_n} is a real
-    multiple of the identity; a nonscalar block would invalidate the whole
-    first-order setup and raises DegenerateSplittingError.
-    """
-    _check_sign(n)
-    return _first_order_block(first_order_operator(h), n)[0]
-
-
 def _first_order_block(w1: DiracOperator, n: int) -> tuple[float, np.ndarray]:
     """l1(n) from the block of the first-order operator ``w1`` on mode n,
-    and W1 v_n, which the second-order term reuses."""
+    and W1 v_n, which the second-order term reuses.
+
+    l1(n) is the diagonal of the block on span{v_n, w_n}. The full 2x2
+    block must be a real multiple of the identity; a nonscalar block would
+    invalidate the whole first-order setup and raises
+    DegenerateSplittingError.
+    """
     v = basis_spinor(n, "v")
     w = basis_spinor(n, "w")
     image = w1.apply(v)
@@ -211,30 +185,23 @@ def _require_real(value: complex, terms, rel_tol: float) -> None:
         )
 
 
-def second_correction_closed(h, k, n: int) -> float:
-    """Closed-form second-order coefficient for the eigenvalue n = +-1.
+def _second_corrections_closed(h, k00: np.ndarray) -> list[float]:
+    """Closed-form second-order coefficients [l2(+1), l2(-1)] from the entry
+    coefficient arrays of h and the coefficients of k[0, 0].
 
     Finite Fourier sums in h, k and h^2; the mode sums terminate because h
-    has finite trigonometric degree. Of h^2 and k only the means of entry
-    (0, 0) are read, so of h^2 only that entry is built; every coefficient
-    of h is read from one stack zero-padded to the widest harmonic the sums
-    reach.
+    has finite trigonometric degree. Of h^2 only entry (0, 0) is built; every
+    coefficient of h is read from one stack zero-padded to the widest
+    harmonic the sums reach. The stack, the means and the flux sum are built
+    once for both signs.
     """
-    _check_sign(n)
-    return _second_corrections_closed(_as_field(h), _as_field(k)[0][0], (n,))[0]
-
-
-def _second_corrections_closed(h, k00: np.ndarray, signs) -> list[float]:
-    """``second_correction_closed`` at each n in ``signs``, in that order,
-    from the entry coefficient arrays of h and the coefficients of k[0, 0];
-    the stack of h, the means and the flux sum are built once for all n."""
     d = field_degree(h)
     top = d + 4
     hhat = stack_entries(h, top)
     hsq00_mean, k00_mean = _mean(matmul_entry(h, h, 0, 0)), _mean(k00)
     flux = -(1j / 16.0) * _antisymmetric_flux_sum(hhat, d)
     values = []
-    for n in signs:
+    for n in (1, -1):
         lead = n * (0.375 * hsq00_mean - 0.125 * k00_mean)
         s_diag = 0.0 + 0.0j
         s_mixed = 0.0 + 0.0j
@@ -255,27 +222,16 @@ def _second_corrections_closed(h, k00: np.ndarray, signs) -> list[float]:
     return values
 
 
-def second_correction_operator(h, k, n: int) -> float:
-    """Operator-route second-order coefficient,
-
-        <W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v>,
-
-    with Q the pseudoinverse at lambda0 = n truncated to |q| <= deg h + 4,
-    which covers the bandwidth of (W1 - l1) v: exact up to roundoff.
-    """
-    _check_sign(n)
-    h = _as_field(h)
-    w1 = first_order_operator(h)
-    w2 = second_order_operator(h, k)
-    l1, w1v = _first_order_block(w1, n)
-    return _second_order_term(w1, w2, w1v, l1, n, field_degree(h) + 4)
-
-
 def _second_order_term(
     w1: DiracOperator, w2: DiracOperator, w1v: np.ndarray, l1: float, n: int, truncation: int
 ) -> float:
-    """<W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v> for v = v_n, given
-    w1v = W1 v and l1 = l1(n)."""
+    """Operator-route second-order coefficient
+
+        <W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v>
+
+    for v = v_n, given w1v = W1 v and l1 = l1(n), with Q the pseudoinverse
+    at lambda0 = n truncated to |q| <= ``truncation``; deg h + 4 covers the
+    bandwidth of (W1 - l1) v, so the value is exact up to roundoff."""
     v = basis_spinor(n, "v")
     residual = poly_sub(w1v, v * complex(l1))
     corrected = pseudoinverse(residual, n, truncation, orthogonality_tol=1e-9)
@@ -395,7 +351,6 @@ class PerturbationReport:
     lambda1_minus: float
     lambda2_plus: float
     lambda2_minus: float
-    fit_order: int = 0
 
     @property
     def asymmetry2(self) -> float:
@@ -407,17 +362,18 @@ class PerturbationReport:
 def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> PerturbationReport:
     """Compute all four coefficients by the requested route.
 
-    The closed form builds h and k[0, 0]. The operator route builds h and k
-    in full, runs in Fourier coefficients with the mode-sum truncation
-    deg h + 4 and builds W1 and W2 once for both signs. The values of
-    both are those of the public route functions to the bit. The Galerkin
-    fit route fits modes +1 and -1 to second order from one sweep over
+    The closed form builds h and k[0, 0]; l1(n) = -n/2 * hhat_11(0). The
+    operator route builds h and k in full, checks that both are real and
+    symmetric, runs in Fourier coefficients with the mode-sum truncation
+    deg h + 4 and builds W1 and W2 once for both signs. The Galerkin fit
+    route fits modes +1 and -1 to second order from one sweep over
     ``default_fit_grid(4)`` at truncation ``m``.
     """
     if route == "closed_form":
         h = first_order_perturbation(cf)
-        l1 = _first_corrections_closed(h[0][0], (1, -1))
-        l2 = _second_corrections_closed(h, _k_coefficient(cf.E1, cf.E2, 0, 0), (1, -1))
+        h11_mean = _mean(h[0][0]).real
+        l1 = [float(-n * 0.5 * h11_mean) for n in (1, -1)]
+        l2 = _second_corrections_closed(h, _k_coefficient(cf.E1, cf.E2, 0, 0))
         return PerturbationReport(
             route=route,
             lambda1_plus=l1[0],
@@ -426,8 +382,8 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
             lambda2_minus=l2[1],
         )
     if route == "operator":
-        # each check, operator and first-order block once, in the order that
-        # separate first/second_correction_operator calls at +1, -1 meet them
+        # each check, operator and first-order block once: h, l1(+1), l1(-1),
+        # then k, l2(+1), l2(-1), so a bad h fails before k is built
         h = first_order_perturbation(cf)
         require_sym_real(h, "h")
         w1 = _first_order_operator(h)
@@ -455,7 +411,6 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
             lambda1_minus=float(fits[-1].coefficients[0]),
             lambda2_plus=float(fits[1].coefficients[1]),
             lambda2_minus=float(fits[-1].coefficients[1]),
-            fit_order=2,
         )
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 

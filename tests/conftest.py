@@ -147,6 +147,12 @@ def norm(v: np.ndarray) -> float:
     return float(np.sqrt(max(inner(v, v).real, 0.0)))
 
 
+def free_operator() -> DiracOperator:
+    """The unperturbed operator -i [[0, 1], [1, 0]] d/dx^1."""
+    one, zero = np.ones(1), np.zeros(1)
+    return DiracOperator(symbol_matrix(one, zero, zero), zero)
+
+
 def charge_conjugate(v: np.ndarray) -> np.ndarray:
     """Antilinear map (v1, v2) -> (-conj(v2), conj(v1)); squares to -I.
 

@@ -13,25 +13,19 @@ from torusdirac import (
     CoframeFamily,
     arc_length,
     dirac_operator,
-    first_correction_closed,
-    first_correction_operator,
-    first_order_operator,
-    free_operator,
     galerkin_matrix,
     load_example,
-    second_correction_closed,
-    second_correction_operator,
-    second_order_operator,
+    perturbation_report,
     spectrum_report,
     track_pair,
 )
 from torusdirac.cli import cmd_fit, cmd_galerkin
-from torusdirac.dirac import inner
+from torusdirac.dirac import _first_order_operator, _second_order_operator, inner
 from torusdirac.perturbation import pseudoinverse
 from torusdirac.trigpoly import poly_sub
 
 from conftest import add, assert_sigfigs, charge_conjugate, eigenspace_projection, field_fourier
-from conftest import matmul, norm, random_field, random_symmetric_field
+from conftest import free_operator, matmul, norm, random_field, random_symmetric_field
 from test_dirac import random_spinor
 from test_galerkin import FIRST_ROW_TABLE, ROTATION_TABLE
 
@@ -119,11 +113,10 @@ def _exact(z, expected):
 def test_criterion_4_first_explicit_family():
     cfg = load_example("example-explicit-1")
     h, k = cfg.h, cfg.k
-    for n in (1, -1):
-        closed = second_correction_closed(h, k, n)
-        operator = second_correction_operator(h, k, n)
-        assert closed == pytest.approx(-0.5, abs=1e-13)
-        assert abs(closed - operator) <= 1e-10
+    closed, operator = (perturbation_report(cfg.family(), r) for r in ("closed_form", "operator"))
+    for l2 in ("lambda2_plus", "lambda2_minus"):
+        assert getattr(closed, l2) == pytest.approx(-0.5, abs=1e-13)
+        assert abs(getattr(closed, l2) - getattr(operator, l2)) <= 1e-10
 
     i = 1j
     printed_h1 = np.array([[0, 0, 0], [0, 1, -i], [0, -i, -1]])
@@ -145,14 +138,13 @@ def test_criterion_4_first_explicit_family():
 def test_criterion_5_second_explicit_family():
     cfg = load_example("example-explicit-2")
     h, k = cfg.h, cfg.k
-    assert first_correction_closed(h, 1) == -0.5
-    assert first_correction_closed(h, -1) == 0.5
-    assert first_correction_operator(h, 1) == pytest.approx(-0.5, abs=1e-13)
-    for n, expected in ((1, 0.75), (-1, -1.0)):
-        closed = second_correction_closed(h, k, n)
-        operator = second_correction_operator(h, k, n)
-        assert closed == pytest.approx(expected, abs=1e-13)
-        assert operator == pytest.approx(expected, abs=1e-10)
+    closed, operator = (perturbation_report(cfg.family(), r) for r in ("closed_form", "operator"))
+    assert closed.lambda1_plus == -0.5
+    assert closed.lambda1_minus == 0.5
+    assert operator.lambda1_plus == pytest.approx(-0.5, abs=1e-13)
+    for l2, expected in (("lambda2_plus", 0.75), ("lambda2_minus", -1.0)):
+        assert getattr(closed, l2) == pytest.approx(expected, abs=1e-13)
+        assert getattr(operator, l2) == pytest.approx(expected, abs=1e-10)
 
     i = 1j
     printed_h0 = np.diag([1.0, 0.0, 0.0])
@@ -246,18 +238,12 @@ def test_criterion_6_property_suite():
     for _ in range(20):
         h = random_symmetric_field(rng)
         k = random_symmetric_field(rng)
-        for n in (1, -1):
-            worst_l1 = max(
-                worst_l1,
-                abs(first_correction_closed(h, n) - first_correction_operator(h, n)),
-            )
-            worst_l2 = max(
-                worst_l2,
-                abs(
-                    second_correction_closed(h, k, n)
-                    - second_correction_operator(h, k, n)
-                ),
-            )
+        cf = CoframeFamily.from_perturbation(h, k)
+        closed, operator = (perturbation_report(cf, r) for r in ("closed_form", "operator"))
+        for sign in ("plus", "minus"):
+            l1, l2 = f"lambda1_{sign}", f"lambda2_{sign}"
+            worst_l1 = max(worst_l1, abs(getattr(closed, l1) - getattr(operator, l1)))
+            worst_l2 = max(worst_l2, abs(getattr(closed, l2) - getattr(operator, l2)))
     assert worst_l1 <= 1e-12 and worst_l2 <= 1e-10
     notes.append(f"route agreement l1 {worst_l1:.1e}, l2 {worst_l2:.1e}")
 
@@ -278,8 +264,8 @@ def test_criterion_6_property_suite():
         h = random_symmetric_field(rng)
         k = random_symmetric_field(rng)
         cf = CoframeFamily.from_perturbation(h, k)
-        w1 = first_order_operator(h)
-        w2 = second_order_operator(h, k)
+        w1 = _first_order_operator(h)
+        w2 = _second_order_operator(h, k)
         w0_ = free_operator()
         v = random_spinor(rng)
 

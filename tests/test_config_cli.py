@@ -243,7 +243,7 @@ class TestCli:
         if error is not np.linalg.LinAlgError:
             assert issubclass(error, NumericalContractError)
 
-        def fail(h, k, n):
+        def fail(h, k00):
             raise error("second-order coefficient not real: (1+1j)")
 
         monkeypatch.setattr(pt, "_second_corrections_closed", fail)
@@ -371,6 +371,21 @@ class TestCli:
         code = main(["galerkin", "--config", "example-galerkin-1", "--eps", "0.1"])
         assert code == 3
         assert "numerical contract violation" in capsys.readouterr().err
+
+    def test_nan_samples_stop_before_the_matrix(self, monkeypatch, capsys):
+        # eps^2 = inf turns the coframe's E2 terms into inf and NaN: a check
+        # of the sampled step must stop the solve, not eigvalsh on NaN entries
+        def refuse(*args):
+            raise AssertionError("galerkin_matrix reached with NaN samples")
+
+        monkeypatch.setattr(galerkin, "galerkin_matrix", refuse)
+        argv = ["galerkin", "--config", "example-explicit-2", "--eps", "1e200", "--m", "5"]
+        with np.errstate(all="ignore"):  # the overflow itself is expected
+            code = main(argv + ["--modes", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "numerical contract violation: det(coframe) has imaginary part nan" in captured.err
 
     def test_under_resolved_exit_code(self, tmp_path, capsys):
         # cos(100 x) leaves an aliasing tail on the m = 25 grid of 256 points

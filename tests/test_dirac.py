@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from torusdirac import (
-    CoframeFamily,
-    dirac_operator,
-    first_order_operator,
-    free_operator,
-    second_order_operator,
-)
-from torusdirac.dirac import DiracOperator, inner, symbol_matrix
+from torusdirac import CoframeFamily, NumericalContractError, dirac_operator
+from torusdirac.dirac import DiracOperator, _first_order_operator, _second_order_operator
+from torusdirac.dirac import inner, symbol_matrix
 from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import TruncationError, pseudoinverse
 from torusdirac.trigpoly import grid_points, poly_derivative, poly_sub, resize_degree
 
-from conftest import add, charge_conjugate, evaluate, norm, random_symmetric_field, scaled, spinor
+from conftest import add, charge_conjugate, evaluate, free_operator, norm, random_symmetric_field
+from conftest import scaled, spinor
 
 N = 256
 
@@ -58,7 +54,7 @@ class TestAssemble:
         h, k = explicit_family_2
         cf = CoframeFamily.from_perturbation(h, k)
         w0 = free_operator()
-        w1 = first_order_operator(h)
+        w1 = _first_order_operator(h)
 
         def coeff_error(eps):
             op = dirac_operator(cf, eps, 64)
@@ -77,8 +73,8 @@ class TestAssemble:
             k = random_symmetric_field(rng)
             cf = CoframeFamily.from_perturbation(h, k)
             w0 = free_operator()
-            w1 = first_order_operator(h)
-            w2 = second_order_operator(h, k)
+            w1 = _first_order_operator(h)
+            w2 = _second_order_operator(h, k)
             v = random_spinor(rng)
 
             def residual(eps):
@@ -125,7 +121,7 @@ class TestApply:
 class TestFirstOrderTerm:
     def test_zero_perturbation(self):
         h = scaled(random_symmetric_field(np.random.default_rng(1)), 0.0)
-        op = first_order_operator(h)
+        op = _first_order_operator(h)
         assert np.max(np.abs(op.b_hat)) == 0
         assert np.max(np.abs(op.p_hat)) == 0
 
@@ -133,7 +129,7 @@ class TestFirstOrderTerm:
         """Hand expansion of the first-order action on the mode-1 spinor:
         with u = B_h (1,1)^T, the image is [-(1/4)u + (i/8)u'] e^{ix}/sqrt(pi)."""
         h, _ = explicit_family_1
-        op = first_order_operator(h)
+        op = _first_order_operator(h)
         v1 = basis_spinor(1, "v")
         x = grid_points(N)
 
@@ -152,7 +148,7 @@ class TestFirstOrderTerm:
 
     def test_second_family_diagonal_value(self, explicit_family_2):
         h, _ = explicit_family_2
-        op = first_order_operator(h)
+        op = _first_order_operator(h)
         v1 = basis_spinor(1, "v")
         assert inner(op.apply(v1), v1) == pytest.approx(-0.5, abs=1e-13)
 
@@ -160,19 +156,19 @@ class TestFirstOrderTerm:
 class TestSecondOrderTerm:
     def test_zero_perturbation(self):
         zero = scaled(random_symmetric_field(np.random.default_rng(1)), 0.0)
-        op = second_order_operator(zero, zero)
+        op = _second_order_operator(zero, zero)
         assert np.max(np.abs(op.b_hat)) == 0
         assert np.max(np.abs(op.p_hat)) == 0
 
     def test_first_family_scalar_part(self, explicit_family_1):
         h, k = explicit_family_1
-        op = second_order_operator(h, k)
+        op = _second_order_operator(h, k)
         constant = resize_degree(np.array([-0.5 + 0j]), op.degree)
         assert np.allclose(op.p_hat, constant, atol=1e-13)
 
     def test_second_family_scalar_part(self, explicit_family_2):
         h, k = explicit_family_2
-        op = second_order_operator(h, k)
+        op = _second_order_operator(h, k)
         constant = resize_degree(np.array([-3.0 / 16.0 + 0j]), op.degree)
         assert np.allclose(op.p_hat, constant, atol=1e-13)
 
@@ -245,6 +241,17 @@ class TestSymbolValidation:
         one, zero = np.ones(1), np.zeros(1)
         with pytest.raises(ValueError, match="nonreal"):
             DiracOperator(symbol_matrix(one, zero, zero), 1e-6j * one)
+
+    def test_rejects_nan(self):
+        # a NaN defect fails "defect <= tol"; "defect > tol" let it through
+        one, zero = np.ones(1), np.zeros(1)
+        for entry in ((0, 1), (0, 0)):
+            b = symbol_matrix(one, zero, zero)
+            b[(*entry, 0)] = np.nan
+            with pytest.raises(NumericalContractError, match="not Hermitian: residual nan"):
+                DiracOperator(b, zero)
+        with pytest.raises(NumericalContractError, match="nonreal"):
+            DiracOperator(symbol_matrix(one, zero, zero), np.array([np.nan]))
 
     def test_tolerances_scale_with_the_largest_coefficient(self):
         # at |coefficient| ~ 100 defects of ~1e-13 relative pass, though an

@@ -12,7 +12,6 @@ from torusdirac import (
     UnderResolvedError,
     dirac_operator,
     eigenvalues,
-    free_operator,
     galerkin_matrix,
     load_example,
     spectrum_report,
@@ -24,7 +23,7 @@ from torusdirac.galerkin import PAIRING_TOL, SpectrumReport, basis_spinor
 from torusdirac.geometry import default_grid
 
 from conftest import COS, ZERO, ZERO_FIELD, assert_sigfigs, charge_conjugate, coframe_fields, m3
-from conftest import norm, random_field, rotation_block_shift
+from conftest import free_operator, norm, random_field, rotation_block_shift
 
 # Reference eigenvalue tables for the two bundled coframe families,
 # modes -2..2 at eps = 0.2, 0.1, 0.01.

@@ -10,18 +10,11 @@ from torusdirac import (
     PseudoinverseDomainError,
     TruncationError,
     dirac,
-    first_correction_closed,
-    first_correction_operator,
-    first_order_perturbation,
     fit_expansion,
-    free_operator,
+    geometry,
     load_example,
     perturbation,
     perturbation_report,
-    second_correction_closed,
-    second_correction_operator,
-    second_order_operator,
-    second_order_perturbation,
     trigpoly,
 )
 from torusdirac.cli import cmd_fit
@@ -30,7 +23,7 @@ from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import fit_from_values, pseudoinverse
 from torusdirac.trigpoly import poly_add, poly_sub
 
-from conftest import COS, SIN, ZERO, ZERO_FIELD, add, charge_conjugate, const
+from conftest import COS, SIN, ZERO, ZERO_FIELD, add, charge_conjugate, const, free_operator
 from conftest import eigenspace_projection, m3, norm, random_field, random_symmetric_field, spinor
 from test_galerkin import COFRAMES
 
@@ -39,6 +32,13 @@ def random_orthogonal_spinor(rng, lambda0, degree=4) -> np.ndarray:
     comps = [rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1) for _ in range(2)]
     f = spinor(*comps)
     return poly_sub(f, eigenspace_projection(f, lambda0))
+
+
+def route_reports(h, k) -> tuple:
+    """Closed-form and operator reports of the family synthesized from (h, k),
+    which gives back h exactly and k to rounding."""
+    cf = CoframeFamily.from_perturbation(h, k)
+    return perturbation_report(cf, "closed_form"), perturbation_report(cf, "operator")
 
 
 class TestPseudoinverse:
@@ -96,69 +96,65 @@ class TestPseudoinverse:
 
 class TestFirstCorrection:
     def test_constant_h11_family(self, explicit_family_2):
-        h, _ = explicit_family_2
-        assert first_correction_closed(h, 1) == -0.5
-        assert first_correction_closed(h, -1) == 0.5
-        assert first_correction_operator(h, 1) == pytest.approx(-0.5, abs=1e-13)
-        assert first_correction_operator(h, -1) == pytest.approx(0.5, abs=1e-13)
+        closed, operator = route_reports(*explicit_family_2)
+        assert closed.lambda1_plus == -0.5
+        assert closed.lambda1_minus == 0.5
+        assert operator.lambda1_plus == pytest.approx(-0.5, abs=1e-13)
+        assert operator.lambda1_minus == pytest.approx(0.5, abs=1e-13)
 
     def test_zero_first_row_family(self, explicit_family_1):
-        h, _ = explicit_family_1
-        for n in (1, -1):
-            assert first_correction_closed(h, n) == 0.0
-            assert abs(first_correction_operator(h, n)) <= 1e-14
+        closed, operator = route_reports(*explicit_family_1)
+        for _, l1, _ in SIGNS:
+            assert getattr(closed, l1) == 0.0
+            assert abs(getattr(operator, l1)) <= 1e-14
 
     def test_zero_perturbation(self):
-        zero = ZERO_FIELD
-        assert first_correction_closed(zero, 1) == 0.0
-        assert first_correction_operator(zero, 1) == 0.0
+        closed, operator = route_reports(ZERO_FIELD, ZERO_FIELD)
+        assert closed.lambda1_plus == 0.0
+        assert operator.lambda1_plus == 0.0
 
     def test_routes_agree_on_random_families(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
-            h = random_symmetric_field(rng)
-            for n in (1, -1):
-                closed = first_correction_closed(h, n)
-                operator = first_correction_operator(h, n)
-                assert abs(closed - operator) <= 1e-12
+            closed, operator = route_reports(random_symmetric_field(rng), ZERO_FIELD)
+            for _, l1, _ in SIGNS:
+                assert abs(getattr(closed, l1) - getattr(operator, l1)) <= 1e-12
 
     def test_exact_antisymmetry(self):
         rng = np.random.default_rng(62)
         for _ in range(10):
-            h = random_symmetric_field(rng)
-            assert first_correction_closed(h, 1) == -first_correction_closed(h, -1)
+            cf = CoframeFamily.from_perturbation(random_symmetric_field(rng), ZERO_FIELD)
+            closed = perturbation_report(cf, "closed_form")
+            assert closed.lambda1_plus == -closed.lambda1_minus
 
 
 class TestSecondCorrection:
     def test_first_family(self, explicit_family_1):
-        h, k = explicit_family_1
-        for n in (1, -1):
-            closed = second_correction_closed(h, k, n)
-            operator = second_correction_operator(h, k, n)
-            assert closed == pytest.approx(-0.5, abs=1e-13)
-            assert abs(closed - operator) <= 1e-10
+        closed, operator = route_reports(*explicit_family_1)
+        for _, _, l2 in SIGNS:
+            assert getattr(closed, l2) == pytest.approx(-0.5, abs=1e-13)
+            assert abs(getattr(closed, l2) - getattr(operator, l2)) <= 1e-10
 
     def test_second_family(self, explicit_family_2):
-        h, k = explicit_family_2
-        assert second_correction_closed(h, k, 1) == pytest.approx(0.75, abs=1e-13)
-        assert second_correction_closed(h, k, -1) == pytest.approx(-1.0, abs=1e-13)
-        assert second_correction_operator(h, k, 1) == pytest.approx(0.75, abs=1e-10)
-        assert second_correction_operator(h, k, -1) == pytest.approx(-1.0, abs=1e-10)
+        closed, operator = route_reports(*explicit_family_2)
+        assert closed.lambda2_plus == pytest.approx(0.75, abs=1e-13)
+        assert closed.lambda2_minus == pytest.approx(-1.0, abs=1e-13)
+        assert operator.lambda2_plus == pytest.approx(0.75, abs=1e-10)
+        assert operator.lambda2_minus == pytest.approx(-1.0, abs=1e-10)
 
     def test_zero_perturbation(self):
-        zero = ZERO_FIELD
-        assert second_correction_closed(zero, zero, 1) == 0.0
-        assert second_correction_operator(zero, zero, 1) == 0.0
+        closed, operator = route_reports(ZERO_FIELD, ZERO_FIELD)
+        assert closed.lambda2_plus == 0.0
+        assert operator.lambda2_plus == 0.0
 
     def test_routes_agree_on_random_families(self):
         rng = np.random.default_rng(63)
         for _ in range(20):
             h = random_symmetric_field(rng)
             k = random_symmetric_field(rng)
-            for n in (1, -1):
-                closed = second_correction_closed(h, k, n)
-                operator = second_correction_operator(h, k, n)
-                assert abs(closed - operator) <= 1e-10
+            closed, operator = route_reports(h, k)
+            for _, _, l2 in SIGNS:
+                assert abs(getattr(closed, l2) - getattr(operator, l2)) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(40))
     def test_realness_gates_scale_with_large_coframes(self, seed):
@@ -179,12 +175,12 @@ class TestSecondCorrection:
         rng = np.random.default_rng(5)
         h = random_symmetric_field(rng, 2, 100.0)
         k = random_symmetric_field(rng, 2, 100.0)
-        second_order_operator(h, k)
+        CoframeFamily.from_perturbation(h, k)
         defect = {"symmetric": COS(1, 2e-4), "real-valued": const(1e-4j)}[what]
         bad = m3([[add(k[a][b], defect) if (a, b) == (0, 1) else k[a][b]
                    for b in range(3)] for a in range(3)])
         with pytest.raises(ValueError, match=f"k must be {what}"):
-            second_order_operator(h, bad)
+            geometry.require_sym_real(bad, "k")
         with pytest.raises(ValueError, match=f"k must be {what}"):
             CoframeFamily.from_perturbation(h, bad)
 
@@ -196,14 +192,12 @@ class TestSecondCorrection:
 
 class TestAsymmetry:
     def test_first_family(self, explicit_family_1):
-        h, k = explicit_family_1
-        asym = second_correction_closed(h, k, 1) + second_correction_closed(h, k, -1)
-        assert asym == pytest.approx(-1.0, abs=1e-13)
+        closed, _ = route_reports(*explicit_family_1)
+        assert closed.asymmetry2 == pytest.approx(-1.0, abs=1e-13)
 
     def test_second_family(self, explicit_family_2):
-        h, k = explicit_family_2
-        asym = second_correction_closed(h, k, 1) + second_correction_closed(h, k, -1)
-        assert asym == pytest.approx(-0.25, abs=1e-13)
+        closed, _ = route_reports(*explicit_family_2)
+        assert closed.asymmetry2 == pytest.approx(-0.25, abs=1e-13)
 
     def test_rotation_pattern_with_zero_first_column(self):
         """h supported on the lower 2x2 block: the h^2 and k means cancel in
@@ -215,13 +209,9 @@ class TestAsymmetry:
                 [ZERO, SIN(2, 1.2), COS(2, -1.2)],
             ]
         )
-        k = ZERO_FIELD
-        asym = second_correction_closed(h, k, 1) + second_correction_closed(h, k, -1)
-        assert asym != pytest.approx(0.0, abs=1e-6)
-        operator_sum = second_correction_operator(h, k, 1) + second_correction_operator(
-            h, k, -1
-        )
-        assert asym == pytest.approx(operator_sum, abs=1e-10)
+        closed, operator = route_reports(h, ZERO_FIELD)
+        assert closed.asymmetry2 != pytest.approx(0.0, abs=1e-6)
+        assert closed.asymmetry2 == pytest.approx(operator.asymmetry2, abs=1e-10)
 
 
 class TestFit:
@@ -246,10 +236,11 @@ class TestFit:
             k = random_symmetric_field(rng)
             cf = CoframeFamily.from_perturbation(h, k)
             fits = fit_expansion(cf, (1, -1), eps_grid=grid, order=4, m=12)
-            for n in (1, -1):
+            closed = perturbation_report(cf, "closed_form")
+            for n, l1, l2 in SIGNS:
                 fit = fits[n]
-                assert abs(fit.coefficients[0] - first_correction_closed(h, n)) <= 1e-6
-                assert abs(fit.coefficients[1] - second_correction_closed(h, k, n)) <= 1e-4
+                assert abs(fit.coefficients[0] - getattr(closed, l1)) <= 1e-6
+                assert abs(fit.coefficients[1] - getattr(closed, l2)) <= 1e-4
 
     def test_rejects_bad_grids(self, rotation_block_coframe):
         with pytest.raises(ValueError, match="samples"):
@@ -336,24 +327,6 @@ SIGNS = ((1, "lambda1_plus", "lambda2_plus"), (-1, "lambda1_minus", "lambda2_min
 
 class TestRouteProperties:
     @settings(max_examples=40)
-    @given(FAMILIES)
-    def test_operator_report_matches_public_functions(self, cf):
-        h, k = first_order_perturbation(cf), second_order_perturbation(cf)
-        report = perturbation_report(cf, "operator")
-        for n, l1, l2 in SIGNS:
-            assert getattr(report, l1).hex() == first_correction_operator(h, n).hex()
-            assert getattr(report, l2).hex() == second_correction_operator(h, k, n).hex()
-
-    @settings(max_examples=40)
-    @given(FAMILIES)
-    def test_closed_report_matches_public_functions(self, cf):
-        h, k = first_order_perturbation(cf), second_order_perturbation(cf)
-        report = perturbation_report(cf, "closed_form")
-        for n, l1, l2 in SIGNS:
-            assert getattr(report, l1).hex() == first_correction_closed(h, n).hex()
-            assert getattr(report, l2).hex() == second_correction_closed(h, k, n).hex()
-
-    @settings(max_examples=40)
     @given(FAMILIES, COFRAMES)
     def test_closed_and_operator_routes_agree(self, synthesized, coframe):
         # families from (h, k) data and from random nonsymmetric coframes
@@ -411,16 +384,17 @@ class TestSharedWork:
         def refuse(rows):
             raise AssertionError("the report copied a field through _as_field")
 
-        for module in (trigpoly, dirac, perturbation):
+        for module in (trigpoly, geometry):
             monkeypatch.setattr(module, "_as_field", refuse)
+        for module in (dirac, perturbation):
+            assert not hasattr(module, "_as_field")
         assert perturbation_report(family, route) == expected
         with pytest.raises(AssertionError, match="_as_field"):
-            first_correction_closed(first_order_perturbation(family), 1)
+            CoframeFamily(family.E1, family.E2)
 
     def test_h_and_k_checked_once(self, family, monkeypatch):
         checks = Counter()
-        for module in (dirac, perturbation):
-            self.count(monkeypatch, module, "require_sym_real", checks)
+        self.count(monkeypatch, perturbation, "require_sym_real", checks)
         perturbation_report(family, "operator")
         assert checks["require_sym_real"] == 2
 
@@ -430,11 +404,10 @@ class TestSharedWork:
         entries = Counter()
         for module in (dirac, perturbation):
             self.count(monkeypatch, module, "matmul_entry", entries)
-        for n in (1, -1):
-            second_correction_closed(h, k, n)
-        assert entries["matmul_entry"] == 2
-        second_order_operator(h, k)
-        assert entries["matmul_entry"] == 5
+        perturbation._second_corrections_closed(h, k[0][0])
+        assert entries["matmul_entry"] == 1
+        dirac._second_order_operator(h, k)
+        assert entries["matmul_entry"] == 4
 
     def test_routes_build_no_full_product(self, family, monkeypatch):
         entries = Counter()
@@ -450,7 +423,7 @@ class TestSharedWork:
         # (E1^T E1)[0, 0] takes 3 (h is a sum, no product)
         convolutions = Counter()
         self.count(monkeypatch, np, "convolve", convolutions)
-        monkeypatch.setattr(perturbation, "_second_corrections_closed", lambda h, k00, signs: [0.0, 0.0])
+        monkeypatch.setattr(perturbation, "_second_corrections_closed", lambda h, k00: [0.0, 0.0])
         perturbation_report(family, "closed_form")
         assert convolutions["convolve"] == 3
 
@@ -460,7 +433,7 @@ class TestSharedWork:
 
         for name in ("first_order_perturbation", "_k_coefficient", "second_order_perturbation"):
             monkeypatch.setattr(perturbation, name, refuse)
-        assert perturbation_report(family, "galerkin_fit").fit_order == 2
+        assert perturbation_report(family, "galerkin_fit").route == "galerkin_fit"
 
     def test_failure_order_matches_separate_calls(self, family, monkeypatch):
         # h check, l1(+1), l1(-1), k check, second-order terms at +1 then -1
@@ -503,6 +476,3 @@ class TestOperatorRouteIsGridFree:
         cfg = load_example("example-explicit-2")
         report = perturbation_report(cfg.family(), "operator")
         assert report.lambda1_plus == pytest.approx(-0.5, abs=1e-15)
-        for n in (1, -1):
-            first_correction_operator(cfg.h, n)
-            second_correction_operator(cfg.h, cfg.k, n)

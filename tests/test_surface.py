@@ -25,20 +25,13 @@ PUBLIC = [
     "arc_length",
     "dirac_operator",
     "eigenvalues",
-    "first_correction_closed",
-    "first_correction_operator",
-    "first_order_operator",
     "first_order_perturbation",
     "fit_expansion",
-    "free_operator",
     "galerkin_matrix",
     "load_config_file",
     "load_example",
     "parse_config",
     "perturbation_report",
-    "second_correction_closed",
-    "second_correction_operator",
-    "second_order_operator",
     "second_order_perturbation",
     "spectrum_report",
     "track_pair",
@@ -66,6 +59,15 @@ DELETED = [
     "perturbation.second_order_asymmetry",
     "perturbation._mode_sum_truncation",
     "perturbation._first_correction_closed",
+    "dirac.free_operator",
+    "dirac.first_order_operator",
+    "dirac.second_order_operator",
+    "perturbation.first_correction_closed",
+    "perturbation.first_correction_operator",
+    "perturbation.second_correction_closed",
+    "perturbation.second_correction_operator",
+    "perturbation._check_sign",
+    "perturbation.PerturbationReport.fit_order",
 ]
 
 # names that left the top level but stay importable from their modules
@@ -103,9 +105,9 @@ def test_deleted_names_are_gone():
     assert [path for path in DELETED if _resolves(path)] == []
 
 
-def test_second_correction_operator_takes_no_truncation():
-    params = inspect.signature(perturbation.second_correction_operator).parameters
-    assert list(params) == ["h", "k", "n"]
+def test_perturbation_report_is_the_one_route_entry():
+    params = inspect.signature(perturbation.perturbation_report).parameters
+    assert list(params) == ["cf", "route", "m"]
 
 
 def test_dirac_operator_takes_the_grid_size_without_default():
