@@ -84,8 +84,7 @@ def cmd_galerkin(cfg: RunConfig, out_format: str) -> tuple[str, list[str]]:
         header += [f"mode_{n}", f"gap_{n}"]
     rows = []
     failures = []
-    for eps in cfg.eps_list:
-        report = gk.spectrum_report(family, eps, cfg.m, modes=())
+    for eps, report in zip(cfg.eps_list, gk.spectrum_sweep(family, cfg.eps_list, cfg.m)):
         row = [num(eps)]
         for n in cfg.modes:
             try:
@@ -120,9 +119,10 @@ def cmd_asympt(cfg: RunConfig, out_format: str) -> str:
         c, o, f = (getattr(r, name) for r in (closed, operator, fitted))
         dev = max(abs(c - o), abs(c - f), abs(o - f))
         rows.append([name, num(c), num(o), num(f), num(dev)])
-        if abs(c - o) > t_op:
+        # "not ... <= ..." so that a NaN coefficient fails the gate
+        if not abs(c - o) <= t_op:
             failures.append(f"{name}: |closed - operator| = {abs(c - o):.3e} > {t_op:.0e}")
-        if abs(c - f) > t_fit:
+        if not abs(c - f) <= t_fit:
             failures.append(f"{name}: |closed - fit| = {abs(c - f):.3e} > {t_fit:.0e}")
 
     table = _render_table(

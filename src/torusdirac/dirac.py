@@ -27,8 +27,9 @@ The first and second order terms have trigonometric-polynomial coefficients
 and are built in coefficient arithmetic from h and k, entry coefficient
 arrays (see ``trigpoly``), by ``_first_order_operator`` and
 ``_second_order_operator``. Only the frame is sampled, in
-``dirac_operator(cf, eps, n)``: it inverts the coframe on n grid points,
-takes the FFT of B and p and keeps the frequencies |k| < n/4.
+``dirac_operators(cf, eps_values, n)``, one pass over an eps-sweep: it
+inverts the coframes on n grid points, takes the FFT of B and p and keeps
+the frequencies |k| < n/4.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class DiracOperator:
     p_hat: np.ndarray  # (2L+1,), a real function
 
     def __post_init__(self):
-        b = np.array(self.b_hat, dtype=complex)
-        p = np.array(self.p_hat, dtype=complex)
+        b = np.array(self.b_hat, dtype=complex, order="C")
+        p = np.array(self.p_hat, dtype=complex, order="C")
         if b.ndim != 3 or b.shape[:2] != (2, 2) or b.shape[2] % 2 == 0 or p.shape != b.shape[2:]:
             raise ValueError("inconsistent symbol/potential shapes")
         # B^ = (B^)^H entry by entry at k and -k: the defect of entry (1, 0)
@@ -133,7 +134,14 @@ class DiracOperator:
 
 
 def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
-    """Assemble the operator of the family at ``eps`` on a grid of n points.
+    """The operator of the family at ``eps`` on a grid of n points:
+    ``dirac_operators(cf, (eps,), n)[0]``."""
+    return dirac_operators(cf, (eps,), n)[0]
+
+
+def dirac_operators(cf: CoframeFamily, eps_values, n: int) -> list[DiracOperator]:
+    """Assemble the operator of the family at each of ``eps_values`` on a
+    grid of n points, in one pass with the bits of one pass per eps.
 
     The symbol components are the first frame column e_j^1, from pointwise
     3x3 inversion of the coframe on ``grid_points(n)``. The potential is
@@ -141,46 +149,51 @@ def dirac_operator(cf: CoframeFamily, eps: float, n: int) -> DiracOperator:
         p = sum_j (e^j_3 (e^j_2)' - e^j_2 (e^j_3)') / (4 sqrt(det g)),
 
     whose numerator and sqrt(det g) = det e are exact in coefficient
-    arithmetic. The coefficients of B and p are their FFT divided by n, kept
-    at |k| < n/4. Raises SingularCoframeError unless det e > 0 on the grid,
-    and UnderResolvedError when ``require_resolved`` fails: on a coframe
-    harmonic past the kept band before any product is formed, on the FFTs
-    at the end.
+    arithmetic, built eps by eps with the ``trigpoly`` functions, each entry
+    at its own length, as their arithmetic-order rules require. The coframes
+    ``cf.coframe_at(eps_values)`` are sampled as one stack and inverted by
+    one stacked ``np.linalg.inv``; B and p take one FFT each, divided by n
+    and kept at |k| < n/4.
 
-    The coframe ``cf.coframe_at(eps)``, det e and the numerator are built on
-    coefficient arrays with the ``trigpoly`` functions, each entry at its
-    own length and every sum padded with zeros before it adds, as the
-    arithmetic-order rules of ``trigpoly`` require.
+    Raises what ``[dirac_operator(cf, eps, n) for eps in eps_values]``
+    raises: the first failing eps, at its first failing check of the coframe
+    tail (``require_resolved``), det e (``positive_det``), the realness of
+    the coframe samples and of the numerator, the ``DiracOperator``
+    contracts and the FFT tail. Only the eps before the first failure of a
+    check ahead of the inversion are inverted.
     """
-    coframe = cf.coframe_at(eps)
-    require_resolved((), coframe, n)
-    sqrt_det_g = positive_det(det3(coframe), eps, n)
-    csamp = as_real_samples(
-        np.array([[poly_on_grid(c, n) for c in row] for row in coframe]), "coframe samples"
-    )
-    # the frame e_j^a is the inverse of coframe^T pointwise: (n, 3, 3) indexed [x, j, a]
-    frame = np.linalg.inv(np.transpose(csamp, (2, 1, 0)))
-    a1, a2, a3 = frame[:, 0, 0], frame[:, 1, 0], frame[:, 2, 0]
-
-    num = _ZERO
-    for row in coframe:
-        num = poly_sub(
-            poly_add(num, np.convolve(row[2], poly_derivative(row[1]))),
-            np.convolve(row[1], poly_derivative(row[2])),
-        )
-    num_samples = poly_on_grid(num, n)
-    imag = np.max(np.abs(num_samples.imag))
-    if not imag <= 1e-12 * max(1.0, float(np.max(np.abs(num_samples)))):
-        raise NumericalContractError("potential numerator is not real; index error upstream")
-    potential = num_samples.real / (4.0 * sqrt_det_g)
-
-    b_hat = np.fft.fft(symbol_matrix(a1, a2, a3), axis=-1) / n
-    p_hat = np.fft.fft(potential) / n
-    top = (n - 1) // 4
-    kept = np.r_[n - top : n, 0 : top + 1]  # frequencies -top..top
-    op = DiracOperator(b_hat[..., kept], p_hat[kept])
-    require_resolved((b_hat, p_hat), (), n)
-    return op
+    coframes = cf.coframe_at(np.asarray(eps_values, dtype=float))
+    csamp = np.array([[poly_on_grid(c, n) for c in row] for row in coframes])  # (3, 3, E, n)
+    potentials = []
+    try:
+        for e, eps in enumerate(eps_values):
+            coframe = [[c[e] for c in row] for row in coframes]
+            require_resolved((), coframe, n)
+            sqrt_det_g = positive_det(det3(coframe), eps, n)
+            as_real_samples(csamp[:, :, e], "coframe samples")
+            num = _ZERO
+            for row in coframe:
+                num = poly_sub(
+                    poly_add(num, np.convolve(row[2], poly_derivative(row[1]))),
+                    np.convolve(row[1], poly_derivative(row[2])),
+                )
+            num_samples = poly_on_grid(num, n)
+            imag = np.max(np.abs(num_samples.imag))
+            if not imag <= 1e-12 * max(1.0, float(np.max(np.abs(num_samples)))):
+                raise NumericalContractError("potential numerator is not real; index error upstream")
+            potentials.append(num_samples.real / (4.0 * sqrt_det_g))
+    finally:  # on a failure, the eps before it still go first, and may raise first
+        built = len(potentials)
+        # the frame e_j^a is the inverse of coframe^T pointwise: (E, n, 3, 3) indexed [e, x, j, a]
+        frame = np.linalg.inv(np.transpose(csamp[:, :, :built].real, (2, 3, 1, 0)))
+        b_hat = np.fft.fft(symbol_matrix(*(frame[..., j, 0] for j in range(3))), axis=-1) / n
+        p_hat = np.fft.fft(np.array(potentials).reshape(built, n), axis=-1) / n
+        kept = np.r_[n - (n - 1) // 4 : n, 0 : (n - 1) // 4 + 1]  # frequencies |k| < n/4
+        ops = []
+        for e in range(built):
+            ops.append(DiracOperator(b_hat[:, :, e, kept], p_hat[e, kept]))
+            require_resolved((b_hat[:, :, e], p_hat[e]), (), n)
+    return ops
 
 
 # The two builders below take h and k as entry coefficient arrays, ``h[a][b]``

@@ -128,10 +128,13 @@ class CoframeFamily:
         ]
         return cls(E1, E2)
 
-    def coframe_at(self, eps: float) -> tuple:
+    def coframe_at(self, eps) -> tuple:
         """Entry coefficient arrays of the coframe I + eps*E1 + eps^2*E2,
-        each entry summed in that order and at its own degree."""
-        s1, s2 = complex(eps), complex(eps * eps)
+        each entry summed in that order and at its own degree. For a 1-d
+        ``eps`` each entry is a stack (len(eps), 2D+1) whose row e holds the
+        bits of the entry at eps[e]."""
+        eps = np.asarray(eps, dtype=float)
+        s1, s2 = (np.asarray(s, dtype=complex)[..., None] for s in (eps, eps * eps))
         e1, e2 = self.E1, self.E2
         return tuple(
             tuple(
@@ -190,7 +193,7 @@ def require_resolved(hats, coframe, n: int) -> None:
     at |k| >= n/4, the band that sampling drops. A coframe harmonic past the
     kept band folds back into it on the grid, where no tail shows it, so such
     a coefficient of ``coframe``, entry coefficient arrays, counts as tail
-    too. Either may be empty: ``dirac_operator`` checks the coframe before it
+    too. Either may be empty: ``dirac_operators`` checks the coframe before it
     builds anything from it, and the FFTs once it has them. A NaN in the
     tail counts as a tail above the limit."""
     top = (n - 1) // 4  # the largest |k| below n/4

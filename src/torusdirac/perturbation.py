@@ -33,6 +33,7 @@ with no copy through ``trigpoly._as_field``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ from .dirac import (
     _spinor,
     inner,
 )
-from .galerkin import basis_spinor, spectrum_report, track_pair
+from .galerkin import basis_spinor, spectrum_sweep, track_pair
 from .geometry import (
     CoframeFamily,
     NumericalContractError,
@@ -101,7 +102,7 @@ def pseudoinverse(c, n: int, truncation: int, orthogonality_tol: float | None = 
     if orthogonality_tol is not None:
         for kind in ("v", "w"):
             overlap = abs(inner(c, basis_spinor(n, kind)))
-            if overlap > orthogonality_tol:
+            if not overlap <= orthogonality_tol:  # a NaN overlap fails too
                 raise PseudoinverseDomainError(
                     f"input overlaps the lambda0={n} eigenspace "
                     f"by {overlap:.2e} (tolerance {orthogonality_tol:.0e})"
@@ -131,6 +132,13 @@ def _mean(coeffs: np.ndarray) -> complex:
     return complex(coeffs[(coeffs.size - 1) // 2])
 
 
+def _require_finite(arrays, name: str) -> None:
+    """Raise NumericalContractError unless the coefficient ``arrays`` are
+    finite: h and k built from finite E1 and E2 overflowed, a numerical fault."""
+    if not np.isfinite(np.concatenate(arrays)).all():
+        raise NumericalContractError(f"{name} overflows: a coefficient is not finite")
+
+
 def _first_order_block(w1: DiracOperator, n: int) -> tuple[float, np.ndarray]:
     """l1(n) from the block of the first-order operator ``w1`` on mode n,
     and W1 v_n, which the second-order term reuses.
@@ -138,7 +146,7 @@ def _first_order_block(w1: DiracOperator, n: int) -> tuple[float, np.ndarray]:
     l1(n) is the diagonal of the block on span{v_n, w_n}. The full 2x2
     block must be a real multiple of the identity; a nonscalar block would
     invalidate the whole first-order setup and raises
-    DegenerateSplittingError.
+    DegenerateSplittingError, as does a NaN in it.
     """
     v = basis_spinor(n, "v")
     w = basis_spinor(n, "w")
@@ -146,7 +154,7 @@ def _first_order_block(w1: DiracOperator, n: int) -> tuple[float, np.ndarray]:
     diag_v = inner(image, v)
     off = inner(image, w)
     diag_w = inner(w1.apply(w), w)
-    if abs(off) > 1e-9 or abs(diag_v - diag_w) > 1e-9 or abs(diag_v.imag) > 1e-9:
+    if not (abs(off) <= 1e-9 and abs(diag_v - diag_w) <= 1e-9 and abs(diag_v.imag) <= 1e-9):
         raise DegenerateSplittingError(
             f"first-order block on mode {n} is not scalar: "
             f"diag ({diag_v:.3e}, {diag_w:.3e}), off-diagonal {abs(off):.3e}"
@@ -175,11 +183,12 @@ def _antisymmetric_flux_sum(hhat: np.ndarray, degree: int) -> complex:
 
 
 def _require_real(value: complex, terms, rel_tol: float) -> None:
-    """Raise unless |Im value| <= rel_tol * max |term| over the summed
-    ``terms``: the rounding in a sum grows with its largest term, so the
-    imaginary part is judged against that scale, not against 1."""
+    """Raise unless ``value`` is finite and |Im value| <= rel_tol * max |term|
+    over the summed ``terms``: the rounding in a sum grows with its largest
+    term, so the imaginary part is judged against that scale, not against 1.
+    A NaN or infinite value, from terms that overflowed, fails."""
     scale = max(abs(t) for t in terms)
-    if abs(value.imag) > rel_tol * scale:
+    if not (abs(value.imag) <= rel_tol * scale and math.isfinite(abs(value))):
         raise NumericalContractError(
             f"second-order coefficient not real: {value} (terms up to {scale:.3e})"
         )
@@ -294,7 +303,8 @@ def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
     residual = float(np.linalg.norm(values - design @ coeffs))
 
     scale = float(np.max(np.abs(values)))
-    if scale > 1e-13 and residual > 1e-6 * scale:
+    # "not ... <= ..." so that a NaN value or residual fails
+    if not (scale <= 1e-13 or residual <= 1e-6 * scale):
         raise FitResidualError(
             f"fit residual {residual:.2e} exceeds 1e-6 * max|lambda - n| = "
             f"{1e-6 * scale:.2e}; increase m or shrink the eps grid"
@@ -324,13 +334,13 @@ def fit_expansion(
     """Fit the tracked Galerkin pair means of every mode n in ``modes`` to
     n + c_1 eps + ... + c_order eps^order.
 
-    One ``spectrum_report`` per eps point serves all modes; the default grid
-    is ``default_fit_grid(order)``. Every eps is solved before any mode is
-    tracked, so a singular coframe anywhere on the grid is reported ahead of
-    a tracking failure at an earlier eps. Returns the fits by mode.
+    One ``spectrum_sweep`` over the grid, default ``default_fit_grid(order)``,
+    serves all modes. Every eps is solved before any mode is tracked, so a
+    singular coframe anywhere on the grid is reported ahead of a tracking
+    failure at an earlier eps. Returns the fits by mode.
     """
     grid = default_fit_grid(order) if eps_grid is None else np.asarray(eps_grid, float)
-    reports = [spectrum_report(cf, eps, m) for eps in grid]
+    reports = spectrum_sweep(cf, grid, m)
     means = [[track_pair(r, n)[0] for n in modes] for r in reports]
     return {
         n: fit_from_values(n, grid, [row[i] - n for row in means], order)
@@ -365,15 +375,18 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
     The closed form builds h and k[0, 0]; l1(n) = -n/2 * hhat_11(0). The
     operator route builds h and k in full, checks that both are real and
     symmetric, runs in Fourier coefficients with the mode-sum truncation
-    deg h + 4 and builds W1 and W2 once for both signs. The Galerkin fit
+    deg h + 4 and builds W1 and W2 once for both signs. Both raise
+    NumericalContractError first when h or k overflows. The Galerkin fit
     route fits modes +1 and -1 to second order from one sweep over
     ``default_fit_grid(4)`` at truncation ``m``.
     """
     if route == "closed_form":
         h = first_order_perturbation(cf)
+        k00 = _k_coefficient(cf.E1, cf.E2, 0, 0)
+        _require_finite([*h[0], *h[1], *h[2], k00], "h or k[0, 0]")
         h11_mean = _mean(h[0][0]).real
         l1 = [float(-n * 0.5 * h11_mean) for n in (1, -1)]
-        l2 = _second_corrections_closed(h, _k_coefficient(cf.E1, cf.E2, 0, 0))
+        l2 = _second_corrections_closed(h, k00)
         return PerturbationReport(
             route=route,
             lambda1_plus=l1[0],
@@ -385,12 +398,14 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
         # each check, operator and first-order block once: h, l1(+1), l1(-1),
         # then k, l2(+1), l2(-1), so a bad h fails before k is built
         h = first_order_perturbation(cf)
+        _require_finite([*h[0], *h[1], *h[2]], "h")
         require_sym_real(h, "h")
         w1 = _first_order_operator(h)
         l1, w1v = {}, {}
         for n in (1, -1):
             l1[n], w1v[n] = _first_order_block(w1, n)
         k = second_order_perturbation(cf)
+        _require_finite([*k[0], *k[1], *k[2]], "k")
         require_sym_real(k, "k")
         w2 = _second_order_operator(h, k)
         truncation = field_degree(h) + 4

@@ -3,7 +3,7 @@
 A trigonometric polynomial of degree D is f(x) = sum_{|k| <= D} c_k e^{ikx}.
 Every coefficient function in this package (metric entries, perturbation
 matrices, operator symbols, spinors) is held as such coefficients; only the
-frame is sampled, in ``dirac.dirac_operator``, and sqrt(g_11), in
+frame is sampled, in ``dirac.dirac_operators``, and sqrt(g_11), in
 ``geometry.arc_length``. ``resize_degree`` pads or cuts any array of
 coefficients centred on k = 0.
 
@@ -130,8 +130,10 @@ def poly_derivative(c: np.ndarray) -> np.ndarray:
 
 
 def poly_on_grid(c: np.ndarray, n: int) -> np.ndarray:
-    """Values on ``grid_points(n)``."""
-    return _phases(n, (c.size - 1) // 2) @ c
+    """Values on ``grid_points(n)``; a stack (..., 2D+1) of coefficient
+    arrays gives (..., n), each row by its own matrix-vector product."""
+    phases = _phases(n, (c.shape[-1] - 1) // 2)
+    return phases @ c if c.ndim == 1 else np.matmul(phases, c[..., None])[..., 0]
 
 
 def _as_field(rows) -> tuple:

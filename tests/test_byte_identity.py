@@ -1,7 +1,11 @@
 """The lean assembly path gives the bits of the reference formulas.
 
-``dirac_operator`` builds the coframe, det e and the potential numerator on
-bare coefficient arrays, and ``galerkin_matrix`` reads its blocks through
+``dirac_operators`` builds every eps's operator of a sweep in one pass, and
+``dirac_operator`` is that pass over one eps; ``spectrum_sweep`` solves the
+pass's operators one eps at a time. The pass builds the coframe, det e and
+the potential numerator on bare coefficient arrays, and every operator of a
+pass must have the bits of the reference for its eps alone.
+``galerkin_matrix`` reads its blocks through
 strided views and symmetrizes in place, in row strips. The closed-form and
 operator routes build h, k, W1 and W2 on coefficient arrays and share W1 v_n.
 All must reproduce, byte for byte, the reference formulas in conftest: the
@@ -22,6 +26,8 @@ from torusdirac import CoframeFamily, dirac_operator
 from torusdirac import first_order_perturbation, galerkin_matrix, load_config_file, load_example
 from torusdirac import galerkin, perturbation_report, second_order_perturbation
 from torusdirac.config import EXAMPLE_NAMES
+from torusdirac.dirac import DiracOperator, dirac_operators
+from torusdirac.galerkin import spectrum_sweep
 from torusdirac.geometry import default_grid
 from torusdirac.trigpoly import det3, matmul_entry
 
@@ -34,6 +40,14 @@ GOLDEN = Path(__file__).parent / "golden"
 SEEDED = ("seeded-coframe-4", "seeded-perturbation-3", "cli-sweep-coframe-2", "cli-sweep-perturbation-2")
 EPS_VALUES = (0.2, 0.1, 0.01, -0.1, 0.0, -0.0)
 GRIDS = (256, 416)
+# eps-lists of the sweeps: the fit grids, a table's eps and signed zeros
+EPS_LISTS = (
+    np.linspace(0.01, 0.08, 12),
+    np.logspace(np.log10(0.01), np.log10(0.1), 6),
+    (0.2, 0.1, 0.01),
+    (0.0, -0.0, -0.1, 0.1),
+)
+SWEEP_TRUNCATIONS = (3, 25, 40, 64)
 TRUNCATIONS = (0, 1, 3, 25, 40)  # 2m below and above the operator degree 63 at n = 256
 STRIP_TRUNCATIONS = (64, 100)  # orders 258 and 402: two and three row strips, the last one short
 
@@ -56,6 +70,25 @@ def assert_operator_bytes(cf: CoframeFamily, eps: float, n: int) -> None:
     b_ref, p_ref = reference_operator_hats(cf, eps, n)
     assert same_bytes(op.b_hat, b_ref), f"B^ differs at eps={eps!r}, n={n}"
     assert same_bytes(op.p_hat, p_ref), f"p^ differs at eps={eps!r}, n={n}"
+
+
+def assert_sweep_operator_bytes(cf: CoframeFamily, eps_values, n: int) -> None:
+    ops = dirac_operators(cf, eps_values, n)
+    assert len(ops) == len(eps_values)
+    for eps, op in zip(eps_values, ops):
+        b_ref, p_ref = reference_operator_hats(cf, eps, n)
+        assert same_bytes(op.b_hat, b_ref), f"B^ differs at eps={eps!r}, n={n}"
+        assert same_bytes(op.p_hat, p_ref), f"p^ differs at eps={eps!r}, n={n}"
+
+
+def assert_sweep_bytes(cf: CoframeFamily, eps_values, m: int) -> None:
+    reports = spectrum_sweep(cf, eps_values, m)
+    assert [r.eps for r in reports] == [float(eps) for eps in eps_values]
+    for eps, report in zip(eps_values, reports):
+        op = DiracOperator(*reference_operator_hats(cf, eps, default_grid(m)))
+        expected = np.linalg.eigvalsh(reference_galerkin(op, m)[0])
+        assert report.m == m and report.tracked == {}
+        assert same_bytes(report.eigenvalues, expected), f"eigenvalues differ at eps={eps!r}, m={m}"
 
 
 def assert_matrix_bytes(op, m: int) -> None:
@@ -90,6 +123,19 @@ def test_operator_matches_reference(name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
+def test_operator_pass_matches_reference(name):
+    for eps_values in EPS_LISTS:
+        for n in GRIDS:
+            assert_sweep_operator_bytes(FAMILIES[name], eps_values, n)
+
+
+@pytest.mark.parametrize("m", SWEEP_TRUNCATIONS)
+@pytest.mark.parametrize("name", ["example-galerkin-1", "seeded-coframe-4", "cli-sweep-perturbation-2"])
+def test_sweep_matches_reference(name, m):
+    assert_sweep_bytes(FAMILIES[name], EPS_LISTS[-1], m)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
 def test_matrix_matches_reference(name):
     for eps in (0.1, -0.0):
         op = dirac_operator(FAMILIES[name], eps, 256)
@@ -119,7 +165,20 @@ SCALED_COFRAMES = st.builds(CoframeFamily, SCALED_FIELDS, SCALED_FIELDS)
 SIGNED_EPS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.2, 0.2))
 
 
+EPS_LIST = st.lists(SIGNED_EPS, min_size=1, max_size=6)
+
+
 class TestRandomCoframes:
+    @settings(max_examples=40)
+    @given(st.one_of(COFRAMES, MIXED_COFRAMES), EPS_LIST, st.sampled_from(GRIDS))
+    def test_operator_pass_matches_reference(self, cf, eps_values, n):
+        assert_sweep_operator_bytes(cf, eps_values, n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.one_of(COFRAMES, MIXED_COFRAMES), EPS_LIST, st.sampled_from(SWEEP_TRUNCATIONS))
+    def test_sweep_matches_reference(self, cf, eps_values, m):
+        assert_sweep_bytes(cf, eps_values, m)
+
     @settings(max_examples=40)
     @given(MIXED_COFRAMES, SIGNED_EPS, st.sampled_from(GRIDS))
     def test_operator_matches_reference(self, cf, eps, n):

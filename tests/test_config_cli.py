@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -348,19 +349,19 @@ class TestCli:
 
     @pytest.mark.parametrize("command,calls", [("galerkin", 3), ("fit", 12)])
     def test_one_geometry_build_per_eps(self, command, calls, monkeypatch, capsys):
-        # example-galerkin-2 lists 3 eps; the quartic fit grid has 12
-        count = 0
-        original = dirac.dirac_operator
+        # example-galerkin-2 lists 3 eps; the quartic fit grid has 12, and
+        # every sweep builds all its operators in one pass
+        passes = []
+        original = dirac.dirac_operators
 
-        def counting(*args, **kwargs):
-            nonlocal count
-            count += 1
-            return original(*args, **kwargs)
+        def counting(cf, eps_values, n):
+            passes.append(len(eps_values))
+            return original(cf, eps_values, n)
 
-        monkeypatch.setattr(dirac, "dirac_operator", counting)
-        monkeypatch.setattr(galerkin, "dirac_operator", counting)
+        monkeypatch.setattr(dirac, "dirac_operators", counting)
+        monkeypatch.setattr(galerkin, "dirac_operators", counting)
         assert main([command, "--config", "example-galerkin-2"]) == 0
-        assert count == calls
+        assert passes == [calls]
 
     def test_eigensolver_failure_exit_code(self, monkeypatch, capsys):
         # LinAlgError subclasses ValueError but is a numerical failure
@@ -386,6 +387,30 @@ class TestCli:
         assert code == 3
         assert captured.out == ""
         assert "numerical contract violation: det(coframe) has imaginary part nan" in captured.err
+
+    def test_overflowing_k_exits_3(self, tmp_path, capsys):
+        # k = 4 E1^T E1 overflows: a numerical fault, not a configuration error
+        cfgfile = tmp_path / "huge.cfg"
+        cfgfile.write_text("coframe.E1.1.1 = (0, 1e200, 0)\n")
+        with np.errstate(all="ignore"):
+            code = main(["asympt", "--config", str(cfgfile)])
+        assert code == 3
+        assert "numerical contract violation: h or k[0, 0] overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route", ["operator", "galerkin_fit"])
+    def test_nan_coefficient_fails_the_route_gates(self, route, monkeypatch, capsys):
+        report = pt.perturbation_report
+
+        def with_nan(cf, name, m=25):
+            result = report(cf, name, m)
+            if name == route:
+                result = pt.PerturbationReport(name, float("nan"), *astuple(result)[2:])
+            return result
+
+        monkeypatch.setattr(pt, "perturbation_report", with_nan)
+        assert main(["asympt", "--config", "example-galerkin-2"]) == 3
+        err = capsys.readouterr().err
+        assert "route disagreement" in err and "lambda1_plus" in err
 
     def test_under_resolved_exit_code(self, tmp_path, capsys):
         # cos(100 x) leaves an aliasing tail on the m = 25 grid of 256 points

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from torusdirac import (
     CoframeFamily,
     DiracOperator,
+    NumericalContractError,
+    SingularCoframeError,
     TrackingError,
     UnderResolvedError,
     dirac_operator,
@@ -17,9 +19,10 @@ from torusdirac import (
     spectrum_report,
     track_pair,
 )
+from torusdirac import galerkin
 from torusdirac.config import EXAMPLE_NAMES
-from torusdirac.dirac import inner
-from torusdirac.galerkin import PAIRING_TOL, SpectrumReport, basis_spinor
+from torusdirac.dirac import dirac_operators, inner
+from torusdirac.galerkin import PAIRING_TOL, SpectrumReport, basis_spinor, spectrum_sweep
 from torusdirac.geometry import default_grid
 
 from conftest import COS, ZERO, ZERO_FIELD, assert_sigfigs, charge_conjugate, coframe_fields, m3
@@ -143,6 +146,80 @@ class TestUnderResolved:
         # the folded coefficient is eps * 0.25 = 5.00e-02
         with pytest.raises(UnderResolvedError, match="Fourier tail 5.00e-02"):
             dirac_operator(cf, 0.2, default_grid(10))
+
+
+# det e = 1 + eps cos x: singular for |eps| >= 1, and at eps = 0.99 its
+# inverse has a Fourier tail of ~1e-4 past the band that 256 points keep
+WAVE = CoframeFamily(m3([[COS(1), ZERO, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]), ZERO_FIELD)
+# the same with a coframe harmonic past that band, which every eps != 0 fails first
+PAST_BAND = CoframeFamily(
+    m3([[COS(1), ZERO, ZERO], [ZERO, ZERO, COS(70, 0.01)], [ZERO, ZERO, ZERO]]), ZERO_FIELD
+)
+FAILING_SWEEPS = [
+    (WAVE, (0.1, 0.99, 1.5)),  # a tail after the inversion ahead of a later singular eps
+    (WAVE, (0.1, 1.5, 0.99)),
+    (WAVE, (1.5, 0.99)),
+    (WAVE, (0.99, 2.0)),
+    (WAVE, (-0.5, -1.0, 0.3)),
+    (WAVE, np.array([0.2, -0.0, 1.5, 3.0])),
+    (WAVE, np.linspace(0.9, 1.2, 4)),
+    (PAST_BAND, (0.0, -0.0, 0.1)),
+    (PAST_BAND, (-0.0, 1.5)),  # the coframe tail is checked before det e
+    (PAST_BAND, (0.0, 0.99)),
+]
+
+
+def _raised(build) -> tuple[type, str]:
+    with pytest.raises(NumericalContractError) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+class TestOperatorPass:
+    """One pass over an eps-list raises what a loop over it raises."""
+
+    @pytest.mark.parametrize("cf,eps_values", FAILING_SWEEPS)
+    def test_raises_what_the_loop_raises(self, cf, eps_values):
+        expected = _raised(lambda: [dirac_operator(cf, eps, 256) for eps in eps_values])
+        assert _raised(lambda: dirac_operators(cf, eps_values, 256)) == expected
+
+    @pytest.mark.parametrize("cf,eps_values", FAILING_SWEEPS)
+    def test_sweep_raises_what_the_loop_raises(self, cf, eps_values, monkeypatch):
+        expected = _raised(lambda: [spectrum_report(cf, eps, 25) for eps in eps_values])
+        built = []
+        monkeypatch.setattr(galerkin, "galerkin_matrix", lambda op, m: built.append(m))
+        assert _raised(lambda: spectrum_sweep(cf, eps_values, 25)) == expected
+        assert built == []  # the pass fails before any matrix is built
+
+    def test_first_failure_by_kind(self):
+        assert _raised(lambda: dirac_operators(WAVE, (0.1, 0.99, 1.5), 256))[0] is UnderResolvedError
+        kind, message = _raised(lambda: dirac_operators(WAVE, (0.1, 1.5, 0.99), 256))
+        assert kind is SingularCoframeError and "eps=1.5" in message
+        kind, message = _raised(lambda: dirac_operators(PAST_BAND, (-0.0, 1.5), 256))
+        assert kind is UnderResolvedError and "Fourier tail" in message
+
+    @pytest.mark.parametrize(
+        "eps_values,inverted",
+        [((0.1, 0.2, 1.5, 0.3), [2]), ((0.1, 0.99, 1.5, 0.2), [2]), ((1.5, 0.1), [0]), ((0.1, 0.2), [2])],
+    )
+    def test_only_eps_before_a_failure_are_inverted(self, eps_values, inverted, monkeypatch):
+        stacks = []
+        inv = np.linalg.inv
+
+        def recording(a):
+            stacks.append(a.shape[0])
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recording)
+        try:
+            dirac_operators(WAVE, eps_values, 256)
+        except NumericalContractError:
+            pass
+        assert stacks == inverted
+
+    def test_empty_list(self):
+        assert dirac_operators(WAVE, (), 256) == []
+        assert spectrum_sweep(WAVE, (), 3) == []
 
 
 class TestEigenvalues:

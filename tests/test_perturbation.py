@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from torusdirac import (
     CoframeFamily,
+    NumericalContractError,
     PseudoinverseDomainError,
     TruncationError,
     dirac,
@@ -250,29 +251,30 @@ class TestFit:
 
 
 class TestSweepSolves:
-    """Every fit is made from one spectrum_report per eps point."""
+    """Every fit is made from one spectrum_sweep, one solve per eps point."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        eps_seen = []
-        solve = perturbation.spectrum_report
+        sweeps = []
+        sweep = perturbation.spectrum_sweep
 
-        def counted(cf, eps, *args, **kwargs):
-            eps_seen.append(eps)
-            return solve(cf, eps, *args, **kwargs)
+        def counted(cf, eps_values, m):
+            reports = sweep(cf, eps_values, m)
+            sweeps.append(len(reports))
+            return reports
 
-        monkeypatch.setattr(perturbation, "spectrum_report", counted)
-        return eps_seen
+        monkeypatch.setattr(perturbation, "spectrum_sweep", counted)
+        return sweeps
 
     def test_cli_fit_solves_once_per_eps(self, solves):
         cfg = load_example("example-galerkin-1")
         assert cfg.modes == [-2, -1, 0, 1, 2]
         cmd_fit(cfg, "csv")
-        assert len(solves) == 12
+        assert solves == [12]
 
     def test_galerkin_fit_route_solves_once_per_eps(self, solves, explicit_family_2):
         perturbation_report(CoframeFamily.from_perturbation(*explicit_family_2), "galerkin_fit")
-        assert len(solves) == 12
+        assert solves == [12]
 
 
 class TestReport:
@@ -298,6 +300,69 @@ class TestReport:
         cf = CoframeFamily.from_perturbation(h, k)
         with pytest.raises(ValueError, match="route"):
             perturbation_report(cf, "bogus")
+
+
+# ----------------------------------------------------------------------
+# NaN and overflow
+# ----------------------------------------------------------------------
+
+NAN = float("nan")
+# h = 2e200 is finite; h^2 and k = 4 * E1^T E1 overflow
+OVERFLOWING_K = CoframeFamily([[1e200, 0, 0], [0] * 3, [0] * 3], ZERO_FIELD)
+# h = E1 + E1^T overflows itself
+OVERFLOWING_H = CoframeFamily([[1e308, 0, 0], [0] * 3, [0] * 3], ZERO_FIELD)
+
+
+class TestNonFinite:
+    """Every route check fails on NaN, and overflow is a numerical fault."""
+
+    @pytest.mark.parametrize(
+        "value,terms",
+        [(complex(NAN, 0.0), (NAN, 1.0)), (complex(1.0, NAN), (1.0,)), (complex(NAN, 0.0), (1.0, NAN)),
+         (complex(np.inf, 0.0), (np.inf, 1.0)), (complex(NAN, 0.0), (np.inf, -np.inf))],
+    )
+    def test_require_real_rejects_non_finite(self, value, terms):
+        with pytest.raises(NumericalContractError, match="not real"):
+            perturbation._require_real(value, terms, 1e-12)
+
+    def test_first_order_block_rejects_nan(self, monkeypatch):
+        monkeypatch.setattr(perturbation, "inner", lambda u, v: complex(NAN, 0.0))
+        with pytest.raises(perturbation.DegenerateSplittingError):
+            perturbation._first_order_block(free_operator(), 1)
+
+    def test_pseudoinverse_rejects_nan_overlap(self):
+        c = np.full((2, 5), NAN, dtype=complex)
+        with pytest.raises(PseudoinverseDomainError):
+            pseudoinverse(c, 1, 8, orthogonality_tol=1e-9)
+
+    @pytest.mark.parametrize("bad", [NAN, np.inf])
+    def test_fit_rejects_non_finite_values(self, bad):
+        grid = np.linspace(0.01, 0.08, 12)
+        values = -0.5 * grid + grid**2
+        values[3] = bad
+        with np.errstate(all="ignore"), pytest.raises(perturbation.FitResidualError):
+            fit_from_values(1, grid, values, order=2)
+
+    def test_closed_route_returned_nan_before(self):
+        # the closed form's lead term was inf - inf = NaN and passed every check
+        with np.errstate(all="ignore"), pytest.raises(NumericalContractError, match="overflows"):
+            perturbation_report(OVERFLOWING_K, "closed_form")
+
+    @pytest.mark.parametrize(
+        "cf,route,message",
+        [(OVERFLOWING_K, "closed_form", r"h or k\[0, 0\] overflows"), (OVERFLOWING_K, "operator", "^k overflows"),
+         (OVERFLOWING_H, "closed_form", r"h or k\[0, 0\] overflows"), (OVERFLOWING_H, "operator", "^h overflows")],
+    )
+    def test_overflow_is_numerical_not_bad_input(self, cf, route, message):
+        # require_sym_real would raise a plain ValueError, the class of bad input
+        with np.errstate(all="ignore"), pytest.raises(NumericalContractError, match=message):
+            perturbation_report(cf, route)
+
+    def test_bad_user_data_stays_value_error(self):
+        h = m3([[NAN, 0, 0], [0] * 3, [0] * 3])
+        with pytest.raises(ValueError, match="h must be real-valued") as info:
+            CoframeFamily.from_perturbation(h, ZERO_FIELD)
+        assert not isinstance(info.value, NumericalContractError)
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,8 @@ MODULE_ONLY = [
     (perturbation, "PerturbationReport"),
     (perturbation, "pseudoinverse"),
     (config, "RunConfig"),
+    (dirac, "dirac_operators"),
+    (galerkin, "spectrum_sweep"),
 ]
 
 
@@ -114,6 +116,13 @@ def test_dirac_operator_takes_the_grid_size_without_default():
     params = inspect.signature(dirac.dirac_operator).parameters
     assert list(params) == ["cf", "eps", "n"]
     assert params["n"].default is inspect.Parameter.empty
+
+
+def test_sweep_entries_take_an_eps_list_without_defaults():
+    for function, last in ((dirac.dirac_operators, "n"), (galerkin.spectrum_sweep, "m")):
+        params = inspect.signature(function).parameters
+        assert list(params) == ["cf", "eps_values", last]
+        assert all(p.default is inspect.Parameter.empty for p in params.values())
 
 
 def test_cli_runs_without_scipy():
