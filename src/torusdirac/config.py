@@ -60,8 +60,13 @@ class RunConfig:
     E2: tuple | None = None
     h: tuple | None = None
     k: tuple | None = None
+    _family: CoframeFamily | None = field(default=None, init=False, repr=False, compare=False)
 
     def family(self) -> CoframeFamily:
+        """The family of the entries: the one ``parse_config`` validated, or
+        for a configuration built by hand, a new one on each call."""
+        if self._family is not None:
+            return self._family
         if self.mode == "coframe":
             return CoframeFamily(self.E1, self.E2)
         return CoframeFamily.from_perturbation(self.h, self.k)
@@ -165,10 +170,9 @@ def parse_config(text: str) -> RunConfig:
     try:
         if mode == "coframe":
             cfg.E1, cfg.E2 = build("coframe.E1"), build("coframe.E2")
-            CoframeFamily(cfg.E1, cfg.E2)  # validates realness
         else:
             cfg.h, cfg.k = build("perturbation.h"), build("perturbation.k")
-            CoframeFamily.from_perturbation(cfg.h, cfg.k)  # validates symmetry
+        cfg._family = cfg.family()  # validates realness, and symmetry of h and k
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -26,10 +26,10 @@ by a complex scalar, ``c * complex(s)``.
 The first and second order terms have trigonometric-polynomial coefficients
 and are built in coefficient arithmetic from h and k, entry coefficient
 arrays (see ``trigpoly``), by ``_first_order_operator`` and
-``_second_order_operator``. Only the frame is sampled, in
-``dirac_operators(cf, eps_values, n)``, one pass over an eps-sweep: it
-inverts the coframes on n grid points, takes the FFT of B and p and keeps
-the frequencies |k| < n/4.
+``_second_order_operator``. The full operator is sampled, in
+``dirac_operators(cf, eps_values, n)``, one pass over an eps-sweep: from
+one sample of E1 and E2 on n grid points it forms B and p of every eps
+pointwise, takes their FFT and keeps the frequencies |k| < n/4.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CoframeFamily, NumericalContractError, as_real_samples, positive_det
-from .geometry import require_resolved
-from .trigpoly import _ZERO, det3, matmul_entry, poly_add, poly_derivative
+from .geometry import ALIASING_LIMIT, CoframeFamily, NumericalContractError, coframe_tails
+from .geometry import positive_det, require_real_samples, require_resolved
+from .trigpoly import _ZERO, field_degree, matmul_entry, poly_add, poly_derivative
 from .trigpoly import poly_on_grid, poly_sub, resize_degree
 
 
@@ -143,56 +143,64 @@ def dirac_operators(cf: CoframeFamily, eps_values, n: int) -> list[DiracOperator
     """Assemble the operator of the family at each of ``eps_values`` on a
     grid of n points, in one pass with the bits of one pass per eps.
 
-    The symbol components are the first frame column e_j^1, from pointwise
-    3x3 inversion of the coframe on ``grid_points(n)``. The potential is
+    The symbol components are the first frame column e_j^1 = C_j1 / det e,
+    C_j1 the cofactors of the coframe's first column, and the potential is
 
         p = sum_j (e^j_3 (e^j_2)' - e^j_2 (e^j_3)') / (4 sqrt(det g)),
 
-    whose numerator and sqrt(det g) = det e are exact in coefficient
-    arithmetic, built eps by eps with the ``trigpoly`` functions, each entry
-    at its own length, as their arithmetic-order rules require. The coframes
-    ``cf.coframe_at(eps_values)`` are sampled as one stack and inverted by
-    one stacked ``np.linalg.inv``; B and p take one FFT each, divided by n
+    with sqrt(det g) = det e. E1, E2 and their derivatives are sampled once,
+    from their harmonics |k| < n/4; every eps's coframe and derivative
+    samples come from those, and det e, the cofactors and the numerator of p
+    are formed on them pointwise. B and p take one FFT each, divided by n
     and kept at |k| < n/4.
 
     Raises what ``[dirac_operator(cf, eps, n) for eps in eps_values]``
     raises: the first failing eps, at its first failing check of the coframe
-    tail (``require_resolved``), det e (``positive_det``), the realness of
-    the coframe samples and of the numerator, the ``DiracOperator``
-    contracts and the FFT tail. Only the eps before the first failure of a
-    check ahead of the inversion are inverted.
+    tail (``coframe_tails``, before anything is sampled), the realness of
+    the samples, det e (``positive_det``), the ``DiracOperator`` contracts
+    and the FFT tail.
     """
-    coframes = cf.coframe_at(np.asarray(eps_values, dtype=float))
-    csamp = np.array([[poly_on_grid(c, n) for c in row] for row in coframes])  # (3, 3, E, n)
-    potentials = []
-    try:
-        for e, eps in enumerate(eps_values):
-            coframe = [[c[e] for c in row] for row in coframes]
-            require_resolved((), coframe, n)
-            sqrt_det_g = positive_det(det3(coframe), eps, n)
-            as_real_samples(csamp[:, :, e], "coframe samples")
-            num = _ZERO
-            for row in coframe:
-                num = poly_sub(
-                    poly_add(num, np.convolve(row[2], poly_derivative(row[1]))),
-                    np.convolve(row[1], poly_derivative(row[2])),
-                )
-            num_samples = poly_on_grid(num, n)
-            imag = np.max(np.abs(num_samples.imag))
-            if not imag <= 1e-12 * max(1.0, float(np.max(np.abs(num_samples)))):
-                raise NumericalContractError("potential numerator is not real; index error upstream")
-            potentials.append(num_samples.real / (4.0 * sqrt_det_g))
-    finally:  # on a failure, the eps before it still go first, and may raise first
-        built = len(potentials)
-        # the frame e_j^a is the inverse of coframe^T pointwise: (E, n, 3, 3) indexed [e, x, j, a]
-        frame = np.linalg.inv(np.transpose(csamp[:, :, :built].real, (2, 3, 1, 0)))
-        b_hat = np.fft.fft(symbol_matrix(*(frame[..., j, 0] for j in range(3))), axis=-1) / n
-        p_hat = np.fft.fft(np.array(potentials).reshape(built, n), axis=-1) / n
-        kept = np.r_[n - (n - 1) // 4 : n, 0 : (n - 1) // 4 + 1]  # frequencies |k| < n/4
-        ops = []
-        for e in range(built):
-            ops.append(DiracOperator(b_hat[:, :, e, kept], p_hat[e, kept]))
-            require_resolved((b_hat[:, :, e], p_hat[e]), (), n)
+    eps = np.asarray(eps_values, dtype=float)
+    tails = coframe_tails(cf, eps, n)
+    past = np.flatnonzero(~(tails <= ALIASING_LIMIT))
+    stop = int(past[0]) if past.size else eps.size
+    ops = _sampled_operators(cf, eps[:stop], n) if stop else []
+    if stop < eps.size:
+        require_resolved((), n, tails[stop])
+    return ops
+
+
+def _sampled_operators(cf: CoframeFamily, eps: np.ndarray, n: int) -> list[DiracOperator]:
+    """``dirac_operators`` at the 1-d ``eps``, whose coframe tails passed."""
+    top = (n - 1) // 4  # the largest |k| below n/4
+    d = min(field_degree((*cf.E1, *cf.E2)), top)
+    coeffs = np.array([[[resize_degree(c, d) for c in row] for row in f] for f in (cf.E1, cf.E2)])
+    # for E1 and for E2: entries (a, b), then the derivatives of entries (a, 1), (a, 2)
+    stack = np.concatenate([coeffs.reshape(2, 9, -1), poly_derivative(coeffs[:, :, 1:]).reshape(2, 6, -1)], 1)
+    samples = poly_on_grid(stack.reshape(30, -1), n).reshape(2, 15, n)
+    # (15, E, n), summed as coframe_at sums; held real, as the imaginary
+    # parts are at most |eps| |Im E1| + eps^2 |Im E2| of the samples
+    eps2 = eps * eps
+    values = samples.real[0, :, None] * eps[:, None]
+    values[[0, 4, 8]] += 1.0
+    values += samples.real[1, :, None] * eps2[:, None]
+    imag = np.abs(eps) * np.max(np.abs(samples[0].imag)) + eps2 * np.max(np.abs(samples[1].imag))
+    scale = np.fmax(values.max(axis=(0, 2)), -values.min(axis=(0, 2)))
+    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = values[:9].reshape(3, 3, *values.shape[1:])
+    d01, d02, d11, d12, d21, d22 = values[9:]
+    cofactors = np.array([e11 * e22 - e12 * e21, e02 * e21 - e01 * e22, e01 * e12 - e02 * e11])
+    det = e00 * cofactors[0] + e10 * cofactors[1] + e20 * cofactors[2]
+    num = (e02 * d01 - e01 * d02) + (e12 * d11 - e11 * d12) + (e22 * d21 - e21 * d22)
+    with np.errstate(all="ignore"):  # det e may vanish at an eps that fails below
+        b_hat = np.fft.fft(symbol_matrix(*(cofactors / det)), axis=-1) / n
+        p_hat = np.fft.fft(num / (4.0 * det), axis=-1) / n
+    kept = np.arange(-top, top + 1) % n  # FFT indices of the frequencies |k| < n/4
+    ops = []
+    for e, x in enumerate(eps):
+        require_real_samples(imag[e], scale[e], "coframe samples")
+        positive_det(det[e], x, n)
+        ops.append(DiracOperator(b_hat[:, :, e, kept], p_hat[e, kept]))
+        require_resolved((b_hat[:, :, e], p_hat[e]), n)
     return ops
 
 

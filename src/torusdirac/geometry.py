@@ -4,17 +4,19 @@ A family of coframes e(x^1; eps) = I + eps*E1(x^1) + eps^2*E2(x^1) determines
 the metric g = e^T e. All data depend on x^1 only, so each object reduces to
 matrix-valued functions on the circle, held as nested 3x3 tuples of entry
 coefficient arrays (see ``trigpoly``). Sampled steps share one grid rule,
-``default_grid``, and one resolution check, ``require_resolved``.
+``default_grid``, and the checks ``require_real_samples``, ``positive_det``,
+``coframe_tails`` and ``require_resolved``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .trigpoly import _ZERO, COEFF_TOL, _as_field, det3, field_degree, grid_points
-from .trigpoly import matmul_entry, poly_add, poly_on_grid, poly_sub, resize_degree, stack_entries
+from .trigpoly import matmul_entry, poly_add, poly_on_grid, poly_sub, stack_entries
 
 #: Largest Fourier coefficient that sampling may drop at |k| >= n/4.
 ALIASING_LIMIT = 1e-9
@@ -49,15 +51,19 @@ class UnderResolvedError(NumericalContractError):
     """Grid too coarse for the Fourier tail of a sampled function."""
 
 
-def as_real_samples(values: np.ndarray, what: str) -> np.ndarray:
-    """The real part of the samples ``values``. Raises NumericalContractError
-    when an imaginary part exceeds 1e-10 times max(1, largest |sample|), or
-    is NaN: rounding grows with the size of the data, as in ``_require_real``."""
-    imag = np.max(np.abs(values.imag))
-    if not imag <= 1e-10 * max(1.0, float(np.max(np.abs(values)))):
+def require_real_samples(imag: float, scale: float, what: str) -> None:
+    """Raise NumericalContractError when ``imag``, the largest imaginary part
+    of samples, is NaN or exceeds 1e-10 * max(1, ``scale``), their largest
+    |value|: rounding grows with the size of the data."""
+    if not imag <= 1e-10 * max(1.0, scale):
         raise NumericalContractError(
             f"{what} has imaginary part {imag:.2e}; expected real data"
         )
+
+
+def as_real_samples(values: np.ndarray, what: str) -> np.ndarray:
+    """The real part of the samples ``values``, after ``require_real_samples``."""
+    require_real_samples(float(np.max(np.abs(values.imag))), float(np.max(np.abs(values))), what)
     return values.real
 
 
@@ -128,17 +134,13 @@ class CoframeFamily:
         ]
         return cls(E1, E2)
 
-    def coframe_at(self, eps) -> tuple:
+    def coframe_at(self, eps: float) -> tuple:
         """Entry coefficient arrays of the coframe I + eps*E1 + eps^2*E2,
-        each entry summed in that order and at its own degree. For a 1-d
-        ``eps`` each entry is a stack (len(eps), 2D+1) whose row e holds the
-        bits of the entry at eps[e]."""
-        eps = np.asarray(eps, dtype=float)
-        s1, s2 = (np.asarray(s, dtype=complex)[..., None] for s in (eps, eps * eps))
-        e1, e2 = self.E1, self.E2
+        each entry summed in that order and at its own degree."""
+        s1, s2 = complex(eps), complex(eps * eps)
         return tuple(
             tuple(
-                poly_add(poly_add(_ONE if a == b else _ZERO, e1[a][b] * s1), e2[a][b] * s2)
+                poly_add(poly_add(_ONE if a == b else _ZERO, self.E1[a][b] * s1), self.E2[a][b] * s2)
                 for b in range(3)
             )
             for a in range(3)
@@ -172,39 +174,43 @@ def second_order_perturbation(cf: CoframeFamily) -> tuple:
     return tuple(tuple(_k_coefficient(cf.E1, cf.E2, a, b) for b in range(3)) for a in range(3))
 
 
-def positive_det(det: np.ndarray, eps: float, num_points: int) -> np.ndarray:
-    """det e on ``grid_points(num_points)`` from ``det``, its exact Fourier
-    coefficients. Raises SingularCoframeError unless every sample exceeds
-    1e-12, which a NaN sample does not."""
-    det_samples = as_real_samples(poly_on_grid(det, num_points), "det(coframe)")
-    bad = np.nonzero(~(det_samples > 1e-12))[0]
+def positive_det(det: np.ndarray, eps: float, num_points: int) -> None:
+    """Raise SingularCoframeError unless every sample of det e in ``det``, on
+    ``grid_points(num_points)``, exceeds 1e-12, which a NaN sample does not."""
+    bad = np.nonzero(~(det > 1e-12))[0]
     if bad.size:
         j = int(bad[0])
         raise SingularCoframeError(
-            f"coframe is singular at eps={eps}: det={det_samples[j]:.3e} "
+            f"coframe is singular at eps={eps}: det={det[j]:.3e} "
             f"at grid index {j} (x={grid_points(num_points)[j]:.6f})"
         )
-    return det_samples
 
 
-def require_resolved(hats, coframe, n: int) -> None:
+def coframe_tails(cf: CoframeFamily, eps: np.ndarray, n: int) -> np.ndarray:
+    """For each of the 1-d ``eps``, the largest |eps E1_k + eps^2 E2_k| at
+    |k| >= n/4, from the coefficients there alone: on n points such a
+    harmonic folds into the kept band, where no FFT tail shows it. A NaN
+    is kept."""
+    top = (n - 1) // 4  # the largest |k| below n/4
+    tails = np.zeros(len(eps))
+    for e1, e2 in zip(chain(*cf.E1), chain(*cf.E2)):
+        d = (max(e1.size, e2.size) - 1) // 2
+        for i, x in enumerate(eps if d > top else ()):
+            c = np.abs(poly_add(e1 * x, e2 * (x * x)))
+            tails[i] = np.max([tails[i], c[: d - top].max(), c[d + top + 1 :].max()])
+    return tails
+
+
+def require_resolved(hats, n: int, tail: float = 0.0) -> None:
     """Raise UnderResolvedError when ``hats``, FFTs over the last axis of
     samples on n points divided by n, leave a tail above ``ALIASING_LIMIT``
-    at |k| >= n/4, the band that sampling drops. A coframe harmonic past the
-    kept band folds back into it on the grid, where no tail shows it, so such
-    a coefficient of ``coframe``, entry coefficient arrays, counts as tail
-    too. Either may be empty: ``dirac_operators`` checks the coframe before it
-    builds anything from it, and the FFTs once it has them. A NaN in the
-    tail counts as a tail above the limit."""
+    at |k| >= n/4, the band that sampling drops, or when ``tail``, a coframe
+    tail from ``coframe_tails``, exceeds it. A NaN in the tail counts as a
+    tail above the limit."""
     top = (n - 1) // 4  # the largest |k| below n/4
     # FFT order: indices top+1 .. n-top-1 hold the frequencies |k| > top
-    tails = [np.max(np.abs(h[..., top + 1 : n - top]), initial=0.0) for h in hats]
-    entries = [c for row in coframe for c in row]
-    d = max(((c.size - 1) // 2 for c in entries), default=0)
-    if d > top:
-        coframe_hat = np.abs(np.array([resize_degree(c, d) for c in entries]))
-        tails += [coframe_hat[:, : d - top].max(), coframe_hat[:, d + top + 1 :].max()]
-    tail = np.max(tails, initial=0.0)  # np.max keeps a NaN, where max may drop it
+    tails = [tail] + [np.max(np.abs(h[..., top + 1 : n - top]), initial=0.0) for h in hats]
+    tail = np.max(tails)  # np.max keeps a NaN, where max may drop it
     if not tail <= ALIASING_LIMIT:
         raise UnderResolvedError(
             f"Fourier tail {tail:.2e} of the coefficients exceeds "
@@ -224,11 +230,11 @@ def arc_length(cf: CoframeFamily, eps: float) -> float:
     """
     coframe = cf.coframe_at(eps)
     n = default_grid(field_degree(coframe))
-    positive_det(det3(coframe), eps, n)
+    positive_det(as_real_samples(poly_on_grid(det3(coframe), n), "det(coframe)"), eps, n)
     g11_coeffs = matmul_entry(tuple(zip(*coframe)), coframe, 0, 0)
     g11 = as_real_samples(poly_on_grid(g11_coeffs, n), "g_11")
     if not np.all(g11 > 0):
         raise SingularCoframeError(f"g_11 not positive at eps={eps}")
     sqrt_g11 = np.sqrt(g11)
-    require_resolved((np.fft.fft(sqrt_g11) / n,), (), n)
+    require_resolved((np.fft.fft(sqrt_g11) / n,), n)
     return float(sqrt_g11.sum() * 2.0 * np.pi / n)

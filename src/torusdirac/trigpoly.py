@@ -2,9 +2,9 @@
 
 A trigonometric polynomial of degree D is f(x) = sum_{|k| <= D} c_k e^{ikx}.
 Every coefficient function in this package (metric entries, perturbation
-matrices, operator symbols, spinors) is held as such coefficients; only the
-frame is sampled, in ``dirac.dirac_operators``, and sqrt(g_11), in
-``geometry.arc_length``. ``resize_degree`` pads or cuts any array of
+matrices, operator symbols, spinors) is held as such coefficients; only
+E1 and E2 are sampled, in ``dirac.dirac_operators``, and det e and g_11,
+in ``geometry.arc_length``. ``resize_degree`` pads or cuts any array of
 coefficients centred on k = 0.
 
 Degrees in this artifact are small (<= ~24 for determinants and potential
@@ -125,15 +125,15 @@ def _ik(degree: int) -> np.ndarray:
 
 
 def poly_derivative(c: np.ndarray) -> np.ndarray:
-    """Coefficients of d/dx: c_k -> i k c_k."""
-    return _ik((c.size - 1) // 2) * c
+    """Coefficients of d/dx along the last axis: c_k -> i k c_k."""
+    return _ik((c.shape[-1] - 1) // 2) * c
 
 
 def poly_on_grid(c: np.ndarray, n: int) -> np.ndarray:
     """Values on ``grid_points(n)``; a stack (..., 2D+1) of coefficient
-    arrays gives (..., n), each row by its own matrix-vector product."""
+    arrays gives (..., n), by one matrix product with the phase table."""
     phases = _phases(n, (c.shape[-1] - 1) // 2)
-    return phases @ c if c.ndim == 1 else np.matmul(phases, c[..., None])[..., 0]
+    return phases @ c if c.ndim == 1 else c @ phases.T
 
 
 def _as_field(rows) -> tuple:

@@ -1,16 +1,21 @@
-"""The lean assembly path gives the bits of the reference formulas.
+"""The lean assembly path against the reference formulas.
 
 ``dirac_operators`` builds every eps's operator of a sweep in one pass, and
 ``dirac_operator`` is that pass over one eps; ``spectrum_sweep`` solves the
-pass's operators one eps at a time. The pass builds the coframe, det e and
-the potential numerator on bare coefficient arrays, and every operator of a
-pass must have the bits of the reference for its eps alone.
-``galerkin_matrix`` reads its blocks through
-strided views and symmetrizes in place, in row strips. The closed-form and
-operator routes build h, k, W1 and W2 on coefficient arrays and share W1 v_n.
-All must reproduce, byte for byte, the reference formulas in conftest: the
-same arithmetic spelled out entry by entry, and the ``sliding_window_view``
-gather. Signed zeros count, so eps = -0.0 and +0.0 are both covered.
+pass's operators one eps at a time. Every operator and spectrum of a pass
+must have the bits of the pass over its eps alone. The pass forms det e, the
+frame column and the potential pointwise from samples of E1 and E2, where
+the reference in conftest builds det e and the potential numerator in
+coefficient arithmetic and inverts the coframe samples: the two agree to
+rounding, within the bounds below.
+
+``galerkin_matrix`` reads its blocks through strided views and symmetrizes
+in place, in row strips. The closed-form and operator routes build h, k, W1
+and W2 on coefficient arrays and share W1 v_n. These, ``det3``,
+``matmul_entry`` and ``coframe_at`` must reproduce, byte for byte, the
+reference formulas in conftest: the same arithmetic spelled out entry by
+entry, and the ``sliding_window_view`` gather. Signed zeros count, so
+eps = -0.0 and +0.0 are both covered.
 """
 
 from __future__ import annotations
@@ -50,6 +55,12 @@ EPS_LISTS = (
 SWEEP_TRUNCATIONS = (3, 25, 40, 64)
 TRUNCATIONS = (0, 1, 3, 25, 40)  # 2m below and above the operator degree 63 at n = 256
 STRIP_TRUNCATIONS = (64, 100)  # orders 258 and 402: two and three row strips, the last one short
+# |pass - reference| bounds on the coefficients of B and p, and on the
+# eigenvalues relative to max(1, |lambda|): a few times the worst case
+# measured over the families and strategies of this file (see CHANGES.md)
+B_TOL = 2e-15
+P_TOL = 3e-17
+EIGENVALUE_TOL = 1e-12
 
 
 def _families(names):
@@ -63,32 +74,40 @@ ROUTE_FAMILIES = _families(sorted(path.stem for path in GOLDEN.glob("*.cfg")))
 COEFFICIENTS = ("lambda1_plus", "lambda1_minus", "lambda2_plus", "lambda2_minus")
 
 
-def assert_operator_bytes(cf: CoframeFamily, eps: float, n: int) -> None:
+def assert_operator_close(op: DiracOperator, cf: CoframeFamily, eps: float, n: int) -> None:
+    b_ref, p_ref = reference_operator_hats(cf, eps, n)
+    assert op.b_hat.shape == b_ref.shape and op.p_hat.shape == p_ref.shape
+    assert np.max(np.abs(op.b_hat - b_ref)) <= B_TOL, f"B^ differs at eps={eps!r}, n={n}"
+    assert np.max(np.abs(op.p_hat - p_ref)) <= P_TOL, f"p^ differs at eps={eps!r}, n={n}"
+
+
+def assert_operator_matches(cf: CoframeFamily, eps: float, n: int) -> None:
     coframe, ref = cf.coframe_at(eps), reference_coframe(cf, eps)
     assert all(same_bytes(coframe[a][b], ref[a][b]) for a in range(3) for b in range(3))
-    op = dirac_operator(cf, eps, n)
-    b_ref, p_ref = reference_operator_hats(cf, eps, n)
-    assert same_bytes(op.b_hat, b_ref), f"B^ differs at eps={eps!r}, n={n}"
-    assert same_bytes(op.p_hat, p_ref), f"p^ differs at eps={eps!r}, n={n}"
+    assert_operator_close(dirac_operator(cf, eps, n), cf, eps, n)
 
 
-def assert_sweep_operator_bytes(cf: CoframeFamily, eps_values, n: int) -> None:
+def assert_sweep_operator_matches(cf: CoframeFamily, eps_values, n: int) -> None:
     ops = dirac_operators(cf, eps_values, n)
     assert len(ops) == len(eps_values)
     for eps, op in zip(eps_values, ops):
-        b_ref, p_ref = reference_operator_hats(cf, eps, n)
-        assert same_bytes(op.b_hat, b_ref), f"B^ differs at eps={eps!r}, n={n}"
-        assert same_bytes(op.p_hat, p_ref), f"p^ differs at eps={eps!r}, n={n}"
+        alone = dirac_operator(cf, eps, n)
+        assert same_bytes(op.b_hat, alone.b_hat), f"B^ differs from one eps at eps={eps!r}, n={n}"
+        assert same_bytes(op.p_hat, alone.p_hat), f"p^ differs from one eps at eps={eps!r}, n={n}"
+        assert_operator_close(op, cf, eps, n)
 
 
-def assert_sweep_bytes(cf: CoframeFamily, eps_values, m: int) -> None:
+def assert_sweep_matches(cf: CoframeFamily, eps_values, m: int) -> None:
     reports = spectrum_sweep(cf, eps_values, m)
     assert [r.eps for r in reports] == [float(eps) for eps in eps_values]
     for eps, report in zip(eps_values, reports):
+        alone = np.linalg.eigvalsh(galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m).entries)
+        assert report.m == m and report.tracked == {}
+        assert same_bytes(report.eigenvalues, alone), f"eigenvalues differ from one eps at eps={eps!r}"
         op = DiracOperator(*reference_operator_hats(cf, eps, default_grid(m)))
         expected = np.linalg.eigvalsh(reference_galerkin(op, m)[0])
-        assert report.m == m and report.tracked == {}
-        assert same_bytes(report.eigenvalues, expected), f"eigenvalues differ at eps={eps!r}, m={m}"
+        drift = np.abs(report.eigenvalues - expected) / np.maximum(1.0, np.abs(expected))
+        assert np.max(drift) <= EIGENVALUE_TOL, f"eigenvalues differ at eps={eps!r}, m={m}"
 
 
 def assert_matrix_bytes(op, m: int) -> None:
@@ -119,20 +138,20 @@ def test_routes_match_reference(name):
 def test_operator_matches_reference(name):
     for eps in EPS_VALUES:
         for n in GRIDS:
-            assert_operator_bytes(FAMILIES[name], eps, n)
+            assert_operator_matches(FAMILIES[name], eps, n)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_operator_pass_matches_reference(name):
     for eps_values in EPS_LISTS:
         for n in GRIDS:
-            assert_sweep_operator_bytes(FAMILIES[name], eps_values, n)
+            assert_sweep_operator_matches(FAMILIES[name], eps_values, n)
 
 
 @pytest.mark.parametrize("m", SWEEP_TRUNCATIONS)
 @pytest.mark.parametrize("name", ["example-galerkin-1", "seeded-coframe-4", "cli-sweep-perturbation-2"])
 def test_sweep_matches_reference(name, m):
-    assert_sweep_bytes(FAMILIES[name], EPS_LISTS[-1], m)
+    assert_sweep_matches(FAMILIES[name], EPS_LISTS[-1], m)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -172,17 +191,17 @@ class TestRandomCoframes:
     @settings(max_examples=40)
     @given(st.one_of(COFRAMES, MIXED_COFRAMES), EPS_LIST, st.sampled_from(GRIDS))
     def test_operator_pass_matches_reference(self, cf, eps_values, n):
-        assert_sweep_operator_bytes(cf, eps_values, n)
+        assert_sweep_operator_matches(cf, eps_values, n)
 
     @settings(max_examples=15, deadline=None)
     @given(st.one_of(COFRAMES, MIXED_COFRAMES), EPS_LIST, st.sampled_from(SWEEP_TRUNCATIONS))
     def test_sweep_matches_reference(self, cf, eps_values, m):
-        assert_sweep_bytes(cf, eps_values, m)
+        assert_sweep_matches(cf, eps_values, m)
 
     @settings(max_examples=40)
     @given(MIXED_COFRAMES, SIGNED_EPS, st.sampled_from(GRIDS))
     def test_operator_matches_reference(self, cf, eps, n):
-        assert_operator_bytes(cf, eps, n)
+        assert_operator_matches(cf, eps, n)
 
     @settings(max_examples=25)
     @given(MIXED_COFRAMES, SIGNED_EPS, st.sampled_from(TRUNCATIONS))

@@ -1,11 +1,13 @@
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from torusdirac import (
+    CoframeFamily,
     ConfigError,
     NumericalContractError,
     PseudoinverseDomainError,
@@ -363,6 +365,20 @@ class TestCli:
         assert main([command, "--config", "example-galerkin-2"]) == 0
         assert passes == [calls]
 
+    @pytest.mark.parametrize("config", ["example-galerkin-2", "example-explicit-2"])
+    def test_one_family_per_command(self, config, monkeypatch, capsys):
+        # the family that parsing validated is the one the command runs on
+        built = []
+        post_init = CoframeFamily.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(CoframeFamily, "__post_init__", counting)
+        assert main(["fit", "--config", config]) == 0
+        assert len(built) == 1
+
     def test_eigensolver_failure_exit_code(self, monkeypatch, capsys):
         # LinAlgError subclasses ValueError but is a numerical failure
         def no_convergence(gm):
@@ -386,7 +402,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "numerical contract violation: det(coframe) has imaginary part nan" in captured.err
+        assert "numerical contract violation: coframe samples has imaginary part nan" in captured.err
 
     def test_overflowing_k_exits_3(self, tmp_path, capsys):
         # k = 4 E1^T E1 overflows: a numerical fault, not a configuration error
@@ -433,17 +449,46 @@ class TestCli:
         assert "Fourier tail 5.00e-02" in captured.err
 
     def test_out_of_band_harmonic_rejected_before_any_product(self, monkeypatch, tmp_path, capsys):
-        # det e of this coframe would have degree 60000, its phase table 1e8 values
-        def refuse(e):
-            raise AssertionError("det e built from an out-of-band coframe")
-
-        monkeypatch.setattr(dirac, "det3", refuse)
+        # sampled at full degree, this coframe's phase table would hold 256 * 40001
+        # values (a 315 MiB peak); the pass checks the coframe tail first and
+        # samples only the band |k| < n/4. Parsing validates all 40001
+        # coefficients, ~18 MiB, so the trace starts once the config is loaded;
+        # after it both commands peaked at ~2.5 MiB
         cfgfile = tmp_path / "band.cfg"
         cfgfile.write_text("coframe.E1.2.3 = (20000, 0.001, 0) (-20000, 0.001, 0)\n")
-        code = main(["dump-matrix", "--config", str(cfgfile), "--m", "3", "--eps", "0.1"])
+        flat = tmp_path / "flat.cfg"
+        flat.write_text("coframe.E1.1.1 = (0, 0, 0)\n")
+        load = cli.load_config_file
+
+        def load_then_trace(path):
+            cfg = load(path)
+            tracemalloc.start()
+            return cfg
+
+        def traced(eps: str) -> tuple[int, int]:
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "load_config_file", load_then_trace)
+                try:
+                    code = main(["dump-matrix", "--config", str(cfgfile), "--m", "3", "--eps", eps])
+                    return code, tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        def refuse(*args):
+            raise AssertionError("coframe sampled past a failing coframe tail")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dirac, "poly_on_grid", refuse)
+            code, peak = traced("0.1")
         captured = capsys.readouterr()
-        assert code == 3
+        assert code == 3 and peak <= 8 << 20
         assert "Fourier tail 1.00e-04" in captured.err
+        # at eps = 0 the tail is 0, and the band holds the flat coframe
+        code, peak = traced("0")
+        assert code == 0 and peak <= 8 << 20
+        out = capsys.readouterr().out
+        assert main(["dump-matrix", "--config", str(flat), "--m", "3", "--eps", "0"]) == 0
+        assert out == capsys.readouterr().out
 
     def test_large_real_coframe_is_accepted(self, tmp_path, capsys):
         # at eps = 1, det e ~ 1e9 carries an imaginary rounding part of 1.16e-10,

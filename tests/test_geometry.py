@@ -12,8 +12,8 @@ from torusdirac import (
     second_order_perturbation,
 )
 from torusdirac.dirac import symbol_matrix
-from torusdirac import geometry
-from torusdirac.geometry import as_real_samples, positive_det, require_resolved
+from torusdirac.geometry import as_real_samples, coframe_tails, positive_det, require_real_samples
+from torusdirac.geometry import require_resolved
 from torusdirac.trigpoly import grid_points, poly_add, poly_derivative, poly_sub, resize_degree
 
 from conftest import COS, IDENTITY, add, SIN, ZERO, ZERO_FIELD, const, entrywise, evaluate, isclose
@@ -116,16 +116,15 @@ class TestRealSamples:
             with pytest.raises(NumericalContractError, match="det has imaginary part"):
                 as_real_samples(values, "det")
 
-    def test_nan_fails_every_sampled_check(self, monkeypatch):
+    def test_nan_fails_every_sampled_check(self):
         # each check reads "not defect <= tol", which a NaN defect fails
         with pytest.raises(NumericalContractError, match="det has imaginary part nan"):
             as_real_samples(np.array([2.0, complex(1.0, np.nan)]), "det")
-        with pytest.raises(NumericalContractError, match="det.coframe. has imaginary part nan"):
-            positive_det(np.array([np.nan + 0j]), 0.1, 16)
+        with pytest.raises(NumericalContractError, match="coframe samples has imaginary part nan"):
+            require_real_samples(np.nan, 1.0, "coframe samples")
         # a real NaN sample of det e is a singular coframe
-        monkeypatch.setattr(geometry, "poly_on_grid", lambda c, n: np.full(n, complex(np.nan, 0.0)))
         with pytest.raises(SingularCoframeError, match="det=nan at grid index 0"):
-            positive_det(const(1.0), 0.1, 16)
+            positive_det(np.full(16, np.nan), 0.1, 16)
 
     def test_nan_tail_is_under_resolved(self):
         # max() over the tails keeps or drops a NaN by its position; both count
@@ -133,10 +132,14 @@ class TestRealSamples:
         tainted[8] = np.nan
         for hats in ((clean, tainted), (tainted, clean)):
             with pytest.raises(UnderResolvedError, match="tail nan"):
-                require_resolved(hats, (), 16)
-        coframe = m3([[COS(8, np.nan), 0.0, 0.0], [0.0] * 3, [0.0] * 3])
+                require_resolved(hats, 16)
+        # eps^2 overflows, and inf * 0 makes the E2 coefficients past the band NaN
+        cf = CoframeFamily(*(m3([[COS(8, a), 0.0, 0.0], [0.0] * 3, [0.0] * 3]) for a in (1.0, 0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tails = coframe_tails(cf, np.array([0.1, 1e200]), 16)
+        assert tails[0] == 0.05 and np.isnan(tails[1])
         with pytest.raises(UnderResolvedError, match="tail nan"):
-            require_resolved((clean,), coframe, 16)
+            require_resolved((clean,), 16, tails[1])
 
 
 class TestPerturbationExtraction:
