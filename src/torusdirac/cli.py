@@ -288,18 +288,19 @@ def main(argv=None) -> int:
             if args.m < 1:
                 raise ConfigError("m must be >= 1")
             cfg.m = args.m
-        if args.eps:
+        if args.eps is not None:
             cfg.eps_list = parse_eps_list(args.eps, "--eps")
-        if args.modes:
+        if args.modes is not None:
             cfg.modes = parse_numbers(args.modes, "--modes", int)
         _check_matrix_memory(cfg.m)
-        if args.command in ("galerkin", "fit"):
-            edge = cfg.m - gk.tracking_buffer(cfg.m)
-            for n in cfg.modes:
-                if abs(n) > edge:
-                    raise ConfigError(
-                        f"mode {n} is past the truncation edge: m={cfg.m} tracks |n| <= {edge}"
-                    )
+        # the modes each command tracks: asympt's galerkin_fit route tracks +-1
+        tracked = {"galerkin": cfg.modes, "fit": cfg.modes, "asympt": (1, -1)}
+        edge = cfg.m - gk.tracking_buffer(cfg.m)
+        for n in tracked.get(args.command, ()):
+            if abs(n) > edge:
+                raise ConfigError(
+                    f"mode {n} is past the truncation edge: m={cfg.m} tracks |n| <= {edge}"
+                )
         out_format = args.out or cfg.out_format
 
         tracking_failures: list[str] = []
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
         elif args.command == "asympt":
             text = cmd_asympt(cfg, out_format)
         elif args.command == "fit":
-            eps_grid = cfg.eps_list if args.eps else None
+            eps_grid = cfg.eps_list if args.eps is not None else None
             text = cmd_fit(cfg, out_format, order=args.order, eps_grid=eps_grid)
         else:
             text = cmd_dump_matrix(cfg)

@@ -28,8 +28,8 @@ and are built in coefficient arithmetic from h and k, entry coefficient
 arrays (see ``trigpoly``), by ``_first_order_operator`` and
 ``_second_order_operator``. The full operator is sampled, in
 ``dirac_operators(cf, eps_values, n)``, one pass over an eps-sweep: from
-one sample of E1 and E2 on n grid points it forms B and p of every eps
-pointwise, takes their FFT and keeps the frequencies |k| < n/4.
+``geometry._coframe_samples`` of every eps it forms B and p pointwise,
+takes their FFT and keeps the frequencies |k| < n/4.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ALIASING_LIMIT, CoframeFamily, NumericalContractError, coframe_tails
-from .geometry import positive_det, require_real_samples, require_resolved
-from .trigpoly import _ZERO, field_degree, matmul_entry, poly_add, poly_derivative
-from .trigpoly import poly_on_grid, poly_sub, resize_degree
+from .geometry import ALIASING_LIMIT, CoframeFamily, NumericalContractError, _coframe_samples
+from .geometry import coframe_tails, positive_det, require_real_samples, require_resolved
+from .trigpoly import _ZERO, matmul_entry, poly_add, poly_derivative, poly_sub, resize_degree
 
 
 def _spinor(c) -> np.ndarray:
@@ -148,11 +147,11 @@ def dirac_operators(cf: CoframeFamily, eps_values, n: int) -> list[DiracOperator
 
         p = sum_j (e^j_3 (e^j_2)' - e^j_2 (e^j_3)') / (4 sqrt(det g)),
 
-    with sqrt(det g) = det e. E1, E2 and their derivatives are sampled once,
-    from their harmonics |k| < n/4; every eps's coframe and derivative
-    samples come from those, and det e, the cofactors and the numerator of p
-    are formed on them pointwise. B and p take one FFT each, divided by n
-    and kept at |k| < n/4.
+    with sqrt(det g) = det e. Every eps's coframe and derivative samples,
+    det e and the cofactors come from ``geometry._coframe_samples``, one
+    sample of E1, E2 and their derivatives at the harmonics |k| < n/4; the
+    numerator of p is formed on them pointwise. B and p take one FFT each,
+    divided by n and kept at |k| < n/4.
 
     Raises what ``[dirac_operator(cf, eps, n) for eps in eps_values]``
     raises: the first failing eps, at its first failing check of the coframe
@@ -173,23 +172,8 @@ def dirac_operators(cf: CoframeFamily, eps_values, n: int) -> list[DiracOperator
 def _sampled_operators(cf: CoframeFamily, eps: np.ndarray, n: int) -> list[DiracOperator]:
     """``dirac_operators`` at the 1-d ``eps``, whose coframe tails passed."""
     top = (n - 1) // 4  # the largest |k| below n/4
-    d = min(field_degree((*cf.E1, *cf.E2)), top)
-    coeffs = np.array([[[resize_degree(c, d) for c in row] for row in f] for f in (cf.E1, cf.E2)])
-    # for E1 and for E2: entries (a, b), then the derivatives of entries (a, 1), (a, 2)
-    stack = np.concatenate([coeffs.reshape(2, 9, -1), poly_derivative(coeffs[:, :, 1:]).reshape(2, 6, -1)], 1)
-    samples = poly_on_grid(stack.reshape(30, -1), n).reshape(2, 15, n)
-    # (15, E, n), summed as coframe_at sums; held real, as the imaginary
-    # parts are at most |eps| |Im E1| + eps^2 |Im E2| of the samples
-    eps2 = eps * eps
-    values = samples.real[0, :, None] * eps[:, None]
-    values[[0, 4, 8]] += 1.0
-    values += samples.real[1, :, None] * eps2[:, None]
-    imag = np.abs(eps) * np.max(np.abs(samples[0].imag)) + eps2 * np.max(np.abs(samples[1].imag))
-    scale = np.fmax(values.max(axis=(0, 2)), -values.min(axis=(0, 2)))
-    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = values[:9].reshape(3, 3, *values.shape[1:])
-    d01, d02, d11, d12, d21, d22 = values[9:]
-    cofactors = np.array([e11 * e22 - e12 * e21, e02 * e21 - e01 * e22, e01 * e12 - e02 * e11])
-    det = e00 * cofactors[0] + e10 * cofactors[1] + e20 * cofactors[2]
+    values, imag, scale, cofactors, det = _coframe_samples(cf, eps, n)
+    _, e01, e02, _, e11, e12, _, e21, e22, d01, d02, d11, d12, d21, d22 = values
     num = (e02 * d01 - e01 * d02) + (e12 * d11 - e11 * d12) + (e22 * d21 - e21 * d22)
     with np.errstate(all="ignore"):  # det e may vanish at an eps that fails below
         b_hat = np.fft.fft(symbol_matrix(*(cofactors / det)), axis=-1) / n

@@ -252,27 +252,21 @@ def track_pair(report: SpectrumReport, n: int) -> tuple[float, float]:
 
 
 def spectrum_report(cf: CoframeFamily, eps: float, m: int, modes=()) -> SpectrumReport:
-    """Assemble, solve and track one eps point of a coframe family.
-
-    The solve checks the coframe: ``dirac_operator`` raises
-    SingularCoframeError or UnderResolvedError on the grid
-    ``default_grid(m)``, before any mode is tracked. Every mode
-    in ``modes`` is then tracked with ``track_pair``, so a mode without an
-    unambiguous eigenvalue pair raises TrackingError. Callers that must
-    report a singular eps ahead of a tracking failure at an earlier eps
-    solve every eps with ``modes=()`` first and track afterwards.
-    """
-    ev = eigenvalues(assemble(cf, eps, m))
-    report = SpectrumReport(eps=float(eps), m=m, eigenvalues=ev)
+    """``spectrum_sweep(cf, (eps,), m)[0]``, then every mode in ``modes``
+    tracked by ``track_pair``: the solve raises SingularCoframeError or
+    UnderResolvedError before any mode is tracked, and a mode without an
+    unambiguous eigenvalue pair raises TrackingError."""
+    report = spectrum_sweep(cf, (eps,), m)[0]
     for mode in modes:
         report.tracked[int(mode)] = track_pair(report, int(mode))[0]
     return report
 
 
 def spectrum_sweep(cf: CoframeFamily, eps_values, m: int) -> list[SpectrumReport]:
-    """``spectrum_report(cf, eps, m)`` for each of ``eps_values``, bit for
-    bit, with the operators from one ``dirac_operators`` pass, which raises
-    before any matrix is built; the matrices are solved one eps at a time."""
+    """The untracked spectra at ``eps_values`` on ``default_grid(m)``, from
+    one ``dirac_operators`` pass, which raises before any matrix is built,
+    each with the bits of the pass over its eps alone; the matrices are
+    solved one eps at a time."""
     ops = dirac_operators(cf, eps_values, default_grid(m))
     return [
         SpectrumReport(eps=float(eps), m=m, eigenvalues=eigenvalues(galerkin_matrix(op, m)))

@@ -3,9 +3,11 @@
 A family of coframes e(x^1; eps) = I + eps*E1(x^1) + eps^2*E2(x^1) determines
 the metric g = e^T e. All data depend on x^1 only, so each object reduces to
 matrix-valued functions on the circle, held as nested 3x3 tuples of entry
-coefficient arrays (see ``trigpoly``). Sampled steps share one grid rule,
-``default_grid``, and the checks ``require_real_samples``, ``positive_det``,
-``coframe_tails`` and ``require_resolved``.
+coefficient arrays (see ``trigpoly``). The coframe is sampled in one place,
+``_coframe_samples``, which the operator pass of ``dirac`` and
+``arc_length`` share; sampled steps share one grid rule, ``default_grid``,
+and the checks ``require_real_samples``, ``positive_det``, ``coframe_tails``
+and ``require_resolved``.
 """
 
 from __future__ import annotations
@@ -15,15 +17,11 @@ from itertools import chain
 
 import numpy as np
 
-from .trigpoly import _ZERO, COEFF_TOL, _as_field, det3, field_degree, grid_points
-from .trigpoly import matmul_entry, poly_add, poly_on_grid, poly_sub, stack_entries
+from .trigpoly import COEFF_TOL, _as_field, field_degree, grid_points, matmul_entry
+from .trigpoly import poly_add, poly_derivative, poly_on_grid, poly_sub, resize_degree
 
 #: Largest Fourier coefficient that sampling may drop at |k| >= n/4.
 ALIASING_LIMIT = 1e-9
-
-# coefficients of the identity's diagonal entries, shared read-only
-_ONE = np.ones(1, dtype=complex)
-_ONE.setflags(write=False)
 
 
 def default_grid(degree: int) -> int:
@@ -61,37 +59,37 @@ def require_real_samples(imag: float, scale: float, what: str) -> None:
         )
 
 
-def as_real_samples(values: np.ndarray, what: str) -> np.ndarray:
-    """The real part of the samples ``values``, after ``require_real_samples``."""
-    require_real_samples(float(np.max(np.abs(values.imag))), float(np.max(np.abs(values))), what)
-    return values.real
-
-
-def _require_real(entries, message: str) -> tuple[np.ndarray, float]:
+def _require_real(entries, message: str) -> float:
     """Raise ValueError(message) unless the 3x3 matrix of trig polynomials
-    whose entry coefficient arrays are ``entries`` is real-valued; return its
-    ``stack_entries`` stack and the tolerance.
+    whose entry coefficient arrays are ``entries`` is real-valued; return the
+    tolerance.
 
-    The defect |c_k - conj(c_-k)| is judged against ``COEFF_TOL`` times
-    max(1, largest |c_k|): rounding in the products that build the data
-    grows with the size of its entries, so data of magnitude up to 1 keep
-    the absolute tolerance and larger data a relative one.
+    The defect |c_k - conj(c_-k)|, of each entry at its own degree and all
+    in one reduction, is judged against ``COEFF_TOL`` times max(1, largest
+    |c_k|): rounding in the products that build the data grows with the
+    size of its entries, so data of magnitude up to 1 keep the absolute
+    tolerance and larger data a relative one.
     """
-    stack = stack_entries(entries, field_degree(entries))
-    tol = COEFF_TOL * max(1.0, float(np.max(np.abs(stack))))
-    if not np.all(np.abs(stack - np.conj(stack[::-1])) <= tol):
+    flat = np.concatenate([c for row in entries for c in row])
+    mirror = np.concatenate([np.conj(c[::-1]) for row in entries for c in row])
+    tol = COEFF_TOL * max(1.0, float(np.max(np.abs(flat))))
+    if not np.all(np.abs(flat - mirror) <= tol):
         raise ValueError(message)
-    return stack, tol
+    return tol
 
 
 def require_sym_real(entries, name: str) -> None:
     """Raise ValueError unless the 3x3 matrix of trig polynomials whose entry
     coefficient arrays are ``entries`` is real-valued and symmetric, both
     judged at the tolerance of ``_require_real``: the symmetry defect is
-    |c_k(a, b) - c_k(b, a)|.
+    |c_k(a, b) - c_k(b, a)| over all nine (a, b), each pair at its larger
+    degree, so an infinite diagonal coefficient (defect inf - inf) fails.
     """
-    stack, tol = _require_real(entries, f"{name} must be real-valued")
-    if not np.all(np.abs(stack - np.swapaxes(stack, 1, 2)) <= tol):
+    tol = _require_real(entries, f"{name} must be real-valued")
+    pairs = [(a, b, max(entries[a][b].size, entries[b][a].size) // 2) for a in range(3) for b in range(3)]
+    x = np.concatenate([resize_degree(entries[a][b], d) for a, b, d in pairs])
+    xt = np.concatenate([resize_degree(entries[b][a], d) for a, b, d in pairs])
+    if not np.all(np.abs(x - xt) <= tol):
         raise ValueError(f"{name} must be symmetric")
 
 
@@ -133,18 +131,6 @@ class CoframeFamily:
             for a in range(3)
         ]
         return cls(E1, E2)
-
-    def coframe_at(self, eps: float) -> tuple:
-        """Entry coefficient arrays of the coframe I + eps*E1 + eps^2*E2,
-        each entry summed in that order and at its own degree."""
-        s1, s2 = complex(eps), complex(eps * eps)
-        return tuple(
-            tuple(
-                poly_add(poly_add(_ONE if a == b else _ZERO, self.E1[a][b] * s1), self.E2[a][b] * s2)
-                for b in range(3)
-            )
-            for a in range(3)
-        )
 
 
 def _k_coefficient(e1, e2, a: int, b: int) -> np.ndarray:
@@ -218,21 +204,49 @@ def require_resolved(hats, n: int, tail: float = 0.0) -> None:
         )
 
 
+def _coframe_samples(cf: CoframeFamily, eps: np.ndarray, n: int):
+    """The coframe e = I + eps*E1 + eps^2*E2 on ``grid_points(n)`` at each
+    of the 1-d ``eps``, from one sample of E1, E2 and their derivatives at
+    the harmonics |k| < n/4: ``(values, imag, scale, cofactors, det)``.
+
+    ``values`` (15, E, n) holds the real entries e^j_a at index 3j + a, then
+    the derivatives of entries (j, 1), (j, 2); ``imag`` and ``scale`` (E,)
+    are the arguments of ``require_real_samples``; ``cofactors`` (3, E, n)
+    are those of the first column, and ``det`` (E, n) is det e.
+    """
+    d = min(field_degree((*cf.E1, *cf.E2)), (n - 1) // 4)
+    coeffs = np.array([[[resize_degree(c, d) for c in row] for row in f] for f in (cf.E1, cf.E2)])
+    # for E1 and for E2: entries (a, b), then the derivatives of entries (a, 1), (a, 2)
+    stack = np.concatenate([coeffs.reshape(2, 9, -1), poly_derivative(coeffs[:, :, 1:]).reshape(2, 6, -1)], 1)
+    samples = poly_on_grid(stack.reshape(30, -1), n).reshape(2, 15, n)
+    # held real: the imaginary parts dropped are at most |eps| |Im E1| + eps^2 |Im E2|
+    eps2 = eps * eps
+    values = samples.real[0, :, None] * eps[:, None]
+    values[[0, 4, 8]] += 1.0
+    values += samples.real[1, :, None] * eps2[:, None]
+    imag = np.abs(eps) * np.max(np.abs(samples[0].imag)) + eps2 * np.max(np.abs(samples[1].imag))
+    scale = np.fmax(values.max(axis=(0, 2)), -values.min(axis=(0, 2)))
+    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = values[:9].reshape(3, 3, *values.shape[1:])
+    cofactors = np.array([e11 * e22 - e12 * e21, e02 * e21 - e01 * e22, e01 * e12 - e02 * e11])
+    det = e00 * cofactors[0] + e10 * cofactors[1] + e20 * cofactors[2]
+    return values, imag, scale, cofactors, det
+
+
 def arc_length(cf: CoframeFamily, eps: float) -> float:
     """Length of the x^1 coordinate circle: int_0^2pi sqrt(g_11) dx^1.
 
     Trapezoidal quadrature on ``default_grid`` of the coframe degree, exact
-    to rounding once ``require_resolved`` passes on sqrt(g_11). Only g_11 =
-    sum_c e^c_1 e^c_1, entry (0, 0) of e^T e, is built; like
-    ``dirac_operator`` it raises SingularCoframeError when det e is not
-    strictly positive on the grid. The grid keeps every coframe harmonic in
-    band, so only the tail of sqrt(g_11) is checked.
+    to rounding once ``require_resolved`` passes on sqrt(g_11). It checks the
+    ``_coframe_samples`` as the operator pass does, so det e must be strictly
+    positive (else SingularCoframeError), and forms only g_11 = sum_j
+    (e^j_1)^2 from them. The grid keeps every coframe harmonic in band, so
+    only the tail of sqrt(g_11) is checked.
     """
-    coframe = cf.coframe_at(eps)
-    n = default_grid(field_degree(coframe))
-    positive_det(as_real_samples(poly_on_grid(det3(coframe), n), "det(coframe)"), eps, n)
-    g11_coeffs = matmul_entry(tuple(zip(*coframe)), coframe, 0, 0)
-    g11 = as_real_samples(poly_on_grid(g11_coeffs, n), "g_11")
+    n = default_grid(field_degree((*cf.E1, *cf.E2)))
+    values, imag, scale, _, det = _coframe_samples(cf, np.array([eps], dtype=float), n)
+    require_real_samples(imag[0], scale[0], "coframe samples")
+    positive_det(det[0], eps, n)
+    g11 = values[0, 0] ** 2 + values[3, 0] ** 2 + values[6, 0] ** 2
     if not np.all(g11 > 0):
         raise SingularCoframeError(f"g_11 not positive at eps={eps}")
     sqrt_g11 = np.sqrt(g11)

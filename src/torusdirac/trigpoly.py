@@ -3,13 +3,12 @@
 A trigonometric polynomial of degree D is f(x) = sum_{|k| <= D} c_k e^{ikx}.
 Every coefficient function in this package (metric entries, perturbation
 matrices, operator symbols, spinors) is held as such coefficients; only
-E1 and E2 are sampled, in ``dirac.dirac_operators``, and det e and g_11,
-in ``geometry.arc_length``. ``resize_degree`` pads or cuts any array of
-coefficients centred on k = 0.
+E1 and E2 are sampled, by the one coframe sampler of ``geometry`` that the
+operator pass and ``arc_length`` share. ``resize_degree`` pads or cuts any
+array of coefficients centred on k = 0.
 
-Degrees in this artifact are small (<= ~24 for determinants and potential
-numerators), so coefficients are stored as a dense array over k = -D..D and
-products are computed by direct convolution.
+Degrees in this artifact are small, so coefficients are stored as a dense
+array over k = -D..D and products are computed by direct convolution.
 
 A function is its 1-d array of coefficients, ``c[k + D]`` holding c_k, and a
 3x3 matrix of functions (a coframe, h, k) is nested 3x3 tuples of such
@@ -17,8 +16,8 @@ arrays, ``e[a][b]`` for entry (a, b), each at its own degree. ``_as_field``
 brings any nested 3x3 sequence of arrays or scalars to that form. The
 arithmetic is module-level functions on the arrays: ``poly_add``/``poly_sub``
 (pad both operands to the larger degree, then add), ``np.convolve`` for
-products, ``poly_derivative``, ``poly_on_grid``, ``det3``, ``matmul_entry``
-and ``stack_entries``. Results keep their bits only while the order of
+products, ``poly_derivative``, ``poly_on_grid``, ``matmul_entry`` and
+``stack_entries``. Results keep their bits only while the order of
 operations holds:
 
 * each operand keeps its own length. Padding everything to one degree before
@@ -30,20 +29,14 @@ operations holds:
   same bits.
 
 Evaluation on the uniform grid ``grid_points(n)`` goes through
-``poly_on_grid``, which multiplies the coefficients by columns -D..D of one
-read-only phase table e^{ikx_j} per grid size, built by the direct formula
-``np.exp(1j * np.multiply.outer(x, k))``; it is rebuilt wider when a higher
-degree is asked for. The tables kept hold at most ``PHASE_TABLE_BYTES``
-together, the least recently used one is dropped first, and a table larger
-than the budget is used once and not kept. A table holds n*(2D+1) complex
-values: at most ~1.3 MB for the grids and degrees used here (n <= 1616,
-D <= 24), so the budget keeps every grid size of a run.
+``poly_on_grid``, which multiplies the coefficients by the phase table
+e^{ikx_j}, k = -D..D, built on each call by the direct formula
+``np.exp(1j * np.multiply.outer(x, k))``. It runs once per sampled pass, so
+no table is kept across calls and none needs a lock.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -51,15 +44,9 @@ import numpy as np
 #: Coefficient tolerance of the realness and symmetry checks, for data up to 1.
 COEFF_TOL = 1e-12
 
-#: Total bytes of the phase tables kept across grid sizes.
-PHASE_TABLE_BYTES = 4 << 20
-
 # coefficients of the zero polynomial, shared read-only
 _ZERO = np.zeros(1, dtype=complex)
 _ZERO.setflags(write=False)
-
-_phase_tables: OrderedDict[int, np.ndarray] = OrderedDict()
-_phase_lock = threading.Lock()
 
 
 @lru_cache(maxsize=8)
@@ -68,25 +55,6 @@ def grid_points(n: int) -> np.ndarray:
     x = 2.0 * np.pi * np.arange(n) / n
     x.setflags(write=False)
     return x
-
-
-def _phases(n: int, degree: int) -> np.ndarray:
-    """Read-only (n, 2*degree+1) view of e^{ikx_j}, k = -degree..degree."""
-    with _phase_lock:
-        table = _phase_tables.get(n)
-        if table is None or table.shape[1] < 2 * degree + 1:
-            k = np.arange(-degree, degree + 1)
-            table = np.exp(1j * np.multiply.outer(grid_points(n), k))
-            table.setflags(write=False)
-            if table.nbytes <= PHASE_TABLE_BYTES:
-                _phase_tables[n] = table
-                _phase_tables.move_to_end(n)
-                while sum(t.nbytes for t in _phase_tables.values()) > PHASE_TABLE_BYTES:
-                    _phase_tables.popitem(last=False)
-        else:
-            _phase_tables.move_to_end(n)
-    top = (table.shape[1] - 1) // 2
-    return table[:, top - degree : top + degree + 1]
 
 
 def resize_degree(coeffs: np.ndarray, degree: int) -> np.ndarray:
@@ -132,7 +100,8 @@ def poly_derivative(c: np.ndarray) -> np.ndarray:
 def poly_on_grid(c: np.ndarray, n: int) -> np.ndarray:
     """Values on ``grid_points(n)``; a stack (..., 2D+1) of coefficient
     arrays gives (..., n), by one matrix product with the phase table."""
-    phases = _phases(n, (c.shape[-1] - 1) // 2)
+    degree = (c.shape[-1] - 1) // 2
+    phases = np.exp(1j * np.multiply.outer(grid_points(n), np.arange(-degree, degree + 1)))
     return phases @ c if c.ndim == 1 else c @ phases.T
 
 
@@ -177,15 +146,3 @@ def stack_entries(entries, degree: int) -> np.ndarray:
     whose element [m + degree] holds the coefficients at harmonic m."""
     return np.moveaxis(np.array([[resize_degree(c, degree) for c in row] for row in entries]), -1, 0)
 
-
-def det3(e) -> np.ndarray:
-    """Coefficients of the determinant of a 3x3 matrix of trig polynomials,
-    ``e[a][b]`` the coefficient array of entry (a, b); exact in coefficient
-    arithmetic, expanded along the first row."""
-    conv = np.convolve
-    minor0 = poly_sub(conv(e[1][1], e[2][2]), conv(e[1][2], e[2][1]))
-    minor1 = poly_sub(conv(e[1][0], e[2][2]), conv(e[1][2], e[2][0]))
-    minor2 = poly_sub(conv(e[1][0], e[2][1]), conv(e[1][1], e[2][0]))
-    return poly_add(
-        poly_sub(conv(e[0][0], minor0), conv(e[0][1], minor1)), conv(e[0][2], minor2)
-    )

@@ -19,6 +19,7 @@ from torusdirac import (
     dirac,
     dirac_operator,
     galerkin,
+    geometry,
     load_example,
     parse_config,
 )
@@ -305,6 +306,16 @@ class TestCli:
         assert code == 2
         assert "at least one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["galerkin", "fit"])
+    @pytest.mark.parametrize("option", ["--modes", "--eps"])
+    def test_empty_override_string_is_config_error(self, command, option, capsys):
+        # an empty string is an empty list, not an absent option
+        code = main([command, "--config", "example-galerkin-1", option, ""])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option}: expected at least one number" in captured.err
+
     @pytest.mark.parametrize(
         "command,eps", [("galerkin", "0.1,1.0"), ("fit", "0.5,1.0,0.02,0.03,0.04,0.05")]
     )
@@ -326,6 +337,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "mode 30 is past the truncation edge" in captured.err
+
+    def test_asympt_past_truncation_edge_is_config_error(self, capsys):
+        # the galerkin_fit route of asympt tracks modes +-1; m = 1 tracks |n| <= 0
+        code = main(["asympt", "--config", "example-galerkin-1", "--m", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mode 1 is past the truncation edge: m=1 tracks |n| <= 0" in captured.err
 
     @pytest.mark.parametrize("command", ["galerkin", "fit", "asympt", "dump-matrix"])
     def test_matrix_past_memory_bound_is_config_error(self, command, monkeypatch, capsys):
@@ -451,23 +470,26 @@ class TestCli:
     def test_out_of_band_harmonic_rejected_before_any_product(self, monkeypatch, tmp_path, capsys):
         # sampled at full degree, this coframe's phase table would hold 256 * 40001
         # values (a 315 MiB peak); the pass checks the coframe tail first and
-        # samples only the band |k| < n/4. Parsing validates all 40001
-        # coefficients, ~18 MiB, so the trace starts once the config is loaded;
-        # after it both commands peaked at ~2.5 MiB
+        # samples only the band |k| < n/4. Parsing checks each entry's
+        # realness at its own degree, so the load holds little more than the
+        # 40001 coefficients: it peaked at 4.0 MiB, where padding all nine
+        # entries to that degree took 18.3 MiB
         cfgfile = tmp_path / "band.cfg"
         cfgfile.write_text("coframe.E1.2.3 = (20000, 0.001, 0) (-20000, 0.001, 0)\n")
         flat = tmp_path / "flat.cfg"
         flat.write_text("coframe.E1.1.1 = (0, 0, 0)\n")
         load = cli.load_config_file
+        load_peaks = []
 
-        def load_then_trace(path):
+        def traced_load(path):
             cfg = load(path)
-            tracemalloc.start()
+            load_peaks.append(tracemalloc.get_traced_memory()[1])
             return cfg
 
         def traced(eps: str) -> tuple[int, int]:
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "load_config_file", load_then_trace)
+                patch.setattr(cli, "load_config_file", traced_load)
+                tracemalloc.start()
                 try:
                     code = main(["dump-matrix", "--config", str(cfgfile), "--m", "3", "--eps", eps])
                     return code, tracemalloc.get_traced_memory()[1]
@@ -478,7 +500,7 @@ class TestCli:
             raise AssertionError("coframe sampled past a failing coframe tail")
 
         with monkeypatch.context() as patch:
-            patch.setattr(dirac, "poly_on_grid", refuse)
+            patch.setattr(geometry, "poly_on_grid", refuse)
             code, peak = traced("0.1")
         captured = capsys.readouterr()
         assert code == 3 and peak <= 8 << 20
@@ -489,6 +511,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert main(["dump-matrix", "--config", str(flat), "--m", "3", "--eps", "0"]) == 0
         assert out == capsys.readouterr().out
+        assert len(load_peaks) == 2 and max(load_peaks) <= 6 << 20
 
     def test_large_real_coframe_is_accepted(self, tmp_path, capsys):
         # at eps = 1, det e ~ 1e9 carries an imaginary rounding part of 1.16e-10,

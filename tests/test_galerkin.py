@@ -204,15 +204,22 @@ class TestOperatorPass:
     )
     def test_pass_runs_no_inverse_or_convolution(self, cf, eps_values, monkeypatch):
         # every eps comes from one sample of E1 and E2: no frame is inverted,
-        # and no coframe, det e or numerator is built in coefficients
+        # no coframe, det e or numerator is built in coefficients, and the
+        # grid is evaluated once per pass
         def refuse(*args, **kwargs):
             raise AssertionError("the operator pass built a coframe, det e or inverse per eps")
 
+        samples = []
+
+        def sample_once(c, n):
+            if samples:
+                raise AssertionError("the operator pass sampled the coframe twice")
+            samples.append(n)
+            return trigpoly.poly_on_grid(c, n)
+
         monkeypatch.setattr(np.linalg, "inv", refuse)
         monkeypatch.setattr(np, "convolve", refuse)
-        monkeypatch.setattr(trigpoly, "det3", refuse)
-        monkeypatch.setattr(geometry, "det3", refuse)
-        monkeypatch.setattr(CoframeFamily, "coframe_at", refuse)
+        monkeypatch.setattr(geometry, "poly_on_grid", sample_once)
         try:
             assert len(dirac_operators(cf, eps_values, 256)) == len(eps_values)
         except NumericalContractError:

@@ -537,7 +537,8 @@ class TestOperatorRouteIsGridFree:
 
         monkeypatch.setattr(np.fft, "fft", refuse)
         monkeypatch.setattr(np.fft, "ifft", refuse)
-        monkeypatch.setattr(trigpoly, "_phases", refuse)
+        monkeypatch.setattr(trigpoly, "poly_on_grid", refuse)
+        monkeypatch.setattr(geometry, "poly_on_grid", refuse)
         cfg = load_example("example-explicit-2")
         report = perturbation_report(cfg.family(), "operator")
         assert report.lambda1_plus == pytest.approx(-0.5, abs=1e-15)

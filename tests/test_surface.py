@@ -68,6 +68,14 @@ DELETED = [
     "perturbation.second_correction_operator",
     "perturbation._check_sign",
     "perturbation.PerturbationReport.fit_order",
+    "geometry.CoframeFamily.coframe_at",
+    "geometry.as_real_samples",
+    "geometry._ONE",
+    "trigpoly.det3",
+    "trigpoly._phases",
+    "trigpoly._phase_tables",
+    "trigpoly._phase_lock",
+    "trigpoly.PHASE_TABLE_BYTES",
 ]
 
 # names that left the top level but stay importable from their modules

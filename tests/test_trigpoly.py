@@ -1,17 +1,12 @@
-import sys
-import threading
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 
-from torusdirac import CoframeFamily, arc_length, trigpoly
 from torusdirac.config import _parse_poly
 from torusdirac.geometry import require_sym_real
 from torusdirac.trigpoly import COEFF_TOL, _as_field, grid_points, matmul_entry, poly_derivative
 from torusdirac.trigpoly import poly_on_grid, resize_degree, stack_entries
 
-from conftest import COS, SIN, ZERO, ZERO_FIELD, IDENTITY, add, const, degree, evaluate
+from conftest import COS, SIN, ZERO, IDENTITY, add, const, degree, evaluate
 from conftest import field_fourier, fourier, isclose, m3, matmul, on_grid, random_symmetric_field
 from conftest import sample, transpose
 
@@ -171,6 +166,28 @@ class TestMatrix3Field:
         require_sym_real(a, "a")
         assert isclose(transpose(a), a)
 
+    def test_sym_real_judges_mixed_degrees_as_padded(self):
+        # each entry is checked at its own degree, each pair at its larger one,
+        # with the verdicts of zero-padding all nine entries to one degree
+        def field(**entries):
+            rows = [[ZERO] * 3 for _ in range(3)]
+            for key, c in entries.items():
+                rows[int(key[1])][int(key[2])] = c
+            return m3(rows)
+
+        require_sym_real(field(e01=COS(1), e10=resize_degree(COS(1), 5), e22=const(2.0)), "a")
+        off = resize_degree(COS(1), 5).copy()
+        off[0] = off[-1] = 1e-6  # cos 5x in entry (1, 0) only
+        inf = resize_degree(const(1.0), 2).copy()
+        inf[0] = np.inf  # an infinite diagonal harmonic: its defect inf - inf is NaN
+        nan = COS(1).copy()
+        nan[0] = np.nan
+        for a, message in ((field(e01=COS(1), e10=off), "a must be symmetric"),
+                           (field(e11=inf), "a must be symmetric"),
+                           (field(e02=nan, e20=nan), "a must be real-valued")):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+                require_sym_real(a, "a")
+
     def test_matmul_matches_pointwise(self):
         rng = np.random.default_rng(7)
         a = random_symmetric_field(rng)
@@ -182,98 +199,30 @@ class TestMatrix3Field:
 
 
 class TestGridEvaluation:
-    """``poly_on_grid`` reads a cached phase table; it must give the bits of
-    the direct formula that ``evaluate`` uses."""
-
-    @pytest.fixture
-    def fresh_tables(self, monkeypatch):
-        tables = OrderedDict()
-        monkeypatch.setattr(trigpoly, "_phase_tables", tables)
-        return tables
+    """``poly_on_grid`` must give the bits of the direct formula that
+    ``evaluate`` uses."""
 
     @pytest.mark.parametrize("n", [64, 256, 416])
-    def test_matches_direct_formula_bitwise(self, n, fresh_tables):
+    def test_matches_direct_formula_bitwise(self, n):
         rng = np.random.default_rng(n)
         x = grid_points(n)
-        # mixed order, so the table is rebuilt wider part way through
         for degree in rng.permutation(31):
             coeffs = rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)
             k = np.arange(-degree, degree + 1)
             direct = np.exp(1j * np.multiply.outer(x, k)) @ coeffs
             fast = poly_on_grid(coeffs, n)
             assert np.array_equal(fast.view(np.uint64), direct.view(np.uint64))
-        assert fresh_tables[n].shape == (n, 61)
 
-    def test_matrix_field_on_grid_matches_sample(self, fresh_tables):
+    def test_matrix_field_on_grid_matches_sample(self):
         field = random_symmetric_field(np.random.default_rng(3), degree=4)
         n = 128
         assert np.array_equal(
             on_grid(field, n).view(np.uint64), sample(field, grid_points(n)).view(np.uint64)
         )
 
-    def test_table_bytes_are_bounded(self, fresh_tables, monkeypatch):
-        # COS(3) reads 7 columns, so the table of n points holds 7 * 16 * n bytes
-        monkeypatch.setattr(trigpoly, "PHASE_TABLE_BYTES", 7 * 16 * (80 + 96 + 112))
-        for n in [32, 48, 64, 80, 96, 112]:
-            poly_on_grid(COS(3), n)
-        assert list(fresh_tables) == [80, 96, 112]
-        poly_on_grid(COS(3), 80)  # most recent again
-        poly_on_grid(COS(3), 16)  # evicts the least recently used table, of 96 points
-        assert list(fresh_tables) == [112, 80, 16]
-
-    def test_table_over_budget_is_used_but_not_kept(self, fresh_tables, monkeypatch):
-        monkeypatch.setattr(trigpoly, "PHASE_TABLE_BYTES", 7 * 16 * 64)
-        poly_on_grid(COS(3), 64)
-        values = poly_on_grid(COS(3), 128)
-        assert list(fresh_tables) == [64]
-        x = grid_points(128)
-        assert np.array_equal(values.view(np.uint64), evaluate(COS(3), x).view(np.uint64))
-
-    def test_high_harmonic_arc_length_keeps_no_table_over_budget(self, fresh_tables):
-        # g_11 of this coframe has degree 512: its table on the 2064-point
-        # grid holds 2064 * 1025 complex values, 34 MB
-        E1 = m3([[COS(256, 0.5), 0, 0], [0, 0, 0], [0, 0, 0]])
-        length = arc_length(CoframeFamily(E1, ZERO_FIELD), 0.1)
-        assert length == pytest.approx(2.0 * np.pi, abs=1e-12)
-        assert sum(t.nbytes for t in fresh_tables.values()) <= trigpoly.PHASE_TABLE_BYTES
-
-    def test_grid_and_table_are_read_only(self, fresh_tables):
+    def test_grid_is_read_only(self):
         with pytest.raises(ValueError):
             grid_points(64)[0] = 1.0
-        poly_on_grid(COS(2), 64)
-        with pytest.raises(ValueError):
-            fresh_tables[64][0, 0] = 0.0
-
-    def test_concurrent_growth_and_eviction(self, fresh_tables, monkeypatch):
-        # a budget of four widest tables of 64 points, below the six sizes
-        # used, and more threads than that, each growing tables in its own order
-        monkeypatch.setattr(trigpoly, "PHASE_TABLE_BYTES", 4 * 64 * 25 * 16)
-        rng = np.random.default_rng(5)
-        polys = [rng.normal(size=2 * d + 1) + 0j for d in range(13)]
-        sizes = [24, 32, 40, 48, 56, 64]
-        expected = {(n, d): evaluate(p, grid_points(n)) for n in sizes for d, p in enumerate(polys)}
-        errors = []
-
-        def worker(seed):
-            order = np.random.default_rng(seed)
-            for _ in range(150):
-                n, d = int(order.choice(sizes)), int(order.integers(13))
-                if not np.array_equal(poly_on_grid(polys[d], n), expected[n, d]):
-                    errors.append((n, d))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert sum(t.nbytes for t in fresh_tables.values()) <= trigpoly.PHASE_TABLE_BYTES
 
     def test_padding_matches_np_pad(self):
         f = add(COS(1, 0.3), SIN(1, -0.7))
