@@ -28,7 +28,7 @@ from .config import (
     parse_eps_list,
     parse_numbers,
 )
-from .geometry import NumericalContractError, arc_length
+from .geometry import NumericalContractError, _arc_lengths
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -82,18 +82,17 @@ def cmd_galerkin(cfg: RunConfig, out_format: str) -> tuple[str, list[str]]:
     header = ["eps"]
     for n in cfg.modes:
         header += [f"mode_{n}", f"gap_{n}"]
-    rows = []
-    failures = []
-    for eps, report in zip(cfg.eps_list, gk.spectrum_sweep(family, cfg.eps_list, cfg.m)):
-        row = [num(eps)]
-        for n in cfg.modes:
-            try:
-                mean, gap = gk.track_pair(report, n)
-                row += [num(mean), num(gap)]
-            except gk.TrackingError as exc:
-                row += ["nan", "nan"]
-                failures.append(f"eps={eps:g} mode={n}: {exc}")
-        rows.append(row)
+    reports = gk.spectrum_sweep(family, cfg.eps_list, cfg.m)
+    means, gaps, errors = gk.track_pairs(reports, cfg.modes)
+    rows = [
+        [num(eps)] + [
+            "nan" if (e, i) in errors else num(value)
+            for i in range(len(cfg.modes)) for value in (means[e, i], gaps[e, i])
+        ]
+        for e, eps in enumerate(cfg.eps_list)
+    ]
+    # in row order, as ``track_pairs`` keys them
+    failures = [f"eps={cfg.eps_list[e]:g} mode={cfg.modes[i]}: {err}" for (e, i), err in errors.items()]
     return _render_table(header, rows, out_format), failures
 
 
@@ -131,9 +130,8 @@ def cmd_asympt(cfg: RunConfig, out_format: str) -> str:
         out_format,
     )
     eps_probe = 1e-4
-    measured_slope = (arc_length(family, eps_probe) - arc_length(family, -eps_probe)) / (
-        2 * eps_probe
-    )
+    plus, minus = _arc_lengths(family, np.array([eps_probe, -eps_probe]))
+    measured_slope = (plus - minus) / (2 * eps_probe)
     extras = [
         f"asymmetry2 = {num(closed.asymmetry2)}",
         f"arc_length_slope_predicted = {num(np.pi * (-2.0 * closed.lambda1_plus))}",
@@ -231,8 +229,7 @@ def _check_matrix_memory(m: int) -> None:
     """Raise ConfigError when the dense complex Galerkin matrix of truncation
     m, 16 * (2(2m+1))^2 bytes, would take more than a quarter of physical
     memory; checked before any grid or matrix is allocated. A solve holds
-    about two such matrices: the matrix, which ``galerkin_matrix``
-    symmetrizes in place in row strips, and ``eigvalsh``'s working copy."""
+    about two such matrices: the matrix and ``eigvalsh``'s working copy."""
     memory = _physical_memory()
     size = 16 * (2 * (2 * m + 1)) ** 2
     if memory is not None and 4 * size > memory:

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ALIASING_LIMIT, CoframeFamily, NumericalContractError, _coframe_samples
-from .geometry import coframe_tails, positive_det, require_real_samples, require_resolved
+from .geometry import ALIASING_LIMIT, DET_FLOOR, CoframeFamily, NumericalContractError, fft_tail
+from .geometry import _coframe_samples, coframe_tails, positive_det, real_samples
+from .geometry import require_real_samples, require_resolved
 from .trigpoly import _ZERO, matmul_entry, poly_add, poly_derivative, poly_sub, resize_degree
 
 
@@ -69,6 +70,26 @@ def symbol_matrix(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
     return np.array([[a3, a1 - 1j * a2], [a1 + 1j * a2, -a3]])
 
 
+def _contract_checks(b: np.ndarray, p: np.ndarray):
+    """The contracts of ``DiracOperator`` over stacks b (..., 2, 2, 2L+1) and
+    p (..., 2L+1), in order: ``(fails, message, value)``, ``fails`` True at
+    each operator that fails and ``message.format(value[i])`` its error."""
+    # B^ = (B^)^H entry by entry at k and -k: the defect of entry (1, 0)
+    # mirrors that of (0, 1), and the diagonal ones are realness defects
+    herm = np.abs(b - np.conj(b.swapaxes(-3, -2)[..., ::-1])).max(axis=(-3, -2, -1))
+    b_tol = 1e-10 * np.fmax(1.0, np.abs(b).max(axis=(-3, -2, -1)))
+    trace = np.abs(b[..., 0, 0, :] + b[..., 1, 1, :]).max(axis=-1)
+    # a complex potential signals an index error upstream
+    p_scale = np.fmax(1.0, np.abs(p).max(axis=-1))
+    p_imag = np.abs(p - np.conj(p[..., ::-1])).max(axis=-1)
+    # each check reads "not defect <= tol", which a NaN defect fails
+    return (
+        (~(herm <= b_tol), "symbol matrix not Hermitian: residual {:.2e}", herm),
+        (~(trace <= b_tol), "symbol matrix not trace-free: residual {:.2e}", trace),
+        (~(p_imag <= 1e-12 * p_scale), "potential has nonreal part above 1e-12 * {:.3e}", p_scale),
+    )
+
+
 @dataclass(frozen=True)
 class DiracOperator:
     """First order operator v -> -(i/2)(B v' + (B v)') + p v, held as the
@@ -88,26 +109,23 @@ class DiracOperator:
         p = np.array(self.p_hat, dtype=complex, order="C")
         if b.ndim != 3 or b.shape[:2] != (2, 2) or b.shape[2] % 2 == 0 or p.shape != b.shape[2:]:
             raise ValueError("inconsistent symbol/potential shapes")
-        # B^ = (B^)^H entry by entry at k and -k: the defect of entry (1, 0)
-        # mirrors that of (0, 1), and the diagonal ones are realness defects
-        herm = float(np.abs(b - np.conj(b.swapaxes(0, 1)[..., ::-1])).max())
-        b_scale = max(1.0, float(np.abs(b).max()))
-        # each check reads "not defect <= tol", which a NaN defect fails
-        if not herm <= 1e-10 * b_scale:
-            raise NumericalContractError(f"symbol matrix not Hermitian: residual {herm:.2e}")
-        trace = np.abs(b[0, 0] + b[1, 1]).max()
-        if not trace <= 1e-10 * b_scale:
-            raise NumericalContractError(f"symbol matrix not trace-free: residual {trace:.2e}")
-        # a complex potential signals an index error upstream
-        p_scale = max(1.0, float(np.abs(p).max()))
-        if not np.abs(p - np.conj(p[::-1])).max() <= 1e-12 * p_scale:
-            raise NumericalContractError(
-                f"potential has nonreal part above 1e-12 * {p_scale:.3e}"
-            )
-        b.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "b_hat", b)
-        object.__setattr__(self, "p_hat", p)
+        for fails, message, value in _contract_checks(b, p):
+            if fails:
+                raise NumericalContractError(message.format(value))
+        self._hold(b, p)
+
+    @classmethod
+    def _checked(cls, b: np.ndarray, p: np.ndarray) -> "DiracOperator":
+        """The operator on C-ordered complex ``b`` and ``p`` that passed
+        ``_contract_checks``, built without running them again."""
+        op = object.__new__(cls)
+        op._hold(b, p)
+        return op
+
+    def _hold(self, b: np.ndarray, p: np.ndarray) -> None:
+        for name, coeffs in (("b_hat", b), ("p_hat", p)):
+            coeffs.setflags(write=False)
+            object.__setattr__(self, name, coeffs)
 
     @property
     def degree(self) -> int:
@@ -170,7 +188,9 @@ def dirac_operators(cf: CoframeFamily, eps_values, n: int) -> list[DiracOperator
 
 
 def _sampled_operators(cf: CoframeFamily, eps: np.ndarray, n: int) -> list[DiracOperator]:
-    """``dirac_operators`` at the 1-d ``eps``, whose coframe tails passed."""
+    """``dirac_operators`` at the 1-d ``eps``, whose coframe tails passed. The
+    checks run once over the stacks; the first eps that fails one is checked
+    again alone, in order, which raises its first failure."""
     top = (n - 1) // 4  # the largest |k| below n/4
     values, imag, scale, cofactors, det = _coframe_samples(cf, eps, n)
     _, e01, e02, _, e11, e12, _, e21, e22, d01, d02, d11, d12, d21, d22 = values
@@ -179,13 +199,18 @@ def _sampled_operators(cf: CoframeFamily, eps: np.ndarray, n: int) -> list[Dirac
         b_hat = np.fft.fft(symbol_matrix(*(cofactors / det)), axis=-1) / n
         p_hat = np.fft.fft(num / (4.0 * det), axis=-1) / n
     kept = np.arange(-top, top + 1) % n  # FFT indices of the frequencies |k| < n/4
-    ops = []
-    for e, x in enumerate(eps):
+    # (E, 2, 2, 2L+1) and (E, 2L+1): each eps's operator is a C-ordered block
+    b, p = np.ascontiguousarray(np.moveaxis(b_hat[..., kept], 2, 0)), p_hat[:, kept]
+    tails = np.maximum(fft_tail(b_hat, n, (0, 1, 3)), fft_tail(p_hat, n, 1))
+    fails = ~real_samples(imag, scale) | ~(det > DET_FLOOR).all(axis=1) | ~(tails <= ALIASING_LIMIT)
+    for breached, _, _ in _contract_checks(b, p):
+        fails |= breached
+    for e in np.flatnonzero(fails)[:1]:
         require_real_samples(imag[e], scale[e], "coframe samples")
-        positive_det(det[e], x, n)
-        ops.append(DiracOperator(b_hat[:, :, e, kept], p_hat[e, kept]))
-        require_resolved((b_hat[:, :, e], p_hat[e]), n)
-    return ops
+        positive_det(det[e], eps[e], n)
+        DiracOperator(b[e], p[e])
+        require_resolved((), n, tails[e])
+    return [DiracOperator._checked(b[e], p[e]) for e in range(eps.size)]
 
 
 # The two builders below take h and k as entry coefficient arrays, ``h[a][b]``

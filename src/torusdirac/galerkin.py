@@ -8,7 +8,9 @@ symbol B and the potential p that the operator holds: the matrix is a gather
 of those coefficients, never built by applying the operator to the basis.
 The basis couples only through the finitely many harmonics of the
 coefficient functions, so interior eigenvalues converge extremely fast in m.
-Every eps-sweep of the package goes through ``spectrum_sweep``.
+B^ and p^ are made exactly Hermitian before the gather, so the matrix is
+Hermitian by construction. Every eps-sweep of the package goes through
+``spectrum_sweep``; ``track_pairs`` tracks all (eps, mode) cells of one.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .trigpoly import resize_degree
 
 PAIRING_TOL = 1e-8
 CLUSTER_RADIUS = 0.4
-# bytes of one row strip in the in-place symmetrization of a Galerkin matrix
-_STRIP_BYTES = 1 << 20
 
 
 class TrackingError(NumericalContractError):
@@ -61,11 +61,11 @@ class GalerkinMatrix:
 
     Rows are indexed by (i, kind) with i = -m..m and the v row preceding the
     w row within each i: (i, v) is row 2(i + m) and (i, w) the next one.
-    ``herm_residual`` is the max-norm Hermiticity defect of the closed-form
-    entries before symmetrization. The closed form is Hermitian by
-    construction, so it measures floating-point rounding only, ~1e-16 of the
-    largest entry; grid resolution is checked on the Fourier tail of the
-    operator instead.
+    ``herm_residual`` is the max-norm Hermiticity defect of the data the
+    matrix gathers, |B^(k) - B^(-k)^H| and |p^(k) - conj(p^(-k))| at
+    |k| <= 2m, before ``galerkin_matrix`` makes them exactly Hermitian: the
+    rounding in the operator, ~1e-16 of its largest coefficient. Grid
+    resolution is checked on the Fourier tail of the operator instead.
     """
 
     m: int
@@ -94,10 +94,10 @@ def _hankel(c: np.ndarray, w: int, s_r: int, s_col: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _weights(m: int) -> np.ndarray:
-    """0.25 * q for q = -2m..2m (cached, read-only):
+    """0.25 * q for q = -2m..2m, complex (cached, read-only):
     ``_hankel(_weights(m), 2m+1, s_r, -s_col)[r, col]`` is the weight
     0.25 * (s_r i_r + s_col i_col) of entry (r, col) of a Galerkin block."""
-    q = 0.25 * np.arange(-2 * m, 2 * m + 1)
+    q = 0.25 * np.arange(-2 * m, 2 * m + 1, dtype=complex)
     q.setflags(write=False)
     return q
 
@@ -113,68 +113,33 @@ def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
                                  + p^(q_r - q_col)) u_col.
 
     The entries read B^ and p^ at frequencies -2m..2m, zero past the
-    operator's degree, through strided Hankel views: no block is gathered
-    into a copy, and each is multiplied straight into the matrix, by weights
-    (q_r + q_col)/4 copied from one cached array per m. The result
-    is symmetrized in place by ``_symmetrize``, in row strips, so the call
-    peaks at about 1.5 matrices of memory (the matrix and a few strips of
-    ``_STRIP_BYTES``), not the 3.6 of an out-of-place 0.5 * (H + H^H).
+    operator's degree, made exactly Hermitian once, in O(m), as
+    (c(k) + c(-k)^H)/2. The sandwich u_r^T B^ u_col is summed in pairs that
+    trade places under the adjoint, so every entry equals the conjugate of
+    its mirror entry under ``==``. Each block is written in place from
+    strided Hankel views, the cached weights (q_r + q_col)/4 times the
+    sandwich plus p^; the (w, v) block is the adjoint of the (v, w) block.
     """
     # frequencies -2m..2m, so that _hankel(c, w, 1, -1)[i_r + m, i_col + m]
     # is c at frequency i_r + i_col
     b_hat, p_hat = resize_degree(op.b_hat, 2 * m), resize_degree(op.p_hat, 2 * m)
+    b_adjoint, p_adjoint = np.conj(b_hat.swapaxes(0, 1)[..., ::-1]), np.conj(p_hat[::-1])
+    residual = np.maximum(np.abs(b_hat - b_adjoint).max(), np.abs(p_hat - p_adjoint).max())
+    (b00, b01), (b10, b11) = 0.5 * (b_hat + b_adjoint)
+    p_hat = 0.5 * (p_hat + p_adjoint)
     w = 2 * m + 1
     weights = _weights(m)
     entries = np.empty((w, 2, w, 2), dtype=complex)
     # u = (s, 1) and q = s*i, with s = +1 for v_i and -1 for w_i
-    for a, s_r in enumerate((1, -1)):
-        for b, s_col in enumerate((1, -1)):
-            sandwich = (
-                s_r * s_col * b_hat[0, 0] + s_r * b_hat[0, 1] + s_col * b_hat[1, 0] + b_hat[1, 1]
-            )
-            # reversing an axis negates its i: frequency s_r*i_r - s_col*i_col
-            block = entries[:, a, :, b]
-            # a contiguous copy, where the strided view left 2.8 MB more of
-            # glibc's heap resident over the truncation ladder (peak RSS +4%)
-            weight = np.ascontiguousarray(_hankel(weights, w, s_r, -s_col))
-            np.multiply(weight, _hankel(sandwich, w, s_r, s_col), out=block)
-            if a == b:  # u_r^T u_col is 2 within a kind and 0 across kinds
-                np.add(block, _hankel(p_hat, w, s_r, s_col), out=block)
-    entries = entries.reshape(2 * w, 2 * w)
-    residual = _symmetrize(entries)
-    return GalerkinMatrix(m=m, entries=entries, herm_residual=residual)
-
-
-def _symmetrize(entries: np.ndarray) -> float:
-    """Replace the square ``entries`` E by 0.5 * (E + E^H) in place and
-    return max |E - E^H|, with the bits of the out-of-place formulas.
-
-    The rows go in strips of ``_STRIP_BYTES``. Each strip does its diagonal
-    block, then its strictly lower part and the mirrored upper part, both
-    adjoints copied before either is written. Every entry is computed as
-    (E[r, c] + conj(E[c, r])) * 0.5, in that operand order: mirroring the
-    lower result into the upper triangle would flip signed zeros. The upper
-    part's defect is not computed, since |x - conj(y)| = |y - conj(x)| bit
-    for bit.
-    """
-    n = entries.shape[0]
-    rows = max(1, _STRIP_BYTES // (n * entries.itemsize))
-    defects = []
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        diagonal = entries[i0:i1, i0:i1]
-        adjoint = diagonal.conj().T
-        defects.append(np.max(np.abs(diagonal - adjoint)))
-        np.add(diagonal, adjoint, out=diagonal)
-        np.multiply(0.5, diagonal, out=diagonal)
-        if i0:
-            lower, upper = entries[i0:i1, :i0], entries[:i0, i0:i1]
-            lower_adjoint, upper_adjoint = upper.conj().T, lower.conj().T
-            defects.append(np.max(np.abs(lower - lower_adjoint)))
-            for block, adjoint in ((lower, lower_adjoint), (upper, upper_adjoint)):
-                np.add(block, adjoint, out=block)
-                np.multiply(0.5, block, out=block)
-    return float(np.max(defects))
+    for a, b, s_r, s_col in ((0, 0, 1, 1), (0, 1, 1, -1), (1, 1, -1, -1)):
+        sandwich = (s_r * s_col * b00 + b11) + (s_r * b01 + s_col * b10)
+        # reversing an axis negates its i: frequency s_r*i_r - s_col*i_col
+        block = entries[:, a, :, b]
+        np.multiply(_hankel(weights, w, s_r, -s_col), _hankel(sandwich, w, s_r, s_col), out=block)
+        if a == b:  # u_r^T u_col is 2 within a kind and 0 across kinds
+            np.add(block, _hankel(p_hat, w, s_r, s_col), out=block)
+    np.conjugate(entries[:, 0, :, 1].T, out=entries[:, 1, :, 0])
+    return GalerkinMatrix(m=m, entries=entries.reshape(2 * w, 2 * w), herm_residual=float(residual))
 
 
 def assemble(cf: CoframeFamily, eps: float, m: int) -> GalerkinMatrix:
@@ -209,46 +174,65 @@ class SpectrumReport:
         ]
 
 
+# the TrackingError of each rule of ``track_pairs``, in the order they are checked
+_TRACKING_ERRORS = (
+    "mode {n} too close to truncation edge for m={report.m}",
+    f"no eigenvalue pair within {CLUSTER_RADIUS} of mode {{n}} at eps={{report.eps}}: nearest {{pair}}",
+    f"third eigenvalue {{third[0]}} within {CLUSTER_RADIUS} of mode {{n}} at eps={{report.eps}}, "
+    "next to the pair {pair}: crossing pairs",
+    "eigenvalues {pair} nearest mode {n} at eps={report.eps} are {gap:.2e} apart, more than the "
+    f"pairing tolerance {PAIRING_TOL:.0e}",
+)
+
+
 def tracking_buffer(m: int) -> int:
     return math.ceil(m / 5)
 
 
 def track_pair(report: SpectrumReport, n: int) -> tuple[float, float]:
-    """Mean and gap of the two eigenvalues nearest the integer mode n.
+    """Mean and gap of the two eigenvalues nearest the integer mode n, by the
+    rules of ``track_pairs``; raises TrackingError where they fail."""
+    means, gaps, failures = track_pairs([report], [n])
+    if failures:
+        raise failures[0, 0]
+    return float(means[0, 0]), float(gaps[0, 0])
 
-    Requires |n| <= m - ceil(m/5) to stay clear of truncation-edge pollution,
-    both cluster members within 0.4 of n, the third-nearest eigenvalue
-    farther than 0.4 from n, and a gap of at most 1e-8: charge conjugation
-    pairs every eigenvalue exactly, so a wider gap means the two nearest
-    eigenvalues belong to different pairs, and a third eigenvalue inside the
-    cluster radius means two pairs are crossing near n.
+
+def track_pairs(reports, modes) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Mean and gap of the two eigenvalues nearest each integer mode n of
+    ``modes`` in each of ``reports``, every cell at once: (means, gaps,
+    failures), (E, M) arrays and the TrackingError of each failing cell by
+    (row, column), in row order. A cell requires, in this order, |n| <= m -
+    ceil(m/5), clear of truncation-edge pollution; both of the pair within
+    0.4 of n; the third-nearest eigenvalue farther; a gap of at most 1e-8.
+    Charge conjugation pairs every eigenvalue exactly, so a wider gap means
+    the two belong to different pairs, and a third eigenvalue within 0.4
+    means two pairs cross near n.
     """
-    if abs(n) > report.m - tracking_buffer(report.m):
-        raise TrackingError(
-            f"mode {n} too close to truncation edge for m={report.m}"
-        )
-    ev = report.eigenvalues
-    dist = np.abs(ev - n)
+    modes = list(modes)
+    if not reports:
+        return np.zeros((0, len(modes))), np.zeros((0, len(modes))), {}
+    ev = np.array([report.eigenvalues for report in reports])
+    n = np.array(modes, dtype=float)[:, None]
+    dist = np.abs(ev[:, None, :] - n)  # (E, M, N)
     # the three nearest, in order of distance
-    nearest = np.argpartition(dist, range(min(3, dist.size)))[:3]
-    pair = ev[nearest[:2]]
-    if np.max(np.abs(pair - n)) > CLUSTER_RADIUS:
-        raise TrackingError(
-            f"no eigenvalue pair within {CLUSTER_RADIUS} of mode {n} at "
-            f"eps={report.eps}: nearest {pair}"
-        )
-    if nearest.size > 2 and dist[nearest[2]] <= CLUSTER_RADIUS:
-        raise TrackingError(
-            f"third eigenvalue {ev[nearest[2]]} within {CLUSTER_RADIUS} of mode {n} "
-            f"at eps={report.eps}, next to the pair {pair}: crossing pairs"
-        )
-    gap = float(abs(pair[1] - pair[0]))
-    if gap > PAIRING_TOL:
-        raise TrackingError(
-            f"eigenvalues {pair} nearest mode {n} at eps={report.eps} are "
-            f"{gap:.2e} apart, more than the pairing tolerance {PAIRING_TOL:.0e}"
-        )
-    return float(pair.mean()), gap
+    nearest = np.argpartition(dist, range(min(3, ev.shape[1])), axis=-1)
+    rows = np.arange(len(reports))[:, None, None]
+    pairs, thirds = ev[rows, nearest[..., :2]], ev[rows, nearest[..., 2:3]]
+    gaps = np.abs(pairs[..., 1] - pairs[..., 0])
+    edges = np.array([report.m - tracking_buffer(report.m) for report in reports])
+    rules = (
+        np.abs(n.T) > edges[:, None],
+        np.abs(pairs - n).max(axis=-1) > CLUSTER_RADIUS,
+        (np.abs(thirds - n) <= CLUSTER_RADIUS).any(axis=-1),
+        gaps > PAIRING_TOL,
+    )
+    failures = {}
+    for e, i in zip(*np.nonzero(np.logical_or.reduce(rules))):
+        rule = next(j for j, failed in enumerate(rules) if failed[e, i])
+        cell = dict(n=modes[i], report=reports[e], pair=pairs[e, i], third=thirds[e, i], gap=gaps[e, i])
+        failures[int(e), int(i)] = TrackingError(_TRACKING_ERRORS[rule].format(**cell))
+    return (pairs[..., 0] + pairs[..., 1]) / 2, gaps, failures  # the bits of pair.mean()
 
 
 def spectrum_report(cf: CoframeFamily, eps: float, m: int, modes=()) -> SpectrumReport:

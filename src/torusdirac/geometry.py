@@ -7,7 +7,7 @@ coefficient arrays (see ``trigpoly``). The coframe is sampled in one place,
 ``_coframe_samples``, which the operator pass of ``dirac`` and
 ``arc_length`` share; sampled steps share one grid rule, ``default_grid``,
 and the checks ``require_real_samples``, ``positive_det``, ``coframe_tails``
-and ``require_resolved``.
+and ``require_resolved``, whose verdicts also judge a whole eps-sweep at once.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import numpy as np
 from .trigpoly import COEFF_TOL, _as_field, field_degree, grid_points, matmul_entry
 from .trigpoly import poly_add, poly_derivative, poly_on_grid, poly_sub, resize_degree
 
-#: Largest Fourier coefficient that sampling may drop at |k| >= n/4.
-ALIASING_LIMIT = 1e-9
+#: Largest Fourier coefficient that sampling may drop at |k| >= n/4, and
+#: the smallest sample of det e that counts as nonsingular.
+ALIASING_LIMIT, DET_FLOOR = 1e-9, 1e-12
 
 
 def default_grid(degree: int) -> int:
@@ -49,11 +50,15 @@ class UnderResolvedError(NumericalContractError):
     """Grid too coarse for the Fourier tail of a sampled function."""
 
 
+def real_samples(imag, scale):
+    """Where ``imag``, the largest imaginary part of samples, is at most 1e-10 *
+    max(1, ``scale``), their largest |value|: rounding grows with the data."""
+    return imag <= 1e-10 * np.fmax(1.0, scale)
+
+
 def require_real_samples(imag: float, scale: float, what: str) -> None:
-    """Raise NumericalContractError when ``imag``, the largest imaginary part
-    of samples, is NaN or exceeds 1e-10 * max(1, ``scale``), their largest
-    |value|: rounding grows with the size of the data."""
-    if not imag <= 1e-10 * max(1.0, scale):
+    """Raise NumericalContractError unless ``real_samples(imag, scale)``."""
+    if not real_samples(imag, scale):
         raise NumericalContractError(
             f"{what} has imaginary part {imag:.2e}; expected real data"
         )
@@ -162,8 +167,8 @@ def second_order_perturbation(cf: CoframeFamily) -> tuple:
 
 def positive_det(det: np.ndarray, eps: float, num_points: int) -> None:
     """Raise SingularCoframeError unless every sample of det e in ``det``, on
-    ``grid_points(num_points)``, exceeds 1e-12, which a NaN sample does not."""
-    bad = np.nonzero(~(det > 1e-12))[0]
+    ``grid_points(num_points)``, exceeds ``DET_FLOOR``, which NaN does not."""
+    bad = np.nonzero(~(det > DET_FLOOR))[0]
     if bad.size:
         j = int(bad[0])
         raise SingularCoframeError(
@@ -187,16 +192,19 @@ def coframe_tails(cf: CoframeFamily, eps: np.ndarray, n: int) -> np.ndarray:
     return tails
 
 
-def require_resolved(hats, n: int, tail: float = 0.0) -> None:
-    """Raise UnderResolvedError when ``hats``, FFTs over the last axis of
-    samples on n points divided by n, leave a tail above ``ALIASING_LIMIT``
-    at |k| >= n/4, the band that sampling drops, or when ``tail``, a coframe
-    tail from ``coframe_tails``, exceeds it. A NaN in the tail counts as a
-    tail above the limit."""
+def fft_tail(hat: np.ndarray, n: int, axis=None):
+    """Largest |coefficient| over ``axis`` (default all) of ``hat``, FFTs of
+    samples on n points divided by n, at |k| >= n/4; a NaN is kept."""
     top = (n - 1) // 4  # the largest |k| below n/4
     # FFT order: indices top+1 .. n-top-1 hold the frequencies |k| > top
-    tails = [tail] + [np.max(np.abs(h[..., top + 1 : n - top]), initial=0.0) for h in hats]
-    tail = np.max(tails)  # np.max keeps a NaN, where max may drop it
+    return np.max(np.abs(hat[..., top + 1 : n - top]), axis=axis, initial=0.0)
+
+
+def require_resolved(hats, n: int, tail: float = 0.0) -> None:
+    """Raise UnderResolvedError when ``tail``, a coframe tail from
+    ``coframe_tails``, or the ``fft_tail`` of one of ``hats`` (the band that
+    sampling drops) exceeds ``ALIASING_LIMIT``, or is NaN."""
+    tail = np.max([tail] + [fft_tail(h, n) for h in hats])  # np.max keeps a NaN
     if not tail <= ALIASING_LIMIT:
         raise UnderResolvedError(
             f"Fourier tail {tail:.2e} of the coefficients exceeds "
@@ -236,19 +244,27 @@ def arc_length(cf: CoframeFamily, eps: float) -> float:
     """Length of the x^1 coordinate circle: int_0^2pi sqrt(g_11) dx^1.
 
     Trapezoidal quadrature on ``default_grid`` of the coframe degree, exact
-    to rounding once ``require_resolved`` passes on sqrt(g_11). It checks the
-    ``_coframe_samples`` as the operator pass does, so det e must be strictly
-    positive (else SingularCoframeError), and forms only g_11 = sum_j
-    (e^j_1)^2 from them. The grid keeps every coframe harmonic in band, so
-    only the tail of sqrt(g_11) is checked.
+    to rounding once ``require_resolved`` passes on sqrt(g_11), from the
+    ``_coframe_samples`` checked as the operator pass checks them (det e > 0,
+    else SingularCoframeError), with g_11 = sum_j (e^j_1)^2. The grid keeps
+    every coframe harmonic in band, so only the tail of sqrt(g_11) is checked.
     """
+    return _arc_lengths(cf, np.array([eps], dtype=float))[0]
+
+
+def _arc_lengths(cf: CoframeFamily, eps: np.ndarray) -> list[float]:
+    """``arc_length`` at each of the 1-d ``eps``, from one ``_coframe_samples``,
+    with the bits of one call per eps; each eps is checked in turn."""
     n = default_grid(field_degree((*cf.E1, *cf.E2)))
-    values, imag, scale, _, det = _coframe_samples(cf, np.array([eps], dtype=float), n)
-    require_real_samples(imag[0], scale[0], "coframe samples")
-    positive_det(det[0], eps, n)
-    g11 = values[0, 0] ** 2 + values[3, 0] ** 2 + values[6, 0] ** 2
-    if not np.all(g11 > 0):
-        raise SingularCoframeError(f"g_11 not positive at eps={eps}")
-    sqrt_g11 = np.sqrt(g11)
-    require_resolved((np.fft.fft(sqrt_g11) / n,), n)
-    return float(sqrt_g11.sum() * 2.0 * np.pi / n)
+    values, imag, scale, _, det = _coframe_samples(cf, eps, n)
+    lengths = []
+    for e, x in enumerate(eps):
+        require_real_samples(imag[e], scale[e], "coframe samples")
+        positive_det(det[e], x, n)
+        g11 = values[0, e] ** 2 + values[3, e] ** 2 + values[6, e] ** 2
+        if not np.all(g11 > 0):
+            raise SingularCoframeError(f"g_11 not positive at eps={x}")
+        sqrt_g11 = np.sqrt(g11)
+        require_resolved((np.fft.fft(sqrt_g11) / n,), n)
+        lengths.append(float(sqrt_g11.sum() * 2.0 * np.pi / n))
+    return lengths

@@ -45,7 +45,7 @@ from .dirac import (
     _spinor,
     inner,
 )
-from .galerkin import basis_spinor, spectrum_sweep, track_pair
+from .galerkin import basis_spinor, spectrum_sweep, track_pairs
 from .geometry import (
     CoframeFamily,
     NumericalContractError,
@@ -335,17 +335,17 @@ def fit_expansion(
     n + c_1 eps + ... + c_order eps^order.
 
     One ``spectrum_sweep`` over the grid, default ``default_fit_grid(order)``,
-    serves all modes. Every eps is solved before any mode is tracked, so a
-    singular coframe anywhere on the grid is reported ahead of a tracking
-    failure at an earlier eps. Returns the fits by mode.
+    serves all modes, and one ``track_pairs`` tracks every (eps, mode) cell
+    of it. Every eps is solved before any mode is tracked, so a singular
+    coframe anywhere on the grid is reported ahead of a tracking failure at
+    an earlier eps; the first failing cell in (eps, mode) row order raises.
+    Returns the fits by mode.
     """
     grid = default_fit_grid(order) if eps_grid is None else np.asarray(eps_grid, float)
-    reports = spectrum_sweep(cf, grid, m)
-    means = [[track_pair(r, n)[0] for n in modes] for r in reports]
-    return {
-        n: fit_from_values(n, grid, [row[i] - n for row in means], order)
-        for i, n in enumerate(modes)
-    }
+    means, _, failures = track_pairs(spectrum_sweep(cf, grid, m), modes)
+    if failures:
+        raise next(iter(failures.values()))
+    return {n: fit_from_values(n, grid, means[:, i] - n, order) for i, n in enumerate(modes)}
 
 
 # ----------------------------------------------------------------------
@@ -387,13 +387,7 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
         h11_mean = _mean(h[0][0]).real
         l1 = [float(-n * 0.5 * h11_mean) for n in (1, -1)]
         l2 = _second_corrections_closed(h, k00)
-        return PerturbationReport(
-            route=route,
-            lambda1_plus=l1[0],
-            lambda1_minus=l1[1],
-            lambda2_plus=l2[0],
-            lambda2_minus=l2[1],
-        )
+        return PerturbationReport(route, *l1, *l2)
     if route == "operator":
         # each check, operator and first-order block once: h, l1(+1), l1(-1),
         # then k, l2(+1), l2(-1), so a bad h fails before k is built
@@ -410,22 +404,11 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
         w2 = _second_order_operator(h, k)
         truncation = field_degree(h) + 4
         l2 = {n: _second_order_term(w1, w2, w1v[n], l1[n], n, truncation) for n in (1, -1)}
-        return PerturbationReport(
-            route=route,
-            lambda1_plus=l1[1],
-            lambda1_minus=l1[-1],
-            lambda2_plus=l2[1],
-            lambda2_minus=l2[-1],
-        )
+        return PerturbationReport(route, l1[1], l1[-1], l2[1], l2[-1])
     if route == "galerkin_fit":
         # the quartic grid: on the 6-point quadratic one, fits fail the residual check
         fits = fit_expansion(cf, (1, -1), default_fit_grid(4), order=2, m=m)
-        return PerturbationReport(
-            route=route,
-            lambda1_plus=float(fits[1].coefficients[0]),
-            lambda1_minus=float(fits[-1].coefficients[0]),
-            lambda2_plus=float(fits[1].coefficients[1]),
-            lambda2_minus=float(fits[-1].coefficients[1]),
-        )
+        values = (float(fits[n].coefficients[j]) for j in (0, 1) for n in (1, -1))
+        return PerturbationReport(route, *values)  # l1(+1), l1(-1), l2(+1), l2(-1)
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 

@@ -1,6 +1,6 @@
 """Shared fixtures: the four reference perturbation families, helpers, and the
-reference formulas that the lean operator and matrix assembly and the lean
-coefficient routes must match bit for bit.
+reference formulas that the lean operator and matrix assembly, the lean
+coefficient routes and the sweep-wide pair tracking must match.
 
 Functions of x^1 are coefficient arrays and 3x3 matrices of them are nested
 tuples of arrays, as in the package. The helpers below spell the arithmetic
@@ -21,7 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from torusdirac import CoframeFamily, DiracOperator
 from torusdirac.dirac import inner, symbol_matrix
-from torusdirac.galerkin import basis_spinor
+from torusdirac.galerkin import CLUSTER_RADIUS, PAIRING_TOL, TrackingError, basis_spinor
+from torusdirac.galerkin import tracking_buffer
 from torusdirac.perturbation import _antisymmetric_flux_sum
 from torusdirac.trigpoly import COEFF_TOL, _as_field, field_degree, poly_add, poly_derivative
 from torusdirac.trigpoly import poly_on_grid, poly_sub, resize_degree, stack_entries
@@ -346,9 +347,13 @@ def reference_operator_hats(cf: CoframeFamily, eps: float, n: int):
 
 
 def reference_galerkin(op: DiracOperator, m: int) -> tuple[np.ndarray, float]:
-    """(entries, herm_residual) of ``galerkin_matrix(op, m)``, gathering each
-    block through ``sliding_window_view`` and symmetrizing out of place."""
+    """(entries, herm_residual) of ``galerkin_matrix(op, m)``, to rounding:
+    each block gathered through ``sliding_window_view`` from B^ and p^ as
+    the operator holds them, then the matrix symmetrized out of place; the
+    residual is the Hermitian defect of B^ and p^ at |k| <= 2m."""
     b_hat, p_hat = resize_degree(op.b_hat, 2 * m), resize_degree(op.p_hat, 2 * m)
+    b_defect = np.abs(b_hat - np.conj(np.transpose(b_hat, (1, 0, 2))[..., ::-1])).max()
+    residual = float(max(b_defect, np.abs(p_hat - np.conj(p_hat[::-1])).max()))
     w = 2 * m + 1
     i = np.arange(-m, m + 1)
     entries = np.empty((w, 2, w, 2), dtype=complex)
@@ -364,9 +369,35 @@ def reference_galerkin(op: DiracOperator, m: int) -> tuple[np.ndarray, float]:
                 block += sliding_window_view(p_hat, w)[flip]
             entries[:, a, :, b] = block
     entries = entries.reshape(2 * w, 2 * w)
-    adjoint = entries.conj().T
-    residual = float(np.max(np.abs(entries - adjoint)))
-    return 0.5 * (entries + adjoint), residual
+    return 0.5 * (entries + entries.conj().T), residual
+
+
+def reference_track_pair(report, n: int) -> tuple[float, float]:
+    """``galerkin.track_pair`` as one cell at a time: the rules spelled out
+    with ``argpartition`` on the 1-d spectrum, raising TrackingError."""
+    if abs(n) > report.m - tracking_buffer(report.m):
+        raise TrackingError(f"mode {n} too close to truncation edge for m={report.m}")
+    ev = report.eigenvalues
+    dist = np.abs(ev - n)
+    nearest = np.argpartition(dist, range(min(3, dist.size)))[:3]
+    pair = ev[nearest[:2]]
+    if np.max(np.abs(pair - n)) > CLUSTER_RADIUS:
+        raise TrackingError(
+            f"no eigenvalue pair within {CLUSTER_RADIUS} of mode {n} at "
+            f"eps={report.eps}: nearest {pair}"
+        )
+    if nearest.size > 2 and dist[nearest[2]] <= CLUSTER_RADIUS:
+        raise TrackingError(
+            f"third eigenvalue {ev[nearest[2]]} within {CLUSTER_RADIUS} of mode {n} "
+            f"at eps={report.eps}, next to the pair {pair}: crossing pairs"
+        )
+    gap = float(abs(pair[1] - pair[0]))
+    if gap > PAIRING_TOL:
+        raise TrackingError(
+            f"eigenvalues {pair} nearest mode {n} at eps={report.eps} are "
+            f"{gap:.2e} apart, more than the pairing tolerance {PAIRING_TOL:.0e}"
+        )
+    return float(pair.mean()), gap
 
 
 def reference_product_entry(x, y, a: int, b: int) -> np.ndarray:

@@ -384,6 +384,19 @@ class TestCli:
         assert main([command, "--config", "example-galerkin-2"]) == 0
         assert passes == [calls]
 
+    def test_asympt_samples_the_arc_length_once(self, monkeypatch, capsys):
+        # both probes of the measured slope come from one coframe sample
+        samples = []
+        original = geometry._coframe_samples
+
+        def counting(cf, eps, n):
+            samples.append(list(eps))
+            return original(cf, eps, n)
+
+        monkeypatch.setattr(geometry, "_coframe_samples", counting)
+        assert main(["asympt", "--config", "example-galerkin-2"]) == 0
+        assert samples == [[1e-4, -1e-4]]
+
     @pytest.mark.parametrize("config", ["example-galerkin-2", "example-explicit-2"])
     def test_one_family_per_command(self, config, monkeypatch, capsys):
         # the family that parsing validated is the one the command runs on

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from torusdirac import CoframeFamily, NumericalContractError, dirac_operator
-from torusdirac.dirac import DiracOperator, _first_order_operator, _second_order_operator
+from torusdirac.dirac import DiracOperator, _contract_checks, _first_order_operator
+from torusdirac.dirac import _second_order_operator
 from torusdirac.dirac import inner, symbol_matrix
 from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import TruncationError, pseudoinverse
@@ -270,3 +271,26 @@ class TestSymbolValidation:
         # below magnitude 1 the potential tolerance stays 1e-12
         with pytest.raises(ValueError, match="nonreal"):
             DiracOperator(symbol_matrix(one, zero, zero), 0.5 + 2e-12j * one)
+
+    def test_stacked_checks_give_each_operator_its_own_verdict(self):
+        # the pass judges (E, 2, 2, L) and (E, L) stacks at once; each row
+        # must fail as DiracOperator fails on it alone, with its message
+        one, zero = np.ones(3), np.zeros(3)
+        base = symbol_matrix(100.0 * one, zero, 50.0 * one)
+        b = np.array([base] * 6)
+        p = np.full((6, 3), 100.0 + 0j)
+        b[1, 0, 1, 0] += 1e-4  # not Hermitian
+        b[2, 0, 0] += 1e-4  # not trace-free
+        p[3, 1] += 1e-4j  # a complex potential
+        b[4, 1, 0, 2] = np.nan
+        p[5, 0] = np.nan
+        checks = _contract_checks(b, p)
+        for e in range(6):
+            failed = [message.format(value[e]) for fails, message, value in checks if fails[e]]
+            if not failed:
+                DiracOperator(b[e], p[e])
+                continue
+            with pytest.raises(NumericalContractError) as info:
+                DiracOperator(b[e], p[e])
+            assert str(info.value) == failed[0]
+        assert [bool(any(fails[e] for fails, _, _ in checks)) for e in range(6)] == [False] + [True] * 5

@@ -19,7 +19,7 @@ from torusdirac import (
     spectrum_report,
     track_pair,
 )
-from torusdirac import galerkin, geometry, trigpoly
+from torusdirac import dirac, galerkin, geometry, trigpoly
 from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.dirac import dirac_operators, inner
 from torusdirac.galerkin import PAIRING_TOL, SpectrumReport, basis_spinor, spectrum_sweep
@@ -224,6 +224,21 @@ class TestOperatorPass:
             assert len(dirac_operators(cf, eps_values, 256)) == len(eps_values)
         except NumericalContractError:
             pass
+
+    def test_passing_pass_runs_no_check_per_eps(self, monkeypatch):
+        # every check runs once over the stacks; the scalar checks and the
+        # DiracOperator contracts run alone only at an eps that failed there
+        def refuse(*args):
+            raise AssertionError("a check ran for one eps of a passing pass")
+
+        for name in ("require_real_samples", "positive_det", "require_resolved"):
+            monkeypatch.setattr(dirac, name, refuse)
+        monkeypatch.setattr(DiracOperator, "__post_init__", refuse)
+        cf = load_example("example-galerkin-2").family()
+        ops = dirac_operators(cf, np.linspace(0.01, 0.08, 12), 256)
+        assert len(ops) == 12
+        assert all(not (op.b_hat.flags.writeable or op.p_hat.flags.writeable) for op in ops)
+        assert all(op.b_hat.flags.c_contiguous and op.b_hat.shape == (2, 2, 127) for op in ops)
 
     def test_empty_list(self):
         assert dirac_operators(WAVE, (), 256) == []

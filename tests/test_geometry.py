@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +12,21 @@ from torusdirac import (
     arc_length,
     dirac_operator,
     first_order_perturbation,
+    load_config_file,
+    load_example,
     second_order_perturbation,
 )
+from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.dirac import symbol_matrix
 from torusdirac.geometry import coframe_tails, positive_det, require_real_samples
-from torusdirac.geometry import require_resolved
+from torusdirac.geometry import _arc_lengths, require_resolved
 from torusdirac.trigpoly import grid_points, poly_add, poly_derivative, poly_sub, resize_degree
 
 from conftest import COS, IDENTITY, add, SIN, ZERO, ZERO_FIELD, const, entrywise, evaluate, isclose
 from conftest import m3, matmul, random_field, random_symmetric_field, reference_coframe, sample
 from conftest import scaled, transpose
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def pointwise_operator_coefficients(cf, eps, n, degree):
@@ -287,6 +293,21 @@ class TestArcLength:
             tracemalloc.stop()
         assert length == pytest.approx(2.0 * np.pi, abs=1e-12)
         assert peak <= 40 << 20
+
+    def test_two_eps_from_one_sample_keep_the_bits_of_one_eps_each(self):
+        # asympt's central difference reads both probes from one sample
+        families = [load_example(name).family() for name in EXAMPLE_NAMES]
+        families += [load_config_file(str(path)).family() for path in sorted(GOLDEN.glob("*.cfg"))]
+        for cf in families:
+            both = _arc_lengths(cf, np.array([1e-4, -1e-4]))
+            assert [x.hex() for x in both] == [arc_length(cf, x).hex() for x in (1e-4, -1e-4)]
+
+    def test_each_eps_is_checked_in_turn(self):
+        # e^1_1 = 1 - eps: the first eps past 1 raises, with its own eps
+        E1 = m3([[const(-1.0), ZERO, ZERO], [ZERO] * 3, [ZERO] * 3])
+        for eps, first in (([0.5, 1.5, 2.0], "eps=1.5"), ([2.0, 1.5], "eps=2.0")):
+            with pytest.raises(SingularCoframeError, match=first):
+                _arc_lengths(CoframeFamily(E1, ZERO_FIELD), np.array(eps))
 
     def test_near_singular_g11_is_under_resolved(self):
         # g_11 = (1 - 0.99999 cos x)^2 + 1e-6 sin^2 x nearly vanishes at x = 0,

@@ -76,6 +76,8 @@ DELETED = [
     "trigpoly._phase_tables",
     "trigpoly._phase_lock",
     "trigpoly.PHASE_TABLE_BYTES",
+    "galerkin._symmetrize",
+    "galerkin._STRIP_BYTES",
 ]
 
 # names that left the top level but stay importable from their modules
