@@ -20,14 +20,7 @@ import numpy as np
 
 from . import galerkin as gk
 from . import perturbation as pt
-from .config import (
-    EXAMPLE_NAMES,
-    ConfigError,
-    RunConfig,
-    load_config_file,
-    parse_eps_list,
-    parse_numbers,
-)
+from .config import EXAMPLE_NAMES, ConfigError, RunConfig, load_config_file, parse_eps_list, parse_modes
 from .geometry import NumericalContractError, _arc_lengths
 
 EXIT_CONFIG = 2
@@ -61,10 +54,7 @@ def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(header)] + [",".join(r) for r in rows]
         return "\n".join(lines) + "\n"
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(header)
-    ]
+    widths = [max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(header)]
     def fmt_row(cells):
         return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
     sep = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
@@ -79,9 +69,7 @@ def cmd_galerkin(cfg: RunConfig, out_format: str) -> tuple[str, list[str]]:
     """
     family = cfg.family()
     num = _csv if out_format == "csv" else _md
-    header = ["eps"]
-    for n in cfg.modes:
-        header += [f"mode_{n}", f"gap_{n}"]
+    header = ["eps"] + [f"{column}_{n}" for n in cfg.modes for column in ("mode", "gap")]
     reports = gk.spectrum_sweep(family, cfg.eps_list, cfg.m)
     means, gaps, errors = gk.track_pairs(reports, cfg.modes)
     rows = [
@@ -155,14 +143,7 @@ def cmd_fit(cfg: RunConfig, out_format: str, order: int = 4, eps_grid=None) -> s
 
     num = _csv if out_format == "csv" else _md
     header = ["mode"] + [f"c{p}" for p in range(1, order + 1)] + ["residual"]
-    rows = []
-    for n in cfg.modes:
-        fit = fits[n]
-        rows.append(
-            [str(n)]
-            + [num(c) for c in fit.coefficients]
-            + [num(fit.residual_norm)]
-        )
+    rows = [[str(n), *map(num, fits[n].coefficients), num(fits[n].residual_norm)] for n in cfg.modes]
     table = _render_table(header, rows, out_format)
 
     flags = []
@@ -288,7 +269,7 @@ def main(argv=None) -> int:
         if args.eps is not None:
             cfg.eps_list = parse_eps_list(args.eps, "--eps")
         if args.modes is not None:
-            cfg.modes = parse_numbers(args.modes, "--modes", int)
+            cfg.modes = parse_modes(args.modes, "--modes")
         _check_matrix_memory(cfg.m)
         # the modes each command tracks: asympt's galerkin_fit route tracks +-1
         tracked = {"galerkin": cfg.modes, "fit": cfg.modes, "asympt": (1, -1)}
@@ -322,8 +303,12 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
     if args.out_file:
-        with open(args.out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out_file, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: cannot write output {args.out_file!r}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     if tracking_failures:

@@ -104,6 +104,15 @@ def parse_numbers(text: str, key: str, cast) -> list:
     return values
 
 
+def parse_modes(text: str, key: str = "modes") -> list[int]:
+    """Comma or whitespace separated integer modes, each given once."""
+    modes = parse_numbers(text, key, int)
+    repeated = next((n for i, n in enumerate(modes) if n in modes[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"{key}: mode {repeated} given twice")
+    return modes
+
+
 def parse_eps_list(text: str, key: str = "eps") -> list[float]:
     """Comma or whitespace separated eps values, each required to be finite."""
     values = parse_numbers(text, key, float)
@@ -158,7 +167,7 @@ def parse_config(text: str) -> RunConfig:
     if "eps" in scalars:
         cfg.eps_list = parse_eps_list(scalars["eps"])
     if "modes" in scalars:
-        cfg.modes = parse_numbers(scalars["modes"], "modes", int)
+        cfg.modes = parse_modes(scalars["modes"])
     if "out" in scalars:
         if scalars["out"] not in ("csv", "md"):
             raise ConfigError(f"out must be 'csv' or 'md', got {scalars['out']!r}")

@@ -13,15 +13,18 @@ the metric perturbation matrices.
 
 Spinors and operators are held as Fourier coefficients only. A spinor v is
 a complex array of shape (2, 2K+1), ``c[a, k + K]`` the coefficient of
-e^{ikx} in component a; ``inner`` is the L^2 product of two of them and
-``DiracOperator.apply`` maps one to another. With B^ and p^ the coefficients
-of B and p, the action is the finite convolution
+e^{ikx} in component a, and a stack of spinors one of shape (..., 2, 2K+1).
+``inner`` is the L^2 product of two spinors, or of two stacks row by row
+with broadcasting, and ``DiracOperator.apply`` maps each spinor of a stack
+to another. With B^ and p^ the coefficients of B and p, the action is
 
-    (W v)^(k) = sum_q [ (k + q)/2 B^(k - q) + p^(k - q) ] v^(q).
+    (W v)^(k) = sum_q [ (k + q)/2 B^(k - q) + p^(k - q) ] v^(q),
+
+one contraction of the stack against a Toeplitz view of B^ and p^.
 
 Sums of spinors go through ``trigpoly.poly_add``/``poly_sub``, which pad
-both operands to the larger degree before they add, and a spinor is scaled
-by a complex scalar, ``c * complex(s)``.
+both operands to the larger degree before they add; a spinor is scaled by
+a complex scalar, ``c * complex(s)``, and a stack by one per spinor.
 
 The first and second order terms have trigonometric-polynomial coefficients
 and are built in coefficient arithmetic from h and k, entry coefficient
@@ -45,20 +48,23 @@ from .trigpoly import _ZERO, matmul_entry, poly_add, poly_derivative, poly_sub, 
 
 
 def _spinor(c) -> np.ndarray:
-    """``c`` as a complex array, after checking that it has shape (2, 2K+1)."""
+    """``c`` as a complex array, after checking that it is a spinor or a stack
+    of them, of shape (..., 2, 2K+1)."""
     c = np.asarray(c, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != 2 or c.shape[1] % 2 == 0:
+    if c.ndim < 2 or c.shape[-2] != 2 or c.shape[-1] % 2 == 0:
         raise ValueError("spinor coefficients must have shape (2, 2K+1)")
     return c
 
 
-def inner(u, v) -> complex:
+def inner(u, v):
     """<u, v> = int_0^2pi v^* u dx = 2pi sum_k conj(v^_k) u^_k, summed over
-    the harmonics that both spinors hold."""
+    the harmonics that both spinors hold: a complex for two spinors, and an
+    array over the broadcast leading axes for stacks."""
     u, v = _spinor(u), _spinor(v)
-    d = (min(u.shape[1], v.shape[1]) - 1) // 2
+    d = (min(u.shape[-1], v.shape[-1]) - 1) // 2
     overlap = np.conj(resize_degree(v, d)) * resize_degree(u, d)
-    return complex(2.0 * np.pi * overlap.sum())
+    total = 2.0 * np.pi * overlap.reshape(overlap.shape[:-2] + (-1,)).sum(axis=-1)
+    return complex(total) if total.ndim == 0 else total
 
 
 def symbol_matrix(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
@@ -133,19 +139,21 @@ class DiracOperator:
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """(W v)^(k) = sum_q [(k + q)/2 B^(k - q) + p^(k - q)] v^(q), exactly,
-        for the spinor v with coefficients ``c``; raises ValueError unless
-        ``c`` has shape (2, 2K+1)."""
+        for the spinor v with coefficients ``c``, or for each spinor of a
+        stack (..., 2, 2K+1); raises ValueError on any other shape."""
         c = _spinor(c)
-        d = (c.shape[1] - 1) // 2
-        qc = np.arange(-d, d + 1) * c
-        top = self.degree + d
-        k = np.arange(-top, top + 1)
-        out = np.empty((2, k.size), dtype=complex)
-        for a in range(2):
-            bv = np.convolve(self.b_hat[a, 0], c[0]) + np.convolve(self.b_hat[a, 1], c[1])
-            bqv = np.convolve(self.b_hat[a, 0], qc[0]) + np.convolve(self.b_hat[a, 1], qc[1])
-            out[a] = 0.5 * (k * bv + bqv) + np.convolve(self.p_hat, c[a])
-        return out
+        d, top = (c.shape[-1] - 1) // 2, self.degree
+        rows, cols = 2 * (top + d) + 1, 2 * d + 1
+        # [B^00, B^01, B^10, B^11, p^] padded by 2K zeros a side; the Toeplitz
+        # view [j, k + top + K, q + K] reads row j at the frequency k - q
+        coeffs = resize_degree(np.concatenate((self.b_hat.reshape(4, -1), self.p_hat[None])), top + 2 * d)
+        s0, s1 = coeffs.strides
+        toeplitz = np.ndarray((5, rows, cols), complex, coeffs, 2 * d * s1, (s0, s1, -s1))
+        weights = 0.5 * np.add.outer(np.arange(-top - d, top + d + 1), np.arange(-d, d + 1))  # (k + q)/2
+        kernel = (weights * toeplitz[:4]).reshape(2, 2, rows, cols)
+        kernel[0, 0] += toeplitz[4]
+        kernel[1, 1] += toeplitz[4]
+        return np.einsum("abir,...br->...ai", kernel, c)
 
     __call__ = apply
 

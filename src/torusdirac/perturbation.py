@@ -14,13 +14,15 @@ route rather than silently adjusted.
 
 The operator route works on Fourier coefficients only: W1 and W2 have
 trigonometric-polynomial coefficients, so applying them, the pseudoinverse
-and the inner products are finite sums and no grid is sampled. Every spinor
-on the way is a bare (2, 2K+1) coefficient array: ``DiracOperator.apply``,
-``dirac.inner`` and ``pseudoinverse`` take and return arrays, the basis
-spinors come cached and read-only from ``galerkin.basis_spinor``, and sums
-go through ``trigpoly.poly_sub``. The route is two private helpers, the
-first-order block and the second-order term, which take W1 and W2 as
-arguments and share W1 v_n.
+and the inner products are finite sums and no grid is sampled. It runs the
+modes +1 and -1, the Kramers pair, in lockstep: every spinor on the way is
+a stack (2, 2, 2K+1) or (4, 2, 2K+1) of coefficient arrays, one row per
+mode, which ``DiracOperator.apply``, ``dirac.inner`` and ``pseudoinverse``
+take whole. The basis spinors come cached and read-only from
+``galerkin.basis_spinor``, and sums go through ``trigpoly.poly_sub``. The
+route is two private helpers, the first-order blocks and the second-order
+terms, which take W1 and W2 as arguments and share the stack of W1 v_n;
+each raises what the modes one after another would, mode +1 first.
 
 ``perturbation_report(cf, route, m)`` is the one entry to every route. It
 builds h and k from E1 and E2 with ``geometry.first_order_perturbation``
@@ -35,29 +37,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .dirac import (
-    DiracOperator,
-    _first_order_operator,
-    _second_order_operator,
-    _spinor,
-    inner,
-)
+from .dirac import DiracOperator, _first_order_operator, _second_order_operator, _spinor, inner
 from .galerkin import basis_spinor, spectrum_sweep, track_pairs
-from .geometry import (
-    CoframeFamily,
-    NumericalContractError,
-    _k_coefficient,
-    first_order_perturbation,
-    require_sym_real,
-    second_order_perturbation,
-)
-from .trigpoly import field_degree, matmul_entry, poly_sub, resize_degree
-from .trigpoly import stack_entries
+from .geometry import CoframeFamily, NumericalContractError, _k_coefficient
+from .geometry import first_order_perturbation, require_sym_real, second_order_perturbation
+from .trigpoly import field_degree, matmul_entry, poly_sub, resize_degree, stack_entries
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
+# the modes whose eigenvalues the coefficient routes expand
+_KRAMERS_PAIR = (1, -1)
 
 
 class PseudoinverseDomainError(NumericalContractError):
@@ -76,9 +68,22 @@ class FitResidualError(NumericalContractError):
     """Eigenvalue sweep is not explained by the polynomial model."""
 
 
-def pseudoinverse(c, n: int, truncation: int, orthogonality_tol: float | None = None) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _basis(modes: tuple, kind: str) -> np.ndarray:
+    """The ``kind`` basis spinors of the integer ``modes`` as one stack
+    (len(modes), 2, 2D+1), each zero-padded to the largest |n|, D (cached,
+    read-only)."""
+    top = max(map(abs, modes), default=0)
+    rows = [resize_degree(basis_spinor(n, kind), top) for n in modes]
+    stack = np.array(rows, dtype=complex).reshape(len(modes), 2, 2 * top + 1)
+    stack.setflags(write=False)
+    return stack
+
+
+def pseudoinverse(c, n, truncation: int, orthogonality_tol: float | None = None) -> np.ndarray:
     """Bounded inverse of (free operator - n) off its eigenspace, applied to
-    the spinor with coefficients ``c``.
+    the spinor with coefficients ``c``, or to each row of a stack (..., 2, 2K+1)
+    with its own mode, ``n`` an integer or an array over the leading axes.
 
     Acts in Fourier space: the coefficient of e^{iqx} in the output is
 
@@ -96,31 +101,35 @@ def pseudoinverse(c, n: int, truncation: int, orthogonality_tol: float | None = 
     the tolerance then raises PseudoinverseDomainError instead of being
     silently projected out. Raises TruncationError unless ``truncation``
     exceeds the bandwidth of ``c`` (its largest |k| with a coefficient above
-    1e-13) plus |n|, and ValueError unless ``c`` has shape (2, 2K+1).
+    1e-13) plus |n|, and ValueError unless ``c`` has shape (..., 2, 2K+1).
+    Of a stack, the first row that fails raises, at its first failed check.
     """
     c = _spinor(c)
-    if orthogonality_tol is not None:
-        for kind in ("v", "w"):
-            overlap = abs(inner(c, basis_spinor(n, kind)))
-            if not overlap <= orthogonality_tol:  # a NaN overlap fails too
+    n = np.broadcast_to(n, c.shape[:-2])
+    k = np.arange(c.shape[-1]) - (c.shape[-1] - 1) // 2
+    need = np.where(np.abs(c).max(axis=-2) > 1e-13, np.abs(k), 0).max(axis=-1) + np.abs(n) + 1
+    overlaps = [] if orthogonality_tol is None else [
+        np.abs(inner(c, _basis(tuple(n.ravel().tolist()), kind).reshape(n.shape + (2, -1))))
+        for kind in ("v", "w")
+    ]
+    # "not overlap <= tol", so that a NaN overlap fails too
+    fails = np.logical_or.reduce([truncation < need] + [~(o <= orthogonality_tol) for o in overlaps])
+    for i in map(tuple, np.argwhere(fails)[:1]):
+        for overlap in overlaps:
+            if not overlap[i] <= orthogonality_tol:
                 raise PseudoinverseDomainError(
-                    f"input overlaps the lambda0={n} eigenspace "
-                    f"by {overlap:.2e} (tolerance {orthogonality_tol:.0e})"
+                    f"input overlaps the lambda0={n[i]} eigenspace "
+                    f"by {overlap[i]:.2e} (tolerance {orthogonality_tol:.0e})"
                 )
-    live = np.nonzero(np.abs(c).max(axis=0) > 1e-13)[0]
-    bw = int(np.abs(live - (c.shape[1] - 1) // 2).max()) if live.size else 0
-    if truncation < bw + abs(n) + 1:
-        raise TruncationError(
-            f"truncation {truncation} below bandwidth requirement {bw + abs(n) + 1}"
-        )
+        raise TruncationError(f"truncation {truncation} below bandwidth requirement {need[i]}")
     f = resize_degree(c, truncation)
-    q = np.arange(-truncation, truncation + 1)
+    q, n = np.arange(-truncation, truncation + 1), n[..., None]
     # weights of A and B per mode, zero where the denominator vanishes
-    wa, wb = np.zeros(q.size), np.zeros(q.size)
+    wa, wb = np.zeros(n.shape[:-1] + q.shape), np.zeros(n.shape[:-1] + q.shape)
     np.divide(0.5, q - n, out=wa, where=q != n)
     np.divide(0.5, -q - n, out=wb, where=q != -n)
-    sym, anti = wa * (f[0] + f[1]), wb * (f[0] - f[1])
-    return np.array([sym + anti, sym - anti])
+    sym, anti = wa * (f[..., 0, :] + f[..., 1, :]), wb * (f[..., 0, :] - f[..., 1, :])
+    return np.stack([sym + anti, sym - anti], axis=-2)
 
 
 # ----------------------------------------------------------------------
@@ -139,27 +148,29 @@ def _require_finite(arrays, name: str) -> None:
         raise NumericalContractError(f"{name} overflows: a coefficient is not finite")
 
 
-def _first_order_block(w1: DiracOperator, n: int) -> tuple[float, np.ndarray]:
-    """l1(n) from the block of the first-order operator ``w1`` on mode n,
-    and W1 v_n, which the second-order term reuses.
+def _first_order_blocks(w1: DiracOperator) -> tuple[np.ndarray, np.ndarray]:
+    """[l1(+1), l1(-1)] from the blocks of the first-order operator ``w1`` on
+    the modes of the Kramers pair, and the stack [W1 v_1, W1 v_-1], which
+    the second-order terms reuse.
 
     l1(n) is the diagonal of the block on span{v_n, w_n}. The full 2x2
     block must be a real multiple of the identity; a nonscalar block would
     invalidate the whole first-order setup and raises
-    DegenerateSplittingError, as does a NaN in it.
+    DegenerateSplittingError, as does a NaN in it, mode +1 first. One
+    ``apply`` maps [v_1, v_-1, w_1, w_-1] and one ``inner`` takes the Gram
+    matrix of the images against them.
     """
-    v = basis_spinor(n, "v")
-    w = basis_spinor(n, "w")
-    image = w1.apply(v)
-    diag_v = inner(image, v)
-    off = inner(image, w)
-    diag_w = inner(w1.apply(w), w)
-    if not (abs(off) <= 1e-9 and abs(diag_v - diag_w) <= 1e-9 and abs(diag_v.imag) <= 1e-9):
-        raise DegenerateSplittingError(
-            f"first-order block on mode {n} is not scalar: "
-            f"diag ({diag_v:.3e}, {diag_w:.3e}), off-diagonal {abs(off):.3e}"
-        )
-    return float(diag_v.real), image
+    basis = np.concatenate([_basis(_KRAMERS_PAIR, "v"), _basis(_KRAMERS_PAIR, "w")])
+    images = w1.apply(basis)
+    gram = inner(images[:, None], basis)  # gram[i, j] = <W1 basis_i, basis_j>
+    for r, n in enumerate(_KRAMERS_PAIR):
+        diag_v, off, diag_w = gram[r, r], gram[r, r + 2], gram[r + 2, r + 2]
+        if not (abs(off) <= 1e-9 and abs(diag_v - diag_w) <= 1e-9 and abs(diag_v.imag) <= 1e-9):
+            raise DegenerateSplittingError(
+                f"first-order block on mode {n} is not scalar: "
+                f"diag ({diag_v:.3e}, {diag_w:.3e}), off-diagonal {abs(off):.3e}"
+            )
+    return gram.diagonal()[:2].real, images[:2]
 
 
 # ----------------------------------------------------------------------
@@ -231,24 +242,34 @@ def _second_corrections_closed(h, k00: np.ndarray) -> list[float]:
     return values
 
 
-def _second_order_term(
-    w1: DiracOperator, w2: DiracOperator, w1v: np.ndarray, l1: float, n: int, truncation: int
-) -> float:
-    """Operator-route second-order coefficient
+def _second_order_terms(w1: DiracOperator, w2: DiracOperator, w1v: np.ndarray, l1: np.ndarray,
+                        truncation: int, modes: tuple = _KRAMERS_PAIR) -> np.ndarray:
+    """Operator-route second-order coefficients, at each n of ``modes``,
 
         <W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v>
 
-    for v = v_n, given w1v = W1 v and l1 = l1(n), with Q the pseudoinverse
-    at lambda0 = n truncated to |q| <= ``truncation``; deg h + 4 covers the
-    bandwidth of (W1 - l1) v, so the value is exact up to roundoff."""
-    v = basis_spinor(n, "v")
-    residual = poly_sub(w1v, v * complex(l1))
-    corrected = pseudoinverse(residual, n, truncation, orthogonality_tol=1e-9)
-    shifted = poly_sub(w1.apply(corrected), corrected * complex(l1))
+    for v = v_n, given the stacks w1v of W1 v and l1 of l1(n), with Q the
+    pseudoinverse at lambda0 = n truncated to |q| <= ``truncation``; deg h + 4
+    covers the bandwidth of (W1 - l1) v, so the value is exact up to
+    roundoff. The modes run in lockstep, and fail as one mode after another
+    would: at the first mode's pseudoinverse checks, then its realness, then
+    the next mode's."""
+    v = _basis(modes, "v")
+    shift = l1.astype(complex)[:, None, None]
+    residual = poly_sub(w1v, v * shift)
+    try:
+        corrected = pseudoinverse(residual, modes, truncation, orthogonality_tol=1e-9)
+    except NumericalContractError:
+        # the modes one at a time, so that an earlier mode's realness fails first
+        for r in range(len(modes)) if len(modes) > 1 else ():
+            _second_order_terms(w1, w2, w1v[r : r + 1], l1[r : r + 1], truncation, modes[r : r + 1])
+        raise
+    shifted = poly_sub(w1.apply(corrected), corrected * shift)
     terms = (inner(w2.apply(v), v), inner(shifted, v))
-    value = terms[0] - terms[1]
-    _require_real(value, terms, 1e-10)
-    return float(value.real)
+    values = terms[0] - terms[1]
+    for r in range(len(modes)):
+        _require_real(complex(values[r]), (complex(terms[0][r]), complex(terms[1][r])), 1e-10)
+    return values.real
 
 
 # ----------------------------------------------------------------------
@@ -395,16 +416,13 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
         _require_finite([*h[0], *h[1], *h[2]], "h")
         require_sym_real(h, "h")
         w1 = _first_order_operator(h)
-        l1, w1v = {}, {}
-        for n in (1, -1):
-            l1[n], w1v[n] = _first_order_block(w1, n)
+        l1, w1v = _first_order_blocks(w1)
         k = second_order_perturbation(cf)
         _require_finite([*k[0], *k[1], *k[2]], "k")
         require_sym_real(k, "k")
         w2 = _second_order_operator(h, k)
-        truncation = field_degree(h) + 4
-        l2 = {n: _second_order_term(w1, w2, w1v[n], l1[n], n, truncation) for n in (1, -1)}
-        return PerturbationReport(route, l1[1], l1[-1], l2[1], l2[-1])
+        l2 = _second_order_terms(w1, w2, w1v, l1, field_degree(h) + 4)
+        return PerturbationReport(route, *map(float, l1), *map(float, l2))
     if route == "galerkin_fit":
         # the quartic grid: on the 6-point quadratic one, fits fail the residual check
         fits = fit_expansion(cf, (1, -1), default_fit_grid(4), order=2, m=m)

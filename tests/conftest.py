@@ -417,7 +417,9 @@ def reference_k(cf: CoframeFamily) -> tuple:
 
 
 def reference_apply(op: DiracOperator, c: np.ndarray) -> np.ndarray:
-    """``op.apply(c)`` with q * v^ formed once per output row."""
+    """``op.apply(c)`` on one spinor as ten convolutions, q * v^ formed once
+    per output row; ``apply`` contracts a Toeplitz view instead, which groups
+    the sums differently."""
     q = np.arange(-degree(c[0]), degree(c[0]) + 1)
     top = op.degree + degree(c[0])
     k = np.arange(-top, top + 1)
@@ -470,8 +472,8 @@ def reference_closed_route(cf: CoframeFamily) -> list[float]:
 
 def reference_operator_route(cf: CoframeFamily) -> list[float]:
     """[l1(+1), l1(-1), l2(+1), l2(-1)] of the operator route, with W1 and
-    W2 built from ``reference_h``/``reference_k`` and W1 v_n applied afresh
-    wherever it is read; no checks."""
+    W2 built from ``reference_h``/``reference_k``, one mode after the other
+    and W1 v_n applied afresh wherever it is read; no checks."""
     h, k = reference_h(cf), reference_k(cf)
     d1 = max(degree(h[j][0]) for j in range(3))
     w1 = DiracOperator(

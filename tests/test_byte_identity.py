@@ -18,9 +18,15 @@ symmetrizes the matrix afterwards, and its ``herm_residual`` is, bit for bit,
 the Hermitian defect of B^ and p^ that the reference measures.
 
 The closed-form and operator routes build h, k, W1 and W2 on coefficient
-arrays and share W1 v_n. These and ``matmul_entry`` must reproduce, byte for
+arrays. h, k, the closed form and ``matmul_entry`` must reproduce, byte for
 byte, the reference formulas in conftest: the same arithmetic spelled out
 entry by entry. Signed zeros count, so eps = -0.0 and +0.0 are both covered.
+The operator route runs modes +1 and -1 in lockstep, and ``apply`` contracts
+a Toeplitz view of B^ and p^ against a stack of spinors where the reference
+convolves each spinor row by row: the sums group differently, so the route
+and ``apply`` agree with the reference to rounding, within the bounds below.
+A stack through ``apply``, ``inner`` or ``pseudoinverse`` gives, row for row,
+what each of its spinors gives alone, under ``==``.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ from torusdirac import CoframeFamily, dirac_operator
 from torusdirac import first_order_perturbation, galerkin_matrix, load_config_file, load_example
 from torusdirac import perturbation_report, second_order_perturbation
 from torusdirac.config import EXAMPLE_NAMES
-from torusdirac.dirac import DiracOperator, dirac_operators
+from torusdirac.dirac import DiracOperator, _first_order_operator, dirac_operators, inner
 from torusdirac.galerkin import spectrum_sweep
+from torusdirac.perturbation import pseudoinverse
 from torusdirac.geometry import default_grid
 from torusdirac.trigpoly import matmul_entry
 
@@ -69,6 +76,12 @@ EIGENVALUE_TOL = 1e-12
 # |matrix - reference| relative to max(1, largest |entry|): the worst case
 # measured was 3.6e-16 over these families and 300 MIXED_COFRAMES draws
 MATRIX_TOL = 1e-15
+# |route - reference| relative to max(1, |reference|), and |apply - reference|
+# relative to max(1, largest |reference coefficient|): the worst cases measured
+# were 2.9e-15 over 1,500 draws of the three coframe strategies below and
+# 4.8e-16 over 1,000 draws of test_apply_matches_reference
+ROUTE_TOL = 1e-14
+APPLY_TOL = 2e-15
 
 
 def _families(names):
@@ -136,10 +149,17 @@ def assert_route_bytes(cf: CoframeFamily) -> None:
         for a in range(3):
             for b in range(3):
                 assert same_bytes(mat[a][b], ref[a][b]), f"entry ({a}, {b}) differs"
-    for route, reference in (("closed_form", reference_closed_route), ("operator", reference_operator_route)):
-        report = perturbation_report(cf, route)
-        values = [getattr(report, name).hex() for name in COEFFICIENTS]
-        assert values == [value.hex() for value in reference(cf)], route
+    report = perturbation_report(cf, "closed_form")
+    values = [getattr(report, name).hex() for name in COEFFICIENTS]
+    assert values == [value.hex() for value in reference_closed_route(cf)], "closed_form"
+    assert_operator_route_close(cf)
+
+
+def assert_operator_route_close(cf: CoframeFamily) -> None:
+    report = perturbation_report(cf, "operator")
+    for name, expected in zip(COEFFICIENTS, reference_operator_route(cf)):
+        drift = abs(getattr(report, name) - expected) / max(1.0, abs(expected))
+        assert drift <= ROUTE_TOL, f"operator {name} differs by {drift:.2e}"
 
 
 @pytest.mark.parametrize("name", ROUTE_FAMILIES)
@@ -249,13 +269,31 @@ class TestRandomCoframes:
         rng = np.random.default_rng(seed)
         v = rng.normal(size=(2, 2 * degree + 1)) + 1j * rng.normal(size=(2, 2 * degree + 1))
         op = dirac_operator(cf, eps, 256)
-        assert same_bytes(op.apply(v), reference_apply(op, v))
+        expected = reference_apply(op, v)
+        assert op.apply(v).shape == expected.shape
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(op.apply(v) - expected)) <= APPLY_TOL * scale
 
     @settings(max_examples=40)
     @given(st.one_of(COFRAMES, MIXED_COFRAMES))
     def test_operator_route_matches_reference(self, cf):
         # the route on bare arrays against the conftest arithmetic, value by value
-        report = perturbation_report(cf, "operator")
-        values = [getattr(report, name).hex() for name in COEFFICIENTS]
-        assert values == [value.hex() for value in reference_operator_route(cf)]
+        assert_operator_route_close(cf)
+
+    @settings(max_examples=25)
+    @given(st.one_of(COFRAMES, MIXED_COFRAMES), st.sampled_from([0.0, 0.1]), st.integers(0, 4),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_stacks_match_rows(self, cf, eps, degree, count, seed):
+        rng = np.random.default_rng(seed)
+        shape = (count, 2, 2 * degree + 1)
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for op in (dirac_operator(cf, eps, 256), _first_order_operator(first_order_perturbation(cf))):
+            assert np.array_equal(op.apply(stack), [op.apply(c) for c in stack])
+            assert np.array_equal(op.apply(stack[None]), [op.apply(stack)])
+        # spinors of degree 4 - degree against the stack, every pair at once
+        other = rng.normal(size=(3, 2, 9 - 2 * degree)) + 1j * rng.normal(size=(3, 2, 9 - 2 * degree))
+        assert np.array_equal(inner(stack[:, None], other), [[inner(u, v) for v in other] for u in stack])
+        modes, truncation = rng.integers(-3, 4, size=count), degree + 4
+        expected = [pseudoinverse(c, int(n), truncation) for c, n in zip(stack, modes)]
+        assert np.array_equal(pseudoinverse(stack, modes, truncation), expected)
 

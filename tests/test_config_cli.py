@@ -90,6 +90,7 @@ class TestParsing:
             ("eps = 0.1, inf\ncoframe.E1.1.1 = (0, 1, 0)", "finite"),
             ("eps =\ncoframe.E1.1.1 = (0, 1, 0)", "at least one"),
             ("modes =\ncoframe.E1.1.1 = (0, 1, 0)", "at least one"),
+            ("modes = 1, -1, 1\ncoframe.E1.1.1 = (0, 1, 0)", "modes: mode 1 given twice"),
         ],
     )
     def test_rejects_malformed(self, text, match):
@@ -299,6 +300,36 @@ class TestCli:
         code = main(["galerkin", "--config", "example-galerkin-1", "--eps", "nan"])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_unwritable_out_file_is_config_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code = main(["galerkin", "--config", "example-galerkin-2", "--out-file", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not target.exists()
+        assert captured.err.startswith(f"config error: cannot write output {str(target)!r}")
+
+    @pytest.mark.parametrize("command", ["galerkin", "fit"])
+    def test_repeated_mode_is_config_error(self, command, tmp_path, capsys):
+        # a repeated mode printed its columns or its row twice
+        code = main([command, "--config", "example-galerkin-2", "--modes", "1,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "config error: --modes: mode 1 given twice\n"
+        cfgfile = tmp_path / "repeated.cfg"
+        cfgfile.write_text("modes = 1, -1, 1\ncoframe.E1.2.2 = (1, 0.05, 0) (-1, 0.05, 0)\n")
+        code = main([command, "--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "config error: modes: mode 1 given twice\n"
+
+    def test_negative_eps_override_with_equals_sign(self, capsys):
+        # "--eps -0.1,0.1" is an argparse usage error: the value looks like an option
+        code = main(["galerkin", "--config", "example-galerkin-2", "--eps=-0.1,0.1", "--modes", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == "eps,mode_1,gap_1"
+        assert [line.split(",")[0] for line in lines[1:]] == ["-0.10000000000000001", "0.10000000000000001"]
 
     @pytest.mark.parametrize("option", ["--modes", "--eps"])
     def test_empty_override_list_is_config_error(self, option, capsys):

@@ -30,8 +30,9 @@ families: the float.hex values of the closed-form and operator routes,
 the Galerkin entries, with the float.hex ``herm_residual``, at each eps in
 ``DIGEST_EPS`` and m in ``DIGEST_TRUNCATIONS`` on ``default_grid(m)``. It
 also pins, at n = +1 and -1, the sha256 of the two spinors that the operator
-route of ``perturbation_report`` builds on its way: W1 v_n and the
-pseudoinverse of (W1 - l1) v_n.
+route of ``perturbation_report`` builds on its way, one row each of the
+stacks it builds for both modes at once: W1 v_n and the pseudoinverse of
+(W1 - l1) v_n.
 """
 
 from __future__ import annotations
@@ -107,26 +108,26 @@ def _sha256(*arrays: np.ndarray) -> str:
 
 def _route_spinors(cf) -> list[str]:
     """One line per n = +1, -1: the sha256 of W1 v_n and of the pseudoinverse
-    output, recorded from inside ``perturbation_report(cf, "operator")``."""
-    w1v, corrected = [], []
-    block, pseudoinverse = perturbation._first_order_block, perturbation.pseudoinverse
+    output, the rows of the stacks that ``perturbation_report(cf, "operator")``
+    builds for both modes in lockstep, recorded from inside it."""
+    stacks = {}
+    blocks, pseudoinverse = perturbation._first_order_blocks, perturbation.pseudoinverse
 
-    def record_block(*args):
-        result = block(*args)
-        w1v.append(result[1])
+    def record_blocks(*args):
+        result = blocks(*args)
+        stacks["w1v"] = result[1]
         return result
 
     def record_pseudoinverse(*args, **kwargs):
-        result = pseudoinverse(*args, **kwargs)
-        corrected.append(result)
-        return result
+        stacks["corrected"] = pseudoinverse(*args, **kwargs)
+        return stacks["corrected"]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(perturbation, "_first_order_block", record_block)
+        patch.setattr(perturbation, "_first_order_blocks", record_blocks)
         patch.setattr(perturbation, "pseudoinverse", record_pseudoinverse)
         perturbation_report(cf, "operator")
     return [
-        f"n={n:+d} w1v {_sha256(w1v[i])} pseudoinverse {_sha256(corrected[i])}"
+        f"n={n:+d} w1v {_sha256(stacks['w1v'][i])} pseudoinverse {_sha256(stacks['corrected'][i])}"
         for i, n in enumerate((1, -1))
     ]
 

@@ -21,8 +21,8 @@ from torusdirac import (
 from torusdirac.cli import cmd_fit
 from torusdirac.dirac import inner
 from torusdirac.galerkin import basis_spinor
-from torusdirac.perturbation import fit_from_values, pseudoinverse
-from torusdirac.trigpoly import poly_add, poly_sub
+from torusdirac.perturbation import DegenerateSplittingError, fit_from_values, pseudoinverse
+from torusdirac.trigpoly import poly_add, poly_sub, resize_degree
 
 from conftest import COS, SIN, ZERO, ZERO_FIELD, add, charge_conjugate, const, free_operator
 from conftest import eigenspace_projection, m3, norm, random_field, random_symmetric_field, spinor
@@ -326,9 +326,12 @@ class TestNonFinite:
             perturbation._require_real(value, terms, 1e-12)
 
     def test_first_order_block_rejects_nan(self, monkeypatch):
-        monkeypatch.setattr(perturbation, "inner", lambda u, v: complex(NAN, 0.0))
-        with pytest.raises(perturbation.DegenerateSplittingError):
-            perturbation._first_order_block(free_operator(), 1)
+        def nan_gram(u, v):
+            return np.full(np.broadcast_shapes(u.shape[:-2], v.shape[:-2]), complex(NAN, 0.0))
+
+        monkeypatch.setattr(perturbation, "inner", nan_gram)
+        with pytest.raises(perturbation.DegenerateSplittingError, match="mode 1 "):
+            perturbation._first_order_blocks(free_operator())
 
     def test_pseudoinverse_rejects_nan_overlap(self):
         c = np.full((2, 5), NAN, dtype=complex)
@@ -428,8 +431,9 @@ class TestSharedWork:
         assert builds == {"_first_order_operator": 1, "_second_order_operator": 1}
 
     def test_w1_applied_to_v_once_per_sign(self, family, monkeypatch):
-        # per sign: W1 v and W1 w for the block, W1 Q(...) and W2 v for the
-        # second-order term, which reuses the block's W1 v
+        # one stacked apply each: W1 on [v_1, v_-1, w_1, w_-1] for the blocks,
+        # W1 on both Q(...) and W2 on both v for the second-order terms, which
+        # reuse the blocks' W1 v
         applies = Counter()
         original = dirac.DiracOperator.apply
 
@@ -439,7 +443,7 @@ class TestSharedWork:
 
         monkeypatch.setattr(dirac.DiracOperator, "apply", counted)
         perturbation_report(family, "operator")
-        assert applies["apply"] == 8
+        assert applies["apply"] == 3
 
     @pytest.mark.parametrize("route", ["closed_form", "operator"])
     def test_report_reads_the_h_it_built(self, family, monkeypatch, route):
@@ -501,23 +505,59 @@ class TestSharedWork:
         assert perturbation_report(family, "galerkin_fit").route == "galerkin_fit"
 
     def test_failure_order_matches_separate_calls(self, family, monkeypatch):
-        # h check, l1(+1), l1(-1), k check, second-order terms at +1 then -1
-        events = []
+        # the steps fail in order: h check, block +1, block -1, k check,
+        # term +1, term -1; the lockstep steps raise at their +1 row first
+        inner, pseudoinverse = perturbation.inner, perturbation.pseudoinverse
+        require_real = perturbation._require_real
+        skew = m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
 
-        def log(name, key):
-            original = getattr(perturbation, name)
+        def nonscalar(*rows):
+            def patched(u, v):
+                gram = inner(u, v)
+                if np.shape(gram) == (4, 4):  # <W1 b_i, b_j> over [v_1, v_-1, w_1, w_-1]
+                    gram = gram.copy()
+                    gram[list(rows), [r + 2 for r in rows]] = 1.0
+                return gram
+            return patched
 
-            def logged(*args):
-                events.append(key(*args))
-                return original(*args)
+        def overlapping(c, n, truncation, orthogonality_tol=None):
+            # the residual of mode -1 overlaps its eigenspace
+            c = np.array(c)
+            kernel = resize_degree(basis_spinor(-1, "v"), (c.shape[-1] - 1) // 2)
+            c[np.broadcast_to(n, c.shape[:-2]) == -1] += kernel
+            return pseudoinverse(c, n, truncation, orthogonality_tol)
 
-            monkeypatch.setattr(perturbation, name, logged)
+        def not_real_first():
+            calls = []
 
-        log("require_sym_real", lambda mat, name: name)
-        log("_first_order_block", lambda w1, n: ("l1", n))
-        log("_second_order_term", lambda w1, w2, w1v, l1, n, truncation: ("l2", n))
-        perturbation_report(family, "operator")
-        assert events == ["h", ("l1", 1), ("l1", -1), "k", ("l2", 1), ("l2", -1)]
+            def patched(value, terms, rel_tol):
+                calls.append(value)
+                if len(calls) == 1:  # the first realness check, which is l2(+1)'s
+                    raise NumericalContractError("l2(+1) injected not real")
+                require_real(value, terms, rel_tol)
+            return patched
+
+        def skewed(cf):
+            return skew
+
+        not_symmetric, not_scalar, not_real = ValueError, DegenerateSplittingError, NumericalContractError
+        cases = [
+            ({"first_order_perturbation": skewed, "inner": nonscalar(0)}, not_symmetric, "h must be"),
+            ({"inner": nonscalar(1)}, not_scalar, "mode -1 is"),
+            ({"inner": nonscalar(0, 1)}, not_scalar, "mode 1 is"),
+            ({"inner": nonscalar(1), "second_order_perturbation": skewed}, not_scalar, "mode -1 is"),
+            ({"second_order_perturbation": skewed, "pseudoinverse": overlapping}, not_symmetric, "k must be"),
+            ({"pseudoinverse": overlapping}, PseudoinverseDomainError, "lambda0=-1 "),
+            ({"pseudoinverse": overlapping, "_require_real": not_real_first()}, not_real, r"l2\(\+1\) inj"),
+            ({"_require_real": not_real_first()}, not_real, r"l2\(\+1\) inj"),
+        ]
+        for patches, error, message in cases:
+            with monkeypatch.context() as patch:
+                for name, value in patches.items():
+                    patch.setattr(perturbation, name, value)
+                with pytest.raises(error, match=message):
+                    perturbation_report(family, "operator")
+        assert perturbation_report(family, "operator").lambda1_plus == pytest.approx(-0.5, abs=1e-14)
 
     @pytest.mark.parametrize("bad", ["h", "k"])
     def test_input_check_messages(self, family, bad, monkeypatch):
