@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ALIASING_LIMIT, DET_FLOOR, CoframeFamily, NumericalContractError, fft_tail
-from .geometry import _coframe_samples, coframe_tails, positive_det, real_samples
-from .geometry import require_real_samples, require_resolved
+from .geometry import CoframeFamily, NumericalContractError, _coframe_samples, coframe_tails, fft_tail
+from .geometry import raise_first, tail_check
 from .trigpoly import _ZERO, matmul_entry, poly_add, poly_derivative, poly_sub, resize_degree
 
 
@@ -78,8 +77,7 @@ def symbol_matrix(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
 
 def _contract_checks(b: np.ndarray, p: np.ndarray):
     """The contracts of ``DiracOperator`` over stacks b (..., 2, 2, 2L+1) and
-    p (..., 2L+1), in order: ``(fails, message, value)``, ``fails`` True at
-    each operator that fails and ``message.format(value[i])`` its error."""
+    p (..., 2L+1), in order, as checks for ``geometry.raise_first``."""
     # B^ = (B^)^H entry by entry at k and -k: the defect of entry (1, 0)
     # mirrors that of (0, 1), and the diagonal ones are realness defects
     herm = np.abs(b - np.conj(b.swapaxes(-3, -2)[..., ::-1])).max(axis=(-3, -2, -1))
@@ -88,11 +86,15 @@ def _contract_checks(b: np.ndarray, p: np.ndarray):
     # a complex potential signals an index error upstream
     p_scale = np.fmax(1.0, np.abs(p).max(axis=-1))
     p_imag = np.abs(p - np.conj(p[..., ::-1])).max(axis=-1)
+
+    def check(fails, message, value):
+        return fails, lambda i: NumericalContractError(message.format(value.flat[i]))
+
     # each check reads "not defect <= tol", which a NaN defect fails
     return (
-        (~(herm <= b_tol), "symbol matrix not Hermitian: residual {:.2e}", herm),
-        (~(trace <= b_tol), "symbol matrix not trace-free: residual {:.2e}", trace),
-        (~(p_imag <= 1e-12 * p_scale), "potential has nonreal part above 1e-12 * {:.3e}", p_scale),
+        check(~(herm <= b_tol), "symbol matrix not Hermitian: residual {:.2e}", herm),
+        check(~(trace <= b_tol), "symbol matrix not trace-free: residual {:.2e}", trace),
+        check(~(p_imag <= 1e-12 * p_scale), "potential has nonreal part above 1e-12 * {:.3e}", p_scale),
     )
 
 
@@ -115,9 +117,7 @@ class DiracOperator:
         p = np.array(self.p_hat, dtype=complex, order="C")
         if b.ndim != 3 or b.shape[:2] != (2, 2) or b.shape[2] % 2 == 0 or p.shape != b.shape[2:]:
             raise ValueError("inconsistent symbol/potential shapes")
-        for fails, message, value in _contract_checks(b, p):
-            if fails:
-                raise NumericalContractError(message.format(value))
+        raise_first(_contract_checks(b, p))
         self._hold(b, p)
 
     @classmethod
@@ -182,42 +182,32 @@ def dirac_operators(cf: CoframeFamily, eps_values, n: int) -> list[DiracOperator
     Raises what ``[dirac_operator(cf, eps, n) for eps in eps_values]``
     raises: the first failing eps, at its first failing check of the coframe
     tail (``coframe_tails``, before anything is sampled), the realness of
-    the samples, det e (``positive_det``), the ``DiracOperator`` contracts
-    and the FFT tail.
+    the samples and det e (``sample_checks``), the ``DiracOperator``
+    contracts and the FFT tail.
     """
     eps = np.asarray(eps_values, dtype=float)
-    tails = coframe_tails(cf, eps, n)
-    past = np.flatnonzero(~(tails <= ALIASING_LIMIT))
-    stop = int(past[0]) if past.size else eps.size
+    past, error = tail_check(coframe_tails(cf, eps, n))
+    stop = int(np.argmax(past)) if past.any() else eps.size  # nothing past it is sampled
     ops = _sampled_operators(cf, eps[:stop], n) if stop else []
-    if stop < eps.size:
-        require_resolved((), n, tails[stop])
+    raise_first(((past, error),))
     return ops
 
 
 def _sampled_operators(cf: CoframeFamily, eps: np.ndarray, n: int) -> list[DiracOperator]:
     """``dirac_operators`` at the 1-d ``eps``, whose coframe tails passed. The
-    checks run once over the stacks; the first eps that fails one is checked
-    again alone, in order, which raises its first failure."""
+    checks run once over the stacks, in the order of ``dirac_operators``."""
     top = (n - 1) // 4  # the largest |k| below n/4
-    values, imag, scale, cofactors, det = _coframe_samples(cf, eps, n)
+    values, cofactors, det, checks = _coframe_samples(cf, eps, n)
     _, e01, e02, _, e11, e12, _, e21, e22, d01, d02, d11, d12, d21, d22 = values
-    num = (e02 * d01 - e01 * d02) + (e12 * d11 - e11 * d12) + (e22 * d21 - e21 * d22)
-    with np.errstate(all="ignore"):  # det e may vanish at an eps that fails below
+    with np.errstate(all="ignore"):  # det e may vanish, or samples overflow, at an eps that fails below
+        num = (e02 * d01 - e01 * d02) + (e12 * d11 - e11 * d12) + (e22 * d21 - e21 * d22)
         b_hat = np.fft.fft(symbol_matrix(*(cofactors / det)), axis=-1) / n
         p_hat = np.fft.fft(num / (4.0 * det), axis=-1) / n
     kept = np.arange(-top, top + 1) % n  # FFT indices of the frequencies |k| < n/4
     # (E, 2, 2, 2L+1) and (E, 2L+1): each eps's operator is a C-ordered block
     b, p = np.ascontiguousarray(np.moveaxis(b_hat[..., kept], 2, 0)), p_hat[:, kept]
     tails = np.maximum(fft_tail(b_hat, n, (0, 1, 3)), fft_tail(p_hat, n, 1))
-    fails = ~real_samples(imag, scale) | ~(det > DET_FLOOR).all(axis=1) | ~(tails <= ALIASING_LIMIT)
-    for breached, _, _ in _contract_checks(b, p):
-        fails |= breached
-    for e in np.flatnonzero(fails)[:1]:
-        require_real_samples(imag[e], scale[e], "coframe samples")
-        positive_det(det[e], eps[e], n)
-        DiracOperator(b[e], p[e])
-        require_resolved((), n, tails[e])
+    raise_first((*checks, *_contract_checks(b, p), tail_check(tails)))
     return [DiracOperator._checked(b[e], p[e]) for e in range(eps.size)]
 
 

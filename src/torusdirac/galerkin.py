@@ -16,8 +16,9 @@ Hermitian by construction. Every eps-sweep of the package goes through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -159,10 +160,11 @@ class SpectrumReport:
     eps: float
     m: int
     eigenvalues: np.ndarray
-    tracked: dict = field(default_factory=dict)  # mode n -> pair mean
+    tracked: MappingProxyType = field(default_factory=dict)  # mode n -> pair mean, held read-only
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
+        object.__setattr__(self, "tracked", MappingProxyType(dict(self.tracked)))
 
     @property
     def pairs(self) -> list[tuple[float, float]]:
@@ -241,9 +243,7 @@ def spectrum_report(cf: CoframeFamily, eps: float, m: int, modes=()) -> Spectrum
     UnderResolvedError before any mode is tracked, and a mode without an
     unambiguous eigenvalue pair raises TrackingError."""
     report = spectrum_sweep(cf, (eps,), m)[0]
-    for mode in modes:
-        report.tracked[int(mode)] = track_pair(report, int(mode))[0]
-    return report
+    return replace(report, tracked={int(mode): track_pair(report, int(mode))[0] for mode in modes})
 
 
 def spectrum_sweep(cf: CoframeFamily, eps_values, m: int) -> list[SpectrumReport]:

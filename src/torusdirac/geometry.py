@@ -6,8 +6,8 @@ matrix-valued functions on the circle, held as nested 3x3 tuples of entry
 coefficient arrays (see ``trigpoly``). The coframe is sampled in one place,
 ``_coframe_samples``, which the operator pass of ``dirac`` and
 ``arc_length`` share; sampled steps share one grid rule, ``default_grid``,
-and the checks ``require_real_samples``, ``positive_det``, ``coframe_tails``
-and ``require_resolved``, whose verdicts also judge a whole eps-sweep at once.
+and the checks ``sample_checks`` and ``tail_check`` of a whole eps-sweep.
+Every stacked check of the package fails by ``raise_first``, as its rows would.
 """
 
 from __future__ import annotations
@@ -50,18 +50,17 @@ class UnderResolvedError(NumericalContractError):
     """Grid too coarse for the Fourier tail of a sampled function."""
 
 
-def real_samples(imag, scale):
-    """Where ``imag``, the largest imaginary part of samples, is at most 1e-10 *
-    max(1, ``scale``), their largest |value|: rounding grows with the data."""
-    return imag <= 1e-10 * np.fmax(1.0, scale)
-
-
-def require_real_samples(imag: float, scale: float, what: str) -> None:
-    """Raise NumericalContractError unless ``real_samples(imag, scale)``."""
-    if not real_samples(imag, scale):
-        raise NumericalContractError(
-            f"{what} has imaginary part {imag:.2e}; expected real data"
-        )
+def raise_first(checks) -> None:
+    """Raise the error of the first row of a stack that fails any of
+    ``checks``, at the first check it fails. ``checks`` is a non-empty
+    sequence of pairs ``(fails, error)``: ``fails`` a boolean array over the
+    rows, of one shape for every check, and ``error(i)`` the exception of
+    row i, i its index in C order."""
+    fails = np.array([fails for fails, _ in checks])  # one count is cheaper than an any() per check
+    if np.count_nonzero(fails):
+        fails = fails.reshape(len(checks), -1)
+        i = int(np.argmax(fails.any(axis=0)))
+        raise checks[int(np.argmax(fails[:, i]))][1](i)
 
 
 def _require_real(entries, message: str) -> float:
@@ -165,16 +164,24 @@ def second_order_perturbation(cf: CoframeFamily) -> tuple:
     return tuple(tuple(_k_coefficient(cf.E1, cf.E2, a, b) for b in range(3)) for a in range(3))
 
 
-def positive_det(det: np.ndarray, eps: float, num_points: int) -> None:
-    """Raise SingularCoframeError unless every sample of det e in ``det``, on
-    ``grid_points(num_points)``, exceeds ``DET_FLOOR``, which NaN does not."""
-    bad = np.nonzero(~(det > DET_FLOOR))[0]
-    if bad.size:
-        j = int(bad[0])
-        raise SingularCoframeError(
-            f"coframe is singular at eps={eps}: det={det[j]:.3e} "
-            f"at grid index {j} (x={grid_points(num_points)[j]:.6f})"
+def sample_checks(eps: np.ndarray, imag: np.ndarray, scale: np.ndarray, det: np.ndarray, n: int) -> tuple:
+    """The checks, for ``raise_first``, of coframe samples at each of the 1-d
+    ``eps``: ``imag``, their largest imaginary part, at most 1e-10 * max(1,
+    ``scale``), their largest |value|, as rounding grows with the data; then
+    det e > ``DET_FLOOR`` on ``grid_points(n)``, which NaN fails."""
+    singular = ~(det > DET_FLOOR)
+
+    def singular_error(e):
+        j = int(np.argmax(singular[e]))
+        return SingularCoframeError(
+            f"coframe is singular at eps={eps[e]}: det={det[e, j]:.3e} "
+            f"at grid index {j} (x={grid_points(n)[j]:.6f})"
         )
+
+    def complex_error(e):
+        return NumericalContractError(f"coframe samples has imaginary part {imag[e]:.2e}; expected real data")
+
+    return (~(imag <= 1e-10 * np.fmax(1.0, scale)), complex_error), (singular.any(axis=1), singular_error)
 
 
 def coframe_tails(cf: CoframeFamily, eps: np.ndarray, n: int) -> np.ndarray:
@@ -187,40 +194,40 @@ def coframe_tails(cf: CoframeFamily, eps: np.ndarray, n: int) -> np.ndarray:
     for e1, e2 in zip(chain(*cf.E1), chain(*cf.E2)):
         d = (max(e1.size, e2.size) - 1) // 2
         for i, x in enumerate(eps if d > top else ()):
-            c = np.abs(poly_add(e1 * x, e2 * (x * x)))
+            with np.errstate(over="ignore", invalid="ignore"):  # a tail_check fails the overflow
+                c = np.abs(poly_add(e1 * x, e2 * (x * x)))
             tails[i] = np.max([tails[i], c[: d - top].max(), c[d + top + 1 :].max()])
     return tails
 
 
-def fft_tail(hat: np.ndarray, n: int, axis=None):
-    """Largest |coefficient| over ``axis`` (default all) of ``hat``, FFTs of
+def fft_tail(hat: np.ndarray, n: int, axis):
+    """Largest |coefficient| over ``axis`` of ``hat``, FFTs of
     samples on n points divided by n, at |k| >= n/4; a NaN is kept."""
     top = (n - 1) // 4  # the largest |k| below n/4
     # FFT order: indices top+1 .. n-top-1 hold the frequencies |k| > top
     return np.max(np.abs(hat[..., top + 1 : n - top]), axis=axis, initial=0.0)
 
 
-def require_resolved(hats, n: int, tail: float = 0.0) -> None:
-    """Raise UnderResolvedError when ``tail``, a coframe tail from
-    ``coframe_tails``, or the ``fft_tail`` of one of ``hats`` (the band that
-    sampling drops) exceeds ``ALIASING_LIMIT``, or is NaN."""
-    tail = np.max([tail] + [fft_tail(h, n) for h in hats])  # np.max keeps a NaN
-    if not tail <= ALIASING_LIMIT:
-        raise UnderResolvedError(
-            f"Fourier tail {tail:.2e} of the coefficients exceeds "
-            f"{ALIASING_LIMIT:.0e}; the sampling grid under-resolves them"
-        )
+def tail_check(tails: np.ndarray) -> tuple:
+    """The check, for ``raise_first``, that each of ``tails``, from
+    ``coframe_tails`` or ``fft_tail`` (the band that sampling drops), is at
+    most ``ALIASING_LIMIT``, which NaN is not (else UnderResolvedError)."""
+    return ~(tails <= ALIASING_LIMIT), lambda e: UnderResolvedError(
+        f"Fourier tail {tails[e]:.2e} of the coefficients exceeds "
+        f"{ALIASING_LIMIT:.0e}; the sampling grid under-resolves them"
+    )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _coframe_samples(cf: CoframeFamily, eps: np.ndarray, n: int):
     """The coframe e = I + eps*E1 + eps^2*E2 on ``grid_points(n)`` at each
     of the 1-d ``eps``, from one sample of E1, E2 and their derivatives at
-    the harmonics |k| < n/4: ``(values, imag, scale, cofactors, det)``.
+    the harmonics |k| < n/4: ``(values, cofactors, det, checks)``.
 
     ``values`` (15, E, n) holds the real entries e^j_a at index 3j + a, then
-    the derivatives of entries (j, 1), (j, 2); ``imag`` and ``scale`` (E,)
-    are the arguments of ``require_real_samples``; ``cofactors`` (3, E, n)
-    are those of the first column, and ``det`` (E, n) is det e.
+    the derivatives of entries (j, 1), (j, 2); ``cofactors`` (3, E, n) are
+    those of the first column, ``det`` (E, n) is det e and ``checks`` are
+    the ``sample_checks`` of them all, which judge an overflow: none warns.
     """
     d = min(field_degree((*cf.E1, *cf.E2)), (n - 1) // 4)
     coeffs = np.array([[[resize_degree(c, d) for c in row] for row in f] for f in (cf.E1, cf.E2)])
@@ -237,14 +244,14 @@ def _coframe_samples(cf: CoframeFamily, eps: np.ndarray, n: int):
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = values[:9].reshape(3, 3, *values.shape[1:])
     cofactors = np.array([e11 * e22 - e12 * e21, e02 * e21 - e01 * e22, e01 * e12 - e02 * e11])
     det = e00 * cofactors[0] + e10 * cofactors[1] + e20 * cofactors[2]
-    return values, imag, scale, cofactors, det
+    return values, cofactors, det, sample_checks(eps, imag, scale, det, n)
 
 
 def arc_length(cf: CoframeFamily, eps: float) -> float:
     """Length of the x^1 coordinate circle: int_0^2pi sqrt(g_11) dx^1.
 
     Trapezoidal quadrature on ``default_grid`` of the coframe degree, exact
-    to rounding once ``require_resolved`` passes on sqrt(g_11), from the
+    to rounding once ``tail_check`` passes on sqrt(g_11), from the
     ``_coframe_samples`` checked as the operator pass checks them (det e > 0,
     else SingularCoframeError), with g_11 = sum_j (e^j_1)^2. The grid keeps
     every coframe harmonic in band, so only the tail of sqrt(g_11) is checked.
@@ -254,17 +261,13 @@ def arc_length(cf: CoframeFamily, eps: float) -> float:
 
 def _arc_lengths(cf: CoframeFamily, eps: np.ndarray) -> list[float]:
     """``arc_length`` at each of the 1-d ``eps``, from one ``_coframe_samples``,
-    with the bits of one call per eps; each eps is checked in turn."""
+    with the bits and the failure of one call per eps, one after another."""
     n = default_grid(field_degree((*cf.E1, *cf.E2)))
-    values, imag, scale, _, det = _coframe_samples(cf, eps, n)
-    lengths = []
-    for e, x in enumerate(eps):
-        require_real_samples(imag[e], scale[e], "coframe samples")
-        positive_det(det[e], x, n)
-        g11 = values[0, e] ** 2 + values[3, e] ** 2 + values[6, e] ** 2
-        if not np.all(g11 > 0):
-            raise SingularCoframeError(f"g_11 not positive at eps={x}")
+    values, _, _, checks = _coframe_samples(cf, eps, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below fail an overflow
+        g11 = values[0] ** 2 + values[3] ** 2 + values[6] ** 2
         sqrt_g11 = np.sqrt(g11)
-        require_resolved((np.fft.fft(sqrt_g11) / n,), n)
-        lengths.append(float(sqrt_g11.sum() * 2.0 * np.pi / n))
-    return lengths
+        tails = fft_tail(np.fft.fft(sqrt_g11, axis=-1) / n, n, axis=-1)
+    positive = (~(g11 > 0).all(axis=1), lambda e: SingularCoframeError(f"g_11 not positive at eps={eps[e]}"))
+    raise_first((*checks, positive, tail_check(tails)))
+    return (sqrt_g11.sum(axis=1) * 2.0 * np.pi / n).tolist()

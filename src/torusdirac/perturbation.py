@@ -22,7 +22,8 @@ take whole. The basis spinors come cached and read-only from
 ``galerkin.basis_spinor``, and sums go through ``trigpoly.poly_sub``. The
 route is two private helpers, the first-order blocks and the second-order
 terms, which take W1 and W2 as arguments and share the stack of W1 v_n;
-each raises what the modes one after another would, mode +1 first.
+each fails by ``geometry.raise_first``, mode +1 at its first failed check,
+then mode -1.
 
 ``perturbation_report(cf, route, m)`` is the one entry to every route. It
 builds h and k from E1 and E2 with ``geometry.first_order_perturbation``
@@ -35,7 +36,6 @@ with no copy through ``trigpoly._as_field``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .dirac import DiracOperator, _first_order_operator, _second_order_operator, _spinor, inner
 from .galerkin import basis_spinor, spectrum_sweep, track_pairs
-from .geometry import CoframeFamily, NumericalContractError, _k_coefficient
+from .geometry import CoframeFamily, NumericalContractError, _k_coefficient, raise_first
 from .geometry import first_order_perturbation, require_sym_real, second_order_perturbation
 from .trigpoly import field_degree, matmul_entry, poly_sub, resize_degree, stack_entries
 
@@ -104,24 +104,30 @@ def pseudoinverse(c, n, truncation: int, orthogonality_tol: float | None = None)
     1e-13) plus |n|, and ValueError unless ``c`` has shape (..., 2, 2K+1).
     Of a stack, the first row that fails raises, at its first failed check.
     """
+    out, checks = _pseudoinverse(c, n, truncation, orthogonality_tol)
+    raise_first(checks)
+    return out
+
+
+def _pseudoinverse(c, n, truncation: int, orthogonality_tol: float | None = None):
+    """``pseudoinverse``'s output and, for ``geometry.raise_first``, its checks."""
     c = _spinor(c)
     n = np.broadcast_to(n, c.shape[:-2])
     k = np.arange(c.shape[-1]) - (c.shape[-1] - 1) // 2
     need = np.where(np.abs(c).max(axis=-2) > 1e-13, np.abs(k), 0).max(axis=-1) + np.abs(n) + 1
-    overlaps = [] if orthogonality_tol is None else [
-        np.abs(inner(c, _basis(tuple(n.ravel().tolist()), kind).reshape(n.shape + (2, -1))))
-        for kind in ("v", "w")
-    ]
-    # "not overlap <= tol", so that a NaN overlap fails too
-    fails = np.logical_or.reduce([truncation < need] + [~(o <= orthogonality_tol) for o in overlaps])
-    for i in map(tuple, np.argwhere(fails)[:1]):
-        for overlap in overlaps:
-            if not overlap[i] <= orthogonality_tol:
-                raise PseudoinverseDomainError(
-                    f"input overlaps the lambda0={n[i]} eigenspace "
-                    f"by {overlap[i]:.2e} (tolerance {orthogonality_tol:.0e})"
-                )
-        raise TruncationError(f"truncation {truncation} below bandwidth requirement {need[i]}")
+
+    def domain_check(kind):
+        overlap = np.abs(inner(c, _basis(tuple(n.ravel().tolist()), kind).reshape(n.shape + (2, -1))))
+        # "not overlap <= tol", so that a NaN overlap fails too
+        return ~(overlap <= orthogonality_tol), lambda i: PseudoinverseDomainError(
+            f"input overlaps the lambda0={n.flat[i]} eigenspace "
+            f"by {overlap.flat[i]:.2e} (tolerance {orthogonality_tol:.0e})"
+        )
+
+    checks = [] if orthogonality_tol is None else [domain_check("v"), domain_check("w")]
+    checks.append((truncation < need, lambda i: TruncationError(
+        f"truncation {truncation} below bandwidth requirement {need.flat[i]}"
+    )))
     f = resize_degree(c, truncation)
     q, n = np.arange(-truncation, truncation + 1), n[..., None]
     # weights of A and B per mode, zero where the denominator vanishes
@@ -129,7 +135,7 @@ def pseudoinverse(c, n, truncation: int, orthogonality_tol: float | None = None)
     np.divide(0.5, q - n, out=wa, where=q != n)
     np.divide(0.5, -q - n, out=wb, where=q != -n)
     sym, anti = wa * (f[..., 0, :] + f[..., 1, :]), wb * (f[..., 0, :] - f[..., 1, :])
-    return np.stack([sym + anti, sym - anti], axis=-2)
+    return np.stack([sym + anti, sym - anti], axis=-2), checks
 
 
 # ----------------------------------------------------------------------
@@ -163,14 +169,13 @@ def _first_order_blocks(w1: DiracOperator) -> tuple[np.ndarray, np.ndarray]:
     basis = np.concatenate([_basis(_KRAMERS_PAIR, "v"), _basis(_KRAMERS_PAIR, "w")])
     images = w1.apply(basis)
     gram = inner(images[:, None], basis)  # gram[i, j] = <W1 basis_i, basis_j>
-    for r, n in enumerate(_KRAMERS_PAIR):
-        diag_v, off, diag_w = gram[r, r], gram[r, r + 2], gram[r + 2, r + 2]
-        if not (abs(off) <= 1e-9 and abs(diag_v - diag_w) <= 1e-9 and abs(diag_v.imag) <= 1e-9):
-            raise DegenerateSplittingError(
-                f"first-order block on mode {n} is not scalar: "
-                f"diag ({diag_v:.3e}, {diag_w:.3e}), off-diagonal {abs(off):.3e}"
-            )
-    return gram.diagonal()[:2].real, images[:2]
+    (diag_v, diag_w), off = gram.diagonal().reshape(2, 2), gram.diagonal(2)
+    scalar = (np.abs(off) <= 1e-9) & (np.abs(diag_v - diag_w) <= 1e-9) & (np.abs(diag_v.imag) <= 1e-9)
+    raise_first(((~scalar, lambda r: DegenerateSplittingError(
+        f"first-order block on mode {_KRAMERS_PAIR[r]} is not scalar: "
+        f"diag ({diag_v[r]:.3e}, {diag_w[r]:.3e}), off-diagonal {abs(off[r]):.3e}"
+    )),))
+    return diag_v.real, images[:2]
 
 
 # ----------------------------------------------------------------------
@@ -193,16 +198,18 @@ def _antisymmetric_flux_sum(hhat: np.ndarray, degree: int) -> complex:
     return total
 
 
-def _require_real(value: complex, terms, rel_tol: float) -> None:
-    """Raise unless ``value`` is finite and |Im value| <= rel_tol * max |term|
-    over the summed ``terms``: the rounding in a sum grows with its largest
-    term, so the imaginary part is judged against that scale, not against 1.
-    A NaN or infinite value, from terms that overflowed, fails."""
-    scale = max(abs(t) for t in terms)
-    if not (abs(value.imag) <= rel_tol * scale and math.isfinite(abs(value))):
-        raise NumericalContractError(
-            f"second-order coefficient not real: {value} (terms up to {scale:.3e})"
-        )
+def _realness_check(values: np.ndarray, terms: np.ndarray, rel_tol: float):
+    """The check, for ``geometry.raise_first``, that each of ``values``, the
+    sum of ``terms`` (T, R) at its index, is finite with |Im| <= rel_tol *
+    max |term|: the rounding in a sum grows with its largest term, so the
+    imaginary part is judged against that scale, not against 1."""
+    fails = ~((np.abs(values.imag) <= rel_tol * np.abs(terms).max(axis=0)) & np.isfinite(values))
+
+    def error(i):
+        scale = max(abs(t[i]) for t in terms)
+        return NumericalContractError(f"second-order coefficient not real: {values[i]} (terms up to {scale:.3e})")
+
+    return fails, error
 
 
 def _second_corrections_closed(h, k00: np.ndarray) -> list[float]:
@@ -213,14 +220,14 @@ def _second_corrections_closed(h, k00: np.ndarray) -> list[float]:
     has finite trigonometric degree. Of h^2 only entry (0, 0) is built; every
     coefficient of h is read from one stack zero-padded to the widest
     harmonic the sums reach. The stack, the means and the flux sum are built
-    once for both signs.
+    once for both signs, and one check judges the realness of both.
     """
     d = field_degree(h)
     top = d + 4
     hhat = stack_entries(h, top)
     hsq00_mean, k00_mean = _mean(matmul_entry(h, h, 0, 0)), _mean(k00)
     flux = -(1j / 16.0) * _antisymmetric_flux_sum(hhat, d)
-    values = []
+    terms = []
     for n in (1, -1):
         lead = n * (0.375 * hsq00_mean - 0.125 * k00_mean)
         s_diag = 0.0 + 0.0j
@@ -235,40 +242,32 @@ def _second_corrections_closed(h, k00: np.ndarray) -> list[float]:
             z2 = np.conj(z[2, 0]) - 1j * np.conj(z[1, 0])
             s_mixed += (m - n) * z1 * z2
 
-        terms = (lead, flux, s_diag / 16.0, s_mixed / 16.0)
-        value = terms[0] + terms[1] - terms[2] - terms[3]
-        _require_real(value, terms, 1e-12)
-        values.append(float(value.real))
-    return values
+        terms.append((lead, flux, s_diag / 16.0, s_mixed / 16.0))
+    terms = np.array(terms).T
+    values = terms[0] + terms[1] - terms[2] - terms[3]
+    raise_first((_realness_check(values, terms, 1e-12),))
+    return values.real.tolist()
 
 
 def _second_order_terms(w1: DiracOperator, w2: DiracOperator, w1v: np.ndarray, l1: np.ndarray,
-                        truncation: int, modes: tuple = _KRAMERS_PAIR) -> np.ndarray:
-    """Operator-route second-order coefficients, at each n of ``modes``,
+                        truncation: int) -> np.ndarray:
+    """Operator-route second-order coefficients [l2(+1), l2(-1)],
 
         <W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v>
 
     for v = v_n, given the stacks w1v of W1 v and l1 of l1(n), with Q the
     pseudoinverse at lambda0 = n truncated to |q| <= ``truncation``; deg h + 4
     covers the bandwidth of (W1 - l1) v, so the value is exact up to
-    roundoff. The modes run in lockstep, and fail as one mode after another
-    would: at the first mode's pseudoinverse checks, then its realness, then
-    the next mode's."""
-    v = _basis(modes, "v")
+    roundoff. The modes run in lockstep, and fail by one ordered list of
+    checks: mode +1's pseudoinverse checks, then its realness, then -1's."""
+    v = _basis(_KRAMERS_PAIR, "v")
     shift = l1.astype(complex)[:, None, None]
     residual = poly_sub(w1v, v * shift)
-    try:
-        corrected = pseudoinverse(residual, modes, truncation, orthogonality_tol=1e-9)
-    except NumericalContractError:
-        # the modes one at a time, so that an earlier mode's realness fails first
-        for r in range(len(modes)) if len(modes) > 1 else ():
-            _second_order_terms(w1, w2, w1v[r : r + 1], l1[r : r + 1], truncation, modes[r : r + 1])
-        raise
+    corrected, checks = _pseudoinverse(residual, _KRAMERS_PAIR, truncation, orthogonality_tol=1e-9)
     shifted = poly_sub(w1.apply(corrected), corrected * shift)
-    terms = (inner(w2.apply(v), v), inner(shifted, v))
+    terms = np.array((inner(w2.apply(v), v), inner(shifted, v)))
     values = terms[0] - terms[1]
-    for r in range(len(modes)):
-        _require_real(complex(values[r]), (complex(terms[0][r]), complex(terms[1][r])), 1e-10)
+    raise_first((*checks, _realness_check(values, terms, 1e-10)))
     return values.real
 
 
@@ -316,6 +315,9 @@ def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
         raise ValueError(f"need at least {order + 2} eps samples for order {order}")
     if np.any(grid <= 0) or np.any(grid > 0.15):
         raise ValueError("eps samples must lie in (0, 0.15]")
+    repeated = grid[np.triu(grid[:, None] == grid, 1).any(axis=0)]  # each eps equal to an earlier one
+    if repeated.size:
+        raise ValueError(f"eps sample {repeated[0]} given twice")
 
     n_nuisance = min(4, grid.size - order - 2)
     powers = list(range(1, order + 1 + n_nuisance))
@@ -390,8 +392,12 @@ class PerturbationReport:
         return self.lambda2_plus + self.lambda2_minus
 
 
+# one errstate per report, cheaper than one per built quantity: a check
+# judges every result, and an h or k that overflows raises
+@np.errstate(over="ignore", invalid="ignore")
 def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> PerturbationReport:
-    """Compute all four coefficients by the requested route.
+    """Compute all four coefficients by the requested route, with no
+    warning on overflow.
 
     The closed form builds h and k[0, 0]; l1(n) = -n/2 * hhat_11(0). The
     operator route builds h and k in full, checks that both are real and

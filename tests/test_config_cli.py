@@ -309,6 +309,18 @@ class TestCli:
         assert captured.out == "" and not target.exists()
         assert captured.err.startswith(f"config error: cannot write output {str(target)!r}")
 
+    @pytest.mark.parametrize(
+        "eps,repeated", [(",".join(["0.01"] * 8), "0.01"), ("0.02,0.02,0.04,0.04,0.06,0.06,0.08,0.08", "0.02")]
+    )
+    def test_repeated_fit_eps_is_config_error(self, eps, repeated, capsys):
+        # the rank-deficient design printed c2(+1) = -0.0049 for a closed form
+        # of 0.75, or flagged a pair of asymmetry -0.25 as symmetric
+        argv = ["fit", "--config", "example-explicit-2", "--order", "2", "--modes", "1,-1", "--eps", eps]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"config error: eps sample {repeated} given twice\n"
+
     @pytest.mark.parametrize("command", ["galerkin", "fit"])
     def test_repeated_mode_is_config_error(self, command, tmp_path, capsys):
         # a repeated mode printed its columns or its row twice
@@ -460,8 +472,7 @@ class TestCli:
 
         monkeypatch.setattr(galerkin, "galerkin_matrix", refuse)
         argv = ["galerkin", "--config", "example-explicit-2", "--eps", "1e200", "--m", "5"]
-        with np.errstate(all="ignore"):  # the overflow itself is expected
-            code = main(argv + ["--modes", "1"])
+        code = main(argv + ["--modes", "1"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -471,8 +482,7 @@ class TestCli:
         # k = 4 E1^T E1 overflows: a numerical fault, not a configuration error
         cfgfile = tmp_path / "huge.cfg"
         cfgfile.write_text("coframe.E1.1.1 = (0, 1e200, 0)\n")
-        with np.errstate(all="ignore"):
-            code = main(["asympt", "--config", str(cfgfile)])
+        code = main(["asympt", "--config", str(cfgfile)])
         assert code == 3
         assert "numerical contract violation: h or k[0, 0] overflows" in capsys.readouterr().err
 

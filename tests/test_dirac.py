@@ -286,11 +286,11 @@ class TestSymbolValidation:
         p[5, 0] = np.nan
         checks = _contract_checks(b, p)
         for e in range(6):
-            failed = [message.format(value[e]) for fails, message, value in checks if fails[e]]
+            failed = [str(error(e)) for fails, error in checks if fails[e]]
             if not failed:
                 DiracOperator(b[e], p[e])
                 continue
             with pytest.raises(NumericalContractError) as info:
                 DiracOperator(b[e], p[e])
             assert str(info.value) == failed[0]
-        assert [bool(any(fails[e] for fails, _, _ in checks)) for e in range(6)] == [False] + [True] * 5
+        assert [bool(any(fails[e] for fails, _ in checks)) for e in range(6)] == [False] + [True] * 5

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -226,16 +227,22 @@ class TestOperatorPass:
             pass
 
     def test_passing_pass_runs_no_check_per_eps(self, monkeypatch):
-        # every check runs once over the stacks; the scalar checks and the
-        # DiracOperator contracts run alone only at an eps that failed there
+        # every check runs once over the stacks, no error is built, and the
+        # DiracOperator contracts do not run again for one eps
         def refuse(*args):
             raise AssertionError("a check ran for one eps of a passing pass")
 
-        for name in ("require_real_samples", "positive_det", "require_resolved"):
-            monkeypatch.setattr(dirac, name, refuse)
+        raise_first, shapes = dirac.raise_first, []
+
+        def stacked_only(checks):
+            shapes.extend(np.shape(fails) for fails, _ in checks)
+            raise_first([(fails, refuse) for fails, _ in checks])
+
+        monkeypatch.setattr(dirac, "raise_first", stacked_only)
         monkeypatch.setattr(DiracOperator, "__post_init__", refuse)
         cf = load_example("example-galerkin-2").family()
         ops = dirac_operators(cf, np.linspace(0.01, 0.08, 12), 256)
+        assert shapes == [(12,)] * 7  # the coframe tail, then realness, det e, three contracts, the FFT tail
         assert len(ops) == 12
         assert all(not (op.b_hat.flags.writeable or op.p_hat.flags.writeable) for op in ops)
         assert all(op.b_hat.flags.c_contiguous and op.b_hat.shape == (2, 2, 127) for op in ops)
@@ -254,6 +261,19 @@ class TestEigenvalues:
     def test_printed_value_rotation_family(self, rotation_block_coframe):
         rep = spectrum_report(rotation_block_coframe, 0.1, 25, modes=(1,))
         assert_sigfigs(rep.tracked[1], 0.994949, 6)
+
+    def test_tracked_is_read_only(self, rotation_block_coframe):
+        # an assignment had made the report disagree with its own eigenvalues
+        rep = spectrum_report(rotation_block_coframe, 0.1, 5, modes=(1,))
+        with pytest.raises(TypeError):
+            rep.tracked[1] = 99.0
+        assert rep.tracked == {1: track_pair(rep, 1)[0]}
+        moved = dataclasses.replace(rep, tracked={**rep.tracked, 1: 99.0})
+        assert moved.tracked == {1: 99.0} and rep.tracked[1] != 99.0
+        source = {}
+        held = SpectrumReport(eps=0.1, m=5, eigenvalues=rep.eigenvalues, tracked=source)
+        source[1] = 99.0
+        assert held.tracked == {}
 
     def test_printed_value_first_row_family(self, first_row_coframe):
         rep = spectrum_report(first_row_coframe, 0.1, 25, modes=(1,))

@@ -18,8 +18,7 @@ from torusdirac import (
 )
 from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.dirac import symbol_matrix
-from torusdirac.geometry import coframe_tails, positive_det, require_real_samples
-from torusdirac.geometry import _arc_lengths, require_resolved
+from torusdirac.geometry import _arc_lengths, coframe_tails, fft_tail, raise_first, sample_checks, tail_check
 from torusdirac.trigpoly import grid_points, poly_add, poly_derivative, poly_sub, resize_degree
 
 from conftest import COS, IDENTITY, add, SIN, ZERO, ZERO_FIELD, const, entrywise, evaluate, isclose
@@ -118,35 +117,41 @@ class TestCoframeFamily:
         assert all(c.dtype == complex and not c.flags.writeable for row in cf.E1 for c in row)
 
 
+def check_samples(imag, scale, det, eps=0.1):
+    """``raise_first`` on the ``sample_checks`` of one eps on len(det) points."""
+    raise_first(sample_checks(np.array([eps]), np.array([imag]), np.array([scale]), np.array([det]), len(det)))
+
+
 class TestRealSamples:
     def test_imaginary_part_is_judged_against_the_largest_sample(self):
-        require_real_samples(1.16e-10, 1e9, "coframe samples")
+        check_samples(1.16e-10, 1e9, np.ones(16))
         for imag, scale in ((1e-3, 1e3), (2e-10, 0.5)):
             with pytest.raises(NumericalContractError, match="coframe samples has imaginary part"):
-                require_real_samples(imag, scale, "coframe samples")
+                check_samples(imag, scale, np.ones(16))
 
     def test_nan_fails_every_sampled_check(self):
         # each check reads "not defect <= tol", which a NaN defect fails
         with pytest.raises(NumericalContractError, match="coframe samples has imaginary part nan"):
-            require_real_samples(np.nan, 1.0, "coframe samples")
+            check_samples(np.nan, 1.0, np.ones(16))
         # a real NaN sample of det e is a singular coframe
         with pytest.raises(SingularCoframeError, match="det=nan at grid index 0"):
-            positive_det(np.full(16, np.nan), 0.1, 16)
+            check_samples(0.0, 1.0, np.full(16, np.nan))
 
     def test_nan_tail_is_under_resolved(self):
-        # max() over the tails keeps or drops a NaN by its position; both count
-        clean, tainted = np.zeros(16, dtype=complex), np.zeros(16, dtype=complex)
-        tainted[8] = np.nan
-        for hats in ((clean, tainted), (tainted, clean)):
+        # the operator pass takes the larger of the tails of B and p; a NaN
+        # in the band past n/4 of either is kept
+        clean, tainted = np.zeros((1, 16), dtype=complex), np.zeros((1, 16), dtype=complex)
+        tainted[0, 8] = np.nan
+        for a, b in ((clean, tainted), (tainted, clean)):
+            tails = np.maximum(fft_tail(a, 16, 1), fft_tail(b, 16, 1))
             with pytest.raises(UnderResolvedError, match="tail nan"):
-                require_resolved(hats, 16)
+                raise_first((tail_check(tails),))
         # eps^2 overflows, and inf * 0 makes the E2 coefficients past the band NaN
         cf = CoframeFamily(*(m3([[COS(8, a), 0.0, 0.0], [0.0] * 3, [0.0] * 3]) for a in (1.0, 0.0)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            tails = coframe_tails(cf, np.array([0.1, 1e200]), 16)
+        tails = coframe_tails(cf, np.array([0.1, 1e200]), 16)
         assert tails[0] == 0.05 and np.isnan(tails[1])
         with pytest.raises(UnderResolvedError, match="tail nan"):
-            require_resolved((clean,), 16, tails[1])
+            raise_first((tail_check(tails[1:]),))
 
 
 class TestPerturbationExtraction:

@@ -111,7 +111,7 @@ def _route_spinors(cf) -> list[str]:
     output, the rows of the stacks that ``perturbation_report(cf, "operator")``
     builds for both modes in lockstep, recorded from inside it."""
     stacks = {}
-    blocks, pseudoinverse = perturbation._first_order_blocks, perturbation.pseudoinverse
+    blocks, pseudoinverse = perturbation._first_order_blocks, perturbation._pseudoinverse
 
     def record_blocks(*args):
         result = blocks(*args)
@@ -119,12 +119,13 @@ def _route_spinors(cf) -> list[str]:
         return result
 
     def record_pseudoinverse(*args, **kwargs):
-        stacks["corrected"] = pseudoinverse(*args, **kwargs)
-        return stacks["corrected"]
+        result = pseudoinverse(*args, **kwargs)
+        stacks["corrected"] = result[0]
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(perturbation, "_first_order_blocks", record_blocks)
-        patch.setattr(perturbation, "pseudoinverse", record_pseudoinverse)
+        patch.setattr(perturbation, "_pseudoinverse", record_pseudoinverse)
         perturbation_report(cf, "operator")
     return [
         f"n={n:+d} w1v {_sha256(stacks['w1v'][i])} pseudoinverse {_sha256(stacks['corrected'][i])}"

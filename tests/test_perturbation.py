@@ -21,6 +21,7 @@ from torusdirac import (
 from torusdirac.cli import cmd_fit
 from torusdirac.dirac import inner
 from torusdirac.galerkin import basis_spinor
+from torusdirac.geometry import raise_first
 from torusdirac.perturbation import DegenerateSplittingError, fit_from_values, pseudoinverse
 from torusdirac.trigpoly import poly_add, poly_sub, resize_degree
 
@@ -40,6 +41,12 @@ def route_reports(h, k) -> tuple:
     which gives back h exactly and k to rounding."""
     cf = CoframeFamily.from_perturbation(h, k)
     return perturbation_report(cf, "closed_form"), perturbation_report(cf, "operator")
+
+
+def check_real(value, terms, rel_tol=1e-12):
+    """``raise_first`` on the realness check of one sum ``value`` of ``terms``."""
+    check = perturbation._realness_check(np.array([value]), np.array(terms, dtype=complex)[:, None], rel_tol)
+    raise_first((check,))
 
 
 class TestPseudoinverse:
@@ -186,9 +193,9 @@ class TestSecondCorrection:
             CoframeFamily.from_perturbation(h, bad)
 
     def test_realness_gate_is_relative_to_the_largest_term(self):
-        perturbation._require_real(2.0e4 + 1e-9j, (1.0e4, 1.0e4), 1e-12)
+        check_real(2.0e4 + 1e-9j, (1.0e4, 1.0e4))
         with pytest.raises(perturbation.NumericalContractError, match="not real"):
-            perturbation._require_real(2.0 + 1e-11j, (1.0, 1.0), 1e-12)
+            check_real(2.0 + 1e-11j, (1.0, 1.0))
 
 
 class TestAsymmetry:
@@ -248,6 +255,15 @@ class TestFit:
             fit_from_values(1, [0.01, 0.02, 0.03], [0, 0, 0], order=2)
         with pytest.raises(ValueError, match="0.15"):
             fit_from_values(1, [0.05, 0.1, 0.2, 0.3], [0, 0, 0, 0], order=2)
+
+    def test_rejects_a_repeated_eps(self, explicit_family_2):
+        # a repeated eps leaves the design rank-deficient: the fit had exited
+        # with c2(+1) = -0.0049, where the closed form gives 0.75
+        cf = CoframeFamily.from_perturbation(*explicit_family_2)
+        grid = np.linspace(0.01, 0.08, 8)
+        grid[5] = grid[2]
+        with pytest.raises(ValueError, match=f"eps sample {grid[2]} given twice"):
+            fit_expansion(cf, (1, -1), eps_grid=grid, order=2, m=12)
 
 
 class TestSweepSolves:
@@ -323,7 +339,7 @@ class TestNonFinite:
     )
     def test_require_real_rejects_non_finite(self, value, terms):
         with pytest.raises(NumericalContractError, match="not real"):
-            perturbation._require_real(value, terms, 1e-12)
+            check_real(value, terms)
 
     def test_first_order_block_rejects_nan(self, monkeypatch):
         def nan_gram(u, v):
@@ -507,8 +523,8 @@ class TestSharedWork:
     def test_failure_order_matches_separate_calls(self, family, monkeypatch):
         # the steps fail in order: h check, block +1, block -1, k check,
         # term +1, term -1; the lockstep steps raise at their +1 row first
-        inner, pseudoinverse = perturbation.inner, perturbation.pseudoinverse
-        require_real = perturbation._require_real
+        inner, pseudoinverse = perturbation.inner, perturbation._pseudoinverse
+        realness_check = perturbation._realness_check
         skew = m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
 
         def nonscalar(*rows):
@@ -527,15 +543,11 @@ class TestSharedWork:
             c[np.broadcast_to(n, c.shape[:-2]) == -1] += kernel
             return pseudoinverse(c, n, truncation, orthogonality_tol)
 
-        def not_real_first():
-            calls = []
-
-            def patched(value, terms, rel_tol):
-                calls.append(value)
-                if len(calls) == 1:  # the first realness check, which is l2(+1)'s
-                    raise NumericalContractError("l2(+1) injected not real")
-                require_real(value, terms, rel_tol)
-            return patched
+        def not_real_first(values, terms, rel_tol):
+            # row 0 of the realness check, which is l2(+1)'s, fails
+            fails, error = realness_check(values, terms, rel_tol)
+            injected = NumericalContractError("l2(+1) injected not real")
+            return fails | (np.arange(fails.size) == 0), lambda i: injected if i == 0 else error(i)
 
         def skewed(cf):
             return skew
@@ -546,10 +558,10 @@ class TestSharedWork:
             ({"inner": nonscalar(1)}, not_scalar, "mode -1 is"),
             ({"inner": nonscalar(0, 1)}, not_scalar, "mode 1 is"),
             ({"inner": nonscalar(1), "second_order_perturbation": skewed}, not_scalar, "mode -1 is"),
-            ({"second_order_perturbation": skewed, "pseudoinverse": overlapping}, not_symmetric, "k must be"),
-            ({"pseudoinverse": overlapping}, PseudoinverseDomainError, "lambda0=-1 "),
-            ({"pseudoinverse": overlapping, "_require_real": not_real_first()}, not_real, r"l2\(\+1\) inj"),
-            ({"_require_real": not_real_first()}, not_real, r"l2\(\+1\) inj"),
+            ({"second_order_perturbation": skewed, "_pseudoinverse": overlapping}, not_symmetric, "k must be"),
+            ({"_pseudoinverse": overlapping}, PseudoinverseDomainError, "lambda0=-1 "),
+            ({"_pseudoinverse": overlapping, "_realness_check": not_real_first}, not_real, r"l2\(\+1\) inj"),
+            ({"_realness_check": not_real_first}, not_real, r"l2\(\+1\) inj"),
         ]
         for patches, error, message in cases:
             with monkeypatch.context() as patch:

@@ -78,6 +78,11 @@ DELETED = [
     "trigpoly.PHASE_TABLE_BYTES",
     "galerkin._symmetrize",
     "galerkin._STRIP_BYTES",
+    "geometry.real_samples",
+    "geometry.require_real_samples",
+    "geometry.positive_det",
+    "geometry.require_resolved",
+    "perturbation._require_real",
 ]
 
 # names that left the top level but stay importable from their modules
@@ -120,6 +125,11 @@ def test_deleted_names_are_gone():
 def test_perturbation_report_is_the_one_route_entry():
     params = inspect.signature(perturbation.perturbation_report).parameters
     assert list(params) == ["cf", "route", "m"]
+
+
+def test_second_order_terms_run_the_kramers_pair_only():
+    params = inspect.signature(perturbation._second_order_terms).parameters
+    assert list(params) == ["w1", "w2", "w1v", "l1", "truncation"]
 
 
 def test_dirac_operator_takes_the_grid_size_without_default():
