@@ -27,8 +27,8 @@ both operands to the larger degree before they add; a spinor is scaled by
 a complex scalar, ``c * complex(s)``, and a stack by one per spinor.
 
 The first and second order terms have trigonometric-polynomial coefficients
-and are built in coefficient arithmetic from h and k, entry coefficient
-arrays (see ``trigpoly``), by ``_first_order_operator`` and
+and are built in coefficient arithmetic from the stacks (3, 3, 2D+1) of h
+and k (see ``trigpoly``), by ``_first_order_operator`` and
 ``_second_order_operator``. The full operator is sampled, in
 ``dirac_operators(cf, eps_values, n)``, one pass over an eps-sweep: from
 ``geometry._coframe_samples`` of every eps it forms B and p pointwise,
@@ -43,7 +43,7 @@ import numpy as np
 
 from .geometry import CoframeFamily, NumericalContractError, _coframe_samples, coframe_tails, fft_tail
 from .geometry import raise_first, tail_check
-from .trigpoly import _ZERO, matmul_entry, poly_add, poly_derivative, poly_sub, resize_degree
+from .trigpoly import _degree, _field_product, poly_derivative, resize_degree
 
 
 def _spinor(c) -> np.ndarray:
@@ -211,38 +211,34 @@ def _sampled_operators(cf: CoframeFamily, eps: np.ndarray, n: int) -> list[Dirac
     return [DiracOperator._checked(b[e], p[e]) for e in range(eps.size)]
 
 
-# The two builders below take h and k as entry coefficient arrays, ``h[a][b]``
+# The two builders below take h and k as stacks (3, 3, 2D+1), ``h[a][b]``
 # for entry (a, b), and do not check them: ``perturbation.perturbation_report``
 # builds h and k itself and checks that both are real and symmetric.
 
-def _first_order_operator(h) -> DiracOperator:
+def _first_order_operator(h: np.ndarray) -> DiracOperator:
     """Linear term W1 of the eps-expansion of the operator family.
 
     Expanding the frame gives the symbol -(1/2) * B_h with B_h built from the
     first column of h; the action is then +(i/4)(B_h d/dx + d/dx B_h). The
     potential only enters at second order.
     """
-    d = max((h[j][0].size - 1) // 2 for j in range(3))
-    cols = [resize_degree(h[j][0], d) for j in range(3)]
-    return DiracOperator(-0.5 * symbol_matrix(*cols), np.zeros(2 * d + 1))
+    d = _degree(h[:, 0])  # the column's own degree, not that of all of h
+    return DiracOperator(-0.5 * symbol_matrix(*resize_degree(h[:, 0], d)), np.zeros(2 * d + 1))
 
 
-def _second_order_operator(h, k) -> DiracOperator:
+def _second_order_operator(h: np.ndarray, k: np.ndarray) -> DiracOperator:
     """Quadratic term W2 of the eps-expansion.
 
     Symbol (3/8) B_{h^2} - (1/8) B_k from the frame expansion, plus the real
     scalar potential -(1/16) * sum_a (h_{a2} h_{a3}' - h_{a3} h_{a2}'), the
     antisymmetrized first-column-free part of the half-density term. Of h^2
-    only the first column is built, each entry by ``matmul_entry``.
+    only the first column is built; the potential's numerator is the product
+    of the row [h_a2, h_a3] and the column [h_a3', -h_a2'], a = 1, 2, 3.
     """
-    hcols = [matmul_entry(h, h, j, 0) for j in range(3)]
-    kcols = [k[j][0] for j in range(3)]
-    scalar = _ZERO
-    for a in range(3):
-        scalar = poly_sub(
-            poly_add(scalar, np.convolve(h[a][1], poly_derivative(h[a][2]))),
-            np.convolve(h[a][2], poly_derivative(h[a][1])),
-        )
-    d = max((c.size - 1) // 2 for c in (*hcols, *kcols, scalar))
-    hb, kb = (symbol_matrix(*(resize_degree(c, d) for c in cols)) for cols in (hcols, kcols))
+    dh = poly_derivative(h)
+    hcols = _field_product(h, h[:, :1])[:, 0]
+    row, col = np.concatenate((h[:, 1], h[:, 2])), np.concatenate((dh[:, 2], -dh[:, 1]))
+    scalar = _field_product(row[None], col[:, None])[0, 0]
+    d = max(map(_degree, (hcols, k[:, 0], scalar)))  # the degree each really has
+    hb, kb = (symbol_matrix(*resize_degree(cols, d)) for cols in (hcols, k[:, 0]))
     return DiracOperator(0.375 * hb - 0.125 * kb, -resize_degree(scalar, d) / 16.0)

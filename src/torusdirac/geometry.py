@@ -2,8 +2,9 @@
 
 A family of coframes e(x^1; eps) = I + eps*E1(x^1) + eps^2*E2(x^1) determines
 the metric g = e^T e. All data depend on x^1 only, so each object reduces to
-matrix-valued functions on the circle, held as nested 3x3 tuples of entry
-coefficient arrays (see ``trigpoly``). The coframe is sampled in one place,
+matrix-valued functions on the circle: E1 and E2 are held as nested 3x3
+tuples of entry coefficient arrays, h and k as stacks (3, 3, 2D+1) (see
+``trigpoly``). The coframe is sampled in one place,
 ``_coframe_samples``, which the operator pass of ``dirac`` and
 ``arc_length`` share; sampled steps share one grid rule, ``default_grid``,
 and the checks ``sample_checks`` and ``tail_check`` of a whole eps-sweep.
@@ -17,8 +18,8 @@ from itertools import chain
 
 import numpy as np
 
-from .trigpoly import COEFF_TOL, _as_field, field_degree, grid_points, matmul_entry
-from .trigpoly import poly_add, poly_derivative, poly_on_grid, poly_sub, resize_degree
+from .trigpoly import COEFF_TOL, _as_field, _field_product, field_degree, grid_points, matmul_entry
+from .trigpoly import poly_add, poly_derivative, poly_on_grid, poly_sub, resize_degree, stack_field
 
 #: Largest Fourier coefficient that sampling may drop at |k| >= n/4, and
 #: the smallest sample of det e that counts as nonsingular.
@@ -63,37 +64,29 @@ def raise_first(checks) -> None:
         raise checks[int(np.argmax(fails[:, i]))][1](i)
 
 
-def _require_real(entries, message: str) -> float:
-    """Raise ValueError(message) unless the 3x3 matrix of trig polynomials
-    whose entry coefficient arrays are ``entries`` is real-valued; return the
-    tolerance.
+def _require_real(coeffs: np.ndarray, mirror: np.ndarray, message: str) -> float:
+    """Raise ValueError(message) unless the coefficients ``coeffs`` of trig
+    polynomials are those of real functions, ``mirror`` holding conj(c_-k)
+    at the place of each c_k; return the tolerance.
 
-    The defect |c_k - conj(c_-k)|, of each entry at its own degree and all
-    in one reduction, is judged against ``COEFF_TOL`` times max(1, largest
-    |c_k|): rounding in the products that build the data grows with the
-    size of its entries, so data of magnitude up to 1 keep the absolute
-    tolerance and larger data a relative one.
+    The defect |c_k - conj(c_-k)|, all in one reduction, is judged against
+    ``COEFF_TOL`` times max(1, largest |c_k|): rounding in the products that
+    build the data grows with the size of its entries, so data of magnitude
+    up to 1 keep the absolute tolerance and larger data a relative one.
     """
-    flat = np.concatenate([c for row in entries for c in row])
-    mirror = np.concatenate([np.conj(c[::-1]) for row in entries for c in row])
-    tol = COEFF_TOL * max(1.0, float(np.max(np.abs(flat))))
-    if not np.all(np.abs(flat - mirror) <= tol):
+    tol = COEFF_TOL * max(1.0, float(np.max(np.abs(coeffs))))
+    if not np.all(np.abs(coeffs - mirror) <= tol):
         raise ValueError(message)
     return tol
 
 
-def require_sym_real(entries, name: str) -> None:
-    """Raise ValueError unless the 3x3 matrix of trig polynomials whose entry
-    coefficient arrays are ``entries`` is real-valued and symmetric, both
-    judged at the tolerance of ``_require_real``: the symmetry defect is
-    |c_k(a, b) - c_k(b, a)| over all nine (a, b), each pair at its larger
-    degree, so an infinite diagonal coefficient (defect inf - inf) fails.
-    """
-    tol = _require_real(entries, f"{name} must be real-valued")
-    pairs = [(a, b, max(entries[a][b].size, entries[b][a].size) // 2) for a in range(3) for b in range(3)]
-    x = np.concatenate([resize_degree(entries[a][b], d) for a, b, d in pairs])
-    xt = np.concatenate([resize_degree(entries[b][a], d) for a, b, d in pairs])
-    if not np.all(np.abs(x - xt) <= tol):
+def require_sym_real(x: np.ndarray, name: str) -> None:
+    """Raise ValueError unless the 3x3 matrix of trig polynomials held as the
+    stack ``x`` (3, 3, 2D+1) is real-valued, then unless it is symmetric, each
+    in one reduction at the tolerance of ``_require_real`` (the symmetry defect
+    |c_k(a, b) - c_k(b, a)| of an infinite diagonal, inf - inf, fails)."""
+    tol = _require_real(x, np.conj(x[..., ::-1]), f"{name} must be real-valued")
+    if not np.all(np.abs(x - x.swapaxes(0, 1)) <= tol):
         raise ValueError(f"{name} must be symmetric")
 
 
@@ -115,7 +108,9 @@ class CoframeFamily:
         # carries a rounding-level imaginary part
         for name in ("E1", "E2"):
             entries = _as_field(getattr(self, name))
-            _require_real(entries, f"{name} must be a real-valued matrix field")
+            flat = np.concatenate([c for row in entries for c in row])  # each entry at its own degree
+            mirror = np.concatenate([np.conj(c[::-1]) for row in entries for c in row])
+            _require_real(flat, mirror, f"{name} must be a real-valued matrix field")
             object.__setattr__(self, name, entries)
 
     @classmethod
@@ -127,41 +122,41 @@ class CoframeFamily:
         quantity computed here.
         """
         h, k = _as_field(h), _as_field(k)
-        require_sym_real(h, "h")
-        require_sym_real(k, "k")
+        for name, x in (("h", h), ("k", k)):
+            require_sym_real(stack_field(x, field_degree(x)), name)
         E1 = [[c * complex(0.5) for c in row] for row in h]
-        E2 = [
-            [poly_sub(k[a][b], matmul_entry(h, h, a, b)) * complex(1.0 / 8.0) for b in range(3)]
-            for a in range(3)
-        ]
+        E2 = [[poly_sub(k[a][b], matmul_entry(h, h, a, b)) * complex(1.0 / 8.0) for b in range(3)]
+              for a in range(3)]
         return cls(E1, E2)
 
 
-def _k_coefficient(e1, e2, a: int, b: int) -> np.ndarray:
-    """Coefficients of entry (a, b) of k = 4*(E1^T E1 + E2 + E2^T) from the
-    entry coefficient arrays of E1 and E2: (E1^T E1)[a, b] by
-    ``matmul_entry``, then + E2[a, b], + E2[b, a] and * 4, in that order."""
-    e1t = tuple(zip(*e1))
-    return poly_add(poly_add(matmul_entry(e1t, e1, a, b), e2[a][b]), e2[b][a]) * 4.0
+def first_order_perturbation(cf: CoframeFamily) -> np.ndarray:
+    """Linear-in-eps coefficient of the metric: h = E1 + E1^T, one stack
+    (3, 3, 2D+1) at the degree D of E1, ``h[a][b]`` that of entry (a, b)."""
+    e1 = stack_field(cf.E1, field_degree(cf.E1))
+    return e1 + e1.transpose(1, 0, 2)
 
 
-def first_order_perturbation(cf: CoframeFamily) -> tuple:
-    """Linear-in-eps coefficient of the metric: h = E1 + E1^T, as entry
-    coefficient arrays."""
-    e1 = cf.E1
-    return tuple(tuple(poly_add(e1[a][b], e1[b][a]) for b in range(3)) for a in range(3))
-
-
-def second_order_perturbation(cf: CoframeFamily) -> tuple:
+def second_order_perturbation(cf: CoframeFamily) -> np.ndarray:
     """Quadratic metric data k, from g = I + eps*h + (eps^2/4)*k + O(eps^3),
-    as entry coefficient arrays.
+    as one stack (3, 3, 2D+1), D = max(2 deg E1, deg E2).
 
     The eps^2 Taylor coefficient of e^T e is E1^T E1 + E2 + E2^T, so
-    k = 4*(E1^T E1 + E2 + E2^T). Each entry is built by ``_k_coefficient``,
-    which the closed-form route of ``perturbation_report`` calls for k[0, 0]
-    alone (3 of the 27 convolutions of E1^T E1).
+    k = 4*(E1^T E1 + E2 + E2^T), built by ``_k_block``, which the
+    closed-form route of ``perturbation_report`` calls for k[0, 0] alone.
     """
-    return tuple(tuple(_k_coefficient(cf.E1, cf.E2, a, b) for b in range(3)) for a in range(3))
+    return _k_block(cf, 3)
+
+
+def _k_block(cf: CoframeFamily, size: int) -> np.ndarray:
+    """Entries (a, b), a, b < ``size``, of k = 4*(E1^T E1 + E2 + E2^T) as one
+    stack: the block of E1^T E1 by one ``_field_product``, then + E2,
+    + E2^T and * 4, in that order."""
+    e1 = stack_field([row[:size] for row in cf.E1], field_degree(cf.E1))  # the columns the block reads
+    product = _field_product(e1.transpose(1, 0, 2), e1)
+    d = max(field_degree(cf.E2), e1.shape[-1] - 1)  # e1.shape[-1] - 1 is twice the degree of E1
+    e2 = stack_field([row[:size] for row in cf.E2[:size]], d)
+    return (resize_degree(product, d) + e2 + e2.transpose(1, 0, 2)) * 4.0
 
 
 def sample_checks(eps: np.ndarray, imag: np.ndarray, scale: np.ndarray, det: np.ndarray, n: int) -> tuple:
@@ -229,8 +224,8 @@ def _coframe_samples(cf: CoframeFamily, eps: np.ndarray, n: int):
     those of the first column, ``det`` (E, n) is det e and ``checks`` are
     the ``sample_checks`` of them all, which judge an overflow: none warns.
     """
-    d = min(field_degree((*cf.E1, *cf.E2)), (n - 1) // 4)
-    coeffs = np.array([[[resize_degree(c, d) for c in row] for row in f] for f in (cf.E1, cf.E2)])
+    rows = (*cf.E1, *cf.E2)
+    coeffs = stack_field(rows, min(field_degree(rows), (n - 1) // 4)).reshape(2, 3, 3, -1)
     # for E1 and for E2: entries (a, b), then the derivatives of entries (a, 1), (a, 2)
     stack = np.concatenate([coeffs.reshape(2, 9, -1), poly_derivative(coeffs[:, :, 1:]).reshape(2, 6, -1)], 1)
     samples = poly_on_grid(stack.reshape(30, -1), n).reshape(2, 15, n)

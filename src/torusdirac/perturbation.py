@@ -25,13 +25,14 @@ terms, which take W1 and W2 as arguments and share the stack of W1 v_n;
 each fails by ``geometry.raise_first``, mode +1 at its first failed check,
 then mode -1.
 
-``perturbation_report(cf, route, m)`` is the one entry to every route. It
-builds h and k from E1 and E2 with ``geometry.first_order_perturbation``
-and ``_k_coefficient``, as entry coefficient arrays (see ``trigpoly``), and
-only the entries each route reads: the closed form h and k[0, 0], the
-operator route h and all of k, whose realness and symmetry it checks; the
-Galerkin fit route neither. It reads the h and k it built as they are,
-with no copy through ``trigpoly._as_field``.
+``perturbation_report(cf, route, m)`` is the one entry to every route. The
+closed form and the operator route hold h and k as stacks (3, 3, 2D+1) (see
+``trigpoly``), form each product of two stacks, at the degree of the rows
+and columns it reads, by one ``trigpoly._field_product`` and build only
+what they read: the closed form h, k[0, 0] (``geometry._k_block``) and
+(h^2)[0, 0], its sums over the harmonics being array reductions; the
+operator route h and all of k, which it checks, then the first columns of
+h^2 and k and the potential's numerator for W2. The fit route builds neither.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ import numpy as np
 
 from .dirac import DiracOperator, _first_order_operator, _second_order_operator, _spinor, inner
 from .galerkin import basis_spinor, spectrum_sweep, track_pairs
-from .geometry import CoframeFamily, NumericalContractError, _k_coefficient, raise_first
+from .geometry import CoframeFamily, NumericalContractError, _k_block, raise_first
 from .geometry import first_order_perturbation, require_sym_real, second_order_perturbation
-from .trigpoly import field_degree, matmul_entry, poly_sub, resize_degree, stack_entries
+from .trigpoly import _field_product, poly_sub, resize_degree
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
 # the modes whose eigenvalues the coefficient routes expand
@@ -104,7 +105,8 @@ def pseudoinverse(c, n, truncation: int, orthogonality_tol: float | None = None)
     1e-13) plus |n|, and ValueError unless ``c`` has shape (..., 2, 2K+1).
     Of a stack, the first row that fails raises, at its first failed check.
     """
-    out, checks = _pseudoinverse(c, n, truncation, orthogonality_tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks judge a non-finite input
+        out, checks = _pseudoinverse(c, n, truncation, orthogonality_tol)
     raise_first(checks)
     return out
 
@@ -147,10 +149,10 @@ def _mean(coeffs: np.ndarray) -> complex:
     return complex(coeffs[(coeffs.size - 1) // 2])
 
 
-def _require_finite(arrays, name: str) -> None:
+def _require_finite(name: str, *arrays) -> None:
     """Raise NumericalContractError unless the coefficient ``arrays`` are
     finite: h and k built from finite E1 and E2 overflowed, a numerical fault."""
-    if not np.isfinite(np.concatenate(arrays)).all():
+    if not all(np.isfinite(a).all() for a in arrays):
         raise NumericalContractError(f"{name} overflows: a coefficient is not finite")
 
 
@@ -182,22 +184,6 @@ def _first_order_blocks(w1: DiracOperator) -> tuple[np.ndarray, np.ndarray]:
 # second order
 # ----------------------------------------------------------------------
 
-def _antisymmetric_flux_sum(hhat: np.ndarray, degree: int) -> complex:
-    """sum_{0 < |m| <= degree} m * sum_a [conj(hhat_a2(m)) hhat_a3(m)
-                                        - conj(hhat_a3(m)) hhat_a2(m)],
-
-    read from ``hhat = stack_entries(h, top)`` for any top >= ``degree``,
-    the degree of h."""
-    top = (hhat.shape[0] - 1) // 2
-    total = 0.0 + 0.0j
-    for m in range(-degree, degree + 1):
-        if m == 0:
-            continue
-        hm = hhat[m + top]
-        total += m * np.sum(np.conj(hm[:, 1]) * hm[:, 2] - np.conj(hm[:, 2]) * hm[:, 1])
-    return total
-
-
 def _realness_check(values: np.ndarray, terms: np.ndarray, rel_tol: float):
     """The check, for ``geometry.raise_first``, that each of ``values``, the
     sum of ``terms`` (T, R) at its index, is finite with |Im| <= rel_tol *
@@ -212,38 +198,33 @@ def _realness_check(values: np.ndarray, terms: np.ndarray, rel_tol: float):
     return fails, error
 
 
-def _second_corrections_closed(h, k00: np.ndarray) -> list[float]:
-    """Closed-form second-order coefficients [l2(+1), l2(-1)] from the entry
-    coefficient arrays of h and the coefficients of k[0, 0].
+def _second_corrections_closed(h: np.ndarray, k00: np.ndarray) -> list[float]:
+    """Closed-form second-order coefficients [l2(+1), l2(-1)] from the stack
+    of h and the coefficients of k[0, 0].
 
-    Finite Fourier sums in h, k and h^2; the mode sums terminate because h
-    has finite trigonometric degree. Of h^2 only entry (0, 0) is built; every
-    coefficient of h is read from one stack zero-padded to the widest
-    harmonic the sums reach. The stack, the means and the flux sum are built
-    once for both signs, and one check judges the realness of both.
+    Finite Fourier sums over the harmonics m of h, which has finite degree;
+    of h^2 only entry (0, 0) is built. Each sum is one reduction over m, for
+    both signs n at once, and one check judges the realness of both:
+
+        lead   n * (3/8 mean (h^2)_11 - 1/8 mean k_11)
+        flux   -(i/16) sum_m m sum_a [conj(h_a2) h_a3 - conj(h_a3) h_a2](m)
+        diag   (1/16) sum_{m != 0} (m + 2n)^2 / m |h_11(m)|^2
+        mixed  (1/16) sum_m (m - 2n) z(m) conj(z(m)), z = h_31 + i h_21
+
+    and l2(n) = lead + flux - diag - mixed.
     """
-    d = field_degree(h)
-    top = d + 4
-    hhat = stack_entries(h, top)
-    hsq00_mean, k00_mean = _mean(matmul_entry(h, h, 0, 0)), _mean(k00)
-    flux = -(1j / 16.0) * _antisymmetric_flux_sum(hhat, d)
-    terms = []
-    for n in (1, -1):
-        lead = n * (0.375 * hsq00_mean - 0.125 * k00_mean)
-        s_diag = 0.0 + 0.0j
-        s_mixed = 0.0 + 0.0j
-        for m in range(-d - 3, d + 4):
-            if m == n:
-                continue
-            c11 = hhat[m - n + top, 0, 0]
-            s_diag += (m + n) ** 2 / (m - n) * c11 * np.conj(c11)
-            z = hhat[m + n + top]
-            z1 = z[2, 0] + 1j * z[1, 0]
-            z2 = np.conj(z[2, 0]) - 1j * np.conj(z[1, 0])
-            s_mixed += (m - n) * z1 * z2
-
-        terms.append((lead, flux, s_diag / 16.0, s_mixed / 16.0))
-    terms = np.array(terms).T
+    d = (h.shape[-1] - 1) // 2
+    m, n = np.arange(-d, d + 1), np.array(_KRAMERS_PAIR)[:, None]
+    hsq00 = _field_product(h[:1], h[:, :1])[0, 0]
+    lead = np.multiply(_KRAMERS_PAIR, 0.375 * _mean(hsq00) - 0.125 * _mean(k00))
+    # conj(h_a2) h_a3 - conj(h_a3) h_a2, summed over a, is s - conj(s)
+    s = np.einsum("ak,ak->k", np.conj(h[:, 1]), h[:, 2])
+    flux = -(1j / 16.0) * np.dot(m, s - np.conj(s))
+    j, c11 = m[m != 0], h[0, 0][m != 0]
+    s_diag = (j + 2 * n) ** 2 / j @ (c11 * np.conj(c11))
+    z1, z2 = h[2, 0] + 1j * h[1, 0], np.conj(h[2, 0]) - 1j * np.conj(h[1, 0])
+    s_mixed = (m - 2 * n) @ (z1 * z2)
+    terms = np.array((lead, (flux, flux), s_diag / 16.0, s_mixed / 16.0))
     values = terms[0] + terms[1] - terms[2] - terms[3]
     raise_first((_realness_check(values, terms, 1e-12),))
     return values.real.tolist()
@@ -313,7 +294,7 @@ def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
     values = np.asarray(values, dtype=float)
     if grid.size < order + 2:
         raise ValueError(f"need at least {order + 2} eps samples for order {order}")
-    if np.any(grid <= 0) or np.any(grid > 0.15):
+    if not np.all((0 < grid) & (grid <= 0.15)):  # so that a NaN fails
         raise ValueError("eps samples must lie in (0, 0.15]")
     repeated = grid[np.triu(grid[:, None] == grid, 1).any(axis=0)]  # each eps equal to an earlier one
     if repeated.size:
@@ -340,20 +321,11 @@ def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
         unc = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         unc = np.full(len(powers), np.nan)
-    return FitResult(
-        mode=n,
-        order=order,
-        coefficients=coeffs[:order].copy(),
-        uncertainties=unc[:order].copy(),
-        residual_norm=residual,
-        eps_grid=grid.copy(),
-        values=values,
-    )
+    return FitResult(n, order, coeffs[:order].copy(), unc[:order].copy(), residual, grid.copy(), values)
 
 
-def fit_expansion(
-    cf: CoframeFamily, modes, eps_grid=None, order: int = 2, m: int = 25
-) -> dict[int, FitResult]:
+def fit_expansion(cf: CoframeFamily, modes, eps_grid=None, order: int = 2,
+                  m: int = 25) -> dict[int, FitResult]:
     """Fit the tracked Galerkin pair means of every mode n in ``modes`` to
     n + c_1 eps + ... + c_order eps^order.
 
@@ -409,9 +381,9 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
     """
     if route == "closed_form":
         h = first_order_perturbation(cf)
-        k00 = _k_coefficient(cf.E1, cf.E2, 0, 0)
-        _require_finite([*h[0], *h[1], *h[2], k00], "h or k[0, 0]")
-        h11_mean = _mean(h[0][0]).real
+        k00 = _k_block(cf, 1)[0, 0]
+        _require_finite("h or k[0, 0]", h, k00)
+        h11_mean = _mean(h[0, 0]).real
         l1 = [float(-n * 0.5 * h11_mean) for n in (1, -1)]
         l2 = _second_corrections_closed(h, k00)
         return PerturbationReport(route, *l1, *l2)
@@ -419,15 +391,15 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
         # each check, operator and first-order block once: h, l1(+1), l1(-1),
         # then k, l2(+1), l2(-1), so a bad h fails before k is built
         h = first_order_perturbation(cf)
-        _require_finite([*h[0], *h[1], *h[2]], "h")
+        _require_finite("h", h)
         require_sym_real(h, "h")
         w1 = _first_order_operator(h)
         l1, w1v = _first_order_blocks(w1)
         k = second_order_perturbation(cf)
-        _require_finite([*k[0], *k[1], *k[2]], "k")
+        _require_finite("k", k)
         require_sym_real(k, "k")
         w2 = _second_order_operator(h, k)
-        l2 = _second_order_terms(w1, w2, w1v, l1, field_degree(h) + 4)
+        l2 = _second_order_terms(w1, w2, w1v, l1, (h.shape[-1] - 1) // 2 + 4)
         return PerturbationReport(route, *map(float, l1), *map(float, l2))
     if route == "galerkin_fit":
         # the quartic grid: on the 6-point quadratic one, fits fail the residual check

@@ -3,8 +3,9 @@ reference formulas that the lean operator and matrix assembly, the lean
 coefficient routes and the sweep-wide pair tracking must match.
 
 Functions of x^1 are coefficient arrays and 3x3 matrices of them are nested
-tuples of arrays, as in the package. The helpers below spell the arithmetic
-on them: ``add`` sums left to right with ``poly_add``, products are
+tuples of arrays, as the package holds E1 and E2; ``stacked`` gives the
+stack (3, 3, 2D+1) that the package makes of h and k. The helpers below
+spell the arithmetic on the nested form: ``add`` sums left to right with ``poly_add``, products are
 ``np.convolve``, and a scaled array is multiplied by a complex scalar.
 Spinors are (2, 2K+1) coefficient arrays, summed and scaled the same way.
 """
@@ -23,9 +24,8 @@ from torusdirac import CoframeFamily, DiracOperator
 from torusdirac.dirac import inner, symbol_matrix
 from torusdirac.galerkin import CLUSTER_RADIUS, PAIRING_TOL, TrackingError, basis_spinor
 from torusdirac.galerkin import tracking_buffer
-from torusdirac.perturbation import _antisymmetric_flux_sum
 from torusdirac.trigpoly import COEFF_TOL, _as_field, field_degree, poly_add, poly_derivative
-from torusdirac.trigpoly import poly_on_grid, poly_sub, resize_degree, stack_entries
+from torusdirac.trigpoly import poly_on_grid, poly_sub, resize_degree, stack_field
 
 # Property tests draw the same examples on every run and have no deadline,
 # so a slow shared machine cannot make them flaky, and write no example database.
@@ -100,6 +100,18 @@ ZERO_FIELD = m3([[0.0] * 3] * 3)
 IDENTITY = m3([[1.0 if a == b else 0.0 for b in range(3)] for a in range(3)])
 
 
+def stacked(x) -> np.ndarray:
+    """The 3x3 field ``x``, nested or stacked, as one stack (3, 3, 2D+1) at
+    its largest entry degree D, each entry zero-padded."""
+    return stack_field(x, field_degree(x))
+
+
+def harmonic_stack(x, top: int) -> np.ndarray:
+    """The 3x3 field ``x`` as one array (2*top+1, 3, 3) whose element
+    [m + top] holds the entry coefficients at harmonic m."""
+    return np.moveaxis(stack_field(x, top), -1, 0)
+
+
 def transpose(x) -> tuple:
     return tuple(zip(*x))
 
@@ -129,12 +141,13 @@ def on_grid(x, n: int) -> np.ndarray:
 
 
 def isclose(x, y, tol: float = COEFF_TOL) -> bool:
-    """Coefficient-wise comparison of two arrays or two 3x3 fields."""
-    if isinstance(x, np.ndarray):
+    """Coefficient-wise comparison of two arrays or two 3x3 fields, each
+    nested or stacked."""
+    if isinstance(x, np.ndarray) and x.ndim == 1:
         d = max(degree(x), degree(y))
         return bool(np.all(np.abs(resize_degree(x, d) - resize_degree(y, d)) <= tol))
     d = max(field_degree(x), field_degree(y))
-    return bool(np.all(np.abs(stack_entries(x, d) - stack_entries(y, d)) <= tol))
+    return bool(np.all(np.abs(stack_field(x, d) - stack_field(y, d)) <= tol))
 
 
 def spinor(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -442,19 +455,36 @@ def reference_pseudoinverse(c: np.ndarray, n: int, truncation: int) -> np.ndarra
     return np.array([sym + anti, sym - anti])
 
 
+def reference_flux_sum(hhat: np.ndarray, degree: int) -> complex:
+    """sum_{0 < |m| <= degree} m * sum_a [conj(hhat_a2(m)) hhat_a3(m)
+                                        - conj(hhat_a3(m)) hhat_a2(m)],
+
+    read from ``hhat = harmonic_stack(h, top)`` for any top >= ``degree``,
+    the degree of h, one harmonic after another."""
+    top = (hhat.shape[0] - 1) // 2
+    total = 0.0 + 0.0j
+    for m in range(-degree, degree + 1):
+        if m == 0:
+            continue
+        hm = hhat[m + top]
+        total += m * np.sum(np.conj(hm[:, 1]) * hm[:, 2] - np.conj(hm[:, 2]) * hm[:, 1])
+    return total
+
+
 def reference_closed_route(cf: CoframeFamily) -> list[float]:
     """[l1(+1), l1(-1), l2(+1), l2(-1)] of the closed route, from
-    ``reference_h``/``reference_k``; no checks."""
+    ``reference_h``/``reference_k``, with one harmonic m after another in
+    each sum; no checks."""
     h, k = reference_h(cf), reference_k(cf)
     d = field_degree(h)
     top = d + 4
-    hhat = stack_entries(h, top)
+    hhat = harmonic_stack(h, top)
     hsq00 = reference_product_entry(h, h, 0, 0)
     l1, l2 = [], []
     for n in (1, -1):
         l1.append(float(-n * 0.5 * fourier(h[0][0], 0).real))
         lead = n * (0.375 * fourier(hsq00, 0) - 0.125 * fourier(k[0][0], 0))
-        flux = -(1j / 16.0) * _antisymmetric_flux_sum(hhat, d)
+        flux = -(1j / 16.0) * reference_flux_sum(hhat, d)
         s_diag = 0.0 + 0.0j
         s_mixed = 0.0 + 0.0j
         for m in range(-d - 3, d + 4):

@@ -25,7 +25,7 @@ from torusdirac.perturbation import pseudoinverse
 from torusdirac.trigpoly import poly_sub
 
 from conftest import add, assert_sigfigs, charge_conjugate, eigenspace_projection, field_fourier
-from conftest import free_operator, matmul, norm, random_field, random_symmetric_field
+from conftest import free_operator, matmul, norm, random_field, random_symmetric_field, stacked
 from test_dirac import random_spinor
 from test_galerkin import FIRST_ROW_TABLE, ROTATION_TABLE
 
@@ -264,8 +264,8 @@ def test_criterion_6_property_suite():
         h = random_symmetric_field(rng)
         k = random_symmetric_field(rng)
         cf = CoframeFamily.from_perturbation(h, k)
-        w1 = _first_order_operator(h)
-        w2 = _second_order_operator(h, k)
+        w1 = _first_order_operator(stacked(h))
+        w2 = _second_order_operator(stacked(h), stacked(k))
         w0_ = free_operator()
         v = random_spinor(rng)
 

@@ -9,8 +9,9 @@ from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import TruncationError, pseudoinverse
 from torusdirac.trigpoly import grid_points, poly_derivative, poly_sub, resize_degree
 
-from conftest import add, charge_conjugate, evaluate, free_operator, norm, random_symmetric_field
-from conftest import scaled, spinor
+from conftest import COS, SIN, ZERO, ZERO_FIELD, add, charge_conjugate, evaluate, free_operator, m3, norm
+from conftest import random_symmetric_field
+from conftest import scaled, spinor, stacked
 
 N = 256
 
@@ -55,7 +56,7 @@ class TestAssemble:
         h, k = explicit_family_2
         cf = CoframeFamily.from_perturbation(h, k)
         w0 = free_operator()
-        w1 = _first_order_operator(h)
+        w1 = _first_order_operator(stacked(h))
 
         def coeff_error(eps):
             op = dirac_operator(cf, eps, 64)
@@ -74,8 +75,8 @@ class TestAssemble:
             k = random_symmetric_field(rng)
             cf = CoframeFamily.from_perturbation(h, k)
             w0 = free_operator()
-            w1 = _first_order_operator(h)
-            w2 = _second_order_operator(h, k)
+            w1 = _first_order_operator(stacked(h))
+            w2 = _second_order_operator(stacked(h), stacked(k))
             v = random_spinor(rng)
 
             def residual(eps):
@@ -122,7 +123,7 @@ class TestApply:
 class TestFirstOrderTerm:
     def test_zero_perturbation(self):
         h = scaled(random_symmetric_field(np.random.default_rng(1)), 0.0)
-        op = _first_order_operator(h)
+        op = _first_order_operator(stacked(h))
         assert np.max(np.abs(op.b_hat)) == 0
         assert np.max(np.abs(op.p_hat)) == 0
 
@@ -130,7 +131,7 @@ class TestFirstOrderTerm:
         """Hand expansion of the first-order action on the mode-1 spinor:
         with u = B_h (1,1)^T, the image is [-(1/4)u + (i/8)u'] e^{ix}/sqrt(pi)."""
         h, _ = explicit_family_1
-        op = _first_order_operator(h)
+        op = _first_order_operator(stacked(h))
         v1 = basis_spinor(1, "v")
         x = grid_points(N)
 
@@ -149,7 +150,7 @@ class TestFirstOrderTerm:
 
     def test_second_family_diagonal_value(self, explicit_family_2):
         h, _ = explicit_family_2
-        op = _first_order_operator(h)
+        op = _first_order_operator(stacked(h))
         v1 = basis_spinor(1, "v")
         assert inner(op.apply(v1), v1) == pytest.approx(-0.5, abs=1e-13)
 
@@ -157,21 +158,31 @@ class TestFirstOrderTerm:
 class TestSecondOrderTerm:
     def test_zero_perturbation(self):
         zero = scaled(random_symmetric_field(np.random.default_rng(1)), 0.0)
-        op = _second_order_operator(zero, zero)
+        op = _second_order_operator(stacked(zero), stacked(zero))
         assert np.max(np.abs(op.b_hat)) == 0
         assert np.max(np.abs(op.p_hat)) == 0
 
     def test_first_family_scalar_part(self, explicit_family_1):
         h, k = explicit_family_1
-        op = _second_order_operator(h, k)
+        op = _second_order_operator(stacked(h), stacked(k))
         constant = resize_degree(np.array([-0.5 + 0j]), op.degree)
         assert np.allclose(op.p_hat, constant, atol=1e-13)
 
     def test_second_family_scalar_part(self, explicit_family_2):
         h, k = explicit_family_2
-        op = _second_order_operator(h, k)
+        op = _second_order_operator(stacked(h), stacked(k))
         constant = resize_degree(np.array([-3.0 / 16.0 + 0j]), op.degree)
         assert np.allclose(op.p_hat, constant, atol=1e-13)
+
+
+    def test_potential_of_higher_degree_than_the_symbol(self):
+        # h11 = 2 cos x, h12 = h21 = sin 2x and nothing else: the first column
+        # of h, so the symbol, is zero, and the potential numerator
+        # h11 h12' - h12 h11' = 3 cos x + cos 3x; W2 keeps it whole
+        h = m3([[ZERO, ZERO, ZERO], [ZERO, COS(1, 2.0), SIN(2)], [ZERO, SIN(2), ZERO]])
+        op = _second_order_operator(stacked(h), stacked(ZERO_FIELD))
+        assert np.max(np.abs(op.b_hat)) == 0
+        assert np.allclose(op.p_hat, add(COS(1, 3.0), COS(3)) * (-1.0 / 16.0), atol=1e-15)
 
 
 class TestSpinorField:

@@ -8,7 +8,9 @@ files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists the old and new values in CHANGES.md.
+which prints each line it changes as old -> new, and under it each changed
+float.hex value with its drift relative to max(1, |old|); with no change it
+prints nothing. CHANGES.md lists the old and new values.
 
 The bundled examples have trig degree <= 2. Two seeded families of higher
 degree are pinned the same way, so that the degree-12..24 determinants and
@@ -40,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -183,12 +186,34 @@ def test_array_digests_match_golden():
     assert _array_digests() == expected
 
 
+def _hex_value(token: str):
+    """The float of a float.hex token, or None for any other token."""
+    try:
+        return float.fromhex(token) if token.lstrip("-").startswith("0x") else None
+    except ValueError:
+        return None
+
+
+def _regenerate(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``; print each changed line as old -> new and
+    each changed float.hex value in it with its relative drift."""
+    old = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+    for before, after in zip_longest(old, text.splitlines(), fillvalue=""):
+        if before == after:
+            continue
+        print(f"{path.name}: {before} -> {after}")
+        for a, b in zip(before.split(), after.split()):
+            x, y = _hex_value(a), _hex_value(b)
+            if a != b and x is not None and y is not None:
+                print(f"    {a} -> {b}: drift {abs(y - x) / max(1.0, abs(x)):.1e}")
+    path.write_text(text, encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, config in CONFIGS.items():
         for command, argv in COMMANDS.items():
-            text = _stdout(argv + ["--config", config])
-            (GOLDEN / f"{name}.{command}.txt").write_text(text, encoding="utf-8")
+            _regenerate(GOLDEN / f"{name}.{command}.txt", _stdout(argv + ["--config", config]))
     for digest_file, names in DIGEST_FILES.items():
-        (GOLDEN / digest_file).write_text(_dump_digests(names), encoding="utf-8")
-    (GOLDEN / ARRAY_DIGESTS).write_text(_array_digests(), encoding="utf-8")
+        _regenerate(GOLDEN / digest_file, _dump_digests(names))
+    _regenerate(GOLDEN / ARRAY_DIGESTS, _array_digests())

@@ -26,7 +26,7 @@ from torusdirac.perturbation import DegenerateSplittingError, fit_from_values, p
 from torusdirac.trigpoly import poly_add, poly_sub, resize_degree
 
 from conftest import COS, SIN, ZERO, ZERO_FIELD, add, charge_conjugate, const, free_operator
-from conftest import eigenspace_projection, m3, norm, random_field, random_symmetric_field, spinor
+from conftest import eigenspace_projection, m3, norm, random_field, random_symmetric_field, spinor, stacked
 from test_galerkin import COFRAMES
 
 
@@ -188,7 +188,7 @@ class TestSecondCorrection:
         bad = m3([[add(k[a][b], defect) if (a, b) == (0, 1) else k[a][b]
                    for b in range(3)] for a in range(3)])
         with pytest.raises(ValueError, match=f"k must be {what}"):
-            geometry.require_sym_real(bad, "k")
+            geometry.require_sym_real(stacked(bad), "k")
         with pytest.raises(ValueError, match=f"k must be {what}"):
             CoframeFamily.from_perturbation(h, bad)
 
@@ -255,6 +255,15 @@ class TestFit:
             fit_from_values(1, [0.01, 0.02, 0.03], [0, 0, 0], order=2)
         with pytest.raises(ValueError, match="0.15"):
             fit_from_values(1, [0.05, 0.1, 0.2, 0.3], [0, 0, 0, 0], order=2)
+
+    def test_rejects_a_nan_eps_before_the_solve(self, capfd):
+        # a NaN passed "eps <= 0 or eps > 0.15", and LAPACK printed DLASCL
+        # errors to stderr before lstsq raised LinAlgError
+        grid = np.linspace(0.01, 0.08, 8)
+        grid[3] = NAN
+        with pytest.raises(ValueError, match=r"must lie in \(0, 0.15\]"):
+            fit_from_values(1, grid, -0.5 * np.linspace(0.01, 0.08, 8), order=2)
+        assert capfd.readouterr().err == ""
 
     def test_rejects_a_repeated_eps(self, explicit_family_2):
         # a repeated eps leaves the design rank-deficient: the fit had exited
@@ -353,6 +362,15 @@ class TestNonFinite:
         c = np.full((2, 5), NAN, dtype=complex)
         with pytest.raises(PseudoinverseDomainError):
             pseudoinverse(c, 1, 8, orthogonality_tol=1e-9)
+
+    def test_pseudoinverse_of_an_infinite_input_does_not_warn(self):
+        # inf * 0, against the zero coefficients of the basis and in the output
+        # weights, warned "invalid value" before the check raised; under
+        # filterwarnings = error a warning fails this test
+        c = np.full((2, 5), np.inf, dtype=complex)
+        with pytest.raises(PseudoinverseDomainError):
+            pseudoinverse(c, 1, 8, orthogonality_tol=1e-9)
+        assert pseudoinverse(c, 1, 8).shape == (2, 17)
 
     @pytest.mark.parametrize("bad", [NAN, np.inf])
     def test_fit_rejects_non_finite_values(self, bad):
@@ -477,46 +495,90 @@ class TestSharedWork:
         with pytest.raises(AssertionError, match="_as_field"):
             CoframeFamily(family.E1, family.E2)
 
+    @staticmethod
+    def products(monkeypatch, degrees: list | None = None) -> list:
+        """The (rows, columns) of each ``_field_product`` formed from here on,
+        in order; ``degrees`` collects the degree of each."""
+        shapes, original = [], trigpoly._field_product
+
+        def recorded(x, y):
+            out = original(x, y)
+            shapes.append(out.shape[:2])
+            if degrees is not None:
+                degrees.append((out.shape[-1] - 1) // 2)
+            return out
+
+        for module in (geometry, dirac, perturbation):
+            monkeypatch.setattr(module, "_field_product", recorded)
+        return shapes
+
     def test_h_and_k_checked_once(self, family, monkeypatch):
         checks = Counter()
         self.count(monkeypatch, perturbation, "require_sym_real", checks)
         perturbation_report(family, "operator")
         assert checks["require_sym_real"] == 2
 
+    def test_k_built_once(self, family, monkeypatch):
+        builds = Counter()
+        self.count(monkeypatch, perturbation, "second_order_perturbation", builds)
+        self.count(monkeypatch, geometry, "_k_block", builds)
+        perturbation_report(family, "operator")
+        assert builds == {"second_order_perturbation": 1, "_k_block": 1}
+
     def test_h_squared_read_without_the_full_product(self, explicit_family_2, monkeypatch):
-        # of the nine entries of h @ h, the closed form reads (0, 0), W2 the first column
-        h, k = explicit_family_2
-        entries = Counter()
-        for module in (dirac, perturbation):
-            self.count(monkeypatch, module, "matmul_entry", entries)
-        perturbation._second_corrections_closed(h, k[0][0])
-        assert entries["matmul_entry"] == 1
+        # of the nine entries of h @ h, the closed form reads (0, 0), W2 the
+        # first column; W2's potential numerator is one more (1, 1) product
+        h, k = (stacked(x) for x in explicit_family_2)
+        shapes = self.products(monkeypatch)
+        perturbation._second_corrections_closed(h, k[0, 0])
+        assert shapes == [(1, 1)]
         dirac._second_order_operator(h, k)
-        assert entries["matmul_entry"] == 4
+        assert shapes == [(1, 1), (3, 1), (1, 1)]
 
     def test_routes_build_no_full_product(self, family, monkeypatch):
-        entries = Counter()
-        for module in (dirac, perturbation):
-            self.count(monkeypatch, module, "matmul_entry", entries)
+        # closed form: (E1^T E1)[0, 0] for k[0, 0], then (h^2)[0, 0]; operator
+        # route: E1^T E1 for k, the first column of h^2, the potential numerator
+        shapes = self.products(monkeypatch)
         perturbation_report(family, "closed_form")
-        assert entries["matmul_entry"] == 1
+        assert shapes == [(1, 1), (1, 1)]
+        shapes.clear()
         perturbation_report(family, "operator")
-        assert entries["matmul_entry"] == 4
+        assert shapes == [(3, 3), (3, 1), (1, 1)]
+
+    def test_products_at_the_degree_of_what_they_read(self, monkeypatch):
+        # one entry of E1 at harmonic 200: the closed form reads only row and
+        # column 0 of h and E1, all constant, so it forms degree-0 products;
+        # W1 is built at the degree of h's first column, 0 as well
+        e1 = [[ZERO] * 3 for _ in range(3)]
+        e1[1][2] = COS(200, 0.001)
+        family = CoframeFamily(m3(e1), ZERO_FIELD)
+        degrees = []
+        self.products(monkeypatch, degrees)
+        perturbation_report(family, "closed_form")
+        assert degrees == [0, 0]
+        degrees.clear()
+        perturbation_report(family, "operator")
+        assert degrees == [400, 200, 200]  # k, the first column of h^2, the potential
+        h = geometry.first_order_perturbation(family)
+        assert h.shape[-1] == 401 and dirac._first_order_operator(h).b_hat.shape[-1] == 1
 
     def test_closed_route_builds_only_k00(self, family, monkeypatch):
-        # with the closed-form sums stubbed out, every convolution left is k's:
-        # (E1^T E1)[0, 0] takes 3 (h is a sum, no product)
-        convolutions = Counter()
-        self.count(monkeypatch, np, "convolve", convolutions)
+        # with the closed-form sums stubbed out, the one product left is k's,
+        # (E1^T E1)[0, 0], and k is never built whole
+        def refuse(*args):
+            raise AssertionError("the closed form built all of k")
+
+        shapes = self.products(monkeypatch)
         monkeypatch.setattr(perturbation, "_second_corrections_closed", lambda h, k00: [0.0, 0.0])
+        monkeypatch.setattr(perturbation, "second_order_perturbation", refuse)
         perturbation_report(family, "closed_form")
-        assert convolutions["convolve"] == 3
+        assert shapes == [(1, 1)]
 
     def test_fit_route_builds_no_h_or_k(self, family, monkeypatch):
         def refuse(*args):
             raise AssertionError("the Galerkin fit route built h or k")
 
-        for name in ("first_order_perturbation", "_k_coefficient", "second_order_perturbation"):
+        for name in ("first_order_perturbation", "_k_block", "second_order_perturbation"):
             monkeypatch.setattr(perturbation, name, refuse)
         assert perturbation_report(family, "galerkin_fit").route == "galerkin_fit"
 
@@ -525,7 +587,7 @@ class TestSharedWork:
         # term +1, term -1; the lockstep steps raise at their +1 row first
         inner, pseudoinverse = perturbation.inner, perturbation._pseudoinverse
         realness_check = perturbation._realness_check
-        skew = m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
+        skew = stacked(m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]))
 
         def nonscalar(*rows):
             def patched(u, v):
@@ -573,7 +635,7 @@ class TestSharedWork:
 
     @pytest.mark.parametrize("bad", ["h", "k"])
     def test_input_check_messages(self, family, bad, monkeypatch):
-        skew = m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
+        skew = stacked(m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]))
         target = {"h": "first_order_perturbation", "k": "second_order_perturbation"}[bad]
         monkeypatch.setattr(perturbation, target, lambda cf: skew)
         with pytest.raises(ValueError, match=f"{bad} must be symmetric"):

@@ -83,6 +83,9 @@ DELETED = [
     "geometry.positive_det",
     "geometry.require_resolved",
     "perturbation._require_real",
+    "trigpoly.stack_entries",
+    "geometry._k_coefficient",
+    "perturbation._antisymmetric_flux_sum",
 ]
 
 # names that left the top level but stay importable from their modules

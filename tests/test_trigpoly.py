@@ -3,12 +3,12 @@ import pytest
 
 from torusdirac.config import _parse_poly
 from torusdirac.geometry import require_sym_real
-from torusdirac.trigpoly import COEFF_TOL, _as_field, grid_points, matmul_entry, poly_derivative
-from torusdirac.trigpoly import poly_on_grid, resize_degree, stack_entries
+from torusdirac.trigpoly import COEFF_TOL, _as_field, _field_product, grid_points, matmul_entry, poly_derivative
+from torusdirac.trigpoly import poly_on_grid, resize_degree, stack_field
 
 from conftest import COS, SIN, ZERO, IDENTITY, add, const, degree, evaluate
 from conftest import field_fourier, fourier, isclose, m3, matmul, on_grid, random_symmetric_field
-from conftest import sample, transpose
+from conftest import sample, stacked, transpose
 
 
 def product(x, y) -> tuple:
@@ -150,10 +150,30 @@ class TestMatrix3Field:
              [COS(2), const(-0.0), SIN(1)],
              [rng.normal(size=7) + 1j * rng.normal(size=7), COS(3), SIN(2)]]
         )
-        stack = stack_entries(a, top)
-        assert stack.shape == (2 * top + 1, 3, 3)
+        stack = stack_field(a, top)
+        assert stack.shape == (3, 3, 2 * top + 1)
         for m in range(-top, top + 1):
-            assert stack[m + top].tobytes() == field_fourier(a, m).tobytes()
+            assert np.ascontiguousarray(stack[..., m + top]).tobytes() == field_fourier(a, m).tobytes()
+
+    def test_field_product_forms_each_entry_at_its_own_degree(self, monkeypatch):
+        # entries all of one degree: one einsum; one entry of degree 200 among
+        # constants: each pair convolved at its own degree, so 1 product of
+        # 401 x 401 coefficients, 4 of 401 x 1 and 22 of 1 x 1
+        rng = np.random.default_rng(11)
+        uniform = stack_field(random_symmetric_field(rng), 2)
+        mixed = np.zeros((3, 3, 401), dtype=complex)
+        mixed[..., 200] = rng.normal(size=(3, 3))
+        mixed[1, 2] = rng.normal(size=401)
+        expected = [product(uniform, uniform), product(transpose(mixed), mixed)]
+        sizes, einsums = [], []
+        convolve, einsum = np.convolve, np.einsum
+        monkeypatch.setattr(np, "convolve", lambda a, b: sizes.append(a.size * b.size) or convolve(a, b))
+        monkeypatch.setattr(np, "einsum", lambda *args: einsums.append(1) or einsum(*args))
+        assert isclose(_field_product(uniform, uniform), expected[0])
+        assert (sizes, einsums) == ([], [1])
+        einsums.clear()
+        assert isclose(_field_product(mixed.transpose(1, 0, 2), mixed), expected[1], 1e-9)
+        assert (sorted(sizes), einsums) == ([1] * 22 + [401] * 4 + [401 * 401], [])
 
     def test_identity_product(self):
         rng = np.random.default_rng(5)
@@ -163,19 +183,19 @@ class TestMatrix3Field:
     def test_transpose_symmetric(self):
         rng = np.random.default_rng(6)
         a = random_symmetric_field(rng)
-        require_sym_real(a, "a")
+        require_sym_real(stacked(a), "a")
         assert isclose(transpose(a), a)
 
     def test_sym_real_judges_mixed_degrees_as_padded(self):
-        # each entry is checked at its own degree, each pair at its larger one,
-        # with the verdicts of zero-padding all nine entries to one degree
+        # entries of mixed degrees, zero-padded to one degree in the stack:
+        # the padding neither hides a defect nor makes one
         def field(**entries):
             rows = [[ZERO] * 3 for _ in range(3)]
             for key, c in entries.items():
                 rows[int(key[1])][int(key[2])] = c
             return m3(rows)
 
-        require_sym_real(field(e01=COS(1), e10=resize_degree(COS(1), 5), e22=const(2.0)), "a")
+        require_sym_real(stacked(field(e01=COS(1), e10=resize_degree(COS(1), 5), e22=const(2.0))), "a")
         off = resize_degree(COS(1), 5).copy()
         off[0] = off[-1] = 1e-6  # cos 5x in entry (1, 0) only
         inf = resize_degree(const(1.0), 2).copy()
@@ -186,7 +206,7 @@ class TestMatrix3Field:
                            (field(e11=inf), "a must be symmetric"),
                            (field(e02=nan, e20=nan), "a must be real-valued")):
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
-                require_sym_real(a, "a")
+                require_sym_real(stacked(a), "a")
 
     def test_matmul_matches_pointwise(self):
         rng = np.random.default_rng(7)
