@@ -8,8 +8,9 @@ symbol B and the potential p that the operator holds: the matrix is a gather
 of those coefficients, never built by applying the operator to the basis.
 The basis couples only through the finitely many harmonics of the
 coefficient functions, so interior eigenvalues converge extremely fast in m.
-B^ and p^ are made exactly Hermitian before the gather, so the matrix is
-Hermitian by construction. Every eps-sweep of the package goes through
+The gather reads the real functions of the operator through
+``trigpoly.real_spectrum``, c_-k = conj(c_k), so the matrix equals its
+adjoint by construction. Every eps-sweep of the package goes through
 ``spectrum_sweep``; ``track_pairs`` tracks all (eps, mode) cells of one.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .dirac import DiracOperator, dirac_operator, dirac_operators
 from .geometry import CoframeFamily, NumericalContractError, default_grid
-from .trigpoly import resize_degree
+from .trigpoly import real_spectrum
 
 PAIRING_TOL = 1e-8
 CLUSTER_RADIUS = 0.4
@@ -62,16 +63,10 @@ class GalerkinMatrix:
 
     Rows are indexed by (i, kind) with i = -m..m and the v row preceding the
     w row within each i: (i, v) is row 2(i + m) and (i, w) the next one.
-    ``herm_residual`` is the max-norm Hermiticity defect of the data the
-    matrix gathers, |B^(k) - B^(-k)^H| and |p^(k) - conj(p^(-k))| at
-    |k| <= 2m, before ``galerkin_matrix`` makes them exactly Hermitian: the
-    rounding in the operator, ~1e-16 of its largest coefficient. Grid
-    resolution is checked on the Fourier tail of the operator instead.
     """
 
     m: int
     entries: np.ndarray
-    herm_residual: float
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -111,36 +106,34 @@ def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
     the Fourier coefficients of the symbol and the potential,
 
         H[r, col] = (1/2) u_r^T ((q_r + q_col)/2 B^(q_r - q_col)
-                                 + p^(q_r - q_col)) u_col.
+                                 + p^(q_r - q_col)) u_col,
 
-    The entries read B^ and p^ at frequencies -2m..2m, zero past the
-    operator's degree, made exactly Hermitian once, in O(m), as
-    (c(k) + c(-k)^H)/2. The sandwich u_r^T B^ u_col is summed in pairs that
-    trade places under the adjoint, so every entry equals the conjugate of
-    its mirror entry under ``==``. Each block is written in place from
-    strided Hankel views, the cached weights (q_r + q_col)/4 times the
-    sandwich plus p^; the (w, v) block is the adjoint of the (v, w) block.
+    where the sandwich (1/2) u_r^T B^ u_col is a1^ within v, -a1^ within w
+    and -(a3^ + i a2^) from w to v. The entries read a^ and p^ at
+    frequencies -2m..2m, zero past the operator's degree, through
+    ``real_spectrum``: each entry is a real weight times c(k) plus p^(k),
+    and its mirror the same weight times conj(c(k)) plus conj(p^(k)), so the
+    matrix equals its adjoint under ``==``. Each block is written in place
+    from strided Hankel views, the cached weights (q_r + q_col)/4 times
+    twice the sandwich plus p^; the (w, v) block is the adjoint of the
+    (v, w) block.
     """
     # frequencies -2m..2m, so that _hankel(c, w, 1, -1)[i_r + m, i_col + m]
     # is c at frequency i_r + i_col
-    b_hat, p_hat = resize_degree(op.b_hat, 2 * m), resize_degree(op.p_hat, 2 * m)
-    b_adjoint, p_adjoint = np.conj(b_hat.swapaxes(0, 1)[..., ::-1]), np.conj(p_hat[::-1])
-    residual = np.maximum(np.abs(b_hat - b_adjoint).max(), np.abs(p_hat - p_adjoint).max())
-    (b00, b01), (b10, b11) = 0.5 * (b_hat + b_adjoint)
-    p_hat = 0.5 * (p_hat + p_adjoint)
+    (a1, a2, a3), p_hat = real_spectrum(op.a_hat, 2 * m), real_spectrum(op.p_hat, 2 * m)
     w = 2 * m + 1
     weights = _weights(m)
     entries = np.empty((w, 2, w, 2), dtype=complex)
     # u = (s, 1) and q = s*i, with s = +1 for v_i and -1 for w_i
-    for a, b, s_r, s_col in ((0, 0, 1, 1), (0, 1, 1, -1), (1, 1, -1, -1)):
-        sandwich = (s_r * s_col * b00 + b11) + (s_r * b01 + s_col * b10)
+    for a, b, s_r, s_col, sandwich in ((0, 0, 1, 1, 2.0 * a1), (0, 1, 1, -1, -2.0 * (a3 + 1j * a2)),
+                                       (1, 1, -1, -1, -2.0 * a1)):
         # reversing an axis negates its i: frequency s_r*i_r - s_col*i_col
         block = entries[:, a, :, b]
         np.multiply(_hankel(weights, w, s_r, -s_col), _hankel(sandwich, w, s_r, s_col), out=block)
         if a == b:  # u_r^T u_col is 2 within a kind and 0 across kinds
             np.add(block, _hankel(p_hat, w, s_r, s_col), out=block)
     np.conjugate(entries[:, 0, :, 1].T, out=entries[:, 1, :, 0])
-    return GalerkinMatrix(m=m, entries=entries.reshape(2 * w, 2 * w), herm_residual=float(residual))
+    return GalerkinMatrix(m=m, entries=entries.reshape(2 * w, 2 * w))
 
 
 def assemble(cf: CoframeFamily, eps: float, m: int) -> GalerkinMatrix:

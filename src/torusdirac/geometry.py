@@ -4,10 +4,13 @@ A family of coframes e(x^1; eps) = I + eps*E1(x^1) + eps^2*E2(x^1) determines
 the metric g = e^T e. All data depend on x^1 only, so each object reduces to
 matrix-valued functions on the circle: E1 and E2 are held as nested 3x3
 tuples of entry coefficient arrays, h and k as stacks (3, 3, 2D+1) (see
-``trigpoly``). The coframe is sampled in one place,
-``_coframe_samples``, which the operator pass of ``dirac`` and
-``arc_length`` share; sampled steps share one grid rule, ``default_grid``,
-and the checks ``sample_checks`` and ``tail_check`` of a whole eps-sweep.
+``trigpoly``). E1 and E2 are checked real once, at construction; past that
+the coframe is sampled in one place, ``_coframe_samples``, by one
+zero-padded inverse real FFT of their half spectra, which the operator pass
+of ``dirac`` and ``arc_length`` share. Sampled steps share one grid rule,
+``default_grid``, and the checks ``sample_checks`` (det e) and
+``tail_check`` (the band sampling drops, read in ``rfft`` layout by
+``fft_tail``) of a whole eps-sweep.
 Every stacked check of the package fails by ``raise_first``, as its rows would.
 """
 
@@ -19,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .trigpoly import COEFF_TOL, _as_field, _field_product, field_degree, grid_points, matmul_entry
-from .trigpoly import poly_add, poly_derivative, poly_on_grid, poly_sub, resize_degree, stack_field
+from .trigpoly import half_spectrum, poly_add, poly_derivative, poly_sub, resize_degree, stack_field
 
 #: Largest Fourier coefficient that sampling may drop at |k| >= n/4, and
 #: the smallest sample of det e that counts as nonsingular.
@@ -33,8 +36,8 @@ def default_grid(degree: int) -> int:
 
 
 class NumericalContractError(ValueError):
-    """A numerical contract failed: an internal invariant (realness,
-    Hermiticity, ...) or a check such as a singular coframe, an
+    """A numerical contract failed: an internal invariant (a finite
+    operator coefficient, ...) or a check such as a singular coframe, an
     under-resolved grid or an ambiguous eigenvalue pair.
 
     Unlike a plain ValueError it signals a numerical fault, not bad input.
@@ -159,11 +162,9 @@ def _k_block(cf: CoframeFamily, size: int) -> np.ndarray:
     return (resize_degree(product, d) + e2 + e2.transpose(1, 0, 2)) * 4.0
 
 
-def sample_checks(eps: np.ndarray, imag: np.ndarray, scale: np.ndarray, det: np.ndarray, n: int) -> tuple:
-    """The checks, for ``raise_first``, of coframe samples at each of the 1-d
-    ``eps``: ``imag``, their largest imaginary part, at most 1e-10 * max(1,
-    ``scale``), their largest |value|, as rounding grows with the data; then
-    det e > ``DET_FLOOR`` on ``grid_points(n)``, which NaN fails."""
+def sample_checks(eps: np.ndarray, det: np.ndarray, n: int) -> tuple:
+    """The check, for ``raise_first``, of the coframe samples at each of the
+    1-d ``eps``: det e > ``DET_FLOOR`` on ``grid_points(n)``, which NaN fails."""
     singular = ~(det > DET_FLOOR)
 
     def singular_error(e):
@@ -173,10 +174,7 @@ def sample_checks(eps: np.ndarray, imag: np.ndarray, scale: np.ndarray, det: np.
             f"at grid index {j} (x={grid_points(n)[j]:.6f})"
         )
 
-    def complex_error(e):
-        return NumericalContractError(f"coframe samples has imaginary part {imag[e]:.2e}; expected real data")
-
-    return (~(imag <= 1e-10 * np.fmax(1.0, scale)), complex_error), (singular.any(axis=1), singular_error)
+    return ((singular.any(axis=1), singular_error),)
 
 
 def coframe_tails(cf: CoframeFamily, eps: np.ndarray, n: int) -> np.ndarray:
@@ -196,11 +194,9 @@ def coframe_tails(cf: CoframeFamily, eps: np.ndarray, n: int) -> np.ndarray:
 
 
 def fft_tail(hat: np.ndarray, n: int, axis):
-    """Largest |coefficient| over ``axis`` of ``hat``, FFTs of
-    samples on n points divided by n, at |k| >= n/4; a NaN is kept."""
-    top = (n - 1) // 4  # the largest |k| below n/4
-    # FFT order: indices top+1 .. n-top-1 hold the frequencies |k| > top
-    return np.max(np.abs(hat[..., top + 1 : n - top]), axis=axis, initial=0.0)
+    """Largest |coefficient| over ``axis`` of ``hat``, real FFTs (``rfft``
+    layout) of samples on n points divided by n, at k >= n/4; a NaN is kept."""
+    return np.max(np.abs(hat[..., (n - 1) // 4 + 1 :]), axis=axis, initial=0.0)
 
 
 def tail_check(tails: np.ndarray) -> tuple:
@@ -219,27 +215,25 @@ def _coframe_samples(cf: CoframeFamily, eps: np.ndarray, n: int):
     of the 1-d ``eps``, from one sample of E1, E2 and their derivatives at
     the harmonics |k| < n/4: ``(values, cofactors, det, checks)``.
 
-    ``values`` (15, E, n) holds the real entries e^j_a at index 3j + a, then
-    the derivatives of entries (j, 1), (j, 2); ``cofactors`` (3, E, n) are
-    those of the first column, ``det`` (E, n) is det e and ``checks`` are
-    the ``sample_checks`` of them all, which judge an overflow: none warns.
+    The sample is one zero-padded ``irfft`` of the half spectra, so it is
+    real: E1 and E2 were checked real at construction. ``values`` (15, E, n)
+    holds the entries e^j_a at index 3j + a, then the derivatives of entries
+    (j, 1), (j, 2); ``cofactors`` (3, E, n) are those of the first column,
+    ``det`` (E, n) is det e and ``checks`` the ``sample_checks`` of det e,
+    which judge an overflow: none warns.
     """
     rows = (*cf.E1, *cf.E2)
     coeffs = stack_field(rows, min(field_degree(rows), (n - 1) // 4)).reshape(2, 3, 3, -1)
     # for E1 and for E2: entries (a, b), then the derivatives of entries (a, 1), (a, 2)
     stack = np.concatenate([coeffs.reshape(2, 9, -1), poly_derivative(coeffs[:, :, 1:]).reshape(2, 6, -1)], 1)
-    samples = poly_on_grid(stack.reshape(30, -1), n).reshape(2, 15, n)
-    # held real: the imaginary parts dropped are at most |eps| |Im E1| + eps^2 |Im E2|
-    eps2 = eps * eps
-    values = samples.real[0, :, None] * eps[:, None]
+    samples = np.fft.irfft(half_spectrum(stack), n, axis=-1, norm="forward")  # (2, 15, n)
+    values = samples[0, :, None] * eps[:, None]
     values[[0, 4, 8]] += 1.0
-    values += samples.real[1, :, None] * eps2[:, None]
-    imag = np.abs(eps) * np.max(np.abs(samples[0].imag)) + eps2 * np.max(np.abs(samples[1].imag))
-    scale = np.fmax(values.max(axis=(0, 2)), -values.min(axis=(0, 2)))
+    values += samples[1, :, None] * (eps * eps)[:, None]
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = values[:9].reshape(3, 3, *values.shape[1:])
     cofactors = np.array([e11 * e22 - e12 * e21, e02 * e21 - e01 * e22, e01 * e12 - e02 * e11])
     det = e00 * cofactors[0] + e10 * cofactors[1] + e20 * cofactors[2]
-    return values, cofactors, det, sample_checks(eps, imag, scale, det, n)
+    return values, cofactors, det, sample_checks(eps, det, n)
 
 
 def arc_length(cf: CoframeFamily, eps: float) -> float:
@@ -262,7 +256,7 @@ def _arc_lengths(cf: CoframeFamily, eps: np.ndarray) -> list[float]:
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below fail an overflow
         g11 = values[0] ** 2 + values[3] ** 2 + values[6] ** 2
         sqrt_g11 = np.sqrt(g11)
-        tails = fft_tail(np.fft.fft(sqrt_g11, axis=-1) / n, n, axis=-1)
+        tails = fft_tail(np.fft.rfft(sqrt_g11, axis=-1, norm="forward"), n, axis=-1)
     positive = (~(g11 > 0).all(axis=1), lambda e: SingularCoframeError(f"g_11 not positive at eps={eps[e]}"))
     raise_first((*checks, positive, tail_check(tails)))
     return (sqrt_g11.sum(axis=1) * 2.0 * np.pi / n).tolist()

@@ -16,9 +16,16 @@ stack E1, E2, h and k as arrays (3, 3, 2D+1) by ``stack_field``. The
 arithmetic is module-level functions on the arrays: ``poly_add``/``poly_sub``
 (pad both operands to the larger degree, then add), ``np.convolve``,
 ``matmul_entry``, ``_field_product`` (the product of two stacks: one
-``einsum`` when small, else entry by entry, each entry at its own degree),
-``poly_derivative`` and ``poly_on_grid``. Results keep their bits only while
-the order of operations holds:
+``einsum`` when small, else entry by entry, each entry at its own degree)
+and ``poly_derivative``.
+
+A real function past parse, such as the symbol components and the potential
+of an operator, is held as its half spectrum c_0..c_L, ``numpy.fft.rfft``
+layout with c_0 real: ``half_spectrum`` takes it from the coefficients of a
+function checked real, and ``real_spectrum`` forms c_-k = conj(c_k) where
+the full coefficients are read, so that data is real by construction.
+
+Results keep their bits only while the order of operations holds:
 
 * each operand keeps its own length. Padding everything to one degree before
   ``np.convolve`` is not byte-safe: numpy's complex dot product goes through
@@ -29,12 +36,6 @@ the order of operations holds:
   the longer one past the shorter one's degree comes out +0. Copying the
   longer operand and adding the shorter one into it keeps that -0: not the
   same bits.
-
-Evaluation on the uniform grid ``grid_points(n)`` goes through
-``poly_on_grid``, which multiplies the coefficients by the phase table
-e^{ikx_j}, k = -D..D, built on each call by the direct formula
-``np.exp(1j * np.multiply.outer(x, k))``. It runs once per sampled pass, so
-no table is kept across calls and none needs a lock.
 """
 
 from __future__ import annotations
@@ -99,12 +100,21 @@ def poly_derivative(c: np.ndarray) -> np.ndarray:
     return _ik((c.shape[-1] - 1) // 2) * c
 
 
-def poly_on_grid(c: np.ndarray, n: int) -> np.ndarray:
-    """Values on ``grid_points(n)``; a stack (..., 2D+1) of coefficient
-    arrays gives (..., n), by one matrix product with the phase table."""
-    degree = (c.shape[-1] - 1) // 2
-    phases = np.exp(1j * np.multiply.outer(grid_points(n), np.arange(-degree, degree + 1)))
-    return phases @ c if c.ndim == 1 else c @ phases.T
+def half_spectrum(c: np.ndarray) -> np.ndarray:
+    """The half spectra c_0..c_D, along the last axis, of real functions
+    whose coefficients c_-D..c_D ``c`` have been checked real: a copy with
+    c_0 held real."""
+    half = c[..., (c.shape[-1] - 1) // 2 :].copy()
+    half[..., 0] = half[..., 0].real
+    return half
+
+
+def real_spectrum(half: np.ndarray, degree: int) -> np.ndarray:
+    """Coefficients c_-degree..c_degree, along the last axis, of the real
+    functions with the half spectra ``half`` (..., L+1), c_-k = conj(c_k),
+    zero past L."""
+    half = half[..., : degree + 1]
+    return resize_degree(np.concatenate((np.conj(half[..., :0:-1]), half), axis=-1), degree)
 
 
 def _as_field(rows) -> tuple:

@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from torusdirac import CoframeFamily, DiracOperator
-from torusdirac.dirac import inner, symbol_matrix
+from torusdirac.dirac import inner
 from torusdirac.galerkin import CLUSTER_RADIUS, PAIRING_TOL, TrackingError, basis_spinor
 from torusdirac.galerkin import tracking_buffer
-from torusdirac.trigpoly import COEFF_TOL, _as_field, field_degree, poly_add, poly_derivative
-from torusdirac.trigpoly import poly_on_grid, poly_sub, resize_degree, stack_field
+from torusdirac.trigpoly import COEFF_TOL, _as_field, field_degree, grid_points, poly_add, poly_derivative
+from torusdirac.trigpoly import poly_sub, resize_degree, stack_field
 
 # Property tests draw the same examples on every run and have no deadline,
 # so a slow shared machine cannot make them flaky, and write no example database.
@@ -137,7 +137,7 @@ def sample(x, points) -> np.ndarray:
 
 def on_grid(x, n: int) -> np.ndarray:
     """All entries on ``grid_points(n)``; shape (3, 3, n)."""
-    return np.array([[poly_on_grid(c, n) for c in row] for row in x])
+    return sample(x, grid_points(n))
 
 
 def isclose(x, y, tol: float = COEFF_TOL) -> bool:
@@ -162,9 +162,33 @@ def norm(v: np.ndarray) -> float:
 
 
 def free_operator() -> DiracOperator:
-    """The unperturbed operator -i [[0, 1], [1, 0]] d/dx^1."""
-    one, zero = np.ones(1), np.zeros(1)
-    return DiracOperator(symbol_matrix(one, zero, zero), zero)
+    """The unperturbed operator -i [[0, 1], [1, 0]] d/dx^1: a1 = 1."""
+    return DiracOperator([[1.0], [0.0], [0.0]], [0.0])
+
+
+def symbol_matrix(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
+    """Hermitian trace-free symbol [[a3, a1 - i a2], [a1 + i a2, -a3]] of
+    the real functions a1, a2, a3, given by their samples or coefficients
+    (the map is linear); the output has shape (2, 2, len(a1))."""
+    return np.array([[a3, a1 - 1j * a2], [a1 + 1j * a2, -a3]])
+
+
+def full_spectrum(half: np.ndarray) -> np.ndarray:
+    """c_-L..c_L of the real functions with the half spectra ``half``
+    (..., L+1), mirrored one coefficient at a time."""
+    top = half.shape[-1] - 1
+    full = np.zeros(half.shape[:-1] + (2 * top + 1,), dtype=complex)
+    for k in range(top + 1):
+        full[..., top + k] = half[..., k]
+        full[..., top - k] = np.conj(half[..., k])
+    full[..., top] = half[..., 0]
+    return full
+
+
+def operator_hats(op: DiracOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(B^, p^) of ``op`` over k = -L..L: the symbol (2, 2, 2L+1) and the
+    potential (2L+1,) of its half spectra."""
+    return symbol_matrix(*full_spectrum(op.a_hat)), full_spectrum(op.p_hat)
 
 
 def charge_conjugate(v: np.ndarray) -> np.ndarray:
@@ -342,31 +366,28 @@ def reference_coframe(cf: CoframeFamily, eps: float) -> tuple:
 
 
 def reference_operator_hats(cf: CoframeFamily, eps: float, n: int):
-    """(B^, p^) of ``dirac_operator(cf, eps, n)`` from ``reference_coframe``,
-    its determinant, derivative and grid values; no checks."""
+    """(a^, p^) of ``dirac_operator(cf, eps, n)`` from ``reference_coframe``,
+    its determinant, derivative and grid values, by complex FFTs, k = 0..L
+    kept; no checks."""
     coframe = reference_coframe(cf, eps)
-    sqrt_det_g = poly_on_grid(reference_det(coframe), n).real
+    sqrt_det_g = evaluate(reference_det(coframe), grid_points(n)).real
     frame = np.linalg.inv(np.transpose(on_grid(coframe, n).real, (2, 1, 0)))
     num = ZERO
     dcof = entrywise(poly_derivative, coframe)
     for j in range(3):
         num = add(num, np.convolve(coframe[j][2], dcof[j][1]), -np.convolve(coframe[j][1], dcof[j][2]))
-    potential = poly_on_grid(num, n).real / (4.0 * sqrt_det_g)
-    b_hat = np.fft.fft(symbol_matrix(frame[:, 0, 0], frame[:, 1, 0], frame[:, 2, 0]), axis=-1) / n
-    p_hat = np.fft.fft(potential) / n
-    top = (n - 1) // 4
-    kept = np.r_[n - top : n, 0 : top + 1]
-    return b_hat[..., kept], p_hat[kept]
+    potential = evaluate(num, grid_points(n)).real / (4.0 * sqrt_det_g)
+    hats = np.fft.fft(np.array([frame[:, 0, 0], frame[:, 1, 0], frame[:, 2, 0], potential]), axis=-1) / n
+    hats = hats[:, : (n - 1) // 4 + 1]
+    hats[:, 0] = hats[:, 0].real
+    return hats[:3], hats[3]
 
 
-def reference_galerkin(op: DiracOperator, m: int) -> tuple[np.ndarray, float]:
-    """(entries, herm_residual) of ``galerkin_matrix(op, m)``, to rounding:
-    each block gathered through ``sliding_window_view`` from B^ and p^ as
-    the operator holds them, then the matrix symmetrized out of place; the
-    residual is the Hermitian defect of B^ and p^ at |k| <= 2m."""
-    b_hat, p_hat = resize_degree(op.b_hat, 2 * m), resize_degree(op.p_hat, 2 * m)
-    b_defect = np.abs(b_hat - np.conj(np.transpose(b_hat, (1, 0, 2))[..., ::-1])).max()
-    residual = float(max(b_defect, np.abs(p_hat - np.conj(p_hat[::-1])).max()))
+def reference_galerkin(op: DiracOperator, m: int) -> np.ndarray:
+    """The entries of ``galerkin_matrix(op, m)``, to rounding: each block
+    gathered through ``sliding_window_view`` from B^ and p^ (``operator_hats``),
+    then the matrix symmetrized out of place."""
+    b_hat, p_hat = (resize_degree(x, 2 * m) for x in operator_hats(op))
     w = 2 * m + 1
     i = np.arange(-m, m + 1)
     entries = np.empty((w, 2, w, 2), dtype=complex)
@@ -382,7 +403,7 @@ def reference_galerkin(op: DiracOperator, m: int) -> tuple[np.ndarray, float]:
                 block += sliding_window_view(p_hat, w)[flip]
             entries[:, a, :, b] = block
     entries = entries.reshape(2 * w, 2 * w)
-    return 0.5 * (entries + entries.conj().T), residual
+    return 0.5 * (entries + entries.conj().T)
 
 
 def reference_track_pair(report, n: int) -> tuple[float, float]:
@@ -436,11 +457,12 @@ def reference_apply(op: DiracOperator, c: np.ndarray) -> np.ndarray:
     q = np.arange(-degree(c[0]), degree(c[0]) + 1)
     top = op.degree + degree(c[0])
     k = np.arange(-top, top + 1)
+    b_hat, p_hat = operator_hats(op)
     out = np.empty((2, k.size), dtype=complex)
     for a in range(2):
-        bv = np.convolve(op.b_hat[a, 0], c[0]) + np.convolve(op.b_hat[a, 1], c[1])
-        bqv = np.convolve(op.b_hat[a, 0], q * c[0]) + np.convolve(op.b_hat[a, 1], q * c[1])
-        out[a] = 0.5 * (k * bv + bqv) + np.convolve(op.p_hat, c[a])
+        bv = np.convolve(b_hat[a, 0], c[0]) + np.convolve(b_hat[a, 1], c[1])
+        bqv = np.convolve(b_hat[a, 0], q * c[0]) + np.convolve(b_hat[a, 1], q * c[1])
+        out[a] = 0.5 * (k * bv + bqv) + np.convolve(p_hat, c[a])
     return out
 
 
@@ -506,10 +528,9 @@ def reference_operator_route(cf: CoframeFamily) -> list[float]:
     and W1 v_n applied afresh wherever it is read; no checks."""
     h, k = reference_h(cf), reference_k(cf)
     d1 = max(degree(h[j][0]) for j in range(3))
-    w1 = DiracOperator(
-        -0.5 * symbol_matrix(*(resize_degree(h[j][0], d1) for j in range(3))),
-        np.zeros(2 * d1 + 1),
-    )
+    a1 = np.array([-0.5 * resize_degree(h[j][0], d1)[d1:] for j in range(3)])
+    a1[:, 0] = a1[:, 0].real
+    w1 = DiracOperator(a1, np.zeros(d1 + 1))
     hcols = [reference_product_entry(h, h, j, 0) for j in range(3)]
     kcols = [k[j][0] for j in range(3)]
     scalar = ZERO
@@ -517,8 +538,10 @@ def reference_operator_route(cf: CoframeFamily) -> list[float]:
     for a in range(3):
         scalar = add(scalar, np.convolve(h[a][1], dh[a][2]), -np.convolve(h[a][2], dh[a][1]))
     d2 = max(degree(c) for c in (*hcols, *kcols, scalar))
-    hb, kb = (symbol_matrix(*(resize_degree(c, d2) for c in cols)) for cols in (hcols, kcols))
-    w2 = DiracOperator(0.375 * hb - 0.125 * kb, -resize_degree(scalar, d2) / 16.0)
+    hb, kb, p = (np.array([resize_degree(c, d2)[d2:] for c in cols]) for cols in (hcols, kcols, [scalar]))
+    a2 = 0.375 * hb - 0.125 * kb
+    a2[:, 0], p[:, 0] = a2[:, 0].real, p[:, 0].real
+    w2 = DiracOperator(a2, -p[0] / 16.0)
     l1, l2 = [], []
     for n in (1, -1):
         v = basis_spinor(n, "v")

@@ -9,13 +9,13 @@ the reference in conftest builds det e and the potential numerator in
 coefficient arithmetic and inverts the coframe samples: the two agree to
 rounding, within the bounds below.
 
-``galerkin_matrix`` makes B^ and p^ exactly Hermitian before it gathers
+An operator holds the half spectra of the real functions a1, a2, a3 and p,
+and ``galerkin_matrix`` mirrors them, c_-k = conj(c_k), before it gathers
 them through strided views, so each matrix equals its adjoint under ``==``
 (a real weight times a complex entry may flip the sign of a zero, which
 ``==`` ignores). Its entries agree to rounding with the conftest gather,
-which reads B^ and p^ as they are through ``sliding_window_view`` and
-symmetrizes the matrix afterwards, and its ``herm_residual`` is, bit for bit,
-the Hermitian defect of B^ and p^ that the reference measures.
+which reads the full B^ and p^ through ``sliding_window_view`` and
+symmetrizes the matrix afterwards.
 
 The closed-form and operator routes build h, k, W1 and W2 on stacks
 (3, 3, 2D+1) of coefficients. h and ``matmul_entry`` must reproduce, byte
@@ -27,8 +27,8 @@ cut to their own degree, where the reference convolves each entry at its
 given length; the closed form's sums are reductions over the harmonics,
 where the reference adds one harmonic after another; the operator route
 runs modes +1 and -1 in lockstep, and
-``apply`` contracts a Toeplitz view of B^ and p^ against a stack of spinors
-where the reference convolves each spinor row by row. The sums group
+``apply`` is one ``_field_product`` of [B^ | k/2 B^ + p^ I] and a stack of
+spinors where the reference convolves each spinor row by row. The sums group
 differently, so k, both routes, the product and ``apply`` agree with the
 reference to rounding, within the bounds below.
 A stack through ``apply``, ``inner`` or ``pseudoinverse`` gives, row for row,
@@ -49,7 +49,8 @@ from torusdirac import first_order_perturbation, galerkin_matrix, load_config_fi
 from torusdirac import perturbation_report, second_order_perturbation
 from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.dirac import DiracOperator, _first_order_operator, dirac_operators, inner
-from torusdirac.galerkin import spectrum_sweep
+from torusdirac import galerkin
+from torusdirac.galerkin import eigenvalues, spectrum_sweep
 from torusdirac.perturbation import pseudoinverse
 from torusdirac.geometry import default_grid
 from torusdirac.trigpoly import _field_product, matmul_entry, resize_degree, stack_field
@@ -73,20 +74,22 @@ EPS_LISTS = (
 SWEEP_TRUNCATIONS = (3, 25, 40, 64)
 TRUNCATIONS = (0, 1, 3, 25, 40)  # 2m below and above the operator degree 63 at n = 256
 LARGE_TRUNCATIONS = (64, 100)  # orders 258 and 402, on default_grid(m)
-# |pass - reference| bounds on the coefficients of B and p, and on the
+# |pass - reference| bounds on the coefficients of (a1, a2, a3) and p, and on the
 # eigenvalues relative to max(1, |lambda|): a few times the worst case
-# measured over the families and strategies of this file (see CHANGES.md)
-B_TOL = 2e-15
+# measured over the families and strategies of this file (see CHANGES.md);
+# with the half spectra the worst cases were 4.4e-16, 7.2e-18 and 8.6e-14
+A_TOL = 2e-15
 P_TOL = 3e-17
 EIGENVALUE_TOL = 1e-12
 # |matrix - reference| relative to max(1, largest |entry|): the worst case
-# measured was 3.6e-16 over these families and 300 MIXED_COFRAMES draws
+# measured was 3.0e-16 over these families and 300 random coframe draws
 MATRIX_TOL = 1e-15
 # |route - reference| relative to max(1, |reference|), and |apply - reference|
 # relative to max(1, largest |reference coefficient|): the worst cases measured
 # were 7.2e-15 (closed form) and 1.1e-14 (operator route) over 1,500 fixed
 # draws of the three coframe strategies below and 4.8e-16 over 1,000 draws of
-# test_apply_matches_reference. The route bound is relative to the value, not
+# test_apply_matches_reference; with ``apply`` one field product, 3.4e-16 over
+# 1,000 draws. The route bound is relative to the value, not
 # to its terms: 6,000 random draws reached 2.9e-14 (closed form) and 1.8e-14
 # (operator route) on scaled families whose terms are ~100 times l2, and the
 # operator route reached 1.05e-14 on one of them before the stacked products
@@ -112,9 +115,9 @@ COEFFICIENTS = ("lambda1_plus", "lambda1_minus", "lambda2_plus", "lambda2_minus"
 
 
 def assert_operator_close(op: DiracOperator, cf: CoframeFamily, eps: float, n: int) -> None:
-    b_ref, p_ref = reference_operator_hats(cf, eps, n)
-    assert op.b_hat.shape == b_ref.shape and op.p_hat.shape == p_ref.shape
-    assert np.max(np.abs(op.b_hat - b_ref)) <= B_TOL, f"B^ differs at eps={eps!r}, n={n}"
+    a_ref, p_ref = reference_operator_hats(cf, eps, n)
+    assert op.a_hat.shape == a_ref.shape and op.p_hat.shape == p_ref.shape
+    assert np.max(np.abs(op.a_hat - a_ref)) <= A_TOL, f"a^ differs at eps={eps!r}, n={n}"
     assert np.max(np.abs(op.p_hat - p_ref)) <= P_TOL, f"p^ differs at eps={eps!r}, n={n}"
 
 
@@ -127,7 +130,7 @@ def assert_sweep_operator_matches(cf: CoframeFamily, eps_values, n: int) -> None
     assert len(ops) == len(eps_values)
     for eps, op in zip(eps_values, ops):
         alone = dirac_operator(cf, eps, n)
-        assert same_bytes(op.b_hat, alone.b_hat), f"B^ differs from one eps at eps={eps!r}, n={n}"
+        assert same_bytes(op.a_hat, alone.a_hat), f"a^ differs from one eps at eps={eps!r}, n={n}"
         assert same_bytes(op.p_hat, alone.p_hat), f"p^ differs from one eps at eps={eps!r}, n={n}"
         assert_operator_close(op, cf, eps, n)
 
@@ -140,18 +143,17 @@ def assert_sweep_matches(cf: CoframeFamily, eps_values, m: int) -> None:
         assert report.m == m and report.tracked == {}
         assert same_bytes(report.eigenvalues, alone), f"eigenvalues differ from one eps at eps={eps!r}"
         op = DiracOperator(*reference_operator_hats(cf, eps, default_grid(m)))
-        expected = np.linalg.eigvalsh(reference_galerkin(op, m)[0])
+        expected = np.linalg.eigvalsh(reference_galerkin(op, m))
         drift = np.abs(report.eigenvalues - expected) / np.maximum(1.0, np.abs(expected))
         assert np.max(drift) <= EIGENVALUE_TOL, f"eigenvalues differ at eps={eps!r}, m={m}"
 
 
 def assert_matrix_close(op, m: int) -> None:
     gm = galerkin_matrix(op, m)
-    entries, residual = reference_galerkin(op, m)
+    entries = reference_galerkin(op, m)
     assert gm.entries.shape == entries.shape
     scale = max(1.0, float(np.max(np.abs(entries))))
     assert np.max(np.abs(gm.entries - entries)) <= MATRIX_TOL * scale, f"entries differ at m={m}"
-    assert gm.herm_residual.hex() == residual.hex()
 
 
 def assert_exactly_hermitian(op, m: int) -> None:
@@ -275,6 +277,22 @@ class TestRandomCoframes:
     @given(MIXED_COFRAMES, SIGNED_EPS, st.sampled_from(TRUNCATIONS + LARGE_TRUNCATIONS))
     def test_gathered_matrix_is_exactly_hermitian(self, cf, eps, m):
         assert_exactly_hermitian(dirac_operator(cf, eps, default_grid(m)), m)
+
+    @settings(max_examples=25)
+    @given(st.one_of(COFRAMES, MIXED_COFRAMES), EPS_LIST, st.sampled_from(SWEEP_TRUNCATIONS))
+    def test_sweep_matrices_are_exactly_hermitian(self, cf, eps_values, m):
+        # every matrix that spectrum_sweep solves, recorded on its way to eigvalsh
+        solved = []
+
+        def recorded(gm):
+            solved.append(gm.entries)
+            return eigenvalues(gm)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(galerkin, "eigenvalues", recorded)
+            spectrum_sweep(cf, eps_values, m)
+        assert len(solved) == len(eps_values)
+        assert all(np.array_equal(entries, entries.conj().T) for entries in solved)
 
     @settings(max_examples=25)
     @given(mixed_degree_fields(), mixed_degree_fields())

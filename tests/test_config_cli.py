@@ -466,7 +466,8 @@ class TestCli:
 
     def test_nan_samples_stop_before_the_matrix(self, monkeypatch, capsys):
         # eps^2 = inf turns the coframe's E2 terms into inf and NaN: a check
-        # of the sampled step must stop the solve, not eigvalsh on NaN entries
+        # of the sampled step must stop the solve, not eigvalsh on NaN entries;
+        # the samples are real by construction, and det e is NaN
         def refuse(*args):
             raise AssertionError("galerkin_matrix reached with NaN samples")
 
@@ -476,7 +477,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "numerical contract violation: coframe samples has imaginary part nan" in captured.err
+        assert "numerical contract violation: coframe is singular at eps=1e+200: det=nan" in captured.err
 
     def test_overflowing_k_exits_3(self, tmp_path, capsys):
         # k = 4 E1^T E1 overflows: a numerical fault, not a configuration error
@@ -554,7 +555,7 @@ class TestCli:
             raise AssertionError("coframe sampled past a failing coframe tail")
 
         with monkeypatch.context() as patch:
-            patch.setattr(geometry, "poly_on_grid", refuse)
+            patch.setattr(np.fft, "irfft", refuse)
             code, peak = traced("0.1")
         captured = capsys.readouterr()
         assert code == 3 and peak <= 8 << 20
@@ -566,6 +567,25 @@ class TestCli:
         assert main(["dump-matrix", "--config", str(flat), "--m", "3", "--eps", "0"]) == 0
         assert out == capsys.readouterr().out
         assert len(load_peaks) == 2 and max(load_peaks) <= 6 << 20
+
+    def test_high_harmonic_asympt_exits_3_in_bounded_memory(self, tmp_path, capsys):
+        # the operator route's pseudoinverse runs over |q| <= deg h + 4 = 20004;
+        # a dense Toeplitz kernel of that size in apply asked for 11.9 GiB, and
+        # asympt exited 1 with a traceback. As one field product per apply the
+        # route peaked at 44 MiB (measured), and the galerkin_fit route reports
+        # the under-resolved grid
+        cfgfile = tmp_path / "band.cfg"
+        cfgfile.write_text("coframe.E1.2.3 = (20000, 0.001, 0) (-20000, 0.001, 0)\n")
+        tracemalloc.start()
+        try:
+            code = main(["asympt", "--config", str(cfgfile)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "Fourier tail 1.00e-05" in captured.err
+        assert peak <= 64 << 20
 
     def test_large_real_coframe_is_accepted(self, tmp_path, capsys):
         # at eps = 1, det e ~ 1e9 carries an imaginary rounding part of 1.16e-10,

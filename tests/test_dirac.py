@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from torusdirac import CoframeFamily, NumericalContractError, dirac_operator
-from torusdirac.dirac import DiracOperator, _contract_checks, _first_order_operator
+from torusdirac.dirac import DiracOperator, _first_order_operator
 from torusdirac.dirac import _second_order_operator
-from torusdirac.dirac import inner, symbol_matrix
+from torusdirac.dirac import inner
 from torusdirac.galerkin import basis_spinor
 from torusdirac.perturbation import TruncationError, pseudoinverse
 from torusdirac.trigpoly import grid_points, poly_derivative, poly_sub, resize_degree
 
 from conftest import COS, SIN, ZERO, ZERO_FIELD, add, charge_conjugate, evaluate, free_operator, m3, norm
-from conftest import random_symmetric_field
+from conftest import full_spectrum, random_symmetric_field, symbol_matrix
 from conftest import scaled, spinor, stacked
 
 N = 256
@@ -28,13 +28,15 @@ def on_grid(v: np.ndarray, x) -> np.ndarray:
     return np.array([evaluate(c, x) for c in v])
 
 
+def hats(op: DiracOperator, d: int):
+    """(a^, p^) of ``op`` over k = -d..d."""
+    return resize_degree(full_spectrum(op.a_hat), d), resize_degree(full_spectrum(op.p_hat), d)
+
+
 def coefficient_gap(a: DiracOperator, b: DiracOperator) -> float:
     """Largest coefficient difference of the symbols and potentials of a and b."""
     d = max(a.degree, b.degree)
-    return max(
-        np.max(np.abs(resize_degree(a.b_hat, d) - resize_degree(b.b_hat, d))),
-        np.max(np.abs(resize_degree(a.p_hat, d) - resize_degree(b.p_hat, d))),
-    )
+    return max(np.max(np.abs(x - y)) for x, y in zip(hats(a, d), hats(b, d)))
 
 
 class TestAssemble:
@@ -49,7 +51,7 @@ class TestAssemble:
     ):
         op = dirac_operator(rotation_block_coframe, eps, N)
         shift = -eps**2 / (2 * (1 - eps**2))
-        shifted = DiracOperator(free_operator().b_hat, np.array([shift]))
+        shifted = DiracOperator(free_operator().a_hat, np.array([shift]))
         assert coefficient_gap(op, shifted) <= 1e-12
 
     def test_series_matches_assembled_operator_to_first_order(self, explicit_family_2):
@@ -60,10 +62,8 @@ class TestAssemble:
 
         def coeff_error(eps):
             op = dirac_operator(cf, eps, 64)
-            d = op.degree
-            db = op.b_hat - resize_degree(w0.b_hat, d) - eps * resize_degree(w1.b_hat, d)
-            dp = op.p_hat - resize_degree(w0.p_hat, d) - eps * resize_degree(w1.p_hat, d)
-            return max(np.max(np.abs(db)), np.max(np.abs(dp)))
+            (a, p), (a0, p0), (a1, p1) = (hats(x, op.degree) for x in (op, w0, w1))
+            return max(np.max(np.abs(a - a0 - eps * a1)), np.max(np.abs(p - p0 - eps * p1)))
 
         e1, e2 = coeff_error(0.02), coeff_error(0.01)
         assert e1 / e2 >= 3.5  # quadratic remainder
@@ -107,6 +107,12 @@ class TestApply:
             rhs = inner(u, op.apply(v))
             assert abs(lhs - rhs) <= 1e-10
 
+    def test_empty_stack(self, explicit_family_2):
+        op = dirac_operator(CoframeFamily.from_perturbation(*explicit_family_2), 0.1, 64)
+        for shape in ((0, 2, 3), (2, 0, 2, 5)):
+            out = op.apply(np.zeros(shape, dtype=complex))
+            assert out.shape == shape[:-1] + (shape[-1] + 2 * op.degree,)
+
     @pytest.mark.parametrize("shape", [(7,), (3, 7), (2, 6), (2, 3, 5), (1, 5)])
     def test_rejects_arrays_that_are_not_spinors(self, shape):
         bad = np.zeros(shape, dtype=complex)
@@ -124,7 +130,7 @@ class TestFirstOrderTerm:
     def test_zero_perturbation(self):
         h = scaled(random_symmetric_field(np.random.default_rng(1)), 0.0)
         op = _first_order_operator(stacked(h))
-        assert np.max(np.abs(op.b_hat)) == 0
+        assert np.max(np.abs(op.a_hat)) == 0
         assert np.max(np.abs(op.p_hat)) == 0
 
     def test_first_family_action_matches_symbolic_expansion(self, explicit_family_1):
@@ -159,20 +165,20 @@ class TestSecondOrderTerm:
     def test_zero_perturbation(self):
         zero = scaled(random_symmetric_field(np.random.default_rng(1)), 0.0)
         op = _second_order_operator(stacked(zero), stacked(zero))
-        assert np.max(np.abs(op.b_hat)) == 0
+        assert np.max(np.abs(op.a_hat)) == 0
         assert np.max(np.abs(op.p_hat)) == 0
 
     def test_first_family_scalar_part(self, explicit_family_1):
         h, k = explicit_family_1
         op = _second_order_operator(stacked(h), stacked(k))
         constant = resize_degree(np.array([-0.5 + 0j]), op.degree)
-        assert np.allclose(op.p_hat, constant, atol=1e-13)
+        assert np.allclose(full_spectrum(op.p_hat), constant, atol=1e-13)
 
     def test_second_family_scalar_part(self, explicit_family_2):
         h, k = explicit_family_2
         op = _second_order_operator(stacked(h), stacked(k))
         constant = resize_degree(np.array([-3.0 / 16.0 + 0j]), op.degree)
-        assert np.allclose(op.p_hat, constant, atol=1e-13)
+        assert np.allclose(full_spectrum(op.p_hat), constant, atol=1e-13)
 
 
     def test_potential_of_higher_degree_than_the_symbol(self):
@@ -181,8 +187,8 @@ class TestSecondOrderTerm:
         # h11 h12' - h12 h11' = 3 cos x + cos 3x; W2 keeps it whole
         h = m3([[ZERO, ZERO, ZERO], [ZERO, COS(1, 2.0), SIN(2)], [ZERO, SIN(2), ZERO]])
         op = _second_order_operator(stacked(h), stacked(ZERO_FIELD))
-        assert np.max(np.abs(op.b_hat)) == 0
-        assert np.allclose(op.p_hat, add(COS(1, 3.0), COS(3)) * (-1.0 / 16.0), atol=1e-15)
+        assert np.max(np.abs(op.a_hat)) == 0
+        assert np.allclose(full_spectrum(op.p_hat), add(COS(1, 3.0), COS(3)) * (-1.0 / 16.0), atol=1e-15)
 
 
 class TestSpinorField:
@@ -243,65 +249,49 @@ class TestChargeConjugation:
 
 
 class TestSymbolValidation:
-    def test_rejects_non_hermitian(self):
-        b = np.zeros((2, 2, 9), dtype=complex)
-        b[0, 1, 4] = 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            DiracOperator(b, np.zeros(9))
+    """The constructor checks shapes, finiteness and a real c_0; B is
+    Hermitian and trace-free and p real by construction."""
+
+    def test_rejects_wrong_shapes(self):
+        for a_hat, p_hat in (
+            (np.zeros((2, 3)), np.zeros(3)),  # two symbol components
+            (np.zeros((3, 3)), np.zeros(4)),  # potential of another degree
+            (np.zeros((3, 0)), np.zeros(0)),  # no coefficient at all
+            (np.zeros((2, 2, 3)), np.zeros(3)),  # a full symbol matrix
+        ):
+            with pytest.raises(ValueError, match=r"shape \(3, L\+1\)"):
+                DiracOperator(a_hat, p_hat)
 
     def test_rejects_complex_potential(self):
-        one, zero = np.ones(1), np.zeros(1)
-        with pytest.raises(ValueError, match="nonreal"):
-            DiracOperator(symbol_matrix(one, zero, zero), 1e-6j * one)
+        # c_0 of a real function is real; the rest of the half spectrum is free
+        with pytest.raises(NumericalContractError, match="c_0 of a real function"):
+            DiracOperator(np.zeros((3, 2)), [1e-300j, 0.5])
+        a_hat = np.zeros((3, 2), dtype=complex)
+        a_hat[2, 0] = 1.0 + 1e-17j
+        with pytest.raises(NumericalContractError, match="c_0 of a real function"):
+            DiracOperator(a_hat, np.zeros(2))
+        DiracOperator(np.zeros((3, 2)), [0.5, 1e-6j])
 
     def test_rejects_nan(self):
-        # a NaN defect fails "defect <= tol"; "defect > tol" let it through
-        one, zero = np.ones(1), np.zeros(1)
-        for entry in ((0, 1), (0, 0)):
-            b = symbol_matrix(one, zero, zero)
-            b[(*entry, 0)] = np.nan
-            with pytest.raises(NumericalContractError, match="not Hermitian: residual nan"):
-                DiracOperator(b, zero)
-        with pytest.raises(NumericalContractError, match="nonreal"):
-            DiracOperator(symbol_matrix(one, zero, zero), np.array([np.nan]))
+        for where in ("a", "p"):
+            for value in (np.nan, np.inf, complex(0.0, np.nan)):
+                a_hat, p_hat = np.zeros((3, 2), dtype=complex), np.zeros(2, dtype=complex)
+                (a_hat[1] if where == "a" else p_hat)[1] = value
+                with pytest.raises(NumericalContractError, match="not finite"):
+                    DiracOperator(a_hat, p_hat)
 
-    def test_tolerances_scale_with_the_largest_coefficient(self):
-        # at |coefficient| ~ 100 defects of ~1e-13 relative pass, though an
-        # absolute 1e-12 or 1e-10 would reject them; 1e-6 relative does not
-        one, zero = np.ones(1), np.zeros(1)
-        big = symbol_matrix(100.0 * one, zero, 50.0 * one)
-        near = big.copy()
-        near[0, 1] += 5e-9
-        near[0, 0] += 5e-9
-        DiracOperator(near, 100.0 + 1e-11j * one)
-        for skew, match in ((np.array([[0, 1e-4], [0, 0]]), "Hermitian"), (1e-4 * np.eye(2), "trace-free")):
-            with pytest.raises(ValueError, match=match):
-                DiracOperator(big + skew[..., None], zero)
-        with pytest.raises(ValueError, match="nonreal"):
-            DiracOperator(big, 100.0 + 1e-4j * one)
-        # below magnitude 1 the potential tolerance stays 1e-12
-        with pytest.raises(ValueError, match="nonreal"):
-            DiracOperator(symbol_matrix(one, zero, zero), 0.5 + 2e-12j * one)
-
-    def test_stacked_checks_give_each_operator_its_own_verdict(self):
-        # the pass judges (E, 2, 2, L) and (E, L) stacks at once; each row
-        # must fail as DiracOperator fails on it alone, with its message
-        one, zero = np.ones(3), np.zeros(3)
-        base = symbol_matrix(100.0 * one, zero, 50.0 * one)
-        b = np.array([base] * 6)
-        p = np.full((6, 3), 100.0 + 0j)
-        b[1, 0, 1, 0] += 1e-4  # not Hermitian
-        b[2, 0, 0] += 1e-4  # not trace-free
-        p[3, 1] += 1e-4j  # a complex potential
-        b[4, 1, 0, 2] = np.nan
-        p[5, 0] = np.nan
-        checks = _contract_checks(b, p)
-        for e in range(6):
-            failed = [str(error(e)) for fails, error in checks if fails[e]]
-            if not failed:
-                DiracOperator(b[e], p[e])
-                continue
-            with pytest.raises(NumericalContractError) as info:
-                DiracOperator(b[e], p[e])
-            assert str(info.value) == failed[0]
-        assert [bool(any(fails[e] for fails, _ in checks)) for e in range(6)] == [False] + [True] * 5
+    def test_symbol_is_hermitian_and_trace_free_by_construction(self):
+        rng = np.random.default_rng(38)
+        a_hat = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        a_hat[:, 0] = a_hat[:, 0].real
+        p_hat = rng.normal(size=5) + 1j * rng.normal(size=5)
+        p_hat[0] = p_hat[0].real
+        op = DiracOperator(a_hat, p_hat)
+        # on the grid: B Hermitian and trace-free, p real, W formally self-adjoint
+        x = grid_points(64)
+        b = np.array([[evaluate(c, x) for c in row] for row in symbol_matrix(*full_spectrum(op.a_hat))])
+        assert np.max(np.abs(b - np.conj(b.swapaxes(0, 1)))) <= 1e-13
+        assert np.max(np.abs(b[0, 0] + b[1, 1])) == 0
+        assert np.max(np.abs(evaluate(full_spectrum(op.p_hat), x).imag)) <= 1e-13
+        u, v = random_spinor(rng), random_spinor(rng)
+        assert abs(inner(op.apply(u), v) - inner(u, op.apply(v))) <= 1e-12

@@ -75,8 +75,8 @@ class TestStacksFailAsTheirRows:
         if isinstance(rows, tuple):
             assert stacked == rows
         else:
-            assert [(op.b_hat.tobytes(), op.p_hat.tobytes()) for op in stacked] == [
-                (op.b_hat.tobytes(), op.p_hat.tobytes()) for op in rows
+            assert [(op.a_hat.tobytes(), op.p_hat.tobytes()) for op in stacked] == [
+                (op.a_hat.tobytes(), op.p_hat.tobytes()) for op in rows
             ]
 
     @settings(max_examples=60)

@@ -9,8 +9,10 @@ files with
     PYTHONPATH=src python tests/test_golden.py
 
 which prints each line it changes as old -> new, and under it each changed
-float.hex value with its drift relative to max(1, |old|); with no change it
-prints nothing. CHANGES.md lists the old and new values.
+number, a float.hex value or a decimal cell of the CSV and md tables, with
+its drift relative to max(1, |old|), then the largest drift of each file
+that changed; with no change it prints nothing. CHANGES.md lists the old
+and new values.
 
 The bundled examples have trig degree <= 2. Two seeded families of higher
 degree are pinned the same way, so that the degree-12..24 determinants and
@@ -28,8 +30,8 @@ path bit for bit, so a change that claims to keep every bit is checked here.
 
 ``array-digests.txt`` pins the numbers below the printed ones for all ten
 families: the float.hex values of the closed-form and operator routes,
-``arc_length(cf, 1e-4)``, and the sha256 of the operator B^/p^ bytes and of
-the Galerkin entries, with the float.hex ``herm_residual``, at each eps in
+``arc_length(cf, 1e-4)``, and the sha256 of the operator a^/p^ bytes (the
+half spectra it holds) and of the Galerkin entries, at each eps in
 ``DIGEST_EPS`` and m in ``DIGEST_TRUNCATIONS`` on ``default_grid(m)``. It
 also pins, at n = +1 and -1, the sha256 of the two spinors that the operator
 route of ``perturbation_report`` builds on its way, one row each of the
@@ -42,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 from itertools import zip_longest
 from pathlib import Path
 
@@ -150,10 +153,8 @@ def _array_digests() -> str:
             for m in DIGEST_TRUNCATIONS:
                 op = dirac_operator(cf, eps, default_grid(m))
                 gm = galerkin_matrix(op, m)
-                lines.append(
-                    f"{name} eps={eps!r} m={m} operator {_sha256(op.b_hat, op.p_hat)} "
-                    f"matrix {_sha256(gm.entries)} herm_residual {float.hex(gm.herm_residual)}"
-                )
+                lines.append(f"{name} eps={eps!r} m={m} operator {_sha256(op.a_hat, op.p_hat)} "
+                             f"matrix {_sha256(gm.entries)}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -186,26 +187,32 @@ def test_array_digests_match_golden():
     assert _array_digests() == expected
 
 
-def _hex_value(token: str):
-    """The float of a float.hex token, or None for any other token."""
+def _number(token: str):
+    """The float of a float.hex token or of a decimal one (a CSV or md table
+    cell), or None for any other token."""
     try:
-        return float.fromhex(token) if token.lstrip("-").startswith("0x") else None
+        return float.fromhex(token) if token.lstrip("-").startswith("0x") else float(token)
     except ValueError:
         return None
 
 
 def _regenerate(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``; print each changed line as old -> new and
-    each changed float.hex value in it with its relative drift."""
+    """Write ``text`` to ``path``; print each changed line as old -> new, each
+    changed number in it with its relative drift, then the file's largest."""
     old = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+    largest = None
     for before, after in zip_longest(old, text.splitlines(), fillvalue=""):
         if before == after:
             continue
         print(f"{path.name}: {before} -> {after}")
-        for a, b in zip(before.split(), after.split()):
-            x, y = _hex_value(a), _hex_value(b)
+        for a, b in zip(re.split(r"[\s,|]+", before), re.split(r"[\s,|]+", after)):
+            x, y = _number(a), _number(b)
             if a != b and x is not None and y is not None:
-                print(f"    {a} -> {b}: drift {abs(y - x) / max(1.0, abs(x)):.1e}")
+                drift = abs(y - x) / max(1.0, abs(x))
+                largest = max(drift, largest or 0.0)
+                print(f"    {a} -> {b}: drift {drift:.1e}")
+    if largest is not None:
+        print(f"{path.name}: largest drift {largest:.1e}")
     path.write_text(text, encoding="utf-8")
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from torusdirac import (
     dirac,
     fit_expansion,
     geometry,
+    load_config_file,
     load_example,
     perturbation,
     perturbation_report,
     trigpoly,
 )
-from torusdirac.cli import cmd_fit
+from torusdirac.cli import cmd_fit, main
 from torusdirac.dirac import inner
 from torusdirac.galerkin import basis_spinor
 from torusdirac.geometry import raise_first
@@ -28,6 +30,8 @@ from torusdirac.trigpoly import poly_add, poly_sub, resize_degree
 from conftest import COS, SIN, ZERO, ZERO_FIELD, add, charge_conjugate, const, free_operator
 from conftest import eigenspace_projection, m3, norm, random_field, random_symmetric_field, spinor, stacked
 from test_galerkin import COFRAMES
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def random_orthogonal_spinor(rng, lambda0, degree=4) -> np.ndarray:
@@ -273,6 +277,28 @@ class TestFit:
         grid[5] = grid[2]
         with pytest.raises(ValueError, match=f"eps sample {grid[2]} given twice"):
             fit_expansion(cf, (1, -1), eps_grid=grid, order=2, m=12)
+
+
+    def test_rounding_level_residual_passes(self, capsys):
+        # cli_sweep's seeded-perturbation-1 at seed 227, copied verbatim from
+        # bench/workloads.generate_inputs("cli_sweep", 227): at mode 0 max|lambda|
+        # is 2.4e-9, and a residual of 8.0e-15 (rounding in the eigenvalues)
+        # exceeded 1e-6 * 2.4e-9 before the rounding floor
+        config = str(GOLDEN / "cli-sweep-seed-227-perturbation-1.cfg")
+        assert main(["fit", "--config", config]) == 0
+        assert capsys.readouterr().err == ""
+        fit = fit_expansion(load_config_file(config).family(), (0,), order=4)[0]
+        assert 1e-6 * np.max(np.abs(fit.values)) < fit.residual_norm <= 64 * np.finfo(float).eps * np.sqrt(12)
+
+    def test_genuine_misfit_still_raises(self):
+        # 1e-12 of alternating noise on a line is no polynomial in eps, and is
+        # far above both 1e-6 * max|values| and the rounding floor
+        grid = np.linspace(0.01, 0.08, 12)
+        for n in (0, 2):
+            values = 3e-8 * grid + 1e-12 * (-1.0) ** np.arange(12) * max(1, abs(n))
+            with pytest.raises(perturbation.FitResidualError, match="rounding floor"):
+                fit_from_values(n, grid, values, order=4)
+            fit_from_values(n, grid, 3e-8 * grid, order=4)
 
 
 class TestSweepSolves:
@@ -537,13 +563,16 @@ class TestSharedWork:
 
     def test_routes_build_no_full_product(self, family, monkeypatch):
         # closed form: (E1^T E1)[0, 0] for k[0, 0], then (h^2)[0, 0]; operator
-        # route: E1^T E1 for k, the first column of h^2, the potential numerator
+        # route: E1^T E1 for k, the first column of h^2, the potential numerator,
+        # between the applications of W1 to [v_1, v_-1, w_1, w_-1] and to the
+        # two corrected spinors, then of W2 to [v_1, v_-1], each a (2, 4) field
+        # times the stack
         shapes = self.products(monkeypatch)
         perturbation_report(family, "closed_form")
         assert shapes == [(1, 1), (1, 1)]
         shapes.clear()
         perturbation_report(family, "operator")
-        assert shapes == [(3, 3), (3, 1), (1, 1)]
+        assert shapes == [(2, 4), (3, 3), (3, 1), (1, 1), (2, 2), (2, 2)]
 
     def test_products_at_the_degree_of_what_they_read(self, monkeypatch):
         # one entry of E1 at harmonic 200: the closed form reads only row and
@@ -558,9 +587,11 @@ class TestSharedWork:
         assert degrees == [0, 0]
         degrees.clear()
         perturbation_report(family, "operator")
-        assert degrees == [400, 200, 200]  # k, the first column of h^2, the potential
+        # W1 v_n, then k, the first column of h^2, the potential, then W1 on
+        # the corrected spinors (zero, as W1 is) and W2 v_n
+        assert degrees == [1, 400, 200, 200, 0, 1]
         h = geometry.first_order_perturbation(family)
-        assert h.shape[-1] == 401 and dirac._first_order_operator(h).b_hat.shape[-1] == 1
+        assert h.shape[-1] == 401 and dirac._first_order_operator(h).a_hat.shape[-1] == 1
 
     def test_closed_route_builds_only_k00(self, family, monkeypatch):
         # with the closed-form sums stubbed out, the one product left is k's,
@@ -649,10 +680,8 @@ class TestOperatorRouteIsGridFree:
         def refuse(*args, **kwargs):
             raise AssertionError("the operator route touched a grid")
 
-        monkeypatch.setattr(np.fft, "fft", refuse)
-        monkeypatch.setattr(np.fft, "ifft", refuse)
-        monkeypatch.setattr(trigpoly, "poly_on_grid", refuse)
-        monkeypatch.setattr(geometry, "poly_on_grid", refuse)
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, refuse)
         cfg = load_example("example-explicit-2")
         report = perturbation_report(cfg.family(), "operator")
         assert report.lambda1_plus == pytest.approx(-0.5, abs=1e-15)

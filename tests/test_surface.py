@@ -86,6 +86,12 @@ DELETED = [
     "trigpoly.stack_entries",
     "geometry._k_coefficient",
     "perturbation._antisymmetric_flux_sum",
+    "dirac._contract_checks",
+    "dirac.DiracOperator._checked",
+    "dirac.DiracOperator._hold",
+    "galerkin.GalerkinMatrix.herm_residual",
+    "trigpoly.poly_on_grid",
+    "dirac.symbol_matrix",
 ]
 
 # names that left the top level but stay importable from their modules

@@ -3,11 +3,13 @@ import pytest
 
 from torusdirac.config import _parse_poly
 from torusdirac.geometry import require_sym_real
-from torusdirac.trigpoly import COEFF_TOL, _as_field, _field_product, grid_points, matmul_entry, poly_derivative
-from torusdirac.trigpoly import poly_on_grid, resize_degree, stack_field
+from torusdirac import CoframeFamily
+from torusdirac.geometry import _coframe_samples
+from torusdirac.trigpoly import COEFF_TOL, _as_field, _field_product, grid_points, half_spectrum, matmul_entry
+from torusdirac.trigpoly import poly_derivative, real_spectrum, resize_degree, stack_field
 
-from conftest import COS, SIN, ZERO, IDENTITY, add, const, degree, evaluate
-from conftest import field_fourier, fourier, isclose, m3, matmul, on_grid, random_symmetric_field
+from conftest import COS, SIN, ZERO, IDENTITY, add, const, degree, entrywise, evaluate
+from conftest import field_fourier, fourier, isclose, m3, matmul, on_grid, random_field, random_symmetric_field
 from conftest import sample, stacked, transpose
 
 
@@ -219,26 +221,43 @@ class TestMatrix3Field:
 
 
 class TestGridEvaluation:
-    """``poly_on_grid`` must give the bits of the direct formula that
-    ``evaluate`` uses."""
+    """The coframe is sampled by one zero-padded ``irfft`` of its half
+    spectra; the samples must match the direct formula that ``evaluate``
+    uses to rounding."""
 
     @pytest.mark.parametrize("n", [64, 256, 416])
-    def test_matches_direct_formula_bitwise(self, n):
+    def test_coframe_samples_match_direct_formula(self, n):
+        # at eps = 1 the samples of e are I + E1 + E2, and those of the
+        # derivatives of entries (j, 1), (j, 2) are E1' + E2' there
         rng = np.random.default_rng(n)
         x = grid_points(n)
-        for degree in rng.permutation(31):
-            coeffs = rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)
-            k = np.arange(-degree, degree + 1)
-            direct = np.exp(1j * np.multiply.outer(x, k)) @ coeffs
-            fast = poly_on_grid(coeffs, n)
-            assert np.array_equal(fast.view(np.uint64), direct.view(np.uint64))
+        for degree in rng.permutation(min(31, (n - 1) // 4 + 1))[:8]:
+            e1, e2 = (random_field(rng, int(degree), 0.1) for _ in range(2))
+            values = _coframe_samples(CoframeFamily(e1, e2), np.array([1.0]), n)[0][:, 0]
+            coframe = sample(e1, x) + sample(e2, x) + np.eye(3)[..., None]
+            derivative = sample(entrywise(poly_derivative, e1), x) + sample(entrywise(poly_derivative, e2), x)
+            expected = np.concatenate((coframe.reshape(9, n), derivative[:, 1:].reshape(6, n)))
+            # the direct formula's phases e^{ikx} carry an error ~ k x ulp, so
+            # the bound grows with the degree: the worst case measured was 8.8e-16
+            scale = (degree + 1) * np.fmax(1.0, np.abs(expected).max(axis=1, keepdims=True))
+            assert np.all(np.abs(values - expected.real) <= 2e-15 * scale)
 
     def test_matrix_field_on_grid_matches_sample(self):
+        # a real function's values from its half spectrum by irfft, against
+        # the direct formula of its full coefficients
         field = random_symmetric_field(np.random.default_rng(3), degree=4)
         n = 128
-        assert np.array_equal(
-            on_grid(field, n).view(np.uint64), sample(field, grid_points(n)).view(np.uint64)
-        )
+        direct = on_grid(field, n)
+        halves = half_spectrum(stack_field(field, 4))
+        assert np.max(np.abs(np.fft.irfft(halves, n, norm="forward") - direct)) <= 1e-14
+
+    def test_half_spectrum_round_trip(self):
+        field = stack_field(random_symmetric_field(np.random.default_rng(4), degree=3), 3)
+        half = half_spectrum(field)
+        assert half.shape == (3, 3, 4) and not np.any(half[..., 0].imag)
+        assert np.array_equal(real_spectrum(half, 3), field)
+        assert np.array_equal(real_spectrum(half, 5), resize_degree(field, 5))
+        assert np.array_equal(real_spectrum(half, 1), resize_degree(field, 1))
 
     def test_grid_is_read_only(self):
         with pytest.raises(ValueError):
