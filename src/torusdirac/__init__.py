@@ -7,7 +7,7 @@ three independent routes, and spectral asymmetry diagnostics.
 """
 
 from .geometry import CoframeFamily, NumericalContractError, SingularCoframeError, UnderResolvedError
-from .geometry import arc_length, first_order_perturbation, second_order_perturbation
+from .geometry import arc_length
 from .dirac import DiracOperator, dirac_operator
 from .galerkin import TrackingError, eigenvalues, galerkin_matrix, spectrum_report, track_pair
 from .perturbation import PseudoinverseDomainError, TruncationError, fit_expansion, perturbation_report
@@ -21,8 +21,6 @@ __all__ = [
     "SingularCoframeError",
     "UnderResolvedError",
     "arc_length",
-    "first_order_perturbation",
-    "second_order_perturbation",
     "DiracOperator",
     "dirac_operator",
     "TrackingError",

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 import numpy as np
 
 from . import galerkin as gk
 from . import perturbation as pt
-from .config import EXAMPLE_NAMES, ConfigError, RunConfig, load_config_file, parse_eps_list, parse_modes
+from .config import EXAMPLE_NAMES, ConfigError, RunConfig, _require_memory, load_config_file, parse_eps_list
+from .config import parse_modes
 from .geometry import NumericalContractError, _arc_lengths
 
 EXIT_CONFIG = 2
@@ -197,27 +197,12 @@ def _dump_rows(entries: np.ndarray) -> str:
     return "".join(strips)
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
-    try:
-        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return pages * page_size if pages > 0 and page_size > 0 else None
-
-
 def _check_matrix_memory(m: int) -> None:
     """Raise ConfigError when the dense complex Galerkin matrix of truncation
     m, 16 * (2(2m+1))^2 bytes, would take more than a quarter of physical
     memory; checked before any grid or matrix is allocated. A solve holds
     about two such matrices: the matrix and ``eigvalsh``'s working copy."""
-    memory = _physical_memory()
-    size = 16 * (2 * (2 * m + 1)) ** 2
-    if memory is not None and 4 * size > memory:
-        raise ConfigError(
-            f"m={m} needs a {size / 2**20:.6g} MiB Galerkin matrix, more than a "
-            f"quarter of physical memory ({memory / 2**20:.6g} MiB)"
-        )
+    _require_memory(16 * (2 * (2 * m + 1)) ** 2, f"m={m}", "Galerkin matrix")
 
 
 @functools.lru_cache(maxsize=1)

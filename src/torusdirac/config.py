@@ -21,13 +21,14 @@ Unlisted entries are zero.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .geometry import CoframeFamily
+from .geometry import CoframeFamily, default_grid
 from .trigpoly import _as_field
 
 
@@ -72,8 +73,32 @@ class RunConfig:
         return CoframeFamily.from_perturbation(self.h, self.k)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
+def _require_memory(size: int, what: str, array: str) -> None:
+    """Raise ConfigError when ``what`` needs an ``array`` of ``size`` bytes,
+    more than a quarter of physical memory."""
+    memory = _physical_memory()
+    if memory is not None and 4 * size > memory:
+        raise ConfigError(
+            f"{what} needs a {size / 2**20:.6g} MiB {array}, more than a "
+            f"quarter of physical memory ({memory / 2**20:.6g} MiB)"
+        )
+
+
 def _parse_poly(text: str, key: str) -> np.ndarray:
-    """Coefficients c[k + D] of the triples in ``text``; repeated k add up."""
+    """Coefficients c[k + D] of the triples in ``text``; repeated k add up.
+    Before they are allocated, the largest array the pipeline forms from D,
+    the arc-length sampler's 30 half spectra zero-padded to n//2 + 1 on
+    n = ``default_grid`` of D (2D for h, whose square enters E2), must pass
+    ``_require_memory``."""
     stripped = _TRIPLE_RE.sub("", text).strip()
     if stripped:
         raise ConfigError(f"{key}: unparsable fragment {stripped!r}")
@@ -87,6 +112,8 @@ def _parse_poly(text: str, key: str) -> np.ndarray:
             raise ConfigError(f"{key}: coefficients must be finite, got ({mk}, {re_}, {im_})")
         triples.append(triple)
     d = max((abs(k) for k, _, _ in triples), default=0)
+    n = default_grid(2 * d if key.startswith("perturbation.h") else d)
+    _require_memory(16 * 30 * (n // 2 + 1), f"{key}: harmonic {d}", "arc-length sample spectrum")
     c = np.zeros(2 * d + 1, dtype=complex)
     for k, re_, im_ in triples:
         c[k + d] += re_ + 1j * im_

@@ -33,8 +33,8 @@ both operands to the larger degree before they add; a spinor is scaled by
 a complex scalar, ``c * complex(s)``, and a stack by one per spinor.
 
 The first and second order terms have trigonometric-polynomial coefficients
-and are built in coefficient arithmetic from the stacks (3, 3, 2D+1) of h
-and k (see ``trigpoly``), by ``_first_order_operator`` and
+and are built in coefficient arithmetic from the stacks of h and of the
+first column of k (see ``trigpoly``), by ``_first_order_operator`` and
 ``_second_order_operator``. The full operator is sampled, in
 ``dirac_operators(cf, eps_values, n)``, one pass over an eps-sweep: from
 ``geometry._coframe_samples`` of every eps it forms (a1, a2, a3) and p
@@ -182,10 +182,10 @@ def _sampled_operators(cf: CoframeFamily, eps: np.ndarray, n: int) -> list[Dirac
     return [DiracOperator(a_hat[:, e, : top + 1], p_hat[e, : top + 1]) for e in range(eps.size)]
 
 
-# The two builders below take h and k as stacks (3, 3, 2D+1), ``h[a][b]``
-# for entry (a, b), and do not check them: ``perturbation.perturbation_report``
-# builds h and k itself and checks that both are real and symmetric, so the
-# builders keep the k >= 0 half of what they build.
+# The two builders below take h, a stack (3, 3, 2D+1) with ``h[a][b]`` for
+# entry (a, b), and the first column of k, a stack (3, 1, 2D'+1), as
+# ``geometry._metric_data`` builds them, and check neither: they keep the
+# k >= 0 half of what they build, so W1 and W2 are real by construction.
 
 def _first_order_operator(h: np.ndarray) -> DiracOperator:
     """Linear term W1 of the eps-expansion of the operator family.

@@ -3,8 +3,8 @@
 A family of coframes e(x^1; eps) = I + eps*E1(x^1) + eps^2*E2(x^1) determines
 the metric g = e^T e. All data depend on x^1 only, so each object reduces to
 matrix-valued functions on the circle: E1 and E2 are held as nested 3x3
-tuples of entry coefficient arrays, h and k as stacks (3, 3, 2D+1) (see
-``trigpoly``). E1 and E2 are checked real once, at construction; past that
+tuples of entry coefficient arrays, h and the first column of k as stacks
+(see ``trigpoly``). E1 and E2 are checked real once, at construction; past that
 the coframe is sampled in one place, ``_coframe_samples``, by one
 zero-padded inverse real FFT of their half spectra, which the operator pass
 of ``dirac`` and ``arc_length`` share. Sampled steps share one grid rule,
@@ -133,33 +133,24 @@ class CoframeFamily:
         return cls(E1, E2)
 
 
-def first_order_perturbation(cf: CoframeFamily) -> np.ndarray:
-    """Linear-in-eps coefficient of the metric: h = E1 + E1^T, one stack
-    (3, 3, 2D+1) at the degree D of E1, ``h[a][b]`` that of entry (a, b)."""
-    e1 = stack_field(cf.E1, field_degree(cf.E1))
-    return e1 + e1.transpose(1, 0, 2)
-
-
-def second_order_perturbation(cf: CoframeFamily) -> np.ndarray:
-    """Quadratic metric data k, from g = I + eps*h + (eps^2/4)*k + O(eps^3),
-    as one stack (3, 3, 2D+1), D = max(2 deg E1, deg E2).
-
-    The eps^2 Taylor coefficient of e^T e is E1^T E1 + E2 + E2^T, so
-    k = 4*(E1^T E1 + E2 + E2^T), built by ``_k_block``, which the
-    closed-form route of ``perturbation_report`` calls for k[0, 0] alone.
+def _metric_data(cf: CoframeFamily, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """What the coefficient routes read of g = I + eps*h + (eps^2/4)*k + O(eps^3):
+    h = E1 + E1^T, one stack (3, 3, 2D+1) at the degree D of E1, and the
+    entries (a, 0), a < ``rows``, of k = 4*(E1^T E1 + E2 + E2^T), one stack
+    (rows, 1, 2D'+1), D' = max(2D, deg E2), from E1 and E2 stacked once each:
+    one ``_field_product`` of E1's first ``rows`` columns, transposed, against
+    its first column, then + E2, + E2^T and * 4, in that order. Raises
+    NumericalContractError when h or k, built from finite E1 and E2, overflows.
     """
-    return _k_block(cf, 3)
-
-
-def _k_block(cf: CoframeFamily, size: int) -> np.ndarray:
-    """Entries (a, b), a, b < ``size``, of k = 4*(E1^T E1 + E2 + E2^T) as one
-    stack: the block of E1^T E1 by one ``_field_product``, then + E2,
-    + E2^T and * 4, in that order."""
-    e1 = stack_field([row[:size] for row in cf.E1], field_degree(cf.E1))  # the columns the block reads
-    product = _field_product(e1.transpose(1, 0, 2), e1)
+    e1 = stack_field(cf.E1, field_degree(cf.E1))
+    h = e1 + e1.transpose(1, 0, 2)
+    product = _field_product(e1[:, :rows].transpose(1, 0, 2), e1[:, :1])
     d = max(field_degree(cf.E2), e1.shape[-1] - 1)  # e1.shape[-1] - 1 is twice the degree of E1
-    e2 = stack_field([row[:size] for row in cf.E2[:size]], d)
-    return (resize_degree(product, d) + e2 + e2.transpose(1, 0, 2)) * 4.0
+    e2 = stack_field(cf.E2, d)
+    k = (resize_degree(product, d) + e2[:rows, :1] + e2[:1, :rows].transpose(1, 0, 2)) * 4.0
+    if not (np.isfinite(h).all() and np.isfinite(k).all()):
+        raise NumericalContractError("h or k overflows: a coefficient is not finite")
+    return h, k
 
 
 def sample_checks(eps: np.ndarray, det: np.ndarray, n: int) -> tuple:

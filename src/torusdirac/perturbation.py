@@ -26,13 +26,13 @@ each fails by ``geometry.raise_first``, mode +1 at its first failed check,
 then mode -1.
 
 ``perturbation_report(cf, route, m)`` is the one entry to every route. The
-closed form and the operator route hold h and k as stacks (3, 3, 2D+1) (see
-``trigpoly``), form each product of two stacks, at the degree of the rows
-and columns it reads, by one ``trigpoly._field_product`` and build only
-what they read: the closed form h, k[0, 0] (``geometry._k_block``) and
-(h^2)[0, 0], its sums over the harmonics being array reductions; the
-operator route h and all of k, which it checks, then the first columns of
-h^2 and k and the potential's numerator for W2. The fit route builds neither.
+closed form and the operator route take h and the first column of k from one
+``geometry._metric_data``, form each product of two stacks, at the degree of
+the rows and columns it reads, by one ``trigpoly._field_product`` and build
+only what they read: the closed form h, k[0, 0] and (h^2)[0, 0], its sums
+over the harmonics being array reductions; the operator route h, the first
+columns of k and h^2 and the potential's numerator for W2, with no recheck:
+h is symmetric, W1 and W2 real by construction. The fit route builds neither.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ import numpy as np
 
 from .dirac import DiracOperator, _first_order_operator, _second_order_operator, _spinor, inner
 from .galerkin import basis_spinor, spectrum_sweep, track_pairs
-from .geometry import CoframeFamily, NumericalContractError, _k_block, raise_first
-from .geometry import first_order_perturbation, require_sym_real, second_order_perturbation
+from .geometry import CoframeFamily, NumericalContractError, _metric_data, raise_first
 from .trigpoly import _field_product, poly_sub, resize_degree
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
@@ -150,16 +149,9 @@ def _pseudoinverse(c, n, truncation: int, orthogonality_tol: float | None = None
 # first order
 # ----------------------------------------------------------------------
 
-def _mean(coeffs: np.ndarray) -> complex:
-    """The k = 0 coefficient."""
-    return complex(coeffs[(coeffs.size - 1) // 2])
-
-
-def _require_finite(name: str, *arrays) -> None:
-    """Raise NumericalContractError unless the coefficient ``arrays`` are
-    finite: h and k built from finite E1 and E2 overflowed, a numerical fault."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NumericalContractError(f"{name} overflows: a coefficient is not finite")
+def _mean(coeffs: np.ndarray) -> float:
+    """The k = 0 coefficient of a real function, read as the real it is."""
+    return float(coeffs[(coeffs.size - 1) // 2].real)
 
 
 def _first_order_blocks(w1: DiracOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -383,32 +375,22 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
     warning on overflow.
 
     The closed form builds h and k[0, 0]; l1(n) = -n/2 * hhat_11(0). The
-    operator route builds h and k in full, checks that both are real and
-    symmetric, runs in Fourier coefficients with the mode-sum truncation
-    deg h + 4 and builds W1 and W2 once for both signs. Both raise
-    NumericalContractError first when h or k overflows. The Galerkin fit
-    route fits modes +1 and -1 to second order from one sweep over
-    ``default_fit_grid(4)`` at truncation ``m``.
+    operator route builds h and the first column of k, runs in Fourier
+    coefficients with the mode-sum truncation deg h + 4 and builds W1 and W2
+    once for both signs; it fails in the order h or k overflow, l1(+1),
+    l1(-1), l2(+1), l2(-1). Both raise NumericalContractError first when h
+    or k overflows. The Galerkin fit route fits modes +1 and -1 to second
+    order from one sweep over ``default_fit_grid(4)`` at truncation ``m``.
     """
     if route == "closed_form":
-        h = first_order_perturbation(cf)
-        k00 = _k_block(cf, 1)[0, 0]
-        _require_finite("h or k[0, 0]", h, k00)
-        h11_mean = _mean(h[0, 0]).real
-        l1 = [float(-n * 0.5 * h11_mean) for n in (1, -1)]
-        l2 = _second_corrections_closed(h, k00)
+        h, k = _metric_data(cf, 1)
+        l1 = [-n * 0.5 * _mean(h[0, 0]) for n in (1, -1)]
+        l2 = _second_corrections_closed(h, k[0, 0])
         return PerturbationReport(route, *l1, *l2)
     if route == "operator":
-        # each check, operator and first-order block once: h, l1(+1), l1(-1),
-        # then k, l2(+1), l2(-1), so a bad h fails before k is built
-        h = first_order_perturbation(cf)
-        _require_finite("h", h)
-        require_sym_real(h, "h")
+        h, k = _metric_data(cf, 3)  # each operator and first-order block once
         w1 = _first_order_operator(h)
         l1, w1v = _first_order_blocks(w1)
-        k = second_order_perturbation(cf)
-        _require_finite("k", k)
-        require_sym_real(k, "k")
         w2 = _second_order_operator(h, k)
         l2 = _second_order_terms(w1, w2, w1v, l1, (h.shape[-1] - 1) // 2 + 4)
         return PerturbationReport(route, *map(float, l1), *map(float, l2))

@@ -17,8 +17,8 @@ them through strided views, so each matrix equals its adjoint under ``==``
 which reads the full B^ and p^ through ``sliding_window_view`` and
 symmetrizes the matrix afterwards.
 
-The closed-form and operator routes build h, k, W1 and W2 on stacks
-(3, 3, 2D+1) of coefficients. h and ``matmul_entry`` must reproduce, byte
+The closed-form and operator routes build h, the first column of k, W1 and
+W2 on stacks of coefficients, h and k by one ``geometry._metric_data``. h and ``matmul_entry`` must reproduce, byte
 for byte, the reference formulas in conftest: the same arithmetic spelled
 out entry by entry. Signed zeros count, so eps = -0.0 and +0.0 are both
 covered. A product of two stacks whose entries share one degree is one
@@ -45,14 +45,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdirac import CoframeFamily, dirac_operator
-from torusdirac import first_order_perturbation, galerkin_matrix, load_config_file, load_example
-from torusdirac import perturbation_report, second_order_perturbation
+from torusdirac import galerkin_matrix, load_config_file, load_example, perturbation_report
 from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.dirac import DiracOperator, _first_order_operator, dirac_operators, inner
 from torusdirac import galerkin
 from torusdirac.galerkin import eigenvalues, spectrum_sweep
 from torusdirac.perturbation import pseudoinverse
-from torusdirac.geometry import default_grid
+from torusdirac.geometry import _metric_data, default_grid
 from torusdirac.trigpoly import _field_product, matmul_entry, resize_degree, stack_field
 
 from conftest import coframe_fields, matmul, mixed_degree_fields, reference_apply, reference_closed_route
@@ -165,8 +164,9 @@ def assert_h_bytes_and_routes_close(cf: CoframeFamily) -> None:
     # h is the one stack held byte for byte; k comes from a product that groups
     # its sums unlike the reference, so it is held within K_TOL, as both routes
     # are within ROUTE_TOL
-    assert same_bytes(first_order_perturbation(cf), stacked(reference_h(cf))), "h differs"
-    k, expected = second_order_perturbation(cf), stacked(reference_k(cf))
+    h, k = _metric_data(cf, 3)
+    assert same_bytes(h, stacked(reference_h(cf))), "h differs"
+    expected = stacked(reference_k(cf))[:, :1]  # the column of k that is built
     assert k.shape == expected.shape
     assert np.max(np.abs(k - expected)) <= K_TOL * max(1.0, float(np.max(np.abs(expected)))), "k differs"
     assert_route_close(cf, "closed_form", reference_closed_route)
@@ -341,7 +341,7 @@ class TestRandomCoframes:
         rng = np.random.default_rng(seed)
         shape = (count, 2, 2 * degree + 1)
         stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for op in (dirac_operator(cf, eps, 256), _first_order_operator(first_order_perturbation(cf))):
+        for op in (dirac_operator(cf, eps, 256), _first_order_operator(_metric_data(cf, 3)[0])):
             assert np.array_equal(op.apply(stack), [op.apply(c) for c in stack])
             assert np.array_equal(op.apply(stack[None]), [op.apply(stack)])
         # spinors of degree 4 - degree against the stack, every pair at once

@@ -16,6 +16,7 @@ from torusdirac import (
     TruncationError,
     UnderResolvedError,
     cli,
+    config,
     dirac,
     dirac_operator,
     galerkin,
@@ -392,12 +393,14 @@ class TestCli:
     @pytest.mark.parametrize("command", ["galerkin", "fit", "asympt", "dump-matrix"])
     def test_matrix_past_memory_bound_is_config_error(self, command, monkeypatch, capsys):
         # m = 25: the dense matrix takes 16 * 102^2 = 166,464 bytes, more
-        # than a quarter of the 600,000 bytes reported here
+        # than a quarter of the 600,000 bytes reported here; dump-matrix
+        # builds it by assemble, the other commands by galerkin_matrix
         def no_assembly(*args, **kwargs):
             raise AssertionError("a matrix was assembled past the memory bound")
 
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 600_000)
+        monkeypatch.setattr(config, "_physical_memory", lambda: 600_000)
         monkeypatch.setattr(galerkin, "assemble", no_assembly)
+        monkeypatch.setattr(galerkin, "galerkin_matrix", no_assembly)
         extra = ["--eps", "0.1"] if command == "dump-matrix" else []
         assert main([command, "--config", "example-galerkin-1", *extra]) == 2
         captured = capsys.readouterr()
@@ -406,10 +409,31 @@ class TestCli:
         assert "quarter of physical memory" in captured.err
 
     def test_matrix_at_memory_bound_runs(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 4 * 16 * 102**2)
+        monkeypatch.setattr(config, "_physical_memory", lambda: 4 * 16 * 102**2)
         argv = ["dump-matrix", "--config", "example-galerkin-1", "--eps", "0.1"]
         assert main(argv) == 0
         assert main(argv + ["--m", "26"]) == 2
+
+    @pytest.mark.parametrize("key,factor", [("coframe.E1.2.3", 1), ("perturbation.h.2.3", 2)])
+    def test_absurd_harmonic_is_config_error_before_allocation(self, key, factor, monkeypatch, tmp_path, capsys):
+        # with 1 MiB reported, harmonic 10000 of E1 makes the arc-length sample
+        # spectrum 16 * 30 * (default_grid(10000) // 2 + 1) bytes, 18.3 MiB; of
+        # h, whose square enters E2, twice that. Parsing rejects it before it
+        # allocates the entry's 20001 coefficients, 313 KiB
+        monkeypatch.setattr(config, "_physical_memory", lambda: 1 << 20)
+        cfgfile = tmp_path / "absurd.cfg"
+        cfgfile.write_text(f"{key} = (10000, 0.001, 0) (-10000, 0.001, 0)\n")
+        tracemalloc.start()
+        try:
+            code = main(["galerkin", "--config", str(cfgfile)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        size = 16 * 30 * (geometry.default_grid(factor * 10000) // 2 + 1)
+        assert f"{key}: harmonic 10000 needs a {size / 2**20:.6g} MiB arc-length sample spectrum" in captured.err
+        assert peak < 16 * 20001  # the entry's coefficients were never allocated
 
     @pytest.mark.parametrize("command,calls", [("galerkin", 3), ("fit", 12)])
     def test_one_geometry_build_per_eps(self, command, calls, monkeypatch, capsys):
@@ -485,7 +509,20 @@ class TestCli:
         cfgfile.write_text("coframe.E1.1.1 = (0, 1e200, 0)\n")
         code = main(["asympt", "--config", str(cfgfile)])
         assert code == 3
-        assert "numerical contract violation: h or k[0, 0] overflows" in capsys.readouterr().err
+        assert "numerical contract violation: h or k overflows" in capsys.readouterr().err
+
+    def test_rounding_level_imaginary_part_the_parser_accepts_runs(self, tmp_path, capsys):
+        # an imaginary part of 0.9e-12 in c_-1 is within the parser's 1e-12
+        # realness tolerance, and h = E1 + E1^T doubles it: the closed form
+        # reads the means of (h^2)_11 and k_11 as the reals they are, and the
+        # operator route builds real operators from h, so asympt runs
+        cfgfile = tmp_path / "rounding.cfg"
+        entry = "(-1, 0.5, 0.9e-12) (1, 0.5, 0)"
+        cfgfile.write_text(f"coframe.E1.1.2 = {entry}\ncoframe.E1.2.1 = {entry}\n")
+        code = main(["asympt", "--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith("coefficient,closed_form,operator,galerkin_fit,max_deviation\n")
 
     @pytest.mark.parametrize("route", ["operator", "galerkin_fit"])
     def test_nan_coefficient_fails_the_route_gates(self, route, monkeypatch, capsys):

@@ -11,14 +11,12 @@ from torusdirac import (
     UnderResolvedError,
     arc_length,
     dirac_operator,
-    first_order_perturbation,
     load_config_file,
     load_example,
-    second_order_perturbation,
 )
 from torusdirac.config import EXAMPLE_NAMES
-from torusdirac.geometry import _arc_lengths, _coframe_samples, coframe_tails, fft_tail, raise_first, sample_checks
-from torusdirac.geometry import tail_check
+from torusdirac.geometry import _arc_lengths, _coframe_samples, _metric_data, coframe_tails, fft_tail, raise_first
+from torusdirac.geometry import sample_checks, tail_check
 from torusdirac.trigpoly import grid_points, poly_add, poly_derivative, poly_sub, resize_degree
 
 from conftest import COS, IDENTITY, add, SIN, ZERO, ZERO_FIELD, const, entrywise, evaluate, isclose, operator_hats
@@ -163,42 +161,53 @@ class TestRealSamples:
             raise_first((tail_check(tails[1:]),))
 
 
+def first_column(x) -> list:
+    """Column 0 of the 3x3 field ``x``, nested or stacked, as ``_metric_data`` builds k."""
+    return [row[:1] for row in x]
+
+
 class TestPerturbationExtraction:
     def test_symmetric_linear_coframe_doubles(
         self, rotation_block_coframe, explicit_family_1
     ):
-        h = first_order_perturbation(rotation_block_coframe)
+        h, _ = _metric_data(rotation_block_coframe, 3)
         expected, _ = explicit_family_1
         assert isclose(h, expected, 1e-15)
 
     def test_zero_and_antisymmetric_give_zero(self):
-        assert isclose(first_order_perturbation(CoframeFamily(ZERO_FIELD, ZERO_FIELD)), ZERO_FIELD)
+        assert isclose(_metric_data(CoframeFamily(ZERO_FIELD, ZERO_FIELD), 3)[0], ZERO_FIELD)
         anti = m3([[ZERO, SIN(1), ZERO], [SIN(1, -1.0), ZERO, ZERO], [ZERO, ZERO, ZERO]])
-        assert isclose(first_order_perturbation(CoframeFamily(anti, ZERO_FIELD)), ZERO_FIELD, 1e-15)
+        assert isclose(_metric_data(CoframeFamily(anti, ZERO_FIELD), 3)[0], ZERO_FIELD, 1e-15)
 
     def test_rotation_block_quadratic_data(self, rotation_block_coframe):
-        k = second_order_perturbation(rotation_block_coframe)
-        expected = m3(
-            [
-                [ZERO, ZERO, ZERO],
-                [ZERO, const(4.0), ZERO],
-                [ZERO, ZERO, const(4.0)],
-            ]
-        )
-        assert isclose(k, expected, 1e-14)
+        # the (x^2, x^3) rotation block has k = diag(0, 4, 4), first column 0;
+        # adding e^1_1 = 1 to E1 makes k_11 = 4 (E1^T E1)_11 = 4
+        _, k = _metric_data(rotation_block_coframe, 3)
+        assert k.shape[:2] == (3, 1) and isclose(k, first_column(ZERO_FIELD), 1e-14)
+        shifted = CoframeFamily(entrywise(add, rotation_block_coframe.E1, m3([[1.0, 0, 0], [0] * 3, [0] * 3])),
+                                rotation_block_coframe.E2)
+        assert isclose(_metric_data(shifted, 3)[1], first_column(m3([[4.0, 0, 0], [0] * 3, [0] * 3])), 1e-14)
 
     def test_pure_second_order_inverts_definition(self):
         rng = np.random.default_rng(21)
         k_given = random_symmetric_field(rng)
-        cf = CoframeFamily(ZERO_FIELD, scaled(k_given, 0.125))
-        assert isclose(second_order_perturbation(cf), k_given, 1e-13)
-        assert isclose(first_order_perturbation(cf), ZERO_FIELD)
+        h, k = _metric_data(CoframeFamily(ZERO_FIELD, scaled(k_given, 0.125)), 3)
+        assert isclose(k, first_column(k_given), 1e-13)
+        assert isclose(h, ZERO_FIELD)
 
     def test_synthesized_family_round_trips(self, explicit_family_2):
-        h, k = explicit_family_2
-        cf = CoframeFamily.from_perturbation(h, k)
-        assert isclose(first_order_perturbation(cf), h, 1e-13)
-        assert isclose(second_order_perturbation(cf), k, 1e-13)
+        h_given, k_given = explicit_family_2
+        h, k = _metric_data(CoframeFamily.from_perturbation(h_given, k_given), 3)
+        assert isclose(h, h_given, 1e-13)
+        assert isclose(k, first_column(k_given), 1e-13)
+
+    def test_closed_form_reads_the_first_entry_of_the_column(self):
+        # rows = 1 builds k[0, 0] alone, with the bits of the column's first entry
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            cf = CoframeFamily(random_field(rng), random_field(rng))
+            (h1, k1), (h3, k3) = _metric_data(cf, 1), _metric_data(cf, 3)
+            assert k1.shape[:2] == (1, 1) and np.array_equal(h1, h3) and np.array_equal(k1[0], k3[0])
 
     def test_large_perturbation_data_is_accepted(self):
         # E2 = (k - h@h)/8 carries rounding-level imaginary parts, ~1e-12
@@ -220,12 +229,13 @@ class TestPerturbationExtraction:
             CoframeFamily(**fields)
 
     def test_always_symmetric_real(self):
+        # h symmetric by construction, both h and the column of k real
         rng = np.random.default_rng(22)
         for _ in range(5):
-            cf = CoframeFamily(random_field(rng), random_field(rng))
-            for mat in (first_order_perturbation(cf), second_order_perturbation(cf)):
-                assert isclose(mat, transpose(mat), 1e-13)
-                assert isclose(mat, entrywise(lambda c: np.conj(c[::-1]), mat), 1e-13)
+            h, k = _metric_data(CoframeFamily(random_field(rng), random_field(rng)), 3)
+            assert np.array_equal(h, h.transpose(1, 0, 2))
+            for mat in (h, k):
+                assert np.max(np.abs(mat - np.conj(mat[..., ::-1]))) <= 1e-13
 
 
 class TestMetricExpansion:
@@ -234,14 +244,15 @@ class TestMetricExpansion:
         x = grid_points(64)
         for _ in range(5):
             cf = CoframeFamily(random_field(rng), random_field(rng))
-            h = first_order_perturbation(cf)
-            k = second_order_perturbation(cf)
+            h, k = _metric_data(cf, 3)
 
             def residual(eps):
-                model = entrywise(add, IDENTITY, scaled(h, eps), scaled(k, eps * eps / 4.0))
+                # the first column of g, the column of k that is built
                 coframe = reference_coframe(cf, eps)
-                diff = entrywise(poly_sub, matmul(transpose(coframe), coframe), model)
-                return np.max(np.abs(sample(diff, x)))
+                metric = matmul(transpose(coframe), coframe)
+                diff = [poly_sub(metric[a][0], add(IDENTITY[a][0], h[a, 0] * eps, k[a, 0] * (eps * eps / 4.0)))
+                        for a in range(3)]
+                return max(np.max(np.abs(evaluate(c, x))) for c in diff)
 
             r1, r2 = residual(0.02), residual(0.01)
             assert r1 / r2 >= 7.0

@@ -413,12 +413,13 @@ class TestNonFinite:
 
     @pytest.mark.parametrize(
         "cf,route,message",
-        [(OVERFLOWING_K, "closed_form", r"h or k\[0, 0\] overflows"), (OVERFLOWING_K, "operator", "^k overflows"),
-         (OVERFLOWING_H, "closed_form", r"h or k\[0, 0\] overflows"), (OVERFLOWING_H, "operator", "^h overflows")],
+        [(OVERFLOWING_K, "closed_form", "h or k overflows"), (OVERFLOWING_K, "operator", "h or k overflows"),
+         (OVERFLOWING_H, "closed_form", "h or k overflows"), (OVERFLOWING_H, "operator", "h or k overflows")],
     )
     def test_overflow_is_numerical_not_bad_input(self, cf, route, message):
-        # require_sym_real would raise a plain ValueError, the class of bad input
-        with np.errstate(all="ignore"), pytest.raises(NumericalContractError, match=message):
+        # not a plain ValueError, the class of bad input: both routes build h
+        # and k by one _metric_data, which raises before either is read
+        with np.errstate(all="ignore"), pytest.raises(NumericalContractError, match=f"^{message}"):
             perturbation_report(cf, route)
 
     def test_bad_user_data_stays_value_error(self):
@@ -539,17 +540,28 @@ class TestSharedWork:
         return shapes
 
     def test_h_and_k_checked_once(self, family, monkeypatch):
+        # the one check of h and k is _metric_data's overflow check: h is
+        # symmetric by construction, and W1 and W2 are real by construction
         checks = Counter()
-        self.count(monkeypatch, perturbation, "require_sym_real", checks)
-        perturbation_report(family, "operator")
-        assert checks["require_sym_real"] == 2
+        self.count(monkeypatch, perturbation, "_metric_data", checks)
+        self.count(monkeypatch, geometry, "require_sym_real", checks)
+        for route in ("closed_form", "operator"):
+            perturbation_report(family, route)
+        assert checks == {"_metric_data": 2}
+        assert not hasattr(perturbation, "require_sym_real")
 
     def test_k_built_once(self, family, monkeypatch):
-        builds = Counter()
-        self.count(monkeypatch, perturbation, "second_order_perturbation", builds)
-        self.count(monkeypatch, geometry, "_k_block", builds)
+        # of k, the operator route builds the first column alone, W2's symbol
+        built, metric_data = [], geometry._metric_data
+
+        def recorded(cf, rows):
+            h, k = metric_data(cf, rows)
+            built.append(k.shape[:2])
+            return h, k
+
+        monkeypatch.setattr(perturbation, "_metric_data", recorded)
         perturbation_report(family, "operator")
-        assert builds == {"second_order_perturbation": 1, "_k_block": 1}
+        assert built == [(3, 1)]
 
     def test_h_squared_read_without_the_full_product(self, explicit_family_2, monkeypatch):
         # of the nine entries of h @ h, the closed form reads (0, 0), W2 the
@@ -563,16 +575,16 @@ class TestSharedWork:
 
     def test_routes_build_no_full_product(self, family, monkeypatch):
         # closed form: (E1^T E1)[0, 0] for k[0, 0], then (h^2)[0, 0]; operator
-        # route: E1^T E1 for k, the first column of h^2, the potential numerator,
-        # between the applications of W1 to [v_1, v_-1, w_1, w_-1] and to the
-        # two corrected spinors, then of W2 to [v_1, v_-1], each a (2, 4) field
-        # times the stack
+        # route: the first column of E1^T E1 for k, then, between the
+        # applications of W1 to [v_1, v_-1, w_1, w_-1] and to the two corrected
+        # spinors, the first column of h^2 and the potential numerator, then
+        # W2 applied to [v_1, v_-1], each apply a (2, 4) field times the stack
         shapes = self.products(monkeypatch)
         perturbation_report(family, "closed_form")
         assert shapes == [(1, 1), (1, 1)]
         shapes.clear()
         perturbation_report(family, "operator")
-        assert shapes == [(2, 4), (3, 3), (3, 1), (1, 1), (2, 2), (2, 2)]
+        assert shapes == [(3, 1), (2, 4), (3, 1), (1, 1), (2, 2), (2, 2)]
 
     def test_products_at_the_degree_of_what_they_read(self, monkeypatch):
         # one entry of E1 at harmonic 200: the closed form reads only row and
@@ -587,21 +599,24 @@ class TestSharedWork:
         assert degrees == [0, 0]
         degrees.clear()
         perturbation_report(family, "operator")
-        # W1 v_n, then k, the first column of h^2, the potential, then W1 on
-        # the corrected spinors (zero, as W1 is) and W2 v_n
-        assert degrees == [1, 400, 200, 200, 0, 1]
-        h = geometry.first_order_perturbation(family)
+        # the column of k, of degree 200 against E1's constant first column,
+        # then W1 v_n, the first column of h^2, the potential, then W1 on the
+        # corrected spinors (zero, as W1 is) and W2 v_n
+        assert degrees == [200, 1, 200, 200, 0, 1]
+        h, _ = geometry._metric_data(family, 3)
         assert h.shape[-1] == 401 and dirac._first_order_operator(h).a_hat.shape[-1] == 1
 
     def test_closed_route_builds_only_k00(self, family, monkeypatch):
         # with the closed-form sums stubbed out, the one product left is k's,
-        # (E1^T E1)[0, 0], and k is never built whole
-        def refuse(*args):
-            raise AssertionError("the closed form built all of k")
+        # (E1^T E1)[0, 0], and of k only that entry is built
+        shapes, metric_data = self.products(monkeypatch), geometry._metric_data
 
-        shapes = self.products(monkeypatch)
+        def column_top(cf, rows):
+            assert rows == 1, "the closed form built more of k than k[0, 0]"
+            return metric_data(cf, rows)
+
         monkeypatch.setattr(perturbation, "_second_corrections_closed", lambda h, k00: [0.0, 0.0])
-        monkeypatch.setattr(perturbation, "second_order_perturbation", refuse)
+        monkeypatch.setattr(perturbation, "_metric_data", column_top)
         perturbation_report(family, "closed_form")
         assert shapes == [(1, 1)]
 
@@ -609,16 +624,14 @@ class TestSharedWork:
         def refuse(*args):
             raise AssertionError("the Galerkin fit route built h or k")
 
-        for name in ("first_order_perturbation", "_k_block", "second_order_perturbation"):
-            monkeypatch.setattr(perturbation, name, refuse)
+        monkeypatch.setattr(perturbation, "_metric_data", refuse)
         assert perturbation_report(family, "galerkin_fit").route == "galerkin_fit"
 
     def test_failure_order_matches_separate_calls(self, family, monkeypatch):
-        # the steps fail in order: h check, block +1, block -1, k check,
-        # term +1, term -1; the lockstep steps raise at their +1 row first
+        # the steps fail in order: h or k overflow, block +1, block -1, term
+        # +1, term -1; the lockstep steps raise at their +1 row first
         inner, pseudoinverse = perturbation.inner, perturbation._pseudoinverse
-        realness_check = perturbation._realness_check
-        skew = stacked(m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]))
+        realness_check, metric_data = perturbation._realness_check, geometry._metric_data
 
         def nonscalar(*rows):
             def patched(u, v):
@@ -642,16 +655,15 @@ class TestSharedWork:
             injected = NumericalContractError("l2(+1) injected not real")
             return fails | (np.arange(fails.size) == 0), lambda i: injected if i == 0 else error(i)
 
-        def skewed(cf):
-            return skew
+        def overflowing(cf, rows):
+            return metric_data(OVERFLOWING_K, rows)
 
-        not_symmetric, not_scalar, not_real = ValueError, DegenerateSplittingError, NumericalContractError
+        not_scalar, not_real = DegenerateSplittingError, NumericalContractError
         cases = [
-            ({"first_order_perturbation": skewed, "inner": nonscalar(0)}, not_symmetric, "h must be"),
+            ({"_metric_data": overflowing, "inner": nonscalar(0)}, NumericalContractError, "^h or k overflows"),
             ({"inner": nonscalar(1)}, not_scalar, "mode -1 is"),
             ({"inner": nonscalar(0, 1)}, not_scalar, "mode 1 is"),
-            ({"inner": nonscalar(1), "second_order_perturbation": skewed}, not_scalar, "mode -1 is"),
-            ({"second_order_perturbation": skewed, "_pseudoinverse": overlapping}, not_symmetric, "k must be"),
+            ({"inner": nonscalar(1), "_pseudoinverse": overlapping}, not_scalar, "mode -1 is"),
             ({"_pseudoinverse": overlapping}, PseudoinverseDomainError, "lambda0=-1 "),
             ({"_pseudoinverse": overlapping, "_realness_check": not_real_first}, not_real, r"l2\(\+1\) inj"),
             ({"_realness_check": not_real_first}, not_real, r"l2\(\+1\) inj"),
@@ -665,12 +677,13 @@ class TestSharedWork:
         assert perturbation_report(family, "operator").lambda1_plus == pytest.approx(-0.5, abs=1e-14)
 
     @pytest.mark.parametrize("bad", ["h", "k"])
-    def test_input_check_messages(self, family, bad, monkeypatch):
-        skew = stacked(m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]))
-        target = {"h": "first_order_perturbation", "k": "second_order_perturbation"}[bad]
-        monkeypatch.setattr(perturbation, target, lambda cf: skew)
-        with pytest.raises(ValueError, match=f"{bad} must be symmetric"):
-            perturbation_report(family, "operator")
+    def test_input_check_messages(self, explicit_family_2, bad):
+        # the one input check of h and k is from_perturbation's, before any route
+        data = dict(zip("hk", explicit_family_2))
+        data[bad] = m3([[ZERO, COS(1), ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
+        with pytest.raises(ValueError, match=f"{bad} must be symmetric") as info:
+            CoframeFamily.from_perturbation(data["h"], data["k"])
+        assert not isinstance(info.value, NumericalContractError)
 
 
 class TestOperatorRouteIsGridFree:

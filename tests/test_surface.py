@@ -25,14 +25,12 @@ PUBLIC = [
     "arc_length",
     "dirac_operator",
     "eigenvalues",
-    "first_order_perturbation",
     "fit_expansion",
     "galerkin_matrix",
     "load_config_file",
     "load_example",
     "parse_config",
     "perturbation_report",
-    "second_order_perturbation",
     "spectrum_report",
     "track_pair",
 ]
@@ -92,6 +90,10 @@ DELETED = [
     "galerkin.GalerkinMatrix.herm_residual",
     "trigpoly.poly_on_grid",
     "dirac.symbol_matrix",
+    "geometry.first_order_perturbation",
+    "geometry.second_order_perturbation",
+    "geometry._k_block",
+    "perturbation._require_finite",
 ]
 
 # names that left the top level but stay importable from their modules
