@@ -10,7 +10,7 @@ from .geometry import CoframeFamily, NumericalContractError, SingularCoframeErro
 from .geometry import arc_length
 from .dirac import DiracOperator, dirac_operator
 from .galerkin import TrackingError, eigenvalues, galerkin_matrix, spectrum_report, track_pair
-from .perturbation import PseudoinverseDomainError, TruncationError, fit_expansion, perturbation_report
+from .perturbation import PseudoinverseDomainError, fit_expansion, perturbation_report
 from .config import ConfigError, load_config_file, load_example, parse_config
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "spectrum_report",
     "track_pair",
     "PseudoinverseDomainError",
-    "TruncationError",
     "fit_expansion",
     "perturbation_report",
     "ConfigError",

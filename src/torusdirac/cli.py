@@ -136,10 +136,9 @@ class RouteDisagreementError(Exception):
 
 
 def cmd_fit(cfg: RunConfig, out_format: str, order: int = 4, eps_grid=None) -> str:
-    """Fitted expansion coefficients per tracked mode, with asymmetry flags."""
-    family = cfg.family()
-    grid = pt.default_fit_grid(order) if eps_grid is None else np.asarray(eps_grid, float)
-    fits = pt.fit_expansion(family, cfg.modes, grid, order, cfg.m)
+    """Fitted expansion coefficients per tracked mode, with asymmetry flags, over
+    ``eps_grid`` (``--eps`` alone sets it), else ``default_fit_grid(order)``: never the config's eps."""
+    fits = pt.fit_expansion(cfg.family(), cfg.modes, eps_grid, order, cfg.m)
 
     num = _csv if out_format == "csv" else _md
     header = ["mode"] + [f"c{p}" for p in range(1, order + 1)] + ["residual"]

@@ -14,16 +14,16 @@ route rather than silently adjusted.
 
 The operator route works on Fourier coefficients only: W1 and W2 have
 trigonometric-polynomial coefficients, so applying them, the pseudoinverse
-and the inner products are finite sums and no grid is sampled. It runs the
-modes +1 and -1, the Kramers pair, in lockstep: every spinor on the way is
-a stack (2, 2, 2K+1) or (4, 2, 2K+1) of coefficient arrays, one row per
-mode, which ``DiracOperator.apply``, ``dirac.inner`` and ``pseudoinverse``
-take whole. The basis spinors come cached and read-only from
-``galerkin.basis_spinor``, and sums go through ``trigpoly.poly_sub``. The
-route is two private helpers, the first-order blocks and the second-order
-terms, which take W1 and W2 as arguments and share the stack of W1 v_n;
-each fails by ``geometry.raise_first``, mode +1 at its first failed check,
-then mode -1.
+and the inner products are exact finite sums and no grid is sampled. It
+runs the modes +1 and -1, the Kramers pair, in lockstep: every spinor on
+the way is a stack (2, 2, 2K+1) or (4, 2, 2K+1) of coefficient arrays, one
+row per mode, which ``DiracOperator.apply``, ``dirac.inner`` and
+``pseudoinverse`` take whole. The basis spinors come cached and read-only
+from ``galerkin.basis_spinor``, and sums go through ``trigpoly.poly_sub``.
+The route is two private helpers, the first-order blocks and the
+second-order terms, which take W1 and W2 as arguments and share the stack
+of W1 v_n; each fails by ``geometry.raise_first``, mode +1 at its first
+failed check, then mode -1.
 
 ``perturbation_report(cf, route, m)`` is the one entry to every route. The
 closed form and the operator route take h and the first column of k from one
@@ -62,10 +62,6 @@ class PseudoinverseDomainError(NumericalContractError):
     """Input not orthogonal to the eigenspace the pseudoinverse annihilates."""
 
 
-class TruncationError(NumericalContractError):
-    """Mode-sum truncation too small for the input bandwidth."""
-
-
 class DegenerateSplittingError(NumericalContractError):
     """First-order block on the degenerate eigenspace is not scalar."""
 
@@ -86,7 +82,7 @@ def _basis(modes: tuple, kind: str) -> np.ndarray:
     return stack
 
 
-def pseudoinverse(c, n, truncation: int, orthogonality_tol: float | None = None) -> np.ndarray:
+def pseudoinverse(c, n) -> np.ndarray:
     """Bounded inverse of (free operator - n) off its eigenspace, applied to
     the spinor with coefficients ``c``, or to each row of a stack (..., 2, 2K+1)
     with its own mode, ``n`` an integer or an array over the leading axes.
@@ -99,49 +95,40 @@ def pseudoinverse(c, n, truncation: int, orthogonality_tol: float | None = None)
     its denominator is nonzero. A annihilates the w-type part of mode q and
     doubles the v-type part (eigenvalue q); B does the reverse (the w-type
     part of mode q has eigenvalue -q), so this is the spectral sum
-    sum_{mu != n} P_mu / (mu - n) truncated to |q| <= truncation, and any
-    kernel content of ``c`` is annihilated.
+    sum_{mu != n} P_mu / (mu - n). It is diagonal on plane waves, so the
+    output has the harmonics |q| <= K of ``c`` and is exact on them.
 
-    Pass ``orthogonality_tol`` where the input must be orthogonal to the
-    kernel (it is in the second-order eigenvalue formula): an overlap above
-    the tolerance then raises PseudoinverseDomainError instead of being
-    silently projected out. Raises TruncationError unless ``truncation``
-    exceeds the bandwidth of ``c`` (its largest |k| with a coefficient above
-    1e-13) plus |n|, and ValueError unless ``c`` has shape (..., 2, 2K+1).
-    Of a stack, the first row that fails raises, at its first failed check.
+    The input must be orthogonal to the kernel (it is in the second-order
+    eigenvalue formula): an overlap above 1e-9 raises
+    PseudoinverseDomainError instead of being silently projected out. Raises
+    ValueError unless ``c`` has shape (..., 2, 2K+1). Of a stack, the first
+    row that fails raises, at its first failed check.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the checks judge a non-finite input
-        out, checks = _pseudoinverse(c, n, truncation, orthogonality_tol)
+        out, checks = _pseudoinverse(c, n)
     raise_first(checks)
     return out
 
 
-def _pseudoinverse(c, n, truncation: int, orthogonality_tol: float | None = None):
+def _pseudoinverse(c, n):
     """``pseudoinverse``'s output and, for ``geometry.raise_first``, its checks."""
     c = _spinor(c)
     n = np.broadcast_to(n, c.shape[:-2])
-    k = np.arange(c.shape[-1]) - (c.shape[-1] - 1) // 2
-    need = np.where(np.abs(c).max(axis=-2) > 1e-13, np.abs(k), 0).max(axis=-1) + np.abs(n) + 1
 
     def domain_check(kind):
         overlap = np.abs(inner(c, _basis(tuple(n.ravel().tolist()), kind).reshape(n.shape + (2, -1))))
         # "not overlap <= tol", so that a NaN overlap fails too
-        return ~(overlap <= orthogonality_tol), lambda i: PseudoinverseDomainError(
-            f"input overlaps the lambda0={n.flat[i]} eigenspace "
-            f"by {overlap.flat[i]:.2e} (tolerance {orthogonality_tol:.0e})"
+        return ~(overlap <= 1e-9), lambda i: PseudoinverseDomainError(
+            f"input overlaps the lambda0={n.flat[i]} eigenspace by {overlap.flat[i]:.2e} (tolerance 1e-09)"
         )
 
-    checks = [] if orthogonality_tol is None else [domain_check("v"), domain_check("w")]
-    checks.append((truncation < need, lambda i: TruncationError(
-        f"truncation {truncation} below bandwidth requirement {need.flat[i]}"
-    )))
-    f = resize_degree(c, truncation)
-    q, n = np.arange(-truncation, truncation + 1), n[..., None]
+    checks = [domain_check("v"), domain_check("w")]
+    q, n = np.arange(c.shape[-1]) - (c.shape[-1] - 1) // 2, n[..., None]
     # weights of A and B per mode, zero where the denominator vanishes
     wa, wb = np.zeros(n.shape[:-1] + q.shape), np.zeros(n.shape[:-1] + q.shape)
     np.divide(0.5, q - n, out=wa, where=q != n)
     np.divide(0.5, -q - n, out=wb, where=q != -n)
-    sym, anti = wa * (f[..., 0, :] + f[..., 1, :]), wb * (f[..., 0, :] - f[..., 1, :])
+    sym, anti = wa * (c[..., 0, :] + c[..., 1, :]), wb * (c[..., 0, :] - c[..., 1, :])
     return np.stack([sym + anti, sym - anti], axis=-2), checks
 
 
@@ -228,21 +215,19 @@ def _second_corrections_closed(h: np.ndarray, k00: np.ndarray) -> list[float]:
     return values.real.tolist()
 
 
-def _second_order_terms(w1: DiracOperator, w2: DiracOperator, w1v: np.ndarray, l1: np.ndarray,
-                        truncation: int) -> np.ndarray:
+def _second_order_terms(w1: DiracOperator, w2: DiracOperator, w1v: np.ndarray, l1: np.ndarray) -> np.ndarray:
     """Operator-route second-order coefficients [l2(+1), l2(-1)],
 
         <W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v>
 
     for v = v_n, given the stacks w1v of W1 v and l1 of l1(n), with Q the
-    pseudoinverse at lambda0 = n truncated to |q| <= ``truncation``; deg h + 4
-    covers the bandwidth of (W1 - l1) v, so the value is exact up to
-    roundoff. The modes run in lockstep, and fail by one ordered list of
-    checks: mode +1's pseudoinverse checks, then its realness, then -1's."""
+    pseudoinverse at lambda0 = n, exact on the harmonics of (W1 - l1) v, so
+    the value is exact up to roundoff. The modes run in lockstep and fail by one
+    ordered list of checks: mode +1's pseudoinverse checks, its realness, then -1's."""
     v = _basis(_KRAMERS_PAIR, "v")
     shift = l1.astype(complex)[:, None, None]
     residual = poly_sub(w1v, v * shift)
-    corrected, checks = _pseudoinverse(residual, _KRAMERS_PAIR, truncation, orthogonality_tol=1e-9)
+    corrected, checks = _pseudoinverse(residual, _KRAMERS_PAIR)
     shifted = poly_sub(w1.apply(corrected), corrected * shift)
     terms = np.array((inner(w2.apply(v), v), inner(shifted, v)))
     values = terms[0] - terms[1]
@@ -279,20 +264,12 @@ def default_fit_grid(order: int) -> np.ndarray:
     return np.logspace(np.log10(0.01), np.log10(0.1), 6)
 
 
-def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
-    """Fit precomputed tracked deviations ``values`` = lambda(eps) - n.
-
-    Higher powers (up to four beyond ``order``) are included as nuisance
-    columns when the sample count allows, absorbing model error from the
-    tails of the expansion; only c_1..c_order are reported. Raises
-    FitResidualError when the residual exceeds both 1e-6 * max|values| and
-    the rounding floor ``_FIT_ROUNDING`` * u * sqrt(N) * max(1, |n|), unless
-    max|values| <= 1e-13.
-    """
+def _fit_grid(eps_grid, order: int) -> np.ndarray:
+    """``eps_grid`` as floats; ValueError unless ``order`` is 1, 2 or 4 and
+    the grid has at least order + 2 distinct eps, all in (0, 0.15]."""
     if order not in (1, 2, 4):
         raise ValueError("order must be 1, 2 or 4")
     grid = np.asarray(eps_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
     if grid.size < order + 2:
         raise ValueError(f"need at least {order + 2} eps samples for order {order}")
     if not np.all((0 < grid) & (grid <= 0.15)):  # so that a NaN fails
@@ -300,7 +277,21 @@ def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
     repeated = grid[np.triu(grid[:, None] == grid, 1).any(axis=0)]  # each eps equal to an earlier one
     if repeated.size:
         raise ValueError(f"eps sample {repeated[0]} given twice")
+    return grid
 
+
+def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
+    """Fit precomputed tracked deviations ``values`` = lambda(eps) - n.
+
+    Higher powers (up to four beyond ``order``) are included as nuisance
+    columns when the sample count allows, absorbing model error from the
+    tails of the expansion; only c_1..c_order are reported. Raises
+    ValueError on a grid that ``_fit_grid`` rejects, and FitResidualError when
+    the residual exceeds both 1e-6 * max|values| and the rounding floor
+    ``_FIT_ROUNDING`` * u * sqrt(N) * max(1, |n|), unless max|values| <= 1e-13.
+    """
+    grid = _fit_grid(eps_grid, order)
+    values = np.asarray(values, dtype=float)
     n_nuisance = min(4, grid.size - order - 2)
     powers = list(range(1, order + 1 + n_nuisance))
     design = np.stack([grid**p for p in powers], axis=1)
@@ -334,12 +325,12 @@ def fit_expansion(cf: CoframeFamily, modes, eps_grid=None, order: int = 2,
 
     One ``spectrum_sweep`` over the grid, default ``default_fit_grid(order)``,
     serves all modes, and one ``track_pairs`` tracks every (eps, mode) cell
-    of it. Every eps is solved before any mode is tracked, so a singular
-    coframe anywhere on the grid is reported ahead of a tracking failure at
-    an earlier eps; the first failing cell in (eps, mode) row order raises.
-    Returns the fits by mode.
+    of it. ``_fit_grid`` checks the grid before any solve. Every eps is
+    solved before any mode is tracked, so a singular coframe anywhere on the
+    grid is reported ahead of a tracking failure at an earlier eps; the first
+    failing cell in (eps, mode) row order raises. Returns the fits by mode.
     """
-    grid = default_fit_grid(order) if eps_grid is None else np.asarray(eps_grid, float)
+    grid = _fit_grid(default_fit_grid(order) if eps_grid is None else eps_grid, order)
     means, _, failures = track_pairs(spectrum_sweep(cf, grid, m), modes)
     if failures:
         raise next(iter(failures.values()))
@@ -376,8 +367,8 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
 
     The closed form builds h and k[0, 0]; l1(n) = -n/2 * hhat_11(0). The
     operator route builds h and the first column of k, runs in Fourier
-    coefficients with the mode-sum truncation deg h + 4 and builds W1 and W2
-    once for both signs; it fails in the order h or k overflow, l1(+1),
+    coefficients, with no truncation anywhere, and builds W1 and W2 once for
+    both signs; it fails in the order h or k overflow, l1(+1),
     l1(-1), l2(+1), l2(-1). Both raise NumericalContractError first when h
     or k overflows. The Galerkin fit route fits modes +1 and -1 to second
     order from one sweep over ``default_fit_grid(4)`` at truncation ``m``.
@@ -392,7 +383,7 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
         w1 = _first_order_operator(h)
         l1, w1v = _first_order_blocks(w1)
         w2 = _second_order_operator(h, k)
-        l2 = _second_order_terms(w1, w2, w1v, l1, (h.shape[-1] - 1) // 2 + 4)
+        l2 = _second_order_terms(w1, w2, w1v, l1)
         return PerturbationReport(route, *map(float, l1), *map(float, l2))
     if route == "galerkin_fit":
         # the quartic grid: on the 6-point quadratic one, fits fail the residual check

@@ -466,14 +466,14 @@ def reference_apply(op: DiracOperator, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_pseudoinverse(c: np.ndarray, n: int, truncation: int) -> np.ndarray:
-    """The mode sum of ``perturbation.pseudoinverse(c, n, truncation)``,
-    weighted per mode with 0 at the vanishing denominators; no checks."""
-    f = resize_degree(c, truncation)
-    q = np.arange(-truncation, truncation + 1)
+def reference_pseudoinverse(c: np.ndarray, n: int) -> np.ndarray:
+    """The mode sum of ``perturbation.pseudoinverse(c, n)`` over the
+    harmonics of ``c``, weighted per mode with 0 at the vanishing
+    denominators; no checks."""
+    q = np.arange(c.shape[-1]) - (c.shape[-1] - 1) // 2
     wa = np.array([0.0 if j == n else 0.5 / (j - n) for j in q])
     wb = np.array([0.0 if j == -n else 0.5 / (-j - n) for j in q])
-    sym, anti = wa * (f[0] + f[1]), wb * (f[0] - f[1])
+    sym, anti = wa * (c[0] + c[1]), wb * (c[0] - c[1])
     return np.array([sym + anti, sym - anti])
 
 
@@ -547,7 +547,7 @@ def reference_operator_route(cf: CoframeFamily) -> list[float]:
         v = basis_spinor(n, "v")
         first = float(inner(reference_apply(w1, v), v).real)
         residual = poly_sub(reference_apply(w1, v), v * complex(first))
-        corrected = reference_pseudoinverse(residual, n, field_degree(h) + 4)
+        corrected = reference_pseudoinverse(residual, n)
         shifted = poly_sub(reference_apply(w1, corrected), corrected * complex(first))
         l1.append(first)
         l2.append(float((inner(reference_apply(w2, v), v) - inner(shifted, v)).real))

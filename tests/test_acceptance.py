@@ -226,7 +226,7 @@ def test_criterion_6_property_suite():
         for _ in range(5):
             f = random_spinor(rng, degree=4)
             f = poly_sub(f, eigenspace_projection(f, lam0))
-            qf = pseudoinverse(f, lam0, 8)
+            qf = pseudoinverse(f, lam0)
             lhs = poly_sub(w0.apply(qf), lam0 * qf)
             worst_q = max(worst_q, norm(poly_sub(lhs, f)))
     assert worst_q <= 1e-10

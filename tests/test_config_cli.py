@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,6 @@ from torusdirac import (
     PseudoinverseDomainError,
     SingularCoframeError,
     TrackingError,
-    TruncationError,
     UnderResolvedError,
     cli,
     config,
@@ -37,7 +37,6 @@ NUMERIC_ERRORS = (
     UnderResolvedError,
     TrackingError,
     PseudoinverseDomainError,
-    TruncationError,
     pt.DegenerateSplittingError,
     pt.FitResidualError,
     np.linalg.LinAlgError,
@@ -361,15 +360,34 @@ class TestCli:
         assert f"{option}: expected at least one number" in captured.err
 
     @pytest.mark.parametrize(
-        "command,eps", [("galerkin", "0.1,1.0"), ("fit", "0.5,1.0,0.02,0.03,0.04,0.05")]
+        "command,eps", [("galerkin", "0.1,1.0"), ("fit", "0.1,0.02,0.03,0.04,0.05,0.06")]
     )
     def test_singular_coframe_exit_code(self, command, eps, tmp_path, capsys):
-        # e^1_1 = 1 - eps vanishes at eps = 1; the check precedes every solve
+        # e^1_1 = 1 - eps / top vanishes at the largest eps, top; the check
+        # precedes every solve (a fit grid lies in (0, 0.15])
+        top = max(map(float, eps.split(",")))
         cfgfile = tmp_path / "singular.cfg"
-        cfgfile.write_text("coframe.E1.1.1 = (0, -1, 0)\n")
+        cfgfile.write_text(f"coframe.E1.1.1 = (0, {-1 / top!r}, 0)\n")
         code = main([command, "--config", str(cfgfile), "--eps", eps])
         assert code == 3
-        assert "singular at eps=1.0" in capsys.readouterr().err
+        assert f"singular at eps={top}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps,message", [
+        ("0.2,0.3,0.4,0.5,0.6,0.7", r"eps samples must lie in \(0, 0.15\]"),
+        ("0.01,0.02,0.03", "need at least 6 eps samples for order 4"),
+        ("0.01,0.02,0.03,0.04,0.05,0.02", "eps sample 0.02 given twice"),
+    ])
+    def test_bad_fit_grid_is_config_error_before_any_solve(self, eps, message, monkeypatch, capsys):
+        # the grid outside (0, 0.15] was checked after the sweep, and tracking
+        # at eps = 0.6 failed first with exit 3
+        def refuse(*args):
+            raise AssertionError("fit solved before checking its grid")
+
+        monkeypatch.setattr(pt, "spectrum_sweep", refuse)
+        code = main(["fit", "--config", "example-galerkin-2", "--eps", eps, "--modes", "1,-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert re.match(f"config error: {message}", captured.err)
 
     @pytest.mark.parametrize(
         "command,modes", [("fit", "30"), ("galerkin", "1,30")]

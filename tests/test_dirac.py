@@ -6,7 +6,7 @@ from torusdirac.dirac import DiracOperator, _first_order_operator
 from torusdirac.dirac import _second_order_operator
 from torusdirac.dirac import inner
 from torusdirac.galerkin import basis_spinor
-from torusdirac.perturbation import TruncationError, pseudoinverse
+from torusdirac.perturbation import pseudoinverse
 from torusdirac.trigpoly import grid_points, poly_derivative, poly_sub, resize_degree
 
 from conftest import COS, SIN, ZERO, ZERO_FIELD, add, charge_conjugate, evaluate, free_operator, m3, norm
@@ -123,7 +123,7 @@ class TestApply:
             with pytest.raises(ValueError, match=r"\(2, 2K\+1\)"):
                 inner(*args)
         with pytest.raises(ValueError, match=r"\(2, 2K\+1\)"):
-            pseudoinverse(bad, 1, 8)
+            pseudoinverse(bad, 1)
 
 
 class TestFirstOrderTerm:
@@ -214,11 +214,9 @@ class TestSpinorField:
         assert norm(v) == pytest.approx(direct, rel=1e-13)
 
     def test_bandwidth(self):
-        # the pseudoinverse needs a truncation above bandwidth + |n| = 7 + 1
+        # the pseudoinverse is diagonal on plane waves: it keeps the input's bandwidth
         v = basis_spinor(7, "v")
-        with pytest.raises(TruncationError, match="requirement 9"):
-            pseudoinverse(v, 1, 8)
-        assert pseudoinverse(v, 1, 9).shape == (2, 19)
+        assert pseudoinverse(v, 1).shape == v.shape == (2, 15)
 
 
 class TestChargeConjugation:

@@ -30,8 +30,8 @@ def _outcome(build):
 
 
 def _spinor_pool() -> list[np.ndarray]:
-    """(2, 13) spinors: clean, in the kernel of mode 1 or -1, past a
-    truncation of 4 and NaN."""
+    """(2, 13) spinors: clean, at the edge harmonic 6, in the kernel of
+    mode 1 or -1 and NaN."""
     clean = np.zeros((2, 13), dtype=complex)
     clean[:, 6 + 2] = (0.3, -0.1)
     wide = np.zeros((2, 13), dtype=complex)
@@ -90,14 +90,12 @@ class TestStacksFailAsTheirRows:
     @settings(max_examples=60)
     @given(
         st.lists(st.tuples(st.sampled_from(range(len(SPINORS))), st.sampled_from((1, -1, 2))), min_size=1, max_size=4),
-        st.sampled_from((4, 9)),
-        st.sampled_from((None, 1e-9)),
     )
-    def test_pseudoinverse(self, rows, truncation, tol):
+    def test_pseudoinverse(self, rows):
         c = np.array([SPINORS[i] for i, _ in rows])
         n = np.array([n for _, n in rows])
-        stacked = _outcome(lambda: pseudoinverse(c, n, truncation, tol))
-        alone = _outcome(lambda: [pseudoinverse(c[r], n[r], truncation, tol) for r in range(len(rows))])
+        stacked = _outcome(lambda: pseudoinverse(c, n))
+        alone = _outcome(lambda: [pseudoinverse(c[r], n[r]) for r in range(len(rows))])
         if isinstance(alone, tuple):
             assert stacked == alone
         else:

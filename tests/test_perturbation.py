@@ -10,7 +10,6 @@ from torusdirac import (
     CoframeFamily,
     NumericalContractError,
     PseudoinverseDomainError,
-    TruncationError,
     dirac,
     fit_expansion,
     geometry,
@@ -55,16 +54,29 @@ def check_real(value, terms, rel_tol=1e-12):
 
 class TestPseudoinverse:
     def test_annihilates_kernel(self):
+        # kernel content within the 1e-9 domain tolerance is annihilated exactly
         for kind in ("v", "w"):
-            out = pseudoinverse(basis_spinor(1, kind), 1, 6)
-            assert norm(out) <= 1e-13
+            out = pseudoinverse(1e-12 * basis_spinor(1, kind), 1)
+            assert out.shape == (2, 3) and not out.any()
+
+    def test_pure_kernel_input_raises(self):
+        for n, kind in ((1, "v"), (1, "w"), (-1, "v"), (-1, "w")):
+            with pytest.raises(PseudoinverseDomainError, match=f"lambda0={n} eigenspace by 1.00e"):
+                pseudoinverse(basis_spinor(n, kind), n)
 
     @pytest.mark.parametrize("n,lam0", [(3, 1), (-2, 1), (0, 1), (4, -1)])
     def test_single_modes_divide_by_gap(self, n, lam0):
         for kind in ("v", "w"):
             phi = basis_spinor(n, kind)
-            out = pseudoinverse(phi, lam0, 8)
+            out = pseudoinverse(phi, lam0)
             assert norm(poly_sub(out, (1.0 / (n - lam0)) * phi)) <= 1e-13
+
+    def test_exact_on_the_input_harmonics(self):
+        # Q is diagonal on plane waves: v_30 at n = 1 is v_30 / 29, at its own shape
+        phi = basis_spinor(30, "v")
+        out = pseudoinverse(phi, 1)
+        assert out.shape == phi.shape
+        assert np.array_equal(out, phi * (1.0 / 29.0))
 
     def test_resolvent_identity_on_random_input(self):
         rng = np.random.default_rng(51)
@@ -72,38 +84,45 @@ class TestPseudoinverse:
         for lam0 in (1, -1):
             for _ in range(5):
                 f = random_orthogonal_spinor(rng, lam0)
-                qf = pseudoinverse(f, lam0, 8)
+                qf = pseudoinverse(f, lam0)
                 lhs = poly_sub(w0.apply(qf), lam0 * qf)
                 rhs = poly_sub(f, eigenspace_projection(f, lam0))
                 assert norm(poly_sub(lhs, rhs)) <= 1e-10
+
+    def test_resolvent_identity_at_degree_40(self):
+        # no truncation: (H0 - n) Q f = f - P f holds on the input's own harmonics
+        rng = np.random.default_rng(55)
+        w0 = free_operator()
+        for lam0 in (1, -1):
+            f = random_orthogonal_spinor(rng, lam0, degree=40)
+            qf = pseudoinverse(f, lam0)
+            assert qf.shape == f.shape == (2, 81)
+            lhs = poly_sub(w0.apply(qf), lam0 * qf)
+            assert norm(poly_sub(lhs, f)) <= 1e-12 * norm(f)
 
     def test_annihilates_projection(self):
         rng = np.random.default_rng(52)
         comps = [rng.normal(size=9) + 1j * rng.normal(size=9) for _ in range(2)]
         f = spinor(*comps)
-        assert norm(pseudoinverse(eigenspace_projection(f, 1), 1, 8)) <= 1e-12
+        assert norm(pseudoinverse(1e-12 * eigenspace_projection(f, 1), 1)) <= 1e-24
 
     def test_commutes_with_charge_conjugation(self):
         rng = np.random.default_rng(53)
         for _ in range(5):
             f = random_orthogonal_spinor(rng, 1)
-            lhs = pseudoinverse(charge_conjugate(f), 1, 8)
-            assert norm(lhs - charge_conjugate(pseudoinverse(f, 1, 8))) <= 1e-10
+            lhs = pseudoinverse(charge_conjugate(f), 1)
+            assert norm(lhs - charge_conjugate(pseudoinverse(f, 1))) <= 1e-10
 
     def test_self_adjoint(self):
         rng = np.random.default_rng(54)
         f = random_orthogonal_spinor(rng, 1)
         g = random_orthogonal_spinor(rng, 1)
-        assert abs(inner(pseudoinverse(f, 1, 8), g) - inner(f, pseudoinverse(g, 1, 8))) <= 1e-12
+        assert abs(inner(pseudoinverse(f, 1), g) - inner(f, pseudoinverse(g, 1))) <= 1e-12
 
     def test_orthogonality_violation_raises_in_strict_mode(self):
         f = poly_add(basis_spinor(1, "v"), basis_spinor(2, "v"))
         with pytest.raises(PseudoinverseDomainError, match="overlaps"):
-            pseudoinverse(f, 1, 6, orthogonality_tol=1e-9)
-
-    def test_truncation_too_small_raises(self):
-        with pytest.raises(TruncationError, match="bandwidth"):
-            pseudoinverse(basis_spinor(5, "v"), 1, 3)
+            pseudoinverse(f, 1)
 
 
 class TestFirstCorrection:
@@ -387,7 +406,7 @@ class TestNonFinite:
     def test_pseudoinverse_rejects_nan_overlap(self):
         c = np.full((2, 5), NAN, dtype=complex)
         with pytest.raises(PseudoinverseDomainError):
-            pseudoinverse(c, 1, 8, orthogonality_tol=1e-9)
+            pseudoinverse(c, 1)
 
     def test_pseudoinverse_of_an_infinite_input_does_not_warn(self):
         # inf * 0, against the zero coefficients of the basis and in the output
@@ -395,8 +414,7 @@ class TestNonFinite:
         # filterwarnings = error a warning fails this test
         c = np.full((2, 5), np.inf, dtype=complex)
         with pytest.raises(PseudoinverseDomainError):
-            pseudoinverse(c, 1, 8, orthogonality_tol=1e-9)
-        assert pseudoinverse(c, 1, 8).shape == (2, 17)
+            pseudoinverse(c, 1)
 
     @pytest.mark.parametrize("bad", [NAN, np.inf])
     def test_fit_rejects_non_finite_values(self, bad):
@@ -642,12 +660,12 @@ class TestSharedWork:
                 return gram
             return patched
 
-        def overlapping(c, n, truncation, orthogonality_tol=None):
+        def overlapping(c, n):
             # the residual of mode -1 overlaps its eigenspace
             c = np.array(c)
             kernel = resize_degree(basis_spinor(-1, "v"), (c.shape[-1] - 1) // 2)
             c[np.broadcast_to(n, c.shape[:-2]) == -1] += kernel
-            return pseudoinverse(c, n, truncation, orthogonality_tol)
+            return pseudoinverse(c, n)
 
         def not_real_first(values, terms, rel_tol):
             # row 0 of the realness check, which is l2(+1)'s, fails

@@ -20,7 +20,6 @@ PUBLIC = [
     "PseudoinverseDomainError",
     "SingularCoframeError",
     "TrackingError",
-    "TruncationError",
     "UnderResolvedError",
     "arc_length",
     "dirac_operator",
@@ -94,6 +93,7 @@ DELETED = [
     "geometry.second_order_perturbation",
     "geometry._k_block",
     "perturbation._require_finite",
+    "perturbation.TruncationError",
 ]
 
 # names that left the top level but stay importable from their modules
@@ -140,7 +140,12 @@ def test_perturbation_report_is_the_one_route_entry():
 
 def test_second_order_terms_run_the_kramers_pair_only():
     params = inspect.signature(perturbation._second_order_terms).parameters
-    assert list(params) == ["w1", "w2", "w1v", "l1", "truncation"]
+    assert list(params) == ["w1", "w2", "w1v", "l1"]
+
+
+def test_pseudoinverse_takes_no_truncation_or_tolerance():
+    for function in (perturbation.pseudoinverse, perturbation._pseudoinverse):
+        assert list(inspect.signature(function).parameters) == ["c", "n"]
 
 
 def test_dirac_operator_takes_the_grid_size_without_default():

@@ -17,7 +17,9 @@ rotation E -> R E R^T of the (x^2, x^3) plane, which fixes x^1: under all
 three the expansion coefficients of +1 and -1 stay as they are. The laws
 need no reference value, so they guard random families, on the coefficient
 routes the stacked products and sums of their arithmetic, and on
-``spectrum_sweep`` the bits of the Galerkin matrix.
+``spectrum_sweep`` the bits of the Galerkin matrix. The ``galerkin_fit``
+route, whose fits round at a far coarser level, is held to the same laws on
+the bundled examples, within bounds of its own.
 """
 
 import numpy as np
@@ -52,6 +54,12 @@ SWEEP_EPS = (0.15, -0.1, 0.05)
 # deviation was 4.2e-17 (translation), 0 (half turn) and 1.1e-16 (rotation,
 # which rounds E1 and E2 themselves), and 1.1e-16 (rotation) on the examples.
 KEPT_LAW_TOL = 2 * np.finfo(float).eps
+# The galerkin_fit route under all four laws, relative to max(1, |c|), for
+# (c1, c2): on the four examples at the shifts and angles of the tests the
+# worst deviation was 8.5e-12 and 1.2e-9 (kept laws) and 2.9e-12 and 4.6e-10
+# (reversal; 5.7e-10 in the asymmetry sum), so the bounds keep a factor 8
+# over every law and stay far below the fit gates of asympt, 1e-6 and 1e-4.
+FIT_LAW_TOL = (1e-10, 1e-8)
 
 FAMILIES = st.one_of(
     st.builds(CoframeFamily, coframe_fields(), coframe_fields()),
@@ -108,15 +116,18 @@ def rotated(cf: CoframeFamily, angle: float) -> CoframeFamily:
     return CoframeFamily(turn(cf.E1), turn(cf.E2))
 
 
-def assert_kept_laws(cf: CoframeFamily, shift: float, angle: float) -> None:
-    """Translation, half turn and rotation keep all four coefficients."""
-    for route in ROUTES:
+def assert_kept_laws(cf: CoframeFamily, shift: float, angle: float, routes=ROUTES,
+                     tols=(KEPT_LAW_TOL, KEPT_LAW_TOL)) -> None:
+    """Translation, half turn and rotation keep all four coefficients, c1
+    within ``tols[0]`` and c2 within ``tols[1]``."""
+    for route in routes:
         before = perturbation_report(cf, route)
         for family in (translated(cf, shift), half_turned(cf), rotated(cf, angle)):
             after = perturbation_report(family, route)
-            for name in (*PAIRS[0], *PAIRS[1]):
-                expected = getattr(before, name)
-                assert abs(getattr(after, name) - expected) <= KEPT_LAW_TOL * max(1.0, abs(expected)), name
+            for pair, tol in zip(PAIRS, tols):
+                for name in pair:
+                    expected = getattr(before, name)
+                    assert abs(getattr(after, name) - expected) <= tol * max(1.0, abs(expected)), name
 
 
 def assert_spectrum_laws(cf: CoframeFamily, a: float, angle: float) -> None:
@@ -131,16 +142,18 @@ def assert_spectrum_laws(cf: CoframeFamily, a: float, angle: float) -> None:
             assert np.max(deviation) <= SPECTRUM_LAW_TOL, f"eps={report.eps}"
 
 
-def assert_reversal_law(cf: CoframeFamily) -> None:
-    for route in ROUTES:
+def assert_reversal_law(cf: CoframeFamily, routes=ROUTES, tols=(LAW_TOL, LAW_TOL)) -> None:
+    """Reversal negates and swaps the coefficients of +1 and -1, c1 within
+    ``tols[0]`` and c2 and the asymmetry within ``tols[1]``."""
+    for route in routes:
         before = perturbation_report(cf, route)
         after = perturbation_report(reversed_orientation(cf), route)
-        for plus, minus in PAIRS:
+        for (plus, minus), tol in zip(PAIRS, tols):
             for new, old in ((plus, minus), (minus, plus)):
                 expected = -getattr(before, old)
-                assert abs(getattr(after, new) - expected) <= LAW_TOL * max(1.0, abs(expected))
+                assert abs(getattr(after, new) - expected) <= tol * max(1.0, abs(expected))
         scale = max(1.0, abs(before.lambda2_plus), abs(before.lambda2_minus))
-        assert abs(after.asymmetry2 + before.asymmetry2) <= LAW_TOL * scale
+        assert abs(after.asymmetry2 + before.asymmetry2) <= tols[1] * scale
 
 
 @settings(max_examples=60)
@@ -177,6 +190,14 @@ def test_translation_half_turn_and_rotation_keep_the_coefficients(cf, shift, ang
 def test_kept_laws_hold_on_the_examples(name):
     for shift, angle in ((0.7, 0.3), (-2.0, 2.5)):
         assert_kept_laws(load_example(name).family(), shift, angle)
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_fit_route_keeps_the_laws_on_the_examples(name):
+    cf = load_example(name).family()
+    assert_reversal_law(cf, ("galerkin_fit",), FIT_LAW_TOL)
+    for shift, angle in ((0.7, 0.3), (-2.0, 2.5)):
+        assert_kept_laws(cf, shift, angle, ("galerkin_fit",), FIT_LAW_TOL)
 
 
 @settings(max_examples=30)
