@@ -624,7 +624,7 @@ class TestCli:
         assert len(load_peaks) == 2 and max(load_peaks) <= 6 << 20
 
     def test_high_harmonic_asympt_exits_3_in_bounded_memory(self, tmp_path, capsys):
-        # the operator route's pseudoinverse runs over |q| <= deg h + 4 = 20004;
+        # h has degree 20000, which once sized the pseudoinverse at |q| <= 20004;
         # a dense Toeplitz kernel of that size in apply asked for 11.9 GiB, and
         # asympt exited 1 with a traceback. As one field product per apply the
         # route peaked at 44 MiB (measured), and the galerkin_fit route reports
