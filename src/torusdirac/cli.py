@@ -21,7 +21,8 @@ from . import galerkin as gk
 from . import perturbation as pt
 from .config import EXAMPLE_NAMES, ConfigError, RunConfig, _require_memory, load_config_file, parse_eps_list
 from .config import parse_modes
-from .geometry import NumericalContractError, _arc_lengths
+from .dirac import dirac_operator
+from .geometry import NumericalContractError, _arc_lengths, default_grid
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -162,7 +163,7 @@ def cmd_dump_matrix(cfg: RunConfig) -> str:
     """Row-major text dump of the Galerkin matrix, entries as re+imi."""
     if len(cfg.eps_list) != 1:
         raise ConfigError("dump-matrix needs exactly one eps value")
-    matrix = gk.assemble(cfg.family(), cfg.eps_list[0], cfg.m)
+    matrix = gk.galerkin_matrix(dirac_operator(cfg.family(), cfg.eps_list[0], default_grid(cfg.m)), cfg.m)
     return _dump_rows(matrix.entries)
 
 
@@ -200,7 +201,9 @@ def _check_matrix_memory(m: int) -> None:
     """Raise ConfigError when the dense complex Galerkin matrix of truncation
     m, 16 * (2(2m+1))^2 bytes, would take more than a quarter of physical
     memory; checked before any grid or matrix is allocated. A solve holds
-    about two such matrices: the matrix and ``eigvalsh``'s working copy."""
+    about two such matrices: the matrix and ``eigvalsh``'s working copy; a
+    paired solve (``galerkin._paired_eigenvalues``) holds less, the matrix and
+    two blocks of a quarter of its size."""
     _require_memory(16 * (2 * (2 * m + 1)) ** 2, f"m={m}", "Galerkin matrix")
 
 

@@ -12,6 +12,9 @@ The gather reads the real functions of the operator through
 ``trigpoly.real_spectrum``, c_-k = conj(c_k), so the matrix equals its
 adjoint by construction. Every eps-sweep of the package goes through
 ``spectrum_sweep``; ``track_pairs`` tracks all (eps, mode) cells of one.
+The matrix of a family with a half turn (``geometry._half_turn_phase``)
+splits into two conjugate blocks of order 2m+1, each with one eigenvalue of
+every Kramers pair: ``spectrum_sweep`` solves one, by ``_paired_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dirac import DiracOperator, dirac_operator, dirac_operators
-from .geometry import CoframeFamily, NumericalContractError, default_grid
+from .dirac import DiracOperator, dirac_operators
+from .geometry import CoframeFamily, NumericalContractError, _half_turn_phase, default_grid
 from .trigpoly import real_spectrum
 
 PAIRING_TOL = 1e-8
@@ -136,14 +139,31 @@ def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
     return GalerkinMatrix(m=m, entries=entries.reshape(2 * w, 2 * w))
 
 
-def assemble(cf: CoframeFamily, eps: float, m: int) -> GalerkinMatrix:
-    """Galerkin matrix of the family at ``eps``, on the grid ``default_grid(m)``."""
-    return galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m)
-
-
 def eigenvalues(gm: GalerkinMatrix) -> np.ndarray:
     """All 2(2m+1) eigenvalues, ascending (LAPACK Hermitian solver)."""
     return np.linalg.eigvalsh(gm.entries)
+
+
+def _paired_eigenvalues(gm: GalerkinMatrix, theta: complex) -> np.ndarray:
+    """All 2(2m+1) eigenvalues, ascending, of the matrix H of a family with
+    the half-turn pairing phase ``theta``, whose operator commutes with the
+    unitary v_i -> theta w_i, w_i -> conj(theta) v_i: one solve of the block
+
+        (1/2) ((vv + ww) - (theta vw + conj(theta) wv))
+
+    on the pairs (v_i - theta w_i)/sqrt(2), vv, vw, wv, ww the blocks of H
+    between the v and w rows, each eigenvalue repeated for its Kramers
+    partner in the conjugate block on (v_i + theta w_i)/sqrt(2). The two sums
+    are each Hermitian under ``==``, as H is, so the block is too; the
+    coupling of the blocks that this drops is rounding. Formed in place, so
+    that at most two arrays of the block's size live next to H."""
+    h = gm.entries
+    vv, vw, wv, ww = h[0::2, 0::2], h[0::2, 1::2], h[1::2, 0::2], h[1::2, 1::2]
+    block = theta * vw
+    block += np.conj(theta) * wv
+    np.subtract(vv + ww, block, out=block)
+    block *= 0.5
+    return np.repeat(np.linalg.eigvalsh(block), 2)
 
 
 @dataclass(frozen=True)
@@ -243,9 +263,13 @@ def spectrum_sweep(cf: CoframeFamily, eps_values, m: int) -> list[SpectrumReport
     """The untracked spectra at ``eps_values`` on ``default_grid(m)``, from
     one ``dirac_operators`` pass, which raises before any matrix is built,
     each with the bits of the pass over its eps alone; the matrices are
-    solved one eps at a time."""
+    solved one eps at a time, by ``eigenvalues``, or by ``_paired_eigenvalues``
+    when the family has a half-turn pairing phase, which gives each of its
+    pairs a gap of exactly 0."""
     ops = dirac_operators(cf, eps_values, default_grid(m))
+    theta = _half_turn_phase(cf)
+    solve = eigenvalues if theta is None else lambda gm: _paired_eigenvalues(gm, theta)
     return [
-        SpectrumReport(eps=float(eps), m=m, eigenvalues=eigenvalues(galerkin_matrix(op, m)))
+        SpectrumReport(eps=float(eps), m=m, eigenvalues=solve(galerkin_matrix(op, m)))
         for eps, op in zip(eps_values, ops)
     ]

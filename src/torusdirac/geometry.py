@@ -133,6 +133,26 @@ class CoframeFamily:
         return cls(E1, E2)
 
 
+# the pairing phase of each half turn E(x) -> S E(-x) S, S = diag(signs), in the
+# order they are tried
+_HALF_TURNS = ((1.0 + 0j, (-1, -1, 1)), (1j, (-1, 1, -1)))
+
+
+def _half_turn_phase(cf: CoframeFamily) -> complex | None:
+    """The pairing phase theta of a family invariant under a half turn
+    E(x) -> S E(-x) S: 1 for S = diag(-1, -1, 1), tried first, i for
+    S' = diag(-1, 1, -1), None for neither. A real function is even in x
+    exactly when its coefficients are real and odd exactly when they are
+    imaginary, so S holds when every coefficient of E1 and E2 is real where
+    S_aa S_bb = +1 and imaginary where it is -1: an exact test, ``== 0`` on
+    the other part, with no tolerance (see ``galerkin._paired_eigenvalues``)."""
+    entries = [(a, b, c) for e in (cf.E1, cf.E2) for a, row in enumerate(e) for b, c in enumerate(row)]
+    for theta, s in _HALF_TURNS:
+        if all(np.all((c.imag if s[a] == s[b] else c.real) == 0) for a, b, c in entries):
+            return theta
+    return None
+
+
 def _metric_data(cf: CoframeFamily, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """What the coefficient routes read of g = I + eps*h + (eps^2/4)*k + O(eps^3):
     h = E1 + E1^T, one stack (3, 3, 2D+1) at the degree D of E1, and the

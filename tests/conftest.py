@@ -334,6 +334,53 @@ def mixed_degree_fields(draw, amplitude=AMPLITUDE) -> tuple:
     return m3(rows)
 
 
+# The half turns E(x) -> S E(-x) S that keep the orientation, S = diag(signs),
+# each with its Galerkin pairing phase and the wave, cos(x) or sin(x), that it
+# allows at entries (0, 1) and (1, 0) and the other half turn forbids there;
+# P = diag(-1, 1, 1) reverses the orientation, and -I is the law E(x) = E(-x).
+HALF_TURNS = {(-1, -1, 1): (1, COS), (-1, 1, -1): (1j, SIN)}
+P_SIGNS, MINUS_I_SIGNS = (-1, 1, 1), (-1, -1, -1)
+
+
+def with_parity(x, signs) -> tuple:
+    """The field ``x`` with the part of each entry (a, b) that E(x) =
+    S E(-x) S forbids, S = diag(signs), zeroed: the odd part of the function,
+    the imaginary part of its coefficients, where signs[a] signs[b] = 1, and
+    the even part, the real part, where it is -1."""
+    return m3([[c.real if signs[a] == signs[b] else 1j * c.imag for b, c in enumerate(row)]
+               for a, row in enumerate(x)])
+
+
+@st.composite
+def parity_families(draw, signs=None, marker=((1, 2), COS)) -> CoframeFamily:
+    """A family from two ``coframe_fields`` draws, each ``with_parity(signs)``
+    unless ``signs`` is None, in coframe form or in perturbation form (h and k
+    each a draw plus its transpose). The draw's entries ``marker[0]`` and its
+    transpose are set to ``marker[1]`` of harmonic 1 at a drawn amplitude
+    0.01-0.1, so that the family breaks every law that forbids that wave
+    there, whatever the other draws: the default, cos(x) at (1, 2) and (2, 1),
+    breaks both half turns and keeps P and -I."""
+    x, y = draw(coframe_fields()), draw(coframe_fields())
+    if signs is not None:
+        x, y = with_parity(x, signs), with_parity(y, signs)
+    (a, b), wave = marker
+    x = [list(row) for row in x]
+    x[a][b] = x[b][a] = wave(1, draw(st.floats(0.01, 0.1)))
+    if draw(st.booleans()):
+        return CoframeFamily(x, y)
+    return CoframeFamily.from_perturbation(*(entrywise(poly_add, f, transpose(f)) for f in (x, y)))
+
+
+@st.composite
+def half_turn_families(draw) -> tuple:
+    """(family, theta): a ``parity_families`` draw for S or S' of
+    ``HALF_TURNS``, with its pairing phase theta, whose entries (0, 1) and
+    (1, 0) carry the wave that the other half turn forbids there."""
+    signs = draw(st.sampled_from(sorted(HALF_TURNS)))
+    theta, wave = HALF_TURNS[signs]
+    return draw(parity_families(signs, ((0, 1), wave))), theta
+
+
 def assert_sigfigs(value: float, printed: float, nsig: int) -> None:
     """Check agreement with a printed reference to nsig significant figures."""
     assert printed != 0
@@ -552,6 +599,12 @@ def reference_operator_route(cf: CoframeFamily) -> list[float]:
         l1.append(first)
         l2.append(float((inner(reference_apply(w2, v), v) - inner(shifted, v)).real))
     return l1 + l2
+
+
+# |eigenvalue - reference| relative to max(1, |reference|), for the sweep
+# against the conftest gather and for the paired solve against the full one
+# (see CHANGES.md for the worst cases measured)
+EIGENVALUE_TOL = 1e-12
 
 
 def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:

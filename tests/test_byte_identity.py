@@ -2,8 +2,10 @@
 
 ``dirac_operators`` builds every eps's operator of a sweep in one pass, and
 ``dirac_operator`` is that pass over one eps; ``spectrum_sweep`` solves the
-pass's operators one eps at a time. Every operator and spectrum of a pass
-must have the bits of the pass over its eps alone. The pass forms det e, the
+pass's operators one eps at a time, a family with a half-turn pairing phase
+by the paired solve of one block. Every operator and spectrum of a pass
+must have the bits of the pass over its eps alone, and a paired spectrum
+must agree with the full solve of its matrix to rounding. The pass forms det e, the
 frame column and the potential pointwise from samples of E1 and E2, where
 the reference in conftest builds det e and the potential numerator in
 coefficient arithmetic and inverts the coframe samples: the two agree to
@@ -48,14 +50,13 @@ from torusdirac import CoframeFamily, dirac_operator
 from torusdirac import galerkin_matrix, load_config_file, load_example, perturbation_report
 from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.dirac import DiracOperator, _first_order_operator, dirac_operators, inner
-from torusdirac import galerkin
-from torusdirac.galerkin import eigenvalues, spectrum_sweep
+from torusdirac.galerkin import _paired_eigenvalues, spectrum_sweep
 from torusdirac.perturbation import pseudoinverse
-from torusdirac.geometry import _metric_data, default_grid
+from torusdirac.geometry import _half_turn_phase, _metric_data, default_grid
 from torusdirac.trigpoly import _field_product, matmul_entry, resize_degree, stack_field
 
 from conftest import coframe_fields, matmul, mixed_degree_fields, reference_apply, reference_closed_route
-from conftest import reference_galerkin
+from conftest import EIGENVALUE_TOL, half_turn_families, reference_galerkin
 from conftest import reference_h, reference_k, reference_operator_hats, reference_operator_route
 from conftest import reference_product_entry, same_bytes, stacked
 
@@ -77,9 +78,9 @@ LARGE_TRUNCATIONS = (64, 100)  # orders 258 and 402, on default_grid(m)
 # eigenvalues relative to max(1, |lambda|): a few times the worst case
 # measured over the families and strategies of this file (see CHANGES.md);
 # with the half spectra the worst cases were 4.4e-16, 7.2e-18 and 8.6e-14
+# (EIGENVALUE_TOL, in conftest)
 A_TOL = 2e-15
 P_TOL = 3e-17
-EIGENVALUE_TOL = 1e-12
 # |matrix - reference| relative to max(1, largest |entry|): the worst case
 # measured was 3.0e-16 over these families and 300 random coframe draws
 MATRIX_TOL = 1e-15
@@ -137,10 +138,15 @@ def assert_sweep_operator_matches(cf: CoframeFamily, eps_values, n: int) -> None
 def assert_sweep_matches(cf: CoframeFamily, eps_values, m: int) -> None:
     reports = spectrum_sweep(cf, eps_values, m)
     assert [r.eps for r in reports] == [float(eps) for eps in eps_values]
+    theta = _half_turn_phase(cf)
     for eps, report in zip(eps_values, reports):
-        alone = np.linalg.eigvalsh(galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m).entries)
+        gm = galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m)
+        full = np.linalg.eigvalsh(gm.entries)
+        alone = full if theta is None else _paired_eigenvalues(gm, theta)
         assert report.m == m and report.tracked == {}
         assert same_bytes(report.eigenvalues, alone), f"eigenvalues differ from one eps at eps={eps!r}"
+        drift = np.abs(report.eigenvalues - full) / np.maximum(1.0, np.abs(full))
+        assert np.max(drift) <= EIGENVALUE_TOL, f"eigenvalues differ from the full solve at eps={eps!r}, m={m}"
         op = DiracOperator(*reference_operator_hats(cf, eps, default_grid(m)))
         expected = np.linalg.eigvalsh(reference_galerkin(op, m))
         drift = np.abs(report.eigenvalues - expected) / np.maximum(1.0, np.abs(expected))
@@ -235,6 +241,7 @@ def test_matrix_matches_reference_in_many_strips(name):
 # ----------------------------------------------------------------------
 
 COFRAMES = st.builds(CoframeFamily, coframe_fields(), coframe_fields())
+HALF_TURN_COFRAMES = half_turn_families().map(lambda drawn: drawn[0])
 MIXED_COFRAMES = st.builds(CoframeFamily, mixed_degree_fields(), mixed_degree_fields())
 # entries up to 1e-4 .. 100 in size, one size per coframe
 SCALED_FIELDS = st.integers(-4, 2).flatmap(
@@ -279,17 +286,18 @@ class TestRandomCoframes:
         assert_exactly_hermitian(dirac_operator(cf, eps, default_grid(m)), m)
 
     @settings(max_examples=25)
-    @given(st.one_of(COFRAMES, MIXED_COFRAMES), EPS_LIST, st.sampled_from(SWEEP_TRUNCATIONS))
+    @given(st.one_of(COFRAMES, MIXED_COFRAMES, HALF_TURN_COFRAMES), EPS_LIST, st.sampled_from(SWEEP_TRUNCATIONS))
     def test_sweep_matrices_are_exactly_hermitian(self, cf, eps_values, m):
-        # every matrix that spectrum_sweep solves, recorded on its way to eigvalsh
-        solved = []
+        # every matrix that spectrum_sweep solves, the gathered one or the
+        # paired block of a half-turn family, recorded on its way to eigvalsh
+        solved, eigvalsh = [], np.linalg.eigvalsh
 
-        def recorded(gm):
-            solved.append(gm.entries)
-            return eigenvalues(gm)
+        def recorded(entries):
+            solved.append(entries)
+            return eigvalsh(entries)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(galerkin, "eigenvalues", recorded)
+            patch.setattr(np.linalg, "eigvalsh", recorded)
             spectrum_sweep(cf, eps_values, m)
         assert len(solved) == len(eps_values)
         assert all(np.array_equal(entries, entries.conj().T) for entries in solved)

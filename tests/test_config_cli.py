@@ -411,13 +411,12 @@ class TestCli:
     @pytest.mark.parametrize("command", ["galerkin", "fit", "asympt", "dump-matrix"])
     def test_matrix_past_memory_bound_is_config_error(self, command, monkeypatch, capsys):
         # m = 25: the dense matrix takes 16 * 102^2 = 166,464 bytes, more
-        # than a quarter of the 600,000 bytes reported here; dump-matrix
-        # builds it by assemble, the other commands by galerkin_matrix
+        # than a quarter of the 600,000 bytes reported here; every command
+        # builds it by galerkin_matrix
         def no_assembly(*args, **kwargs):
             raise AssertionError("a matrix was assembled past the memory bound")
 
         monkeypatch.setattr(config, "_physical_memory", lambda: 600_000)
-        monkeypatch.setattr(galerkin, "assemble", no_assembly)
         monkeypatch.setattr(galerkin, "galerkin_matrix", no_assembly)
         extra = ["--eps", "0.1"] if command == "dump-matrix" else []
         assert main([command, "--config", "example-galerkin-1", *extra]) == 2
@@ -497,14 +496,16 @@ class TestCli:
         assert len(built) == 1
 
     def test_eigensolver_failure_exit_code(self, monkeypatch, capsys):
-        # LinAlgError subclasses ValueError but is a numerical failure
-        def no_convergence(gm):
+        # LinAlgError subclasses ValueError but is a numerical failure, of the
+        # paired solve (example-galerkin-1) as of the full one (example-explicit-1)
+        def no_convergence(entries):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(galerkin, "eigenvalues", no_convergence)
-        code = main(["galerkin", "--config", "example-galerkin-1", "--eps", "0.1"])
-        assert code == 3
-        assert "numerical contract violation" in capsys.readouterr().err
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        for name in ("example-galerkin-1", "example-explicit-1"):
+            code = main(["galerkin", "--config", name, "--eps", "0.1"])
+            assert code == 3
+            assert "numerical contract violation" in capsys.readouterr().err
 
     def test_nan_samples_stop_before_the_matrix(self, monkeypatch, capsys):
         # eps^2 = inf turns the coframe's E2 terms into inf and NaN: a check

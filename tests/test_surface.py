@@ -94,6 +94,7 @@ DELETED = [
     "geometry._k_block",
     "perturbation._require_finite",
     "perturbation.TruncationError",
+    "galerkin.assemble",
 ]
 
 # names that left the top level but stay importable from their modules

@@ -20,19 +20,32 @@ routes the stacked products and sums of their arithmetic, and on
 ``spectrum_sweep`` the bits of the Galerkin matrix. The ``galerkin_fit``
 route, whose fits round at a far coarser level, is held to the same laws on
 the bundled examples, within bounds of its own.
+
+A family that is itself invariant under the half turn S, or under
+S' = diag(-1, 1, -1), splits the Galerkin matrix into two conjugate blocks
+of order 2m+1, each with one eigenvalue of every Kramers pair; the exact
+test ``geometry._half_turn_phase`` finds it, and ``spectrum_sweep`` then
+solves one block. The tests below hold the test to the families built with
+and without the law, and the paired spectrum to the full solve of the same
+matrix.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdirac import CoframeFamily, load_example, perturbation_report
+from torusdirac import CoframeFamily, dirac_operator, galerkin_matrix, load_config_file, load_example
+from torusdirac import perturbation_report
 from torusdirac.config import EXAMPLE_NAMES
-from torusdirac.galerkin import spectrum_sweep
+from torusdirac.galerkin import _paired_eigenvalues, spectrum_sweep
+from torusdirac.geometry import _half_turn_phase, default_grid
 from torusdirac.trigpoly import field_degree, stack_field
 
-from conftest import coframe_fields, mixed_degree_fields
+from conftest import EIGENVALUE_TOL, MINUS_I_SIGNS, P_SIGNS, coframe_fields, half_turn_families
+from conftest import mixed_degree_fields, parity_families, same_bytes
 
 ROUTES = ("closed_form", "operator")
 PAIRS = (("lambda1_plus", "lambda1_minus"), ("lambda2_plus", "lambda2_minus"))
@@ -211,3 +224,81 @@ def test_reversal_negates_and_translation_keeps_the_spectrum(cf, a, angle):
 def test_spectrum_laws_hold_on_the_examples(name):
     for a, angle in ((0.7, 0.3), (-2.0, 2.5)):
         assert_spectrum_laws(load_example(name).family(), a, angle)
+
+
+# the pinned families with a half-turn pairing phase; the other bundled
+# examples and golden configs have none
+GOLDEN = Path(__file__).parent / "golden"
+PINNED_PHASES = {"example-galerkin-1": 1, "example-galerkin-2": 1}
+PINNED_CONFIGS = {name: name for name in EXAMPLE_NAMES}
+PINNED_CONFIGS.update({path.stem: str(path) for path in sorted(GOLDEN.glob("*.cfg"))})
+# the smallest subnormal: a forbidden part this small still breaks the law
+TINY = 5e-324
+
+
+def conjugate_block(entries: np.ndarray, theta: complex) -> np.ndarray:
+    """(1/2) ((vv + ww) + (theta vw + conj(theta) wv)), the block of H on the
+    pairs (v_i + theta w_i)/sqrt(2), conjugate to the one that
+    ``spectrum_sweep`` solves."""
+    vv, vw, wv, ww = entries[0::2, 0::2], entries[0::2, 1::2], entries[1::2, 0::2], entries[1::2, 1::2]
+    return 0.5 * ((vv + ww) + (theta * vw + np.conj(theta) * wv))
+
+
+def assert_close_to_full(ev: np.ndarray, full: np.ndarray) -> None:
+    drift = np.abs(ev - full) / np.maximum(1.0, np.abs(full))
+    assert np.max(drift) <= EIGENVALUE_TOL, f"drift {np.max(drift):.1e}"
+
+
+def broken(cf: CoframeFamily, name: str, a: int, b: int) -> CoframeFamily:
+    """``cf`` with a forbidden part of the entry (a, b) of its field ``name``,
+    E1 or E2, a == b or {a, b} = {1, 2}, set to ``TINY``: the part that both
+    half turns forbid there, the odd part TINY sin(x) of a diagonal entry, the
+    even part TINY of (1, 2)."""
+    fields = {"E1": [list(row) for row in cf.E1], "E2": [list(row) for row in cf.E2]}
+    c = fields[name][a][b].copy()
+    if a == b:
+        d = c.size // 2
+        c[d + 1] -= 1j * TINY
+        c[d - 1] += 1j * TINY
+    else:
+        c[c.size // 2] += TINY
+    fields[name][a][b] = c
+    return CoframeFamily(fields["E1"], fields["E2"])
+
+
+@pytest.mark.parametrize("name", PINNED_CONFIGS)
+def test_half_turn_phase_of_the_pinned_families(name):
+    # a parse or representation change that loses the exact split into real
+    # and imaginary coefficients fails here, not as a slower solve
+    assert _half_turn_phase(load_config_file(PINNED_CONFIGS[name]).family()) == PINNED_PHASES.get(name)
+
+
+@settings(max_examples=40)
+@given(half_turn_families(), st.sampled_from(SWEEP_EPS), st.sampled_from((3, 25)))
+def test_half_turn_families_solve_one_paired_block(drawn, eps, m):
+    cf, theta = drawn
+    assert _half_turn_phase(cf) == theta
+    gm = galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m)
+    full = np.linalg.eigvalsh(gm.entries)
+    paired = _paired_eigenvalues(gm, theta)
+    assert same_bytes(paired, spectrum_sweep(cf, (eps,), m)[0].eigenvalues)
+    assert np.array_equal(paired[0::2], paired[1::2])  # the Kramers pairs, gap 0
+    assert_close_to_full(paired, full)
+    conjugate = np.linalg.eigvalsh(conjugate_block(gm.entries, theta))
+    assert_close_to_full(np.repeat(conjugate, 2), full)
+
+
+@settings(max_examples=40)
+@given(st.one_of(parity_families(), parity_families(P_SIGNS), parity_families(MINUS_I_SIGNS)))
+def test_families_without_a_half_turn_have_no_phase(cf):
+    assert _half_turn_phase(cf) is None
+
+
+# the entries whose forbidden part is the same under both half turns
+BROKEN_ENTRIES = [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)]
+
+
+@settings(max_examples=40)
+@given(half_turn_families(), st.sampled_from(["E1", "E2"]), st.sampled_from(BROKEN_ENTRIES))
+def test_a_subnormal_forbidden_part_breaks_the_half_turn(drawn, name, entry):
+    assert _half_turn_phase(broken(drawn[0], name, *entry)) is None
