@@ -132,7 +132,7 @@ def cmd_asympt(cfg: RunConfig, out_format: str) -> str:
     return text
 
 
-class RouteDisagreementError(Exception):
+class RouteDisagreementError(NumericalContractError):
     """Cross-route deviation above the contract tolerance."""
 
 
@@ -163,8 +163,8 @@ def cmd_dump_matrix(cfg: RunConfig) -> str:
     """Row-major text dump of the Galerkin matrix, entries as re+imi."""
     if len(cfg.eps_list) != 1:
         raise ConfigError("dump-matrix needs exactly one eps value")
-    matrix = gk.galerkin_matrix(dirac_operator(cfg.family(), cfg.eps_list[0], default_grid(cfg.m)), cfg.m)
-    return _dump_rows(matrix.entries)
+    op = dirac_operator(cfg.family(), cfg.eps_list[0], default_grid(cfg.m))
+    return _dump_rows(gk.galerkin_matrix(op, cfg.m))
 
 
 def _dump_rows(entries: np.ndarray) -> str:
@@ -278,6 +278,10 @@ def main(argv=None) -> int:
             text = cmd_fit(cfg, out_format, order=args.order, eps_grid=eps_grid)
         else:
             text = cmd_dump_matrix(cfg)
+    # before _NUMERIC_ERRORS, which it derives from
+    except RouteDisagreementError as exc:
+        print(f"route disagreement:\n{exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     # before ValueError: NumericalContractError and np.linalg.LinAlgError subclass it
     except _NUMERIC_ERRORS as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
@@ -285,9 +289,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RouteDisagreementError as exc:
-        print(f"route disagreement:\n{exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    # input too large for memory that got past the up-front checks: exit 2, as they do
+    except MemoryError as exc:
+        print(f"config error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if args.out_file:
         try:

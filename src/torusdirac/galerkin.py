@@ -2,8 +2,9 @@
 
 The operator is projected onto the span of the unperturbed eigenfunctions
 v_i, w_i for i = -m..m, giving a Hermitian matrix of order 2(2m+1) whose
-spectrum approximates the perturbed one. The basis consists of plane waves,
-so every matrix entry is a closed form in the Fourier coefficients of the
+spectrum approximates the perturbed one; ``galerkin_matrix`` returns it as a
+plain read-only ndarray, which the solves take. The basis consists of plane
+waves, so every matrix entry is a closed form in the Fourier coefficients of the
 symbol B and the potential p that the operator holds: the matrix is a gather
 of those coefficients, never built by applying the operator to the basis.
 The basis couples only through the finitely many harmonics of the
@@ -60,25 +61,6 @@ def basis_spinor(i: int, kind: str) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
-class GalerkinMatrix:
-    """Hermitian Galerkin matrix of order 2(2m+1).
-
-    Rows are indexed by (i, kind) with i = -m..m and the v row preceding the
-    w row within each i: (i, v) is row 2(i + m) and (i, w) the next one.
-    """
-
-    m: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    @property
-    def order(self) -> int:
-        return 2 * (2 * self.m + 1)
-
-
 def _hankel(c: np.ndarray, w: int, s_r: int, s_col: int) -> np.ndarray:
     """Copy-free (w, w) view of the 1-d contiguous ``c`` (2w - 1 entries) with
     element [r, col] = c[R + C], where R = r for s_r = 1 and w-1-r for s_r = -1,
@@ -101,8 +83,11 @@ def _weights(m: int) -> np.ndarray:
     return q
 
 
-def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
-    """Assemble H[(j, b), (i, a)] = <W phi_i^a, phi_j^b> in closed form.
+def galerkin_matrix(op: DiracOperator, m: int) -> np.ndarray:
+    """The Hermitian Galerkin matrix H[(j, b), (i, a)] = <W phi_i^a, phi_j^b>
+    of order 2(2m+1), assembled in closed form as a read-only complex array.
+    Rows are indexed by (i, kind) with i = -m..m and the v row preceding the
+    w row within each i: (i, v) is row 2(i + m) and (i, w) the next one.
 
     Each basis function is a plane wave phi = c u e^{iqx} with c^2 = 1/(4pi):
     v_i has q = i, u = (1, 1) and w_i has q = -i, u = (-1, 1). With B^ and p^
@@ -136,28 +121,31 @@ def galerkin_matrix(op: DiracOperator, m: int) -> GalerkinMatrix:
         if a == b:  # u_r^T u_col is 2 within a kind and 0 across kinds
             np.add(block, _hankel(p_hat, w, s_r, s_col), out=block)
     np.conjugate(entries[:, 0, :, 1].T, out=entries[:, 1, :, 0])
-    return GalerkinMatrix(m=m, entries=entries.reshape(2 * w, 2 * w))
+    h = entries.reshape(2 * w, 2 * w)
+    h.setflags(write=False)
+    return h
 
 
-def eigenvalues(gm: GalerkinMatrix) -> np.ndarray:
-    """All 2(2m+1) eigenvalues, ascending (LAPACK Hermitian solver)."""
-    return np.linalg.eigvalsh(gm.entries)
+def eigenvalues(h: np.ndarray) -> np.ndarray:
+    """All 2(2m+1) eigenvalues of the matrix ``h`` of ``galerkin_matrix``,
+    ascending (LAPACK Hermitian solver)."""
+    return np.linalg.eigvalsh(h)
 
 
-def _paired_eigenvalues(gm: GalerkinMatrix, theta: complex) -> np.ndarray:
-    """All 2(2m+1) eigenvalues, ascending, of the matrix H of a family with
-    the half-turn pairing phase ``theta``, whose operator commutes with the
-    unitary v_i -> theta w_i, w_i -> conj(theta) v_i: one solve of the block
+def _paired_eigenvalues(h: np.ndarray, theta: complex) -> np.ndarray:
+    """All 2(2m+1) eigenvalues, ascending, of the matrix ``h`` of
+    ``galerkin_matrix`` for a family with the half-turn pairing phase
+    ``theta``, whose operator commutes with the unitary v_i -> theta w_i,
+    w_i -> conj(theta) v_i: one solve of the block
 
         (1/2) ((vv + ww) - (theta vw + conj(theta) wv))
 
-    on the pairs (v_i - theta w_i)/sqrt(2), vv, vw, wv, ww the blocks of H
+    on the pairs (v_i - theta w_i)/sqrt(2), vv, vw, wv, ww the blocks of h
     between the v and w rows, each eigenvalue repeated for its Kramers
     partner in the conjugate block on (v_i + theta w_i)/sqrt(2). The two sums
-    are each Hermitian under ``==``, as H is, so the block is too; the
+    are each Hermitian under ``==``, as h is, so the block is too; the
     coupling of the blocks that this drops is rounding. Formed in place, so
-    that at most two arrays of the block's size live next to H."""
-    h = gm.entries
+    that at most two arrays of the block's size live next to h."""
     vv, vw, wv, ww = h[0::2, 0::2], h[0::2, 1::2], h[1::2, 0::2], h[1::2, 1::2]
     block = theta * vw
     block += np.conj(theta) * wv
@@ -178,15 +166,6 @@ class SpectrumReport:
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
         object.__setattr__(self, "tracked", MappingProxyType(dict(self.tracked)))
-
-    @property
-    def pairs(self) -> list[tuple[float, float]]:
-        """(mean, gap) of each consecutive 2-cluster of the ascending spectrum."""
-        ev = self.eigenvalues
-        return [
-            (float(ev[j : j + 2].mean()), float(ev[j + 1] - ev[j]))
-            for j in range(0, ev.size - 1, 2)
-        ]
 
 
 # the TrackingError of each rule of ``track_pairs``, in the order they are checked
@@ -268,7 +247,7 @@ def spectrum_sweep(cf: CoframeFamily, eps_values, m: int) -> list[SpectrumReport
     pairs a gap of exactly 0."""
     ops = dirac_operators(cf, eps_values, default_grid(m))
     theta = _half_turn_phase(cf)
-    solve = eigenvalues if theta is None else lambda gm: _paired_eigenvalues(gm, theta)
+    solve = eigenvalues if theta is None else lambda h: _paired_eigenvalues(h, theta)
     return [
         SpectrumReport(eps=float(eps), m=m, eigenvalues=solve(galerkin_matrix(op, m)))
         for eps, op in zip(eps_values, ops)

@@ -140,9 +140,9 @@ def assert_sweep_matches(cf: CoframeFamily, eps_values, m: int) -> None:
     assert [r.eps for r in reports] == [float(eps) for eps in eps_values]
     theta = _half_turn_phase(cf)
     for eps, report in zip(eps_values, reports):
-        gm = galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m)
-        full = np.linalg.eigvalsh(gm.entries)
-        alone = full if theta is None else _paired_eigenvalues(gm, theta)
+        h = galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m)
+        full = np.linalg.eigvalsh(h)
+        alone = full if theta is None else _paired_eigenvalues(h, theta)
         assert report.m == m and report.tracked == {}
         assert same_bytes(report.eigenvalues, alone), f"eigenvalues differ from one eps at eps={eps!r}"
         drift = np.abs(report.eigenvalues - full) / np.maximum(1.0, np.abs(full))
@@ -154,15 +154,15 @@ def assert_sweep_matches(cf: CoframeFamily, eps_values, m: int) -> None:
 
 
 def assert_matrix_close(op, m: int) -> None:
-    gm = galerkin_matrix(op, m)
+    h = galerkin_matrix(op, m)
     entries = reference_galerkin(op, m)
-    assert gm.entries.shape == entries.shape
+    assert h.shape == entries.shape
     scale = max(1.0, float(np.max(np.abs(entries))))
-    assert np.max(np.abs(gm.entries - entries)) <= MATRIX_TOL * scale, f"entries differ at m={m}"
+    assert np.max(np.abs(h - entries)) <= MATRIX_TOL * scale, f"entries differ at m={m}"
 
 
 def assert_exactly_hermitian(op, m: int) -> None:
-    entries = galerkin_matrix(op, m).entries
+    entries = galerkin_matrix(op, m)
     assert np.array_equal(entries, entries.conj().T), f"not Hermitian at m={m}"
 
 

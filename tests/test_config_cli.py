@@ -309,6 +309,23 @@ class TestCli:
         assert captured.out == "" and not target.exists()
         assert captured.err.startswith(f"config error: cannot write output {str(target)!r}")
 
+    @pytest.mark.parametrize("command,module,name", [("galerkin", galerkin, "spectrum_sweep"),
+                                                     ("asympt", pt, "perturbation_report")])
+    def test_memory_error_is_config_error(self, command, module, name, tmp_path, monkeypatch, capsys):
+        # an allocation that fails past the up-front memory checks, patched in:
+        # never allocated for real
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        monkeypatch.setattr(module, name, exhausted)
+        target = tmp_path / "out.txt"
+        for extra in ([], ["--out-file", str(target)]):
+            code = main([command, "--config", "example-galerkin-2", *extra])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == "" and not target.exists()
+            assert captured.err == "config error: out of memory: Unable to allocate 1.00 TiB for an array\n"
+
     @pytest.mark.parametrize(
         "eps,repeated", [(",".join(["0.01"] * 8), "0.01"), ("0.02,0.02,0.04,0.04,0.06,0.06,0.08,0.08", "0.02")]
     )
@@ -557,6 +574,7 @@ class TestCli:
         assert main(["asympt", "--config", "example-galerkin-2"]) == 3
         err = capsys.readouterr().err
         assert "route disagreement" in err and "lambda1_plus" in err
+        assert issubclass(cli.RouteDisagreementError, NumericalContractError)
 
     def test_under_resolved_exit_code(self, tmp_path, capsys):
         # cos(100 x) leaves an aliasing tail on the m = 25 grid of 256 points

@@ -152,9 +152,8 @@ def _array_digests() -> str:
         for eps in DIGEST_EPS:
             for m in DIGEST_TRUNCATIONS:
                 op = dirac_operator(cf, eps, default_grid(m))
-                gm = galerkin_matrix(op, m)
                 lines.append(f"{name} eps={eps!r} m={m} operator {_sha256(op.a_hat, op.p_hat)} "
-                             f"matrix {_sha256(gm.entries)}")
+                             f"matrix {_sha256(galerkin_matrix(op, m))}")
     return "".join(line + "\n" for line in lines)
 
 

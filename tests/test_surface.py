@@ -95,12 +95,13 @@ DELETED = [
     "perturbation._require_finite",
     "perturbation.TruncationError",
     "galerkin.assemble",
+    "galerkin.GalerkinMatrix",
+    "galerkin.SpectrumReport.pairs",
 ]
 
 # names that left the top level but stay importable from their modules
 MODULE_ONLY = [
     (trigpoly, "grid_points"),
-    (galerkin, "GalerkinMatrix"),
     (galerkin, "SpectrumReport"),
     (dirac, "inner"),
     (galerkin, "basis_spinor"),

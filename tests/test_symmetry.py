@@ -278,13 +278,13 @@ def test_half_turn_phase_of_the_pinned_families(name):
 def test_half_turn_families_solve_one_paired_block(drawn, eps, m):
     cf, theta = drawn
     assert _half_turn_phase(cf) == theta
-    gm = galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m)
-    full = np.linalg.eigvalsh(gm.entries)
-    paired = _paired_eigenvalues(gm, theta)
+    h = galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m)
+    full = np.linalg.eigvalsh(h)
+    paired = _paired_eigenvalues(h, theta)
     assert same_bytes(paired, spectrum_sweep(cf, (eps,), m)[0].eigenvalues)
     assert np.array_equal(paired[0::2], paired[1::2])  # the Kramers pairs, gap 0
     assert_close_to_full(paired, full)
-    conjugate = np.linalg.eigvalsh(conjugate_block(gm.entries, theta))
+    conjugate = np.linalg.eigvalsh(conjugate_block(h, theta))
     assert_close_to_full(np.repeat(conjugate, 2), full)
 
 
