@@ -202,8 +202,8 @@ def _check_matrix_memory(m: int) -> None:
     m, 16 * (2(2m+1))^2 bytes, would take more than a quarter of physical
     memory; checked before any grid or matrix is allocated. A solve holds
     about two such matrices: the matrix and ``eigvalsh``'s working copy; a
-    paired solve (``galerkin._paired_eigenvalues``) holds less, the matrix and
-    two blocks of a quarter of its size."""
+    paired solve (``galerkin._paired_block``) holds a quarter of that, one
+    block of a quarter of its size and ``eigvalsh``'s copy of the block."""
     _require_memory(16 * (2 * (2 * m + 1)) ** 2, f"m={m}", "Galerkin matrix")
 
 

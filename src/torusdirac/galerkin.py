@@ -15,7 +15,7 @@ adjoint by construction. Every eps-sweep of the package goes through
 ``spectrum_sweep``; ``track_pairs`` tracks all (eps, mode) cells of one.
 The matrix of a family with a half turn (``geometry._half_turn_phase``)
 splits into two conjugate blocks of order 2m+1, each with one eigenvalue of
-every Kramers pair: ``spectrum_sweep`` solves one, by ``_paired_eigenvalues``.
+every Kramers pair; ``spectrum_sweep`` gathers one alone (``_paired_block``).
 """
 
 from __future__ import annotations
@@ -132,26 +132,26 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
-def _paired_eigenvalues(h: np.ndarray, theta: complex) -> np.ndarray:
-    """All 2(2m+1) eigenvalues, ascending, of the matrix ``h`` of
-    ``galerkin_matrix`` for a family with the half-turn pairing phase
-    ``theta``, whose operator commutes with the unitary v_i -> theta w_i,
-    w_i -> conj(theta) v_i: one solve of the block
+def _paired_block(op: DiracOperator, m: int, theta: complex) -> np.ndarray:
+    """The Hermitian block on the pairs (v_i - theta w_i)/sqrt(2) of a family
+    with the half-turn pairing phase ``theta``, whose operator commutes with
+    v_i -> theta w_i, w_i -> conj(theta) v_i: one eigenvalue of each Kramers
+    pair, the other in the conjugate block. With k = i_r - i_col, K = i_r + i_col,
 
-        (1/2) ((vv + ww) - (theta vw + conj(theta) wv))
+        P[r, col] = (K/2) Re a1^(k) + Re p^(k) + i (k/2) t(K),
+        t = Im a3^ + Re a2^ (theta = 1),  t = Re a3^ - Im a2^ (theta = i),
 
-    on the pairs (v_i - theta w_i)/sqrt(2), vv, vw, wv, ww the blocks of h
-    between the v and w rows, each eigenvalue repeated for its Kramers
-    partner in the conjugate block on (v_i + theta w_i)/sqrt(2). The two sums
-    are each Hermitian under ``==``, as h is, so the block is too; the
-    coupling of the blocks that this drops is rounding. Formed in place, so
-    that at most two arrays of the block's size live next to h."""
-    vv, vw, wv, ww = h[0::2, 0::2], h[0::2, 1::2], h[1::2, 0::2], h[1::2, 1::2]
-    block = theta * vw
-    block += np.conj(theta) * wv
-    np.subtract(vv + ww, block, out=block)
-    block *= 0.5
-    return np.repeat(np.linalg.eigvalsh(block), 2)
+    gathered as ``galerkin_matrix`` gathers, equal under ``==`` to (1/2) ((vv +
+    ww) - (theta vw + conj(theta) wv)) over the blocks of that matrix."""
+    (a1, a2, a3), p_hat = real_spectrum(op.a_hat, 2 * m), real_spectrum(op.p_hat, 2 * m)
+    t = a3.imag + a2.real if theta == 1 else a3.real - a2.imag
+    w, weights = 2 * m + 1, _weights(m)
+    block = np.empty((w, w), dtype=complex)
+    re, im = block.real, block.imag
+    np.multiply(_hankel(weights, w, 1, -1).real, _hankel(2.0 * a1.real, w, 1, 1), out=re)
+    np.add(re, _hankel(p_hat.real.copy(), w, 1, 1), out=re)
+    np.multiply(_hankel(weights, w, 1, 1).real, _hankel(2.0 * t, w, 1, -1), out=im)
+    return block
 
 
 @dataclass(frozen=True)
@@ -241,14 +241,14 @@ def spectrum_report(cf: CoframeFamily, eps: float, m: int, modes=()) -> Spectrum
 def spectrum_sweep(cf: CoframeFamily, eps_values, m: int) -> list[SpectrumReport]:
     """The untracked spectra at ``eps_values`` on ``default_grid(m)``, from
     one ``dirac_operators`` pass, which raises before any matrix is built,
-    each with the bits of the pass over its eps alone; the matrices are
-    solved one eps at a time, by ``eigenvalues``, or by ``_paired_eigenvalues``
-    when the family has a half-turn pairing phase, which gives each of its
-    pairs a gap of exactly 0."""
+    each with the bits of the pass over its eps alone; solved one eps at a
+    time, by ``eigenvalues`` of ``galerkin_matrix``, or by one solve of the
+    ``_paired_block`` when the family has a half-turn pairing phase, each
+    eigenvalue repeated, which gives each of its pairs a gap of exactly 0."""
     ops = dirac_operators(cf, eps_values, default_grid(m))
     theta = _half_turn_phase(cf)
-    solve = eigenvalues if theta is None else lambda h: _paired_eigenvalues(h, theta)
-    return [
-        SpectrumReport(eps=float(eps), m=m, eigenvalues=solve(galerkin_matrix(op, m)))
-        for eps, op in zip(eps_values, ops)
-    ]
+    if theta is None:
+        solved = (eigenvalues(galerkin_matrix(op, m)) for op in ops)
+    else:
+        solved = (np.repeat(np.linalg.eigvalsh(_paired_block(op, m, theta)), 2) for op in ops)
+    return [SpectrumReport(eps=float(eps), m=m, eigenvalues=ev) for eps, ev in zip(eps_values, solved)]

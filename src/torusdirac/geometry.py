@@ -145,7 +145,7 @@ def _half_turn_phase(cf: CoframeFamily) -> complex | None:
     exactly when its coefficients are real and odd exactly when they are
     imaginary, so S holds when every coefficient of E1 and E2 is real where
     S_aa S_bb = +1 and imaginary where it is -1: an exact test, ``== 0`` on
-    the other part, with no tolerance (see ``galerkin._paired_eigenvalues``)."""
+    the other part, with no tolerance (see ``galerkin._paired_block``)."""
     entries = [(a, b, c) for e in (cf.E1, cf.E2) for a, row in enumerate(e) for b, c in enumerate(row)]
     for theta, s in _HALF_TURNS:
         if all(np.all((c.imag if s[a] == s[b] else c.real) == 0) for a, b, c in entries):

@@ -453,6 +453,20 @@ def reference_galerkin(op: DiracOperator, m: int) -> np.ndarray:
     return 0.5 * (entries + entries.conj().T)
 
 
+def reference_paired_block(h: np.ndarray, theta: complex) -> np.ndarray:
+    """The block (1/2) ((vv + ww) - (theta vw + conj(theta) wv)) of the
+    matrix ``h`` of ``galerkin_matrix`` on the pairs (v_i - theta w_i)/sqrt(2),
+    vv, vw, wv, ww its strided blocks between the v and w rows:
+    ``galerkin._paired_block`` must equal it under ``==``, with the bits of
+    its ``eigvalsh``."""
+    vv, vw, wv, ww = h[0::2, 0::2], h[0::2, 1::2], h[1::2, 0::2], h[1::2, 1::2]
+    block = theta * vw
+    block += np.conj(theta) * wv
+    np.subtract(vv + ww, block, out=block)
+    block *= 0.5
+    return block
+
+
 def reference_track_pair(report, n: int) -> tuple[float, float]:
     """``galerkin.track_pair`` as one cell at a time: the rules spelled out
     with ``argpartition`` on the 1-d spectrum, raising TrackingError."""

@@ -4,12 +4,13 @@
 ``dirac_operator`` is that pass over one eps; ``spectrum_sweep`` solves the
 pass's operators one eps at a time, a family with a half-turn pairing phase
 by the paired solve of one block. Every operator and spectrum of a pass
-must have the bits of the pass over its eps alone, and a paired spectrum
-must agree with the full solve of its matrix to rounding. The pass forms det e, the
-frame column and the potential pointwise from samples of E1 and E2, where
-the reference in conftest builds det e and the potential numerator in
-coefficient arithmetic and inverts the coframe samples: the two agree to
-rounding, within the bounds below.
+must have the bits of the pass over its eps alone; a paired spectrum must
+also have the bits of the solve of ``reference_paired_block``, read out of
+the full matrix, and agree with the full solve of that matrix to rounding.
+The pass forms det e, the frame column and the potential pointwise from
+samples of E1 and E2, where the reference in conftest builds det e and the
+potential numerator in coefficient arithmetic and inverts the coframe
+samples: the two agree to rounding, within the bounds below.
 
 An operator holds the half spectra of the real functions a1, a2, a3 and p,
 and ``galerkin_matrix`` mirrors them, c_-k = conj(c_k), before it gathers
@@ -50,13 +51,13 @@ from torusdirac import CoframeFamily, dirac_operator
 from torusdirac import galerkin_matrix, load_config_file, load_example, perturbation_report
 from torusdirac.config import EXAMPLE_NAMES
 from torusdirac.dirac import DiracOperator, _first_order_operator, dirac_operators, inner
-from torusdirac.galerkin import _paired_eigenvalues, spectrum_sweep
+from torusdirac.galerkin import spectrum_sweep
 from torusdirac.perturbation import pseudoinverse
 from torusdirac.geometry import _half_turn_phase, _metric_data, default_grid
 from torusdirac.trigpoly import _field_product, matmul_entry, resize_degree, stack_field
 
 from conftest import coframe_fields, matmul, mixed_degree_fields, reference_apply, reference_closed_route
-from conftest import EIGENVALUE_TOL, half_turn_families, reference_galerkin
+from conftest import EIGENVALUE_TOL, half_turn_families, reference_galerkin, reference_paired_block
 from conftest import reference_h, reference_k, reference_operator_hats, reference_operator_route
 from conftest import reference_product_entry, same_bytes, stacked
 
@@ -142,7 +143,7 @@ def assert_sweep_matches(cf: CoframeFamily, eps_values, m: int) -> None:
     for eps, report in zip(eps_values, reports):
         h = galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m)
         full = np.linalg.eigvalsh(h)
-        alone = full if theta is None else _paired_eigenvalues(h, theta)
+        alone = full if theta is None else np.repeat(np.linalg.eigvalsh(reference_paired_block(h, theta)), 2)
         assert report.m == m and report.tracked == {}
         assert same_bytes(report.eigenvalues, alone), f"eigenvalues differ from one eps at eps={eps!r}"
         drift = np.abs(report.eigenvalues - full) / np.maximum(1.0, np.abs(full))

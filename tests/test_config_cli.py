@@ -428,13 +428,15 @@ class TestCli:
     @pytest.mark.parametrize("command", ["galerkin", "fit", "asympt", "dump-matrix"])
     def test_matrix_past_memory_bound_is_config_error(self, command, monkeypatch, capsys):
         # m = 25: the dense matrix takes 16 * 102^2 = 166,464 bytes, more
-        # than a quarter of the 600,000 bytes reported here; every command
-        # builds it by galerkin_matrix
+        # than a quarter of the 600,000 bytes reported here; dump-matrix
+        # builds it by galerkin_matrix, and the other commands solve this
+        # half-turn family by the block of _paired_block
         def no_assembly(*args, **kwargs):
             raise AssertionError("a matrix was assembled past the memory bound")
 
         monkeypatch.setattr(config, "_physical_memory", lambda: 600_000)
         monkeypatch.setattr(galerkin, "galerkin_matrix", no_assembly)
+        monkeypatch.setattr(galerkin, "_paired_block", no_assembly)
         extra = ["--eps", "0.1"] if command == "dump-matrix" else []
         assert main([command, "--config", "example-galerkin-1", *extra]) == 2
         captured = capsys.readouterr()

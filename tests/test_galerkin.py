@@ -15,6 +15,7 @@ from torusdirac import (
     UnderResolvedError,
     dirac_operator,
     eigenvalues,
+    fit_expansion,
     galerkin_matrix,
     load_example,
     spectrum_report,
@@ -96,6 +97,32 @@ class TestAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * h.nbytes
+
+
+class TestPairedSolve:
+    """A half-turn family's solve gathers one block of order 2m+1 from the
+    operator and never forms the full matrix of order 2(2m+1)."""
+
+    def test_no_full_matrix_is_formed(self, monkeypatch):
+        def refuse(op, m):
+            raise AssertionError("galerkin_matrix called for a half-turn family")
+
+        monkeypatch.setattr(galerkin, "galerkin_matrix", refuse)
+        cf = load_example("example-galerkin-2").family()
+        assert [r.eigenvalues.shape for r in spectrum_sweep(cf, (0.2, 0.1), 25)] == [(102,), (102,)]
+        assert set(spectrum_report(cf, 0.1, 25, modes=(-1, 0, 1)).tracked) == {-1, 0, 1}
+        assert set(fit_expansion(cf, (-1, 0, 1), order=4)) == {-1, 0, 1}
+
+    def test_report_peaks_below_half_a_full_matrix(self):
+        m = 200
+        cf = load_example("example-galerkin-2").family()
+        tracemalloc.start()
+        try:
+            spectrum_report(cf, 0.1, m, modes=(0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 16 * (2 * (2 * m + 1)) ** 2
 
 
 class TestClosedForm:
@@ -190,6 +217,7 @@ class TestOperatorPass:
         expected = _raised(lambda: [spectrum_report(cf, eps, 25) for eps in eps_values])
         built = []
         monkeypatch.setattr(galerkin, "galerkin_matrix", lambda op, m: built.append(m))
+        monkeypatch.setattr(galerkin, "_paired_block", lambda op, m, theta: built.append(m))
         assert _raised(lambda: spectrum_sweep(cf, eps_values, 25)) == expected
         assert built == []  # the pass fails before any matrix is built
 

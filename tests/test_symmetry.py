@@ -25,27 +25,28 @@ A family that is itself invariant under the half turn S, or under
 S' = diag(-1, 1, -1), splits the Galerkin matrix into two conjugate blocks
 of order 2m+1, each with one eigenvalue of every Kramers pair; the exact
 test ``geometry._half_turn_phase`` finds it, and ``spectrum_sweep`` then
-solves one block. The tests below hold the test to the families built with
-and without the law, and the paired spectrum to the full solve of the same
-matrix.
+solves one block, which ``galerkin._paired_block`` gathers from the
+operator. The tests below hold the test to the families built with and
+without the law, that block to the one read out of the full matrix, bit for
+bit, and the paired spectrum to the full solve of the same matrix.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusdirac import CoframeFamily, dirac_operator, galerkin_matrix, load_config_file, load_example
 from torusdirac import perturbation_report
 from torusdirac.config import EXAMPLE_NAMES
-from torusdirac.galerkin import _paired_eigenvalues, spectrum_sweep
+from torusdirac.galerkin import _paired_block, spectrum_sweep
 from torusdirac.geometry import _half_turn_phase, default_grid
 from torusdirac.trigpoly import field_degree, stack_field
 
 from conftest import EIGENVALUE_TOL, MINUS_I_SIGNS, P_SIGNS, coframe_fields, half_turn_families
-from conftest import mixed_degree_fields, parity_families, same_bytes
+from conftest import mixed_degree_fields, parity_families, reference_paired_block, same_bytes
 
 ROUTES = ("closed_form", "operator")
 PAIRS = (("lambda1_plus", "lambda1_minus"), ("lambda2_plus", "lambda2_minus"))
@@ -236,14 +237,6 @@ PINNED_CONFIGS.update({path.stem: str(path) for path in sorted(GOLDEN.glob("*.cf
 TINY = 5e-324
 
 
-def conjugate_block(entries: np.ndarray, theta: complex) -> np.ndarray:
-    """(1/2) ((vv + ww) + (theta vw + conj(theta) wv)), the block of H on the
-    pairs (v_i + theta w_i)/sqrt(2), conjugate to the one that
-    ``spectrum_sweep`` solves."""
-    vv, vw, wv, ww = entries[0::2, 0::2], entries[0::2, 1::2], entries[1::2, 0::2], entries[1::2, 1::2]
-    return 0.5 * ((vv + ww) + (theta * vw + np.conj(theta) * wv))
-
-
 def assert_close_to_full(ev: np.ndarray, full: np.ndarray) -> None:
     drift = np.abs(ev - full) / np.maximum(1.0, np.abs(full))
     assert np.max(drift) <= EIGENVALUE_TOL, f"drift {np.max(drift):.1e}"
@@ -280,12 +273,44 @@ def test_half_turn_families_solve_one_paired_block(drawn, eps, m):
     assert _half_turn_phase(cf) == theta
     h = galerkin_matrix(dirac_operator(cf, eps, default_grid(m)), m)
     full = np.linalg.eigvalsh(h)
-    paired = _paired_eigenvalues(h, theta)
+    paired = np.repeat(np.linalg.eigvalsh(reference_paired_block(h, theta)), 2)
     assert same_bytes(paired, spectrum_sweep(cf, (eps,), m)[0].eigenvalues)
     assert np.array_equal(paired[0::2], paired[1::2])  # the Kramers pairs, gap 0
     assert_close_to_full(paired, full)
-    conjugate = np.linalg.eigvalsh(conjugate_block(h, theta))
+    # the conjugate block, on the pairs (v_i + theta w_i)/sqrt(2), is the one of phase -theta
+    conjugate = np.linalg.eigvalsh(reference_paired_block(h, -theta))
     assert_close_to_full(np.repeat(conjugate, 2), full)
+
+
+def assert_paired_block_matches(cf: CoframeFamily, theta: complex, eps: float, m: int) -> None:
+    # the block gathered from the operator against the one read out of the
+    # full matrix: equal under == (the sign of a zero may differ), and the
+    # same bits through eigvalsh
+    op = dirac_operator(cf, eps, default_grid(m))
+    block, expected = _paired_block(op, m, theta), reference_paired_block(galerkin_matrix(op, m), theta)
+    assert block.shape == expected.shape == (2 * m + 1, 2 * m + 1)
+    assert np.array_equal(block, expected), f"blocks differ at eps={eps!r}, m={m}"
+    assert same_bytes(np.linalg.eigvalsh(block), np.linalg.eigvalsh(expected))
+
+
+PAIRED_TRUNCATIONS = (1, 3, 25, 200)
+
+
+@pytest.mark.parametrize("m", PAIRED_TRUNCATIONS)
+@pytest.mark.parametrize("name", sorted(PINNED_PHASES))
+def test_paired_block_matches_the_full_matrix_on_the_pinned_families(name, m):
+    cf = load_example(name).family()
+    for eps in (0.2, 0.1, 0.01, -0.0):
+        assert_paired_block_matches(cf, PINNED_PHASES[name], eps, m)
+
+
+@pytest.mark.parametrize("theta", [1, 1j])
+@settings(max_examples=20)
+@given(drawn=half_turn_families(), eps=st.sampled_from(SWEEP_EPS), m=st.sampled_from(PAIRED_TRUNCATIONS))
+def test_paired_block_matches_the_full_matrix(theta, drawn, eps, m):
+    cf, phase = drawn
+    assume(phase == theta)
+    assert_paired_block_matches(cf, theta, eps, m)
 
 
 @settings(max_examples=40)
