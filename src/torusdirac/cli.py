@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical contract violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -19,8 +20,7 @@ import numpy as np
 
 from . import galerkin as gk
 from . import perturbation as pt
-from .config import EXAMPLE_NAMES, ConfigError, RunConfig, _require_memory, load_config_file, parse_eps_list
-from .config import parse_modes
+from .config import EXAMPLE_NAMES, ConfigError, RunConfig, _require_memory, load_config_file, parse_scalars
 from .dirac import dirac_operator
 from .geometry import NumericalContractError, _arc_lengths, default_grid
 
@@ -248,34 +248,23 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        cfg = load_config_file(args.config)
-        if args.m is not None:
-            if args.m < 1:
-                raise ConfigError("m must be >= 1")
-            cfg.m = args.m
-        if args.eps is not None:
-            cfg.eps_list = parse_eps_list(args.eps, "--eps")
-        if args.modes is not None:
-            cfg.modes = parse_modes(args.modes, "--modes")
+        cfg = dataclasses.replace(load_config_file(args.config), **parse_scalars(vars(args), "--"))
         _check_matrix_memory(cfg.m)
         # the modes each command tracks: asympt's galerkin_fit route tracks +-1
         tracked = {"galerkin": cfg.modes, "fit": cfg.modes, "asympt": (1, -1)}
         edge = cfg.m - gk.tracking_buffer(cfg.m)
         for n in tracked.get(args.command, ()):
             if abs(n) > edge:
-                raise ConfigError(
-                    f"mode {n} is past the truncation edge: m={cfg.m} tracks |n| <= {edge}"
-                )
-        out_format = args.out or cfg.out_format
+                raise ConfigError(f"mode {n} is past the truncation edge: m={cfg.m} tracks |n| <= {edge}")
 
         tracking_failures: list[str] = []
         if args.command == "galerkin":
-            text, tracking_failures = cmd_galerkin(cfg, out_format)
+            text, tracking_failures = cmd_galerkin(cfg, cfg.out_format)
         elif args.command == "asympt":
-            text = cmd_asympt(cfg, out_format)
+            text = cmd_asympt(cfg, cfg.out_format)
         elif args.command == "fit":
             eps_grid = cfg.eps_list if args.eps is not None else None
-            text = cmd_fit(cfg, out_format, order=args.order, eps_grid=eps_grid)
+            text = cmd_fit(cfg, cfg.out_format, order=args.order, eps_grid=eps_grid)
         else:
             text = cmd_dump_matrix(cfg)
     # before _NUMERIC_ERRORS, which it derives from
@@ -304,10 +293,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if tracking_failures:
-        print(
-            "numerical contract violation:\n" + "\n".join(tracking_failures),
-            file=sys.stderr,
-        )
+        print("numerical contract violation:\n" + "\n".join(tracking_failures), file=sys.stderr)
         return EXIT_NUMERIC
     return 0
 

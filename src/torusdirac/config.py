@@ -44,33 +44,28 @@ EXAMPLE_NAMES = (
 )
 
 _TRIPLE_RE = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
-_ENTRY_RE = re.compile(r"(coframe\.E1|coframe\.E2|perturbation\.h|perturbation\.k)\.([123])\.([123])")
+_ENTRY_RE = re.compile(r"(coframe\.E1|coframe\.E2|perturbation\.h|perturbation\.k)\.[123]\.[123]")
 
 
 @dataclass
 class RunConfig:
-    """Parsed configuration for the CLI commands."""
+    """Parsed configuration for the CLI commands; h and k are a direct-mode file's."""
 
-    mode: str
+    _family: CoframeFamily = field(repr=False)
+    h: tuple | None = None
+    k: tuple | None = None
     m: int = 25
     eps_list: list = field(default_factory=lambda: [0.2, 0.1, 0.01])
     modes: list = field(default_factory=lambda: [-2, -1, 0, 1, 2])
     out_format: str = "csv"
-    # entry coefficient arrays, as CoframeFamily holds E1 and E2
-    E1: tuple | None = None
-    E2: tuple | None = None
-    h: tuple | None = None
-    k: tuple | None = None
-    _family: CoframeFamily | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def mode(self) -> str:
+        return "coframe" if self.h is None else "direct"
 
     def family(self) -> CoframeFamily:
-        """The family of the entries: the one ``parse_config`` validated, or
-        for a configuration built by hand, a new one on each call."""
-        if self._family is not None:
-            return self._family
-        if self.mode == "coframe":
-            return CoframeFamily(self.E1, self.E2)
-        return CoframeFamily.from_perturbation(self.h, self.k)
+        """The family of the entries, as ``parse_config`` validated it."""
+        return self._family
 
 
 def _physical_memory() -> int | None:
@@ -131,6 +126,17 @@ def parse_numbers(text: str, key: str, cast) -> list:
     return values
 
 
+def parse_m(text, key: str = "m") -> int:
+    """A Galerkin truncation m, an integer >= 1."""
+    try:
+        m = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected an integer, got {text!r}") from exc
+    if m < 1:
+        raise ConfigError("m must be >= 1")
+    return m
+
+
 def parse_modes(text: str, key: str = "modes") -> list[int]:
     """Comma or whitespace separated integer modes, each given once."""
     modes = parse_numbers(text, key, int)
@@ -149,10 +155,34 @@ def parse_eps_list(text: str, key: str = "eps") -> list[float]:
     return values
 
 
+def parse_out(text: str, key: str = "out") -> str:
+    """An output format, csv or md."""
+    if text not in ("csv", "md"):
+        raise ConfigError(f"{key} must be 'csv' or 'md', got {text!r}")
+    return text
+
+
+# scalar key -> (RunConfig field, parser), in the order errors are reported; --key shares the parser
+_SCALARS = {
+    "m": ("m", parse_m),
+    "eps": ("eps_list", parse_eps_list),
+    "modes": ("modes", parse_modes),
+    "out": ("out_format", parse_out),
+}
+
+
+def parse_scalars(values: dict, prefix: str = "") -> dict:
+    """The RunConfig fields of the scalar keys that ``values`` maps to a text (not None),
+    each parsed by its key's parser in ``_SCALARS`` order; ``prefix`` + key names it in messages."""
+    return {
+        name: parse(values[key], prefix + key)
+        for key, (name, parse) in _SCALARS.items()
+        if values.get(key) is not None
+    }
+
+
 def parse_config(text: str) -> RunConfig:
-    scalars: dict[str, str] = {}
-    matrices: dict[str, list[list]] = {}
-    seen: set[str] = set()
+    values: dict = {}  # each key's text, or a matrix entry's coefficients
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,57 +191,31 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in seen:
+        if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        entry = _ENTRY_RE.fullmatch(key)
-        if entry:
-            name, a, b = entry.group(1), int(entry.group(2)) - 1, int(entry.group(3)) - 1
-            matrices.setdefault(name, [[0.0] * 3 for _ in range(3)])[a][b] = _parse_poly(value, key)
-        elif key in ("m", "eps", "modes", "out"):
-            scalars[key] = value
-        else:
+        if _ENTRY_RE.fullmatch(key):
+            value = _parse_poly(value, key)
+        elif key not in _SCALARS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        values[key] = value
 
-    has_coframe = any(name.startswith("coframe.") for name in matrices)
-    has_direct = any(name.startswith("perturbation.") for name in matrices)
+    has_coframe = any(key.startswith("coframe.") for key in values)
+    has_direct = any(key.startswith("perturbation.") for key in values)
     if has_coframe and has_direct:
         raise ConfigError("give either coframe.* or perturbation.* entries, not both")
     if not has_coframe and not has_direct:
-        raise ConfigError(
-            "no family data: expected coframe.E1.* or perturbation.h.* entries"
-        )
-    mode = "coframe" if has_coframe else "direct"
+        raise ConfigError("no family data: expected coframe.E1.* or perturbation.h.* entries")
+    settings = parse_scalars(values)
 
-    cfg = RunConfig(mode=mode)
-    if "m" in scalars:
-        try:
-            cfg.m = int(scalars["m"])
-        except ValueError as exc:
-            raise ConfigError(f"m: expected an integer, got {scalars['m']!r}") from exc
-        if cfg.m < 1:
-            raise ConfigError("m must be >= 1")
-    if "eps" in scalars:
-        cfg.eps_list = parse_eps_list(scalars["eps"])
-    if "modes" in scalars:
-        cfg.modes = parse_modes(scalars["modes"])
-    if "out" in scalars:
-        if scalars["out"] not in ("csv", "md"):
-            raise ConfigError(f"out must be 'csv' or 'md', got {scalars['out']!r}")
-        cfg.out_format = scalars["out"]
-
-    def build(name: str) -> tuple:
-        return _as_field(matrices.get(name, [[0.0] * 3] * 3))
-
-    try:
-        if mode == "coframe":
-            cfg.E1, cfg.E2 = build("coframe.E1"), build("coframe.E2")
-        else:
-            cfg.h, cfg.k = build("perturbation.h"), build("perturbation.k")
-        cfg._family = cfg.family()  # validates realness, and symmetry of h and k
+    names = ("coframe.E1", "coframe.E2") if has_coframe else ("perturbation.h", "perturbation.k")
+    first, second = (_as_field([[values.get(f"{name}.{i}.{j}", 0.0) for j in "123"] for i in "123"])
+                     for name in names)
+    try:  # CoframeFamily validates realness, and symmetry of h and k
+        if has_coframe:
+            return RunConfig(CoframeFamily(first, second), **settings)
+        return RunConfig(CoframeFamily.from_perturbation(first, second), first, second, **settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def load_config_file(path: str) -> RunConfig:
@@ -227,8 +231,6 @@ def load_config_file(path: str) -> RunConfig:
 
 def load_example(name: str) -> RunConfig:
     if name not in EXAMPLE_NAMES:
-        raise ConfigError(
-            f"unknown example {name!r}; available: {', '.join(EXAMPLE_NAMES)}"
-        )
+        raise ConfigError(f"unknown example {name!r}; available: {', '.join(EXAMPLE_NAMES)}")
     text = resources.files("torusdirac").joinpath(f"configs/{name}.cfg").read_text()
     return parse_config(text)

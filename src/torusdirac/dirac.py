@@ -160,7 +160,9 @@ def dirac_operators(cf: CoframeFamily, eps_values, n: int) -> list[DiracOperator
     fails.
     """
     eps = np.asarray(eps_values, dtype=float)
-    past, error = tail_check(coframe_tails(cf, eps, n))
+    tails, harmonics = coframe_tails(cf, eps, n)
+    past, error = tail_check(tails, lambda e: f"harmonic {harmonics[e]} of the coframe lies past the band "
+                             f"|k| <= {(n - 1) // 4} that {n} sample points keep")
     stop = int(np.argmax(past)) if past.any() else eps.size  # nothing past it is sampled
     ops = _sampled_operators(cf, eps[:stop], n) if stop else []
     raise_first(((past, error),))

@@ -188,20 +188,23 @@ def sample_checks(eps: np.ndarray, det: np.ndarray, n: int) -> tuple:
     return ((singular.any(axis=1), singular_error),)
 
 
-def coframe_tails(cf: CoframeFamily, eps: np.ndarray, n: int) -> np.ndarray:
+def coframe_tails(cf: CoframeFamily, eps: np.ndarray, n: int) -> tuple:
     """For each of the 1-d ``eps``, the largest |eps E1_k + eps^2 E2_k| at
     |k| >= n/4, from the coefficients there alone: on n points such a
     harmonic folds into the kept band, where no FFT tail shows it. A NaN
-    is kept."""
+    is kept. Returns the tails and, for each, the harmonic |k| it is at."""
     top = (n - 1) // 4  # the largest |k| below n/4
-    tails = np.zeros(len(eps))
+    tails, harmonics = np.zeros(len(eps)), np.zeros(len(eps), dtype=int)
     for e1, e2 in zip(chain(*cf.E1), chain(*cf.E2)):
         d = (max(e1.size, e2.size) - 1) // 2
         for i, x in enumerate(eps if d > top else ()):
             with np.errstate(over="ignore", invalid="ignore"):  # a tail_check fails the overflow
                 c = np.abs(poly_add(e1 * x, e2 * (x * x)))
-            tails[i] = np.max([tails[i], c[: d - top].max(), c[d + top + 1 :].max()])
-    return tails
+            c = np.maximum(c[: d - top][::-1], c[d + top + 1 :])  # at |k| = top + 1, ..., d
+            j = int(np.argmax(c))  # the first NaN, if any
+            if not (c[j] <= tails[i] or np.isnan(tails[i])):
+                tails[i], harmonics[i] = c[j], top + 1 + j
+    return tails, harmonics
 
 
 def fft_tail(hat: np.ndarray, n: int, axis):
@@ -210,13 +213,13 @@ def fft_tail(hat: np.ndarray, n: int, axis):
     return np.max(np.abs(hat[..., (n - 1) // 4 + 1 :]), axis=axis, initial=0.0)
 
 
-def tail_check(tails: np.ndarray) -> tuple:
+def tail_check(tails: np.ndarray, why=lambda e: "the sampling grid under-resolves them") -> tuple:
     """The check, for ``raise_first``, that each of ``tails``, from
     ``coframe_tails`` or ``fft_tail`` (the band that sampling drops), is at
-    most ``ALIASING_LIMIT``, which NaN is not (else UnderResolvedError)."""
+    most ``ALIASING_LIMIT``, which NaN is not (else UnderResolvedError,
+    whose message ``why(i)`` ends for row i)."""
     return ~(tails <= ALIASING_LIMIT), lambda e: UnderResolvedError(
-        f"Fourier tail {tails[e]:.2e} of the coefficients exceeds "
-        f"{ALIASING_LIMIT:.0e}; the sampling grid under-resolves them"
+        f"Fourier tail {tails[e]:.2e} of the coefficients exceeds {ALIASING_LIMIT:.0e}; {why(e)}"
     )
 
 

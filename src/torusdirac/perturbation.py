@@ -304,8 +304,9 @@ def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
     # "not ... <= ..." so that a NaN value or residual fails
     if not (scale <= 1e-13 or residual <= max(1e-6 * scale, floor)):
         raise FitResidualError(
-            f"fit residual {residual:.2e} exceeds max(1e-6 * max|lambda - n|, rounding floor) = "
-            f"{max(1e-6 * scale, floor):.2e}; increase m or shrink the eps grid"
+            f"mode {n}, order {order}: fit residual {residual:.2e} exceeds max(1e-6 * max|lambda - n|, "
+            f"rounding floor) = {max(1e-6 * scale, floor):.2e}; eps^1..eps^{powers[-1]} do not model the "
+            f"sweep" + ("; fit at a higher order" if order < 4 else "")
         )
 
     dof = grid.size - len(powers)

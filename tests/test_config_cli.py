@@ -2,7 +2,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from torusdirac import (
 )
 from torusdirac import perturbation as pt
 from torusdirac.cli import _dump_rows, build_parser, main
-from torusdirac.config import EXAMPLE_NAMES
+from torusdirac.config import EXAMPLE_NAMES, RunConfig
 
 from conftest import assert_sigfigs, isclose
 
@@ -65,7 +65,7 @@ class TestParsing:
             "# leading\n\ncoframe.E1.1.2 = (1, 0.5, 0) (-1, 0.5, 0)\n"
         )
         assert cfg.mode == "coframe"
-        assert cfg.E1[0][1].tolist() == [0.5, 0.0, 0.5]
+        assert cfg.family().E1[0][1].tolist() == [0.5, 0.0, 0.5]
 
     @pytest.mark.parametrize(
         "text,match",
@@ -97,6 +97,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
 
+    def test_family_is_held_once_and_mode_follows_h(self):
+        direct, coframe = parse_config(MINIMAL_DIRECT), parse_config("coframe.E1.1.2 = (0, 0.5, 0)\n")
+        assert (direct.mode, coframe.mode) == ("direct", "coframe")
+        assert coframe.h is None and coframe.k is None
+        assert direct.family() is direct.family()
+        assert not {f.name for f in fields(RunConfig)} & {"E1", "E2", "mode"}
+
     def test_bundled_examples_load(self):
         for name in EXAMPLE_NAMES:
             cfg = load_example(name)
@@ -108,7 +115,7 @@ class TestParsing:
         self, rotation_block_coframe, explicit_family_2
     ):
         cfg1 = load_example("example-galerkin-1")
-        assert isclose(cfg1.E1, rotation_block_coframe.E1, 1e-15)
+        assert isclose(cfg1.family().E1, rotation_block_coframe.E1, 1e-15)
         cfg4 = load_example("example-explicit-2")
         h, k = explicit_family_2
         assert isclose(cfg4.h, h, 1e-15)
@@ -300,6 +307,40 @@ class TestCli:
         code = main(["galerkin", "--config", "example-galerkin-1", "--eps", "nan"])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value", [("m", "0"), ("m", "-3"), ("eps", "nan"), ("eps", ""), ("modes", "1, 1"), ("modes", "")]
+    )
+    def test_key_and_flag_are_checked_alike(self, key, value, tmp_path, capsys):
+        # a scalar key and its --key flag share one parser: the same message
+        # up to the key's name
+        family = "coframe.E1.1.1 = (0, 0.1, 0)\n"
+        bad, good = tmp_path / "bad.cfg", tmp_path / "good.cfg"
+        bad.write_text(f"{key} = {value}\n" + family)
+        good.write_text(family)
+        assert main(["galerkin", "--config", str(bad)]) == 2
+        from_file = capsys.readouterr().err
+        assert main(["galerkin", "--config", str(good), f"--{key}", value]) == 2
+        from_flag = capsys.readouterr().err
+        assert from_file.startswith("config error: ")
+        assert from_flag.replace(f"--{key}", key) == from_file
+
+    def test_flag_m_replaces_the_file_m_before_the_memory_check(self, tmp_path, capsys):
+        cfgfile = tmp_path / "huge.cfg"
+        cfgfile.write_text("m = 100000000\neps = 0.1\nmodes = 0\ncoframe.E1.1.1 = (0, 0.1, 0)\n")
+        assert main(["galerkin", "--config", str(cfgfile)]) == 2
+        assert "m=100000000 needs a" in capsys.readouterr().err
+        assert main(["galerkin", "--config", str(cfgfile), "--m", "8"]) == 0
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_fit_residual_names_the_mode_and_order(self, order, capsys):
+        # on the default grid of orders 1 and 2, eps^1..eps^4 leave mode -2 of
+        # example-galerkin-2 above the gate at any m; the quartic fit passes
+        assert main(["fit", "--config", "example-galerkin-2", "--order", str(order)]) == 3
+        err = capsys.readouterr().err
+        assert f"mode -2, order {order}: fit residual" in err
+        assert err.rstrip().endswith("eps^1..eps^4 do not model the sweep; fit at a higher order")
+        assert main(["fit", "--config", "example-galerkin-2", "--order", "4"]) == 0
 
     def test_unwritable_out_file_is_config_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.csv"
@@ -597,6 +638,17 @@ class TestCli:
         assert code == 3
         assert captured.out == ""
         assert "Fourier tail 5.00e-02" in captured.err
+
+    @pytest.mark.parametrize("command", ["galerkin", "asympt", "fit"])
+    def test_out_of_band_coframe_harmonic_is_named(self, command, tmp_path, capsys):
+        # m = 25 samples on 256 points, which keep |k| <= 63; m = 40 on 336, which keep |k| <= 83
+        cfgfile = tmp_path / "band.cfg"
+        cfgfile.write_text("coframe.E1.2.2 = (70, 0.01, 0) (-70, 0.01, 0)\n")
+        assert main([command, "--config", str(cfgfile)]) == 3
+        err = capsys.readouterr().err
+        assert "Fourier tail" in err and "under-resolves" not in err
+        assert "harmonic 70 of the coframe lies past the band |k| <= 63 that 256 sample points keep" in err
+        assert main([command, "--config", str(cfgfile), "--m", "40"]) == 0
 
     def test_out_of_band_harmonic_rejected_before_any_product(self, monkeypatch, tmp_path, capsys):
         # sampled at full degree, this coframe's phase table would hold 256 * 40001
