@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         cfg = dataclasses.replace(load_config_file(args.config), **parse_scalars(vars(args), "--"))
         _check_matrix_memory(cfg.m)
         # the modes each command tracks: asympt's galerkin_fit route tracks +-1
-        tracked = {"galerkin": cfg.modes, "fit": cfg.modes, "asympt": (1, -1)}
+        tracked = {"galerkin": cfg.modes, "fit": cfg.modes, "asympt": pt._KRAMERS_PAIR}
         edge = cfg.m - gk.tracking_buffer(cfg.m)
         for n in tracked.get(args.command, ()):
             if abs(n) > edge:

@@ -6,10 +6,10 @@ Every operator here has the normal form
 
 acting on 2-columns of complex functions of x^1, where B(x) is the pointwise
 Hermitian trace-free 2x2 matrix [[a3, a1 - i a2], [a1 + i a2, -a3]] of three
-real functions (a1, a2, a3) and p(x) is a real potential. The full operator
-at fixed eps takes (a1, a2, a3) from the first frame column; the first and
-second order terms of its eps-expansion take them from columns of the
-metric perturbation matrices.
+real functions (a1, a2, a3) and p(x) is a real potential. This module holds
+that normal form, ``DiracOperator.apply``, ``inner`` and the sampled pass that
+builds the full operator of a family at fixed eps, whose (a1, a2, a3) is the
+first frame column; ``perturbation`` builds the terms of its eps-expansion.
 
 Spinors and operators are held as Fourier coefficients only. An operator
 holds the half spectra c_0..c_L of a1, a2, a3 and p (``numpy.fft.rfft``
@@ -32,13 +32,10 @@ Sums of spinors go through ``trigpoly.poly_add``/``poly_sub``, which pad
 both operands to the larger degree before they add; a spinor is scaled by
 a complex scalar, ``c * complex(s)``, and a stack by one per spinor.
 
-The first and second order terms have trigonometric-polynomial coefficients
-and are built in coefficient arithmetic from the stacks of h and of the
-first column of k (see ``trigpoly``), by ``_first_order_operator`` and
-``_second_order_operator``. The full operator is sampled, in
-``dirac_operators(cf, eps_values, n)``, one pass over an eps-sweep: from
-``geometry._coframe_samples`` of every eps it forms (a1, a2, a3) and p
-pointwise, takes their real FFT and keeps the frequencies k < n/4.
+The full operator is sampled in ``dirac_operators(cf, eps_values, n)``, one
+pass over an eps-sweep: from ``geometry._coframe_samples`` of every eps it
+forms (a1, a2, a3) and p pointwise, takes their real FFT and keeps the
+frequencies k < n/4.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ import numpy as np
 
 from .geometry import CoframeFamily, NumericalContractError, _coframe_samples, coframe_tails, fft_tail
 from .geometry import raise_first, tail_check
-from .trigpoly import _degree, _field_product, half_spectrum, poly_derivative, real_spectrum, resize_degree
+from .trigpoly import _field_product, real_spectrum, resize_degree
 
 
 def _spinor(c) -> np.ndarray:
@@ -182,37 +179,3 @@ def _sampled_operators(cf: CoframeFamily, eps: np.ndarray, n: int) -> list[Dirac
     tails = np.maximum(fft_tail(a_hat, n, (0, 2)), fft_tail(p_hat, n, 1))
     raise_first((*checks, tail_check(tails)))
     return [DiracOperator(a_hat[:, e, : top + 1], p_hat[e, : top + 1]) for e in range(eps.size)]
-
-
-# The two builders below take h, a stack (3, 3, 2D+1) with ``h[a][b]`` for
-# entry (a, b), and the first column of k, a stack (3, 1, 2D'+1), as
-# ``geometry._metric_data`` builds them, and check neither: they keep the
-# k >= 0 half of what they build, so W1 and W2 are real by construction.
-
-def _first_order_operator(h: np.ndarray) -> DiracOperator:
-    """Linear term W1 of the eps-expansion of the operator family.
-
-    Expanding the frame gives the symbol -(1/2) * B_h with B_h built from the
-    first column of h; the action is then +(i/4)(B_h d/dx + d/dx B_h). The
-    potential only enters at second order.
-    """
-    d = _degree(h[:, 0])  # the column's own degree, not that of all of h
-    return DiracOperator(-0.5 * half_spectrum(resize_degree(h[:, 0], d)), np.zeros(d + 1))
-
-
-def _second_order_operator(h: np.ndarray, k: np.ndarray) -> DiracOperator:
-    """Quadratic term W2 of the eps-expansion.
-
-    Symbol (3/8) B_{h^2} - (1/8) B_k from the frame expansion, plus the real
-    scalar potential -(1/16) * sum_a (h_{a2} h_{a3}' - h_{a3} h_{a2}'), the
-    antisymmetrized first-column-free part of the half-density term. Of h^2
-    only the first column is built; the potential's numerator is the product
-    of the row [h_a2, h_a3] and the column [h_a3', -h_a2'], a = 1, 2, 3.
-    """
-    dh = poly_derivative(h)
-    hcols = _field_product(h, h[:, :1])[:, 0]
-    row, col = np.concatenate((h[:, 1], h[:, 2])), np.concatenate((dh[:, 2], -dh[:, 1]))
-    scalar = _field_product(row[None], col[:, None])[0, 0]
-    d = max(map(_degree, (hcols, k[:, 0], scalar)))  # the degree each really has
-    hb, kb, p = (half_spectrum(resize_degree(x, d)) for x in (hcols, k[:, 0], scalar))
-    return DiracOperator(0.375 * hb - 0.125 * kb, -p / 16.0)

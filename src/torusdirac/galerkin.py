@@ -127,8 +127,9 @@ def galerkin_matrix(op: DiracOperator, m: int) -> np.ndarray:
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:
-    """All 2(2m+1) eigenvalues of the matrix ``h`` of ``galerkin_matrix``,
-    ascending (LAPACK Hermitian solver)."""
+    """All eigenvalues of the Hermitian ``h``, ascending (LAPACK Hermitian
+    solver): the one solve of every layout, the 2(2m+1) of the matrix of
+    ``galerkin_matrix`` or the 2m+1 of a ``_paired_block``."""
     return np.linalg.eigvalsh(h)
 
 
@@ -250,5 +251,5 @@ def spectrum_sweep(cf: CoframeFamily, eps_values, m: int) -> list[SpectrumReport
     if theta is None:
         solved = (eigenvalues(galerkin_matrix(op, m)) for op in ops)
     else:
-        solved = (np.repeat(np.linalg.eigvalsh(_paired_block(op, m, theta)), 2) for op in ops)
+        solved = (np.repeat(eigenvalues(_paired_block(op, m, theta)), 2) for op in ops)
     return [SpectrumReport(eps=float(eps), m=m, eigenvalues=ev) for eps, ev in zip(eps_values, solved)]

@@ -1,17 +1,17 @@
-"""Perturbed coframe and metric on the unit 3-torus, axisymmetric case.
+"""The perturbed coframe family on the unit 3-torus, axisymmetric case.
 
 A family of coframes e(x^1; eps) = I + eps*E1(x^1) + eps^2*E2(x^1) determines
-the metric g = e^T e. All data depend on x^1 only, so each object reduces to
-matrix-valued functions on the circle: E1 and E2 are held as nested 3x3
-tuples of entry coefficient arrays, h and the first column of k as stacks
-(see ``trigpoly``). E1 and E2 are checked real once, at construction; past that
-the coframe is sampled in one place, ``_coframe_samples``, by one
-zero-padded inverse real FFT of their half spectra, which the operator pass
-of ``dirac`` and ``arc_length`` share. Sampled steps share one grid rule,
-``default_grid``, and the checks ``sample_checks`` (det e) and
-``tail_check`` (the band sampling drops, read in ``rfft`` layout by
-``fft_tail``) of a whole eps-sweep.
-Every stacked check of the package fails by ``raise_first``, as its rows would.
+the metric g = e^T e. All data depend on x^1 only: E1 and E2 are 3x3 matrix
+functions on the circle, held as nested tuples of coefficient arrays (see
+``trigpoly``) and checked real once, at construction. This module holds the
+family, its checks and samples, ``arc_length`` and the half turn
+(``_half_turn_phase``); the eps-expansion of g is in ``perturbation``. The
+coframe is sampled in one place, ``_coframe_samples``, by one zero-padded
+inverse real FFT of the half spectra, which the operator pass of ``dirac``
+and ``arc_length`` share. Sampled steps share one grid rule, ``default_grid``,
+and the checks ``sample_checks`` (det e) and ``tail_check`` (the band
+sampling drops, read in ``rfft`` layout by ``fft_tail``) of a whole
+eps-sweep. Every stacked check of the package fails by ``raise_first``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from itertools import chain
 
 import numpy as np
 
-from .trigpoly import COEFF_TOL, _as_field, _field_product, field_degree, grid_points, matmul_entry
-from .trigpoly import half_spectrum, poly_add, poly_derivative, poly_sub, resize_degree, stack_field
+from .trigpoly import COEFF_TOL, _as_field, field_degree, grid_points, half_spectrum, matmul_entry
+from .trigpoly import poly_add, poly_derivative, poly_sub, stack_field
 
 #: Largest Fourier coefficient that sampling may drop at |k| >= n/4, and
 #: the smallest sample of det e that counts as nonsingular.
@@ -151,26 +151,6 @@ def _half_turn_phase(cf: CoframeFamily) -> complex | None:
         if all(np.all((c.imag if s[a] == s[b] else c.real) == 0) for a, b, c in entries):
             return theta
     return None
-
-
-def _metric_data(cf: CoframeFamily, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """What the coefficient routes read of g = I + eps*h + (eps^2/4)*k + O(eps^3):
-    h = E1 + E1^T, one stack (3, 3, 2D+1) at the degree D of E1, and the
-    entries (a, 0), a < ``rows``, of k = 4*(E1^T E1 + E2 + E2^T), one stack
-    (rows, 1, 2D'+1), D' = max(2D, deg E2), from E1 and E2 stacked once each:
-    one ``_field_product`` of E1's first ``rows`` columns, transposed, against
-    its first column, then + E2, + E2^T and * 4, in that order. Raises
-    NumericalContractError when h or k, built from finite E1 and E2, overflows.
-    """
-    e1 = stack_field(cf.E1, field_degree(cf.E1))
-    h = e1 + e1.transpose(1, 0, 2)
-    product = _field_product(e1[:, :rows].transpose(1, 0, 2), e1[:, :1])
-    d = max(field_degree(cf.E2), e1.shape[-1] - 1)  # e1.shape[-1] - 1 is twice the degree of E1
-    e2 = stack_field(cf.E2, d)
-    k = (resize_degree(product, d) + e2[:rows, :1] + e2[:1, :rows].transpose(1, 0, 2)) * 4.0
-    if not (np.isfinite(h).all() and np.isfinite(k).all()):
-        raise NumericalContractError("h or k overflows: a coefficient is not finite")
-    return h, k
 
 
 def sample_checks(eps: np.ndarray, det: np.ndarray, n: int) -> tuple:

@@ -1,6 +1,5 @@
-"""Asymptotic expansion coefficients of the eigenvalues +1 and -1.
-
-Three independent routes are implemented:
+"""The eps-expansion of the operator family and the expansion coefficients
+of its eigenvalues +1 and -1, by three independent routes:
 
 * closed form: finite Fourier-coefficient sums in the perturbation data,
 * operator route: Rayleigh-Schrodinger theory for the doubly degenerate
@@ -12,27 +11,25 @@ Cross-route agreement is the package's main numerical contract: the closed
 forms are transcribed exactly as derived and validated against the operator
 route rather than silently adjusted.
 
-The operator route works on Fourier coefficients only: W1 and W2 have
-trigonometric-polynomial coefficients, so applying them, the pseudoinverse
-and the inner products are exact finite sums and no grid is sampled. It
-runs the modes +1 and -1, the Kramers pair, in lockstep: every spinor on
-the way is a stack (2, 2, 2K+1) or (4, 2, 2K+1) of coefficient arrays, one
-row per mode, which ``DiracOperator.apply``, ``dirac.inner`` and
-``pseudoinverse`` take whole. The basis spinors come cached and read-only
-from ``galerkin.basis_spinor``, and sums go through ``trigpoly.poly_sub``.
-The route is two private helpers, the first-order blocks and the
-second-order terms, which take W1 and W2 as arguments and share the stack
-of W1 v_n; each fails by ``geometry.raise_first``, mode +1 at its first
-failed check, then mode -1.
-
-``perturbation_report(cf, route, m)`` is the one entry to every route. The
-closed form and the operator route take h and the first column of k from one
-``geometry._metric_data``, form each product of two stacks, at the degree of
-the rows and columns it reads, by one ``trigpoly._field_product`` and build
-only what they read: the closed form h, k[0, 0] and (h^2)[0, 0], its sums
-over the harmonics being array reductions; the operator route h, the first
-columns of k and h^2 and the potential's numerator for W2, with no recheck:
-h is symmetric, W1 and W2 real by construction. The fit route builds neither.
+``_metric_data`` builds what the first two routes read of g = I + eps*h +
+(eps^2/4)*k + O(eps^3): h and the first column of k, as stacks (see
+``trigpoly``). Each product of two stacks is formed, at the degree of the
+rows and columns it reads, by one ``trigpoly._field_product``, and only
+what is read is built: the closed form reads h, k[0, 0] and (h^2)[0, 0],
+its sums over the harmonics being array reductions. ``_operator_route``
+builds the terms W1 and W2 of the operator's expansion in the normal form
+of ``dirac``, by ``_first_order_operator`` and ``_second_order_operator``,
+with no recheck: h is symmetric, W1 and W2 real by construction. Their
+coefficients are trigonometric polynomials, so applying them, the
+pseudoinverse and the inner products are exact finite sums and no grid is
+sampled. The route runs the modes +1 and -1, the Kramers pair, in
+lockstep: every spinor on the way is a stack (2, 2, 2K+1) or (4, 2, 2K+1),
+one row per mode, which ``DiracOperator.apply``, ``dirac.inner`` and
+``pseudoinverse`` take whole, from the cached read-only basis spinors of
+``galerkin.basis_spinor``. Each of its checks fails by
+``geometry.raise_first``, mode +1 at its first failed check, then mode -1.
+The fit route builds neither h nor k. ``perturbation_report(cf, route, m)``
+is the one entry to every route.
 """
 
 from __future__ import annotations
@@ -42,10 +39,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dirac import DiracOperator, _first_order_operator, _second_order_operator, _spinor, inner
+from .dirac import DiracOperator, _spinor, inner
 from .galerkin import basis_spinor, spectrum_sweep, track_pairs
-from .geometry import CoframeFamily, NumericalContractError, _metric_data, raise_first
-from .trigpoly import _field_product, poly_sub, resize_degree
+from .geometry import CoframeFamily, NumericalContractError, raise_first
+from .trigpoly import _degree, _field_product, field_degree, half_spectrum, poly_derivative, poly_sub
+from .trigpoly import resize_degree, stack_field
 
 ROUTES = ("closed_form", "operator", "galerkin_fit")
 # c of the fit's rounding floor c * u * sqrt(N) * max(1, |n|), u the machine
@@ -133,41 +131,71 @@ def _pseudoinverse(c, n):
 
 
 # ----------------------------------------------------------------------
-# first order
+# the eps-expansion
+# ----------------------------------------------------------------------
+
+def _metric_data(cf: CoframeFamily, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """What the closed form and operator route read of g = I + eps*h +
+    (eps^2/4)*k + O(eps^3): h = E1 + E1^T, a stack (3, 3, 2D+1) at the degree
+    D of E1, and the entries (a, 0), a < ``rows``, of k = 4*(E1^T E1 + E2 +
+    E2^T), a stack (rows, 1, 2D'+1), D' = max(2D, deg E2), from E1 and E2
+    stacked once each: one ``_field_product`` of E1's first ``rows`` columns,
+    transposed, against its first column, then + E2, + E2^T and * 4, in that
+    order. Raises NumericalContractError when h or k, from finite E1 and E2,
+    overflows.
+    """
+    e1 = stack_field(cf.E1, field_degree(cf.E1))
+    h = e1 + e1.transpose(1, 0, 2)
+    product = _field_product(e1[:, :rows].transpose(1, 0, 2), e1[:, :1])
+    d = max(field_degree(cf.E2), e1.shape[-1] - 1)  # e1.shape[-1] - 1 is twice the degree of E1
+    e2 = stack_field(cf.E2, d)
+    k = (resize_degree(product, d) + e2[:rows, :1] + e2[:1, :rows].transpose(1, 0, 2)) * 4.0
+    if not (np.isfinite(h).all() and np.isfinite(k).all()):
+        raise NumericalContractError("h or k overflows: a coefficient is not finite")
+    return h, k
+
+
+# The two builders below take h and the first column of k as ``_metric_data``
+# builds them, and check neither: they keep the k >= 0 half of what they
+# build, so W1 and W2 are real by construction.
+
+def _first_order_operator(h: np.ndarray) -> DiracOperator:
+    """Linear term W1 of the eps-expansion of the operator family.
+
+    Expanding the frame gives the symbol -(1/2) * B_h with B_h built from the
+    first column of h; the action is then +(i/4)(B_h d/dx + d/dx B_h). The
+    potential only enters at second order.
+    """
+    d = _degree(h[:, 0])  # the column's own degree, not that of all of h
+    return DiracOperator(-0.5 * half_spectrum(resize_degree(h[:, 0], d)), np.zeros(d + 1))
+
+
+def _second_order_operator(h: np.ndarray, k: np.ndarray) -> DiracOperator:
+    """Quadratic term W2 of the eps-expansion.
+
+    Symbol (3/8) B_{h^2} - (1/8) B_k from the frame expansion, plus the real
+    scalar potential -(1/16) * sum_a (h_{a2} h_{a3}' - h_{a3} h_{a2}'), the
+    antisymmetrized first-column-free part of the half-density term. Of h^2
+    only the first column is built; the potential's numerator is the product
+    of the row [h_a2, h_a3] and the column [h_a3', -h_a2'], a = 1, 2, 3.
+    """
+    dh = poly_derivative(h)
+    hcols = _field_product(h, h[:, :1])[:, 0]
+    row, col = np.concatenate((h[:, 1], h[:, 2])), np.concatenate((dh[:, 2], -dh[:, 1]))
+    scalar = _field_product(row[None], col[:, None])[0, 0]
+    d = max(map(_degree, (hcols, k[:, 0], scalar)))  # the degree each really has
+    hb, kb, p = (half_spectrum(resize_degree(x, d)) for x in (hcols, k[:, 0], scalar))
+    return DiracOperator(0.375 * hb - 0.125 * kb, -p / 16.0)
+
+
+# ----------------------------------------------------------------------
+# closed form and operator route
 # ----------------------------------------------------------------------
 
 def _mean(coeffs: np.ndarray) -> float:
     """The k = 0 coefficient of a real function, read as the real it is."""
     return float(coeffs[(coeffs.size - 1) // 2].real)
 
-
-def _first_order_blocks(w1: DiracOperator) -> tuple[np.ndarray, np.ndarray]:
-    """[l1(+1), l1(-1)] from the blocks of the first-order operator ``w1`` on
-    the modes of the Kramers pair, and the stack [W1 v_1, W1 v_-1], which
-    the second-order terms reuse.
-
-    l1(n) is the diagonal of the block on span{v_n, w_n}. The full 2x2
-    block must be a real multiple of the identity; a nonscalar block would
-    invalidate the whole first-order setup and raises
-    DegenerateSplittingError, as does a NaN in it, mode +1 first. One
-    ``apply`` maps [v_1, v_-1, w_1, w_-1] and one ``inner`` takes the Gram
-    matrix of the images against them.
-    """
-    basis = np.concatenate([_basis(_KRAMERS_PAIR, "v"), _basis(_KRAMERS_PAIR, "w")])
-    images = w1.apply(basis)
-    gram = inner(images[:, None], basis)  # gram[i, j] = <W1 basis_i, basis_j>
-    (diag_v, diag_w), off = gram.diagonal().reshape(2, 2), gram.diagonal(2)
-    scalar = (np.abs(off) <= 1e-9) & (np.abs(diag_v - diag_w) <= 1e-9) & (np.abs(diag_v.imag) <= 1e-9)
-    raise_first(((~scalar, lambda r: DegenerateSplittingError(
-        f"first-order block on mode {_KRAMERS_PAIR[r]} is not scalar: "
-        f"diag ({diag_v[r]:.3e}, {diag_w[r]:.3e}), off-diagonal {abs(off[r]):.3e}"
-    )),))
-    return diag_v.real, images[:2]
-
-
-# ----------------------------------------------------------------------
-# second order
-# ----------------------------------------------------------------------
 
 def _realness_check(values: np.ndarray, terms: np.ndarray, rel_tol: float):
     """The check, for ``geometry.raise_first``, that each of ``values``, the
@@ -215,24 +243,44 @@ def _second_corrections_closed(h: np.ndarray, k00: np.ndarray) -> list[float]:
     return values.real.tolist()
 
 
-def _second_order_terms(w1: DiracOperator, w2: DiracOperator, w1v: np.ndarray, l1: np.ndarray) -> np.ndarray:
-    """Operator-route second-order coefficients [l2(+1), l2(-1)],
+def _operator_route(h: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operator-route coefficients [l1(+1), l1(-1)] and [l2(+1), l2(-1)] from
+    h and the first column of k, as ``_metric_data`` builds them.
 
-        <W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v>
+    l1(n) is the diagonal of the block of W1 on span{v_n, w_n}: one
+    ``apply`` maps [v_1, v_-1, w_1, w_-1] and one ``inner`` takes the Gram
+    matrix of the images against them. The full 2x2 block must be a real
+    multiple of the identity; a nonscalar block would invalidate the whole
+    first-order setup and raises DegenerateSplittingError, as does a NaN in
+    it, mode +1 first. Then, for v = v_n,
 
-    for v = v_n, given the stacks w1v of W1 v and l1 of l1(n), with Q the
-    pseudoinverse at lambda0 = n, exact on the harmonics of (W1 - l1) v, so
-    the value is exact up to roundoff. The modes run in lockstep and fail by one
-    ordered list of checks: mode +1's pseudoinverse checks, its realness, then -1's."""
-    v = _basis(_KRAMERS_PAIR, "v")
+        l2(n) = <W2 v, v> - <(W1 - l1) Q (W1 - l1) v, v>
+
+    with Q the pseudoinverse at lambda0 = n, exact on the harmonics of
+    (W1 - l1) v, so the value is exact up to roundoff. The modes run in
+    lockstep and fail by one ordered list of checks: mode +1's pseudoinverse
+    checks, its realness, then -1's. W1 is built before the block check, W2
+    after it.
+    """
+    w1, v = _first_order_operator(h), _basis(_KRAMERS_PAIR, "v")
+    basis = np.concatenate([v, _basis(_KRAMERS_PAIR, "w")])
+    images = w1.apply(basis)
+    gram = inner(images[:, None], basis)  # gram[i, j] = <W1 basis_i, basis_j>
+    (diag_v, diag_w), off = gram.diagonal().reshape(2, 2), gram.diagonal(2)
+    scalar = (np.abs(off) <= 1e-9) & (np.abs(diag_v - diag_w) <= 1e-9) & (np.abs(diag_v.imag) <= 1e-9)
+    raise_first(((~scalar, lambda r: DegenerateSplittingError(
+        f"first-order block on mode {_KRAMERS_PAIR[r]} is not scalar: "
+        f"diag ({diag_v[r]:.3e}, {diag_w[r]:.3e}), off-diagonal {abs(off[r]):.3e}"
+    )),))
+    w2, l1 = _second_order_operator(h, k), diag_v.real
     shift = l1.astype(complex)[:, None, None]
-    residual = poly_sub(w1v, v * shift)
+    residual = poly_sub(images[:2], v * shift)
     corrected, checks = _pseudoinverse(residual, _KRAMERS_PAIR)
     shifted = poly_sub(w1.apply(corrected), corrected * shift)
     terms = np.array((inner(w2.apply(v), v), inner(shifted, v)))
     values = terms[0] - terms[1]
     raise_first((*checks, _realness_check(values, terms, 1e-10)))
-    return values.real
+    return l1, values.real
 
 
 # ----------------------------------------------------------------------
@@ -376,20 +424,16 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
     """
     if route == "closed_form":
         h, k = _metric_data(cf, 1)
-        l1 = [-n * 0.5 * _mean(h[0, 0]) for n in (1, -1)]
+        l1 = [-n * 0.5 * _mean(h[0, 0]) for n in _KRAMERS_PAIR]
         l2 = _second_corrections_closed(h, k[0, 0])
         return PerturbationReport(route, *l1, *l2)
     if route == "operator":
-        h, k = _metric_data(cf, 3)  # each operator and first-order block once
-        w1 = _first_order_operator(h)
-        l1, w1v = _first_order_blocks(w1)
-        w2 = _second_order_operator(h, k)
-        l2 = _second_order_terms(w1, w2, w1v, l1)
+        l1, l2 = _operator_route(*_metric_data(cf, 3))
         return PerturbationReport(route, *map(float, l1), *map(float, l2))
     if route == "galerkin_fit":
         # the quartic grid: on the 6-point quadratic one, fits fail the residual check
-        fits = fit_expansion(cf, (1, -1), default_fit_grid(4), order=2, m=m)
-        values = (float(fits[n].coefficients[j]) for j in (0, 1) for n in (1, -1))
+        fits = fit_expansion(cf, _KRAMERS_PAIR, default_fit_grid(4), order=2, m=m)
+        values = (float(fits[n].coefficients[j]) for j in (0, 1) for n in _KRAMERS_PAIR)
         return PerturbationReport(route, *values)  # l1(+1), l1(-1), l2(+1), l2(-1)
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 

@@ -20,8 +20,8 @@ from torusdirac import (
     track_pair,
 )
 from torusdirac.cli import cmd_fit, cmd_galerkin
-from torusdirac.dirac import _first_order_operator, _second_order_operator, inner
-from torusdirac.perturbation import pseudoinverse
+from torusdirac.dirac import inner
+from torusdirac.perturbation import _first_order_operator, _second_order_operator, pseudoinverse
 from torusdirac.trigpoly import poly_sub
 
 from conftest import add, assert_sigfigs, charge_conjugate, eigenspace_projection, field_fourier

@@ -21,7 +21,7 @@ which reads the full B^ and p^ through ``sliding_window_view`` and
 symmetrizes the matrix afterwards.
 
 The closed-form and operator routes build h, the first column of k, W1 and
-W2 on stacks of coefficients, h and k by one ``geometry._metric_data``. h and ``matmul_entry`` must reproduce, byte
+W2 on stacks of coefficients, h and k by one ``perturbation._metric_data``. h and ``matmul_entry`` must reproduce, byte
 for byte, the reference formulas in conftest: the same arithmetic spelled
 out entry by entry. Signed zeros count, so eps = -0.0 and +0.0 are both
 covered. A product of two stacks whose entries share one degree is one
@@ -50,10 +50,10 @@ from hypothesis import strategies as st
 from torusdirac import CoframeFamily, dirac_operator
 from torusdirac import galerkin_matrix, load_config_file, load_example, perturbation_report
 from torusdirac.config import EXAMPLE_NAMES
-from torusdirac.dirac import DiracOperator, _first_order_operator, dirac_operators, inner
+from torusdirac.dirac import DiracOperator, dirac_operators, inner
 from torusdirac.galerkin import spectrum_sweep
-from torusdirac.perturbation import pseudoinverse
-from torusdirac.geometry import _half_turn_phase, _metric_data, default_grid
+from torusdirac.perturbation import _first_order_operator, _metric_data, pseudoinverse
+from torusdirac.geometry import _half_turn_phase, default_grid
 from torusdirac.trigpoly import _field_product, matmul_entry, resize_degree, stack_field
 
 from conftest import coframe_fields, matmul, mixed_degree_fields, reference_apply, reference_closed_route

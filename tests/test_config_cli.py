@@ -97,6 +97,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "load,text,message",
+        [
+            (parse_config, "coframe.E1.1.1 = (x, 1, 0)", "coframe.E1.1.1: bad triple (x, 1, 0)"),
+            (parse_config, "eps = a\ncoframe.E1.1.1 = (0, 1, 0)", "eps: expected a list of numbers, got 'a'"),
+            (parse_config, "out = xml\ncoframe.E1.1.1 = (0, 1, 0)", "out must be 'csv' or 'md', got 'xml'"),
+            (parse_config, "m = 8\nm 25  # no sign", "line 2: expected 'key = value', got 'm 25  # no sign'"),
+            (load_example, "nope", "unknown example 'nope'; available: example-galerkin-1, "
+             "example-galerkin-2, example-explicit-1, example-explicit-2"),
+        ],
+        ids=["triple", "eps", "out", "no-equals", "example"],
+    )
+    def test_error_messages(self, load, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load(text)
+
     def test_family_is_held_once_and_mode_follows_h(self):
         direct, coframe = parse_config(MINIMAL_DIRECT), parse_config("coframe.E1.1.2 = (0, 0.5, 0)\n")
         assert (direct.mode, coframe.mode) == ("direct", "coframe")
@@ -126,6 +142,14 @@ class TestCli:
     def run(self, *argv, capsys=None):
         code = main(list(argv))
         return code
+
+    @pytest.mark.parametrize("argv", [[], None], ids=["empty", "console-script"])
+    def test_no_command_prints_help_and_exits_2(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["torusdirac"])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == build_parser().format_help() and err == ""
+        assert out.startswith("usage: torusdirac") and "Spectra of the axisymmetric" in out
 
     def test_list_examples(self, capsys):
         assert main(["--list-examples"]) == 0

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from torusdirac import CoframeFamily, NumericalContractError, dirac_operator
-from torusdirac.dirac import DiracOperator, _first_order_operator
-from torusdirac.dirac import _second_order_operator
-from torusdirac.dirac import inner
+from torusdirac.dirac import DiracOperator, inner
 from torusdirac.galerkin import basis_spinor
-from torusdirac.perturbation import pseudoinverse
+from torusdirac.perturbation import _first_order_operator, _second_order_operator, pseudoinverse
 from torusdirac.trigpoly import grid_points, poly_derivative, poly_sub, resize_degree
 
 from conftest import COS, SIN, ZERO, ZERO_FIELD, add, charge_conjugate, evaluate, free_operator, m3, norm

@@ -45,6 +45,11 @@ FIRST_ROW_TABLE = {
 
 
 class TestBasis:
+    @pytest.mark.parametrize("kind", ["u", "V", ""])
+    def test_rejects_an_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match=f"^kind must be 'v' or 'w', got {kind!r}$"):
+            basis_spinor(1, kind)
+
     def test_orthonormality(self):
         for i in (-2, 0, 3):
             for j in (-2, 0, 3):
@@ -281,6 +286,20 @@ class TestOperatorPass:
 
 
 class TestEigenvalues:
+    @pytest.mark.parametrize("name,order", [("example-galerkin-2", 51), ("example-explicit-2", 102)])
+    def test_every_layout_solves_through_eigenvalues(self, name, order, monkeypatch):
+        # one call per eps: the half-size block of a half-turn family, the
+        # full matrix of a generic one
+        orders, solve = [], galerkin.eigenvalues
+
+        def recorded(h):
+            orders.append(h.shape[0])
+            return solve(h)
+
+        monkeypatch.setattr(galerkin, "eigenvalues", recorded)
+        spectrum_sweep(load_example(name).family(), (0.2, 0.1, 0.01), 25)
+        assert orders == [order] * 3
+
     def test_flat_spectrum(self):
         ev = eigenvalues(galerkin_matrix(free_operator(), 3))
         expected = np.repeat(np.arange(-3, 4), 2)

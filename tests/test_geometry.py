@@ -15,8 +15,9 @@ from torusdirac import (
     load_example,
 )
 from torusdirac.config import EXAMPLE_NAMES
-from torusdirac.geometry import _arc_lengths, _coframe_samples, _metric_data, coframe_tails, fft_tail, raise_first
+from torusdirac.geometry import _arc_lengths, _coframe_samples, coframe_tails, fft_tail, raise_first
 from torusdirac.geometry import sample_checks, tail_check
+from torusdirac.perturbation import _metric_data
 from torusdirac.trigpoly import grid_points, poly_add, poly_derivative, poly_sub, resize_degree
 
 from conftest import COS, IDENTITY, add, SIN, ZERO, ZERO_FIELD, const, entrywise, evaluate, isclose, operator_hats

@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusdirac import arc_length, dirac_operator, galerkin_matrix, load_config_file
+from torusdirac import DiracOperator, arc_length, dirac_operator, galerkin_matrix, load_config_file
 from torusdirac import perturbation, perturbation_report
 from torusdirac.cli import main
 from torusdirac.config import EXAMPLE_NAMES
@@ -117,11 +117,12 @@ def _route_spinors(cf) -> list[str]:
     output, the rows of the stacks that ``perturbation_report(cf, "operator")``
     builds for both modes in lockstep, recorded from inside it."""
     stacks = {}
-    blocks, pseudoinverse = perturbation._first_order_blocks, perturbation._pseudoinverse
+    apply, pseudoinverse = DiracOperator.apply, perturbation._pseudoinverse
 
-    def record_blocks(*args):
-        result = blocks(*args)
-        stacks["w1v"] = result[1]
+    def record_apply(op, c):
+        # the first apply is W1 on [v_1, v_-1, w_1, w_-1]
+        result = apply(op, c)
+        stacks.setdefault("w1v", result[:2])
         return result
 
     def record_pseudoinverse(*args, **kwargs):
@@ -130,7 +131,7 @@ def _route_spinors(cf) -> list[str]:
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(perturbation, "_first_order_blocks", record_blocks)
+        patch.setattr(DiracOperator, "apply", record_apply)
         patch.setattr(perturbation, "_pseudoinverse", record_pseudoinverse)
         perturbation_report(cf, "operator")
     return [

@@ -279,6 +279,12 @@ class TestFit:
         with pytest.raises(ValueError, match="0.15"):
             fit_from_values(1, [0.05, 0.1, 0.2, 0.3], [0, 0, 0, 0], order=2)
 
+    @pytest.mark.parametrize("order", [0, 3, 5])
+    def test_rejects_an_order_without_a_model(self, order):
+        grid = np.linspace(0.01, 0.08, 12)
+        with pytest.raises(ValueError, match=r"^order must be 1, 2 or 4$"):
+            fit_from_values(1, grid, -0.5 * grid, order=order)
+
     def test_rejects_a_nan_eps_before_the_solve(self, capfd):
         # a NaN passed "eps <= 0 or eps > 0.15", and LAPACK printed DLASCL
         # errors to stderr before lstsq raised LinAlgError
@@ -401,7 +407,7 @@ class TestNonFinite:
 
         monkeypatch.setattr(perturbation, "inner", nan_gram)
         with pytest.raises(perturbation.DegenerateSplittingError, match="mode 1 "):
-            perturbation._first_order_blocks(free_operator())
+            perturbation._operator_route(*perturbation._metric_data(CoframeFamily(ZERO_FIELD, ZERO_FIELD), 3))
 
     def test_pseudoinverse_rejects_nan_overlap(self):
         c = np.full((2, 5), NAN, dtype=complex)
@@ -553,7 +559,7 @@ class TestSharedWork:
                 degrees.append((out.shape[-1] - 1) // 2)
             return out
 
-        for module in (geometry, dirac, perturbation):
+        for module in (dirac, perturbation):
             monkeypatch.setattr(module, "_field_product", recorded)
         return shapes
 
@@ -570,7 +576,7 @@ class TestSharedWork:
 
     def test_k_built_once(self, family, monkeypatch):
         # of k, the operator route builds the first column alone, W2's symbol
-        built, metric_data = [], geometry._metric_data
+        built, metric_data = [], perturbation._metric_data
 
         def recorded(cf, rows):
             h, k = metric_data(cf, rows)
@@ -588,7 +594,7 @@ class TestSharedWork:
         shapes = self.products(monkeypatch)
         perturbation._second_corrections_closed(h, k[0, 0])
         assert shapes == [(1, 1)]
-        dirac._second_order_operator(h, k)
+        perturbation._second_order_operator(h, k)
         assert shapes == [(1, 1), (3, 1), (1, 1)]
 
     def test_routes_build_no_full_product(self, family, monkeypatch):
@@ -621,13 +627,13 @@ class TestSharedWork:
         # then W1 v_n, the first column of h^2, the potential, then W1 on the
         # corrected spinors (zero, as W1 is) and W2 v_n
         assert degrees == [200, 1, 200, 200, 0, 1]
-        h, _ = geometry._metric_data(family, 3)
-        assert h.shape[-1] == 401 and dirac._first_order_operator(h).a_hat.shape[-1] == 1
+        h, _ = perturbation._metric_data(family, 3)
+        assert h.shape[-1] == 401 and perturbation._first_order_operator(h).a_hat.shape[-1] == 1
 
     def test_closed_route_builds_only_k00(self, family, monkeypatch):
         # with the closed-form sums stubbed out, the one product left is k's,
         # (E1^T E1)[0, 0], and of k only that entry is built
-        shapes, metric_data = self.products(monkeypatch), geometry._metric_data
+        shapes, metric_data = self.products(monkeypatch), perturbation._metric_data
 
         def column_top(cf, rows):
             assert rows == 1, "the closed form built more of k than k[0, 0]"
@@ -649,7 +655,7 @@ class TestSharedWork:
         # the steps fail in order: h or k overflow, block +1, block -1, term
         # +1, term -1; the lockstep steps raise at their +1 row first
         inner, pseudoinverse = perturbation.inner, perturbation._pseudoinverse
-        realness_check, metric_data = perturbation._realness_check, geometry._metric_data
+        realness_check, metric_data = perturbation._realness_check, perturbation._metric_data
 
         def nonscalar(*rows):
             def patched(u, v):
