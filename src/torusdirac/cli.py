@@ -62,14 +62,14 @@ def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     return "\n".join([fmt_row(header), sep] + [fmt_row(r) for r in rows]) + "\n"
 
 
-def cmd_galerkin(cfg: RunConfig, out_format: str) -> tuple[str, list[str]]:
+def cmd_galerkin(cfg: RunConfig) -> tuple[str, list[str]]:
     """One row per eps; tracked pair mean and gap per mode.
 
     Tracking failures are surfaced per cell (rendered as nan) and returned
     as diagnostics; any failure makes the command exit nonzero.
     """
     family = cfg.family()
-    num = _csv if out_format == "csv" else _md
+    num = _csv if cfg.out_format == "csv" else _md
     header = ["eps"] + [f"{column}_{n}" for n in cfg.modes for column in ("mode", "gap")]
     reports = gk.spectrum_sweep(family, cfg.eps_list, cfg.m)
     means, gaps, errors = gk.track_pairs(reports, cfg.modes)
@@ -82,10 +82,10 @@ def cmd_galerkin(cfg: RunConfig, out_format: str) -> tuple[str, list[str]]:
     ]
     # in row order, as ``track_pairs`` keys them
     failures = [f"eps={cfg.eps_list[e]:g} mode={cfg.modes[i]}: {err}" for (e, i), err in errors.items()]
-    return _render_table(header, rows, out_format), failures
+    return _render_table(header, rows, cfg.out_format), failures
 
 
-def cmd_asympt(cfg: RunConfig, out_format: str) -> str:
+def cmd_asympt(cfg: RunConfig) -> str:
     """Expansion coefficients of the eigenvalues +-1 from all three routes.
 
     Raises RouteDisagreementError (mapped to exit code 3) when routes differ
@@ -100,7 +100,7 @@ def cmd_asympt(cfg: RunConfig, out_format: str) -> str:
     tol_op = (TOL_L1_OPERATOR,) * 2 + (TOL_L2_OPERATOR,) * 2
     tol_fit = (TOL_L1_FIT,) * 2 + (TOL_L2_FIT,) * 2
 
-    num = _csv if out_format == "csv" else _md
+    num = _csv if cfg.out_format == "csv" else _md
     rows = []
     failures = []
     for name, t_op, t_fit in zip(names, tol_op, tol_fit):
@@ -116,7 +116,7 @@ def cmd_asympt(cfg: RunConfig, out_format: str) -> str:
     table = _render_table(
         ["coefficient", "closed_form", "operator", "galerkin_fit", "max_deviation"],
         rows,
-        out_format,
+        cfg.out_format,
     )
     eps_probe = 1e-4
     plus, minus = _arc_lengths(family, np.array([eps_probe, -eps_probe]))
@@ -136,15 +136,15 @@ class RouteDisagreementError(NumericalContractError):
     """Cross-route deviation above the contract tolerance."""
 
 
-def cmd_fit(cfg: RunConfig, out_format: str, order: int = 4, eps_grid=None) -> str:
+def cmd_fit(cfg: RunConfig, order: int = 4, eps_grid=None) -> str:
     """Fitted expansion coefficients per tracked mode, with asymmetry flags, over
     ``eps_grid`` (``--eps`` alone sets it), else ``default_fit_grid(order)``: never the config's eps."""
     fits = pt.fit_expansion(cfg.family(), cfg.modes, eps_grid, order, cfg.m)
 
-    num = _csv if out_format == "csv" else _md
+    num = _csv if cfg.out_format == "csv" else _md
     header = ["mode"] + [f"c{p}" for p in range(1, order + 1)] + ["residual"]
     rows = [[str(n), *map(num, fits[n].coefficients), num(fits[n].residual_norm)] for n in cfg.modes]
-    table = _render_table(header, rows, out_format)
+    table = _render_table(header, rows, cfg.out_format)
 
     flags = []
     if order >= 2:
@@ -259,12 +259,12 @@ def main(argv=None) -> int:
 
         tracking_failures: list[str] = []
         if args.command == "galerkin":
-            text, tracking_failures = cmd_galerkin(cfg, cfg.out_format)
+            text, tracking_failures = cmd_galerkin(cfg)
         elif args.command == "asympt":
-            text = cmd_asympt(cfg, cfg.out_format)
+            text = cmd_asympt(cfg)
         elif args.command == "fit":
             eps_grid = cfg.eps_list if args.eps is not None else None
-            text = cmd_fit(cfg, cfg.out_format, order=args.order, eps_grid=eps_grid)
+            text = cmd_fit(cfg, order=args.order, eps_grid=eps_grid)
         else:
             text = cmd_dump_matrix(cfg)
     # before _NUMERIC_ERRORS, which it derives from

@@ -126,18 +126,18 @@ def parse_numbers(text: str, key: str, cast) -> list:
     return values
 
 
-def parse_m(text, key: str = "m") -> int:
+def parse_m(text, key: str) -> int:
     """A Galerkin truncation m, an integer >= 1."""
     try:
         m = int(text)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from exc
     if m < 1:
-        raise ConfigError("m must be >= 1")
+        raise ConfigError(f"{key} must be >= 1")
     return m
 
 
-def parse_modes(text: str, key: str = "modes") -> list[int]:
+def parse_modes(text: str, key: str) -> list[int]:
     """Comma or whitespace separated integer modes, each given once."""
     modes = parse_numbers(text, key, int)
     repeated = next((n for i, n in enumerate(modes) if n in modes[:i]), None)
@@ -146,7 +146,7 @@ def parse_modes(text: str, key: str = "modes") -> list[int]:
     return modes
 
 
-def parse_eps_list(text: str, key: str = "eps") -> list[float]:
+def parse_eps_list(text: str, key: str) -> list[float]:
     """Comma or whitespace separated eps values, each required to be finite."""
     values = parse_numbers(text, key, float)
     for value in values:
@@ -155,7 +155,7 @@ def parse_eps_list(text: str, key: str = "eps") -> list[float]:
     return values
 
 
-def parse_out(text: str, key: str = "out") -> str:
+def parse_out(text: str, key: str) -> str:
     """An output format, csv or md."""
     if text not in ("csv", "md"):
         raise ConfigError(f"{key} must be 'csv' or 'md', got {text!r}")

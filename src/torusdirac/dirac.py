@@ -31,11 +31,6 @@ stack [q v^; v^].
 Sums of spinors go through ``trigpoly.poly_add``/``poly_sub``, which pad
 both operands to the larger degree before they add; a spinor is scaled by
 a complex scalar, ``c * complex(s)``, and a stack by one per spinor.
-
-The full operator is sampled in ``dirac_operators(cf, eps_values, n)``, one
-pass over an eps-sweep: from ``geometry._coframe_samples`` of every eps it
-forms (a1, a2, a3) and p pointwise, takes their real FFT and keeps the
-frequencies k < n/4.
 """
 
 from __future__ import annotations
@@ -158,24 +153,20 @@ def dirac_operators(cf: CoframeFamily, eps_values, n: int) -> list[DiracOperator
     """
     eps = np.asarray(eps_values, dtype=float)
     tails, harmonics = coframe_tails(cf, eps, n)
+    top = (n - 1) // 4  # the largest |k| below n/4
     past, error = tail_check(tails, lambda e: f"harmonic {harmonics[e]} of the coframe lies past the band "
-                             f"|k| <= {(n - 1) // 4} that {n} sample points keep")
-    stop = int(np.argmax(past)) if past.any() else eps.size  # nothing past it is sampled
-    ops = _sampled_operators(cf, eps[:stop], n) if stop else []
+                             f"|k| <= {top} that {n} sample points keep")
+    stop = int(np.argmax(past)) if past.any() else eps.size
+    ops = []
+    if stop:  # nothing at or past the first eps whose tail fails is sampled
+        values, cofactors, det, checks = _coframe_samples(cf, eps[:stop], n)
+        _, e01, e02, _, e11, e12, _, e21, e22, d01, d02, d11, d12, d21, d22 = values
+        with np.errstate(all="ignore"):  # det e may vanish, or samples overflow, at an eps that fails below
+            num = (e02 * d01 - e01 * d02) + (e12 * d11 - e11 * d12) + (e22 * d21 - e21 * d22)
+            a_hat = np.fft.rfft(cofactors / det, axis=-1, norm="forward")  # (3, E, n//2 + 1)
+            p_hat = np.fft.rfft(num / (4.0 * det), axis=-1, norm="forward")
+        tails = np.maximum(fft_tail(a_hat, n, (0, 2)), fft_tail(p_hat, n, 1))
+        raise_first((*checks, tail_check(tails)))
+        ops = [DiracOperator(a_hat[:, e, : top + 1], p_hat[e, : top + 1]) for e in range(stop)]
     raise_first(((past, error),))
     return ops
-
-
-def _sampled_operators(cf: CoframeFamily, eps: np.ndarray, n: int) -> list[DiracOperator]:
-    """``dirac_operators`` at the 1-d ``eps``, whose coframe tails passed. The
-    checks run once over the stacks, in the order of ``dirac_operators``."""
-    top = (n - 1) // 4  # the largest |k| below n/4
-    values, cofactors, det, checks = _coframe_samples(cf, eps, n)
-    _, e01, e02, _, e11, e12, _, e21, e22, d01, d02, d11, d12, d21, d22 = values
-    with np.errstate(all="ignore"):  # det e may vanish, or samples overflow, at an eps that fails below
-        num = (e02 * d01 - e01 * d02) + (e12 * d11 - e11 * d12) + (e22 * d21 - e21 * d22)
-        a_hat = np.fft.rfft(cofactors / det, axis=-1, norm="forward")  # (3, E, n//2 + 1)
-        p_hat = np.fft.rfft(num / (4.0 * det), axis=-1, norm="forward")
-    tails = np.maximum(fft_tail(a_hat, n, (0, 2)), fft_tail(p_hat, n, 1))
-    raise_first((*checks, tail_check(tails)))
-    return [DiracOperator(a_hat[:, e, : top + 1], p_hat[e, : top + 1]) for e in range(eps.size)]

@@ -291,16 +291,13 @@ def _operator_route(h: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class FitResult:
     """Least-squares expansion of a tracked eigenvalue about mode n."""
 
-    mode: int
-    order: int
     coefficients: np.ndarray  # c_1..c_order
     uncertainties: np.ndarray
     residual_norm: float
-    eps_grid: np.ndarray
     values: np.ndarray  # tracked pair means minus n
 
     def __post_init__(self):
-        for arr in (self.coefficients, self.uncertainties, self.eps_grid, self.values):
+        for arr in (self.coefficients, self.uncertainties, self.values):
             arr.setflags(write=False)
 
 
@@ -357,14 +354,14 @@ def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
             f"sweep" + ("; fit at a higher order" if order < 4 else "")
         )
 
-    dof = grid.size - len(powers)
-    sigma2 = residual**2 / dof if dof > 0 else 0.0
+    dof = grid.size - len(powers)  # >= 2: n_nuisance <= N - order - 2
+    sigma2 = residual**2 / dof
     try:
         cov = sigma2 * np.linalg.inv(design.T @ design)
         unc = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         unc = np.full(len(powers), np.nan)
-    return FitResult(n, order, coeffs[:order].copy(), unc[:order].copy(), residual, grid.copy(), values)
+    return FitResult(coeffs[:order].copy(), unc[:order].copy(), residual, values)
 
 
 def fit_expansion(cf: CoframeFamily, modes, eps_grid=None, order: int = 2,
@@ -394,7 +391,6 @@ def fit_expansion(cf: CoframeFamily, modes, eps_grid=None, order: int = 2,
 class PerturbationReport:
     """First and second expansion coefficients from one route."""
 
-    route: str
     lambda1_plus: float
     lambda1_minus: float
     lambda2_plus: float
@@ -426,14 +422,14 @@ def perturbation_report(cf: CoframeFamily, route: str, m: int = 25) -> Perturbat
         h, k = _metric_data(cf, 1)
         l1 = [-n * 0.5 * _mean(h[0, 0]) for n in _KRAMERS_PAIR]
         l2 = _second_corrections_closed(h, k[0, 0])
-        return PerturbationReport(route, *l1, *l2)
+        return PerturbationReport(*l1, *l2)
     if route == "operator":
         l1, l2 = _operator_route(*_metric_data(cf, 3))
-        return PerturbationReport(route, *map(float, l1), *map(float, l2))
+        return PerturbationReport(*map(float, l1), *map(float, l2))
     if route == "galerkin_fit":
         # the quartic grid: on the 6-point quadratic one, fits fail the residual check
         fits = fit_expansion(cf, _KRAMERS_PAIR, default_fit_grid(4), order=2, m=m)
         values = (float(fits[n].coefficients[j]) for j in (0, 1) for n in _KRAMERS_PAIR)
-        return PerturbationReport(route, *values)  # l1(+1), l1(-1), l2(+1), l2(-1)
+        return PerturbationReport(*values)  # l1(+1), l1(-1), l2(+1), l2(-1)
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 

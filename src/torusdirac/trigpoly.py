@@ -9,15 +9,16 @@ array of coefficients centred on k = 0.
 
 Degrees in this artifact are small, so a function is the dense 1-d array of
 its coefficients, ``c[k + D]`` holding c_k, and products are direct
-convolutions. A coframe (E1, E2) is nested 3x3 tuples of such arrays,
-``e[a][b]`` for entry (a, b), each at its own degree, as ``_as_field`` makes
-it from any nested 3x3 sequence of arrays or scalars; the coefficient routes
-stack E1, E2, h and k as arrays (3, 3, 2D+1) by ``stack_field``. The
-arithmetic is module-level functions on the arrays: ``poly_add``/``poly_sub``
-(pad both operands to the larger degree, then add), ``np.convolve``,
-``matmul_entry``, ``_field_product`` (the product of two stacks: one
-``einsum`` when small, else entry by entry, each entry at its own degree)
-and ``poly_derivative``.
+convolutions: ``np.convolve`` of two arrays, or, for a small product of two
+stacks, one ``einsum`` against a Toeplitz view. A coframe (E1, E2) is
+nested 3x3 tuples of such arrays, ``e[a][b]`` for entry (a, b), each at its
+own degree, as ``_as_field`` makes it from any nested 3x3 sequence of arrays
+or scalars; the coefficient routes stack E1, E2, h and k as arrays (3, 3,
+2D+1) by ``stack_field``. The arithmetic is module-level functions on the
+arrays: ``poly_add``/``poly_sub`` (pad both operands to the larger degree,
+then add), ``np.convolve``, ``matmul_entry``, ``_field_product`` (the
+product of two stacks: one ``einsum`` when small, else entry by entry, each
+entry at its own degree) and ``poly_derivative``.
 
 A real function past parse, such as the symbol components and the potential
 of an operator, is held as its half spectrum c_0..c_L, ``numpy.fft.rfft``
@@ -87,17 +88,10 @@ def poly_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return poly_add(a, -b)
 
 
-@lru_cache(maxsize=64)
-def _ik(degree: int) -> np.ndarray:
-    """i*k for k = -degree..degree (cached, read-only)."""
-    ik = 1j * np.arange(-degree, degree + 1)
-    ik.setflags(write=False)
-    return ik
-
-
 def poly_derivative(c: np.ndarray) -> np.ndarray:
     """Coefficients of d/dx along the last axis: c_k -> i k c_k."""
-    return _ik((c.shape[-1] - 1) // 2) * c
+    d = (c.shape[-1] - 1) // 2
+    return 1j * np.arange(-d, d + 1) * c
 
 
 def half_spectrum(c: np.ndarray) -> np.ndarray:

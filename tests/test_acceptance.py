@@ -43,7 +43,7 @@ def parse_csv(text: str) -> tuple[list[str], list[list[float]]]:
 
 def table_from_cmd_galerkin(name: str) -> dict[float, dict[int, tuple[float, float]]]:
     cfg = load_example(name)
-    text, failures = cmd_galerkin(cfg, "csv")
+    text, failures = cmd_galerkin(cfg)
     assert not failures
     header, rows = parse_csv(text)
     out = {}
@@ -92,7 +92,7 @@ def test_criterion_3_first_row_family_quartic_fit():
     start = time.perf_counter()
     cfg = load_example("example-galerkin-2")
     cfg.modes = [1, -1]
-    out = cmd_fit(cfg, "csv", order=4)
+    out = cmd_fit(cfg, order=4)
     header_line, *rest = out.strip().splitlines()
     table_lines = [ln for ln in rest if ln.count(",") == header_line.count(",")]
     header, rows = parse_csv("\n".join([header_line] + table_lines))

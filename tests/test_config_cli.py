@@ -104,14 +104,26 @@ class TestParsing:
             (parse_config, "eps = a\ncoframe.E1.1.1 = (0, 1, 0)", "eps: expected a list of numbers, got 'a'"),
             (parse_config, "out = xml\ncoframe.E1.1.1 = (0, 1, 0)", "out must be 'csv' or 'md', got 'xml'"),
             (parse_config, "m = 8\nm 25  # no sign", "line 2: expected 'key = value', got 'm 25  # no sign'"),
+            (parse_config, "m = 0\ncoframe.E1.1.1 = (0, 1, 0)", "m must be >= 1"),
+            # as cli.main parses the --m flag
+            (lambda text: config.parse_scalars({"m": text}, "--"), "-5", "--m must be >= 1"),
             (load_example, "nope", "unknown example 'nope'; available: example-galerkin-1, "
              "example-galerkin-2, example-explicit-1, example-explicit-2"),
         ],
-        ids=["triple", "eps", "out", "no-equals", "example"],
+        ids=["triple", "eps", "out", "no-equals", "m", "m-flag", "example"],
     )
     def test_error_messages(self, load, text, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load(text)
+
+    def test_unknown_physical_memory_skips_the_memory_bound(self, monkeypatch):
+        def unavailable(name):
+            raise OSError(f"sysconf {name!r} unavailable")
+
+        monkeypatch.setattr(config.os, "sysconf", unavailable)
+        assert config._physical_memory() is None
+        config._require_memory(1 << 60, "m=1", "Galerkin matrix")
+        assert parse_config(MINIMAL_DIRECT).m == 8
 
     def test_family_is_held_once_and_mode_follows_h(self):
         direct, coframe = parse_config(MINIMAL_DIRECT), parse_config("coframe.E1.1.2 = (0, 0.5, 0)\n")
@@ -139,10 +151,6 @@ class TestParsing:
 
 
 class TestCli:
-    def run(self, *argv, capsys=None):
-        code = main(list(argv))
-        return code
-
     @pytest.mark.parametrize("argv", [[], None], ids=["empty", "console-script"])
     def test_no_command_prints_help_and_exits_2(self, argv, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["torusdirac"])
@@ -634,7 +642,7 @@ class TestCli:
         def with_nan(cf, name, m=25):
             result = report(cf, name, m)
             if name == route:
-                result = pt.PerturbationReport(name, float("nan"), *astuple(result)[2:])
+                result = pt.PerturbationReport(float("nan"), *astuple(result)[1:])
             return result
 
         monkeypatch.setattr(pt, "perturbation_report", with_nan)
@@ -763,4 +771,4 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 0
-        assert "example-galerkin-1" in proc.stdout
+        assert proc.stdout == "\n".join(EXAMPLE_NAMES) + "\n"

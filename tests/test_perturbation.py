@@ -345,7 +345,7 @@ class TestSweepSolves:
     def test_cli_fit_solves_once_per_eps(self, solves):
         cfg = load_example("example-galerkin-1")
         assert cfg.modes == [-2, -1, 0, 1, 2]
-        cmd_fit(cfg, "csv")
+        cmd_fit(cfg)
         assert solves == [12]
 
     def test_galerkin_fit_route_solves_once_per_eps(self, solves, explicit_family_2):
@@ -649,7 +649,7 @@ class TestSharedWork:
             raise AssertionError("the Galerkin fit route built h or k")
 
         monkeypatch.setattr(perturbation, "_metric_data", refuse)
-        assert perturbation_report(family, "galerkin_fit").route == "galerkin_fit"
+        perturbation_report(family, "galerkin_fit")
 
     def test_failure_order_matches_separate_calls(self, family, monkeypatch):
         # the steps fail in order: h or k overflow, block +1, block -1, term

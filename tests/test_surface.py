@@ -4,13 +4,14 @@ A change that adds or removes a top-level name edits ``PUBLIC`` on purpose;
 names deleted from the package must stay deleted.
 """
 
+import dataclasses
 import importlib
 import inspect
 import subprocess
 import sys
 
 import torusdirac
-from torusdirac import config, dirac, galerkin, perturbation, trigpoly
+from torusdirac import cli, config, dirac, galerkin, perturbation, trigpoly
 
 PUBLIC = [
     "CoframeFamily",
@@ -102,6 +103,8 @@ DELETED = [
     "dirac._second_order_operator",
     "perturbation._first_order_blocks",
     "perturbation._second_order_terms",
+    "dirac._sampled_operators",
+    "trigpoly._ik",
 ]
 
 # names that left the top level but stay importable from their modules
@@ -143,6 +146,20 @@ def test_deleted_names_are_gone():
 def test_perturbation_report_is_the_one_route_entry():
     params = inspect.signature(perturbation.perturbation_report).parameters
     assert list(params) == ["cf", "route", "m"]
+
+
+def test_result_records_hold_only_what_callers_read():
+    # no echo of the route, mode, order or eps grid that the caller passed in
+    fit = [f.name for f in dataclasses.fields(perturbation.FitResult)]
+    report = [f.name for f in dataclasses.fields(perturbation.PerturbationReport)]
+    assert fit == ["coefficients", "uncertainties", "residual_norm", "values"]
+    assert report == ["lambda1_plus", "lambda1_minus", "lambda2_plus", "lambda2_minus"]
+
+
+def test_commands_read_the_format_from_the_config():
+    commands = {name: f for name, f in vars(cli).items() if name.startswith("cmd_")}
+    assert sorted(commands) == ["cmd_asympt", "cmd_dump_matrix", "cmd_fit", "cmd_galerkin"]
+    assert [name for name, f in commands.items() if "out_format" in inspect.signature(f).parameters] == []
 
 
 def test_second_order_terms_run_the_kramers_pair_only():
