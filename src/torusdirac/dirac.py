@@ -26,7 +26,10 @@ p, the action is
               = sum_q [ B^(k - q) q v^(q) + ((k - q)/2 B^(k - q) + p^(k - q)) v^(q) ],
 
 one ``trigpoly._field_product`` of the field [B^ | k/2 B^ + p^ I] and the
-stack [q v^; v^].
+stack [q v^; v^]. An operator builds that field on its first ``apply`` and
+holds it, read-only, for every later one; a Galerkin solve never applies its
+operator, so it never builds one. W1 and W2 of ``perturbation``, real by
+construction, are held by ``DiracOperator._of``: no copy, a finiteness check.
 
 Sums of spinors go through ``trigpoly.poly_add``/``poly_sub``, which pad
 both operands to the larger degree before they add; a spinor is scaled by
@@ -36,12 +39,13 @@ a complex scalar, ``c * complex(s)``, and a stack by one per spinor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import CoframeFamily, NumericalContractError, _coframe_samples, coframe_tails, fft_tail
 from .geometry import raise_first, tail_check
-from .trigpoly import _field_product, real_spectrum, resize_degree
+from .trigpoly import _degree, _field_product, real_spectrum, resize_degree
 
 
 def _spinor(c) -> np.ndarray:
@@ -66,11 +70,22 @@ def inner(u, v):
 
 # the field [B | k/2 B + p I] of ``DiracOperator.apply`` is sum_j c_j F_j over the
 # coefficients c = (a1, a2, a3, k/2 a1, k/2 a2, k/2 a3, p), B = a1 s1 + a2 s2 + a3 s3
-# with the Pauli matrices s_j: F_j is [s_j | 0], then [0 | s_j], then [0 | I]
+# with the Pauli matrices s_j: F_j is [s_j | 0], then [0 | s_j], then [0 | I]. Its
+# eight entries are the rows of _FIELD_MAP @ c. Each is a sum of at most two c_j, each
+# times 1, -1, i or -i, so every product is exact and the sum rounds once, in any
+# order; + 0.0 turns a -0 entry into the +0 of a sum begun at 0, so the field keeps
+# the bytes of the einsum over the F_j.
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _FIELD_BASIS = np.zeros((7, 2, 4), dtype=complex)
 _FIELD_BASIS[:3, :, :2], _FIELD_BASIS[3:6, :, 2:], _FIELD_BASIS[6, :, 2:] = _PAULI, _PAULI, np.eye(2)
 _FIELD_BASIS.setflags(write=False)
+_FIELD_MAP = np.ascontiguousarray(_FIELD_BASIS.reshape(7, 8).T)  # (8, 7): entry (a, c) is row 4a + c
+_FIELD_MAP.setflags(write=False)
+
+
+def _require_finite(a_hat: np.ndarray, p_hat: np.ndarray) -> None:
+    if not (np.isfinite(a_hat).all() and np.isfinite(p_hat).all()):
+        raise NumericalContractError("operator coefficient is not finite")
 
 
 @dataclass(frozen=True)
@@ -93,17 +108,42 @@ class DiracOperator:
         p = np.array(self.p_hat, dtype=complex)
         if a.ndim != 2 or a.shape[0] != 3 or a.shape[1] == 0 or p.shape != a.shape[1:]:
             raise ValueError("a_hat must have shape (3, L+1) and p_hat shape (L+1,)")
-        if not (np.isfinite(a).all() and np.isfinite(p).all()):
-            raise NumericalContractError("operator coefficient is not finite")
+        _require_finite(a, p)
         if a[:, 0].imag.any() or p[0].imag:
             raise NumericalContractError("c_0 of a real function has a nonzero imaginary part")
         for name, coeffs in (("a_hat", a), ("p_hat", p)):
             coeffs.setflags(write=False)
             object.__setattr__(self, name, coeffs)
 
+    @classmethod
+    def _of(cls, a_hat: np.ndarray, p_hat: np.ndarray) -> DiracOperator:
+        """The operator of the half spectra ``a_hat`` (3, L+1) and ``p_hat``
+        (L+1,), complex arrays that no one else holds, of that shape and with
+        c_0 real by construction: held as they are, with no copy, and checked
+        finite only (else NumericalContractError)."""
+        _require_finite(a_hat, p_hat)
+        op = object.__new__(cls)
+        for name, coeffs in (("a_hat", a_hat), ("p_hat", p_hat)):
+            coeffs.setflags(write=False)
+            object.__setattr__(op, name, coeffs)
+        return op
+
     @property
     def degree(self) -> int:
         return self.p_hat.size - 1
+
+    @cached_property
+    def _field(self) -> np.ndarray:
+        """The field [B^ | k/2 B^ + p^ I] of ``apply``, (2, 4, 2F+1) at its
+        own degree F <= L: built on the first ``apply``, then read-only."""
+        top = self.degree
+        spectra = real_spectrum(np.concatenate((self.a_hat, self.p_hat[None])), top)  # a1, a2, a3, p
+        a = spectra[:3]
+        coeffs = np.concatenate((a, 0.5 * np.arange(-top, top + 1) * a, spectra[3:]))
+        field = (_FIELD_MAP @ coeffs).reshape(2, 4, -1) + 0.0
+        field = resize_degree(field, _degree(field))
+        field.setflags(write=False)
+        return field
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """(W v)^(k) = sum_q [(k + q)/2 B^(k - q) + p^(k - q)] v^(q), exactly,
@@ -114,11 +154,9 @@ class DiracOperator:
         d, top = (c.shape[-1] - 1) // 2, self.degree
         if not c.size:  # an empty stack
             return np.zeros(c.shape[:-1] + (2 * (top + d) + 1,), dtype=complex)
-        a = real_spectrum(self.a_hat, top)
-        coeffs = np.concatenate((a, 0.5 * np.arange(-top, top + 1) * a, real_spectrum(self.p_hat, top)[None]))
         v = c.reshape(-1, 2, 2 * d + 1)
         stack = np.concatenate((np.arange(-d, d + 1) * v, v), axis=1).transpose(1, 0, 2)  # (4, S, 2K+1)
-        out = _field_product(np.einsum("jac,jk->ack", _FIELD_BASIS, coeffs), stack)
+        out = _field_product(self._field, stack)
         return resize_degree(out, top + d).transpose(1, 0, 2).reshape(c.shape[:-1] + (-1,))
 
     __call__ = apply

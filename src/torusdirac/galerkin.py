@@ -174,7 +174,7 @@ _TRACKING_ERRORS = (
     "mode {n} too close to truncation edge for m={report.m}",
     f"no eigenvalue pair within {CLUSTER_RADIUS} of mode {{n}} at eps={{report.eps}}: nearest {{pair}}",
     f"third eigenvalue {{third[0]}} within {CLUSTER_RADIUS} of mode {{n}} at eps={{report.eps}}, "
-    "next to the pair {pair}: crossing pairs",
+    "next to the pair {pair}: crossing pairs, or a spurious eigenvalue of the truncation",
     "eigenvalues {pair} nearest mode {n} at eps={report.eps} are {gap:.2e} apart, more than the "
     f"pairing tolerance {PAIRING_TOL:.0e}",
 )

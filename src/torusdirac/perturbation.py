@@ -19,7 +19,8 @@ what is read is built: the closed form reads h, k[0, 0] and (h^2)[0, 0],
 its sums over the harmonics being array reductions. ``_operator_route``
 builds the terms W1 and W2 of the operator's expansion in the normal form
 of ``dirac``, by ``_first_order_operator`` and ``_second_order_operator``,
-with no recheck: h is symmetric, W1 and W2 real by construction. Their
+with no recheck: h is symmetric, W1 and W2 real by construction, so
+``DiracOperator._of`` holds their fresh half spectra without a copy. Their
 coefficients are trigonometric polynomials, so applying them, the
 pseudoinverse and the inner products are exact finite sums and no grid is
 sampled. The route runs the modes +1 and -1, the Kramers pair, in
@@ -54,6 +55,8 @@ ROUTES = ("closed_form", "operator", "galerkin_fit")
 _FIT_ROUNDING = 64.0
 # the modes whose eigenvalues the coefficient routes expand
 _KRAMERS_PAIR = (1, -1)
+_TWICE_PAIR = 2 * np.array(_KRAMERS_PAIR)[:, None]  # 2n as a column, read-only
+_TWICE_PAIR.setflags(write=False)
 
 
 class PseudoinverseDomainError(NumericalContractError):
@@ -69,13 +72,14 @@ class FitResidualError(NumericalContractError):
 
 
 @lru_cache(maxsize=16)
-def _basis(modes: tuple, kind: str) -> np.ndarray:
-    """The ``kind`` basis spinors of the integer ``modes`` as one stack
-    (len(modes), 2, 2D+1), each zero-padded to the largest |n|, D (cached,
+def _basis(modes: tuple, kinds: str) -> np.ndarray:
+    """The basis spinors of the integer ``modes`` of each kind in ``kinds``
+    ("v", "w" or "vw") as one stack (len(kinds) * len(modes), 2, 2D+1),
+    kind by kind, each zero-padded to the largest |n|, D (cached,
     read-only)."""
     top = max(map(abs, modes), default=0)
-    rows = [resize_degree(basis_spinor(n, kind), top) for n in modes]
-    stack = np.array(rows, dtype=complex).reshape(len(modes), 2, 2 * top + 1)
+    rows = [resize_degree(basis_spinor(n, kind), top) for kind in kinds for n in modes]
+    stack = np.array(rows, dtype=complex).reshape(len(rows), 2, 2 * top + 1)
     stack.setflags(write=False)
     return stack
 
@@ -109,25 +113,32 @@ def pseudoinverse(c, n) -> np.ndarray:
 
 
 def _pseudoinverse(c, n):
-    """``pseudoinverse``'s output and, for ``geometry.raise_first``, its checks."""
-    c = _spinor(c)
-    n = np.broadcast_to(n, c.shape[:-2])
+    """``pseudoinverse``'s output and, for ``geometry.raise_first``, its
+    checks: the overlaps with v_n, then with w_n, of every row, taken by one
+    ``inner`` against the stack [v_n; w_n]."""
+    c, n = _spinor(c), np.asarray(n)
+    if n.shape != c.shape[:-2]:
+        n = np.broadcast_to(n, c.shape[:-2])
+    kernel = _basis(tuple(n.ravel().tolist()), "vw").reshape((2,) + n.shape + (2, -1))
+    overlap = np.abs(inner(c, kernel))
+    fails = ~(overlap <= 1e-9)  # "not overlap <= tol", so that a NaN overlap fails too
 
-    def domain_check(kind):
-        overlap = np.abs(inner(c, _basis(tuple(n.ravel().tolist()), kind).reshape(n.shape + (2, -1))))
-        # "not overlap <= tol", so that a NaN overlap fails too
-        return ~(overlap <= 1e-9), lambda i: PseudoinverseDomainError(
-            f"input overlaps the lambda0={n.flat[i]} eigenspace by {overlap.flat[i]:.2e} (tolerance 1e-09)"
+    def error(kind):
+        return lambda i: PseudoinverseDomainError(
+            f"input overlaps the lambda0={n.flat[i]} eigenspace by {overlap[kind].flat[i]:.2e} (tolerance 1e-09)"
         )
 
-    checks = [domain_check("v"), domain_check("w")]
-    q, n = np.arange(c.shape[-1]) - (c.shape[-1] - 1) // 2, n[..., None]
-    # weights of A and B per mode, zero where the denominator vanishes
-    wa, wb = np.zeros(n.shape[:-1] + q.shape), np.zeros(n.shape[:-1] + q.shape)
-    np.divide(0.5, q - n, out=wa, where=q != n)
-    np.divide(0.5, -q - n, out=wb, where=q != -n)
+    q, n = np.arange(c.shape[-1]) - (c.shape[-1] - 1) // 2, n[..., None, None]
+    # weights of A and B per mode, 0.5 / (q - n) and 0.5 / (-q - n), and 0
+    # (0.5 / inf) where the denominator vanishes
+    denominators = np.array((q, -q)) - n
+    weights = 0.5 / np.where(denominators != 0, denominators, np.inf)
+    wa, wb = weights[..., 0, :], weights[..., 1, :]
     sym, anti = wa * (c[..., 0, :] + c[..., 1, :]), wb * (c[..., 0, :] - c[..., 1, :])
-    return np.stack([sym + anti, sym - anti], axis=-2), checks
+    out = np.empty(c.shape, dtype=complex)
+    np.add(sym, anti, out=out[..., 0, :])
+    np.subtract(sym, anti, out=out[..., 1, :])
+    return out, [(fails[0], error(0)), (fails[1], error(1))]
 
 
 # ----------------------------------------------------------------------
@@ -138,18 +149,19 @@ def _metric_data(cf: CoframeFamily, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """What the closed form and operator route read of g = I + eps*h +
     (eps^2/4)*k + O(eps^3): h = E1 + E1^T, a stack (3, 3, 2D+1) at the degree
     D of E1, and the entries (a, 0), a < ``rows``, of k = 4*(E1^T E1 + E2 +
-    E2^T), a stack (rows, 1, 2D'+1), D' = max(2D, deg E2), from E1 and E2
-    stacked once each: one ``_field_product`` of E1's first ``rows`` columns,
-    transposed, against its first column, then + E2, + E2^T and * 4, in that
-    order. Raises NumericalContractError when h or k, from finite E1 and E2,
-    overflows.
+    E2^T), a stack (rows, 1, 2D'+1), D' = max(2D, deg E2), from E1 stacked
+    once and the entries of E2 that k reads: one ``_field_product`` of E1's
+    first ``rows`` columns, transposed, against its first column, then + E2,
+    + E2^T and * 4, in that order. Raises NumericalContractError when h or k,
+    from finite E1 and E2, overflows.
     """
     e1 = stack_field(cf.E1, field_degree(cf.E1))
     h = e1 + e1.transpose(1, 0, 2)
     product = _field_product(e1[:, :rows].transpose(1, 0, 2), e1[:, :1])
     d = max(field_degree(cf.E2), e1.shape[-1] - 1)  # e1.shape[-1] - 1 is twice the degree of E1
-    e2 = stack_field(cf.E2, d)
-    k = (resize_degree(product, d) + e2[:rows, :1] + e2[:1, :rows].transpose(1, 0, 2)) * 4.0
+    # the entries (a, 0) and (0, a) of E2, a < rows, as the two rows of e2
+    e2 = stack_field(([r[0] for r in cf.E2[:rows]], cf.E2[0][:rows]), d)
+    k = (resize_degree(product, d) + e2[0, :, None] + e2[1, :, None]) * 4.0
     if not (np.isfinite(h).all() and np.isfinite(k).all()):
         raise NumericalContractError("h or k overflows: a coefficient is not finite")
     return h, k
@@ -167,7 +179,7 @@ def _first_order_operator(h: np.ndarray) -> DiracOperator:
     potential only enters at second order.
     """
     d = _degree(h[:, 0])  # the column's own degree, not that of all of h
-    return DiracOperator(-0.5 * half_spectrum(resize_degree(h[:, 0], d)), np.zeros(d + 1))
+    return DiracOperator._of(-0.5 * half_spectrum(resize_degree(h[:, 0], d)), np.zeros(d + 1, dtype=complex))
 
 
 def _second_order_operator(h: np.ndarray, k: np.ndarray) -> DiracOperator:
@@ -183,9 +195,11 @@ def _second_order_operator(h: np.ndarray, k: np.ndarray) -> DiracOperator:
     hcols = _field_product(h, h[:, :1])[:, 0]
     row, col = np.concatenate((h[:, 1], h[:, 2])), np.concatenate((dh[:, 2], -dh[:, 1]))
     scalar = _field_product(row[None], col[:, None])[0, 0]
-    d = max(map(_degree, (hcols, k[:, 0], scalar)))  # the degree each really has
-    hb, kb, p = (half_spectrum(resize_degree(x, d)) for x in (hcols, k[:, 0], scalar))
-    return DiracOperator(0.375 * hb - 0.125 * kb, -p / 16.0)
+    parts = (hcols, k[:, 0], scalar[None])
+    top = max(x.shape[-1] for x in parts) // 2
+    stacked = np.concatenate([resize_degree(x, top) for x in parts])
+    half = half_spectrum(resize_degree(stacked, _degree(stacked)))  # at the largest degree the three really have
+    return DiracOperator._of(0.375 * half[:3] - 0.125 * half[3:6], -half[6] / 16.0)
 
 
 # ----------------------------------------------------------------------
@@ -227,16 +241,17 @@ def _second_corrections_closed(h: np.ndarray, k00: np.ndarray) -> list[float]:
     and l2(n) = lead + flux - diag - mixed.
     """
     d = (h.shape[-1] - 1) // 2
-    m, n = np.arange(-d, d + 1), np.array(_KRAMERS_PAIR)[:, None]
+    m = np.arange(-d, d + 1)
     hsq00 = _field_product(h[:1], h[:, :1])[0, 0]
     lead = np.multiply(_KRAMERS_PAIR, 0.375 * _mean(hsq00) - 0.125 * _mean(k00))
     # conj(h_a2) h_a3 - conj(h_a3) h_a2, summed over a, is s - conj(s)
     s = np.einsum("ak,ak->k", np.conj(h[:, 1]), h[:, 2])
     flux = -(1j / 16.0) * np.dot(m, s - np.conj(s))
-    j, c11 = m[m != 0], h[0, 0][m != 0]
-    s_diag = (j + 2 * n) ** 2 / j @ (c11 * np.conj(c11))
+    nonzero = m != 0
+    j, c11 = m[nonzero], h[0, 0][nonzero]
+    s_diag = (j + _TWICE_PAIR) ** 2 / j @ (c11 * np.conj(c11))
     z1, z2 = h[2, 0] + 1j * h[1, 0], np.conj(h[2, 0]) - 1j * np.conj(h[1, 0])
-    s_mixed = (m - 2 * n) @ (z1 * z2)
+    s_mixed = (m - _TWICE_PAIR) @ (z1 * z2)
     terms = np.array((lead, (flux, flux), s_diag / 16.0, s_mixed / 16.0))
     values = terms[0] + terms[1] - terms[2] - terms[3]
     raise_first((_realness_check(values, terms, 1e-12),))
@@ -262,12 +277,12 @@ def _operator_route(h: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarra
     checks, its realness, then -1's. W1 is built before the block check, W2
     after it.
     """
-    w1, v = _first_order_operator(h), _basis(_KRAMERS_PAIR, "v")
-    basis = np.concatenate([v, _basis(_KRAMERS_PAIR, "w")])
+    w1, basis = _first_order_operator(h), _basis(_KRAMERS_PAIR, "vw")
+    v = basis[:2]
     images = w1.apply(basis)
     gram = inner(images[:, None], basis)  # gram[i, j] = <W1 basis_i, basis_j>
     (diag_v, diag_w), off = gram.diagonal().reshape(2, 2), gram.diagonal(2)
-    scalar = (np.abs(off) <= 1e-9) & (np.abs(diag_v - diag_w) <= 1e-9) & (np.abs(diag_v.imag) <= 1e-9)
+    scalar = (np.abs((off, diag_v - diag_w, diag_v.imag)) <= 1e-9).all(axis=0)
     raise_first(((~scalar, lambda r: DegenerateSplittingError(
         f"first-order block on mode {_KRAMERS_PAIR[r]} is not scalar: "
         f"diag ({diag_v[r]:.3e}, {diag_w[r]:.3e}), off-diagonal {abs(off[r]):.3e}"
@@ -277,7 +292,8 @@ def _operator_route(h: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarra
     residual = poly_sub(images[:2], v * shift)
     corrected, checks = _pseudoinverse(residual, _KRAMERS_PAIR)
     shifted = poly_sub(w1.apply(corrected), corrected * shift)
-    terms = np.array((inner(w2.apply(v), v), inner(shifted, v)))
+    # <W2 v, v> and <shifted, v> by one inner, each image cut to the degree of v first
+    terms = inner(np.array([resize_degree(x, (v.shape[-1] - 1) // 2) for x in (w2.apply(v), shifted)]), v)
     values = terms[0] - terms[1]
     raise_first((*checks, _realness_check(values, terms, 1e-10)))
     return l1, values.real
@@ -336,7 +352,7 @@ def fit_from_values(n: int, eps_grid, values, order: int = 2) -> FitResult:
     ``_FIT_ROUNDING`` * u * sqrt(N) * max(1, |n|), unless max|values| <= 1e-13.
     """
     grid = _fit_grid(eps_grid, order)
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)  # a copy: FitResult freezes it, not the caller's array
     n_nuisance = min(4, grid.size - order - 2)
     powers = list(range(1, order + 1 + n_nuisance))
     design = np.stack([grid**p for p in powers], axis=1)

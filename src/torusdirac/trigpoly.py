@@ -145,10 +145,19 @@ def matmul_entry(x, y, a: int, b: int) -> np.ndarray:
 
 
 def stack_field(entries, degree: int) -> np.ndarray:
-    """The entry coefficient arrays ``entries`` of a matrix of functions,
-    nested rows of them, zero-padded or cut to ``degree`` as one stack
-    (rows, columns, 2*degree+1)."""
-    return np.array([[resize_degree(c, degree) for c in row] for row in entries])
+    """The complex entry coefficient arrays ``entries`` of a matrix of
+    functions, nested rows of them, zero-padded or cut to ``degree`` as one
+    stack (rows, columns, 2*degree+1): each entry is copied into the middle
+    of one zero stack."""
+    out = np.zeros((len(entries), len(entries[0]), 2 * degree + 1), dtype=complex)
+    for a, row in enumerate(entries):
+        for b, c in enumerate(row):
+            d = (c.shape[-1] - 1) // 2
+            if d <= degree:
+                out[a, b, degree - d : degree + d + 1] = c
+            else:
+                out[a, b] = c[d - degree : d + degree + 1]
+    return out
 
 
 def _degrees(x: np.ndarray) -> np.ndarray:

@@ -484,7 +484,8 @@ def reference_track_pair(report, n: int) -> tuple[float, float]:
     if nearest.size > 2 and dist[nearest[2]] <= CLUSTER_RADIUS:
         raise TrackingError(
             f"third eigenvalue {ev[nearest[2]]} within {CLUSTER_RADIUS} of mode {n} "
-            f"at eps={report.eps}, next to the pair {pair}: crossing pairs"
+            f"at eps={report.eps}, next to the pair {pair}: crossing pairs, or a spurious "
+            "eigenvalue of the truncation"
         )
     gap = float(abs(pair[1] - pair[0]))
     if gap > PAIRING_TOL:

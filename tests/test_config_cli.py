@@ -335,6 +335,24 @@ class TestCli:
         )
         assert code == 3
 
+    def test_polluted_spectrum_names_both_causes(self, tmp_path, capsys):
+        # the flat frame turned by R3(2x): at m = 8 the truncated spectrum
+        # holds 0 six times where the flat torus has it twice, so mode 0 finds
+        # a third eigenvalue although no two pairs of the progression cross
+        cfgfile = tmp_path / "turned.cfg"
+        cfgfile.write_text(
+            "m = 8\neps = 1\n"
+            "coframe.E1.1.1 = (2, 0.5, 0) (-2, 0.5, 0) (0, -1, 0)\n"
+            "coframe.E1.2.2 = (2, 0.5, 0) (-2, 0.5, 0) (0, -1, 0)\n"
+            "coframe.E1.1.2 = (2, 0, 0.5) (-2, 0, -0.5)\n"
+            "coframe.E1.2.1 = (2, 0, -0.5) (-2, 0, 0.5)\n"
+        )
+        code = main(["galerkin", "--config", str(cfgfile), "--modes=-1,0,1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "eps=1 mode=0: third eigenvalue " in err
+        assert err.rstrip().endswith(": crossing pairs, or a spurious eigenvalue of the truncation")
+
     def test_nonfinite_eps_override_is_config_error(self, capsys):
         code = main(["galerkin", "--config", "example-galerkin-1", "--eps", "nan"])
         assert code == 2

@@ -325,6 +325,15 @@ class TestFit:
                 fit_from_values(n, grid, values, order=4)
             fit_from_values(n, grid, 3e-8 * grid, order=4)
 
+    def test_caller_values_stay_writable(self):
+        # np.asarray returned a float64 input itself, which FitResult froze
+        grid = np.linspace(0.01, 0.08, 12)
+        values = 3e-8 * grid
+        before = values.copy()
+        fit = fit_from_values(0, grid, values, order=4)
+        assert values.flags.writeable and np.array_equal(values, before)
+        assert not fit.values.flags.writeable and np.array_equal(fit.values, before)
+
 
 class TestSweepSolves:
     """Every fit is made from one spectrum_sweep, one solve per eps point."""
@@ -351,6 +360,16 @@ class TestSweepSolves:
     def test_galerkin_fit_route_solves_once_per_eps(self, solves, explicit_family_2):
         perturbation_report(CoframeFamily.from_perturbation(*explicit_family_2), "galerkin_fit")
         assert solves == [12]
+
+    def test_sweep_builds_no_operator_field(self, monkeypatch, explicit_family_2):
+        # a solve reads a^ and p^ and never applies its operator, so none of
+        # the operators of a sweep builds the field of apply
+        def refuse(op):
+            raise AssertionError("a Galerkin solve built an operator's field")
+
+        monkeypatch.setattr(dirac.DiracOperator, "_field", property(refuse))
+        cf = CoframeFamily.from_perturbation(*explicit_family_2)
+        assert len(perturbation.spectrum_sweep(cf, [0.05, 0.1], 12)) == 2
 
 
 class TestReport:
@@ -529,6 +548,15 @@ class TestSharedWork:
         monkeypatch.setattr(dirac.DiracOperator, "apply", counted)
         perturbation_report(family, "operator")
         assert applies["apply"] == 3
+
+    def test_each_field_built_once(self, family, monkeypatch):
+        # W1 is applied twice, to [v_1, v_-1, w_1, w_-1] and to the corrected
+        # spinors, and W2 once: each operator reads its spectra into the field
+        # [B | k/2 B + p I] on its first apply alone
+        reads = Counter()
+        self.count(monkeypatch, dirac, "real_spectrum", reads)
+        perturbation_report(family, "operator")
+        assert reads == {"real_spectrum": 2}
 
     @pytest.mark.parametrize("route", ["closed_form", "operator"])
     def test_report_reads_the_h_it_built(self, family, monkeypatch, route):

@@ -156,6 +156,12 @@ def test_result_records_hold_only_what_callers_read():
     assert report == ["lambda1_plus", "lambda1_minus", "lambda2_plus", "lambda2_minus"]
 
 
+def test_operator_fields_are_its_half_spectra():
+    # the field that apply builds is held apart from the dataclass fields, so
+    # the constructor, ==, repr and dataclasses.replace see a_hat and p_hat alone
+    assert [f.name for f in dataclasses.fields(dirac.DiracOperator)] == ["a_hat", "p_hat"]
+
+
 def test_commands_read_the_format_from_the_config():
     commands = {name: f for name, f in vars(cli).items() if name.startswith("cmd_")}
     assert sorted(commands) == ["cmd_asympt", "cmd_dump_matrix", "cmd_fit", "cmd_galerkin"]
